@@ -68,9 +68,9 @@ def normalized_metrics(data: dict) -> Dict[str, float]:
     Absolute frames/sec are machine-dependent, so only ratios that
     survive a hardware change are compared: per-path speedups vs the
     seed loop (runtime), and serving's headline ratios (vs static
-    lockstep, shard scaling, pipelined-vs-sequential, the shared-
-    admission p99 tail-latency speedup, and the speculative-pipelining
-    p99/throughput ratios).  Every metric is higher-is-better.
+    lockstep, shard scaling, pipelined-vs-sequential, and the
+    speculative-pipelining p99/throughput ratios, among others).  Every
+    metric is higher-is-better.
     """
     if "paths" in data:  # BENCH_runtime.json
         metrics = {
@@ -86,8 +86,6 @@ def normalized_metrics(data: dict) -> Dict[str, float]:
         optional = {
             "shard_scaling_2x": "2-shard serving (x 1 worker)",
             "pipelined_vs_sequential": "pipelined lockstep (x sequential)",
-            "admission_p99_speedup":
-                "shared-admission p99 TTFF speedup (x static)",
             "speculation_p99_speedup":
                 "speculative p99 TTFF speedup (x non-speculative)",
             "speculation_fps_ratio":

@@ -32,15 +32,18 @@ enough cores it realizes this same concurrent-model number as elapsed
 time.  Every clip of the sharded run is asserted bit-identical to its
 serial run, same as the single-process path.
 
-Two further headlines guard the pipelined stage executor and the
-shared-admission scheduler:
+Two further measurements cover the pipelined stage executor and the
+shared per-lane backlog:
 
 * **pipelining** — depth-2 lockstep (step t+1's RFBME/decisions
   overlapped with step t's CNN stages on a double-buffered engine) must
   hold >= 0.85x sequential lockstep throughput, bit-identical;
-* **tail latency under skew** — with long and short clips interleaved
-  across 2 shards, shared-admission (work stealing) p99
-  time-to-first-frame must not exceed static round-robin's.
+* **tail latency under skew** — long and short clips interleaved across
+  2 shards that steal from one shared backlog; p99 time-to-first-frame
+  is recorded with every clip asserted bit-identical.  Sharded serving
+  has no other admission mode: the static round-robin baseline it beat
+  1.57x (``static_p99_ttff_ms``, ``admission_p99_speedup``) is kept in
+  ``BENCH_serving.json`` as frozen history, no longer measured or gated.
 
 The fifth headline is **speculation**: under arrival-limited Poisson
 traffic the server is almost never at full occupancy, so PR 5's
@@ -141,11 +144,6 @@ SHARD_SCALING_FLOOR = 1.5
 #: The pipelined executor must never cost meaningful throughput for its
 #: latency overlap; on multi-core hosts it lands at or above 1.0x.
 PIPELINE_FLOOR = 0.85
-#: skew bar noise allowance: shared-admission p99 TTFF must beat static
-#: round-robin's (measured ~1.5-1.6x better), but both sides are real
-#: measured step durations, so a tie within 5% jitter on a loaded
-#: runner must not read as a regression.
-SKEW_P99_TOLERANCE = 1.05
 #: speculation bar: with arrival-limited Poisson traffic, p99 TTFF with
 #: speculative pipelining on vs off (both on the concurrent-overlap
 #: timeline; measured ~1.2-1.6x better on this workload).
@@ -192,6 +190,8 @@ _JSON_KEYS = (
     "identical_to_serial", "shard_workload", "single_process_fps",
     "sharded_fps", "shard_scaling_2x", "pipeline_workload",
     "sequential_fps", "pipelined_fps", "pipelined_vs_sequential",
+    # static_p99_ttff_ms / admission_p99_speedup: frozen history of the
+    # removed static round-robin admission, carried but never rewritten.
     "skew_workload", "static_p99_ttff_ms", "shared_p99_ttff_ms",
     "admission_p99_speedup", "speculation_workload",
     "nonspeculative_p99_ttff_ms", "speculative_p99_ttff_ms",
@@ -476,18 +476,15 @@ def test_pipelined_lockstep_throughput(spec, traffic):
 
 
 def test_skewed_admission_tail_latency(spec):
-    """Shared-admission p99 TTFF must not exceed static round-robin's.
+    """Shared-backlog p99 TTFF under skew, every clip bit-identical.
 
     The skewed workload interleaves 16-frame and 2-frame clips arriving
-    together, so static round-robin (requests alternate in arrival
-    order) pins every long clip onto shard 0 while shard 1 burns through
-    its shorts and idles.  A shared per-lane admission queue lets the
-    idle shard steal the pending longs — time-to-first-frame tails
-    collapse.  Both runs use the inline backend's concurrent-shard
-    timeline (static: independent per-shard clocks; shared: the
-    discrete-event loop over per-shard virtual clocks), so the p99s are
-    directly comparable, and every served clip is asserted bit-identical
-    to its serial run in both modes.
+    together over 2 shards of one lane.  Both shards pull from the
+    lane's shared backlog, so an idle shard steals the pending longs
+    instead of idling beside a backlogged sibling.  The run uses the
+    inline backend's concurrent-shard timelines, so the p99 is
+    comparable across hosts; every served clip is asserted
+    bit-identical to its serial run.
     """
     longs = synthetic_workload(12, num_frames=16, base_seed=31)
     shorts = synthetic_workload(12, num_frames=2, base_seed=57)
@@ -497,46 +494,25 @@ def test_skewed_admission_tail_latency(spec):
         ClipRequest(request_id=i, clip=clip) for i, clip in enumerate(clips)
     ]
 
-    static_runtime = ServingRuntime(
+    runtime = ServingRuntime(
         spec, ServerConfig(max_batch=4, serve_workers=2, shard_backend="serial")
     )
-    shared_runtime = ServingRuntime(
-        spec, ServerConfig(max_batch=4, serve_workers=2, shard_backend="serial",
-        admission="shared"),
-    )
-    static = min(
-        (static_runtime.serve(requests) for _ in range(2)),
-        key=lambda r: r.latency_percentiles()["ttff_p99"],
-    )
     shared = min(
-        (shared_runtime.serve(requests) for _ in range(2)),
+        (runtime.serve(requests) for _ in range(2)),
         key=lambda r: r.latency_percentiles()["ttff_p99"],
     )
+    served = shared.workload_result()
+    assert served.matches(serial), "skewed serving diverged from serial"
 
-    for report in (static, shared):
-        served = report.workload_result()
-        assert served.matches(serial), "skewed serving diverged from serial"
-
-    static_p99 = static.latency_percentiles()["ttff_p99"]
-    shared_p99 = shared.latency_percentiles()["ttff_p99"]
-    speedup = static_p99 / shared_p99 if shared_p99 else 1.0
+    percentiles = shared.latency_percentiles()
     register_table(
         f"skewed-arrival tail latency ({len(clips)} requests, 12 long + "
         f"12 short, 2 shards, {NETWORK})",
-        ["quantity", "static", "shared"],
+        ["quantity", "value"],
         [
-            [
-                "ttff p99 ms",
-                round(static_p99 * 1e3, 2),
-                round(shared_p99 * 1e3, 2),
-            ],
-            [
-                "ttff p50 ms",
-                round(static.latency_percentiles()["ttff_p50"] * 1e3, 2),
-                round(shared.latency_percentiles()["ttff_p50"] * 1e3, 2),
-            ],
-            ["p99 speedup", "-", f"{speedup:.2f}x"],
-            ["identical to serial", "yes", "yes"],
+            ["ttff p99 ms", round(percentiles["ttff_p99"] * 1e3, 2)],
+            ["ttff p50 ms", round(percentiles["ttff_p50"] * 1e3, 2)],
+            ["identical to serial", "yes"],
         ],
     )
     _RESULTS.update(
@@ -548,17 +524,10 @@ def test_skewed_admission_tail_latency(spec):
                 "max_batch": 4,
                 "serve_workers": 2,
             },
-            "static_p99_ttff_ms": round(static_p99 * 1e3, 3),
-            "shared_p99_ttff_ms": round(shared_p99 * 1e3, 3),
-            "admission_p99_speedup": round(speedup, 3),
+            "shared_p99_ttff_ms": round(percentiles["ttff_p99"] * 1e3, 3),
         }
     )
     _write_json()
-
-    assert shared_p99 <= static_p99 * SKEW_P99_TOLERANCE, (
-        f"shared-admission p99 TTFF ({shared_p99 * 1e3:.2f} ms) exceeds "
-        f"static round-robin's ({static_p99 * 1e3:.2f} ms) under skew"
-    )
 
 
 def test_speculative_serving_tail_latency():
@@ -730,8 +699,7 @@ def test_chaos_failover_process_shards(spec):
 
     def supervised_serve(plan):
         runtime = ServingRuntime(
-            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="process",
-            admission="shared", fault_plan=plan, supervisor=supervisor),
+            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="process", fault_plan=plan, supervisor=supervisor),
         )
         outcome = {}
 
@@ -861,7 +829,7 @@ def test_autoscale_bursty_tail_latency(spec):
         for i, (clip, t) in enumerate(zip(clips, arrivals))
     ]
     fixed_runtime = ServingRuntime(spec, ServerConfig(
-        max_batch=max_batch, serve_workers=2, admission="shared",
+        max_batch=max_batch, serve_workers=2,
         shard_backend="serial",
     ))
     scaled_runtime = ServingRuntime(spec, ServerConfig(
@@ -969,7 +937,7 @@ def test_virtual_time_admission(spec):
         for i, (clip, t) in enumerate(zip(clips, arrivals))
     ]
     runtime = ServingRuntime(spec, ServerConfig(
-        max_batch=4, serve_workers=2, admission="shared",
+        max_batch=4, serve_workers=2,
         shard_backend="process", virtual_time=True,
     ))
 

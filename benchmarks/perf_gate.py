@@ -15,9 +15,8 @@ hardware change:
   relative to static lockstep on the same host), ``shard_scaling_2x``
   (2-shard aggregate throughput relative to the single-process run),
   ``pipelined_vs_sequential`` (the depth-2 stage executor relative to
-  sequential lockstep), and ``admission_p99_speedup`` (static p99
-  time-to-first-frame divided by shared-admission p99 under skewed
-  traffic — the work-stealing headline; >= 1 means stealing is no worse).
+  sequential lockstep), and the speculation, chaos, autoscale,
+  virtual-time, prefix-service and quantized-lane ratios.
 
 A markdown speedup table is written to ``--summary`` (the
 ``$GITHUB_STEP_SUMMARY`` file in CI) and echoed to stdout.  Any metric

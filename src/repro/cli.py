@@ -256,13 +256,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             horizon=horizon,
         ).events)
     plan = FaultPlan(events=tuple(events), seed=args.fault_seed)
-    if plan and not args.autoscale and (
-            args.serve_workers < 2 or args.admission != "shared"):
+    if plan and not args.autoscale and args.serve_workers < 2:
         print(
-            "error: fault injection needs sharded shared-admission "
-            "serving (--serve-workers >= 2 --admission shared, or an "
-            "--autoscale fleet) so a surviving shard exists to fail "
-            "over to",
+            "error: fault injection needs sharded serving "
+            "(--serve-workers >= 2, or an --autoscale fleet) so a "
+            "surviving shard exists to fail over to",
             file=sys.stderr,
         )
         return 2
@@ -283,7 +281,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         serve_workers=args.serve_workers,
         shard_backend=args.shard_backend,
-        admission=args.admission,
         fault_plan=plan,
         supervisor=SupervisorConfig(
             heartbeat_timeout=args.heartbeat_timeout,
@@ -552,27 +549,21 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker pool for sharded serving (auto picks "
                                "process on multi-core hosts; threads are "
                                "refused — shards would share plan scratch)")
-    sharding.add_argument("--admission", default="static",
-                          choices=["static", "shared"],
-                          help="sharded request assignment: static "
-                               "round-robin slices, or one shared admission "
-                               "queue per lane so idle shards steal pending "
-                               "requests (better tail latency under skew)")
     sharding.add_argument("--autoscale", action="store_true",
                           help="grow/shrink each lane's shard fleet from "
                                "observed queue depth and deadline slack "
                                "between --min-shards and --max-shards "
-                               "(implies shared admission; served results "
-                               "stay bit-identical across scaling)")
+                               "(served results stay bit-identical across "
+                               "scaling)")
     sharding.add_argument("--min-shards", type=int, default=1,
                           help="autoscale floor per lane (default 1)")
     sharding.add_argument("--max-shards", type=int, default=4,
                           help="autoscale ceiling per lane (default 4)")
     sharding.add_argument("--max-pending", type=int, default=None,
                           help="front-door admission watermark: pause "
-                               "ingesting past this many undispatched "
-                               "requests, resume at half (default: "
-                               "unbounded)")
+                               "ingesting past this many arrived but "
+                               "unadmitted requests, resume at half "
+                               "(default: unbounded)")
     sharding.add_argument("--virtual-time", action="store_true",
                           help="release arrivals to process shards by "
                                "logical timestamps instead of real sleeps "
@@ -585,8 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--fault-seed", type=int, default=None,
                         help="inject a seeded chaos plan (kill/stall/"
                              "ack-drop) against the shards; needs "
-                             "--serve-workers >= 2 --admission shared "
-                             "(or --autoscale)")
+                             "--serve-workers >= 2 (or --autoscale)")
     faults.add_argument("--fault-horizon", type=float, default=0.0,
                         help="window (s) seeded faults land in "
                              "(default: up to the last arrival)")

@@ -6,8 +6,8 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
 
 * :class:`PipelineSpec` — picklable recipe for building identical
   pipelines in any worker.
-* :class:`ClipScheduler` / :class:`ShardPool` — fan clips (or lane
-  shards) over a serial / thread / process pool, order-preserving.
+* :class:`ClipScheduler` — fan clips over a serial / thread / process
+  pool, order-preserving.
 * :class:`StageGraph` / :class:`StageExecutor` — the frame lifecycle as
   declared stages with typed inputs/outputs and resource read/write
   sets (:func:`frame_lifecycle_graph`), topologically scheduled, run
@@ -23,12 +23,13 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
 * :class:`BatchedPipeline` — lockstep execution that batches the RFBME
   hot path across all active clips in one vectorized call.
 * :class:`ServingRuntime` — streaming serving with continuous batching,
-  split into a :class:`Router` front end (admission, shape bucketing,
+  split into a :class:`Router` front end (shape bucketing,
   :class:`LaneRoutingError` rejections) and :class:`LaneWorker` back
-  ends that run the stage graph — in-process, or sharded across worker
-  processes (plan-per-worker ownership); configured by one validated
-  :class:`ServerConfig` and dispatched through the :class:`Backend`
-  protocol; :class:`ServingReport` carries per-request
+  ends that run the stage graph, scheduled by one serve core whose
+  timelines (virtual clocks owning lane workers) cover in-process,
+  inline-sharded, and process-sharded serving (plan-per-worker
+  ownership); configured by one validated :class:`ServerConfig`;
+  :class:`ServingReport` carries per-request
   latency/throughput accounting with p50/p95/p99 tails and per-shard
   breakdowns.
 * :class:`FrontDoor` / :class:`RequestSource` — the elastic front
@@ -80,7 +81,6 @@ from .frontdoor import (
     AutoscaleDecision,
     AutoscalePolicy,
     Autoscaler,
-    Backend,
     BackpressureError,
     FrontDoor,
     IteratorSource,
@@ -95,7 +95,6 @@ from .scheduler import (
     ClipScheduler,
     SchedulerConfig,
     ShardCrashError,
-    ShardPool,
 )
 from .serving import (
     ClipRequest,
@@ -149,11 +148,9 @@ __all__ = [
     "execute_batched_step",
     "ClipScheduler",
     "SchedulerConfig",
-    "ShardPool",
     "ShardCrashError",
     "ClipRequest",
     "ServerConfig",
-    "Backend",
     "FrontDoor",
     "RequestSource",
     "ListSource",

@@ -14,25 +14,24 @@ pieces that :class:`~repro.runtime.serving.ServingRuntime` composes:
   in nondecreasing arrival order, and the historical list path is just
   one adapter that pre-sorts by ``(arrival_time, submission order)``.
 * :class:`FrontDoor` — the bounded admission buffer between a source
-  and a serve loop.  It validates routing and duplicate ids as traffic
-  enters, exposes ``take(depth, now)`` for the loops to pull due
-  arrivals, and enforces *queue-depth watermarks*: past ``max_pending``
-  queued-but-unadmitted requests it stops pulling (a backpressure
-  pause) until the loop drains back to ``resume_pending``.  Push-side
-  backpressure is :class:`BackpressureError`, raised by a bounded
+  and the serve core.  It validates routing and duplicate ids as
+  traffic enters, tells the core when and on which lane the next
+  request arrives (``upcoming``), releases requests that have arrived
+  (``take(depth, now)``), and enforces *queue-depth watermarks*: past
+  ``max_pending`` arrived-but-unadmitted requests it stops releasing (a
+  backpressure pause) until the core drains back to
+  ``resume_pending``.  Push-side backpressure is
+  :class:`BackpressureError`, raised by a bounded
   :meth:`QueueSource.submit`.
 * :class:`AutoscalePolicy` — a *pure function* from observed state
   (live shards, admission-queue depth, deadline slack, the sustained
   streak so far) to a target shard count, with hysteresis on both
   directions so transient spikes don't thrash the fleet.
   :class:`Autoscaler` is the thin stateful wrapper that carries streaks
-  per lane and records every change as a :class:`ScaleEvent`; the DES
-  and supervised-process backends both drive it.
-* :class:`ServerConfig` — the validated configuration object that
-  replaced ``ServingRuntime.__init__``'s nine keyword knobs, and
-  :class:`Backend` — the protocol all serve entrypoints implement, so
-  ``serve()`` dispatches on a resolved backend instead of branching
-  inline.
+  per lane and records every change as a :class:`ScaleEvent`; the
+  inline serve core and the process supervisor both drive it.
+* :class:`ServerConfig` — the one validated configuration object for
+  ``ServingRuntime``.
 
 Scaling never changes results: the bit-identity contract (every served
 clip identical to its serial run) holds regardless of when shards were
@@ -44,7 +43,7 @@ from __future__ import annotations
 import asyncio
 import queue as queue_module
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -73,7 +72,6 @@ __all__ = [
     "AutoscalePolicy",
     "Autoscaler",
     "ServerConfig",
-    "Backend",
 ]
 
 
@@ -291,25 +289,24 @@ def as_request_source(requests) -> RequestSource:
 # the front door proper — validation, watermarks, lane bookkeeping
 # -------------------------------------------------------------------- #
 class FrontDoor:
-    """Bounded, validated admission between a source and a serve loop.
+    """Bounded, validated admission between a source and the serve core.
 
     The door owns ingestion-time correctness (routing failures and
     duplicate request ids surface here — eagerly for list traffic,
     keeping the historical fail-fast behaviour; incrementally for
-    streams) and the pull-side watermark: :meth:`take` stops pulling
-    once ``depth`` (the loop's queued-but-unadmitted count) reaches
-    ``max_pending`` and resumes when it drains to ``resume_pending``.
-    Hysteresis means the door toggles once per excursion, not once per
-    request; ``backpressure_pauses`` counts the excursions.
-
-    ``router=None`` (internal: a shard serving a preassigned slice)
-    skips validation and lane bookkeeping.
+    streams) and the pull-side watermark: :meth:`take` releases only
+    requests that have arrived, and stops once ``depth`` — the core's
+    arrived-but-unadmitted count — reaches ``max_pending``, resuming
+    when it drains to ``resume_pending``.  Future arrivals never count
+    against the watermark.  Hysteresis means the door toggles once per
+    excursion, not once per request; ``backpressure_pauses`` counts the
+    excursions.
     """
 
     def __init__(
         self,
         source: RequestSource,
-        router=None,
+        router,
         max_pending: Optional[int] = None,
         resume_pending: Optional[int] = None,
     ):
@@ -323,15 +320,18 @@ class FrontDoor:
         else:
             self.resume_pending = resume_pending
         self._paused = False
-        self._peeked: Optional[Tuple[int, object]] = None
+        #: the next ``(seq, request, lane)``, pulled but not released.
+        self._peeked: Optional[Tuple[int, object, str]] = None
         self._seen: Dict[object, int] = {}
-        self.pulled = 0
         self.backpressure_pauses = 0
-        if router is not None and isinstance(source, ListSource):
+        #: requests per lane, known up front for list traffic only.
+        self.lane_counts: Optional[Dict[str, int]] = None
+        if isinstance(source, ListSource):
             # List traffic keeps the historical contract: every routing
             # or duplicate-id failure surfaces before serving starts.
+            self.lane_counts = {name: 0 for name in router.specs}
             for position, request in enumerate(source.requests):
-                router.lane_for(request)
+                self.lane_counts[router.lane_for(request)] += 1
                 self._check_duplicate(request, position)
 
     # ---------------------------------------------------------------- #
@@ -350,16 +350,15 @@ class FrontDoor:
                 f"silently merge"
             )
 
-    def _fill_peek(self) -> Optional[Tuple[int, object]]:
+    def _fill_peek(self) -> Optional[Tuple[int, object, str]]:
         if self._peeked is None:
             pair = self.source.pull()
             if pair is not None:
                 seq, request = pair
-                if self.router is not None:
-                    self.router.lane_for(request)  # reject before buffering
-                    if not isinstance(self.source, ListSource):
-                        self._check_duplicate(request, seq)
-                self._peeked = pair
+                lane = self.router.lane_for(request)  # reject before buffering
+                if not isinstance(self.source, ListSource):
+                    self._check_duplicate(request, seq)
+                self._peeked = (seq, request, lane)
         return self._peeked
 
     # ---------------------------------------------------------------- #
@@ -373,32 +372,34 @@ class FrontDoor:
         """Nothing available *now* from a source that is still open."""
         return self._fill_peek() is None and not self.source.finished
 
-    def next_arrival(self) -> Optional[float]:
-        """Arrival time of the next pullable request (None = none yet)."""
-        pair = self._fill_peek()
-        return pair[1].arrival_time if pair is not None else None
+    def upcoming(self, depth: int) -> Optional[Tuple[float, str]]:
+        """``(arrival, lane)`` of the next request :meth:`take` could
+        release at ``depth`` — None when nothing is buffered or the
+        watermark holds it back."""
+        peeked = self._fill_peek()
+        if peeked is None:
+            return None
+        if self.max_pending is not None and (
+            (self._paused and depth > self.resume_pending)
+            or depth >= self.max_pending
+        ):
+            return None
+        return peeked[1].arrival_time, peeked[2]
 
-    def lane_of(self, request) -> str:
-        return self.router.lane_for(request)
+    def take(self, depth: int, now: float) -> List[Tuple[int, object, str]]:
+        """Release every request arrived by ``now`` that the watermark
+        allows, as ``(seq, request, lane)``.
 
-    def take(
-        self, depth: int, now: Optional[float] = None
-    ) -> List[Tuple[int, object]]:
-        """Pull every request due at ``now`` that the watermark allows.
-
-        ``depth`` is the loop's current queued-but-unadmitted count;
-        the watermark compares against ``depth`` plus what this call
-        already pulled.  ``now=None`` ignores arrival times (the DES
-        loop orders events by arrival itself).  Progress is guaranteed:
-        at ``depth == 0`` the door always resumes, so a paused serve
-        can never deadlock against its own backpressure.
+        ``depth`` is the core's arrived-but-unadmitted count; the
+        watermark compares against ``depth`` plus what this call already
+        released.  Progress is guaranteed: at ``depth == 0`` the door
+        always resumes, so a paused serve can never deadlock against its
+        own backpressure.
         """
-        out: List[Tuple[int, object]] = []
+        out: List[Tuple[int, object, str]] = []
         while True:
-            pair = self._fill_peek()
-            if pair is None:
-                break
-            if now is not None and pair[1].arrival_time > now:
+            peeked = self._fill_peek()
+            if peeked is None or peeked[1].arrival_time > now:
                 break
             queued = depth + len(out)
             if self.max_pending is not None:
@@ -412,36 +413,34 @@ class FrontDoor:
                     self.backpressure_pauses += 1
                     break
             self._peeked = None
-            self.pulled += 1
-            out.append(pair)
+            out.append(peeked)
         return out
 
     def drain_per_lane(self) -> Dict[str, List[Tuple[int, object]]]:
-        """Pull *everything* into per-lane lists (batch backends).
+        """Pull *everything* into per-lane ``(seq, request)`` lists.
 
-        The static-shard and supervised-process backends need the full
-        request set up front (slice assignment, shard-budget dealing),
-        so they drain the source — streaming traffic is consumed whole,
-        watermarks do not apply.  Source order is arrival order, which
-        is exactly :meth:`Router.partition`'s per-lane order.
+        Process shards need the full request set up front (the
+        supervisor schedules releases and deals the shard budget from
+        it), so they drain the source — streaming traffic is consumed
+        whole, watermarks do not apply.  Source order is arrival order.
         """
         per_lane: Dict[str, List[Tuple[int, object]]] = {
             name: [] for name in self.router.specs
         }
         while True:
-            pair = self._fill_peek()
-            if pair is None:
+            peeked = self._fill_peek()
+            if peeked is None:
                 if self.source.finished:
                     break
                 raise ValueError(
-                    "this backend needs the full trace up front, but the "
+                    "process shards need the full trace up front, but the "
                     "request source is still open; close() it after the "
-                    "last submit, or serve with an autoscaling/in-process "
-                    "configuration that streams"
+                    "last submit, or serve inline (shard_backend='serial' "
+                    "or serve_workers=1), which streams"
                 )
             self._peeked = None
-            self.pulled += 1
-            per_lane[self.lane_of(pair[1])].append(pair)
+            seq, request, lane = peeked
+            per_lane[lane].append((seq, request))
         return per_lane
 
 
@@ -619,17 +618,15 @@ class Autoscaler:
 
 
 # -------------------------------------------------------------------- #
-# server configuration — the nine-knob collapse
+# server configuration
 # -------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ServerConfig:
     """Validated configuration for :class:`ServingRuntime`.
 
-    Collapses the historical nine keyword knobs into one object (the
-    old keywords still work as deprecated aliases on ``ServingRuntime``
-    and emit a single :class:`DeprecationWarning`).  Field validation
-    happens here; *plan/lane* validation — which needs the router —
-    happens when the runtime is constructed with a spec.
+    Field validation happens here; *plan/lane* validation — which needs
+    the router — happens when the runtime is constructed with a spec.
+    Sharded serving always admits from one shared backlog per lane.
     """
 
     #: per-shard slot capacity (continuous batch width).
@@ -639,12 +636,9 @@ class ServerConfig:
     #: shard pool backend: auto / serial / process (thread is refused —
     #: concurrent thread shards would share one plan's scratch).
     shard_backend: str = "auto"
-    #: "static" round-robin slices or a "shared" per-lane queue.
-    #: Autoscaling requires the shared queue and coerces this field.
-    admission: str = "static"
     #: charge pipelined steps their concurrent-overlap duration.
     overlap_timeline: bool = False
-    #: deterministic fault injection (shared-admission backends only).
+    #: deterministic fault injection (sharded serving only).
     fault_plan: FaultPlan = None  # normalized to FaultPlan() below
     #: failure detection / recovery knobs.
     supervisor: SupervisorConfig = None  # normalized below
@@ -656,15 +650,15 @@ class ServerConfig:
     autoscale: Optional[AutoscalePolicy] = None
     #: release arrivals to process shards by logical timestamps instead
     #: of real sleeps, so large simulated traces run at full speed (the
-    #: in-process and inline-DES loops are already virtual-time).
+    #: in-process and inline shard timelines are already virtual).
     virtual_time: bool = False
-    #: pull-side watermark: stop ingesting past this many queued
-    #: requests (None = unbounded, the historical behaviour) …
+    #: pull-side watermark: stop ingesting past this many arrived but
+    #: unadmitted requests (None = unbounded, the historical behaviour) …
     max_pending: Optional[int] = None
     #: … and resume once the queue drains to this (default: half).
     resume_pending: Optional[int] = None
     #: fuse coincident key-frame CNN prefixes across lanes (and across
-    #: inline-DES simulated shards) into one ``run_prefix`` batch per
+    #: inline shard timelines) into one ``run_prefix`` batch per
     #: step.  Bit-identical either way; False restores per-lane calls.
     prefix_coalesce: bool = True
     #: content-addressed prefix activation cache budget in MiB (0 = off).
@@ -686,11 +680,6 @@ class ServerConfig:
         if self.serve_workers < 1:
             raise ValueError(
                 f"serve_workers must be >= 1, got {self.serve_workers}"
-            )
-        if self.admission not in ("static", "shared"):
-            raise ValueError(
-                f"admission must be 'static' or 'shared', got "
-                f"{self.admission!r}"
             )
         if self.shard_backend == "thread":
             # Thread shards of one lane would share the process-global
@@ -715,11 +704,6 @@ class ServerConfig:
             object.__setattr__(self, "fault_plan", FaultPlan())
         if self.supervisor is None:
             object.__setattr__(self, "supervisor", SupervisorConfig())
-        if self.autoscale is not None and self.admission == "static":
-            # Static slices are fixed at dispatch time, so an elastic
-            # pool is meaningless there; autoscaling implies the shared
-            # per-lane queue.
-            object.__setattr__(self, "admission", "shared")
         object.__setattr__(self, "prefix_coalesce",
                            bool(self.prefix_coalesce))
         object.__setattr__(self, "prefix_cache_mb",
@@ -767,35 +751,3 @@ class ServerConfig:
     def sharded(self) -> bool:
         """Whether this config serves through shard workers at all."""
         return self.serve_workers > 1 or self.autoscale is not None
-
-
-# -------------------------------------------------------------------- #
-# the backend protocol
-# -------------------------------------------------------------------- #
-class Backend:
-    """One serve entrypoint: a strategy over a :class:`FrontDoor`.
-
-    ``ServingRuntime.serve()`` resolves exactly one backend from its
-    config and calls :meth:`serve` — the historical inline branching
-    (in-process loop vs static shards vs shared DES vs supervised
-    processes) now lives behind this protocol, and capabilities like
-    autoscaling or fault injection are backend properties rather than
-    more branches.
-    """
-
-    #: stable name, surfaced by ``ServingRuntime.resolve_backend()``.
-    name: str = "backend"
-    #: what this entrypoint supports (informational; config validation
-    #: happens in :class:`ServerConfig` / the runtime constructor).
-    capabilities: frozenset = frozenset()
-
-    def __init__(self, runtime):
-        self.runtime = runtime
-
-    def serve(self, door: FrontDoor):
-        """Serve everything the door yields; returns a ServingReport."""
-        raise NotImplementedError
-
-
-# re-exported for the runtime package namespace
-field = field  # noqa: F811 — keep dataclasses.field importable here

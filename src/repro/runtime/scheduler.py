@@ -16,9 +16,7 @@ parent warms the model cache first so workers never race to train.
 from __future__ import annotations
 
 import os
-import pickle
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
@@ -31,7 +29,6 @@ from .spec import PipelineSpec
 __all__ = [
     "SchedulerConfig",
     "ClipScheduler",
-    "ShardPool",
     "ShardCrashError",
     "deal_shard_budget",
 ]
@@ -48,7 +45,7 @@ def deal_shard_budget(
     never exceeds ``budget``, and a lane never receives more shards
     than it has requests (``lane_counts``) — an extra shard could not
     admit anything, and its executors/plan compile aren't free.  Used
-    by shared-admission serving to size each lane's fleet.
+    by sharded serving to size each lane's fleet.
     """
     shards = {name: 0 for name in lane_names}
     while budget > 0:
@@ -64,11 +61,11 @@ def deal_shard_budget(
 
 
 class ShardCrashError(RuntimeError):
-    """A worker process died (or stopped progressing) mid-map.
+    """A serving shard died (or stopped progressing) with work unresolved.
 
     Raised instead of hanging or silently dropping work: the message
-    names what was lost and ``lost`` carries the task indices (or
-    request seqs, for supervised serving) whose results never arrived.
+    names what was lost and ``lost`` carries the request seqs whose
+    results never arrived.
     """
 
     def __init__(self, message: str, lost: Sequence = ()):
@@ -79,23 +76,6 @@ _BACKENDS = ("auto", "serial", "thread", "process")
 
 #: pipeline of the current worker process (set by the pool initializer).
 _WORKER_PIPELINE: Optional[EVA2Pipeline] = None
-
-
-def _run_feeder_task(fn, index: int, task, results_queue) -> None:
-    """Worker entry for :meth:`ShardPool.map_with_feeder`.
-
-    Ships ``(index, "ok"/"err", payload)`` back so the parent can match
-    results to tasks without trusting completion order, and so a raised
-    exception travels as a value instead of killing the map silently.
-    """
-    try:
-        results_queue.put((index, "ok", fn(task)))
-    except BaseException as exc:  # noqa: BLE001 — transported, re-raised
-        try:
-            pickle.dumps(exc)
-        except Exception:
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        results_queue.put((index, "err", exc))
 
 
 def _init_process_worker(spec: PipelineSpec) -> None:
@@ -132,143 +112,6 @@ class SchedulerConfig:
         if self.backend != "auto":
             return self.backend
         return "process" if (os.cpu_count() or 1) > 1 else "serial"
-
-
-class ShardPool:
-    """Order-preserving map of picklable shard tasks over a worker pool.
-
-    The scheduler/serving hybrid the serving layer shards lanes with:
-    each task describes one lane shard (spec, capacity, assigned
-    requests), the mapped function builds a warm
-    :class:`~repro.runtime.serving.LaneWorker` inside the worker — its
-    own network and inference plan, never a pickled live one — and runs
-    the shard's serve loop.  ``backend`` resolution reuses
-    :class:`SchedulerConfig`: ``process`` realizes shard concurrency on
-    separate cores, ``serial`` runs shards inline (single-core hosts,
-    deterministic debugging), ``auto`` picks between them by core count.
-    """
-
-    def __init__(self, config: Optional[SchedulerConfig] = None):
-        self.config = config or SchedulerConfig()
-
-    def map(self, fn, tasks: Sequence) -> List:
-        """``[fn(task) for task in tasks]``, possibly across processes.
-
-        ``fn`` must be a module-level function and every task picklable
-        when the process backend resolves.  Results keep task order.
-        """
-        tasks = list(tasks)
-        backend = self.config.resolve(len(tasks))
-        if backend == "process":
-            with ProcessPoolExecutor(
-                max_workers=min(self.config.workers, len(tasks))
-            ) as pool:
-                return list(pool.map(fn, tasks))
-        if backend == "thread":
-            with ThreadPoolExecutor(
-                max_workers=min(self.config.workers, len(tasks))
-            ) as pool:
-                return list(pool.map(fn, tasks))
-        return [fn(task) for task in tasks]
-
-    def map_with_feeder(self, fn, tasks: Sequence, feeder,
-                        join_timeout: float = 300.0) -> List:
-        """Process-pool map with a parent-side ``feeder`` running alongside.
-
-        The work-stealing admission shape: each task carries a proxy to
-        a *shared per-lane admission queue*, and ``feeder()`` releases
-        requests into those queues (honouring arrival times) while the
-        shard workers pull — so an idle shard steals the next pending
-        request instead of waiting for a statically assigned slice.  All
-        tasks are submitted first, the feeder runs concurrently in the
-        parent, and results keep task order.
-
-        Unlike :meth:`map`'s batch jobs, these tasks are *long-lived
-        concurrent consumers* — every shard must be resident to pull
-        from its queue (and to reach the readiness barrier the caller
-        may gate the feeder on) — so the pool is sized to the task
-        count, not the configured worker count.
-
-        Process backend only: stealing over a shared queue in a single
-        thread would degenerate (the first inline shard would drain the
-        whole queue before the second ever ran), so callers whose
-        backend resolves ``serial`` must use their own inline loop —
-        serving's discrete-event simulation — instead of this map.
-
-        Crash safety: a worker that dies before returning (a concurrent
-        consumer crashing leaves its queue forever undrained) can no
-        longer hang the map.  Results are collected with liveness
-        checks and a ``join_timeout`` tail bound; dead or stuck workers
-        are reaped (exit codes read, stragglers terminated) and the map
-        raises :class:`ShardCrashError` naming every lost task.
-        """
-        import multiprocessing
-        import queue as queue_module
-
-        tasks = list(tasks)
-        backend = self.config.resolve(len(tasks))
-        if backend != "process":
-            raise ValueError(
-                f"map_with_feeder needs the process backend, resolved "
-                f"{backend!r} for {len(tasks)} task(s); run inline "
-                f"work-stealing through the caller's own loop instead"
-            )
-        results_queue = multiprocessing.Queue()
-        procs = [
-            multiprocessing.Process(
-                target=_run_feeder_task,
-                args=(fn, index, task, results_queue),
-                daemon=True,
-            )
-            for index, task in enumerate(tasks)
-        ]
-        for proc in procs:
-            proc.start()
-        try:
-            feeder()
-            results: dict = {}
-            deadline = time.monotonic() + join_timeout
-            while len(results) < len(tasks):
-                try:
-                    index, status, payload = results_queue.get(timeout=0.1)
-                    results[index] = (status, payload)
-                    continue
-                except queue_module.Empty:
-                    pass
-                missing = [i for i in range(len(tasks)) if i not in results]
-                if all(not procs[i].is_alive() for i in missing):
-                    # Every straggler is dead; one grace drain catches a
-                    # result flushed between the check and the read.
-                    try:
-                        index, status, payload = results_queue.get(timeout=0.5)
-                        results[index] = (status, payload)
-                        continue
-                    except queue_module.Empty:
-                        break
-                if time.monotonic() > deadline:
-                    break
-        finally:
-            for proc in procs:
-                proc.join(timeout=5)
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=1)
-        missing = [i for i in range(len(tasks)) if i not in results]
-        if missing:
-            detail = ", ".join(
-                f"task {i} (exit code {procs[i].exitcode})" for i in missing
-            )
-            raise ShardCrashError(
-                f"{len(missing)} of {len(tasks)} shard worker(s) never "
-                f"returned a result: {detail}",
-                lost=missing,
-            )
-        for index in range(len(tasks)):
-            status, payload = results[index]
-            if status == "err":
-                raise payload
-        return [results[index][1] for index in range(len(tasks))]
 
 
 class ClipScheduler:

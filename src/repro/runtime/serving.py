@@ -1,4 +1,4 @@
-"""Streaming serving — a routing front end over sharded lane workers.
+"""Streaming serving — a routing front end over one scheduling core.
 
 The serving layer is split along the line a deployment would draw:
 
@@ -9,8 +9,8 @@ The serving layer is split along the line a deployment would draw:
   :class:`LaneRoutingError` that names every registered lane.  Pure
   bookkeeping — it never touches an executor.
 * :class:`LaneWorker` — the back end.  One *shard* of one lane: warm
-  executor slots, the lane's compiled inference plan, and the admission
-  queue, all driving the declared stage graph
+  executor slots and the lane's compiled inference plan, driving the
+  declared stage graph
   (:func:`~repro.runtime.stage_graph.frame_lifecycle_graph`) one step at
   a time through a :class:`~repro.runtime.stage_graph.StageExecutor`.
   With a ``pipeline_depth=2`` spec the worker software-pipelines every
@@ -21,53 +21,52 @@ The serving layer is split along the line a deployment would draw:
   is launched under a policy-state checkpoint and rolled back + replayed
   if membership actually changes.  Double-buffered and bit-identical in
   every case; :class:`ServingReport` surfaces the engagement and
-  rollback rates.  A worker runs
-  in-process, or — because its execution state is the picklable
-  :class:`~repro.core.stages.LaneState` recipe away from a
-  spec — inside a worker process, where it builds **its own** network
-  and plan (plan-per-worker ownership: live plans never cross a process
-  boundary; see :meth:`~repro.nn.network.Network.__getstate__`).
-* :class:`ServingRuntime` — the facade that composes them.
-  ``serve_workers=1`` (default) runs every lane's worker in-process
-  under one virtual clock — the continuous-batching behaviour of PR 3,
-  bit-identical and within its throughput envelope.  ``serve_workers=N``
-  shards lanes across a process pool
-  (:class:`~repro.runtime.scheduler.ShardPool`): each lane gets
-  ``ceil(N / num_lanes)`` shards.  ``admission="static"`` splits each
-  lane's requests round-robin in arrival order and every shard serves
-  its slice independently; ``admission="shared"`` keeps one admission
-  queue per lane that all of the lane's shards pull from, so an idle
-  shard *steals* the next pending request — the tail-latency fix for
-  skewed traffic.
+  rollback rates.  A worker's execution state is the picklable
+  :class:`~repro.core.stages.LaneState` recipe away from a spec, so a
+  shard process builds **its own** network and plan (plan-per-worker
+  ownership: live plans never cross a process boundary; see
+  :meth:`~repro.nn.network.Network.__getstate__`).
+* The *serve core* — one discrete-event scheduler for every serve shape.
+  Its unit is a **timeline**: a virtual clock that owns one or more lane
+  workers.  At each event the earliest timeline sheds expired requests,
+  admits due ones earliest-deadline-first from its lanes' backlogs,
+  steps its active workers — as one fused begin/flush/finish round when
+  several are active and the prefix service coalesces — and finalizes
+  departures.  A timeline is charged the real time of everything done
+  for it at a boundary; idle stretches with no arrival due are skipped,
+  never slept.
+* :class:`ServingRuntime` — the facade.  ``serve_workers=1`` runs the
+  core with **one timeline that owns every lane's warm worker**, so all
+  lanes share one clock.  ``serve_workers=N`` (or an autoscale policy)
+  runs one timeline per shard, and every shard of a lane pulls from the
+  lane's shared backlog: whichever shard reaches a free slot first in
+  virtual time admits the next due request.  The ``process`` shard
+  backend realizes the same shape on real processes under a
+  :class:`~repro.runtime.supervision.ShardSupervisor`; each shard
+  process admits, steps and finalizes through the same boundary
+  function.
 
-Continuous batching semantics are unchanged from PR 3: requests wait in
-per-lane FIFO queues and join the running batch at step boundaries; a
-clip's slot is released the moment its last frame is served and the next
-queued request takes it over; any occupancy up to capacity runs against
-the same compiled plan geometry.  The correctness contract is also
-unchanged — and is what makes sharding safe: every served clip's
-outputs, key-frame decisions, and op counts are bit-identical to running
-that clip alone through the serial pipeline, regardless of which
+The correctness contract is what makes every shape safe: every served
+clip's outputs, key-frame decisions, and op counts are bit-identical to
+running that clip alone through the serial pipeline, regardless of which
 batch-mates (or which shard) shared its steps.
 
-Time is virtual per serve loop: arrivals are honoured against a
-monotonic clock, idle stretches with no arrival due are skipped rather
-than slept, and ``wall_seconds`` counts busy time only.  A sharded
-report aggregates under the concurrent-deployment model — shards run
-side by side, so the aggregate busy/idle time is the *slowest shard's*
-and throughput divides total frames by it; with the process backend on
-enough cores that is also the elapsed time you observe.
+Time is virtual per timeline, and ``wall_seconds`` counts charged
+(busy) time only.  A sharded report aggregates under the
+concurrent-deployment model — shards run side by side, so the aggregate
+busy/idle time is the *slowest shard's* and throughput divides total
+frames by it; with the process backend on enough cores that is also the
+elapsed time you observe.
 
 Failure domains (see :mod:`repro.runtime.supervision` and
 ARCHITECTURE.md): requests may carry a ``deadline`` — queued past it
 they are *shed* with an explicit
 :class:`~repro.runtime.supervision.ShedRecord`, and admission among
-waiting requests is earliest-deadline-first on every path.  The
-shared-admission backends are additionally *supervised*: the process
-backend runs under a
+waiting requests is earliest-deadline-first on every path.  Sharded
+serving is *supervised*: process shards run under the
 :class:`~repro.runtime.supervision.ShardSupervisor` (heartbeats, acks,
-failover, bounded respawn), the inline DES loop simulates the same
-supervisor against virtual clocks, and both honour a deterministic
+failover, bounded respawn), inline shards simulate the same supervisor
+against their virtual clocks, and both honour a deterministic
 :class:`~repro.runtime.supervision.FaultPlan` for chaos testing.
 Failed-over work re-executes bit-identically — the serving contract
 makes recovery exactly replayable.
@@ -75,33 +74,20 @@ makes recovery exactly replayable.
 Traffic enters through the *front door*
 (:mod:`repro.runtime.frontdoor`): ``serve()`` accepts any
 :class:`~repro.runtime.frontdoor.RequestSource` (a list is one adapter),
-ingestion is bounded by queue-depth watermarks
-(:class:`~repro.runtime.frontdoor.BackpressureError` on the push side),
-an :class:`~repro.runtime.frontdoor.AutoscalePolicy` can grow and
-shrink a lane's shard pool from observed queue depth and deadline
-slack, and configuration lives in one validated
-:class:`~repro.runtime.frontdoor.ServerConfig` (the historical keyword
-knobs survive as deprecated aliases).  ``serve()`` dispatches on a
-resolved :class:`~repro.runtime.frontdoor.Backend` — in-process loop,
-static shards, or shared admission — instead of branching inline.
+ingestion is bounded by queue-depth watermarks, an
+:class:`~repro.runtime.frontdoor.AutoscalePolicy` can grow and shrink a
+lane's shard pool from observed queue depth and deadline slack, and
+configuration lives in one validated
+:class:`~repro.runtime.frontdoor.ServerConfig`.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -117,26 +103,18 @@ from ..video.generator import VideoClip
 from .batched import WorkloadResult
 from .frontdoor import (
     Autoscaler,
-    Backend,
     FrontDoor,
-    ListSource,
-    RequestSource,
     ScaleEvent,
     ServerConfig,
     as_request_source,
 )
 from .prefix_service import PrefixService, PrefixStats
-from .scheduler import (
-    SchedulerConfig,
-    ShardCrashError,
-    ShardPool,
-    deal_shard_budget,
-)
+from .scheduler import SchedulerConfig, ShardCrashError, deal_shard_budget
 from .spec import PipelineSpec
-from .stage_graph import StageExecutor, frame_lifecycle_graph
+from .stage_graph import SpeculationStats, StageExecutor, frame_lifecycle_graph
 from .supervision import (
     FailoverEvent,
-    FaultPlan,
+    FaultEvent,
     ShardSupervisor,
     ShedRecord,
     SupervisorConfig,
@@ -151,7 +129,6 @@ __all__ = [
     "ServingReport",
     "ServingRuntime",
     "ServerConfig",
-    "Backend",
     "Router",
     "LaneWorker",
     "LaneRoutingError",
@@ -294,25 +271,27 @@ class ShardInfo:
     shard: int
     requests: int
     frames: int
-    #: busy seconds of this shard's serve loop (its own clock).
+    #: busy seconds of this shard's timeline (its own clock).
     wall_seconds: float
     idle_seconds: float
     steps: int
-    #: steps that consumed a pipelined (precomputed) head.
-    pipelined_steps: int = 0
-    #: speculative head launches.
-    speculated: int = 0
-    #: speculative launches rolled back (membership mismatch/abandon).
-    rollbacks: int = 0
-    #: fused prefix batches this shard's service executed (0 when the
-    #: shard ran without a prefix service or nothing coincided).
-    prefix_fused_batches: int = 0
-    #: prefix-cache hits / misses / evictions on this shard's service.
-    prefix_cache_hits: int = 0
-    prefix_cache_misses: int = 0
-    prefix_cache_evictions: int = 0
-    #: prefix MACs the cache hits avoided.
-    prefix_saved_macs: int = 0
+    #: the shard executor's pipelining and speculation counters.
+    speculation: SpeculationStats = field(default_factory=SpeculationStats)
+    #: the shard's own prefix-service counters (empty when the shards
+    #: shared one service; the report then carries the shared counters).
+    prefix: PrefixStats = field(default_factory=PrefixStats)
+
+    @property
+    def pipelined_steps(self) -> int:
+        return self.speculation.pipelined_steps
+
+    @property
+    def speculated(self) -> int:
+        return self.speculation.speculated
+
+    @property
+    def rollbacks(self) -> int:
+        return self.speculation.rollbacks
 
     @property
     def frames_per_second(self) -> float:
@@ -339,9 +318,6 @@ class ServingReport:
     serve_workers: int = 1
     #: per-shard accounting (empty for in-process runs).
     shards: List[ShardInfo] = field(default_factory=list)
-    #: how sharded requests were assigned: "static" round-robin slices
-    #: or a "shared" per-lane admission queue (work stealing).
-    admission: str = "static"
     #: steps that consumed a pipelined (precomputed) head, across all
     #: lanes and shards.  0 on a sequential (pipeline_depth=1) run.
     pipelined_steps: int = 0
@@ -514,8 +490,6 @@ class ServingReport:
             ["mean occupancy", round(self.mean_occupancy, 2)],
             ["serve workers", self.serve_workers],
         ]
-        if self.serve_workers > 1:
-            rows.append(["admission", self.admission])
         for name in sorted(self.lane_dtypes):
             if self.lane_dtypes[name] == "float64":
                 continue
@@ -607,35 +581,34 @@ class _Resident:
 
 
 class LaneWorker:
-    """One shard of one lane: slots, plan, queue, and the stage graph.
+    """One shard of one lane: slots, plan, and the stage graph.
 
     Holds the lane's picklable execution state
     (:class:`~repro.core.stages.LaneState`: warm executor slots, plan
-    handle, per-clip cursors) plus the serving bookkeeping (admission
-    queue, per-slot residents), and advances everything one lifecycle
-    step at a time by running the declared stage graph at the current
-    occupancy.
+    handle, per-clip cursors) plus the per-slot residents, and advances
+    everything one lifecycle step at a time by running the declared
+    stage graph at the current occupancy.  Admission and accounting
+    belong to the serve core's timelines.
 
-    A worker is cheap to build from its spec, which is how the sharded
-    path works: the parent ships ``(lane, spec, capacity, requests)`` to
-    a worker process and the process builds its own worker — its own
-    network, its own compiled plan.
+    A worker is cheap to build from its spec, which is how process
+    shards work: the parent ships ``(lane, spec, capacity)`` to a worker
+    process and the process builds its own worker — its own network,
+    its own compiled plan.
     """
 
     def __init__(self, name: str, spec: PipelineSpec, capacity: int,
-                 shard: int = 0, prefix_coalesce: bool = True,
-                 prefix_cache_mb: float = 0.0):
+                 shard: int = 0,
+                 prefix_service: Optional[PrefixService] = None):
         self.name = name
         self.spec = spec
         self.capacity = capacity
         self.shard = shard
         #: the worker's prefix service (fused key-frame batches +
-        #: content-addressed cache).  Built per worker here; runtime
-        #: serve paths that share one service across workers — the
-        #: in-process loop and the inline DES — overwrite the attribute
-        #: with the shared instance before serving.
-        self.prefix_service = PrefixService(
-            coalesce=prefix_coalesce, cache_mb=prefix_cache_mb
+        #: content-addressed cache).  Serves that share one service
+        #: across workers — every inline serve — assign the shared
+        #: instance before serving.
+        self.prefix_service = (
+            prefix_service if prefix_service is not None else PrefixService()
         )
         network = spec.shared_network()
         self.frame_shape: Tuple[int, int] = tuple(network.input_shape[1:])
@@ -677,7 +650,6 @@ class LaneWorker:
         #: slots (membership events), vs. answering from the cache.
         self._membership_scans = 0
         self.residents: List[Optional[_Resident]] = [None] * capacity
-        self.queue: "deque[Tuple[int, ClipRequest]]" = deque()
 
     # -------------------------------------------------------------- #
     @property
@@ -888,51 +860,6 @@ class LaneWorker:
         modeled = max(inline_cpu_seconds, head_busy)
         return max(0.0, raw_step_seconds - modeled)
 
-    def serve_shard(
-        self,
-        assigned: Sequence[Tuple[int, ClipRequest]],
-        clock: Optional[Callable[[], float]] = None,
-    ) -> "_ShardOutcome":
-        """Run the full serve loop for this shard's slice of traffic.
-
-        The single-worker form of the loop :class:`ServingRuntime` runs
-        across all in-process workers: same admission discipline, same
-        virtual-time idle skipping, on this shard's own clock.
-        """
-        clock = clock or time.perf_counter
-        self.executor.reset_stats()
-        if self.prefix_service is not None:
-            self.prefix_service.reset_stats()
-        # Router-less pair door: seqs are preassigned by the parent, so
-        # the shard replays its slice without validation or watermarks.
-        door = FrontDoor(_PairSource(assigned))
-        done, wall, idle, steps, shed = _serve_loop(
-            [self], lambda request: self, door, clock,
-            prefix_service=self.prefix_service,
-        )
-        stats = self.executor.stats
-        prefix = (
-            self.prefix_service.stats if self.prefix_service is not None
-            else None
-        )
-        return _ShardOutcome(
-            lane=self.name,
-            shard=self.shard,
-            records=done,
-            wall_seconds=wall,
-            idle_seconds=idle,
-            steps=steps,
-            pipelined_steps=stats.pipelined_steps,
-            speculated=stats.speculated,
-            rollbacks=stats.rollbacks,
-            shed=shed,
-            prefix_fused_batches=prefix.fused_batches if prefix else 0,
-            prefix_cache_hits=prefix.hits if prefix else 0,
-            prefix_cache_misses=prefix.misses if prefix else 0,
-            prefix_cache_evictions=prefix.evictions if prefix else 0,
-            prefix_saved_macs=prefix.saved_macs if prefix else 0,
-        )
-
     def release(self) -> None:
         """Drop resident state and hand plan scratch back."""
         self._pending = None
@@ -944,40 +871,16 @@ class LaneWorker:
                 self.state.slots[index].executor.release()
                 self.state.slots[index].policy = None
                 self.residents[index] = None
-        self.queue.clear()
         if self.state.plan is not None:
             self.state.plan.resolve().shrink(1)
 
 
-class _PairSource(RequestSource):
-    """Replay preassigned ``(seq, request)`` pairs (a shard's slice).
-
-    Unlike :class:`~repro.runtime.frontdoor.ListSource`, seqs are the
-    parent's submission numbers, not list positions — the shard's
-    records must key by them so the aggregate stays in submission
-    order.
-    """
-
-    def __init__(self, pairs: Sequence[Tuple[int, ClipRequest]]):
-        super().__init__()
-        self._pairs = deque(sorted(
-            pairs, key=lambda item: (item[1].arrival_time, item[0])
-        ))
-
-    def _next_pair(self) -> Optional[Tuple[int, ClipRequest]]:
-        return self._pairs.popleft() if self._pairs else None
-
-    @property
-    def finished(self) -> bool:
-        return not self._pairs
-
-
 class Router:
-    """Serving front end: lane registry, shape bucketing, shard assignment.
+    """Serving front end: lane registry and shape bucketing.
 
-    Pure routing — admission timing and execution belong to the workers.
-    A request routes by explicit lane name, or by frame shape when the
-    shape identifies exactly one lane; anything else raises
+    Pure routing — admission timing and execution belong to the serve
+    core.  A request routes by explicit lane name, or by frame shape
+    when the shape identifies exactly one lane; anything else raises
     :class:`LaneRoutingError` naming every registered lane.
     """
 
@@ -1029,26 +932,10 @@ class Router:
             )
         return names[0]
 
-    def partition(
-        self, requests: Sequence[ClipRequest]
-    ) -> Dict[str, List[Tuple[int, ClipRequest]]]:
-        """Requests per lane, ``(submission seq, request)`` in arrival
-        order (stable on submission order for ties)."""
-        ordered = sorted(
-            enumerate(requests),
-            key=lambda item: (item[1].arrival_time, item[0]),
-        )
-        per_lane: Dict[str, List[Tuple[int, ClipRequest]]] = {
-            name: [] for name in self.specs
-        }
-        for seq, request in ordered:
-            per_lane[self.lane_for(request)].append((seq, request))
-        return per_lane
-
 
 @dataclass
 class _ShardOutcome:
-    """What one shard's serve loop returned (picklable)."""
+    """What one timeline or shard process served (picklable)."""
 
     lane: str
     shard: int
@@ -1056,18 +943,8 @@ class _ShardOutcome:
     wall_seconds: float
     idle_seconds: float
     steps: int
-    pipelined_steps: int = 0
-    speculated: int = 0
-    rollbacks: int = 0
-    #: requests this shard shed at its admission boundary.
-    shed: List[ShedRecord] = field(default_factory=list)
-    #: per-shard prefix-service counters (0s when shards shared one
-    #: service — the aggregate then reads the service directly).
-    prefix_fused_batches: int = 0
-    prefix_cache_hits: int = 0
-    prefix_cache_misses: int = 0
-    prefix_cache_evictions: int = 0
-    prefix_saved_macs: int = 0
+    speculation: SpeculationStats = field(default_factory=SpeculationStats)
+    prefix: PrefixStats = field(default_factory=PrefixStats)
 
     def info(self) -> ShardInfo:
         """This outcome's report row — the one place it is derived."""
@@ -1081,76 +958,153 @@ class _ShardOutcome:
             wall_seconds=self.wall_seconds,
             idle_seconds=self.idle_seconds,
             steps=self.steps,
-            pipelined_steps=self.pipelined_steps,
-            speculated=self.speculated,
-            rollbacks=self.rollbacks,
-            prefix_fused_batches=self.prefix_fused_batches,
-            prefix_cache_hits=self.prefix_cache_hits,
-            prefix_cache_misses=self.prefix_cache_misses,
-            prefix_cache_evictions=self.prefix_cache_evictions,
-            prefix_saved_macs=self.prefix_saved_macs,
+            speculation=self.speculation,
+            prefix=self.prefix,
         )
 
 
-@dataclass(frozen=True)
-class _ShardTask:
-    """Everything a worker process needs to serve one lane shard."""
+# -------------------------------------------------------------------- #
+# the serve core — backlogs, timelines, the boundary, the event loop
+# -------------------------------------------------------------------- #
+class _Backlog:
+    """One lane's queued-but-unadmitted requests.
 
-    lane: str
-    shard: int
-    spec: PipelineSpec
-    capacity: int
-    assigned: Tuple[Tuple[int, ClipRequest], ...]
-    #: prefix-service knobs, rebuilt per process (a cache never crosses
-    #: a process boundary — each shard owns its own).
-    prefix_coalesce: bool = True
-    prefix_cache_mb: float = 0.0
-
-
-def _run_shard(task: _ShardTask) -> _ShardOutcome:
-    """Build a warm worker for the shard and serve its slice.
-
-    Module-level so :class:`~repro.runtime.scheduler.ShardPool` can ship
-    it to worker processes; construction (network load, plan compile at
-    capacity) happens before the shard's clock starts, so shard busy
-    time measures serving, not setup.
+    Entries wait in a heap ordered by availability until a boundary
+    reaches their ``available`` time, then move to a heap in
+    earliest-deadline-first order (:func:`_edf_key`) that admission pops
+    from — so a boundary costs O(due + admitted), not O(backlog).
+    Shedding scans the backlog only while a queued request carries a
+    deadline.
     """
-    worker = LaneWorker(
-        task.lane, task.spec, task.capacity, shard=task.shard,
-        prefix_coalesce=task.prefix_coalesce,
-        prefix_cache_mb=task.prefix_cache_mb,
-    )
-    return worker.serve_shard(task.assigned)
+
+    def __init__(self):
+        self._future: List[Tuple[float, int, _PendingEntry]] = []
+        self._due: List[Tuple[Tuple[float, float, int], _PendingEntry]] = []
+        #: when entries last became due: a bound on their availability.
+        self._due_since = 0.0
+        #: queued entries that carry a deadline.
+        self.deadlined = 0
+
+    def __len__(self) -> int:
+        return len(self._future) + len(self._due)
+
+    def entries(self) -> List[_PendingEntry]:
+        return [item[-1] for item in self._future + self._due]
+
+    def push(self, entry: _PendingEntry) -> None:
+        heapq.heappush(self._future, (entry.available, entry.seq, entry))
+        if entry.request.deadline is not None:
+            self.deadlined += 1
+
+    def earliest(self) -> Optional[float]:
+        """When the next entry may be admitted (None = nothing queued)."""
+        if self._due:
+            return self._due_since
+        return self._future[0][0] if self._future else None
+
+    def promote(self, now: float) -> None:
+        """Move every entry available by ``now`` into admission order."""
+        while self._future and self._future[0][0] <= now:
+            entry = heapq.heappop(self._future)[2]
+            heapq.heappush(self._due, (_edf_key(entry), entry))
+            self._due_since = now
+
+    def pop_due(self) -> Optional[_PendingEntry]:
+        """The earliest-deadline due entry, or None."""
+        if not self._due:
+            return None
+        entry = heapq.heappop(self._due)[1]
+        if entry.request.deadline is not None:
+            self.deadlined -= 1
+        return entry
+
+    def shed_expired(self, now: float, shard: int) -> List[ShedRecord]:
+        """Drop (and return records for) entries whose deadline passed."""
+        if not self.deadlined:
+            return []
+        kept, shed = _shed_expired(self.entries(), now, shard=shard)
+        if shed:
+            self._future, self._due, self.deadlined = [], [], 0
+            for entry in kept:
+                self.push(entry)
+        return shed
+
+    def slack(self, now: float) -> Optional[float]:
+        """Seconds until the earliest queued deadline (None = none)."""
+        if not self.deadlined:
+            return None
+        return min(
+            entry.request.deadline - now for entry in self.entries()
+            if entry.request.deadline is not None
+        )
 
 
-def _admission_key(seq: int, request: ClipRequest) -> Tuple[float, float, int]:
-    """Earliest-deadline-first admission order for a ``(seq, request)``.
+class _Timeline:
+    """A virtual clock that owns one or more lane workers.
 
-    Deadline-less requests sort last by deadline and fall back to
-    arrival then submission order — exactly the historical FIFO — so
-    slack ordering only reorders traffic that actually has slack.
+    The serve core's unit of scheduling.  ``virtual`` is the timeline's
+    time at its last boundary; a boundary charges it the real time of
+    everything done for it, and idle stretches are skipped
+    (:meth:`skip_to`), never slept.  ``faults`` are the injected
+    fault events (kill / stall / drop_ack) it honours.
     """
-    return (
-        request.deadline if request.deadline is not None else float("inf"),
-        request.arrival_time,
-        seq,
-    )
+
+    def __init__(self, workers: Sequence[LaneWorker],
+                 clock: Callable[[], float], virtual: float = 0.0,
+                 faults: Sequence[FaultEvent] = ()):
+        self.workers = list(workers)
+        self.lanes = frozenset(worker.name for worker in self.workers)
+        #: (lane, shard) of the lead worker: the event-order tiebreak.
+        self.order = (self.workers[0].name, self.workers[0].shard)
+        self.clock = clock
+        self.virtual = virtual
+        self.busy = 0.0
+        self.idle = 0.0
+        self.steps = 0
+        #: the charge of the last boundary that stepped (stall unit).
+        self.mean_step = 1e-3
+        self.records: Dict[int, RequestRecord] = {}
+        #: a draining timeline steps its residents, admits nothing.
+        self.draining = False
+        self.kills = deque(e for e in faults if e.kind == "kill")
+        self.stalls = deque(e for e in faults if e.kind == "stall")
+        self.drops = deque(e for e in faults if e.kind == "drop_ack")
+
+    def has_active(self) -> bool:
+        return any(worker.has_active() for worker in self.workers)
+
+    def faulted(self, at: float) -> bool:
+        """Whether a kill or stall is due by ``at``."""
+        return bool(
+            (self.kills and self.kills[0].at <= at)
+            or (self.stalls and self.stalls[0].at <= at)
+        )
+
+    def skip_to(self, at: float) -> None:
+        """Idle until ``at``: virtual time jumps, nothing is charged."""
+        if at > self.virtual:
+            self.idle += at - self.virtual
+            self.virtual = at
+
+    def outcome(self) -> _ShardOutcome:
+        speculation = SpeculationStats()
+        for worker in self.workers:
+            speculation.merge(worker.executor.stats)
+        lane, shard = self.order
+        return _ShardOutcome(
+            lane=lane, shard=shard, records=self.records,
+            wall_seconds=self.busy, idle_seconds=self.idle,
+            steps=self.steps, speculation=speculation,
+        )
 
 
 def _finalize_step(
-    worker: "LaneWorker",
+    worker: LaneWorker,
     finished: Sequence[_Resident],
     current: float,
     done: Dict[int, RequestRecord],
 ) -> None:
-    """Post-step accounting shared by every serve loop.
-
-    Stamps first-output times (for residents and departures alike) at
-    ``current`` on the loop's clock and turns each departure into its
-    :class:`RequestRecord`.  One definition, so the static, stealing,
-    and discrete-event loops can never drift apart in how they account
-    a step.
-    """
+    """Stamp first outputs at ``current`` and record each departure."""
     for resident in worker.active_residents():
         if resident.first_output_time is None:
             resident.first_output_time = current
@@ -1170,523 +1124,310 @@ def _finalize_step(
         )
 
 
-def _serve_work_stealing(
-    workers: List[LaneWorker],
-    pending_by_lane: Mapping[str, Sequence[Tuple[int, ClipRequest]]],
+def _boundary(
+    cohort: Sequence[_Timeline],
+    since: float,
+    backlogs: Mapping[str, _Backlog],
+    shed: Optional[List[ShedRecord]] = None,
+    coalesce: bool = False,
+    overlap: bool = False,
+) -> Tuple[List[_PendingEntry], List[Tuple[_Timeline, _Resident]], float]:
+    """One scheduling boundary for ``cohort``: timelines tied in time.
+
+    Sheds expired requests into ``shed`` (None = never shed), admits due
+    requests earliest-deadline-first while free slots last, steps every
+    active worker — as one fused begin/flush/finish round when more
+    than one is active and ``coalesce`` is on — and finalizes
+    departures.  Every member is charged the real time from ``since``
+    (the clock reading that closed the previous boundary) to this
+    boundary's last reading, less any ``overlap`` credit
+    (:meth:`LaneWorker.overlap_credit`), so tied members stay tied.
+    In-process serving, inline shards, and shard processes all admit,
+    step, and finalize here.
+
+    Returns ``(admitted entries, [(timeline, departure)], closing clock
+    reading)``.
+    """
+    base = cohort[0].virtual
+    clock = cohort[0].clock
+    reading = since
+    credit = 0.0
+
+    def now() -> float:
+        nonlocal reading
+        reading = clock()
+        return base + (reading - since) - credit
+
+    current = now()
+    admitted: List[_PendingEntry] = []
+    for timeline in cohort:
+        for worker in timeline.workers:
+            backlog = backlogs[worker.name]
+            if shed is not None and backlog.deadlined:
+                shed.extend(backlog.shed_expired(current, worker.shard))
+            if timeline.draining:
+                continue
+            backlog.promote(current)
+            while worker.has_free_slot():
+                entry = backlog.pop_due()
+                if entry is None:
+                    break
+                worker.admit(entry.seq, entry.request, current)
+                admitted.append(entry)
+    active = [
+        (timeline, worker)
+        for timeline in cohort for worker in timeline.workers
+        if worker.has_active()
+    ]
+    departed: List[Tuple[_Timeline, _Resident]] = []
+    if coalesce and not overlap and len(active) > 1:
+        # Two-phase round: every worker's decisions first, one fused /
+        # cached prefix flush, then every worker's CNN stages.
+        for _, worker in active:
+            worker.begin_step()
+        active[0][1].prefix_service.flush()
+        finished = [worker.finish_step() for _, worker in active]
+        end = now()
+        for (timeline, worker), gone in zip(active, finished):
+            _finalize_step(worker, gone, end, timeline.records)
+            departed += [(timeline, resident) for resident in gone]
+    else:
+        for timeline, worker in active:
+            if overlap:
+                step_start = now()
+                cpu_start = time.thread_time()
+                gone = worker.step()
+                inline_cpu = time.thread_time() - cpu_start
+                credit += worker.overlap_credit(now() - step_start,
+                                                inline_cpu)
+            else:
+                gone = worker.step()
+            _finalize_step(worker, gone, now(), timeline.records)
+            departed += [(timeline, resident) for resident in gone]
+    charge = (reading - since) - credit
+    for timeline in cohort:
+        timeline.virtual = base + charge
+        timeline.busy += charge
+    for timeline, _ in active:
+        timeline.steps += 1
+        timeline.mean_step = charge
+    return admitted, departed, reading
+
+
+def _run_core(
+    timelines: List[_Timeline],
+    door: FrontDoor,
     clock: Callable[[], float],
-    fault_plan: Optional[FaultPlan] = None,
+    service: PrefixService,
+    spawn: Optional[Callable[[str, int], LaneWorker]] = None,
     supervisor: Optional[SupervisorConfig] = None,
-    spawn_worker: Optional[Callable[[str, int], LaneWorker]] = None,
-    door: Optional[FrontDoor] = None,
     autoscaler: Optional[Autoscaler] = None,
-    prefix_service: Optional[PrefixService] = None,
-) -> Tuple[List[_ShardOutcome], List[ShedRecord], List[FailoverEvent],
+    overlap: bool = False,
+) -> Tuple[List[_Timeline], List[ShedRecord], List[FailoverEvent],
            Dict[str, int]]:
-    """Discrete-event serve loop: concurrent shards, shared lane queues.
+    """The serve core: every timeline over the door's traffic, one DES.
 
-    Simulates N shards running side by side in one thread: each shard
-    keeps its own virtual clock (the sum of its real step durations plus
-    idle skips), and at every event the shard with the earliest
-    actionable time acts — shedding expired requests, admitting due
-    ones earliest-deadline-first from its *lane's* shared backlog while
-    it has free slots, then stepping its residents.  A request is
-    therefore admitted by whichever shard reaches a free slot earliest
-    in virtual time: work stealing under the same concurrent-shard
-    model the static path's per-shard loops realize, deterministic
-    given step durations, honouring an injected clock.
+    At every event the timeline with the earliest actionable time acts
+    (ties break on ``(lane, shard)``): an active timeline at its own
+    clock, an idle one at the later of its clock and the earliest
+    request its lanes could admit — queued, or next at the door.  The
+    door releases requests that have arrived by the event time (its
+    ``max_pending`` watermark counts those, never future arrivals),
+    and :func:`_boundary` does the rest.  With ``service.coalesce``,
+    other active timelines tied at exactly the event time join the
+    boundary as one fused round.
 
-    This loop is also the inline backend for deterministic fault
-    injection — the simulated twin of the process backend's
-    :class:`~repro.runtime.supervision.ShardSupervisor`, firing the
-    same ``fault_plan`` against per-shard virtual clocks: a ``kill``
-    ends the shard at its fire time and the residents' requests are
-    re-dispatched (outcome ``"failover"``) once the virtual supervisor
-    notices — ``heartbeat_timeout`` after death; a ``stall`` freezes
-    the shard's clock for its duration, or fails it over exactly like a
-    kill when the stall exceeds ``heartbeat_timeout`` (silence and
-    death are indistinguishable to a supervisor); a ``drop_ack``
-    discards a completed record and re-dispatches the request after
-    ``ack_timeout`` (outcome ``"retried"``).  Re-execution is
-    bit-identical by the serving contract, so every recovery is exactly
-    replayable.  A lane that loses every shard spawns a replacement via
-    ``spawn_worker`` while ``max_respawns`` budget remains; past that,
-    remaining work raises an explicit
-    :class:`~repro.runtime.scheduler.ShardCrashError` — never a hang.
+    The core also simulates the process backend's supervisor against
+    the timelines' clocks, honouring each timeline's injected faults: a
+    ``kill`` ends the timeline and its residents' requests rejoin the
+    lane backlog (outcome ``"failover"``) ``heartbeat_timeout`` after
+    death; a ``stall`` freezes its clock, or fails it over like a kill
+    when longer than ``heartbeat_timeout``; a ``drop_ack`` discards a
+    completed record and re-queues the request after ``ack_timeout``
+    (outcome ``"retried"``).  A lane that loses every timeline respawns
+    one via ``spawn`` while ``max_respawns`` budget remains; past that,
+    remaining work raises :class:`ShardCrashError` — never a hang.
+    With an ``autoscaler`` each boundary of a non-draining timeline
+    observes its lane (backlog depth per live shard, deadline slack):
+    growth spawns a timeline, shrinkage drains the least-loaded sibling.
 
-    With a ``door`` the lane backlogs are fed incrementally from the
-    front door (streaming sources serve without being drained up
-    front, and ingestion honours the door's watermark); with an
-    ``autoscaler`` each admission boundary also observes its lane —
-    backlog depth per live shard, earliest-deadline slack — and acts on
-    the policy's target: growth spawns a shard via ``spawn_worker``
-    (not counted as a respawn), shrinkage marks the least-loaded sibling
-    *draining* — it steps its residents to completion, admits nothing
-    new, and retires once empty.  Scaling never touches results: every
-    admitted request runs the same bit-identical serve regardless of
-    when its shard was spawned.
-
-    With a ``prefix_service`` the simulation also coalesces *across
-    simulated shards*: when other live, active shards are tied with the
-    acting shard at exactly its event time (the lockstep the injected
-    deterministic clocks produce), the whole cohort steps as one
-    two-phase round — every member's key decisions first, one fused
-    prefix flush, then every member's CNN stages — and each member is
-    charged the full round duration (tied shards stay tied, keeping
-    event order deterministic).  The shared service also shares its
-    content cache across all simulated shards.  Results are
-    bit-identical either way.
-
-    Returns ``(outcomes, shed, failover events, counters)`` with one
-    outcome per worker (dead and respawned shards included) in spawn
-    order and ``counters`` keying ``retries``/``failovers``/``respawns``.
+    Returns ``(every timeline in spawn order, shed, failover events,
+    counters)``; ``counters`` keys ``retries``/``failovers``/``respawns``.
     """
     config = supervisor or SupervisorConfig()
-    plan = fault_plan or FaultPlan()
-    lane_pending: Dict[str, List[_PendingEntry]] = {
-        name: [
-            _PendingEntry(seq=seq, request=request, lane=name,
-                          available=request.arrival_time)
-            for seq, request in items
-        ]
-        for name, items in pending_by_lane.items()
-    }
-    virtual = {worker: 0.0 for worker in workers}
-    busy = {worker: 0.0 for worker in workers}
-    idle = {worker: 0.0 for worker in workers}
-    steps = {worker: 0 for worker in workers}
-    records: Dict[LaneWorker, Dict[int, RequestRecord]] = {
-        worker: {} for worker in workers
-    }
-    mean_step = {worker: 1e-3 for worker in workers}
-    kills = {
-        worker: deque(plan.for_shard(worker.name, worker.shard))
-        for worker in workers
-    }
-    for worker in workers:
-        kills[worker] = deque(
-            e for e in kills[worker] if e.kind == "kill"
-        )
-    stalls = {
-        worker: deque(
-            e for e in plan.for_shard(worker.name, worker.shard)
-            if e.kind == "stall"
-        )
-        for worker in workers
-    }
-    drops = {
-        worker: deque(
-            e for e in plan.for_shard(worker.name, worker.shard)
-            if e.kind == "drop_ack"
-        )
-        for worker in workers
-    }
-    alive = set(workers)
-    draining: set = set()
+    backlogs = {name: _Backlog() for name in door.router.specs}
+    fleet = list(timelines)
+    live = list(timelines)
     in_flight: Dict[int, _PendingEntry] = {}
     shed: List[ShedRecord] = []
     failover_events: List[FailoverEvent] = []
     counters = {"retries": 0, "failovers": 0, "respawns": 0}
 
-    def add_worker(lane: str, at: float, scale: bool = False) -> LaneWorker:
-        shard_index = max(w.shard for w in workers if w.name == lane) + 1
-        replacement = spawn_worker(lane, shard_index)
-        workers.append(replacement)
-        for table, default in (
-            (virtual, at), (busy, 0.0), (idle, 0.0), (steps, 0),
-            (mean_step, 1e-3),
-        ):
-            table[replacement] = default
-        records[replacement] = {}
-        kills[replacement] = deque()
-        stalls[replacement] = deque()
-        drops[replacement] = deque()
-        alive.add(replacement)
+    def add_timeline(lane: str, at: float, scale: bool = False) -> None:
+        shard = max(
+            (t.order[1] for t in fleet if t.order[0] == lane), default=-1
+        ) + 1
+        worker = spawn(lane, shard)
+        worker.prefix_service = service  # one cache, fused cohorts
+        timeline = _Timeline([worker], clock, virtual=at)
+        fleet.append(timeline)
+        live.append(timeline)
         if not scale:  # autoscale growth is not failure recovery
             counters["respawns"] += 1
-        return replacement
 
-    def fail_worker(worker: LaneWorker, death_time: float,
-                    reason: str) -> None:
-        """Kill a shard at ``death_time`` on its clock and fail it over.
-
-        The virtual supervisor notices ``heartbeat_timeout`` later;
-        the residents' requests rejoin the lane backlog at that
-        detection time, partial per-frame work discarded (their
-        re-execution is bit-identical from frame zero).
-        """
-        detect = death_time + config.heartbeat_timeout
+    def fail(timeline: _Timeline, death: float, reason: str) -> None:
+        detect = death + config.heartbeat_timeout
         seqs = []
-        for resident in worker.active_residents():
-            entry = in_flight.pop(resident.seq)
-            entry.attempts += 1
-            entry.outcome = "failover"
-            entry.available = detect
-            lane_pending[worker.name].append(entry)
-            seqs.append(resident.seq)
+        for worker in timeline.workers:
+            for resident in worker.active_residents():
+                entry = in_flight.pop(resident.seq)
+                entry.attempts += 1
+                entry.outcome = "failover"
+                entry.available = detect
+                backlogs[worker.name].push(entry)
+                seqs.append(resident.seq)
         counters["failovers"] += len(seqs)
-        alive.discard(worker)
-        respawned = False
-        if (
-            spawn_worker is not None
-            and not any(w.name == worker.name for w in alive)
-            and lane_pending[worker.name]
+        live.remove(timeline)
+        lane, shard = timeline.order
+        respawned = (
+            spawn is not None
+            and not any(lane in t.lanes for t in live)
+            and (len(backlogs[lane]) > 0 or not door.exhausted)
             and counters["respawns"] < config.max_respawns
-        ):
-            add_worker(worker.name, detect)
-            respawned = True
+        )
+        if respawned:
+            add_timeline(lane, detect)
         failover_events.append(FailoverEvent(
-            lane=worker.name, shard=worker.shard, time=detect,
-            reason=reason, seqs=tuple(sorted(seqs)), respawned=respawned,
+            lane=lane, shard=shard, time=detect, reason=reason,
+            seqs=tuple(sorted(seqs)), respawned=respawned,
         ))
 
+    since = clock()
     while True:
-        if door is not None:
-            # Feed lane backlogs from the front door; depth is the
-            # queued-but-unadmitted total the watermark bounds.
-            depth = sum(len(entries) for entries in lane_pending.values())
-            for seq, request in door.take(depth):
-                lane = door.lane_of(request)
-                lane_pending[lane].append(_PendingEntry(
-                    seq=seq, request=request, lane=lane,
-                    available=request.arrival_time,
-                ))
-        chosen = None
-        chosen_key = None
-        for worker in workers:
-            if worker not in alive:
+        depth = sum(len(backlog) for backlog in backlogs.values())
+        upcoming = door.upcoming(depth)
+        keyed = []
+        for timeline in list(live):
+            if timeline.has_active():
+                at = timeline.virtual
+            elif timeline.draining:
+                live.remove(timeline)  # drained dry: retire
                 continue
-            if worker in draining:
-                if not worker.has_active():
-                    # Drained dry: retire from the fleet.
-                    alive.discard(worker)
-                    draining.discard(worker)
-                    continue
-                key = (virtual[worker], worker.name, worker.shard)
             else:
-                entries = lane_pending[worker.name]
-                if worker.has_active():
-                    key = (virtual[worker], worker.name, worker.shard)
-                elif entries:
-                    key = (
-                        max(virtual[worker],
-                            min(e.available for e in entries)),
-                        worker.name,
-                        worker.shard,
-                    )
-                else:
+                times = [
+                    t for t in (backlogs[lane].earliest()
+                                for lane in timeline.lanes)
+                    if t is not None
+                ]
+                if upcoming is not None and upcoming[1] in timeline.lanes:
+                    times.append(upcoming[0])
+                if not times:
                     continue
-            if chosen_key is None or key < chosen_key:
-                chosen, chosen_key = worker, key
-        if chosen is None:
-            if door is not None and not door.exhausted:
-                # A live source with nothing submitted yet: the only
-                # place this loop touches real time — there is no
-                # virtual event to jump to until traffic exists.
-                if door.starved:
-                    time.sleep(0.001)
+                at = max(timeline.virtual, min(times))
+            keyed.append((at, timeline.order, timeline))
+        if not keyed:
+            if door.starved:
+                # A live source with nothing submitted yet: no virtual
+                # event exists until traffic does, so wait in real time
+                # (charged to no timeline).
+                time.sleep(0.001)
+                since = clock()
                 continue
-            stranded = {
-                name: entries for name, entries in lane_pending.items()
-                if entries
-            }
-            if not stranded:
-                break
-            # Lanes with work but no live shard and no respawn budget
-            # (in-budget respawns happen at failover time): explicit.
             lost = sorted(
-                entry.seq
-                for entries in stranded.values()
-                for entry in entries
+                entry.seq for backlog in backlogs.values()
+                for entry in backlog.entries()
             )
-            lanes = ", ".join(sorted(stranded))
+            if not lost and door.exhausted:
+                break
+            lanes = ", ".join(
+                sorted(name for name, b in backlogs.items() if len(b))
+            )
             raise ShardCrashError(
                 f"lane(s) {lanes} lost every shard with {len(lost)} "
                 f"request(s) unresolved (seqs {lost}) and no respawn "
                 f"budget left (max_respawns={config.max_respawns})",
                 lost=lost,
             )
-        worker = chosen
-        event_time = chosen_key[0]
-        # Injected faults fire before the shard acts at this boundary.
-        if kills[worker] and kills[worker][0].at <= event_time:
-            event = kills[worker].popleft()
-            fail_worker(worker, max(event.at, virtual[worker]), "crash")
+        # ``order`` is unique per timeline, so ties never compare timelines.
+        at, _, timeline = min(keyed)
+        # Injected faults fire before the timeline acts at this event.
+        if timeline.kills and timeline.kills[0].at <= at:
+            event = timeline.kills.popleft()
+            fail(timeline, max(event.at, timeline.virtual), "crash")
             continue
-        if stalls[worker] and stalls[worker][0].at <= event_time:
-            event = stalls[worker].popleft()
+        if timeline.stalls and timeline.stalls[0].at <= at:
+            event = timeline.stalls.popleft()
             duration = (
                 event.seconds if event.seconds > 0
-                else event.steps * mean_step[worker]
+                else event.steps * timeline.mean_step
             )
+            begin = max(timeline.virtual, event.at)
             if duration > config.heartbeat_timeout:
                 # Silent past the heartbeat: indistinguishable from
-                # death, failed over as one (the stalled shard is
-                # terminated; its residents re-dispatch).
-                fail_worker(worker, max(event.at, virtual[worker]),
-                            "stall")
-                continue
-            begin = max(virtual[worker], event.at)
-            idle[worker] += (begin - virtual[worker]) + duration
-            virtual[worker] = begin + duration
-            continue
-        entries = lane_pending[worker.name]
-        if event_time > virtual[worker]:
-            # Idle until the next arrival: skip virtually, never sleep.
-            idle[worker] += event_time - virtual[worker]
-            virtual[worker] = event_time
-        kept, newly_shed = _shed_expired(
-            entries, virtual[worker], shard=worker.shard
-        )
-        if newly_shed:
-            lane_pending[worker.name] = entries = kept
-            shed.extend(newly_shed)
-        if autoscaler is not None and worker not in draining:
-            # One observation per admission boundary: backlog depth per
-            # live shard plus the earliest pending deadline's slack.
-            live = [
-                w for w in alive
-                if w.name == worker.name and w not in draining
-            ]
-            slack = min(
-                (e.request.deadline - virtual[worker]
-                 for e in entries if e.request.deadline is not None),
-                default=None,
-            )
-            target = autoscaler.observe(
-                worker.name, len(live), len(entries), virtual[worker],
-                deadline_slack=slack,
-            )
-            if target > len(live) and spawn_worker is not None:
-                add_worker(worker.name, virtual[worker], scale=True)
-            elif target < len(live):
-                # Drain the least-loaded sibling (never the acting
-                # shard if another exists): it finishes its residents,
-                # admits nothing new, and retires once empty.
-                victim = min(
-                    [w for w in live if w is not worker] or live,
-                    key=lambda w: (len(w.active_residents()), -w.shard),
-                )
-                draining.add(victim)
-        while worker not in draining and worker.has_free_slot():
-            due = [e for e in entries if e.available <= virtual[worker]]
-            if not due:
-                break
-            entry = min(due, key=_edf_key)
-            entries.remove(entry)
-            worker.admit(entry.seq, entry.request, virtual[worker])
-            in_flight[entry.seq] = entry
-        if not worker.has_active():
-            continue
-
-        def account(member: LaneWorker, finished: List[_Resident],
-                    duration: float) -> None:
-            """Charge one stepped shard and settle its departures."""
-            virtual[member] += duration
-            busy[member] += duration
-            steps[member] += 1
-            mean_step[member] = duration
-            _finalize_step(member, finished, virtual[member],
-                           records[member])
-            for resident in finished:
-                entry = in_flight.pop(resident.seq)
-                if drops[member] and drops[member][0].at <= virtual[member]:
-                    # The ack is lost: the completed record never
-                    # reaches the supervisor, which re-dispatches after
-                    # ack_timeout.
-                    drops[member].popleft()
-                    del records[member][resident.seq]
-                    entry.attempts += 1
-                    entry.outcome = "retried"
-                    entry.available = (
-                        virtual[member] + config.resolved_ack_timeout
-                    )
-                    lane_pending[member.name].append(entry)
-                    counters["retries"] += 1
-                else:
-                    record = records[member][resident.seq]
-                    record.outcome = entry.outcome
-                    record.attempts = entry.attempts
-
-        cohort = [worker]
-        if prefix_service is not None and prefix_service.coalesce:
-            # Live, active shards tied at exactly this event time step
-            # as one fused round (no pending fault may be due: fault
-            # firing stays at the shard's own turn).
-            cohort += [
-                other for other in workers
-                if other is not worker
-                and other in alive
-                and other.has_active()
-                and virtual[other] == event_time
-                and not (kills[other] and kills[other][0].at <= event_time)
-                and not (stalls[other] and stalls[other][0].at <= event_time)
-            ]
-        if len(cohort) > 1:
-            step_start = clock()
-            for member in cohort:
-                member.begin_step()
-            prefix_service.flush()
-            round_finished = [
-                (member, member.finish_step()) for member in cohort
-            ]
-            duration = clock() - step_start
-            # Concurrent-barrier model: every member pays the full
-            # round, so tied shards stay tied (deterministic order).
-            for member, finished in round_finished:
-                account(member, finished, duration)
-        else:
-            step_start = clock()
-            finished = worker.step()
-            duration = clock() - step_start
-            account(worker, finished, duration)
-    outcomes = [
-        _ShardOutcome(
-            lane=worker.name,
-            shard=worker.shard,
-            records=records[worker],
-            wall_seconds=busy[worker],
-            idle_seconds=idle[worker],
-            steps=steps[worker],
-            pipelined_steps=worker.executor.stats.pipelined_steps,
-            speculated=worker.executor.stats.speculated,
-            rollbacks=worker.executor.stats.rollbacks,
-        )
-        for worker in workers
-    ]
-    return outcomes, shed, failover_events, counters
-
-
-def _serve_loop(
-    workers: Sequence[LaneWorker],
-    route: Callable[[ClipRequest], LaneWorker],
-    door: FrontDoor,
-    clock: Callable[[], float],
-    overlap_timeline: bool = False,
-    prefix_service: Optional[PrefixService] = None,
-) -> Tuple[Dict[int, RequestRecord], float, float, int, List[ShedRecord]]:
-    """The continuous-batching serve loop over a set of lane workers.
-
-    Traffic arrives through the ``door`` (nondecreasing arrival order —
-    the source contract).  Requests become visible at their
-    ``arrival_time``; admission and eviction happen at step boundaries;
-    when no worker has a resident and no arrival is due, virtual time
-    jumps to the next arrival instead of spinning (a *live* source with
-    nothing submitted yet is the one place the loop waits in real
-    time).  The door's watermark bounds how much traffic is pulled
-    ahead of admission.  Queued requests whose deadline passes before
-    admission are shed at the boundary (explicit :class:`ShedRecord`,
-    never served late), and admission among waiting requests is
-    earliest-deadline-first — deadline-less traffic keeps the
-    historical FIFO order exactly.
-    With ``overlap_timeline`` each pipelined step is charged its
-    concurrent-overlap duration (:meth:`LaneWorker.overlap_credit`)
-    instead of the host-serialized one, so latency accounting is
-    comparable across hosts with any core count.
-
-    ``prefix_service`` — the workers' shared
-    :class:`~repro.runtime.prefix_service.PrefixService` (every worker's
-    ``prefix_service`` attribute must be this instance) — turns each
-    multi-worker step round into two phases: every active worker
-    ``begin_step`` calls (head stages + key decisions), the service
-    flushes once (fusing coincident key-frame prefixes across lanes
-    into one plan call and answering repeats from the content cache),
-    then every worker ``finish_step`` calls.  Bit-identical to per-worker
-    stepping; with one active worker (or ``overlap_timeline``, whose
-    per-step wall attribution a shared flush would blur) the loop
-    falls back to plain ``step()`` and the service still serves its
-    cache on the direct path.
-    Returns ``(records by seq, busy seconds, idle seconds, steps,
-    shed)``.
-    """
-    done: Dict[int, RequestRecord] = {}
-    shed: List[ShedRecord] = []
-    steps = 0
-    skipped = 0.0
-    credited = 0.0
-    start = clock()
-
-    def now() -> float:
-        return (clock() - start) + skipped - credited
-
-    while not door.exhausted or any(
-        worker.queue or worker.has_active() for worker in workers
-    ):
-        current = now()
-        depth = sum(len(worker.queue) for worker in workers)
-        for seq, request in door.take(depth, now=current):
-            route(request).queue.append((seq, request))
-        for worker in workers:
-            if worker.queue and any(
-                request.deadline is not None
-                for _, request in worker.queue
-            ):
-                entries = [
-                    _PendingEntry(seq=seq, request=request,
-                                  lane=worker.name, available=current)
-                    for seq, request in worker.queue
-                ]
-                kept, newly_shed = _shed_expired(
-                    entries, current, shard=worker.shard
-                )
-                if newly_shed:
-                    shed.extend(newly_shed)
-                    worker.queue = deque(
-                        (entry.seq, entry.request) for entry in kept
-                    )
-            while worker.queue and worker.has_free_slot():
-                index = min(
-                    range(len(worker.queue)),
-                    key=lambda i: _admission_key(*worker.queue[i]),
-                )
-                seq, request = worker.queue[index]
-                del worker.queue[index]
-                worker.admit(seq, request, current)
-        if not any(worker.has_active() for worker in workers):
-            # Idle with work still to come: skip ahead to the next
-            # arrival instead of spinning.
-            next_arrival = door.next_arrival()
-            if next_arrival is not None:
-                gap = next_arrival - current
-                if gap > 0:
-                    skipped += gap
-            elif door.starved and not any(
-                worker.queue for worker in workers
-            ):
-                # Live source, nothing submitted yet: no virtual event
-                # exists to jump to, so wait briefly in real time.
-                time.sleep(0.001)
-            continue
-        active = [worker for worker in workers if worker.has_active()]
-        if (
-            prefix_service is not None
-            and prefix_service.coalesce
-            and not overlap_timeline
-            and len(active) > 1
-        ):
-            # Two-phase round: decisions for every lane first, one
-            # fused/cached prefix flush, then the CNN stages per lane.
-            for worker in active:
-                worker.begin_step()
-            prefix_service.flush()
-            for worker in active:
-                finished = worker.finish_step()
-                steps += 1
-                _finalize_step(worker, finished, now(), done)
-            continue
-        for worker in active:
-            if overlap_timeline:
-                step_start = now()
-                cpu_start = time.thread_time()
-                finished = worker.step()
-                inline_cpu = time.thread_time() - cpu_start
-                raw = now() - step_start
-                credited += worker.overlap_credit(raw, inline_cpu)
+                # death, failed over as one.
+                fail(timeline, begin, "stall")
             else:
-                finished = worker.step()
-            steps += 1
-            _finalize_step(worker, finished, now(), done)
-    wall = clock() - start - credited
-    return done, wall, skipped, steps, shed
+                timeline.skip_to(begin + duration)
+            continue
+        timeline.skip_to(at)
+        for seq, request, lane in door.take(depth, now=at):
+            backlogs[lane].push(_PendingEntry(
+                seq=seq, request=request, lane=lane, available=at,
+            ))
+        if autoscaler is not None and not timeline.draining:
+            lane = timeline.order[0]
+            backlog = backlogs[lane]
+            siblings = [
+                t for t in live if t.order[0] == lane and not t.draining
+            ]
+            target = autoscaler.observe(
+                lane, len(siblings), len(backlog), at,
+                deadline_slack=backlog.slack(at),
+            )
+            if target > len(siblings) and spawn is not None:
+                add_timeline(lane, at, scale=True)
+            elif target < len(siblings):
+                # Drain the least-loaded sibling (never the acting
+                # timeline if another exists): it finishes its
+                # residents, admits nothing new, and retires once empty.
+                victim = min(
+                    [t for t in siblings if t is not timeline] or siblings,
+                    key=lambda t: (
+                        len(t.workers[0].active_residents()), -t.order[1]
+                    ),
+                )
+                victim.draining = True
+        cohort = [timeline]
+        if service.coalesce and len(keyed) > 1:
+            cohort += [
+                other for other_at, _, other in keyed
+                if other is not timeline and other_at == at
+                and other.has_active()
+                and not other.faulted(at)
+            ]
+        admitted, departed, since = _boundary(
+            cohort, since, backlogs, shed=shed, coalesce=service.coalesce,
+            overlap=overlap,
+        )
+        for entry in admitted:
+            in_flight[entry.seq] = entry
+        for member, resident in departed:
+            entry = in_flight.pop(resident.seq)
+            if member.drops and member.drops[0].at <= member.virtual:
+                # The ack is lost: the completed record never reaches
+                # the supervisor, which re-queues after ack_timeout.
+                member.drops.popleft()
+                del member.records[resident.seq]
+                entry.attempts += 1
+                entry.outcome = "retried"
+                entry.available = member.virtual + config.resolved_ack_timeout
+                backlogs[entry.lane].push(entry)
+                counters["retries"] += 1
+            else:
+                record = member.records[resident.seq]
+                record.outcome = entry.outcome
+                record.attempts = entry.attempts
+    return fleet, shed, failover_events, counters
 
 
 class ServingRuntime:
@@ -1694,107 +1435,46 @@ class ServingRuntime:
 
     ``spec`` is a single :class:`PipelineSpec` (one lane named
     ``"default"``) or a mapping of lane name to spec for heterogeneous
-    deployments.  ``max_batch`` is the per-shard slot capacity: a shard
-    never holds more than ``max_batch`` resident clips, and its
-    inference plan is compiled once at that capacity.
+    deployments; ``config`` is a validated
+    :class:`~repro.runtime.frontdoor.ServerConfig`.  ``max_batch`` is the
+    per-shard slot capacity: a shard never holds more than ``max_batch``
+    resident clips, and its inference plan is compiled once at that
+    capacity.
 
     ``serve_workers`` selects the execution shape: ``1`` (default) runs
-    every lane in-process under one virtual clock; ``N > 1`` shards
-    lanes across a worker pool — each lane split into ``ceil(N /
-    num_lanes)`` shards, requests assigned round-robin in arrival order,
-    results aggregated into one :class:`ServingReport`.  Results are
-    bit-identical either way; sharding only changes wall-clock time and
-    latency accounting (each shard keeps its own clock).
-    ``shard_backend`` resolves like
-    :class:`~repro.runtime.scheduler.SchedulerConfig` backends: ``process``
-    realizes shard concurrency, ``serial`` runs shards inline — useful on
-    single-core hosts, where the report still aggregates under the
-    concurrent model (slowest shard's busy time); ``auto`` picks between
+    every lane on one timeline — one clock — reusing warm in-process
+    workers across serves; ``N > 1`` deals ``N`` shards across lanes
+    (never more shards than a lane has requests), each shard its own
+    timeline pulling from its lane's shared backlog.  An ``autoscale``
+    policy starts each lane at ``min_shards`` and grows and shrinks it.
+    Results are bit-identical in every shape; sharding only changes
+    wall-clock time and latency accounting (each shard keeps its own
+    clock).  ``shard_backend`` resolves like
+    :class:`~repro.runtime.scheduler.SchedulerConfig` backends:
+    ``process`` runs shards on supervised worker processes (real clock,
+    arrivals released by the parent), ``serial`` simulates them inline
+    as a deterministic discrete-event run that honours the injected
+    ``clock`` — useful on single-core hosts, where the report still
+    aggregates under the concurrent model — and ``auto`` picks between
     them by core count.  ``thread`` is refused: concurrent thread shards
     would share one plan's scratch and break bit identity.
-
-    ``admission`` selects how a sharded run assigns requests to a lane's
-    shards.  ``"static"`` (default) splits each lane's traffic
-    round-robin in arrival order — the PR 4 shape, fully independent
-    shards.  ``"shared"`` keeps one admission queue per lane that every
-    shard of the lane pulls from, so an idle shard *steals* the next
-    pending request instead of idling beside a backlogged sibling —
-    under skewed traffic (e.g. long clips landing on one shard's slice)
-    that is what fixes tail latency.  Inline (``serial``-resolved)
-    shared-admission runs execute as a deterministic discrete-event
-    simulation of concurrent shards (per-shard virtual clocks, the
-    injected ``clock`` honoured); the ``process`` backend realizes the
-    shared queue with a real cross-process queue on the real clock
-    (arrivals released by the parent, no virtual-time skipping).
-    Admission policy never changes results: per-clip bit identity holds
-    regardless of which shard served a clip.
-
-    ``clock`` is injectable (monotonic seconds) for deterministic tests
-    and applies to unsharded and inline-shard serving; process shards
-    always use :func:`time.perf_counter` (unless ``virtual_time``
-    releases arrivals by logical timestamps).
-
-    Configuration lives in one validated
-    :class:`~repro.runtime.frontdoor.ServerConfig` —
-    ``ServingRuntime(spec, ServerConfig(...))``.  The historical
-    keyword knobs (``max_batch=...``, ``serve_workers=...``, …) still
-    work as deprecated aliases and emit one :class:`DeprecationWarning`
-    per construction.
     """
-
-    #: the legacy keyword knobs accepted as deprecated aliases.
-    _CONFIG_ALIASES = (
-        "max_batch", "clock", "serve_workers", "shard_backend",
-        "admission", "overlap_timeline", "fault_plan", "supervisor",
-    )
 
     def __init__(
         self,
         spec: Union[PipelineSpec, Mapping[str, PipelineSpec]],
-        config: Optional[Union[ServerConfig, int]] = None,
-        **legacy,
+        config: Optional[ServerConfig] = None,
     ):
         if isinstance(spec, PipelineSpec):
             specs: Dict[str, PipelineSpec] = {"default": spec}
         else:
             specs = dict(spec)
-        if config is not None and not isinstance(config, ServerConfig):
-            # Historical positional form: ServingRuntime(spec, max_batch).
-            if isinstance(config, int):
-                legacy.setdefault("max_batch", config)
-                config = None
-            else:
-                raise TypeError(
-                    f"config must be a ServerConfig, got "
-                    f"{type(config).__name__}"
-                )
-        if legacy:
-            unknown = sorted(
-                name for name in legacy if name not in self._CONFIG_ALIASES
-            )
-            if unknown:
-                raise TypeError(
-                    f"unknown keyword argument(s) {unknown}; "
-                    f"ServingRuntime accepts a ServerConfig plus the "
-                    f"deprecated aliases {list(self._CONFIG_ALIASES)}"
-                )
-            if config is not None:
-                raise TypeError(
-                    "pass either a ServerConfig or the deprecated "
-                    "keyword aliases, not both"
-                )
-            warnings.warn(
-                "ServingRuntime(spec, max_batch=..., serve_workers=..., "
-                "...) keywords are deprecated; pass "
-                "ServingRuntime(spec, ServerConfig(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            legacy.setdefault("fault_plan", None)
-            legacy.setdefault("supervisor", None)
-            config = ServerConfig(**legacy)
         if config is None:
             config = ServerConfig()
+        elif not isinstance(config, ServerConfig):
+            raise TypeError(
+                f"config must be a ServerConfig, got {type(config).__name__}"
+            )
         #: the validated :class:`ServerConfig` this runtime serves under.
         self.config = config
         if config.inference_dtype is not None:
@@ -1820,38 +1500,6 @@ class ServingRuntime:
         # long before any spec exists.
         _validate_fault_plan(config, self.router)
         self._workers: Optional[Dict[str, LaneWorker]] = None
-        #: the shared prefix service of an in-flight inline DES serve
-        #: (respawned/scaled shards spawned mid-serve must join it).
-        self._des_prefix_service: Optional[PrefixService] = None
-
-    # -- config accessors (the knobs' historical names) ------------- #
-    @property
-    def max_batch(self) -> int:
-        return self.config.max_batch
-
-    @property
-    def serve_workers(self) -> int:
-        return self.config.serve_workers
-
-    @property
-    def admission(self) -> str:
-        return self.config.admission
-
-    @property
-    def overlap_timeline(self) -> bool:
-        return self.config.overlap_timeline
-
-    @property
-    def fault_plan(self) -> FaultPlan:
-        return self.config.fault_plan
-
-    @property
-    def supervisor(self) -> SupervisorConfig:
-        return self.config.supervisor
-
-    @property
-    def clock(self) -> Callable[[], float]:
-        return self.config.clock or time.perf_counter
 
     @property
     def shard_config(self) -> SchedulerConfig:
@@ -1867,56 +1515,26 @@ class ServingRuntime:
     def lanes(self) -> Dict[str, LaneWorker]:
         """In-process lane workers, built on first use.
 
-        Sharded serves never touch these (worker processes build their
-        own); in-process serves reuse them across calls so executors and
-        plans stay warm.
+        Sharded serves never touch these (shards build their own);
+        in-process serves reuse them across calls so executors and plans
+        stay warm.
         """
         if self._workers is None:
             self._workers = {
-                name: LaneWorker(
-                    name, lane_spec, self.max_batch,
-                    prefix_coalesce=self.config.prefix_coalesce,
-                    prefix_cache_mb=self.config.prefix_cache_mb,
-                )
+                name: LaneWorker(name, lane_spec, self.config.max_batch)
                 for name, lane_spec in self.router.specs.items()
             }
         return self._workers
-
-    def _build_prefix_service(self) -> PrefixService:
-        """A fresh shared service for one serve (per-serve counters)."""
-        return PrefixService(
-            coalesce=self.config.prefix_coalesce,
-            cache_mb=self.config.prefix_cache_mb,
-        )
-
-    def lane_for(self, request: ClipRequest) -> LaneWorker:
-        """The in-process worker that would serve ``request``."""
-        return self.lanes[self.router.lane_for(request)]
-
-    def resolve_backend(self) -> Backend:
-        """The one backend this config serves through.
-
-        ``serve()`` dispatches here: the in-process loop (a single
-        worker per lane, no elasticity), static shard slices, or the
-        shared-admission family — which is also where autoscaling and
-        fault injection live, as backend capabilities.
-        """
-        if self.config.autoscale is None and self.config.serve_workers == 1:
-            return InProcessBackend(self)
-        if self.config.admission == "static":
-            return StaticShardBackend(self)
-        return SharedAdmissionBackend(self)
 
     def serve(self, requests) -> ServingReport:
         """Serve a request stream; returns per-request accounting.
 
         ``requests`` is anything :func:`as_request_source` accepts: a
-        sequence (the historical path — routing and duplicate-id
-        failures surface before any serving starts), an iterator or
-        generator, an :class:`asyncio.Queue`, or a
+        sequence (routing and duplicate-id failures surface before any
+        serving starts), an iterator or generator, an
+        :class:`asyncio.Queue`, or a
         :class:`~repro.runtime.frontdoor.RequestSource` such as a
-        bounded :class:`~repro.runtime.frontdoor.QueueSource`.  The
-        resolved backend then serves everything the front door yields.
+        bounded :class:`~repro.runtime.frontdoor.QueueSource`.
         """
         source = as_request_source(requests)
         door = FrontDoor(
@@ -1926,18 +1544,206 @@ class ServingRuntime:
             resume_pending=self.config.resume_pending,
         )
         try:
-            report = self.resolve_backend().serve(door)
+            if not self.config.sharded:
+                report = self._serve_in_process(door)
+            else:
+                fleet = self._fleet(door.lane_counts)
+                size = (
+                    self.config.pool_workers
+                    if self.config.autoscale is not None
+                    else sum(fleet.values())
+                )
+                for lane_spec in self.router.specs.values():
+                    lane_spec.warm()  # shards load the cache, never train
+                if self.shard_config.resolve(size) == "process":
+                    report = self._serve_process(door)
+                else:
+                    report = self._serve_inline(door, fleet)
         finally:
             source.close()
         report.backpressure_pauses = door.backpressure_pauses
         return report
 
     # -------------------------------------------------------------- #
+    def _fleet(self, counts: Optional[Mapping[str, int]]) -> Dict[str, int]:
+        """Shards per lane at serve start.
+
+        The autoscale floor, or ``serve_workers`` dealt round-robin
+        across lanes.  Shards are concurrent consumers, so the total
+        never exceeds the budget, and when the request counts are known
+        up front a lane never gets more shards than it has requests (an
+        extra shard could not admit anything).
+        """
+        names = list(self.router.specs)
+        if counts is None:
+            counts = {name: self.config.pool_workers for name in names}
+        policy = self.config.autoscale
+        if policy is not None:
+            return {name: min(policy.min_shards, counts[name])
+                    for name in names}
+        return deal_shard_budget(names, counts, self.config.serve_workers)
+
+    def _prefix_service(self) -> PrefixService:
+        """A fresh shared service for one serve (per-serve counters)."""
+        return PrefixService(
+            coalesce=self.config.prefix_coalesce,
+            cache_mb=self.config.prefix_cache_mb,
+        )
+
+    def _spawn_worker(self, lane: str, shard: int) -> LaneWorker:
+        return LaneWorker(lane, self.router.specs[lane],
+                          self.config.max_batch, shard=shard)
+
+    def _serve_in_process(self, door: FrontDoor) -> ServingReport:
+        """One timeline over every lane's warm worker: one clock."""
+        workers = list(self.lanes.values())
+        # One shared service across every in-process lane: coincident
+        # key frames fuse cross-lane and the content cache is global.
+        service = self._prefix_service()
+        for worker in workers:
+            worker.executor.reset_stats()  # per-serve counters
+            worker.prefix_service = service
+        clock = self.config.clock or time.perf_counter
+        timeline = _Timeline(workers, clock)
+        _, shed, _, _ = _run_core(
+            [timeline], door, clock, service,
+            overlap=self.config.overlap_timeline,
+        )
+        return self._report([timeline.outcome()], sharded=False, shed=shed,
+                            prefix=service.stats)
+
+    def _serve_inline(self, door: FrontDoor,
+                      fleet: Mapping[str, int]) -> ServingReport:
+        """One timeline per shard, simulated concurrently in-thread.
+
+        Deterministic and injected-clock friendly; streams straight
+        from the front door, so an open (live) source serves without
+        being drained up front.
+        """
+        service = self._prefix_service()
+        clock = self.config.clock or time.perf_counter
+        timelines = []
+        for lane, count in fleet.items():
+            for shard in range(count):
+                worker = self._spawn_worker(lane, shard)
+                worker.prefix_service = service
+                timelines.append(_Timeline(
+                    [worker], clock,
+                    faults=self.config.fault_plan.for_shard(lane, shard),
+                ))
+        policy = self.config.autoscale
+        autoscaler = Autoscaler(policy) if policy is not None else None
+        timelines, shed, failover_events, counters = _run_core(
+            timelines, door, clock, service, spawn=self._spawn_worker,
+            supervisor=self.config.supervisor, autoscaler=autoscaler,
+            overlap=self.config.overlap_timeline,
+        )
+        return self._report(
+            [timeline.outcome() for timeline in timelines], sharded=True,
+            shed=shed, failover_events=failover_events,
+            scale_events=autoscaler.events if autoscaler else (),
+            prefix=service.stats, **counters,
+        )
+
+    def _serve_process(self, door: FrontDoor) -> ServingReport:
+        """Sharded serving on real processes, under shard supervision.
+
+        The parent is the shared queue: a
+        :class:`~repro.runtime.supervision.ShardSupervisor` releases
+        requests at their arrival times (real clock — or by logical
+        timestamps under ``virtual_time``, jumping idle gaps instead of
+        sleeping them), dispatches them earliest-deadline-first to
+        whichever shard of the lane has the most free capacity, and
+        recovers from crashed/stalled shards by re-dispatching
+        unacknowledged requests — bit-identical by the serving
+        contract.  It needs the full trace for release scheduling, so
+        the door is drained (closed sources only).
+        """
+        per_lane = door.drain_per_lane()
+        lane_shards = self._fleet(
+            {name: len(items) for name, items in per_lane.items()}
+        )
+        policy = self.config.autoscale
+        supervisor = ShardSupervisor(
+            self.router.specs, self.config.max_batch,
+            config=self.config.supervisor,
+            fault_plan=self.config.fault_plan,
+            virtual_time=self.config.virtual_time,
+            autoscaler=Autoscaler(policy) if policy is not None else None,
+            prefix_coalesce=self.config.prefix_coalesce,
+            prefix_cache_mb=self.config.prefix_cache_mb,
+        )
+        result = supervisor.serve(per_lane, lane_shards)
+        return self._report(
+            result.outcomes, sharded=True, shed=result.shed,
+            failover_events=result.failover_events,
+            retries=result.retries, failovers=result.failovers,
+            respawns=result.respawns, scale_events=result.scale_events,
+        )
+
+    def _report(
+        self,
+        outcomes: Sequence[_ShardOutcome],
+        sharded: bool,
+        shed: Sequence[ShedRecord] = (),
+        failover_events: Sequence[FailoverEvent] = (),
+        scale_events: Sequence[ScaleEvent] = (),
+        prefix: Optional[PrefixStats] = None,
+        retries: int = 0,
+        failovers: int = 0,
+        respawns: int = 0,
+    ) -> ServingReport:
+        """One report from per-timeline outcomes.
+
+        Under the concurrent model the slowest timeline bounds the run,
+        and its idle time is the one paired with that wall (mixing
+        fields from different shards would describe a timeline no shard
+        had).  ``prefix`` carries the counters of a service shared
+        across the timelines; without it the outcomes' own counters are
+        merged (independent per-process services).
+        """
+        done: Dict[int, RequestRecord] = {}
+        speculation = SpeculationStats()
+        if prefix is None:
+            prefix = PrefixStats()
+            for outcome in outcomes:
+                prefix.merge(outcome.prefix)
+        for outcome in outcomes:
+            done.update(outcome.records)
+            speculation.merge(outcome.speculation)
+        slowest = max(outcomes, key=lambda o: o.wall_seconds, default=None)
+        lane_dtypes, lane_savings = self._lane_quant_info()
+        return ServingReport(
+            records=[done[seq] for seq in sorted(done)],
+            wall_seconds=slowest.wall_seconds if slowest else 0.0,
+            idle_seconds=slowest.idle_seconds if slowest else 0.0,
+            steps=sum(outcome.steps for outcome in outcomes),
+            max_batch=self.config.max_batch,
+            serve_workers=self.config.serve_workers if sharded else 1,
+            shards=[outcome.info() for outcome in outcomes] if sharded else [],
+            pipelined_steps=speculation.pipelined_steps,
+            speculated=speculation.speculated,
+            rollbacks=speculation.rollbacks,
+            shed=sorted(shed, key=lambda record: record.seq),
+            retries=retries,
+            failovers=failovers,
+            respawns=respawns,
+            failover_events=list(failover_events),
+            scale_events=list(scale_events),
+            prefix_fused_batches=prefix.fused_batches,
+            prefix_cache_hits=prefix.hits,
+            prefix_cache_misses=prefix.misses,
+            prefix_cache_evictions=prefix.evictions,
+            prefix_saved_macs=prefix.saved_macs,
+            lane_dtypes=lane_dtypes,
+            lane_quant_savings=lane_savings,
+        )
+
     def _lane_quant_info(self):
         """(lane → plan family, lane → savings estimate) for the report.
 
         Derived from the lane specs, not the workers: the estimate is
-        pure shape arithmetic, so sharded backends get it without
+        pure shape arithmetic, so process shards get it without
         shipping anything across the process boundary.
         """
         dtypes: Dict[str, str] = {}
@@ -1948,310 +1754,6 @@ class ServingRuntime:
             if estimate is not None:
                 savings[name] = estimate
         return dtypes, savings
-
-    def _serve_in_process(self, door: FrontDoor) -> ServingReport:
-        workers = list(self.lanes.values())
-        # One shared service across every in-process lane: coincident
-        # key frames fuse cross-lane and the content cache is global.
-        service = self._build_prefix_service()
-        for worker in workers:
-            worker.executor.reset_stats()  # per-serve counters
-            worker.prefix_service = service
-        done, wall, idle, steps, shed = _serve_loop(
-            workers, self.lane_for, door, self.clock,
-            overlap_timeline=self.overlap_timeline,
-            prefix_service=service,
-        )
-        lane_dtypes, lane_savings = self._lane_quant_info()
-        return ServingReport(
-            records=[done[seq] for seq in sorted(done)],
-            wall_seconds=wall,
-            idle_seconds=idle,
-            steps=steps,
-            max_batch=self.max_batch,
-            serve_workers=1,
-            admission=self.admission,
-            shed=sorted(shed, key=lambda record: record.seq),
-            pipelined_steps=sum(
-                worker.executor.stats.pipelined_steps for worker in workers
-            ),
-            speculated=sum(
-                worker.executor.stats.speculated for worker in workers
-            ),
-            rollbacks=sum(
-                worker.executor.stats.rollbacks for worker in workers
-            ),
-            prefix_fused_batches=service.stats.fused_batches,
-            prefix_cache_hits=service.stats.hits,
-            prefix_cache_misses=service.stats.misses,
-            prefix_cache_evictions=service.stats.evictions,
-            prefix_saved_macs=service.stats.saved_macs,
-            lane_dtypes=lane_dtypes,
-            lane_quant_savings=lane_savings,
-        )
-
-    def _serve_sharded(
-        self, per_lane: Dict[str, List[Tuple[int, ClipRequest]]]
-    ) -> ServingReport:
-        """Static assignment: slice each lane and serve on the pool."""
-        shards_per_lane = -(-self.serve_workers // len(self.router.specs))
-        tasks: List[_ShardTask] = []
-        for name, lane_spec in self.router.specs.items():
-            lane_spec.warm()  # workers load the cache, never race to train
-            lane_requests = per_lane[name]
-            for shard in range(shards_per_lane):
-                assigned = tuple(lane_requests[shard::shards_per_lane])
-                if not assigned:
-                    continue  # an empty shard has nothing to build
-                tasks.append(
-                    _ShardTask(
-                        name, shard, lane_spec, self.max_batch, assigned,
-                        prefix_coalesce=self.config.prefix_coalesce,
-                        prefix_cache_mb=self.config.prefix_cache_mb,
-                    )
-                )
-        if self.shard_config.resolve(len(tasks)) == "serial":
-            # Inline shards run in this process, so the injected clock
-            # (deterministic tests) is honoured; each shard still gets
-            # its own serve loop and its own busy/idle accounting (and,
-            # mirroring the process backend, its own prefix cache).
-            outcomes = [
-                LaneWorker(
-                    task.lane, task.spec, task.capacity, shard=task.shard,
-                    prefix_coalesce=task.prefix_coalesce,
-                    prefix_cache_mb=task.prefix_cache_mb,
-                ).serve_shard(task.assigned, clock=self.clock)
-                for task in tasks
-            ]
-        else:
-            outcomes = ShardPool(self.shard_config).map(_run_shard, tasks)
-
-        return self._aggregate_shards(outcomes)
-
-    def _aggregate_shards(
-        self,
-        outcomes: Sequence[_ShardOutcome],
-        shed: Sequence[ShedRecord] = (),
-        failover_events: Sequence[FailoverEvent] = (),
-        retries: int = 0,
-        failovers: int = 0,
-        respawns: int = 0,
-        scale_events: Sequence[ScaleEvent] = (),
-        prefix: Optional[PrefixStats] = None,
-    ) -> ServingReport:
-        """One report from per-shard outcomes, under the concurrent
-        model: the slowest shard bounds the run, and its idle time is
-        the one paired with that wall (mixing fields from different
-        shards would describe a timeline no shard had).
-
-        ``prefix`` carries the counters of a service *shared* across
-        the shards (the inline DES); without it the per-shard counters
-        are summed (independent services, the static/process paths)."""
-        done: Dict[int, RequestRecord] = {}
-        all_shed = list(shed)
-        for outcome in outcomes:
-            done.update(outcome.records)
-            all_shed.extend(outcome.shed)
-        shards = [outcome.info() for outcome in outcomes]
-        slowest = max(shards, key=lambda s: s.wall_seconds, default=None)
-        lane_dtypes, lane_savings = self._lane_quant_info()
-        return ServingReport(
-            records=[done[seq] for seq in sorted(done)],
-            wall_seconds=slowest.wall_seconds if slowest else 0.0,
-            idle_seconds=slowest.idle_seconds if slowest else 0.0,
-            steps=sum(s.steps for s in shards),
-            max_batch=self.max_batch,
-            serve_workers=self.serve_workers,
-            shards=shards,
-            admission=self.admission,
-            pipelined_steps=sum(s.pipelined_steps for s in shards),
-            speculated=sum(s.speculated for s in shards),
-            rollbacks=sum(s.rollbacks for s in shards),
-            shed=sorted(all_shed, key=lambda record: record.seq),
-            retries=retries,
-            failovers=failovers,
-            respawns=respawns,
-            failover_events=list(failover_events),
-            scale_events=list(scale_events),
-            prefix_fused_batches=(
-                prefix.fused_batches if prefix is not None
-                else sum(s.prefix_fused_batches for s in shards)
-            ),
-            prefix_cache_hits=(
-                prefix.hits if prefix is not None
-                else sum(s.prefix_cache_hits for s in shards)
-            ),
-            prefix_cache_misses=(
-                prefix.misses if prefix is not None
-                else sum(s.prefix_cache_misses for s in shards)
-            ),
-            prefix_cache_evictions=(
-                prefix.evictions if prefix is not None
-                else sum(s.prefix_cache_evictions for s in shards)
-            ),
-            prefix_saved_macs=(
-                prefix.saved_macs if prefix is not None
-                else sum(s.prefix_saved_macs for s in shards)
-            ),
-            lane_dtypes=lane_dtypes,
-            lane_quant_savings=lane_savings,
-        )
-
-    def _spawn_lane_worker(self, lane: str, shard: int) -> LaneWorker:
-        worker = LaneWorker(lane, self.router.specs[lane],
-                            self.max_batch, shard=shard,
-                            prefix_coalesce=self.config.prefix_coalesce,
-                            prefix_cache_mb=self.config.prefix_cache_mb)
-        if self._des_prefix_service is not None:
-            # Mid-serve spawns (respawn, autoscale growth) join the
-            # DES-wide shared service: one cache, fused cohorts.
-            worker.prefix_service = self._des_prefix_service
-        return worker
-
-    def _serve_shared(self, door: FrontDoor) -> ServingReport:
-        """Sharded serving over shared per-lane admission queues.
-
-        Inline (``serial``-resolved) runs simulate the concurrent shards
-        with the discrete-event loop — deterministic, injected-clock
-        friendly, and directly comparable to the static path's
-        per-shard timelines.  The ``process`` backend realizes the
-        shared queue for real: the parent releases requests at their
-        arrival times into manager queues that the shard processes pull
-        from (work stealing at request granularity, real clock — or
-        logical timestamps under ``virtual_time``).
-
-        With an autoscale policy each lane starts at the policy's
-        ``min_shards`` and grows/shrinks from observed queue depth and
-        deadline slack; the inline form streams straight from the front
-        door, so an open (live) source can be served elastically without
-        being drained up front.
-        """
-        config = self.config
-        for lane_spec in self.router.specs.values():
-            lane_spec.warm()  # workers load the cache, never race to train
-        if config.autoscale is not None:
-            return self._serve_autoscaled(door)
-        per_lane = door.drain_per_lane()
-        # Shards here are *concurrent* queue consumers (the process pool
-        # is sized to the task count), so — unlike the static path's
-        # per-lane ceil — the total never exceeds serve_workers: the
-        # budget is dealt round-robin across lanes, and a shard beyond a
-        # lane's request count is never built (it could not admit
-        # anything, and its executors/plan compile aren't free).
-        lane_names = list(self.router.specs)
-        lane_shards = deal_shard_budget(
-            lane_names,
-            {name: len(per_lane[name]) for name in lane_names},
-            self.serve_workers,
-        )
-        num_tasks = sum(lane_shards.values())
-        if self.shard_config.resolve(num_tasks) == "process":
-            return self._serve_shared_process(per_lane, lane_shards)
-        service = self._build_prefix_service()
-        self._des_prefix_service = service
-        try:
-            workers = [
-                self._spawn_lane_worker(name, shard)
-                for name, count in lane_shards.items()
-                for shard in range(count)
-            ]
-            pending_by_lane = {
-                name: list(per_lane[name]) for name in self.router.specs
-            }
-            outcomes, shed, failover_events, counters = _serve_work_stealing(
-                workers, pending_by_lane, self.clock,
-                fault_plan=self.fault_plan, supervisor=self.supervisor,
-                spawn_worker=self._spawn_lane_worker,
-                prefix_service=service,
-            )
-        finally:
-            self._des_prefix_service = None
-        return self._aggregate_shards(
-            outcomes, shed=shed, failover_events=failover_events,
-            retries=counters["retries"], failovers=counters["failovers"],
-            respawns=counters["respawns"],
-            prefix=service.stats,
-        )
-
-    def _serve_autoscaled(self, door: FrontDoor) -> ServingReport:
-        """Elastic shared admission: min_shards per lane, policy-grown."""
-        config = self.config
-        policy = config.autoscale
-        autoscaler = Autoscaler(policy)
-        if self.shard_config.resolve(config.pool_workers) == "process":
-            # The supervisor owns spawn/drain; it needs the full trace
-            # for release scheduling, so streaming sources are drained
-            # (closed sources only — an open one raises in the door).
-            per_lane = door.drain_per_lane()
-            lane_shards = {
-                name: min(policy.min_shards, len(items)) if items else 0
-                for name, items in per_lane.items()
-            }
-            return self._serve_shared_process(
-                per_lane, lane_shards, autoscaler=autoscaler
-            )
-        service = self._build_prefix_service()
-        self._des_prefix_service = service
-        try:
-            workers = [
-                self._spawn_lane_worker(name, shard)
-                for name in self.router.specs
-                for shard in range(policy.min_shards)
-            ]
-            outcomes, shed, failover_events, counters = _serve_work_stealing(
-                workers, {name: [] for name in self.router.specs}, self.clock,
-                fault_plan=self.fault_plan, supervisor=self.supervisor,
-                spawn_worker=self._spawn_lane_worker,
-                door=door, autoscaler=autoscaler,
-                prefix_service=service,
-            )
-        finally:
-            self._des_prefix_service = None
-        return self._aggregate_shards(
-            outcomes, shed=shed, failover_events=failover_events,
-            retries=counters["retries"], failovers=counters["failovers"],
-            respawns=counters["respawns"],
-            scale_events=autoscaler.events,
-            prefix=service.stats,
-        )
-
-    def _serve_shared_process(
-        self,
-        per_lane: Dict[str, List[Tuple[int, ClipRequest]]],
-        lane_shards: Dict[str, int],
-        autoscaler: Optional[Autoscaler] = None,
-    ) -> ServingReport:
-        """Shared admission on real processes, under shard supervision.
-
-        The parent *is* the shared queue now: a
-        :class:`~repro.runtime.supervision.ShardSupervisor` releases
-        requests at their arrival times (real clock — or by logical
-        timestamps under ``virtual_time``, jumping idle gaps instead of
-        sleeping them), dispatches them earliest-deadline-first to
-        whichever shard of the lane has the most free capacity, and
-        recovers from crashed/stalled shards by re-dispatching
-        unacknowledged requests — bit-identical by the serving
-        contract.  Deadline shedding, failover, retries, respawns, and
-        scale events all land in the report's explicit counters.
-        """
-        supervisor = ShardSupervisor(
-            self.router.specs, self.max_batch,
-            config=self.supervisor, fault_plan=self.fault_plan,
-            virtual_time=self.config.virtual_time,
-            autoscaler=autoscaler,
-            prefix_coalesce=self.config.prefix_coalesce,
-            prefix_cache_mb=self.config.prefix_cache_mb,
-        )
-        result = supervisor.serve(per_lane, lane_shards)
-        return self._aggregate_shards(
-            result.outcomes,
-            shed=result.shed,
-            failover_events=result.failover_events,
-            retries=result.retries,
-            failovers=result.failovers,
-            respawns=result.respawns,
-            scale_events=result.scale_events,
-        )
 
     def close(self) -> None:
         """Evict all residents and shrink lane plans to capacity 1."""
@@ -2266,19 +1768,17 @@ def _validate_fault_plan(config: ServerConfig, router: Router) -> None:
     The one home for both checks — it always has the router, so the
     unknown-lane message can list ``Router.describe_lanes()`` (a bare
     :class:`ServerConfig` cannot).  Faults require a supervised
-    backend: fixed shared-admission shards, or an elastic pool whose
+    (sharded) serve: ``serve_workers >= 2``, or an elastic pool whose
     ``max_shards`` leaves a survivor to fail over to.
     """
     if not config.fault_plan:
         return
     elastic = config.autoscale is not None and config.autoscale.max_shards >= 2
-    if (config.serve_workers < 2 and not elastic) \
-            or config.admission != "shared":
+    if config.serve_workers < 2 and not elastic:
         raise ValueError(
-            "fault_plan requires serve_workers >= 2 and "
-            "admission='shared' (the supervised backends); got "
-            f"serve_workers={config.serve_workers}, "
-            f"admission={config.admission!r}"
+            "fault_plan requires sharded shared-admission serving "
+            "(serve_workers >= 2, or an autoscale policy with "
+            f"max_shards >= 2); got serve_workers={config.serve_workers}"
         )
     unknown = [
         lane for lane in config.fault_plan.lanes()
@@ -2289,48 +1789,3 @@ def _validate_fault_plan(config: ServerConfig, router: Router) -> None:
             f"fault_plan targets unknown lane(s) {unknown}; "
             f"registered lanes: {router.describe_lanes()}"
         )
-
-
-class InProcessBackend(Backend):
-    """All lanes in one process under one virtual clock (PR 3 shape)."""
-
-    name = "in-process"
-    capabilities = frozenset(
-        {"streaming", "watermarks", "overlap-timeline", "virtual-time"}
-    )
-
-    def serve(self, door: FrontDoor) -> ServingReport:
-        return self.runtime._serve_in_process(door)
-
-
-class StaticShardBackend(Backend):
-    """Round-robin slices, fully independent shards (PR 4 shape).
-
-    Slices are fixed at dispatch time, so this backend needs the whole
-    trace up front — the door is drained, not streamed.
-    """
-
-    name = "static-shards"
-    capabilities = frozenset({"sharded"})
-
-    def serve(self, door: FrontDoor) -> ServingReport:
-        return self.runtime._serve_sharded(door.drain_per_lane())
-
-
-class SharedAdmissionBackend(Backend):
-    """Shared per-lane queues: work stealing, supervision, elasticity.
-
-    The capability home for everything that needs a shared queue —
-    fault injection, autoscaling, virtual-time process admission —
-    realized inline as a deterministic DES (``serial``-resolved) or on
-    supervised worker processes (``process``-resolved).
-    """
-
-    name = "shared-admission"
-    capabilities = frozenset(
-        {"sharded", "work-stealing", "fault-injection", "autoscale",
-         "streaming", "watermarks", "virtual-time"}
-    )
-
-    def serve(self, door: FrontDoor) -> ServingReport:
-        return self.runtime._serve_shared(door)

@@ -199,6 +199,13 @@ class SpeculationStats:
     rollbacks: int = 0
     events: List[RollbackEvent] = field(default_factory=list)
 
+    def merge(self, other: "SpeculationStats") -> None:
+        self.steps += other.steps
+        self.pipelined_steps += other.pipelined_steps
+        self.speculated += other.speculated
+        self.rollbacks += other.rollbacks
+        self.events.extend(other.events)
+
     @property
     def engagement(self) -> float:
         """Fraction of steps that ran with their head precomputed."""

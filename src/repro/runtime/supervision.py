@@ -10,13 +10,13 @@ re-dispatch explicitly.
 * :class:`FaultPlan` / :class:`FaultEvent` — deterministic fault
   injection.  A plan is a seeded, picklable set of events ("kill shard
   k at virtual time t", "stall a shard for d steps", "drop the next
-  ack") honoured by *both* serving backends: the inline discrete-event
-  loop fires events against per-shard virtual clocks, and the process
+  ack") honoured by *both* shard backends: the inline serve core fires
+  events against per-shard virtual clocks, and the process
   backend ships each shard its own slice of the plan to fire against
   its real post-release clock.  Plans round-trip through JSON so a
   failing chaos run can be replayed from an artifact.
 * :class:`SupervisorConfig` / :class:`ShardSupervisor` — the parent-side
-  supervisor for the shared-admission process backend.  Shards heartbeat
+  supervisor for the process shard backend.  Shards heartbeat
   and acknowledge every completed request; the parent detects a crashed
   (dead process) or stalled (silent past ``heartbeat_timeout``) shard,
   re-dispatches its unacknowledged requests to surviving shards — or to
@@ -355,7 +355,7 @@ class SupervisorConfig:
 
 
 # -------------------------------------------------------------------- #
-# shared backlog bookkeeping (inline DES loop and process supervisor)
+# shared backlog bookkeeping (serve core and process supervisor)
 # -------------------------------------------------------------------- #
 @dataclass
 class _PendingEntry:
@@ -445,7 +445,7 @@ class SupervisedShardTask:
 
 
 def _run_supervised_shard(task: SupervisedShardTask) -> None:
-    """Shard main: build, sync clocks, then admit/step/ack until retired.
+    """Shard main: build, sync clocks, then serve and ack until retired.
 
     Builds its own :class:`~repro.runtime.serving.LaneWorker` (network
     and plan compile stay out of latency accounting), reports ready,
@@ -453,7 +453,11 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
     so readings land on the parent's timeline (``CLOCK_MONOTONIC`` is
     system-wide, so this holds up to message skew; a respawned shard
     gets the parent's *current* time and joins the same timeline).
-    Every completed request is acknowledged with its full
+    This function owns only inbox I/O, heartbeats, and fault firing:
+    dispatches join a local backlog, and admission, stepping,
+    finalization, and counters go through the serve core's boundary
+    (:func:`~repro.runtime.serving._boundary`) on a one-worker
+    timeline.  Every completed request is acknowledged with its full
     :class:`~repro.runtime.serving.RequestRecord`; injected faults fire
     against the shard's own clock: ``kill`` is ``os._exit`` (a real
     crash — no cleanup, no goodbyes), ``stall`` a literal sleep with
@@ -462,12 +466,14 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
     import queue as queue_module
     from collections import deque
 
-    from .serving import LaneWorker, _finalize_step
+    from .prefix_service import PrefixService
+    from .serving import LaneWorker, _Backlog, _boundary, _Timeline
 
     worker = LaneWorker(
         task.lane, task.spec, task.capacity, shard=task.shard,
-        prefix_coalesce=task.prefix_coalesce,
-        prefix_cache_mb=task.prefix_cache_mb,
+        prefix_service=PrefixService(
+            coalesce=task.prefix_coalesce, cache_mb=task.prefix_cache_mb
+        ),
     )
     task.events.put(("ready", task.lane, task.shard, os.getpid()))
     go = task.inbox.get()  # parent always answers with go or a sentinel
@@ -482,21 +488,29 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
     kills = deque(e for e in task.faults if e.kind == "kill")
     stalls = deque(e for e in task.faults if e.kind == "stall")
     drops = deque(e for e in task.faults if e.kind == "drop_ack")
-
-    done: Dict[int, object] = {}
-    busy = 0.0
-    idle = 0.0
-    steps = 0
-    mean_step = 1e-3
+    backlogs = {task.lane: _Backlog()}
+    timeline = _Timeline([worker], now)
     last_beat = -math.inf
     draining = False
+
+    def receive(item) -> None:
+        nonlocal start, draining
+        if item is None:
+            draining = True
+        elif item[0] == "skip":
+            start -= float(item[1])  # virtual-time jump: clock leaps
+        elif item[0] != "go":  # a duplicate release is inert
+            backlogs[task.lane].push(_PendingEntry(
+                seq=item[0], request=item[1], lane=task.lane, available=0.0,
+            ))
+
     while True:
         current = now()
         while stalls and stalls[0].at <= current:
             event = stalls.popleft()
             time.sleep(
                 event.seconds if event.seconds > 0
-                else event.steps * mean_step
+                else event.steps * timeline.mean_step
             )
             current = now()
         if kills and kills[0].at <= current:
@@ -504,27 +518,17 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
         if current - last_beat >= task.beat_interval:
             task.events.put(("beat", task.lane, task.shard, current))
             last_beat = current
-        while not draining and worker.has_free_slot():
+        while not draining:
             try:
-                item = task.inbox.get_nowait()
+                receive(task.inbox.get_nowait())
             except queue_module.Empty:
                 break
-            if item is None:
-                draining = True
-            elif item[0] == "skip":
-                start -= float(item[1])  # virtual-time jump: clock leaps
-            elif item[0] != "go":  # a duplicate release is inert
-                worker.admit(item[0], item[1], now())
-        if worker.has_active():
-            step_start = time.perf_counter()
-            finished = worker.step()
-            duration = time.perf_counter() - step_start
-            busy += duration
-            mean_step = duration
-            steps += 1
-            _finalize_step(worker, finished, now(), done)
-            for resident in finished:
-                record = done.pop(resident.seq)
+        if worker.has_active() or len(backlogs[task.lane]):
+            since = now()
+            timeline.skip_to(since)
+            _, departed, _ = _boundary([timeline], since, backlogs)
+            for _, resident in departed:
+                record = timeline.records.pop(resident.seq)
                 if drops and drops[0].at <= now():
                     drops.popleft()  # the ack is lost; the work was not
                 else:
@@ -534,33 +538,17 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
         elif draining:
             break
         else:
-            wait_start = time.perf_counter()
             try:
-                item = task.inbox.get(timeout=0.02)
+                receive(task.inbox.get(timeout=0.02))
             except queue_module.Empty:
-                idle += time.perf_counter() - wait_start
-                continue
-            idle += time.perf_counter() - wait_start
-            if item is None:
-                draining = True
-            elif item[0] == "skip":
-                start -= float(item[1])
-            elif item[0] != "go":
-                worker.admit(item[0], item[1], now())
-    stats = worker.executor.stats
-    prefix = worker.prefix_service.stats
+                pass
+    timeline.skip_to(now())
     task.events.put(("done", task.lane, task.shard, {
-        "wall": busy,
-        "idle": idle,
-        "steps": steps,
-        "pipelined": stats.pipelined_steps,
-        "speculated": stats.speculated,
-        "rollbacks": stats.rollbacks,
-        "prefix_fused": prefix.fused_batches,
-        "prefix_hits": prefix.hits,
-        "prefix_misses": prefix.misses,
-        "prefix_evictions": prefix.evictions,
-        "prefix_saved_macs": prefix.saved_macs,
+        "wall": timeline.busy,
+        "idle": timeline.idle,
+        "steps": timeline.steps,
+        "speculation": worker.executor.stats,
+        "prefix": worker.prefix_service.stats,
     }))
 
 
@@ -691,8 +679,8 @@ class ShardSupervisor:
             for lane, count in lane_shards.items():
                 for shard in range(count):
                     spawn(lane, shard)
-            return self._serve_loop(per_lane, lane_shards, events, spawn,
-                                    shards)
+            return self._dispatch_loop(per_lane, lane_shards, events,
+                                       spawn, shards)
         finally:
             for state in shards:
                 if state.process.is_alive():
@@ -702,7 +690,7 @@ class ShardSupervisor:
             manager.shutdown()
 
     # ---------------------------------------------------------------- #
-    def _serve_loop(self, per_lane, lane_shards, events, spawn, shards):
+    def _dispatch_loop(self, per_lane, lane_shards, events, spawn, shards):
         import queue as queue_module
 
         config = self.config
@@ -1017,7 +1005,9 @@ class ShardSupervisor:
                 continue
             handle(message)
 
+        from .prefix_service import PrefixStats
         from .serving import _ShardOutcome
+        from .stage_graph import SpeculationStats
 
         outcomes = []
         for state in shards:
@@ -1029,14 +1019,8 @@ class ShardSupervisor:
                 wall_seconds=tail.get("wall", 0.0),
                 idle_seconds=tail.get("idle", 0.0),
                 steps=tail.get("steps", 0),
-                pipelined_steps=tail.get("pipelined", 0),
-                speculated=tail.get("speculated", 0),
-                rollbacks=tail.get("rollbacks", 0),
-                prefix_fused_batches=tail.get("prefix_fused", 0),
-                prefix_cache_hits=tail.get("prefix_hits", 0),
-                prefix_cache_misses=tail.get("prefix_misses", 0),
-                prefix_cache_evictions=tail.get("prefix_evictions", 0),
-                prefix_saved_macs=tail.get("prefix_saved_macs", 0),
+                speculation=tail.get("speculation") or SpeculationStats(),
+                prefix=tail.get("prefix") or PrefixStats(),
             ))
         return SupervisionResult(
             outcomes=outcomes,

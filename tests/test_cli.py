@@ -83,11 +83,10 @@ class TestCLI:
             "serve", "--clips", "4", "--frames", "4", "--max-batch", "2",
             "--arrival-rate", "500", "--scenario", "static",
             "--serve-workers", "2", "--shard-backend", "serial",
-            "--admission", "shared", "--verify",
+            "--deadline", "5", "--verify",
         ]) == 0
         out = capsys.readouterr().out
-        assert "admission" in out
-        assert "shared" in out
+        assert "shard default/0" in out and "shard default/1" in out
         assert "bit-identical to its serial run: yes" in out
 
     def test_serve_pipelined_verify(self, capsys):

@@ -33,11 +33,9 @@ from repro.runtime import (
     FaultPlan,
     PipelineSpec,
     RequestShedError,
-    SchedulerConfig,
     ServerConfig,
     ServingRuntime,
     ShardCrashError,
-    ShardPool,
     SupervisorConfig,
     run_workload,
     synthetic_workload,
@@ -65,7 +63,7 @@ def _chaos_seeds():
 
 class FakeClock:
     """Manually advanced clock (see test_serving): each reading moves
-    time one tick, so the inline DES is fully deterministic."""
+    time one tick, so the inline serve core is fully deterministic."""
 
     def __init__(self, tick: float = 0.001):
         self.now = 0.0
@@ -104,14 +102,17 @@ def _requests(clips, arrivals=None, deadlines=None):
 
 def _serve_faulted(spec, requests, plan, supervisor=None, capacity=2,
                    backend="serial"):
-    """A 2-shard shared-admission serve with ``plan`` injected."""
+    """A 2-shard serve with ``plan`` injected.
+
+    A boundary reads the clock twice (admission, then close), so a
+    0.5 ms tick charges each inline step 1 ms.
+    """
     runtime = ServingRuntime(
         spec,
         ServerConfig(max_batch=capacity,
         serve_workers=2,
         shard_backend=backend,
-        admission="shared",
-        clock=FakeClock(),
+        clock=FakeClock(tick=0.0005),
         fault_plan=plan,
         supervisor=supervisor or SupervisorConfig(
             heartbeat_timeout=0.003, max_respawns=1
@@ -263,7 +264,7 @@ class TestInlineFaultDifferential:
         plan = FaultPlan(events=(FaultEvent("kill", at=0.01, lane="hd"),))
         with pytest.raises(ValueError, match="lane"):
             ServingRuntime(
-                spec, ServerConfig(max_batch=2, serve_workers=2, admission="shared",
+                spec, ServerConfig(max_batch=2, serve_workers=2,
                 shard_backend="serial", fault_plan=plan),
             )
 
@@ -336,7 +337,6 @@ class TestProcessChaos:
             ServerConfig(max_batch=2,
             serve_workers=2,
             shard_backend="process",
-            admission="shared",
             fault_plan=plan,
             supervisor=SupervisorConfig(
                 heartbeat_timeout=5.0, max_respawns=0, drain_timeout=60.0
@@ -476,44 +476,3 @@ class TestDuplicateRequestIds:
             spec, ServerConfig(max_batch=2, clock=FakeClock())
         ).serve(requests)
         assert len(report.records) == 2
-
-
-# ------------------------------------------------------------------ #
-# ShardPool.map_with_feeder crash safety (module-level fns: picklable)
-# ------------------------------------------------------------------ #
-def _double_or_die(task):
-    if task < 0:
-        os._exit(7)  # simulated hard crash: no exception, no result
-    return task * 2
-
-
-def _raise_on_odd(task):
-    if task % 2:
-        raise ValueError(f"odd task {task}")
-    return task
-
-
-class TestMapWithFeederCrash:
-    def _pool(self):
-        return ShardPool(SchedulerConfig(workers=2, backend="process"))
-
-    def test_worker_death_raises_instead_of_hanging(self):
-        with pytest.raises(ShardCrashError, match="exit code 7") as info:
-            self._pool().map_with_feeder(
-                _double_or_die, [1, -1], feeder=lambda: None,
-                join_timeout=60.0,
-            )
-        assert info.value.lost == (1,)
-
-    def test_surviving_results_keep_order(self):
-        assert self._pool().map_with_feeder(
-            _double_or_die, [1, 2, 3], feeder=lambda: None,
-            join_timeout=60.0,
-        ) == [2, 4, 6]
-
-    def test_worker_exception_is_transported(self):
-        with pytest.raises(ValueError, match="odd task 3"):
-            self._pool().map_with_feeder(
-                _raise_on_odd, [2, 3], feeder=lambda: None,
-                join_timeout=60.0,
-            )

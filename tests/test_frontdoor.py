@@ -9,9 +9,7 @@ Three contracts under test:
   queue) and under any fleet shape (fixed shards, autoscaled 1→N,
   virtual-time process admission) yields clip results bit-identical to
   the serial run;
-* :class:`ServerConfig` is the one validated way to shape the server,
-  with the legacy keyword aliases kept alive behind a single
-  :class:`DeprecationWarning`.
+* :class:`ServerConfig` is the one validated way to shape the server.
 """
 
 import threading
@@ -158,7 +156,7 @@ class TestAutoscalePolicy:
 
 
 # ------------------------------------------------------------------ #
-# ServerConfig: one validated shape, aliases kept alive
+# ServerConfig: one validated shape
 # ------------------------------------------------------------------ #
 class TestServerConfig:
     def test_field_validation(self):
@@ -166,8 +164,6 @@ class TestServerConfig:
             ServerConfig(max_batch=0)
         with pytest.raises(ValueError, match="serve_workers"):
             ServerConfig(serve_workers=0)
-        with pytest.raises(ValueError, match="admission"):
-            ServerConfig(admission="dynamic")
         with pytest.raises(ValueError, match="thread"):
             ServerConfig(serve_workers=2, shard_backend="thread")
         with pytest.raises(ValueError, match="max_pending"):
@@ -177,23 +173,22 @@ class TestServerConfig:
 
     def test_autoscale_implies_shared_admission(self):
         config = ServerConfig(autoscale=AutoscalePolicy(max_shards=3))
-        assert config.admission == "shared"
+        assert config.sharded
         assert config.pool_workers == 3
 
-    def test_deprecated_kwargs_work_with_one_warning(self, spec, clips,
-                                                     serial_result):
-        with pytest.warns(DeprecationWarning, match="ServerConfig"):
-            runtime = ServingRuntime(spec, max_batch=4)
-        assert runtime.max_batch == 4
-        _assert_identical(runtime.serve(_requests(clips)), serial_result)
-
     def test_config_plus_kwargs_rejected(self, spec):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError):
             ServingRuntime(spec, ServerConfig(max_batch=2), serve_workers=2)
 
     def test_unknown_kwarg_rejected(self, spec):
-        with pytest.raises(TypeError, match="max_batch"):
+        """Knobs live on ServerConfig only: keywords and the positional
+        max_batch int are refused."""
+        with pytest.raises(TypeError):
             ServingRuntime(spec, shard_count=2)
+        with pytest.raises(TypeError):
+            ServingRuntime(spec, max_batch=4)
+        with pytest.raises(TypeError, match="ServerConfig"):
+            ServingRuntime(spec, 4)
 
     def test_fault_plan_unknown_lane_rejected_for_elastic_fleet(self, spec):
         # Validation lives where the router is: an autoscaled (elastic)
@@ -296,8 +291,7 @@ class TestAutoscaledServing:
         )
         requests = _requests(clips, arrivals)
         fixed = ServingRuntime(spec, ServerConfig(
-            max_batch=2, serve_workers=2, admission="shared",
-            shard_backend="serial",
+            max_batch=2, serve_workers=2, shard_backend="serial",
         )).serve(requests)
         scaled = ServingRuntime(spec, ServerConfig(
             max_batch=2, shard_backend="serial",
@@ -350,7 +344,7 @@ class TestVirtualTime:
         simulated = gap * (len(clips) - 1)
         start = time.perf_counter()
         report = ServingRuntime(spec, ServerConfig(
-            max_batch=2, serve_workers=2, admission="shared",
+            max_batch=2, serve_workers=2,
             shard_backend="process", virtual_time=True,
         )).serve(requests)
         elapsed = time.perf_counter() - start

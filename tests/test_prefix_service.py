@@ -295,8 +295,8 @@ class TestCrossLaneCoalescing:
         serial = run_workload(always_spec, clips, batch=False)
         report = self._two_lane_runtime(
             always_spec,
-            ServerConfig(max_batch=2, serve_workers=2, admission="shared",
-                         shard_backend="serial", clock=FakeClock(),
+            ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial",
+                         clock=FakeClock(),
                          prefix_coalesce=True, prefix_cache_mb=64.0),
         ).serve(self._two_lane_requests(clips))
         _assert_identical(report, serial)

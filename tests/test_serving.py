@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
+    AutoscalePolicy,
     ClipRequest,
     LaneRoutingError,
     PipelineSpec,
@@ -152,7 +153,7 @@ class TestSharded:
 
     def test_single_lane_two_shards_match_serial(self, spec, clips,
                                                  serial_result):
-        """One lane replicated into two shards (requests round-robin)."""
+        """One lane replicated into two shards sharing one backlog."""
         runtime = ServingRuntime(
             spec, ServerConfig(max_batch=3, serve_workers=2, shard_backend="serial")
         )
@@ -408,18 +409,16 @@ class TestSpeculationMetrics:
 
 
 class TestSharedAdmission:
-    """admission='shared': one admission queue per lane, every shard of
-    the lane steals from it.  Assignment policy must never leak into
-    results — the per-clip identity contract is the same as static's."""
+    """Sharded serving: one admission backlog per lane, every shard of
+    the lane steals from it.  Assignment must never leak into results —
+    the per-clip identity contract is the same as in-process serving's."""
 
     def test_inline_two_shards_match_serial(self, spec, clips,
                                             serial_result):
         report = ServingRuntime(
-            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial",
-            admission="shared"),
+            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial"),
         ).serve(_requests(clips))
         _assert_identical(report, serial_result)
-        assert report.admission == "shared"
         assert len(report.shards) == 2
         assert sum(shard.requests for shard in report.shards) == len(clips)
 
@@ -429,8 +428,7 @@ class TestSharedAdmission:
             {"cam0": spec, "cam1": spec},
             ServerConfig(max_batch=3,
             serve_workers=2,
-            shard_backend="serial",
-            admission="shared"),
+            shard_backend="serial"),
         )
         requests = [
             ClipRequest(i, clip, lane=f"cam{i % 2}")
@@ -449,8 +447,7 @@ class TestSharedAdmission:
         clips = [clip for pair in zip(longs, shorts) for clip in pair]
         serial = run_workload(spec, clips, batch=False)
         report = ServingRuntime(
-            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial",
-            admission="shared"),
+            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial"),
         ).serve(_requests(clips))
         _assert_identical(report, serial)
         frames = sorted(shard.frames for shard in report.shards)
@@ -463,17 +460,14 @@ class TestSharedAdmission:
         clips = synthetic_workload(4, num_frames=4, base_seed=23)
         serial = run_workload(spec, clips, batch=False)
         report = ServingRuntime(
-            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="process",
-            admission="shared"),
+            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="process"),
         ).serve(_requests(clips))
         _assert_identical(report, serial)
         assert report.serve_workers == 2
-        assert report.admission == "shared"
 
     def test_shared_accounting_aggregates(self, spec, clips):
         report = ServingRuntime(
-            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial",
-            admission="shared"),
+            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial"),
         ).serve(_requests(clips))
         assert report.total_frames == sum(len(clip) for clip in clips)
         assert report.steps == sum(shard.steps for shard in report.shards)
@@ -481,12 +475,11 @@ class TestSharedAdmission:
             shard.wall_seconds for shard in report.shards
         )
         rows = dict((row[0], row[1]) for row in report.summary_rows())
-        assert rows["admission"] == "shared"
+        assert rows["serve workers"] == 2
 
     def test_records_in_submission_order(self, spec, clips):
         report = ServingRuntime(
-            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial",
-            admission="shared"),
+            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial"),
         ).serve(_requests(clips))
         assert [record.request_id for record in report.records] == list(
             range(len(clips))
@@ -495,7 +488,7 @@ class TestSharedAdmission:
     def test_arrival_times_respected(self, spec, clips):
         report = ServingRuntime(
             spec, ServerConfig(max_batch=2, clock=FakeClock(), serve_workers=2,
-            shard_backend="serial", admission="shared"),
+            shard_backend="serial"),
         ).serve(_requests(clips[:4], [0.0, 0.0, 5.0, 5.0]))
         for record in report.records:
             assert record.admit_time >= record.arrival_time
@@ -503,15 +496,13 @@ class TestSharedAdmission:
 
     def test_shard_budget_never_exceeds_serve_workers(self, spec, clips,
                                                       serial_result):
-        """Shared shards run concurrently (the pool is sized to them),
-        so the budget is dealt across lanes and capped at serve_workers
-        — unlike static's per-lane ceil, which may queue excess tasks."""
+        """Shards run concurrently (the pool is sized to them), so the
+        budget is dealt across lanes and capped at serve_workers."""
         runtime = ServingRuntime(
             {"cam0": spec, "cam1": spec},
             ServerConfig(max_batch=2,
             serve_workers=3,
-            shard_backend="serial",
-            admission="shared"),
+            shard_backend="serial"),
         )
         requests = [
             ClipRequest(i, clip, lane=f"cam{i % 2}")
@@ -521,26 +512,73 @@ class TestSharedAdmission:
         _assert_identical(report, serial_result)
         assert len(report.shards) == 3
 
-    def test_shared_report_admission_field(self, spec, clips):
-        """Every serve path stamps the configured admission mode."""
-        in_process = ServingRuntime(
-            spec, ServerConfig(max_batch=3, admission="shared")
-        ).serve(_requests(clips[:2]))
-        assert in_process.admission == "shared"
-
-    def test_bad_admission_rejected(self, spec):
-        with pytest.raises(ValueError, match="admission"):
-            ServingRuntime(spec, ServerConfig(max_batch=2, admission="dynamic"))
-
     def test_shared_with_one_worker_is_in_process(self, spec, clips,
                                                   serial_result):
-        """serve_workers=1 has a single worker per lane — shared and
-        static admission coincide, served by the in-process loop."""
+        """serve_workers=1 has a single worker per lane, served by the
+        in-process timeline."""
         report = ServingRuntime(
-            spec, ServerConfig(max_batch=3, admission="shared")
+            spec, ServerConfig(max_batch=3)
         ).serve(_requests(clips))
         _assert_identical(report, serial_result)
         assert report.serve_workers == 1
+
+
+class TestOneCore:
+    """Every serve shape runs one scheduler: one timeline owning every
+    lane in-process, one timeline per shard when sharded.  A timeline is
+    charged the real time of everything done at its boundaries."""
+
+    def _two_lanes(self, spec, clips, **config):
+        clock = FakeClock()
+        runtime = ServingRuntime(
+            {"cam0": spec, "cam1": spec},
+            ServerConfig(max_batch=2, clock=clock, prefix_coalesce=False,
+                         **config),
+        )
+        report = runtime.serve([
+            ClipRequest(i, clip, lane=f"cam{i % 2}")
+            for i, clip in enumerate(clips)
+        ])
+        return clock, report
+
+    def test_in_process_charges_both_lanes_to_one_timeline(
+            self, spec, clips, serial_result):
+        clock, report = self._two_lanes(spec, clips)
+        _assert_identical(report, serial_result)
+        assert report.shards == []
+        # Everything is due at t=0, so nothing is skipped: every clock
+        # reading after the first closes a boundary of the one timeline.
+        assert report.idle_seconds == 0.0
+        assert report.wall_seconds == pytest.approx(clock.now - clock.tick)
+
+    def test_sharded_reports_the_slowest_shard(self, spec, clips,
+                                               serial_result):
+        _, in_process = self._two_lanes(spec, clips)
+        clock, report = self._two_lanes(
+            spec, clips, serve_workers=2, shard_backend="serial"
+        )
+        _assert_identical(report, serial_result)
+        walls = [shard.wall_seconds for shard in report.shards]
+        assert len(walls) == 2
+        assert report.wall_seconds == max(walls)
+        # Each boundary is charged to exactly the shard it served.
+        assert sum(walls) == pytest.approx(clock.now - clock.tick)
+        assert report.wall_seconds < in_process.wall_seconds
+
+    @pytest.mark.parametrize("config", [
+        {},
+        {"shard_backend": "serial",
+         "autoscale": AutoscalePolicy(min_shards=1, max_shards=1)},
+    ], ids=["in_process", "inline_shards"])
+    def test_watermark_counts_only_arrived_requests(self, spec, clips,
+                                                    config):
+        """max_pending bounds requests that arrived and wait for a slot:
+        arrivals 100 s apart never queue, so ingestion never pauses."""
+        report = ServingRuntime(spec, ServerConfig(
+            max_batch=1, max_pending=2, clock=FakeClock(), **config,
+        )).serve(_requests(clips[:4], [0.0, 100.0, 200.0, 300.0]))
+        assert report.num_requests == 4
+        assert report.backpressure_pauses == 0
 
 
 class TestPercentiles:
