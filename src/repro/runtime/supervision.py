@@ -464,7 +464,6 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
     heartbeats suppressed, ``drop_ack`` a swallowed acknowledgement.
     """
     import queue as queue_module
-    from collections import deque
 
     from .prefix_service import PrefixService
     from .serving import LaneWorker, _Backlog, _boundary, _Timeline
@@ -485,11 +484,8 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
     def now() -> float:
         return time.perf_counter() - start
 
-    kills = deque(e for e in task.faults if e.kind == "kill")
-    stalls = deque(e for e in task.faults if e.kind == "stall")
-    drops = deque(e for e in task.faults if e.kind == "drop_ack")
     backlogs = {task.lane: _Backlog()}
-    timeline = _Timeline([worker], now)
+    timeline = _Timeline([worker], now, faults=task.faults)
     last_beat = -math.inf
     draining = False
 
@@ -506,14 +502,14 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
 
     while True:
         current = now()
-        while stalls and stalls[0].at <= current:
-            event = stalls.popleft()
+        while timeline.stalls and timeline.stalls[0].at <= current:
+            event = timeline.stalls.popleft()
             time.sleep(
                 event.seconds if event.seconds > 0
                 else event.steps * timeline.mean_step
             )
             current = now()
-        if kills and kills[0].at <= current:
+        if timeline.kills and timeline.kills[0].at <= current:
             os._exit(23)  # injected crash: no cleanup, no final ack
         if current - last_beat >= task.beat_interval:
             task.events.put(("beat", task.lane, task.shard, current))
@@ -529,8 +525,8 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
             _, departed, _ = _boundary([timeline], since, backlogs)
             for _, resident in departed:
                 record = timeline.records.pop(resident.seq)
-                if drops and drops[0].at <= now():
-                    drops.popleft()  # the ack is lost; the work was not
+                if timeline.drops and timeline.drops[0].at <= now():
+                    timeline.drops.popleft()  # the ack is lost; the work was not
                 else:
                     task.events.put(
                         ("ack", task.lane, task.shard, resident.seq, record)
