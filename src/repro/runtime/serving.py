@@ -1350,6 +1350,17 @@ def _run_core(
             )
         # ``order`` is unique per timeline, so ties never compare timelines.
         at, _, timeline = min(keyed)
+        if len(live) > 1 and upcoming is not None and upcoming[0] < at:
+            # The door's next request arrived before this event: release
+            # it at its arrival and re-key, so an idle timeline of its
+            # lane admits it then, not at another timeline's clock.  The
+            # real time spent here is charged to the next boundary.
+            at = upcoming[0]
+            for seq, request, lane in door.take(depth, now=at):
+                backlogs[lane].push(_PendingEntry(
+                    seq=seq, request=request, lane=lane, available=at,
+                ))
+            continue
         # Injected faults fire before the timeline acts at this event.
         if timeline.kills and timeline.kills[0].at <= at:
             event = timeline.kills.popleft()

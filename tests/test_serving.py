@@ -565,6 +565,30 @@ class TestOneCore:
         assert sum(walls) == pytest.approx(clock.now - clock.tick)
         assert report.wall_seconds < in_process.wall_seconds
 
+    def test_idle_shard_admits_at_arrival_behind_another_lane(
+            self, spec, clips, serial_result):
+        """cam1's idle shard admits its request when it arrives, even
+        while the door's head is a cam0 request waiting on cam0's busy
+        shard."""
+        clock = FakeClock()
+        lanes = ["cam0", "cam0", "cam1"]
+        arrivals = [0.0, 0.0001, 0.0002]
+        report = ServingRuntime(
+            {"cam0": spec, "cam1": spec},
+            ServerConfig(max_batch=1, clock=clock, serve_workers=2,
+                         shard_backend="serial", prefix_coalesce=False),
+        ).serve([
+            ClipRequest(i, clip, lane=lane, arrival_time=t)
+            for i, (clip, lane, t) in enumerate(zip(clips, lanes, arrivals))
+        ])
+        assert len(report.shards) == 2
+        cam1 = next(r for r in report.records if r.lane == "cam1")
+        # A boundary's first clock reading stamps admission: one tick.
+        assert cam1.admit_time == pytest.approx(cam1.arrival_time + clock.tick)
+        got = report.workload_result()
+        for served, want in zip(got.results, serial_result.results[:3]):
+            np.testing.assert_array_equal(served.outputs(), want.outputs())
+
     @pytest.mark.parametrize("config", [
         {},
         {"shard_backend": "serial",
