@@ -51,7 +51,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..motion.vector_field import VectorField
 from .receptive_field import ReceptiveField
-from .sad_kernel import get_kernel, producer_bounds
+from .sad_kernel import KernelFallbackWarning, addr, get_kernel, producer_bounds
 
 __all__ = [
     "RFBMEConfig",
@@ -304,10 +304,15 @@ def _tile_diffs_batched(
 def _tile_diffs_kernel(
     ws: _ProducerWorkspace, new: np.ndarray, out: np.ndarray
 ) -> None:
-    """Compiled producer: one fused C pass over all (tile, offset) pairs."""
-    kernel = get_kernel()
+    """Compiled producer: one fused C pass over all (tile, offset) pairs,
+    into ``out`` (n_off, n_off, n_ty, n_tx)."""
     cur = np.ascontiguousarray(new)
-    kernel.tile_sads(ws.pad, cur, ws.tile, ws.offsets, ws.radius, out)
+    offs = np.ascontiguousarray(ws.offsets, dtype=np.int64)
+    get_kernel().tile_sad(
+        addr(ws.pad), ws.pad.shape[1], addr(cur), cur.shape[1],
+        ws.n_ty, ws.n_tx, ws.tile, addr(offs), len(offs), ws.radius,
+        addr(out),
+    )
 
 
 def _tile_diffs_batched_grid(
@@ -347,6 +352,10 @@ class _ConsumerWorkspace:
     calls never touch the allocator.  ``sums`` doubles as the producer's
     output buffer (grid-major, so the consumer reads it without a
     transpose) and is zeroed at invalid (tile, offset) entries in place.
+
+    The compiled kernels take raw buffer addresses (``*_addr``), bound
+    here on every (re)allocation: a stale address would not raise, it
+    would silently write freed memory.
     """
 
     def __init__(self):
@@ -360,9 +369,14 @@ class _ConsumerWorkspace:
         self.capacity = batch
         self._dims = (n_ty, n_tx, n_off)
         self.sums = np.zeros((batch, n_ty, n_tx, n_off, n_off))
+        self.sums_addr = addr(self.sums)
 
     def ensure_kernel(
-        self, batch: int, frame_shape: Tuple[int, int], radius: int
+        self,
+        batch: int,
+        frame_shape: Tuple[int, int],
+        radius: int,
+        grid_shape: Tuple[int, int],
     ) -> None:
         """Staging only the compiled producer/consumer touch.
 
@@ -383,6 +397,17 @@ class _ConsumerWorkspace:
         # One integral-image plane, reused across the batch by the
         # compiled consumer.
         self.ci_scratch = np.empty((n_ty + 1) * (n_tx + 1) * n_off * n_off)
+        # Consumer outputs; each call hands out copies of its rows.
+        out_h, out_w = grid_shape
+        self.fields = np.empty((batch, out_h, out_w, 2))
+        self.errors = np.empty((batch, out_h, out_w))
+        self.kernel_addrs = tuple(
+            addr(buf)
+            for buf in (
+                self.pads, self.curs, self.ci_scratch, self.fields,
+                self.errors,
+            )
+        )
 
     def ensure_numpy(self, batch: int, n_fields: int) -> None:
         """Buffers only the NumPy fallback consumer needs."""
@@ -645,7 +670,7 @@ class RFBMEEngine:
                         "compiled SAD kernel unavailable for this "
                         "configuration; falling back to the 'batched' "
                         "backend (results are identical)",
-                        RuntimeWarning,
+                        KernelFallbackWarning,
                         stacklevel=2,
                     )
         self.backend = backend
@@ -734,6 +759,50 @@ class RFBMEEngine:
         self._prod_bounds = producer_bounds(
             (height, width), tile, self._offsets
         )
+        self._offsets_i64 = as_i64(offsets)
+        #: one adder-op record shared by every result (it is frozen).
+        self._ops = OpCounts(
+            producer_adds=self._producer_adds,
+            consumer_adds=self._consumer_ops,
+        )
+        if self.backend == "kernel":
+            self._bind_geometry()
+
+    def _bind_geometry(self) -> None:
+        """The kernels' geometry arguments, bound once: the arrays they
+        point into live as long as the engine and never reallocate."""
+        height, width = self.frame_shape
+        n_ty, n_tx, n_off = self._n_ty, self._n_tx, len(self._offsets)
+        out_h, out_w = self.grid_shape
+        radius = self._workspace.radius
+        offs = addr(self._offsets_i64)
+        self._producer_args = (
+            height + 2 * radius, width + 2 * radius, height, width,
+            n_ty, n_tx, self.rf.stride, offs, n_off, radius,
+            *[addr(bound) for bound in self._prod_bounds],
+        )
+        self._consumer_args = (
+            addr(self._valid_u8),
+            *[addr(r) for r in self._row_ranges + self._col_ranges],
+            addr(self._cand_u8), addr(self._ok_u8),
+            addr(self._denom_flat), offs,
+            n_ty, n_tx, n_off, out_h, out_w,
+        )
+
+    def __getstate__(self):
+        """Pickle (and copy) without kernel addresses: they point into
+        this engine's buffers.  The copy starts an empty consumer
+        workspace and binds its own geometry in ``__setstate__``."""
+        state = self.__dict__.copy()
+        state["_cws"] = _ConsumerWorkspace()
+        state.pop("_producer_args", None)
+        state.pop("_consumer_args", None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        if self.backend == "kernel":
+            self._bind_geometry()
 
     # ------------------------------------------------------------------ #
     def _compute_sums(
@@ -852,12 +921,7 @@ class RFBMEEngine:
 
     def _package(self, field: np.ndarray, errors: np.ndarray) -> RFBMEResult:
         return RFBMEResult(
-            field=VectorField(field),
-            match_errors=errors,
-            ops=OpCounts(
-                producer_adds=self._producer_adds,
-                consumer_adds=self._consumer_ops,
-            ),
+            field=VectorField(field), match_errors=errors, ops=self._ops
         )
 
     def estimate(self, key: np.ndarray, new: np.ndarray) -> RFBMEResult:
@@ -920,23 +984,20 @@ class RFBMEEngine:
             if self.backend == "kernel":
                 kernel = get_kernel()
                 height, width = self.frame_shape
-                ws.ensure_kernel(batch, self.frame_shape, radius)
+                ws.ensure_kernel(batch, self.frame_shape, radius, self.grid_shape)
                 for i, (key, new) in enumerate(pairs):
                     ws.pads[i, radius : radius + height, radius : radius + width] = key
                     ws.curs[i] = new
-                kernel.tile_sads_grid_batch(
-                    ws.pads[:batch], ws.curs[:batch], self._workspace.tile,
-                    self._offsets, radius, self._prod_bounds, ws.sums[:batch],
+                pads, curs, ci, fields, errors = ws.kernel_addrs
+                kernel.tile_sad_grid_batch(
+                    batch, pads, curs, ws.sums_addr, *self._producer_args
                 )
-                out_h, out_w = self.grid_shape
-                fields = np.empty((batch, out_h, out_w, 2))
-                errors = np.empty((batch, out_h, out_w))
-                kernel.consume(
-                    ws.sums[:batch], self._valid_u8, ws.ci_scratch,
-                    self._row_ranges, self._col_ranges,
-                    self._cand_u8, self._ok_u8, self._denom_flat,
-                    self._offsets, n_off, fields, errors,
+                kernel.rfbme_consume(
+                    batch, ws.sums_addr, ci, fields, errors,
+                    *self._consumer_args,
                 )
+                fields = ws.fields[:batch].copy()
+                errors = ws.errors[:batch].copy()
             else:
                 for i, (key, new) in enumerate(pairs):
                     self._workspace.load_key(key)

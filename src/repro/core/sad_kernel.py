@@ -26,26 +26,43 @@ The entry points share one shared object:
   and int16 sources, widening to the quantized lanes' GEMM operand type
   (float32 / float64) in the same pass, so the quantized planned engine
   pays one memory sweep where np.take plus an astype would pay two.
+  The int8 lane's requantize, entry-quantize and AVX512-VNNI GEMM
+  entry points live here too.
+* ``warp_bilinear_f64`` / ``warp_bilinear_f32`` — the bilinear AMC warp
+  (§III-B) of :func:`repro.core.warp.warp_activation_batch`'s float
+  path, which at batch 1 is otherwise all NumPy dispatch.
 * ``tile_sad`` — the original scalar producer in offset-major layout
   (``out[oi][oj][ty][tx]``), kept verbatim as the ``"pr1"`` host-profile
   baseline that the runtime benchmarks measure speedups against.
 
-Both kernels are *accelerators, not semantics changes*: they reproduce the
-canonical summation order of the NumPy paths bit-for-bit (per tile: one
+The kernels are *accelerators, not semantics changes*: they reproduce
+their NumPy twins bit-for-bit (for the SAD producer, per tile one
 sequential accumulator per column, then numpy's pairwise combine of the
 column sums — for the AVX-512 path each ZMM lane is one column
-accumulator, and the final combine is the same scalar tree).  A
-self-check at load time compares both kernels against the NumPy reference
-on random probes and refuses the library on any mismatch, so every caller
-can treat "kernel" and "batched" results as interchangeable.
+accumulator, and the final combine is the same tree, eight search
+offsets at a time across vector lanes; for the warp, the same
+double-precision operations in the same order, built with
+``-ffp-contract=off`` so no multiply-add fuses).  A self-check at load
+time compares every entry point against its NumPy reference on random
+probes, so every caller can treat "kernel" and "batched" results as
+interchangeable.
+
+Calling convention: every entry point takes its arrays as raw base
+addresses (:func:`addr`) through ``c_void_p``.  Building a ctypes
+pointer costs microseconds per array, which at batch 1 rivals the
+arithmetic, so callers take the addresses of their persistent buffers
+when they allocate them and retake them on every reallocation.
 
 Gating: no compiler, any compile/load error, a failed self-check, or
 ``REPRO_SAD_KERNEL=0`` in the environment all make :func:`get_kernel`
 return ``None`` and callers silently fall back to the NumPy path.
 ``REPRO_FORCE_NUMPY=1`` does the same without even attempting a compile —
 the knob CI's NumPy lane uses to prove the pure-NumPy paths stay green
-(the kernel lane conversely asserts :func:`kernel_available`, so a silent
-fallback can never masquerade as kernel coverage).
+(the kernel lane conversely asserts :func:`kernel_available` and
+``has_warp``, so a silent fallback can never masquerade as kernel
+coverage).  The warp checks on its own: when only it fails,
+:func:`get_kernel` keeps every other entry point, ``has_warp`` is false,
+and a :class:`KernelFallbackWarning` says the warp runs its NumPy twin.
 """
 
 from __future__ import annotations
@@ -56,11 +73,19 @@ import os
 import platform
 import subprocess
 import tempfile
+import warnings
 from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["SADKernel", "get_kernel", "kernel_available", "producer_bounds"]
+__all__ = [
+    "KernelFallbackWarning",
+    "SADKernel",
+    "addr",
+    "get_kernel",
+    "kernel_available",
+    "producer_bounds",
+]
 
 #: Tiles wider than this fall back to NumPy (the C column buffer is fixed).
 MAX_TILE = 8
@@ -82,14 +107,49 @@ _SOURCE = r"""
  * numpy's pairwise order (a tree for tile == 8, sequential below 8).
  */
 
+#if defined(__AVX512F__)
+/* One tile==8 comparison: the eight column accumulators, each summing
+ * |cur - key| down its column (rows in order, as the NumPy reference). */
+static inline __m512d tile_cols8(const __m512d a[8], const double *b,
+                                 long pad_w)
+{
+    const __m512d sign = _mm512_set1_pd(-0.0);
+    __m512d acc = _mm512_andnot_pd(sign, _mm512_sub_pd(a[0], _mm512_loadu_pd(b)));
+    for (int u = 1; u < 8; ++u)
+        acc = _mm512_add_pd(
+            acc,
+            _mm512_andnot_pd(
+                sign, _mm512_sub_pd(a[u], _mm512_loadu_pd(b + u * pad_w))));
+    return acc;
+}
+
+/* The pairwise combine ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)) of eight
+ * column-accumulator vectors at once: lane j of the result is the tile
+ * sum of s[j].  Every add pairs the same two partial sums as the scalar
+ * tree, so each lane is bitwise the scalar result. */
+static inline __m512d tree8(const __m512d s[8])
+{
+    __m512d u[4], w[2];
+    for (int k = 0; k < 4; ++k)   /* lanes: c0+c1, c2+c3, c4+c5, c6+c7 */
+        u[k] = _mm512_add_pd(_mm512_unpacklo_pd(s[2 * k], s[2 * k + 1]),
+                             _mm512_unpackhi_pd(s[2 * k], s[2 * k + 1]));
+    for (int k = 0; k < 2; ++k)   /* (c0+c1)+(c2+c3), (c4+c5)+(c6+c7) */
+        w[k] = _mm512_add_pd(_mm512_shuffle_f64x2(u[2 * k], u[2 * k + 1], 0x88),
+                             _mm512_shuffle_f64x2(u[2 * k], u[2 * k + 1], 0xDD));
+    return _mm512_add_pd(_mm512_shuffle_f64x2(w[0], w[1], 0x88),
+                         _mm512_shuffle_f64x2(w[0], w[1], 0xDD));
+}
+#endif
+
 /* Fast producer: grid-major output out[ty][tx][oi][oj].  The current
  * frame's tile rows load once per tile and stay in registers across
  * every offset; with AVX-512, one ZMM holds the eight column
- * accumulators of a tile==8 block.  Only the in-bounds offset window of
- * each tile is computed — oi in [row_lo[ty], row_hi[ty]) and oj in
- * [col_lo[tx], col_hi[tx]); entries outside it are left untouched (the
- * consumer masks them by the same validity geometry).  Full-range
- * bounds reproduce the unbounded cube. */
+ * accumulators of a tile==8 block, and eight horizontal offsets at a
+ * time reduce together (tree8) into one vector store.  Only the
+ * in-bounds offset window of each tile is computed — oi in
+ * [row_lo[ty], row_hi[ty]) and oj in [col_lo[tx], col_hi[tx]); entries
+ * outside it are left untouched (the consumer masks them by the same
+ * validity geometry).  Full-range bounds reproduce the unbounded cube. */
 static void tile_sad_grid_bounded(const double *pad, long pad_w,
                                   const double *cur, long cur_w,
                                   long n_ty, long n_tx, long tile,
@@ -100,47 +160,27 @@ static void tile_sad_grid_bounded(const double *pad, long pad_w,
 {
 #if defined(__AVX512F__)
     if (tile == 8) {
-        const __m512d sign = _mm512_set1_pd(-0.0);
         for (long ty = 0; ty < n_ty; ++ty) {
             for (long tx = 0; tx < n_tx; ++tx) {
-                const double *a = cur + ty * 8 * cur_w + tx * 8;
-                __m512d a0 = _mm512_loadu_pd(a);
-                __m512d a1 = _mm512_loadu_pd(a + cur_w);
-                __m512d a2 = _mm512_loadu_pd(a + 2 * cur_w);
-                __m512d a3 = _mm512_loadu_pd(a + 3 * cur_w);
-                __m512d a4 = _mm512_loadu_pd(a + 4 * cur_w);
-                __m512d a5 = _mm512_loadu_pd(a + 5 * cur_w);
-                __m512d a6 = _mm512_loadu_pd(a + 6 * cur_w);
-                __m512d a7 = _mm512_loadu_pd(a + 7 * cur_w);
+                const double *cur_tile = cur + ty * 8 * cur_w + tx * 8;
+                __m512d a[8];
+                for (int u = 0; u < 8; ++u)
+                    a[u] = _mm512_loadu_pd(cur_tile + u * cur_w);
                 double *o = out + (ty * n_tx + tx) * n_off * n_off;
                 for (long oi = row_lo[ty]; oi < row_hi[ty]; ++oi) {
                     const double *brow =
                         pad + (radius + offs[oi] + ty * 8) * pad_w
                             + radius + tx * 8;
-                    for (long oj = col_lo[tx]; oj < col_hi[tx]; ++oj) {
-                        const double *b = brow + offs[oj];
-                        __m512d acc, d;
-                        d = _mm512_sub_pd(a0, _mm512_loadu_pd(b));
-                        acc = _mm512_andnot_pd(sign, d);
-                        d = _mm512_sub_pd(a1, _mm512_loadu_pd(b + pad_w));
-                        acc = _mm512_add_pd(acc, _mm512_andnot_pd(sign, d));
-                        d = _mm512_sub_pd(a2, _mm512_loadu_pd(b + 2 * pad_w));
-                        acc = _mm512_add_pd(acc, _mm512_andnot_pd(sign, d));
-                        d = _mm512_sub_pd(a3, _mm512_loadu_pd(b + 3 * pad_w));
-                        acc = _mm512_add_pd(acc, _mm512_andnot_pd(sign, d));
-                        d = _mm512_sub_pd(a4, _mm512_loadu_pd(b + 4 * pad_w));
-                        acc = _mm512_add_pd(acc, _mm512_andnot_pd(sign, d));
-                        d = _mm512_sub_pd(a5, _mm512_loadu_pd(b + 5 * pad_w));
-                        acc = _mm512_add_pd(acc, _mm512_andnot_pd(sign, d));
-                        d = _mm512_sub_pd(a6, _mm512_loadu_pd(b + 6 * pad_w));
-                        acc = _mm512_add_pd(acc, _mm512_andnot_pd(sign, d));
-                        d = _mm512_sub_pd(a7, _mm512_loadu_pd(b + 7 * pad_w));
-                        acc = _mm512_add_pd(acc, _mm512_andnot_pd(sign, d));
-                        double col[8];
-                        _mm512_storeu_pd(col, acc);
-                        o[oi * n_off + oj] =
-                            ((col[0] + col[1]) + (col[2] + col[3]))
-                          + ((col[4] + col[5]) + (col[6] + col[7]));
+                    for (long oj = col_lo[tx]; oj < col_hi[tx]; oj += 8) {
+                        long r = col_hi[tx] - oj < 8 ? col_hi[tx] - oj : 8;
+                        __m512d s[8];
+                        for (int j = 0; j < 8; ++j)
+                            s[j] = j < r
+                                ? tile_cols8(a, brow + offs[oj + j], pad_w)
+                                : _mm512_setzero_pd();
+                        _mm512_mask_storeu_pd(o + oi * n_off + oj,
+                                              (__mmask8) ((1u << r) - 1),
+                                              tree8(s));
                     }
                 }
             }
@@ -184,15 +224,15 @@ static void tile_sad_grid_bounded(const double *pad, long pad_w,
 
 /* Lockstep batch: n_pairs (padded key, current) pairs in one call, so a
  * whole runtime step pays one FFI crossing instead of one per clip.
- * Only the valid offset window of each tile is computed. */
-void tile_sad_grid_batch(const double *pads, long pad_h, long pad_w,
-                         const double *curs, long cur_h, long cur_w,
-                         long n_pairs,
+ * Only the valid offset window of each tile is computed.  The per-call
+ * arguments lead; the geometry after them is fixed per engine. */
+void tile_sad_grid_batch(long n_pairs, const double *pads,
+                         const double *curs, double *out,
+                         long pad_h, long pad_w, long cur_h, long cur_w,
                          long n_ty, long n_tx, long tile,
                          const long *offs, long n_off, long radius,
                          const long *row_lo, const long *row_hi,
-                         const long *col_lo, const long *col_hi,
-                         double *out)
+                         const long *col_lo, const long *col_hi)
 {
     long out_stride = n_ty * n_tx * n_off * n_off;
     for (long p = 0; p < n_pairs; ++p)
@@ -213,26 +253,28 @@ void tile_sad_grid_batch(const double *pads, long pad_h, long pad_w,
  * with no valid tile range write zeros, exactly like the NumPy path.
  *
  * sums:   (n_pairs, n_ty, n_tx, n_off*n_off) raw producer output
- * valid:  (n_ty, n_tx, n_off*n_off) 0/1 tile validity
  * ci:     scratch, (n_ty+1) * (n_tx+1) * n_off*n_off doubles
+ * fields: (n_pairs, out_h, out_w, 2) out; errors: (n_pairs, out_h, out_w)
+ * valid:  (n_ty, n_tx, n_off*n_off) 0/1 tile validity
  * ty0/ty1: (out_h) tile ranges per field row; tx0/tx1: (out_w)
  * cand:   (out_h*out_w, n_off*n_off) 0/1 candidate offsets
  * ok:     (out_h*out_w) 0/1 field has candidates
  * denom:  (out_h*out_w) error denominators
- * fields: (n_pairs, out_h, out_w, 2) out; errors: (n_pairs, out_h, out_w)
+ *
+ * As in the producer, the workspace arguments lead and the geometry
+ * (valid onwards) is fixed per engine.
  */
-void rfbme_consume(const double *sums,
+void rfbme_consume(long n_pairs, const double *sums, double *ci,
+                   double *fields, double *errors,
                    const unsigned char *valid,
-                   double *ci,
                    const long *ty0, const long *ty1,
                    const long *tx0, const long *tx1,
                    const unsigned char *cand,
                    const unsigned char *ok,
                    const double *denom,
                    const long *offs,
-                   long n_pairs, long n_ty, long n_tx, long n_off,
-                   long out_h, long out_w,
-                   double *fields, double *errors)
+                   long n_ty, long n_tx, long n_off,
+                   long out_h, long out_w)
 {
     long F = n_off * n_off;
     long ci_w = (n_tx + 1) * F;
@@ -680,6 +722,68 @@ void gemm_requant_u8s8_o16(const unsigned char *a, long m, long k4,
 int have_vnni(void) { return 0; }
 #endif
 
+/* Border clamp of a floored sample coordinate, in double so no finite
+ * value overflows the conversion; NaN clamps to 0 (its weights are NaN,
+ * so the output is NaN whichever corner is read). */
+static inline long clamp_index(double v, long extent)
+{
+    if (!(v > 0.0))
+        return 0;
+    if (v > (double) (extent - 1))
+        return extent - 1;
+    return (long) v;
+}
+
+/* Bilinear AMC warp (paper §III-B) of a batch of stored activations.
+ *
+ * Reproduces, operation for operation, the NumPy expression of
+ * repro.core.warp._warp_numpy: sample = grid + field in double, the
+ * floored corner and its border-clamped neighbours, double weights
+ * (1-fy)*(1-fx), (1-fy)*fx, fy*(1-fx) and fy*fx, the weighted sum
+ * ((v00*w00 + v01*w01) + v10*w10) + v11*w11 in double, then one
+ * rounding to the activation type.  -ffp-contract=off keeps each
+ * multiply and add separately rounded, as NumPy computes them.
+ *
+ * act, out: (n, channels, height, width); fields: (n, height, width, 2)
+ * backward (dy, dx) vectors in activation units.
+ */
+#define WARP_BILINEAR(NAME, T)                                              \
+void NAME(long n, const T *act, const double *fields, T *out,               \
+          long channels, long height, long width)                           \
+{                                                                           \
+    long plane = height * width;                                            \
+    for (long b = 0; b < n; ++b) {                                          \
+        const T *a = act + b * channels * plane;                            \
+        T *o = out + b * channels * plane;                                  \
+        const double *f = fields + b * plane * 2;                           \
+        for (long p = 0; p < plane; ++p) {                                  \
+            double sy = (double) (p / width) + f[2 * p];                    \
+            double sx = (double) (p % width) + f[2 * p + 1];                \
+            double y0 = floor(sy), x0 = floor(sx);                          \
+            double fy = sy - y0, fx = sx - x0;                              \
+            long r0 = clamp_index(y0, height) * width;                      \
+            long r1 = clamp_index(y0 + 1.0, height) * width;                \
+            long c0 = clamp_index(x0, width);                               \
+            long c1 = clamp_index(x0 + 1.0, width);                         \
+            double w00 = (1.0 - fy) * (1.0 - fx);                           \
+            double w01 = (1.0 - fy) * fx;                                   \
+            double w10 = fy * (1.0 - fx);                                   \
+            double w11 = fy * fx;                                           \
+            for (long c = 0; c < channels; ++c) {                           \
+                const T *ac = a + c * plane;                                \
+                o[c * plane + p] = (T) (                                    \
+                    (((double) ac[r0 + c0] * w00                            \
+                      + (double) ac[r0 + c1] * w01)                         \
+                     + (double) ac[r1 + c0] * w10)                          \
+                    + (double) ac[r1 + c1] * w11);                          \
+            }                                                               \
+        }                                                                   \
+    }                                                                       \
+}
+
+WARP_BILINEAR(warp_bilinear_f64, double)
+WARP_BILINEAR(warp_bilinear_f32, float)
+
 /* PR 1 producer, kept verbatim: offset-major out[oi][oj][ty][tx]. */
 void tile_sad(const double *pad, long pad_w,
               const double *cur, long cur_w,
@@ -721,7 +825,10 @@ void tile_sad(const double *pad, long pad_w,
 }
 """
 
-_CFLAGS = ["-O3", "-march=native", "-shared", "-fPIC"]
+#: ``-ffp-contract=off``: GCC would otherwise fuse ``a*b + c`` into one
+#: FMA (one rounding instead of two) and break bit-identity with the
+#: NumPy twins — the warp's weighted sum is exactly that shape.
+_CFLAGS = ["-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC"]
 
 _CACHE_DIR = os.path.join(
     os.path.dirname(__file__), "..", "..", "..", ".cache", "kernels"
@@ -731,430 +838,95 @@ _CACHE_DIR = os.path.join(
 _STATE: Optional[object] = None
 
 
-class SADKernel:
-    """ctypes wrapper around the compiled SAD producers."""
+class KernelFallbackWarning(RuntimeWarning):
+    """A compiled entry point is unavailable and its NumPy twin runs in
+    its place; results are identical, only the speed differs."""
 
-    _ARGTYPES = [
-        ctypes.POINTER(ctypes.c_double), ctypes.c_long,
-        ctypes.POINTER(ctypes.c_double), ctypes.c_long,
-        ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        ctypes.POINTER(ctypes.c_long), ctypes.c_long, ctypes.c_long,
-        ctypes.POINTER(ctypes.c_double),
-    ]
+
+def addr(array: np.ndarray) -> int:
+    """Base address of ``array``'s buffer: what every pointer argument of
+    a kernel entry point takes.
+
+    Taking it costs about a microsecond, so hot paths take the addresses
+    of their persistent buffers once, when they allocate them, and
+    retake them on every reallocation.  A leading-axis view ``buf[:B]``
+    shares its base's address.
+    """
+    return array.ctypes.data
+
+
+_P, _L = ctypes.c_void_p, ctypes.c_long
+_F, _D = ctypes.c_float, ctypes.c_double
+_GATHER = [_P, _L, _P, _L, _L, _P]
+_REQUANT_F = [_P, _L, _L, _P, _P, _F, _F, _P]
+_QUANTIZE = [_P, _L, _F, _F, _F, _P]
+_WARP = [_L, _P, _P, _P, _L, _L, _L]
+_GEMM = [_P, _L, _L, _P, _L, _P, _P, _F, _F, _P, _L]
+
+#: ctypes argtypes of every exported entry point, in the C parameter
+#: order (see the C source for shapes and dtypes).  Arrays travel as raw
+#: base addresses (:func:`addr`) through ``c_void_p``, sizes as ``long``.
+_SIGNATURES = {
+    "tile_sad": [_P, _L, _P, _L, _L, _L, _L, _P, _L, _L, _P],
+    "tile_sad_grid_batch": (
+        [_L, _P, _P, _P] + [_L] * 7 + [_P, _L, _L] + [_P] * 4
+    ),
+    "rfbme_consume": [_L] + [_P] * 13 + [_L] * 5,
+    "gather_rows": _GATHER,
+    "gather_rows_q8": _GATHER,
+    "gather_rows_q16": _GATHER,
+    "gather_rows_q16f": _GATHER,
+    "gather_cols_q8u": [_P, _L, _P, _L, _L, _L, _L, _P],
+    "requant_rows_q8": _REQUANT_F,
+    "requant_rows_q16f": _REQUANT_F,
+    "requant_rows_q16": [_P, _L, _L, _P, _P, _D, _D, _P],
+    "quantize_q8": _QUANTIZE,
+    "quantize_q16": _QUANTIZE,
+    "warp_bilinear_f64": _WARP,
+    "warp_bilinear_f32": _WARP,
+}
+
+#: the AVX512-VNNI GEMMs, exported only where the ISA compiled in.
+_VNNI_SIGNATURES = {
+    "gemm_requant_u8s8": _GEMM,
+    "gemm_requant_u8s8_o16": _GEMM,
+}
+
+
+class SADKernel:
+    """The compiled entry points, bound by ctypes.
+
+    Each C function in :data:`_SIGNATURES` is an attribute of the same
+    name, called with its C parameters: sizes as numbers, every array as
+    its :func:`addr`.  The caller owns the checks that C cannot make —
+    dtype, C-contiguity and extent of every buffer — and keeps each
+    buffer alive while its address is in use.
+    """
 
     def __init__(self, lib: ctypes.CDLL):
-        self._fn = lib.tile_sad
-        self._fn.restype = None
-        self._fn.argtypes = self._ARGTYPES
-        lptr = ctypes.POINTER(ctypes.c_long)
-        dptr = ctypes.POINTER(ctypes.c_double)
-        bptr = ctypes.POINTER(ctypes.c_ubyte)
-        self._fn_grid_batch = lib.tile_sad_grid_batch
-        self._fn_grid_batch.restype = None
-        self._fn_grid_batch.argtypes = [
-            dptr, ctypes.c_long, ctypes.c_long,
-            dptr, ctypes.c_long, ctypes.c_long,
-            ctypes.c_long,
-            ctypes.c_long, ctypes.c_long, ctypes.c_long,
-            lptr, ctypes.c_long, ctypes.c_long,
-            lptr, lptr, lptr, lptr,
-            dptr,
-        ]
-        self._fn_gather = lib.gather_rows
-        self._fn_gather.restype = None
-        self._fn_gather.argtypes = [
-            dptr, ctypes.c_long, lptr, ctypes.c_long, ctypes.c_long, dptr,
-        ]
-        fptr = ctypes.POINTER(ctypes.c_float)
-        sptr = ctypes.POINTER(ctypes.c_short)
-        cptr = ctypes.POINTER(ctypes.c_byte)
-        self._fn_gather_q8 = lib.gather_rows_q8
-        self._fn_gather_q8.restype = None
-        self._fn_gather_q8.argtypes = [
-            cptr, ctypes.c_long, lptr, ctypes.c_long, ctypes.c_long, fptr,
-        ]
-        self._fn_gather_q16 = lib.gather_rows_q16
-        self._fn_gather_q16.restype = None
-        self._fn_gather_q16.argtypes = [
-            sptr, ctypes.c_long, lptr, ctypes.c_long, ctypes.c_long, dptr,
-        ]
-        self._fn_gather_q16f = lib.gather_rows_q16f
-        self._fn_gather_q16f.restype = None
-        self._fn_gather_q16f.argtypes = [
-            sptr, ctypes.c_long, lptr, ctypes.c_long, ctypes.c_long, fptr,
-        ]
-        self._fn_requant_q8 = lib.requant_rows_q8
-        self._fn_requant_q8.restype = None
-        self._fn_requant_q8.argtypes = [
-            fptr, ctypes.c_long, ctypes.c_long, fptr, fptr,
-            ctypes.c_float, ctypes.c_float, cptr,
-        ]
-        self._fn_requant_q16f = lib.requant_rows_q16f
-        self._fn_requant_q16f.restype = None
-        self._fn_requant_q16f.argtypes = [
-            fptr, ctypes.c_long, ctypes.c_long, fptr, fptr,
-            ctypes.c_float, ctypes.c_float, sptr,
-        ]
-        self._fn_requant_q16 = lib.requant_rows_q16
-        self._fn_requant_q16.restype = None
-        self._fn_requant_q16.argtypes = [
-            dptr, ctypes.c_long, ctypes.c_long, dptr, dptr,
-            ctypes.c_double, ctypes.c_double, sptr,
-        ]
-        uptr = ctypes.POINTER(ctypes.c_ubyte)
-        self._fn_gather_cols_q8u = lib.gather_cols_q8u
-        self._fn_gather_cols_q8u.restype = None
-        self._fn_gather_cols_q8u.argtypes = [
-            cptr, ctypes.c_long, lptr, ctypes.c_long, ctypes.c_long,
-            ctypes.c_long, ctypes.c_long, uptr,
-        ]
+        for name, argtypes in _SIGNATURES.items():
+            self._bind(lib, name, argtypes)
         lib.have_vnni.restype = ctypes.c_int
         #: AVX512-VNNI int8 GEMM compiled in?  The quantized lanes route
-        #: through :meth:`gemm_requant_u8s8` only when true; the math is
+        #: through ``gemm_requant_u8s8`` only when true; the math is
         #: identical either way (integer-exact), only the speed differs.
         self.has_vnni = bool(lib.have_vnni())
         if self.has_vnni:
-            self._fn_gemm_u8s8 = lib.gemm_requant_u8s8
-            self._fn_gemm_u8s8.restype = None
-            self._fn_gemm_u8s8.argtypes = [
-                uptr, ctypes.c_long, ctypes.c_long, cptr, ctypes.c_long,
-                fptr, fptr, ctypes.c_float, ctypes.c_float,
-                cptr, ctypes.c_long,
-            ]
-            self._fn_gemm_u8s8_o16 = lib.gemm_requant_u8s8_o16
-            self._fn_gemm_u8s8_o16.restype = None
-            self._fn_gemm_u8s8_o16.argtypes = [
-                uptr, ctypes.c_long, ctypes.c_long, cptr, ctypes.c_long,
-                fptr, fptr, ctypes.c_float, ctypes.c_float,
-                sptr, ctypes.c_long,
-            ]
-        self._fn_quantize_q8 = lib.quantize_q8
-        self._fn_quantize_q8.restype = None
-        self._fn_quantize_q8.argtypes = [
-            fptr, ctypes.c_long, ctypes.c_float,
-            ctypes.c_float, ctypes.c_float, cptr,
-        ]
-        self._fn_quantize_q16 = lib.quantize_q16
-        self._fn_quantize_q16.restype = None
-        self._fn_quantize_q16.argtypes = [
-            fptr, ctypes.c_long, ctypes.c_float,
-            ctypes.c_float, ctypes.c_float, sptr,
-        ]
-        self._fn_consume = lib.rfbme_consume
-        self._fn_consume.restype = None
-        self._fn_consume.argtypes = [
-            dptr, bptr, dptr,
-            lptr, lptr, lptr, lptr,
-            bptr, bptr, dptr, lptr,
-            ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-            ctypes.c_long, ctypes.c_long,
-            dptr, dptr,
-        ]
+            for name, argtypes in _VNNI_SIGNATURES.items():
+                self._bind(lib, name, argtypes)
+        #: compiled bilinear warp passed its own self-check?  Set by
+        #: :func:`get_kernel`; when false only the warp runs its NumPy
+        #: twin, every other entry point stays compiled.
+        self.has_warp = False
+
+    def _bind(self, lib: ctypes.CDLL, name: str, argtypes) -> None:
+        fn = getattr(lib, name)
+        fn.restype = None
+        fn.argtypes = argtypes
+        setattr(self, name, fn)
 
     def supports(self, tile: int) -> bool:
         return 1 <= tile <= MAX_TILE
-
-    def _call(
-        self,
-        fn,
-        pad: np.ndarray,
-        cur: np.ndarray,
-        tile: int,
-        offsets: np.ndarray,
-        radius: int,
-        out: np.ndarray,
-        n_ty: int,
-        n_tx: int,
-    ) -> np.ndarray:
-        offs = np.ascontiguousarray(offsets, dtype=np.int64)
-        dptr = ctypes.POINTER(ctypes.c_double)
-        fn(
-            pad.ctypes.data_as(dptr), pad.shape[1],
-            cur.ctypes.data_as(dptr), cur.shape[1],
-            n_ty, n_tx, tile,
-            offs.ctypes.data_as(ctypes.POINTER(ctypes.c_long)),
-            len(offsets), radius,
-            out.ctypes.data_as(dptr),
-        )
-        return out
-
-    def tile_sads(
-        self,
-        pad: np.ndarray,
-        cur: np.ndarray,
-        tile: int,
-        offsets: np.ndarray,
-        radius: int,
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """PR 1 producer: fill ``out`` (n_off, n_off, n_ty, n_tx).
-
-        ``pad`` is the key frame padded by ``radius`` on each side; ``cur``
-        is the current frame.  Both must be C-contiguous float64.
-        """
-        return self._call(
-            self._fn, pad, cur, tile, offsets, radius, out,
-            out.shape[2], out.shape[3],
-        )
-
-    def tile_sads_grid_batch(
-        self,
-        pads: np.ndarray,
-        curs: np.ndarray,
-        tile: int,
-        offsets: np.ndarray,
-        radius: int,
-        bounds: "Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]",
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """Batched fast producer for a lockstep step.
-
-        ``pads`` is (B, H + 2*radius, W + 2*radius) stacked padded key
-        frames, ``curs`` (B, H, W) stacked current frames, ``out``
-        (B, n_ty, n_tx, n_off, n_off); all C-contiguous float64.
-        ``bounds`` is (row_lo, row_hi, col_lo, col_hi) int64 arrays — the
-        in-bounds offset index window per tile row/column; entries outside
-        it are skipped (they are invalid by the same geometry the
-        consumer masks with).
-        """
-        offs = np.ascontiguousarray(offsets, dtype=np.int64)
-        row_lo, row_hi, col_lo, col_hi = bounds
-        dptr = ctypes.POINTER(ctypes.c_double)
-        lptr = ctypes.POINTER(ctypes.c_long)
-        self._fn_grid_batch(
-            pads.ctypes.data_as(dptr), pads.shape[1], pads.shape[2],
-            curs.ctypes.data_as(dptr), curs.shape[1], curs.shape[2],
-            out.shape[0],
-            out.shape[1], out.shape[2], tile,
-            offs.ctypes.data_as(lptr),
-            len(offsets), radius,
-            row_lo.ctypes.data_as(lptr), row_hi.ctypes.data_as(lptr),
-            col_lo.ctypes.data_as(lptr), col_hi.ctypes.data_as(lptr),
-            out.ctypes.data_as(dptr),
-        )
-        return out
-
-    def gather_rows(
-        self, src: np.ndarray, idx: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """out[b, k] = src[b, idx[k]] for C-contiguous float64 2-D arrays
-        (``idx`` int64).  Equivalent to ``np.take(src, idx, axis=1, out=out)``."""
-        dptr = ctypes.POINTER(ctypes.c_double)
-        self._fn_gather(
-            src.ctypes.data_as(dptr), src.shape[1],
-            idx.ctypes.data_as(ctypes.POINTER(ctypes.c_long)), idx.shape[0],
-            src.shape[0],
-            out.ctypes.data_as(dptr),
-        )
-        return out
-
-    def gather_rows_q8(
-        self, src: np.ndarray, idx: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """out[b, k] = float32(src[b, idx[k]]) for C-contiguous int8 ``src``
-        (``idx`` int64, ``out`` float32) — the int8 lane's fused
-        gather-and-widen."""
-        self._fn_gather_q8(
-            src.ctypes.data_as(ctypes.POINTER(ctypes.c_byte)), src.shape[1],
-            idx.ctypes.data_as(ctypes.POINTER(ctypes.c_long)), idx.shape[0],
-            src.shape[0],
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_float)),
-        )
-        return out
-
-    def gather_rows_q16(
-        self, src: np.ndarray, idx: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """out[b, k] = float64(src[b, idx[k]]) for C-contiguous int16
-        ``src`` (``idx`` int64, ``out`` float64) — the q16 lane's fused
-        gather-and-widen."""
-        self._fn_gather_q16(
-            src.ctypes.data_as(ctypes.POINTER(ctypes.c_short)), src.shape[1],
-            idx.ctypes.data_as(ctypes.POINTER(ctypes.c_long)), idx.shape[0],
-            src.shape[0],
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        )
-        return out
-
-    def gather_rows_q16f(
-        self, src: np.ndarray, idx: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """out[b, k] = float32(src[b, idx[k]]) for C-contiguous int16
-        ``src`` (``idx`` int64, ``out`` float32) — the int8 lane's
-        gather for its wider-than-8-bit activations."""
-        self._fn_gather_q16f(
-            src.ctypes.data_as(ctypes.POINTER(ctypes.c_short)), src.shape[1],
-            idx.ctypes.data_as(ctypes.POINTER(ctypes.c_long)), idx.shape[0],
-            src.shape[0],
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_float)),
-        )
-        return out
-
-    def requant_rows_q8(
-        self, src: np.ndarray, bias: np.ndarray, mult: np.ndarray,
-        lo: float, hi: float, out: np.ndarray,
-    ) -> np.ndarray:
-        """out = int8(clip(rint((src + bias) * mult), lo, hi)) with
-        per-column ``bias``/``mult`` — src float32 2-D ``(rows, cols)``,
-        one pass.  Bitwise the NumPy add/multiply/rint/clip/cast chain."""
-        fptr = ctypes.POINTER(ctypes.c_float)
-        self._fn_requant_q8(
-            src.ctypes.data_as(fptr), src.shape[0], src.shape[1],
-            bias.ctypes.data_as(fptr), mult.ctypes.data_as(fptr), lo, hi,
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_byte)),
-        )
-        return out
-
-    def requant_rows_q16f(
-        self, src: np.ndarray, bias: np.ndarray, mult: np.ndarray,
-        lo: float, hi: float, out: np.ndarray,
-    ) -> np.ndarray:
-        """int16-output variant of :meth:`requant_rows_q8` (float32 src)."""
-        fptr = ctypes.POINTER(ctypes.c_float)
-        self._fn_requant_q16f(
-            src.ctypes.data_as(fptr), src.shape[0], src.shape[1],
-            bias.ctypes.data_as(fptr), mult.ctypes.data_as(fptr), lo, hi,
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_short)),
-        )
-        return out
-
-    def requant_rows_q16(
-        self, src: np.ndarray, bias: np.ndarray, mult: np.ndarray,
-        lo: float, hi: float, out: np.ndarray,
-    ) -> np.ndarray:
-        """int16 variant of :meth:`requant_rows_q8` over float64 ``src``."""
-        dptr = ctypes.POINTER(ctypes.c_double)
-        self._fn_requant_q16(
-            src.ctypes.data_as(dptr), src.shape[0], src.shape[1],
-            bias.ctypes.data_as(dptr), mult.ctypes.data_as(dptr), lo, hi,
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_short)),
-        )
-        return out
-
-    def gather_cols_q8u(
-        self, src: np.ndarray, idx: np.ndarray, rows: int, k: int,
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """Row-structured im2col gather for the VNNI GEMM.
-
-        ``src`` is ``(batch, src_len)`` int8, ``idx`` the per-row
-        ``rows * k`` gather indices, ``out`` a ``(batch * rows, kp)``
-        uint8 buffer whose pad columns (``kp - k``) the caller keeps
-        zeroed.  Each gathered byte is offset by +128 into uint8 (the
-        vpdpbusd operand form)."""
-        self._fn_gather_cols_q8u(
-            src.ctypes.data_as(ctypes.POINTER(ctypes.c_byte)), src.shape[1],
-            idx.ctypes.data_as(ctypes.POINTER(ctypes.c_long)), rows, k,
-            src.shape[0], out.shape[1],
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
-        )
-        return out
-
-    def gemm_requant_u8s8(
-        self, a: np.ndarray, bp: np.ndarray, n: int, bias: np.ndarray,
-        mult: np.ndarray, lo: float, hi: float, out: np.ndarray,
-    ) -> np.ndarray:
-        """Fused int8 GEMM + requantization (AVX512-VNNI; check
-        :attr:`has_vnni` first).
-
-        ``a`` is the ``(m, k4*4)`` uint8 activation matrix (offset
-        +128), ``bp`` the packed ``(k4, 32, 4)`` int8 weights, ``bias``
-        / ``mult`` 32-channel float32 vectors with the activation-offset
-        correction already folded into ``bias``.  ``out`` is int8 (or
-        int16 — picked by dtype) of ``(m, out_stride)``; the first ``n``
-        channels of each row are written.  Bitwise equal to the exact
-        integer GEMM + the NumPy requant chain.
-        """
-        fptr = ctypes.POINTER(ctypes.c_float)
-        fn = (
-            self._fn_gemm_u8s8
-            if out.dtype == np.int8
-            else self._fn_gemm_u8s8_o16
-        )
-        fn(
-            a.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
-            a.shape[0], a.shape[1] // 4,
-            bp.ctypes.data_as(ctypes.POINTER(ctypes.c_byte)), n,
-            bias.ctypes.data_as(fptr), mult.ctypes.data_as(fptr), lo, hi,
-            out.ctypes.data_as(
-                ctypes.POINTER(
-                    ctypes.c_byte if out.dtype == np.int8 else ctypes.c_short
-                )
-            ),
-            out.shape[1],
-        )
-        return out
-
-    def quantize_q8(
-        self, src: np.ndarray, scale: float, lo: float, hi: float,
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """out = int8(clip(rint(src * scale), lo, hi)) — flat float32
-        ``src`` to raws in one pass (``scale`` a power of two, so the
-        multiply is exact and matches the float64 NumPy path)."""
-        self._fn_quantize_q8(
-            src.ctypes.data_as(ctypes.POINTER(ctypes.c_float)), src.size,
-            scale, lo, hi,
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_byte)),
-        )
-        return out
-
-    def quantize_q16(
-        self, src: np.ndarray, scale: float, lo: float, hi: float,
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """int16 variant of :meth:`quantize_q8`."""
-        self._fn_quantize_q16(
-            src.ctypes.data_as(ctypes.POINTER(ctypes.c_float)), src.size,
-            scale, lo, hi,
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_short)),
-        )
-        return out
-
-    def consume(
-        self,
-        sums: np.ndarray,
-        valid: np.ndarray,
-        scratch: np.ndarray,
-        row_ranges: "Tuple[np.ndarray, np.ndarray]",
-        col_ranges: "Tuple[np.ndarray, np.ndarray]",
-        cand: np.ndarray,
-        ok: np.ndarray,
-        denom: np.ndarray,
-        offsets: np.ndarray,
-        n_off: int,
-        fields: np.ndarray,
-        errors: np.ndarray,
-    ) -> None:
-        """Run the compiled RFBME consumer over a producer-output batch.
-
-        All arrays C-contiguous; ``valid``/``cand``/``ok`` uint8,
-        index/offset arrays int64, the rest float64.  See the C source
-        for shapes.  Bit-identical to the NumPy consumer.
-        """
-        n_pairs, n_ty, n_tx = sums.shape[0], sums.shape[1], sums.shape[2]
-        out_h, out_w = errors.shape[1], errors.shape[2]
-        ty0, ty1 = row_ranges
-        tx0, tx1 = col_ranges
-        offs = np.ascontiguousarray(offsets, dtype=np.int64)
-        dptr = ctypes.POINTER(ctypes.c_double)
-        lptr = ctypes.POINTER(ctypes.c_long)
-        bptr = ctypes.POINTER(ctypes.c_ubyte)
-        self._fn_consume(
-            sums.ctypes.data_as(dptr),
-            valid.ctypes.data_as(bptr),
-            scratch.ctypes.data_as(dptr),
-            ty0.ctypes.data_as(lptr), ty1.ctypes.data_as(lptr),
-            tx0.ctypes.data_as(lptr), tx1.ctypes.data_as(lptr),
-            cand.ctypes.data_as(bptr),
-            ok.ctypes.data_as(bptr),
-            denom.ctypes.data_as(dptr),
-            offs.ctypes.data_as(lptr),
-            n_pairs, n_ty, n_tx, n_off,
-            out_h, out_w,
-            fields.ctypes.data_as(dptr),
-            errors.ctypes.data_as(dptr),
-        )
 
 
 def _numpy_reference(
@@ -1267,9 +1039,12 @@ def _check_consumer(kernel: SADKernel, rng: np.random.Generator) -> bool:
     fields = np.empty((3, out_h, out_w, 2))
     errors = np.empty((3, out_h, out_w))
     scratch = np.empty((n_ty + 1) * (n_tx + 1) * n_flat)
-    kernel.consume(
-        sums, valid, scratch, (ty0, ty1), (tx0, tx1), cand, ok, denom,
-        offsets, n_off, fields, errors,
+    offs = offsets.astype(np.int64)
+    kernel.rfbme_consume(
+        3, addr(sums), addr(scratch), addr(fields), addr(errors),
+        addr(valid), addr(ty0), addr(ty1), addr(tx0), addr(tx1),
+        addr(cand), addr(ok), addr(denom), addr(offs),
+        n_ty, n_tx, n_off, out_h, out_w,
     )
     want_f, want_e = _consumer_reference(
         sums, valid, ty0, ty1, tx0, tx1, cand, ok, denom, offsets, n_off
@@ -1294,7 +1069,11 @@ def _self_check(kernel: SADKernel) -> bool:
         n_ty, n_tx = shape[0] // tile, shape[1] // tile
         want = _numpy_reference(pad, cur, tile, offsets, radius)
         out = np.empty((n_off, n_off, n_ty, n_tx))
-        kernel.tile_sads(pad, cur, tile, offsets, radius, out)
+        offs = offsets.astype(np.int64)
+        kernel.tile_sad(
+            addr(pad), pad.shape[1], addr(cur), cur.shape[1], n_ty, n_tx,
+            tile, addr(offs), n_off, radius, addr(out),
+        )
         if not np.array_equal(out, want):
             return False
         pads = np.ascontiguousarray(np.stack([pad, np.pad(cur, radius)]))
@@ -1306,8 +1085,16 @@ def _self_check(kernel: SADKernel) -> bool:
             np.zeros(n_ty, dtype=np.int64), np.full(n_ty, n_off, np.int64),
             np.zeros(n_tx, dtype=np.int64), np.full(n_tx, n_off, np.int64),
         )
+        def grid_batch(bounds, out):
+            kernel.tile_sad_grid_batch(
+                2, addr(pads), addr(curs), addr(out),
+                pads.shape[1], pads.shape[2], shape[0], shape[1],
+                n_ty, n_tx, tile, addr(offs), n_off, radius,
+                *[addr(b) for b in bounds],
+            )
+
         batch = np.empty((2, n_ty, n_tx, n_off, n_off))
-        kernel.tile_sads_grid_batch(pads, curs, tile, offsets, radius, full, batch)
+        grid_batch(full, batch)
         if not np.array_equal(batch[0].transpose(2, 3, 0, 1), want):
             return False
         if not np.array_equal(batch[1].transpose(2, 3, 0, 1), want2):
@@ -1316,7 +1103,7 @@ def _self_check(kernel: SADKernel) -> bool:
         bounds = producer_bounds(shape, tile, offsets)
         row_lo, row_hi, col_lo, col_hi = bounds
         batch = np.zeros((2, n_ty, n_tx, n_off, n_off))
-        kernel.tile_sads_grid_batch(pads, curs, tile, offsets, radius, bounds, batch)
+        grid_batch(bounds, batch)
         for ty in range(n_ty):
             for tx in range(n_tx):
                 oi = slice(row_lo[ty], row_hi[ty])
@@ -1332,30 +1119,37 @@ def _self_check(kernel: SADKernel) -> bool:
                     return False
     src = np.ascontiguousarray(rng.random((3, 500)))
     idx = np.ascontiguousarray(rng.integers(0, 500, 200), dtype=np.int64)
+    def gather(fn, src, out):
+        fn(addr(src), src.shape[1], addr(idx), len(idx), len(src), addr(out))
+
     got = np.empty((3, 200))
-    kernel.gather_rows(src, idx, got)
+    gather(kernel.gather_rows, src, got)
     if not np.array_equal(got, np.take(src, idx, axis=1)):
         return False
     src8 = np.ascontiguousarray(
         rng.integers(-128, 128, (3, 500)), dtype=np.int8
     )
     got8 = np.empty((3, 200), dtype=np.float32)
-    kernel.gather_rows_q8(src8, idx, got8)
+    gather(kernel.gather_rows_q8, src8, got8)
     if not np.array_equal(got8, np.take(src8, idx, axis=1).astype(np.float32)):
         return False
     src16 = np.ascontiguousarray(
         rng.integers(-32768, 32768, (3, 500)), dtype=np.int16
     )
     got16 = np.empty((3, 200))
-    kernel.gather_rows_q16(src16, idx, got16)
+    gather(kernel.gather_rows_q16, src16, got16)
     if not np.array_equal(got16, np.take(src16, idx, axis=1).astype(np.float64)):
         return False
     got16f = np.empty((3, 200), dtype=np.float32)
-    kernel.gather_rows_q16f(src16, idx, got16f)
+    gather(kernel.gather_rows_q16f, src16, got16f)
     if not np.array_equal(got16f, np.take(src16, idx, axis=1).astype(np.float32)):
         return False
     # Requant: both the pattern-expanded fast path (cols <= 256) and the
     # wide-cols fallback must be bitwise the NumPy chain.
+    def requant(fn, src, bias, mult, lo, hi, out):
+        fn(addr(src), src.shape[0], src.shape[1], addr(bias), addr(mult),
+           lo, hi, addr(out))
+
     for rows, cols in ((40, 24), (7, 300)):
         acc32 = np.ascontiguousarray(
             rng.integers(-60000, 60000, (rows, cols)).astype(np.float32)
@@ -1369,14 +1163,14 @@ def _self_check(kernel: SADKernel) -> bool:
         want_r = np.rint((acc32 + bias32) * mult32)
         np.clip(want_r, -128, 127, out=want_r)
         got_r8 = np.empty((rows, cols), dtype=np.int8)
-        kernel.requant_rows_q8(acc32, bias32, mult32, -128.0, 127.0, got_r8)
+        requant(kernel.requant_rows_q8, acc32, bias32, mult32, -128.0, 127.0,
+                got_r8)
         if not np.array_equal(got_r8, want_r.astype(np.int8)):
             return False
         np.clip(np.rint((acc32 + bias32) * mult32), -32768, 32767, out=want_r)
         got_r16f = np.empty((rows, cols), dtype=np.int16)
-        kernel.requant_rows_q16f(
-            acc32, bias32, mult32, -32768.0, 32767.0, got_r16f
-        )
+        requant(kernel.requant_rows_q16f, acc32, bias32, mult32, -32768.0,
+                32767.0, got_r16f)
         if not np.array_equal(got_r16f, want_r.astype(np.int16)):
             return False
         acc64 = np.ascontiguousarray(
@@ -1389,9 +1183,8 @@ def _self_check(kernel: SADKernel) -> bool:
         want_r = np.rint((acc64 + bias64) * mult64)
         np.clip(want_r, -32768, 32767, out=want_r)
         got_r16 = np.empty((rows, cols), dtype=np.int16)
-        kernel.requant_rows_q16(
-            acc64, bias64, mult64, -32768.0, 32767.0, got_r16
-        )
+        requant(kernel.requant_rows_q16, acc64, bias64, mult64, -32768.0,
+                32767.0, got_r16)
         if not np.array_equal(got_r16, want_r.astype(np.int16)):
             return False
     rows_g, kg, kp = 37, 30, 32
@@ -1399,7 +1192,10 @@ def _self_check(kernel: SADKernel) -> bool:
         rng.integers(0, 500, rows_g * kg), dtype=np.int64
     )
     got_u = np.zeros((3 * rows_g, kp), dtype=np.uint8)
-    kernel.gather_cols_q8u(src8, idxg, rows_g, kg, got_u)
+    kernel.gather_cols_q8u(
+        addr(src8), src8.shape[1], addr(idxg), rows_g, kg, len(src8), kp,
+        addr(got_u),
+    )
     want_u = np.zeros((3 * rows_g, kp), dtype=np.uint8)
     want_u[:, :kg] = (
         np.take(src8, idxg, axis=1).astype(np.int16) + 128
@@ -1429,18 +1225,18 @@ def _self_check(kernel: SADKernel) -> bool:
             chain = np.rint(
                 (ref.astype(np.float32) + bias.astype(np.float32)) * mult
             )
+            def gemm(fn, lo, hi, out):
+                fn(addr(a_u), m, k4, addr(bp), n, addr(bias_eff),
+                   addr(mult_pad), lo, hi, addr(out), out.shape[1])
+
             got_g8 = np.empty((m, n), dtype=np.int8)
-            kernel.gemm_requant_u8s8(
-                a_u, bp, n, bias_eff, mult_pad, -128.0, 127.0, got_g8
-            )
+            gemm(kernel.gemm_requant_u8s8, -128.0, 127.0, got_g8)
             if not np.array_equal(
                 got_g8, np.clip(chain, -128, 127).astype(np.int8)
             ):
                 return False
             got_g16 = np.empty((m, n), dtype=np.int16)
-            kernel.gemm_requant_u8s8(
-                a_u, bp, n, bias_eff, mult_pad, -32768.0, 32767.0, got_g16
-            )
+            gemm(kernel.gemm_requant_u8s8_o16, -32768.0, 32767.0, got_g16)
             if not np.array_equal(
                 got_g16, np.clip(chain, -32768, 32767).astype(np.int16)
             ):
@@ -1448,15 +1244,39 @@ def _self_check(kernel: SADKernel) -> bool:
     act = np.ascontiguousarray((rng.random(300) * 8 - 4).astype(np.float32))
     want_q = np.clip(np.rint(act.astype(np.float64) * 32.0), -128, 127)
     got_q8 = np.empty(300, dtype=np.int8)
-    kernel.quantize_q8(act, 32.0, -128.0, 127.0, got_q8)
+    kernel.quantize_q8(addr(act), act.size, 32.0, -128.0, 127.0, addr(got_q8))
     if not np.array_equal(got_q8, want_q.astype(np.int8)):
         return False
     want_q = np.clip(np.rint(act.astype(np.float64) * 4096.0), -32768, 32767)
     got_q16 = np.empty(300, dtype=np.int16)
-    kernel.quantize_q16(act, 4096.0, -32768.0, 32767.0, got_q16)
+    kernel.quantize_q16(
+        addr(act), act.size, 4096.0, -32768.0, 32767.0, addr(got_q16)
+    )
     if not np.array_equal(got_q16, want_q.astype(np.int16)):
         return False
     return _check_consumer(kernel, rng)
+
+
+def _check_warp(kernel: SADKernel) -> bool:
+    """The compiled warp must match its NumPy twin bit for bit.
+
+    Probes cover fractional, integer and negative displacements, samples
+    far past every border (clamping), float64 and float32 activations,
+    and one and several batch rows.
+    """
+    from .warp import _warp_compiled, _warp_numpy  # warp imports this module
+
+    rng = np.random.default_rng(20180602)
+    for batch, dtype in (
+        (1, np.float64), (3, np.float64), (1, np.float32), (3, np.float32),
+    ):
+        act = rng.standard_normal((batch, 4, 5, 7)).astype(dtype)
+        data = rng.uniform(-9.0, 9.0, (batch, 5, 7, 2))
+        data[:, ::2] = np.rint(data[:, ::2])
+        want = _warp_numpy(act, data, "bilinear", None)
+        if not np.array_equal(_warp_compiled(kernel, act, data), want):
+            return False
+    return True
 
 
 def _cpu_identity() -> str:
@@ -1524,6 +1344,16 @@ def get_kernel() -> Optional[SADKernel]:
                 except (OSError, AttributeError):
                     kernel = None
                 if kernel is not None and _self_check(kernel):
+                    kernel.has_warp = _check_warp(kernel)
+                    if not kernel.has_warp:
+                        warnings.warn(
+                            "compiled AMC warp failed its self-check; "
+                            "warping with its NumPy twin (results are "
+                            "identical; RFBME and the CNN gathers stay "
+                            "compiled)",
+                            KernelFallbackWarning,
+                            stacklevel=2,
+                        )
                     _STATE = kernel
     return _STATE if isinstance(_STATE, SADKernel) else None
 

@@ -12,6 +12,11 @@ FasterM, which ``benchmarks/bench_ablation_interp.py`` reproduces).
 The optional fixed-point mode routes the interpolation through the 16-bit
 datapath of :mod:`repro.hardware.fixed_point`, modelling the RTL's
 weighting units bit-faithfully.
+
+The batched float bilinear warp — the runtime's hot path — runs compiled
+(:mod:`repro.core.sad_kernel`) when the kernel built and its warp passed
+a bitwise self-check against the NumPy twin, :func:`_warp_numpy`; every
+other case runs that twin.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numpy as np
 from ..hardware.fixed_point import QFormat
 from ..motion.vector_field import VectorField
 from .receptive_field import ReceptiveField
+from .sad_kernel import addr, get_kernel
 
 __all__ = [
     "scale_to_activation",
@@ -33,6 +39,10 @@ __all__ = [
 ]
 
 _INTERPOLATIONS = ("bilinear", "nearest")
+
+#: activation dtypes of the compiled warp (float64 arithmetic, one
+#: rounding to the activation dtype — what NumPy's promotion does).
+_KERNEL_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 
 @lru_cache(maxsize=None)
@@ -162,10 +172,11 @@ def warp_activation_batch(
     ``activations`` is (B, C, H, W) stored key activations; ``fields[b]``
     is the backward field (activation units) for entry ``b``.  The math is
     the per-clip :func:`warp_activation` expression evaluated across the
-    whole batch at once — the gathers become one ``take_along_axis`` per
-    corner and the weighted sum broadcasts over (B, C, H*W) — so each
-    output row is bitwise identical to warping that clip alone.  This is
-    how the lockstep runtime turns B per-clip warps into four gathers.
+    whole batch at once, so each output row is bitwise identical to
+    warping that clip alone.  The float bilinear path runs the compiled
+    warp when :func:`~repro.core.sad_kernel.get_kernel` offers one that
+    passed its self-check; nearest, fixed-point and every other case run
+    the NumPy twin, :func:`_warp_numpy`.
     """
     if activations.ndim != 4:
         raise ValueError(
@@ -185,6 +196,44 @@ def warp_activation_batch(
                 f"spatial shape {(height, width)}"
             )
     data = np.stack([field.data for field in fields])  # (B, H, W, 2)
+    if (
+        interpolation == "bilinear"
+        and fixed_point is None
+        and activations.dtype in _KERNEL_DTYPES
+    ):
+        kernel = get_kernel()
+        if kernel is not None and kernel.has_warp:
+            return _warp_compiled(kernel, activations, data)
+    return _warp_numpy(activations, data, interpolation, fixed_point)
+
+
+def _warp_compiled(kernel, activations: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """The compiled float bilinear warp: bitwise :func:`_warp_numpy`'s
+    ``fixed_point=None`` path (the same double-precision operations in
+    the same order, one rounding to the activation dtype)."""
+    act = np.ascontiguousarray(activations)
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    batch, channels, height, width = act.shape
+    out = np.empty_like(act)
+    warp = (
+        kernel.warp_bilinear_f64
+        if act.dtype == np.float64
+        else kernel.warp_bilinear_f32
+    )
+    warp(batch, addr(act), addr(data), addr(out), channels, height, width)
+    return out
+
+
+def _warp_numpy(
+    activations: np.ndarray,
+    data: np.ndarray,
+    interpolation: str,
+    fixed_point: Optional[QFormat],
+) -> np.ndarray:
+    """NumPy warp of (B, C, H, W) ``activations`` by stacked (B, H, W, 2)
+    fields: the gathers become one ``take_along_axis`` per corner and the
+    weighted sum broadcasts over (B, C, H*W)."""
+    batch, channels, height, width = activations.shape
     ys, xs = _base_grid(height, width)
     sample_y = ys + data[..., 0]
     sample_x = xs + data[..., 1]

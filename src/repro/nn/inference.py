@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.sad_kernel import addr, get_kernel
 from ..hardware.fixed_point import QFormat, QuantSavings, estimate_quantized_savings
 from . import functional as F
 from .layers import AvgPool2d, Conv2d, Flatten, Layer, Linear, MaxPool2d, ReLU
@@ -341,11 +342,8 @@ class _ConvStep(_Step, _MatmulMixin):
         self._weights = weights  # None = read live float64 params
         # The compiled gather (when the optional kernel built) moves the
         # column materialisation off np.take's generic path; float64 only.
-        self._ckernel = None
-        if dtype == np.float64:
-            from ..core.sad_kernel import get_kernel
-
-            self._ckernel = get_kernel()
+        self._ckernel = get_kernel() if dtype == np.float64 else None
+        self._bind()
 
     def resize(self, capacity: int) -> None:
         # The padded buffer's border must stay zero — np.zeros, not empty.
@@ -354,6 +352,17 @@ class _ConvStep(_Step, _MatmulMixin):
         self.out2d = np.empty(
             (capacity * self.rows, self.out_c), dtype=self._dtype
         )
+        self._bind()
+
+    def _bind(self) -> None:
+        """The compiled gather's arguments but the batch, bound to the
+        current scratch (rebound on every reallocation)."""
+        if self._ckernel is not None:
+            self._gather_src = (
+                addr(self.padded), self.padded[0].size,
+                addr(self.gather), self.gather.size,
+            )
+            self._cols_addr = addr(self.cols)
 
     def _operands(self):
         if self._weights is not None:
@@ -366,7 +375,7 @@ class _ConvStep(_Step, _MatmulMixin):
         padded[(slice(None),) + self._interior] = x
         cols = self.cols[:batch]
         if self._ckernel is not None:
-            self._ckernel.gather_rows(padded.reshape(batch, -1), self.gather, cols)
+            self._ckernel.gather_rows(*self._gather_src, batch, self._cols_addr)
         else:
             np.take(padded.reshape(batch, -1), self.gather, axis=1, out=cols)
         cols2d = cols.reshape(batch * self.rows, self.ckk)
@@ -654,8 +663,6 @@ class _QuantConvStep(_Step):
             )
         )
         self._padded_shape = (c, hp, wp)
-        from ..core.sad_kernel import get_kernel
-
         ck = get_kernel()
         # Fused gather-and-widen: only for the storage/GEMM pairs the
         # kernel implements (the common ones; exotic escalations fall
@@ -674,6 +681,22 @@ class _QuantConvStep(_Step):
             (np.float64, np.int16): ck.requant_rows_q16,
         }.get((self.gemm_dtype, out_storage))
         self._quant_kernel = ck
+        if ck is not None:
+            self._gather_addr = addr(self.gather)
+            if self.quantize_input:
+                self._quantize = (
+                    ck.quantize_q8 if self.storage == np.int8
+                    else ck.quantize_q16,
+                    float(self.in_fmt.scale), float(self.in_fmt.min_raw),
+                    float(self.in_fmt.max_raw),
+                )
+        if self._requant_fn is not None:
+            # bias_q is only ever updated in place (bias correction), so
+            # its address holds for the plan's life.
+            self._requant_consts = (
+                addr(self.bias_q), addr(self.requant_mult),
+                float(out_fmt.min_raw), float(out_fmt.max_raw),
+            )
         # AVX512-VNNI route: with one-byte operands and a requantized
         # output, the whole conv collapses into a byte gather plus one
         # fused integer-GEMM/requant call — no float column matrix, no
@@ -691,7 +714,10 @@ class _QuantConvStep(_Step):
             and self.ckk <= 512
         )
         if self._vnni:
-            self._vnni_kernel = ck
+            self._gemm_fn = (
+                ck.gemm_requant_u8s8 if out_storage == np.int8
+                else ck.gemm_requant_u8s8_o16
+            )
             self._kp = -(-self.ckk // 4) * 4
             w_raw = np.ascontiguousarray(self.w_q.T).astype(np.int8)
             wt_pad = np.zeros((32, self._kp), dtype=np.int8)
@@ -702,6 +728,23 @@ class _QuantConvStep(_Step):
             self._w_colsum = w_raw.astype(np.int64).sum(axis=1)
             self._pack_vnni_operands()
         self._alloc(capacity)
+
+    def _bind(self) -> None:
+        """Addresses of the scratch the kernels touch, retaken on every
+        reallocation (``_alloc``)."""
+        if self._quant_kernel is None:
+            return
+        self._padded_addr = addr(self.padded)
+        self._src_len = self.padded[0].size
+        if self._vnni:
+            self._cols_u8_addr = addr(self.cols_u8)
+        else:
+            self._cols_addr = addr(self.cols)
+            self._out2d_addr = addr(self.out2d)
+        if self.quantize_input:
+            self._quant_raw_addr = addr(self.quant_raw)
+        if self.out_fmt is not None:
+            self._out_q_addr = addr(self.out_q)
 
     def _pack_vnni_operands(self) -> None:
         """32-padded bias/mult vectors for the VNNI kernel.
@@ -719,6 +762,10 @@ class _QuantConvStep(_Step):
         mult[: self.out_c] = self.requant_mult
         self._vnni_bias = bias_eff
         self._vnni_mult = mult
+        self._vnni_consts = (
+            addr(self._w_packed), self.out_c, addr(bias_eff), addr(mult),
+            float(self.out_fmt.min_raw), float(self.out_fmt.max_raw),
+        )
 
     def _alloc(self, capacity: int) -> None:
         c, hp, wp = self._padded_shape
@@ -773,6 +820,7 @@ class _QuantConvStep(_Step):
                 (capacity, self.out_h, self.out_w, self.out_c),
                 dtype=_storage_for(self.out_fmt),
             )
+        self._bind()
 
     def resize(self, capacity: int) -> None:
         self._alloc(capacity)
@@ -786,15 +834,9 @@ class _QuantConvStep(_Step):
                 and x.dtype == np.float32
                 and x.flags["C_CONTIGUOUS"]
             ):
-                raw = self.quant_raw[:batch]
-                qfn = (
-                    self._quant_kernel.quantize_q8
-                    if self.storage == np.int8
-                    else self._quant_kernel.quantize_q16
-                )
-                qfn(x, float(fmt.scale), float(fmt.min_raw),
-                    float(fmt.max_raw), raw)
-                padded[(slice(None),) + self._interior] = raw
+                quantize, scale, lo, hi = self._quantize
+                quantize(addr(x), x.size, scale, lo, hi, self._quant_raw_addr)
+                padded[(slice(None),) + self._interior] = self.quant_raw[:batch]
             else:
                 buf = self.quant_buf
                 if buf is None:
@@ -809,23 +851,21 @@ class _QuantConvStep(_Step):
         else:
             padded[(slice(None),) + self._interior] = x
         if self._vnni:
-            m = batch * self.rows
-            cols_u = self.cols_u8[:m]
-            self._vnni_kernel.gather_cols_q8u(
-                padded.reshape(batch, -1), self.gather, self.rows,
-                self.ckk, cols_u,
+            self._quant_kernel.gather_cols_q8u(
+                self._padded_addr, self._src_len, self._gather_addr,
+                self.rows, self.ckk, batch, self._kp, self._cols_u8_addr,
             )
-            store = self.out_q[:batch]
-            self._vnni_kernel.gemm_requant_u8s8(
-                cols_u, self._w_packed, self.out_c, self._vnni_bias,
-                self._vnni_mult, float(self.out_fmt.min_raw),
-                float(self.out_fmt.max_raw),
-                store.reshape(m, self.out_c),
+            self._gemm_fn(
+                self._cols_u8_addr, batch * self.rows, self._kp // 4,
+                *self._vnni_consts, self._out_q_addr, self.out_c,
             )
-            return store.transpose(0, 3, 1, 2)
+            return self.out_q[:batch].transpose(0, 3, 1, 2)
         cols = self.cols[:batch]
         if self._gather_fn is not None:
-            self._gather_fn(padded.reshape(batch, -1), self.gather, cols)
+            self._gather_fn(
+                self._padded_addr, self._src_len, self._gather_addr,
+                self.gather.size, batch, self._cols_addr,
+            )
         else:
             raws = self.cols_raw[:batch]
             np.take(padded.reshape(batch, -1), self.gather, axis=1, out=raws)
@@ -845,9 +885,8 @@ class _QuantConvStep(_Step):
         if self._requant_fn is not None:
             # The kernel folds the bias into its single requant pass.
             self._requant_fn(
-                out2d, self.bias_q, self.requant_mult,
-                float(self.out_fmt.min_raw), float(self.out_fmt.max_raw),
-                store2d,
+                self._out2d_addr, batch * self.rows, self.out_c,
+                *self._requant_consts, self._out_q_addr,
             )
         else:
             np.add(out2d, self.bias_q, out=out2d)

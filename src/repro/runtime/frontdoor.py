@@ -377,12 +377,7 @@ class FrontDoor:
         release at ``depth`` — None when nothing is buffered or the
         watermark holds it back."""
         peeked = self._fill_peek()
-        if peeked is None:
-            return None
-        if self.max_pending is not None and (
-            (self._paused and depth > self.resume_pending)
-            or depth >= self.max_pending
-        ):
+        if peeked is None or self._held(depth):
             return None
         return peeked[1].arrival_time, peeked[2]
 
@@ -401,20 +396,26 @@ class FrontDoor:
             peeked = self._fill_peek()
             if peeked is None or peeked[1].arrival_time > now:
                 break
-            queued = depth + len(out)
-            if self.max_pending is not None:
-                if self._paused:
-                    if queued <= self.resume_pending:
-                        self._paused = False
-                    else:
-                        break
-                if queued >= self.max_pending:
+            if self._held(depth + len(out)):
+                if not self._paused:
                     self._paused = True
                     self.backpressure_pauses += 1
-                    break
+                break
+            self._paused = False
             self._peeked = None
             out.append(peeked)
         return out
+
+    def _held(self, depth: int) -> bool:
+        """The watermark's hysteresis: at ``depth`` arrived-but-unadmitted
+        requests, does the door hold releases back?  A running door
+        pauses at ``max_pending``; a paused one resumes only once depth
+        drains to ``resume_pending``."""
+        if self.max_pending is None:
+            return False
+        if self._paused:
+            return depth > self.resume_pending
+        return depth >= self.max_pending
 
     def drain_per_lane(self) -> Dict[str, List[Tuple[int, object]]]:
         """Pull *everything* into per-lane ``(seq, request)`` lists.

@@ -124,8 +124,11 @@ class _PrefixCache:
 
 
 def _frame_digest(frame: np.ndarray) -> bytes:
+    """blake2b of the frame's bytes in C order, hashed straight from the
+    (contiguous) buffer — the same digest as hashing ``tobytes()``
+    without the copy."""
     data = frame if frame.flags["C_CONTIGUOUS"] else np.ascontiguousarray(frame)
-    return hashlib.blake2b(data.tobytes(), digest_size=16).digest()
+    return hashlib.blake2b(data, digest_size=16).digest()
 
 
 class PrefixService:
@@ -153,6 +156,9 @@ class PrefixService:
         self.stats = PrefixStats()
         self._pending: List[Tuple[object, List[int]]] = []
         self._staged: Dict[int, np.ndarray] = {}
+        #: prefix MACs per (network id, target): geometry only, and
+        #: ``Network.prefix_macs`` walks every prefix layer per call.
+        self._prefix_macs: Dict[Tuple[int, str], int] = {}
 
     # ------------------------------------------------------------------ #
     # round protocol
@@ -265,7 +271,11 @@ class PrefixService:
         hit = self.cache.get(ckey)
         if hit is not None:
             self.stats.hits += 1
-            self.stats.saved_macs += network.prefix_macs(target)
+            macs_key = (id(network), target)
+            macs = self._prefix_macs.get(macs_key)
+            if macs is None:
+                macs = self._prefix_macs[macs_key] = network.prefix_macs(target)
+            self.stats.saved_macs += macs
             return hit, ckey
         self.stats.misses += 1
         return None, ckey

@@ -140,6 +140,39 @@ class TestBackendEquivalence:
         again = engine.estimate(key, new)
         _assert_bit_identical(first, again)
 
+    def test_workspace_growth_keeps_bits(self, rng):
+        """Occupancy 1 -> 16 -> 1 -> 5 on one engine: every growth of the
+        workspace rebinds the kernel's buffer addresses, and every row
+        still equals a fresh single-pair estimate."""
+        engine = RFBMEEngine((64, 64), RF, GRID)
+        for batch in (1, 16, 1, 5):
+            pairs = [
+                (textured_frame(rng), textured_frame(rng))
+                for _ in range(batch)
+            ]
+            got = engine.estimate_batch(pairs)
+            for (key, new), result in zip(pairs, got):
+                _assert_bit_identical(
+                    estimate_motion(key, new, RF, GRID, backend="loop"), result
+                )
+
+    def test_copied_engine_binds_its_own_buffers(self, rng):
+        """A copied (or unpickled) engine must not write through the
+        original's buffer addresses."""
+        import copy
+
+        engine = RFBMEEngine((64, 64), RF, GRID)
+        pairs = [(textured_frame(rng), textured_frame(rng)) for _ in range(3)]
+        want = engine.estimate_batch(pairs)
+        clone = copy.deepcopy(engine)
+        other = [(textured_frame(rng), textured_frame(rng)) for _ in range(3)]
+        engine.estimate_batch(other)
+        for a, b in zip(want, clone.estimate_batch(pairs)):
+            _assert_bit_identical(a, b)
+        if engine.backend == "kernel":
+            assert clone._consumer_args[0] != engine._consumer_args[0]
+            assert clone._cws.sums_addr != engine._cws.sums_addr
+
     def test_kernel_falls_back_when_unavailable(self, monkeypatch):
         monkeypatch.setattr(sad_kernel, "_STATE", False)
         with pytest.warns(RuntimeWarning, match="falling back"):

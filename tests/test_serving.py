@@ -134,6 +134,24 @@ class TestBitIdentity:
         report = ServingRuntime(spec, ServerConfig(max_batch=16)).serve(_requests(clips))
         _assert_identical(report, serial)
 
+    def test_occupancy_swings_keep_bits(self, spec):
+        """Occupancy 1 -> 16 -> 1, twice, with ``close()`` shrinking the
+        plan between serves: plan ``reserve``/``shrink`` and RFBME
+        workspace growth each reallocate scratch whose addresses the
+        compiled kernels hold, and no clip may notice."""
+        clips = synthetic_workload(18, num_frames=4, base_seed=23)
+        arrivals = [0.0] + [1.0] * 16 + [2.0]
+        serial = run_workload(spec, clips, batch=False)
+        spec.shared_network().inference_plan().shrink(1)
+        runtime = ServingRuntime(spec, ServerConfig(max_batch=16))
+        for _ in range(2):
+            report = runtime.serve(_requests(clips, arrivals))
+            _assert_identical(report, serial)
+            # 4 steps alone, 4 steps of all 16 together, 4 steps alone.
+            assert report.steps == 12
+            runtime.close()
+            assert spec.shared_network().inference_plan().max_batch == 1
+
     def test_batch_mates_do_not_change_results(self, spec, clips):
         """The same clip served alone and served amid shuffled traffic
         produces the same bits — the serving invariant stated directly."""

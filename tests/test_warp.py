@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import sad_kernel, warp
 from repro.core.receptive_field import ReceptiveField
-from repro.core.warp import scale_to_activation, warp_activation, warp_cost_interpolations
+from repro.core.rfbme import RFBMEEngine
+from repro.core.warp import (
+    _warp_numpy,
+    scale_to_activation,
+    warp_activation,
+    warp_activation_batch,
+    warp_cost_interpolations,
+)
 from repro.hardware.fixed_point import Q8_8
 from repro.motion.vector_field import VectorField, zero_field
 from repro.nn import functional as F
@@ -170,8 +178,6 @@ class TestWarpBatch:
 
     @pytest.mark.parametrize("interpolation", ["bilinear", "nearest"])
     def test_rows_match_single_warp(self, stack, interpolation):
-        from repro.core.warp import warp_activation_batch
-
         acts, fields = stack
         got = warp_activation_batch(acts, fields, interpolation=interpolation)
         for b in range(len(fields)):
@@ -179,8 +185,6 @@ class TestWarpBatch:
             np.testing.assert_array_equal(got[b], want)
 
     def test_fixed_point_rows_match(self, stack):
-        from repro.core.warp import warp_activation_batch
-
         acts, fields = stack
         got = warp_activation_batch(acts, fields, fixed_point=Q8_8)
         for b in range(len(fields)):
@@ -188,8 +192,6 @@ class TestWarpBatch:
             np.testing.assert_array_equal(got[b], want)
 
     def test_shape_validation(self, stack):
-        from repro.core.warp import warp_activation_batch
-
         acts, fields = stack
         with pytest.raises(ValueError):
             warp_activation_batch(acts[0], fields)  # not 4-D
@@ -199,8 +201,78 @@ class TestWarpBatch:
             warp_activation_batch(acts, [zero_field(4, 4)] * 5)  # grid mismatch
 
     def test_float32_follows_activation_dtype(self, stack):
-        from repro.core.warp import warp_activation_batch
-
         acts, fields = stack
         out = warp_activation_batch(acts.astype(np.float32), fields)
         assert out.dtype == np.float32
+
+
+@pytest.fixture()
+def compiled(monkeypatch):
+    """The compiled kernel in either kernel lane.
+
+    Under ``REPRO_FORCE_NUMPY=1`` the kernel is loaded for this test only
+    (``_STATE`` is put back afterwards), so the compiled-versus-NumPy
+    checks run in both lanes; they skip only where nothing can compile.
+    """
+    if sad_kernel.get_kernel() is None:
+        monkeypatch.delenv("REPRO_FORCE_NUMPY", raising=False)
+        monkeypatch.delenv("REPRO_SAD_KERNEL", raising=False)
+        monkeypatch.setattr(sad_kernel, "_STATE", None)
+    kernel = sad_kernel.get_kernel()
+    if kernel is None:
+        pytest.skip("the compiled kernel cannot build on this host")
+    return kernel
+
+
+def _warp_probe(rng, batch, dtype):
+    """Activations plus fields that sample far past every border, at
+    integer, quarter-step and arbitrary positions, in every direction."""
+    acts = rng.normal(size=(batch, 16, 8, 8)).astype(dtype)
+    data = rng.uniform(-11.0, 11.0, (batch, 8, 8, 2))
+    data[:, ::3] = np.rint(data[:, ::3])
+    data[:, 1::3] = np.rint(data[:, 1::3] * 4) / 4
+    data[:, :, 0] = -np.abs(data[:, :, 0])
+    assert (data < -8).any() and (data > 8).any() and (data < 0).any()
+    return acts, data, [VectorField(d) for d in data]
+
+
+class TestCompiledWarp:
+    """The compiled float bilinear warp is bitwise its NumPy twin."""
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_numpy_twin(self, compiled, rng, batch, dtype):
+        assert compiled.has_warp
+        acts, data, fields = _warp_probe(rng, batch, dtype)
+        got = warp_activation_batch(acts, fields)
+        want = _warp_numpy(acts, data, "bilinear", None)
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            warp._warp_compiled(compiled, acts, data), want
+        )
+
+    def test_failed_warp_check_falls_back_only_the_warp(
+        self, compiled, monkeypatch, rng
+    ):
+        """A warp that is one ulp off fails its own self-check: the warp
+        runs its NumPy twin, and RFBME keeps the compiled kernel."""
+        real = warp._warp_compiled
+
+        def one_ulp_off(kernel, activations, data):
+            out = real(kernel, activations, data)
+            out.flat[0] = np.nextafter(out.flat[0], np.inf)
+            return out
+
+        monkeypatch.setattr(warp, "_warp_compiled", one_ulp_off)
+        monkeypatch.setattr(sad_kernel, "_STATE", None)
+        with pytest.warns(sad_kernel.KernelFallbackWarning, match="warp"):
+            kernel = sad_kernel.get_kernel()
+        assert kernel is not None and not kernel.has_warp
+        engine = RFBMEEngine((64, 64), ReceptiveField(24, 8, 8), (8, 8))
+        assert engine.backend == "kernel"
+        acts, data, fields = _warp_probe(rng, 1, np.float64)
+        np.testing.assert_array_equal(
+            warp_activation_batch(acts, fields),
+            _warp_numpy(acts, data, "bilinear", None),
+        )
