@@ -760,11 +760,6 @@ class RFBMEEngine:
             (height, width), tile, self._offsets
         )
         self._offsets_i64 = as_i64(offsets)
-        #: one adder-op record shared by every result (it is frozen).
-        self._ops = OpCounts(
-            producer_adds=self._producer_adds,
-            consumer_adds=self._consumer_ops,
-        )
         if self.backend == "kernel":
             self._bind_geometry()
 
@@ -921,7 +916,12 @@ class RFBMEEngine:
 
     def _package(self, field: np.ndarray, errors: np.ndarray) -> RFBMEResult:
         return RFBMEResult(
-            field=VectorField(field), match_errors=errors, ops=self._ops
+            field=VectorField(field),
+            match_errors=errors,
+            ops=OpCounts(
+                producer_adds=self._producer_adds,
+                consumer_adds=self._consumer_ops,
+            ),
         )
 
     def estimate(self, key: np.ndarray, new: np.ndarray) -> RFBMEResult:
