@@ -210,7 +210,10 @@ def warp_activation_batch(
 def _warp_compiled(kernel, activations: np.ndarray, data: np.ndarray) -> np.ndarray:
     """The compiled float bilinear warp: bitwise :func:`_warp_numpy`'s
     ``fixed_point=None`` path (the same double-precision operations in
-    the same order, one rounding to the activation dtype)."""
+    the same order, one rounding to the activation dtype), NaN and
+    infinite vectors included.  Vectors beyond ±2**63 cells differ:
+    NumPy's int64 floor overflows there, the compiled warp clamps to the
+    border."""
     act = np.ascontiguousarray(activations)
     data = np.ascontiguousarray(data, dtype=np.float64)
     batch, channels, height, width = act.shape

@@ -252,6 +252,18 @@ class TestCompiledWarp:
             warp._warp_compiled(compiled, acts, data), want
         )
 
+    def test_non_finite_vectors_match(self, compiled, rng):
+        """NaN and infinite vectors warp to the twin's bits (NaN rows)."""
+        acts, data, _ = _warp_probe(rng, 2, np.float64)
+        data[0, 1, 2, 0] = np.nan
+        data[1, 3, 4, 1] = np.inf
+        data[1, 5, 6, 0] = -np.inf
+        with np.errstate(invalid="ignore"):
+            want = _warp_numpy(acts, data, "bilinear", None)
+        np.testing.assert_array_equal(
+            warp._warp_compiled(compiled, acts, data), want
+        )
+
     def test_failed_warp_check_falls_back_only_the_warp(
         self, compiled, monkeypatch, rng
     ):
