@@ -35,9 +35,10 @@ serial run, same as the single-process path.
 Two further measurements cover the pipelined stage executor and the
 shared per-lane backlog:
 
-* **pipelining** — depth-2 lockstep (step t+1's RFBME/decisions
-  overlapped with step t's CNN stages on a double-buffered engine) must
-  hold >= 0.85x sequential lockstep throughput, bit-identical;
+* **pipelining** — depth-2 lockstep (step t+1's RFBME/decisions on a
+  second thread during step t's CNN stages, the default) must reach
+  >= 1.2x sequential (depth-1) lockstep throughput on hosts with at
+  least two usable cores, bit-identical; on one core the bar is skipped;
 * **tail latency under skew** — long and short clips interleaved across
   2 shards that steal from one shared backlog; p99 time-to-first-frame
   is recorded with every clip asserted bit-identical.  Sharded serving
@@ -107,8 +108,10 @@ Results land in ``BENCH_serving.json`` at the repo root next to
 fresh-vs-committed.
 """
 
+import os
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,10 +143,10 @@ FRAMES_PER_CLIP = 16
 THROUGHPUT_FLOOR = 0.80
 #: sharding bar: 2-shard aggregate throughput vs the single-process run.
 SHARD_SCALING_FLOOR = 1.5
-#: pipelining bar: depth-2 lockstep throughput vs sequential lockstep.
-#: The pipelined executor must never cost meaningful throughput for its
-#: latency overlap; on multi-core hosts it lands at or above 1.0x.
-PIPELINE_FLOOR = 0.85
+#: pipelining bar: depth-2 lockstep throughput vs sequential lockstep,
+#: gated only with at least two usable cores (the head thread needs its
+#: own).  Measured 1.37-1.52x on this 16-clip workload on a 2-core host.
+PIPELINE_FLOOR = 1.2
 #: speculation bar: with arrival-limited Poisson traffic, p99 TTFF with
 #: speculative pipelining on vs off (both on the concurrent-overlap
 #: timeline; measured ~1.2-1.6x better on this workload).
@@ -418,23 +421,24 @@ def test_shard_scaling_two_lanes(spec):
 
 
 def test_pipelined_lockstep_throughput(spec, traffic):
-    """Depth-2 pipelined lockstep must hold >= 0.85x sequential lockstep.
+    """Depth-2 pipelined lockstep must reach >= 1.2x sequential lockstep.
 
-    The pipelined stage executor overlaps step t+1's RFBME/decisions
-    with step t's CNN stages on a worker thread (double-buffered engine
-    scratch); its purpose is hiding RFBME latency, and this bar ensures
-    the machinery never *costs* throughput.  Identity is asserted
-    bit-for-bit against the sequential run — the executor's core
-    contract.
+    The pipelined stage executor runs step t+1's RFBME/decisions on a
+    worker thread while step t runs its CNN prefix, warp, suffix and
+    record, so on two cores RFBME leaves the critical path.  Identity
+    is asserted bit-for-bit against the sequential run — the executor's
+    core contract.  The speed bar needs a second usable core for the
+    head thread; with one it is skipped after the identity check.
     """
     clips = traffic[:MAX_BATCH]
+    depth_one = replace(spec, pipeline_depth=1)
+    depth_two = replace(spec, pipeline_depth=2)
     sequential = max(
-        (run_workload(spec, clips, batch=True) for _ in range(3)),
+        (run_workload(depth_one, clips, batch=True) for _ in range(3)),
         key=lambda result: result.frames_per_second,
     )
-    piped_spec = PipelineSpec(network=NETWORK, pipeline_depth=2)
     pipelined = max(
-        (run_workload(piped_spec, clips, batch=True) for _ in range(3)),
+        (run_workload(depth_two, clips, batch=True) for _ in range(3)),
         key=lambda result: result.frames_per_second,
     )
     assert pipelined.matches(sequential), (
@@ -469,6 +473,12 @@ def test_pipelined_lockstep_throughput(spec, traffic):
     )
     _write_json()
 
+    cores = len(os.sched_getaffinity(0))
+    if cores < 2:
+        pytest.skip(
+            f"pipelining bar needs two usable cores, this host has {cores} "
+            f"(measured {ratio:.2f}x; identity asserted)"
+        )
     assert ratio >= PIPELINE_FLOOR, (
         f"pipelined lockstep is {ratio:.2f}x sequential; "
         f"the pipelining bar is {PIPELINE_FLOOR:.2f}x"

@@ -443,7 +443,20 @@ def _cmd_firstorder(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spec_defaults() -> dict:
+    """``PipelineSpec``'s field defaults, which the CLI flags reuse so the
+    command line and the API cannot drift apart."""
+    import dataclasses
+
+    from .runtime.spec import PipelineSpec
+
+    return {
+        field.name: field.default for field in dataclasses.fields(PipelineSpec)
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
+    spec_defaults = _spec_defaults()
     parser = argparse.ArgumentParser(
         prog="repro", description="EVA2 (ISCA 2018) reproduction toolkit"
     )
@@ -480,17 +493,22 @@ def build_parser() -> argparse.ArgumentParser:
                           "for throughput, int8/q16 run the calibrated "
                           "fixed-point lane under an explicit tolerance "
                           "contract (planned engine only)")
-    run.add_argument("--pipeline-depth", type=int, default=1,
+    run.add_argument("--pipeline-depth", type=int,
+                     default=spec_defaults["pipeline_depth"],
                      help="software-pipeline depth for lockstep steps: 2 "
-                          "overlaps step t+1's RFBME/decision with step "
-                          "t's CNN stages (bit-identical; default 1)")
+                          "runs step t+1's RFBME/decision on a second "
+                          "thread during step t's CNN stages, 1 runs "
+                          "steps one after another (faster for one or "
+                          "two clips); bit-identical either way "
+                          "(default %(default)s)")
     run.add_argument("--speculate", action=argparse.BooleanOptionalAction,
-                     default=True,
+                     default=spec_defaults["speculate"],
                      help="pipeline speculatively across uncertain step "
                           "boundaries (serving admissions/evictions): "
                           "checkpoint, overlap, roll back + replay on a "
                           "mismatch; bit-identical either way "
-                          "(--no-speculate restores stable-only overlap)")
+                          "(--no-speculate overlaps stable steps only; "
+                          "default %(default)s)")
     run.add_argument("--prefix-cache", action=argparse.BooleanOptionalAction,
                      default=False,
                      help="content-addressed CNN prefix cache for lockstep "
@@ -597,18 +615,20 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--network", default="mini_fasterm",
                         choices=["mini_alexnet", "mini_fasterm",
                                  "mini_faster16"])
-    engine.add_argument("--pipeline-depth", type=int, default=1,
+    engine.add_argument("--pipeline-depth", type=int,
+                        default=spec_defaults["pipeline_depth"],
                         help="software-pipeline depth for serving steps "
                              "(2 overlaps RFBME with the CNN stages; "
-                             "bit-identical; default 1)")
+                             "bit-identical; default %(default)s)")
     engine.add_argument("--speculate", action=argparse.BooleanOptionalAction,
-                        default=True,
+                        default=spec_defaults["speculate"],
                         help="with --pipeline-depth 2, overlap across "
                              "possible admissions/evictions too: the "
                              "executor checkpoints policy state and rolls "
                              "back + replays on a membership mismatch; "
                              "the report shows engagement and rollback "
-                             "rates (--no-speculate = stable-only overlap)")
+                             "rates (--no-speculate = stable-only overlap; "
+                             "default %(default)s)")
     engine.add_argument("--threshold", type=float, default=2.0,
                         help="adaptive match-error threshold")
     engine.add_argument("--interval", type=int, default=0,

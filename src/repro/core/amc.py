@@ -68,19 +68,21 @@ class AMCConfig:
     #: :class:`~repro.nn.quantize.QuantTolerance` contract — the
     #: paper's accuracy-for-throughput knob).
     dtype: str = "float64"
-    #: runtime step pipelining: 1 executes the frame lifecycle
-    #: sequentially per step; 2 lets the stage executor software-pipeline
-    #: step t+1's RFBME/decision against step t's CNN stages
-    #: (double-buffered scratch, bit-identical results).  Depths beyond 2
-    #: behave as 2 — the lifecycle has one overlap window.
-    pipeline_depth: int = 1
+    #: runtime step pipelining: 2 (default) lets the stage executor run
+    #: step t+1's RFBME/decision on a second thread while step t runs
+    #: its CNN prefix, warp, suffix and record (bit-identical results);
+    #: 1 executes the frame lifecycle sequentially per step — the
+    #: reference the pipelined runs are checked against.  Depths beyond
+    #: 2 behave as 2 — the lifecycle has one overlap window.
+    pipeline_depth: int = 2
     #: with pipeline_depth >= 2, let drivers pipeline *speculatively*
     #: across uncertain step boundaries (possible admissions/evictions):
     #: the executor checkpoints policy/cursor state before the
     #: speculative head and rolls back + replays on a mismatch.
-    #: Bit-identical either way; False restores the PR 5 behaviour of
-    #: overlapping only provably stable steps.
-    speculate: bool = True
+    #: Bit-identical either way.  Off by default: overlapping only
+    #: provably stable steps keeps batch-1 serving latency flat, while a
+    #: speculative head at occupancy ~1 pays Python on both threads.
+    speculate: bool = False
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -162,6 +164,18 @@ class AMCExecutor:
         return self._key_activation is not None
 
     @property
+    def has_key_pixels(self) -> bool:
+        """Whether key-frame pixels have been stored.
+
+        Under the pipelined executor the two halves of key state are
+        written at different times — pixels right after the step's
+        decisions, the activation by its CNN prefix — so the next step's
+        RFBME asks this, not :attr:`has_key`, which reads the activation
+        the prefix may still be writing.
+        """
+        return self._key_pixels is not None
+
+    @property
     def grid_shape(self):
         return (self.grid_h, self.grid_w)
 
@@ -241,20 +255,31 @@ class AMCExecutor:
         view.flags.writeable = False
         return view
 
-    def adopt_key(self, frame: np.ndarray, activation: np.ndarray) -> None:
-        """Store key-frame state computed externally.
+    def adopt_key_pixels(self, frame: np.ndarray) -> None:
+        """Store a key frame's pixels (the RFBME reference).
 
-        The lockstep runtime runs coincident key frames through one
-        batched prefix call and hands each executor its row; state ends
-        up exactly as if :meth:`process_key` had run this clip alone.
+        The first half of adopting a key frame computed externally; with
+        :meth:`adopt_key_activation` the executor ends up exactly as if
+        :meth:`process_key` had run this clip alone.  The lockstep and
+        serving runtimes store pixels as soon as the step's decisions
+        are known, so the next step's RFBME can start before this
+        step's batched CNN prefix has run.
         """
         self._check_frame(frame)
+        self._key_pixels = frame.copy()
+
+    def adopt_key_activation(self, activation: np.ndarray) -> None:
+        """Store a key frame's target activation computed externally.
+
+        The second half of adopting a key frame: the runtimes run
+        coincident key frames through one batched prefix call and hand
+        each executor its row.
+        """
         if activation.shape != (self.channels, self.grid_h, self.grid_w):
             raise ValueError(
                 f"activation must be {(self.channels, self.grid_h, self.grid_w)}, "
                 f"got {activation.shape}"
             )
-        self._key_pixels = frame.copy()
         self._key_activation = activation.copy()
 
     # ------------------------------------------------------------------ #

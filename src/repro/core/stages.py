@@ -8,8 +8,8 @@ function whose state lived in closures; this module makes each phase a
 *pure stage function* over an explicit, picklable :class:`LaneState`, so
 the runtime layer can schedule the phases (a
 :class:`~repro.runtime.stage_graph.StageGraph`), ship lane state to
-worker processes (sharded serving), and later double-buffer RFBME
-against the CNN stages.
+worker processes (sharded serving), and run the next step's RFBME
+against this step's CNN stages.
 
 Contracts:
 
@@ -17,19 +17,20 @@ Contracts:
   :class:`StepBatch` working set (which slots take part in this step,
   their frames, the resolved inference plan) and the values produced by
   earlier stages.  The only state mutation is the one the lifecycle
-  defines — a key frame's pixels/activation being adopted by its
-  executor in :func:`stage_cnn_prefix` (and, on the legacy engine, the
-  equivalent inside :func:`stage_legacy_cnn`).
+  defines — a key frame being adopted by its executor, in two halves:
+  its pixels in :func:`stage_adopt_pixels`, right after the decisions,
+  and its target activation in :func:`stage_cnn_prefix` (on the legacy
+  engine both happen inside :func:`stage_legacy_cnn`).
 * **Declared effects.**  Besides its dataflow inputs/outputs, every
   stage declares which :class:`LaneState` *resources* it reads and
-  writes (:data:`KEY_STATE`, :data:`POLICY_STATE`,
+  writes (:data:`KEY_PIXELS`, :data:`KEY_STATE`, :data:`POLICY_STATE`,
   :data:`ENGINE_SCRATCH`, :data:`PLAN_SCRATCH`).  Dataflow orders
   stages *within* a step; the resource sets are what lets the
   pipelined executor (:class:`~repro.runtime.stage_graph.StageExecutor`)
   prove that two stages of *consecutive* steps are conflict-free and
-  may overlap — e.g. step ``t+1``'s ``rfbme`` only reads key state and
-  writes its (double-buffered) engine scratch, so it can run against
-  step ``t``'s ``warp``/``cnn_suffix``/``record``.
+  may overlap — e.g. step ``t+1``'s ``rfbme`` only reads key pixels and
+  writes engine scratch, so it can run against step ``t``'s
+  ``cnn_prefix``/``warp``/``cnn_suffix``/``record``.
 * **Bit identity.**  Each stage performs exactly the array operations of
   the monolithic lockstep step it was extracted from, in the same order,
   so running the stages in sequence reproduces the previous
@@ -61,6 +62,7 @@ __all__ = [
     "LaneSlot",
     "LaneState",
     "StepBatch",
+    "KEY_PIXELS",
     "KEY_STATE",
     "POLICY_STATE",
     "CURSOR_STATE",
@@ -74,6 +76,7 @@ __all__ = [
     "restore_resource",
     "stage_rfbme",
     "stage_decide",
+    "stage_adopt_pixels",
     "stage_cnn_prefix",
     "stage_warp",
     "stage_cnn_suffix",
@@ -84,7 +87,11 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # LaneState resources (conflict analysis)
 # --------------------------------------------------------------------- #
-#: the executors' stored key pixels and target activations.
+#: the executors' stored key-frame pixels — what ``rfbme`` matches new
+#: frames against.  Written as soon as a step's decisions are known.
+KEY_PIXELS = "key_pixels"
+#: the executors' stored target activations — what ``warp`` moves.
+#: Written by the step's CNN prefix.
 KEY_STATE = "key_state"
 #: the per-slot key-frame policies' inter-frame state.
 POLICY_STATE = "policy_state"
@@ -93,24 +100,24 @@ POLICY_STATE = "policy_state"
 #: between steps.
 CURSOR_STATE = "cursor_state"
 #: the RFBME engine's producer/consumer workspaces.  Scratch: contents
-#: never outlive one stage invocation, and the pipelined executor
-#: double-buffers it (one engine per in-flight step context), so writes
-#: from overlapped steps can never collide.
+#: never outlive one stage invocation — every backend returns arrays it
+#: owns — and only ``rfbme`` touches it, at most one in flight per
+#: executor, so one engine per lane serves overlapped steps too.
 ENGINE_SCRATCH = "engine_scratch"
 #: the compiled inference plan's im2col/GEMM scratch.  Scratch, same as
 #: above — only ever touched by stages of the step that owns the plan
-#: resolution, all of which run on the executor's main thread.
+#: resolution, all of which run on the executor's driver thread.
 PLAN_SCRATCH = "plan_scratch"
 
 #: every declared resource, in a stable order.
-RESOURCES = (KEY_STATE, POLICY_STATE, CURSOR_STATE, ENGINE_SCRATCH,
-             PLAN_SCRATCH)
+RESOURCES = (KEY_STATE, KEY_PIXELS, POLICY_STATE, CURSOR_STATE,
+             ENGINE_SCRATCH, PLAN_SCRATCH)
 
 #: resources with *persistent* content, cheap enough to fingerprint —
 #: what ``StageGraph.run(enforce_writes=True)`` verifies a stage left
 #: untouched unless declared in its write set.  The scratch resources
 #: are exempt by definition (their contents are dead between stages).
-CHECKED_RESOURCES = (KEY_STATE, POLICY_STATE, CURSOR_STATE)
+CHECKED_RESOURCES = (KEY_STATE, KEY_PIXELS, POLICY_STATE, CURSOR_STATE)
 
 #: persistent resources that support checkpoint → rollback (the
 #: :class:`~repro.runtime.stage_graph.Checkpointable` contract) — what a
@@ -121,12 +128,17 @@ CHECKED_RESOURCES = (KEY_STATE, POLICY_STATE, CURSOR_STATE)
 CHECKPOINT_RESOURCES = (POLICY_STATE, CURSOR_STATE)
 
 
-def _effects(reads=(), writes=()):
-    """Attach declared LaneState read/write sets to a stage function."""
+def _effects(reads=(), writes=(), fence=False):
+    """Attach declared LaneState read/write sets to a stage function.
+
+    ``fence`` keeps the stage out of the pipelined head (see
+    :meth:`~repro.runtime.stage_graph.StageGraph.overlap_split`).
+    """
 
     def mark(fn):
         fn.reads = frozenset(reads)
         fn.writes = frozenset(writes)
+        fn.fence = fence
         return fn
 
     return mark
@@ -144,20 +156,17 @@ def fingerprint_resource(batch: "StepBatch", resource: str):
 
     if not isinstance(batch, StepBatch):
         return None
+    executors = [batch.slot(k).executor for k in range(len(batch))]
     if resource == KEY_STATE:
-        tokens = []
-        for k in range(len(batch)):
-            executor = batch.slot(k).executor
-            if executor.has_key:
-                tokens.append(
-                    (
-                        zlib.crc32(executor.stored_pixels().tobytes()),
-                        zlib.crc32(executor.key_activation.tobytes()),
-                    )
-                )
-            else:
-                tokens.append(None)
-        return tuple(tokens)
+        return tuple(
+            zlib.crc32(e.key_activation.tobytes()) if e.has_key else None
+            for e in executors
+        )
+    if resource == KEY_PIXELS:
+        return tuple(
+            zlib.crc32(e.stored_pixels().tobytes()) if e.has_key_pixels else None
+            for e in executors
+        )
     if resource == POLICY_STATE:
         return tuple(
             repr(vars(batch.slot(k).policy))
@@ -289,30 +298,6 @@ class LaneState:
         """Slot positions currently holding a clip (policy attached)."""
         return [i for i, slot in enumerate(self.slots) if slot.policy is not None]
 
-    def build_pipeline_engine(self) -> RFBMEEngine:
-        """A second RFBME engine with the lane's exact geometry and config.
-
-        The double buffer of the pipelined executor: step ``t+1``'s
-        ``rfbme`` runs against its own producer/consumer workspaces while
-        step ``t``'s tail stages are still in flight, so the two steps'
-        :data:`ENGINE_SCRATCH` can never collide.  Same frame shape,
-        receptive field, search config, backend, and profile as
-        :attr:`engine` — and therefore bit-identical results (backend
-        choice and workspace identity never change an output bit).
-        Callers cache the returned engine; it is intentionally not stored
-        here so :class:`LaneState` pickles stay lean.
-        """
-        executor = self.slots[0].executor
-        config = executor.config
-        return RFBMEEngine(
-            executor.network.input_shape[1:],
-            executor.rf,
-            executor.grid_shape,
-            config=config.rfbme,
-            backend=config.rfbme_backend,
-            profile=config.rfbme_profile,
-        )
-
 
 @dataclass
 class StepBatch:
@@ -330,10 +315,6 @@ class StepBatch:
     ``c+1`` while step ``t``'s ``record`` still needs ``c`` — so each
     context carries its own values instead of reading mutable slot state.
 
-    ``engine`` overrides the lane engine for this step's ``rfbme`` (the
-    pipelined executor's scratch double buffer); ``None`` uses
-    ``state.engine``.
-
     ``prefix_service`` routes ``cnn_prefix`` through a shared
     :class:`~repro.runtime.prefix_service.PrefixService` (cross-lane
     fused batches + content-addressed cache); ``None`` keeps the
@@ -345,7 +326,6 @@ class StepBatch:
     frames: Sequence[np.ndarray]
     plan: Optional[object] = None
     cursors: Optional[Sequence[int]] = None
-    engine: Optional[RFBMEEngine] = None
     prefix_service: Optional[object] = None
 
     def __len__(self) -> int:
@@ -360,30 +340,26 @@ class StepBatch:
             return self.cursors[k]
         return self.slot(k).cursor
 
-    @property
-    def rfbme_engine(self) -> RFBMEEngine:
-        """The engine this step's ``rfbme`` runs on (see ``engine``)."""
-        return self.engine if self.engine is not None else self.state.engine
-
 
 # --------------------------------------------------------------------- #
 # stage functions
 # --------------------------------------------------------------------- #
-@_effects(reads={KEY_STATE}, writes={ENGINE_SCRATCH})
+@_effects(reads={KEY_PIXELS}, writes={ENGINE_SCRATCH})
 def stage_rfbme(batch: StepBatch) -> List[Optional[RFBMEResult]]:
-    """Batched RFBME for every slot with a stored key frame.
+    """Batched RFBME for every slot with stored key pixels.
 
     Returns estimations aligned with ``batch.positions`` (``None`` for
     slots still waiting on their first key frame).  One
-    :meth:`~repro.core.rfbme.RFBMEEngine.estimate_batch` call covers the
-    whole step, exactly as the monolithic lockstep step did — on the
-    lane engine, or on the step's double-buffer override
-    (``batch.rfbme_engine``) when the executor pipelines.
+    :meth:`~repro.core.rfbme.RFBMEEngine.estimate_batch` call on the
+    lane engine covers the whole step, exactly as the monolithic
+    lockstep step did.  Readiness is judged by the stored pixels alone:
+    under the pipelined executor the previous step's CNN prefix may
+    still be writing the activations on the other thread.
     """
     ready = [
-        k for k in range(len(batch)) if batch.slot(k).executor.has_key
+        k for k in range(len(batch)) if batch.slot(k).executor.has_key_pixels
     ]
-    results = batch.rfbme_engine.estimate_batch(
+    results = batch.state.engine.estimate_batch(
         [
             (batch.slot(k).executor.stored_pixels(), batch.frames[k])
             for k in ready
@@ -406,15 +382,33 @@ def stage_decide(
     ]
 
 
+@_effects(reads={KEY_PIXELS}, writes={KEY_PIXELS}, fence=True)
+def stage_adopt_pixels(
+    batch: StepBatch, decisions: Sequence[bool]
+) -> List[int]:
+    """Store the pixels of this step's key frames; return their positions.
+
+    The first half of adopting a key frame, split from the CNN prefix so
+    the next step's ``rfbme`` — which reads only pixels — can start
+    while this step's prefix runs.  Fenced out of the pipelined head: a
+    speculative head could store pixels for a step that never happens,
+    and stored pixels cannot be rolled back.
+    """
+    keys = [k for k, is_key in enumerate(decisions) if is_key]
+    for k in keys:
+        batch.slot(k).executor.adopt_key_pixels(batch.frames[k])
+    return keys
+
+
 @_effects(reads={KEY_STATE, PLAN_SCRATCH}, writes={KEY_STATE, PLAN_SCRATCH})
 def stage_cnn_prefix(
     batch: StepBatch, decisions: Sequence[bool]
 ) -> Optional[np.ndarray]:
     """One batched CNN-prefix call for this step's key frames.
 
-    Each key slot adopts its row (pixels + target activation) — the
-    state mutation the lifecycle defines for a key frame.  Returns the
-    stacked key activations, or ``None`` when no slot chose a key.
+    Each key slot adopts its row's target activation — the second half
+    of the key-frame adoption :func:`stage_adopt_pixels` began.  Returns
+    the stacked key activations, or ``None`` when no slot chose a key.
     """
     keys = [k for k, is_key in enumerate(decisions) if is_key]
     if not keys:
@@ -426,7 +420,7 @@ def stage_cnn_prefix(
         frames = np.stack([batch.frames[k] for k in keys])[:, None]
         key_acts = batch.plan.run_prefix(frames, target)
     for row, k in enumerate(keys):
-        batch.slot(k).executor.adopt_key(batch.frames[k], key_acts[row])
+        batch.slot(k).executor.adopt_key_activation(key_acts[row])
     return key_acts
 
 
@@ -493,7 +487,8 @@ def stage_cnn_suffix(
 
 
 @_effects(
-    reads={KEY_STATE, PLAN_SCRATCH}, writes={KEY_STATE, PLAN_SCRATCH}
+    reads={KEY_STATE, KEY_PIXELS, PLAN_SCRATCH},
+    writes={KEY_STATE, KEY_PIXELS, PLAN_SCRATCH},
 )
 def stage_legacy_cnn(
     batch: StepBatch,

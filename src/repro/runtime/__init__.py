@@ -13,13 +13,13 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
   sets (:func:`frame_lifecycle_graph`), topologically scheduled, run
   over the picklable :class:`~repro.core.stages.LaneState`; the one
   definition of the step that lockstep and serving both execute.  At
-  ``pipeline_depth=2`` the executor software-pipelines step t+1's
-  RFBME/decisions against step t's CNN stages (double-buffered engine
-  scratch, bit-identical) — definitely when the next batch is certain,
-  speculatively (checkpoint → rollback + replay on a membership
-  mismatch; :class:`Checkpointable`, :class:`RollbackEvent`,
-  :class:`SpeculationStats`) when serving admissions/evictions make it
-  uncertain.
+  ``pipeline_depth=2`` (the default) the executor software-pipelines
+  step t+1's RFBME/decisions against step t's CNN stages
+  (bit-identical) whenever the next batch is certain; with
+  ``speculate=True`` also speculatively (checkpoint → rollback + replay
+  on a membership mismatch; :class:`Checkpointable`,
+  :class:`RollbackEvent`, :class:`SpeculationStats`) when serving
+  admissions/evictions make it uncertain.
 * :class:`BatchedPipeline` — lockstep execution that batches the RFBME
   hot path across all active clips in one vectorized call.
 * :class:`ServingRuntime` — streaming serving with continuous batching,

@@ -252,9 +252,11 @@ class BatchedPipeline:
     ``pipeline_depth`` (default: the spec's) selects sequential step
     execution (1) or the software-pipelined
     :class:`~repro.runtime.stage_graph.StageExecutor` (2): step
-    ``t+1``'s RFBME/decisions overlap step ``t``'s warp/suffix/record on
-    a double-buffered engine.  Lockstep batches are static, so every
-    step pipelines; results are bit-identical at any depth.
+    ``t+1``'s RFBME/decisions run on a second thread while step ``t``
+    runs its CNN prefix, warp, suffix and record.  Lockstep batches are
+    static, so every step pipelines; results are bit-identical at any
+    depth.  With one or two clips the overlap is too short to pay for
+    the handoff, so such workloads are faster at depth 1.
 
     ``prefix_cache_mb`` > 0 attaches a content-addressed
     :class:`~repro.runtime.prefix_service.PrefixService` cache to every
@@ -330,15 +332,8 @@ class BatchedPipeline:
 
         # The whole step stream is known statically (clip lengths fix the
         # positions, frame index == cursor), so batches are built up
-        # front and every step can pipeline into the next.  Odd steps run
-        # their RFBME on the double-buffer engine so the two in-flight
-        # contexts never share scratch.
+        # front and every step can pipeline into the next.
         max_frames = max((len(clip) for clip in clips), default=0)
-        shadow = (
-            state.build_pipeline_engine()
-            if executor.pipelined and max_frames > 1
-            else None
-        )
         batches: List[StepBatch] = []
         for index in range(max_frames):
             positions = [i for i in range(len(clips)) if index < len(clips[i])]
@@ -349,7 +344,6 @@ class BatchedPipeline:
                     frames=[clips[i].frames[index] for i in positions],
                     plan=plan,
                     cursors=[index] * len(positions),
-                    engine=shadow if index % 2 else None,
                     prefix_service=service,
                 )
             )

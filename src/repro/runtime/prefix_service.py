@@ -25,15 +25,15 @@ bit:
   prefix activation for repeated frames.  Hits are bit-identical by
   construction: the cached array *is* the previously computed result
   (``InferencePlan._execute`` hands back an owned copy, and every
-  consumer — ``AMCExecutor.adopt_key``, the suffix concat — copies
-  again, so entries are never aliased or mutated).
+  consumer — ``AMCExecutor.adopt_key_activation``, the suffix concat —
+  copies again, so entries are never aliased or mutated).
   ``Network.load_state_dict`` bumps ``weight_version``, so a live
   weight swap invalidates without draining the cache explicitly.
 
 Speculation stays sound for free: ``cnn_prefix`` lives in the executor's
-*mid* segment, which only ever runs on committed steps — a rolled-back
-speculative head has executed RFBME/decide at most, so neither fused
-results nor cache entries can be poisoned by a rollback.
+mid or tail segment, which only ever runs on committed steps — a
+rolled-back speculative head has executed RFBME/decide at most, so
+neither fused results nor cache entries can be poisoned by a rollback.
 """
 
 from __future__ import annotations

@@ -13,18 +13,18 @@ The serving layer is split along the line a deployment would draw:
   declared stage graph
   (:func:`~repro.runtime.stage_graph.frame_lifecycle_graph`) one step at
   a time through a :class:`~repro.runtime.stage_graph.StageExecutor`.
-  With a ``pipeline_depth=2`` spec the worker software-pipelines every
-  step it can: at provably stable membership (full occupancy, no
-  departure due) the handoff is definite, and across uncertain
-  boundaries — possible admissions or evictions — it speculates
-  (``spec.speculate``, default on): the surviving residents' next step
-  is launched under a policy-state checkpoint and rolled back + replayed
-  if membership actually changes.  Double-buffered and bit-identical in
-  every case; :class:`ServingReport` surfaces the engagement and
-  rollback rates.  A worker's execution state is the picklable
-  :class:`~repro.core.stages.LaneState` recipe away from a spec, so a
-  shard process builds **its own** network and plan (plan-per-worker
-  ownership: live plans never cross a process boundary; see
+  With a ``pipeline_depth=2`` spec (the default) the worker
+  software-pipelines every step whose successor is certain: at provably
+  stable membership (full occupancy, no departure due) the handoff is
+  definite.  With ``spec.speculate`` (opt-in) it also pipelines across
+  uncertain boundaries — possible admissions or evictions: the
+  surviving residents' next step is launched under a policy-state
+  checkpoint and rolled back + replayed if membership actually changes.
+  Bit-identical in every case; :class:`ServingReport` surfaces the
+  engagement and rollback rates.  A worker's execution state is the
+  picklable :class:`~repro.core.stages.LaneState` recipe away from a
+  spec, so a shard process builds **its own** network and plan
+  (plan-per-worker ownership: live plans never cross a process boundary; see
   :meth:`~repro.nn.network.Network.__getstate__`).
 * The *serve core* — one discrete-event scheduler for every serve shape.
   Its unit is a **timeline**: a virtual clock that owns one or more lane
@@ -641,8 +641,6 @@ class LaneWorker:
         #: the in-flight (batch, positions, env) between ``begin_step``
         #: and its ``finish_step``.
         self._round = None
-        #: lazy double-buffer engine for pipelined RFBME.
-        self._shadow_engine = None
         #: memoised ``[occupancy, min frames remaining]`` behind the
         #: stability predicate; None = must rescan (membership event).
         self._stable_cache: Optional[List[int]] = None
@@ -677,8 +675,7 @@ class LaneWorker:
         self.residents[index] = _Resident(seq, request, now)
         self._stable_cache = None  # membership changed: predicate rescans
 
-    def _build_batch(self, positions: List[int], advance: int = 0,
-                     engine=None) -> StepBatch:
+    def _build_batch(self, positions: List[int], advance: int = 0) -> StepBatch:
         """The step batch ``advance`` frames ahead of the slot cursors."""
         return StepBatch(
             state=self.state,
@@ -695,7 +692,6 @@ class LaneWorker:
                 else None
             ),
             cursors=[self.state.slots[i].cursor + advance for i in positions],
-            engine=engine,
             prefix_service=self.prefix_service,
         )
 
@@ -736,15 +732,15 @@ class LaneWorker:
         free up for the next admission.
 
         With a pipelined spec (``pipeline_depth >= 2``) the next step's
-        RFBME/decisions are launched against this step's CNN tail
-        (double-buffered engine) and picked up by the next :meth:`step`
-        call.  At provably stable membership the handoff is *definite*;
-        anywhere else — a free slot that might admit, a departure due —
-        the worker (``spec.speculate``) hands over the *survivors*
-        batch speculatively: the clips certain to still be resident
-        continue at their next cursors, and if an admission changes
-        membership the executor rolls the speculation back and replays
-        (bit-identical, the overlap is merely forfeited for that step).
+        RFBME/decisions are launched against this step's CNN stages and
+        picked up by the next :meth:`step` call.  At provably stable
+        membership the handoff is *definite*; anywhere else — a free
+        slot that might admit, a departure due — a ``spec.speculate``
+        worker hands over the *survivors* batch speculatively: the clips
+        certain to still be resident continue at their next cursors, and
+        if an admission changes membership the executor rolls the
+        speculation back and replays (bit-identical, the overlap is
+        merely forfeited for that step).
         """
         self.begin_step(register=False)
         return self.finish_step()
@@ -755,8 +751,10 @@ class LaneWorker:
         Resolves the step batch (reusing or discarding a pipelined
         handoff), runs the stage executor up to the coalescing barrier —
         so the step's key-frame decisions are final, including any
-        speculation rollback — and, with ``register=True``, registers
-        the key rows with the worker's prefix service for the round's
+        speculation rollback — and hands the next step's batch over, so
+        its head runs during the round's flush and CNN stages.  With
+        ``register=True`` it registers the key rows with the worker's
+        prefix service for the round's
         :meth:`~repro.runtime.prefix_service.PrefixService.flush`.  Must
         be paired with exactly one :meth:`finish_step`.
         """
@@ -778,45 +776,42 @@ class LaneWorker:
                 batch = self._build_batch(positions)
         if batch is None:
             batch = self._build_batch(positions)
-        env = self.executor.begin_step(batch)
+        self._pending, speculative = self._next_batch(positions)
+        env = self.executor.begin_step(batch, next_batch=self._pending,
+                                       speculative=speculative)
         self._round = (batch, positions, env)
         if register and self.prefix_service is not None:
             self.prefix_service.prepare(batch, env.get("decisions"))
 
+    def _next_batch(
+        self, positions: List[int]
+    ) -> Tuple[Optional[StepBatch], bool]:
+        """The batch to pipeline after this step's, and whether the
+        handoff is speculative — ``(None, False)`` when nothing may."""
+        if not self.executor.pipelined:
+            return None, False
+        if self._membership_stable(positions):
+            return self._build_batch(positions, advance=1), False
+        if not self.speculate:
+            return None, False
+        # Slots past their last frame depart this step for sure; everyone
+        # else survives into step t+1 (admissions can only fill *other*
+        # slots).
+        survivors = [
+            i
+            for i in positions
+            if self.state.slots[i].cursor + 1
+            < len(self.residents[i].request.clip)
+        ]
+        if not survivors:
+            return None, False
+        return self._build_batch(survivors, advance=1), True
+
     def finish_step(self) -> List[_Resident]:
-        """Phase 2 of a serve round: CNN stages, handoff, bookkeeping."""
+        """Phase 2 of a serve round: CNN stages and bookkeeping."""
         batch, positions, env = self._round
         self._round = None
-        next_batch = None
-        speculative = False
-        if self.executor.pipelined:
-            if self._membership_stable(positions):
-                survivors = positions
-            elif self.speculate:
-                # Slots past their last frame depart this step for sure;
-                # everyone else survives into step t+1 (admissions can
-                # only fill *other* slots).
-                survivors = [
-                    i
-                    for i in positions
-                    if self.state.slots[i].cursor + 1
-                    < len(self.residents[i].request.clip)
-                ]
-                speculative = True
-            else:
-                survivors = []
-            if survivors:
-                if self._shadow_engine is None:
-                    self._shadow_engine = self.state.build_pipeline_engine()
-                # Alternate engines between the two in-flight contexts.
-                alternate = (
-                    self._shadow_engine if batch.engine is None else None
-                )
-                next_batch = self._build_batch(survivors, advance=1,
-                                               engine=alternate)
-                self._pending = next_batch
-        self.executor.finish_step(env, next_batch=next_batch,
-                                  speculative=speculative)
+        self.executor.finish_step(env)
         finished: List[_Resident] = []
         for k, i in enumerate(positions):
             resident = self.residents[i]

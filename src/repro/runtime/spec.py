@@ -74,16 +74,17 @@ class PipelineSpec:
     #: :class:`~repro.nn.quantize.QuantTolerance` contract.
     dtype: str = "float64"
     #: runtime step pipelining depth (see
-    #: :class:`~repro.core.amc.AMCConfig`): 1 = sequential steps, 2 =
-    #: software-pipeline RFBME/decide of step t+1 against the CNN stages
-    #: of step t.  Bit-identical either way.
-    pipeline_depth: int = 1
+    #: :class:`~repro.core.amc.AMCConfig`): 2 (default) = run step
+    #: t+1's RFBME/decide on a second thread against the CNN stages of
+    #: step t, 1 = sequential steps.  Bit-identical either way.
+    pipeline_depth: int = 2
     #: allow *speculative* pipelining across uncertain step boundaries
     #: (serving admissions/evictions): checkpoint, overlap, roll back +
-    #: replay on a membership mismatch.  Default on — results are
-    #: bit-identical regardless; False restores PR 5's stable-only
-    #: overlap.  No effect at pipeline_depth=1.
-    speculate: bool = True
+    #: replay on a membership mismatch.  Default off: serving overlaps
+    #: only provably stable steps (lane full, no departure due), which
+    #: keeps batch-1 latency flat.  Results are bit-identical either
+    #: way.  No effect at pipeline_depth=1.
+    speculate: bool = False
 
     def __post_init__(self):
         if self.policy not in _POLICIES:

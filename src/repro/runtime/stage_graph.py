@@ -11,10 +11,11 @@ declares how they wire together and *when* they run.
 
 Two graphs cover the two CNN engines:
 
-* **planned** — ``rfbme → decide → cnn_prefix → warp → cnn_suffix →
-  record``: the key-frame branch runs the batched CNN prefix, the
-  predicted branch warps stored activations, and one suffix call covers
-  both (the whole-batch lifecycle of PR 2/3).
+* **planned** — ``rfbme → decide → adopt_pixels → cnn_prefix → warp →
+  cnn_suffix → record``: key frames store their pixels, the key-frame
+  branch runs the batched CNN prefix, the predicted branch warps stored
+  activations, and one suffix call covers both (the whole-batch
+  lifecycle).
 * **legacy** — ``rfbme → decide → legacy_cnn → record``: batched RFBME
   with per-clip CNN execution (the PR 1 shape).
 
@@ -31,12 +32,12 @@ it keeps *two in-flight step contexts*: the graph's declared resource
 sets prove which prefix of step ``t+1`` conflicts with which suffix of
 step ``t`` (:meth:`StageGraph.overlap_split`), and the executor
 software-pipelines the conflict-free head — ``rfbme``/``decide`` on the
-lifecycle graphs — into step ``t``'s tail window
-(``warp``/``cnn_suffix``/``record``), on a worker thread.  The head's
-RFBME runs on a double-buffered engine (``StepBatch.engine``) and each
-context carries its own cursor snapshot, so the overlapped steps touch
-disjoint state and every output stays **bit-identical** to sequential
-execution.
+planned graph — into step ``t``'s tail window
+(``cnn_prefix``/``warp``/``cnn_suffix``/``record``), on a worker
+thread.  Only ``rfbme`` touches the lane's RFBME engine and at most one
+head is in flight, and each context carries its own cursor snapshot, so
+the overlapped steps touch disjoint state and every output stays
+**bit-identical** to sequential execution.
 
 **Speculation.**  A *definite* handoff (``speculative=False``) promises
 the executor that ``next_batch`` IS the following step — ``decide``
@@ -51,10 +52,11 @@ executor quiesces the in-flight head, rolls the snapshot back, records
 a named :class:`RollbackEvent`, and replays the head inline against the
 true batch.  Either way every output is bit-identical to sequential
 execution; speculation only moves work, never results.  The lockstep
-driver still hands over definite batches (its step stream is static);
-the serving worker speculates across possible admissions/evictions and
-eats the occasional rollback.  :class:`SpeculationStats` counts steps,
-engaged overlaps, speculative launches, and rollbacks per executor.
+driver hands over definite batches (its step stream is static); a
+serving worker whose spec opts in (``speculate=True``) speculates across
+possible admissions/evictions and eats the occasional rollback.
+:class:`SpeculationStats` counts steps, engaged overlaps, speculative
+launches, and rollbacks per executor.
 
 Seeding: :meth:`StageGraph.run` accepts precomputed values; a stage
 whose outputs are all seeded is skipped.  That is how callers that
@@ -89,6 +91,7 @@ from ..core.stages import (
     fingerprint_resource,
     restore_resource,
 )
+from .blas import limit_openblas_threads
 
 __all__ = [
     "Stage",
@@ -221,10 +224,10 @@ class SpeculationStats:
 class Stage:
     """One declared stage: a pure function with named inputs/outputs.
 
-    ``reads``/``writes`` are the stage's declared
-    :class:`~repro.core.stages` resource sets — defaulted from the
-    ``reads``/``writes`` attributes its function was declared with
-    (see ``core.stages._effects``), empty otherwise.  Dataflow names
+    ``reads``/``writes``/``fence`` are the stage's declared
+    :class:`~repro.core.stages` resource sets and head fence — defaulted
+    from the attributes its function was declared with (see
+    ``core.stages._effects``), empty/False otherwise.  Dataflow names
     order stages within a step; the resource sets prove which stages of
     *consecutive* steps may overlap.
     """
@@ -239,10 +242,17 @@ class Stage:
     #: lane-state resources read / written (conflict analysis).
     reads: frozenset = field(default=None)
     writes: frozenset = field(default=None)
+    #: keep the stage out of the pipelined head even where the resource
+    #: sets would allow it (see :meth:`StageGraph.overlap_split`).
+    fence: bool = field(default=None)
 
     def __post_init__(self):
         if not self.outputs:
             raise StageGraphError(f"stage {self.name!r} declares no outputs")
+        if self.fence is None:
+            object.__setattr__(
+                self, "fence", bool(getattr(self.fn, "fence", False))
+            )
         if self.reads is None:
             object.__setattr__(
                 self, "reads", frozenset(getattr(self.fn, "reads", ()))
@@ -397,18 +407,25 @@ class StageGraph:
         tail stage — which is exactly the proof that step ``t+1``'s head
         may run while step ``t``'s tail is still in flight.  ``mid`` is
         whatever sits between: it must finish in step ``t`` before the
-        next head starts (on the lifecycle graphs that is ``cnn_prefix``,
-        whose key-state adoption the next ``rfbme`` reads).  Among valid
+        next head starts (on the planned graph that is ``adopt_pixels``,
+        whose stored key pixels the next ``rfbme`` reads).  Among valid
         splits the largest tail wins (it is the overlap window), then
         the largest head; an empty head or tail means the graph cannot
-        pipeline.  Memoised on the instance (geometry never changes).
+        pipeline.  The head never reaches a ``fence`` stage: the planned
+        graph fences ``adopt_pixels``, which would fit in the head by
+        its resource sets alone but writes key pixels, which a
+        speculative head could not roll back.  Memoised on the instance
+        (geometry never changes).
         """
         if self._overlap_split is not None:
             return self._overlap_split
         schedule = self.stages
         n = len(schedule)
+        head_limit = next(
+            (i for i, stage in enumerate(schedule) if stage.fence), n - 1
+        )
         best = (0, 0, 0)  # (tail_len, head_len, tail_start)
-        for head_len in range(1, n):
+        for head_len in range(1, head_limit + 1):
             head = schedule[:head_len]
             tail_start = n
             for index in range(n - 1, head_len - 1, -1):
@@ -438,13 +455,17 @@ class StageExecutor:
     contexts: when :meth:`step` is handed the *definite* next batch, the
     graph's conflict-free head of step ``t+1`` is launched on a worker
     thread while step ``t``'s tail runs on the caller's thread — RFBME
-    (a GIL-releasing compiled/BLAS call on the hot backends) genuinely
-    overlaps the CNN stages.  The caller alternates
-    ``StepBatch.engine`` between the lane engine and
-    :meth:`~repro.core.stages.LaneState.build_pipeline_engine`'s double
-    buffer so the two contexts' scratch never collides; every other
-    piece of touched state is disjoint by the declared read/write sets,
-    so results are bit-identical to sequential execution.
+    (a GIL-releasing compiled call on the hot backends) genuinely
+    overlaps the CNN stages.  Everything the two contexts touch is
+    disjoint by the declared read/write sets, and the RFBME engine is
+    used by the head alone, one head at a time, so results are
+    bit-identical to sequential execution.
+
+    The first time any executor starts its head thread, the process's
+    OpenBLAS pools drop to one thread each
+    (:func:`~repro.runtime.blas.limit_openblas_threads`): OpenBLAS's
+    helper thread spin-waits between GEMMs and would take the core the
+    head thread needs.
 
     One executor serves one lane/driver at a time; it is not itself
     thread-safe (the worker thread is an implementation detail).
@@ -468,9 +489,11 @@ class StageExecutor:
         # step's key decisions and its CNN stages so a shared
         # PrefixService can fuse coincident key frames across lanes
         # (see begin_step/finish_step).  Everything before the barrier
-        # runs in phase 1, everything from it onward in phase 2; graphs
-        # without a ``cnn_prefix`` stage put all of mid in phase 1.
-        barrier = next(
+        # runs in phase 1, everything from it onward in phase 2.  A
+        # pipelined executor puts it at the end of mid, where the next
+        # head launches (on the planned graph cnn_prefix opens the
+        # tail); a sequential one right before ``cnn_prefix``, if any.
+        barrier = len(self.mid) if self.pipelined else next(
             (i for i, stage in enumerate(self.mid)
              if stage.name == "cnn_prefix"),
             len(self.mid),
@@ -562,6 +585,7 @@ class StageExecutor:
             self.stats.speculated += 1
         env: Dict[str, object] = {_SEED: next_batch}
         if self._worker is None:
+            limit_openblas_threads()
             self._worker = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="stage-head"
             )
@@ -667,8 +691,9 @@ class StageExecutor:
         """Execute one full step; optionally pipeline into the next.
 
         ``next_batch`` — when given and the graph pipelines — launches
-        the next step's head stages now, overlapped with this step's
-        tail.  With ``speculative=False`` (default) the handoff is
+        the next step's head stages as soon as this step's ``mid`` has
+        run, overlapped with this step's tail.  With
+        ``speculative=False`` (default) the handoff is
         *definite*: it MUST be the exact batch of the following
         :meth:`step` call, because the head's effects (policy state
         advanced by ``decide``) are applied permanently.  With
@@ -679,15 +704,15 @@ class StageExecutor:
         bit-identical either way, a miss just forfeits the overlap.
         Pass ``next_batch=None`` when there is nothing to pipeline.
         """
-        env = self.begin_step(batch, seed)
-        return self.finish_step(
-            env, next_batch=next_batch, speculative=speculative
-        )
+        env = self.begin_step(batch, seed, next_batch, speculative)
+        return self.finish_step(env)
 
     def begin_step(
         self,
         batch: StepBatch,
         seed: Optional[Mapping[str, object]] = None,
+        next_batch: Optional[StepBatch] = None,
+        speculative: bool = False,
     ) -> Dict[str, object]:
         """Phase 1 of a two-phase step: everything up to the coalescing
         barrier.
@@ -695,31 +720,20 @@ class StageExecutor:
         Joins (or runs inline) the head stages and the pre-barrier slice
         of ``mid``, so on the lifecycle graphs the returned env already
         holds this step's final ``decisions`` — including any rollback +
-        replay a mispredicted speculative head required.  A serve round
-        may ``begin_step`` every lane, hand their key-frame requests to
-        a shared :class:`~repro.runtime.prefix_service.PrefixService`,
-        flush it once, and only then :meth:`finish_step` each lane.
-        :meth:`step` is exactly ``begin_step`` + ``finish_step``, so the
-        two-phase round is bit-identical to sequential stepping.
+        replay a mispredicted speculative head required.  ``next_batch``
+        and ``speculative`` are :meth:`step`'s handoff: a pipelined
+        executor launches the next head here, right after ``mid``.  A
+        serve round may ``begin_step`` every lane, hand their key-frame
+        requests to a shared
+        :class:`~repro.runtime.prefix_service.PrefixService`, flush it
+        once — overlapped with the lanes' next heads — and only then
+        :meth:`finish_step` each lane.  :meth:`step` is exactly
+        ``begin_step`` + ``finish_step``, so the two-phase round is
+        bit-identical to sequential stepping.
         """
         self.stats.steps += 1
         env = self._join(batch, seed)
         self.graph._run_stages(self._mid_pre, env)
-        return env
-
-    def finish_step(
-        self,
-        env: Dict[str, object],
-        next_batch: Optional[StepBatch] = None,
-        speculative: bool = False,
-    ) -> Dict[str, object]:
-        """Phase 2 of a two-phase step: the barrier onward.
-
-        Runs the CNN stages (``cnn_prefix`` consults the batch's prefix
-        service, if any, for rows staged by the round's flush), launches
-        the next head per :meth:`step`'s contract, then runs the tail.
-        """
-        self.graph._run_stages(self._mid_post, env)
         if next_batch is not None and self.pipelined:
             if speculative and not self.speculation_safe:
                 raise PipelineContractError(
@@ -728,6 +742,16 @@ class StageExecutor:
                     "so a mispredicted head could not be rolled back"
                 )
             self._launch_head(next_batch, speculative=speculative)
+        return env
+
+    def finish_step(self, env: Dict[str, object]) -> Dict[str, object]:
+        """Phase 2 of a two-phase step: the barrier onward.
+
+        Runs what is left of ``mid`` and the tail — the CNN stages are
+        in one or the other (``cnn_prefix`` consults the batch's prefix
+        service, if any, for rows staged by the round's flush).
+        """
+        self.graph._run_stages(self._mid_post, env)
         self.graph._run_stages(self.tail, env)
         return env
 
@@ -771,6 +795,8 @@ def frame_lifecycle_graph(planned: bool = True) -> StageGraph:
     ]
     if planned:
         body = [
+            Stage("adopt_pixels", _stages.stage_adopt_pixels,
+                  ("batch", "decisions"), ("key_positions",)),
             Stage("cnn_prefix", _stages.stage_cnn_prefix,
                   ("batch", "decisions"), ("key_acts",)),
             Stage("warp", _stages.stage_warp,

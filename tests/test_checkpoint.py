@@ -169,7 +169,7 @@ class TestPolicyRoundTrip:
 @pytest.fixture(scope="module")
 def spec():
     spec = PipelineSpec(network=NETWORK, policy="static", interval=2,
-                        pipeline_depth=2)
+                        pipeline_depth=2, speculate=True)
     spec.warm()
     return spec
 
@@ -299,7 +299,7 @@ class TestMissedRollbackIsCaught:
                  + synthetic_workload(3, num_frames=5, base_seed=47))
         arrivals = [0.0, 0.0, 0.006, 0.012, 0.018]
         spec = PipelineSpec(network=NETWORK, policy="static", interval=3,
-                            pipeline_depth=2)
+                            pipeline_depth=2, speculate=True)
         spec.warm()
         serial = run_workload(spec, clips, batch=False)
 

@@ -6,6 +6,16 @@ from repro.cli import build_parser, main
 
 
 class TestCLI:
+    def test_pipelining_defaults_come_from_the_spec(self):
+        from repro.runtime import PipelineSpec
+
+        spec = PipelineSpec()
+        parser = build_parser()
+        for command in ("run", "serve"):
+            args = parser.parse_args([command])
+            assert args.pipeline_depth == spec.pipeline_depth
+            assert args.speculate == spec.speculate
+
     def test_info(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out

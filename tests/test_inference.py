@@ -234,3 +234,43 @@ class TestValidation:
     def test_bad_capacity_rejected(self, net):
         with pytest.raises(ValueError):
             InferencePlan(net, max_batch=0)
+
+
+class TestBlasThreads:
+    """The pipelined executor drops OpenBLAS to one thread; the thread
+    count must never change an output bit."""
+
+    def test_float64_plan_bits_do_not_depend_on_thread_count(self):
+        from repro.runtime import blas
+
+        pools = blas.openblas_pools()
+        if not pools:
+            pytest.skip("no OpenBLAS loaded in this process")
+        saved = [(pool, pool.get_threads()) for pool in pools]
+        network = get_trained_network("mini_fasterm")
+        plan = network.inference_plan(max_batch=16, dtype="float64")
+        frames = np.random.default_rng(7).random((16, 1, 64, 64))
+        outputs = {}
+        try:
+            for threads in (2, 1):
+                assert blas.set_openblas_threads(threads) == len(pools)
+                assert set(blas.openblas_threads().values()) == {threads}
+                outputs[threads] = plan.run(frames)
+        finally:
+            for pool, threads in saved:
+                pool.set_threads(threads)
+        np.testing.assert_array_equal(outputs[2], outputs[1])
+
+    def test_no_openblas_is_a_no_op(self, monkeypatch, tmp_path):
+        from repro.runtime import blas
+
+        monkeypatch.setattr(blas, "_MAPS", str(tmp_path / "absent"))
+        assert blas.openblas_pools() == []
+        assert blas.openblas_threads() == {}
+        assert blas.set_openblas_threads(1) == 0
+
+    def test_bad_thread_count_rejected(self):
+        from repro.runtime import blas
+
+        with pytest.raises(ValueError, match="threads"):
+            blas.set_openblas_threads(0)

@@ -140,6 +140,33 @@ class TestBackendEquivalence:
         again = engine.estimate(key, new)
         _assert_bit_identical(first, again)
 
+    @pytest.mark.parametrize(
+        "backend,profile",
+        [("loop", "fast"), ("batched", "fast"), ("batched", "pr1"),
+         ("kernel", "fast"), ("kernel", "pr1")],
+    )
+    def test_results_survive_the_next_call(self, rng, backend, profile):
+        """Step t's estimations are unchanged after step t+1's RFBME ran
+        on the same engine: every backend hands out arrays it owns, so
+        the pipelined executor needs one engine per lane, not two."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # no kernel
+            engine = RFBMEEngine((64, 64), RF, GRID, backend=backend,
+                                 profile=profile)
+        pairs = [(textured_frame(rng), textured_frame(rng)) for _ in range(4)]
+        step_t = engine.estimate_batch(pairs)
+        kept = [
+            (result.field.data.copy(), result.match_errors.copy(), result.ops)
+            for result in step_t
+        ]
+        engine.estimate_batch(
+            [(textured_frame(rng), textured_frame(rng)) for _ in range(4)]
+        )
+        for result, (field, errors, ops) in zip(step_t, kept):
+            np.testing.assert_array_equal(result.field.data, field)
+            np.testing.assert_array_equal(result.match_errors, errors)
+            assert result.ops == ops
+
     def test_workspace_growth_keeps_bits(self, rng):
         """Occupancy 1 -> 16 -> 1 -> 5 on one engine: every growth of the
         workspace rebinds the kernel's buffer addresses, and every row

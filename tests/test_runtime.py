@@ -2,6 +2,8 @@
 backends, and the lockstep BatchedPipeline — including the contract that
 every execution path produces results identical to the serial loop."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -315,7 +317,50 @@ class TestBatchedPipeline:
 
 class TestPipelinedLockstep:
     """pipeline_depth=2: step t+1's RFBME/decide overlap step t's CNN
-    stages on a double-buffered engine — bit-identical at any depth."""
+    stages on one shared engine — bit-identical at any depth."""
+
+    @pytest.mark.parametrize("policy", ["always", "match_error"])
+    def test_keys_on_consecutive_steps(self, policy):
+        """rfbme(t+1) reads the key pixels stored at step t while
+        cnn_prefix(t) is still storing that slot's activation: with a
+        key on every step (always) or keys followed by predictions
+        (match_error), depth 2 equals depth 1 and serial bit for bit."""
+        spec = PipelineSpec(network=NETWORK, policy=policy)
+        clips = synthetic_workload(4, num_frames=8, base_seed=3)
+        serial = run_workload(spec, clips, batch=False)
+        masks = [result.key_mask() for result in serial.results]
+        if policy == "always":
+            assert all(mask.all() for mask in masks)
+        else:
+            assert any((mask[:-1] & ~mask[1:]).any() for mask in masks)
+        sequential = BatchedPipeline(spec, pipeline_depth=1).run_workload(clips)
+        piped = BatchedPipeline(spec).run_workload(clips)
+        assert sequential.pipelined_steps == 0
+        assert piped.pipelined_steps == piped.steps - 1
+        _assert_identical(sequential, serial)
+        _assert_identical(piped, serial)
+
+    def test_forced_thread_switches_keep_bits(self):
+        """A 1 µs switch interval interleaves the head and driver
+        threads almost every bytecode; key pixels and activations are
+        still read only after their writer finished."""
+        spec = PipelineSpec(network=NETWORK, policy="always")
+        clips = synthetic_workload(3, num_frames=6, base_seed=3)
+        serial = run_workload(spec, clips, batch=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            piped = BatchedPipeline(spec).run_workload(clips)
+        finally:
+            sys.setswitchinterval(interval)
+        assert piped.pipelined_steps == piped.steps - 1
+        _assert_identical(piped, serial)
+
+    def test_pipelined_run_leaves_one_blas_thread(self, spec, workload):
+        from repro.runtime import blas
+
+        BatchedPipeline(spec, pipeline_depth=2).run_workload(workload)
+        assert set(blas.openblas_threads().values()) <= {1}
 
     def test_pipelined_matches_serial(self, spec, workload, serial_result):
         piped = BatchedPipeline(spec, pipeline_depth=2).run_workload(workload)

@@ -8,6 +8,7 @@ evictions must never leak into results.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,12 @@ def spec():
     spec = PipelineSpec(network=NETWORK)
     spec.warm()
     return spec
+
+
+@pytest.fixture(scope="module")
+def sequential_spec(spec):
+    """The default spec at pipeline_depth=1: one step after another."""
+    return replace(spec, pipeline_depth=1)
 
 
 @pytest.fixture(scope="module")
@@ -340,9 +347,32 @@ class TestPipelinedServing:
         _assert_identical(report, serial)
         assert runtime.lanes["default"]._membership_scans == 1
 
-    def test_sequential_lane_never_scans_membership(self, spec, clips):
+    @pytest.mark.parametrize("policy", ["always", "match_error"])
+    def test_stable_lane_matches_depth_one(self, policy):
+        """A full lane with no departure due hands every step over
+        definitely, so rfbme(t+1) runs against cnn_prefix(t) on every
+        step but the last — and the bits equal depth 1 and serial."""
+        spec = PipelineSpec(network=NETWORK, policy=policy)
+        clips = synthetic_workload(3, num_frames=8, base_seed=21)
+        serial = run_workload(spec, clips, batch=False)
+        reports = {
+            depth: ServingRuntime(
+                replace(spec, pipeline_depth=depth),
+                ServerConfig(max_batch=len(clips), clock=FakeClock()),
+            ).serve(_requests(clips))
+            for depth in (1, 2)
+        }
+        assert reports[1].pipelined_steps == 0
+        assert reports[2].speculated == 0
+        assert reports[2].pipelined_steps == reports[2].steps - 1
+        for report in reports.values():
+            _assert_identical(report, serial)
+
+    def test_sequential_lane_never_scans_membership(self, sequential_spec,
+                                                    clips):
         """pipeline_depth=1 never consults the stability predicate."""
-        runtime = ServingRuntime(spec, ServerConfig(max_batch=3, clock=FakeClock()))
+        runtime = ServingRuntime(sequential_spec,
+                                 ServerConfig(max_batch=3, clock=FakeClock()))
         runtime.serve(_requests(clips))
         assert runtime.lanes["default"]._membership_scans == 0
 
@@ -352,7 +382,8 @@ class TestSpeculationMetrics:
 
     @pytest.fixture(scope="class")
     def piped_spec(self):
-        spec = PipelineSpec(network=NETWORK, pipeline_depth=2)
+        spec = PipelineSpec(network=NETWORK, pipeline_depth=2,
+                            speculate=True)
         spec.warm()
         return spec
 
@@ -401,8 +432,11 @@ class TestSpeculationMetrics:
                       "rollbacks", "rollback rate"):
             assert label in labels
 
-    def test_sequential_report_omits_speculation_rows(self, spec, clips):
-        report = ServingRuntime(spec, ServerConfig(max_batch=3)).serve(_requests(clips))
+    def test_sequential_report_omits_speculation_rows(self, sequential_spec,
+                                                      clips):
+        report = ServingRuntime(sequential_spec, ServerConfig(max_batch=3)).serve(
+            _requests(clips)
+        )
         assert report.pipelined_steps == 0
         assert report.speculated == 0
         assert report.speculation_engagement == 0.0

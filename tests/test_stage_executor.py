@@ -10,13 +10,17 @@ conflict-free head of step ``t+1`` into step ``t``'s tail — bit-identical
 to sequential execution by construction.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.stages import (
     ENGINE_SCRATCH,
+    KEY_PIXELS,
     KEY_STATE,
     PLAN_SCRATCH,
     POLICY_STATE,
+    fingerprint_resource,
+    stage_cnn_prefix,
 )
 from repro.runtime import (
     ClipRequest,
@@ -40,7 +44,10 @@ NETWORK = "mini_fasterm"
 
 @pytest.fixture(scope="module")
 def spec():
-    spec = PipelineSpec(network=NETWORK, policy="static", interval=2)
+    # Depth 1: a pipelined worker would leave its next head in flight,
+    # still deciding on lane state these tests fingerprint.
+    spec = PipelineSpec(network=NETWORK, policy="static", interval=2,
+                        pipeline_depth=1)
     spec.warm()
     return spec
 
@@ -166,16 +173,77 @@ class TestWriteSetEnforcement:
         )
         assert len(env["records"]) == len(batch)
 
+    def test_each_half_of_key_state_has_one_writer(self, spec, clips):
+        """adopt_pixels changes key pixels and never the activation;
+        cnn_prefix changes the activation and never key pixels."""
+        batch = self._occupied_batch(spec, clips)
+        env = {"batch": batch}
+        changed = {}
+        for stage in frame_lifecycle_graph(planned=True):
+            before = {resource: fingerprint_resource(batch, resource)
+                      for resource in (KEY_PIXELS, KEY_STATE)}
+            result = stage.fn(*[env[name] for name in stage.inputs])
+            env[stage.outputs[0]] = result
+            changed[stage.name] = {
+                resource
+                for resource in (KEY_PIXELS, KEY_STATE)
+                if fingerprint_resource(batch, resource) != before[resource]
+            }
+        assert True in env["decisions"] and False in env["decisions"]
+        assert changed["adopt_pixels"] == {KEY_PIXELS}
+        assert changed["cnn_prefix"] == {KEY_STATE}
+        assert all(not resources for name, resources in changed.items()
+                   if name not in ("adopt_pixels", "cnn_prefix"))
+
+    def test_prefix_storing_pixels_is_caught(self, spec, clips):
+        """Enforcement has the power to catch a prefix that writes key
+        pixels — the write the overlap of rfbme(t+1) with cnn_prefix(t)
+        relies on never happening."""
+        batch = self._occupied_batch(spec, clips)
+
+        def prefix_and_pixels(batch, decisions):
+            for k, is_key in enumerate(decisions):
+                if is_key:
+                    batch.slot(k).executor.adopt_key_pixels(
+                        np.zeros_like(batch.frames[k])
+                    )
+            return stage_cnn_prefix(batch, decisions)
+
+        graph = StageGraph([
+            Stage(stage.name, prefix_and_pixels, stage.inputs,
+                  stage.outputs, stage.reads, stage.writes)
+            if stage.name == "cnn_prefix" else stage
+            for stage in frame_lifecycle_graph(planned=True)
+        ])
+        with pytest.raises(WriteSetViolationError, match="key_pixels"):
+            graph.run(batch, enforce_writes=True)
+
 
 class TestOverlapSplit:
     def test_planned_lifecycle_split(self):
-        """The paper's overlap: RFBME/decide against warp/suffix/record,
-        fenced by cnn_prefix (its key adoption feeds the next RFBME)."""
+        """The paper's overlap: RFBME/decide against the whole CNN —
+        prefix, warp, suffix, record — fenced only by adopt_pixels (the
+        stored key pixels feed the next RFBME)."""
         head, mid, tail = frame_lifecycle_graph(planned=True).overlap_split()
         assert [stage.name for stage in head] == ["rfbme", "decide"]
-        assert [stage.name for stage in mid] == ["cnn_prefix"]
-        assert [stage.name for stage in tail] == ["warp", "cnn_suffix",
-                                                  "record"]
+        assert [stage.name for stage in mid] == ["adopt_pixels"]
+        assert [stage.name for stage in tail] == ["cnn_prefix", "warp",
+                                                  "cnn_suffix", "record"]
+
+    def test_fence_keeps_stage_out_of_head(self):
+        """adopt_pixels fits in the head by its resource sets alone; its
+        fence is what keeps the head rollback-able."""
+        graph = frame_lifecycle_graph(planned=True)
+        unfenced = StageGraph([
+            Stage(stage.name, stage.fn, stage.inputs, stage.outputs,
+                  stage.reads, stage.writes, fence=False)
+            for stage in graph
+        ])
+        head, mid, tail = unfenced.overlap_split()
+        assert [stage.name for stage in head] == ["rfbme", "decide",
+                                                  "adopt_pixels"]
+        assert mid == ()
+        assert not StageExecutor(unfenced, pipeline_depth=2).speculation_safe
 
     def test_legacy_lifecycle_split(self):
         """legacy_cnn adopts key state, so only record can overlap it."""
@@ -198,13 +266,18 @@ class TestOverlapSplit:
         """Stages inherit the read/write sets their functions declare."""
         graph = frame_lifecycle_graph(planned=True)
         by_name = {stage.name: stage for stage in graph}
-        assert by_name["rfbme"].reads == {KEY_STATE}
+        assert by_name["rfbme"].reads == {KEY_PIXELS}
         assert by_name["rfbme"].writes == {ENGINE_SCRATCH}
         assert by_name["decide"].writes == {POLICY_STATE}
-        assert KEY_STATE in by_name["cnn_prefix"].writes
+        assert by_name["adopt_pixels"].writes == {KEY_PIXELS}
+        assert by_name["adopt_pixels"].fence
+        assert by_name["cnn_prefix"].writes == {KEY_STATE, PLAN_SCRATCH}
         assert by_name["warp"].reads == {KEY_STATE}
         assert by_name["cnn_suffix"].writes == {PLAN_SCRATCH}
         assert by_name["record"].writes == frozenset()
+        legacy = {stage.name: stage
+                  for stage in frame_lifecycle_graph(planned=False)}
+        assert {KEY_STATE, KEY_PIXELS} <= legacy["legacy_cnn"].writes
 
 
 class TestStageExecutor:

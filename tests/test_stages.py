@@ -21,6 +21,7 @@ import pytest
 from repro.core.stages import (
     LaneState,
     StepBatch,
+    stage_adopt_pixels,
     stage_cnn_prefix,
     stage_cnn_suffix,
     stage_decide,
@@ -46,7 +47,10 @@ NETWORK = "mini_fasterm"
 def spec():
     # A static interval makes the key/pred mix at any step a pure
     # function of the staggered cursors below — deterministically mixed.
-    spec = PipelineSpec(network=NETWORK, policy="static", interval=2)
+    # Depth 1: a pipelined worker would leave its next head in flight,
+    # still deciding on lane state these tests inspect and clone.
+    spec = PipelineSpec(network=NETWORK, policy="static", interval=2,
+                        pipeline_depth=1)
     spec.warm()
     return spec
 
@@ -133,6 +137,8 @@ class TestStageSlices:
         assert decisions == [r.is_key for r in mono_records]
         assert True in decisions and False in decisions  # genuinely mixed
 
+        keys = stage_adopt_pixels(batch, decisions)
+        assert keys == [k for k, is_key in enumerate(decisions) if is_key]
         key_acts = stage_cnn_prefix(batch, decisions)
         pred_acts = stage_warp(batch, decisions, estimations)
         assert key_acts is not None and pred_acts is not None
@@ -218,7 +224,8 @@ class TestStageGraphValidation:
         graph = frame_lifecycle_graph(planned=True)
         names = [stage.name for stage in graph]
         assert names == [
-            "rfbme", "decide", "cnn_prefix", "warp", "cnn_suffix", "record",
+            "rfbme", "decide", "adopt_pixels", "cnn_prefix", "warp",
+            "cnn_suffix", "record",
         ]
         assert "outputs" in graph.produces
 
