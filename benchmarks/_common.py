@@ -66,20 +66,21 @@ def normalized_metrics(data: dict) -> Dict[str, float]:
     """Normalized metric name -> value, for either benchmark format.
 
     Absolute frames/sec are machine-dependent, so only ratios that
-    survive a hardware change are compared: per-path speedups vs the
-    seed loop (runtime), and serving's headline ratios (vs static
-    lockstep, shard scaling, pipelined-vs-sequential, and the
+    survive a hardware change are compared: per-path speedups vs loop
+    serial and planned lockstep vs planned serial (runtime; its frozen
+    ``history`` block is not compared), and serving's headline ratios
+    (vs static lockstep, shard scaling, pipelined-vs-sequential, and the
     speculative-pipelining p99/throughput ratios, among others).  Every
     metric is higher-is-better.
     """
     if "paths" in data:  # BENCH_runtime.json
         metrics = {
-            f"{label} (x seed)": path["speedup_vs_seed"]
+            f"{label} (x loop serial)": path["speedup_vs_loop_serial"]
             for label, path in data["paths"].items()
         }
-        headline = data.get("headline_speedup_vs_pr1_lockstep")
+        headline = data.get("headline_speedup_vs_planned_serial")
         if headline is not None:
-            metrics["planned lockstep (x pr1 lockstep)"] = headline
+            metrics["planned lockstep (x planned serial)"] = headline
         return metrics
     if "serving_vs_static" in data:  # BENCH_serving.json
         metrics = {"serving (x static lockstep)": data["serving_vs_static"]}

@@ -1,29 +1,29 @@
-"""Runtime throughput: the planned batched runtime vs its ancestors.
+"""Runtime throughput: the planned lockstep runtime vs serial execution.
 
 A 16-clip mixed-scenario synthetic workload (the shape of multi-stream
-live-vision traffic, paper §I) runs through the execution paths this
-repo has accumulated, oldest to newest:
+live-vision traffic, paper §I) runs through the runtime's execution
+paths:
 
-* ``seed serial``     — the seed implementation: one clip at a time, loop
-  RFBME backend, layer-by-layer CNN;
-* ``pr1 serial``      — serial loop with PR 1's vectorized RFBME hot path
-  (pr1 host profile) and the legacy CNN;
-* ``pr1 lockstep``    — PR 1's headline: lockstep RFBME batching across
-  clips, per-clip CNN, pr1 host profile;
-* ``planned serial``  — serial loop on this release's planned inference
-  engine and fast RFBME host profile;
-* ``planned lockstep``— this release's headline: one RFBME batch, one
-  batched CNN prefix for coincident key frames, one batched warp, one
-  CNN suffix call per lockstep step;
+* ``loop serial``     — one clip at a time on the ``loop`` RFBME backend,
+  the reference implementation the vectorized backends are checked
+  against; the identity reference and speedup base of every row;
+* ``planned serial``  — one clip at a time on the default (fastest
+  available) RFBME backend;
+* ``planned lockstep``— the headline: one RFBME batch, one batched CNN
+  prefix for coincident key frames, one batched warp, one CNN suffix
+  call per lockstep step, with the next step's RFBME on a second
+  thread;
 * ``threads``         — :class:`repro.runtime.ClipScheduler` on a thread
   pool (informational; wins only on multi-core hosts).
 
 Every path must produce identical outputs, key-frame decisions, and op
 counts — the speedup comes purely from host execution strategy.  The
-headline assertion is >= 3x frames/sec over the PR 1 lockstep runtime
-(and, transitively, well past the seed loop).  Results are also written
-to ``BENCH_runtime.json`` at the repo root so CI can track the perf
-trajectory per PR.
+headline assertion is planned lockstep >= 1.3x planned serial frames/sec
+on hosts with the compiled kernels.  Results are also written to
+``BENCH_runtime.json`` at the repo root so CI can track the perf
+trajectory per PR; the file's ``history`` block holds frozen rows of
+execution paths that no longer exist, carried over verbatim and never
+gated.
 """
 
 import os
@@ -41,21 +41,12 @@ NETWORK = "mini_fasterm"
 NUM_CLIPS = 16
 FRAMES_PER_CLIP = 16
 JSON_PATH = bench_json_path("runtime")
+#: planned lockstep over planned serial frames/sec, kernel hosts.
+LOCKSTEP_BAR = 1.3
 
 #: measured paths: label -> (spec kwargs, run kwargs).
 PATHS = {
-    "seed serial": (
-        dict(cnn_engine="legacy", rfbme_profile="pr1", rfbme_backend="loop"),
-        dict(batch=False),
-    ),
-    "pr1 serial": (
-        dict(cnn_engine="legacy", rfbme_profile="pr1"),
-        dict(batch=False),
-    ),
-    "pr1 lockstep": (
-        dict(cnn_engine="legacy", rfbme_profile="pr1"),
-        dict(batch=True),
-    ),
+    "loop serial": (dict(rfbme_backend="loop"), dict(batch=False)),
     "planned serial": (dict(), dict(batch=False)),
     "planned lockstep": (dict(), dict(batch=True)),
 }
@@ -79,8 +70,7 @@ def test_runtime_throughput(workload):
         spec = PipelineSpec(network=NETWORK, **spec_kwargs)
         spec.warm()
         resolved[label] = spec.build_executor().rfbme_engine.backend
-        runs = 1 if label == "seed serial" else 2  # the seed loop is slow
-        measured[label] = _best_of(runs, spec, workload, **run_kwargs)
+        measured[label] = _best_of(2, spec, workload, **run_kwargs)
 
     workers = min(4, os.cpu_count() or 1)
     if workers > 1:
@@ -91,13 +81,13 @@ def test_runtime_throughput(workload):
         )
         resolved["threads"] = resolved["planned lockstep"]
 
-    seed = measured["seed serial"]
+    reference = measured["loop serial"]
     rows, trajectory = [], {}
     for label, result in measured.items():
         # Identical results are a hard requirement: outputs, key-frame
-        # decisions, and RFBME op counts all match the seed loop.
-        assert result.matches(seed), f"{label} diverged from the seed loop"
-        speedup = result.frames_per_second / seed.frames_per_second
+        # decisions, and RFBME op counts all match the loop oracle.
+        assert result.matches(reference), f"{label} diverged from loop serial"
+        speedup = result.frames_per_second / reference.frames_per_second
         rows.append([
             label,
             resolved[label],
@@ -107,8 +97,8 @@ def test_runtime_throughput(workload):
         ])
         trajectory[label] = {
             "frames_per_second": round(result.frames_per_second, 2),
-            "speedup_vs_seed": round(speedup, 3),
-            "identical_to_seed": True,
+            "speedup_vs_loop_serial": round(speedup, 3),
+            "identical_to_loop_serial": True,
         }
     register_table(
         f"runtime throughput ({NUM_CLIPS} clips x {FRAMES_PER_CLIP} frames, "
@@ -117,10 +107,12 @@ def test_runtime_throughput(workload):
         rows,
     )
 
-    pr1 = measured["pr1 lockstep"].frames_per_second
-    planned = measured["planned lockstep"].frames_per_second
-    headline = planned / pr1
-    trajectory["planned lockstep"]["speedup_vs_pr1_lockstep"] = round(headline, 3)
+    serial = measured["planned serial"].frames_per_second
+    lockstep = measured["planned lockstep"].frames_per_second
+    headline = lockstep / serial
+    trajectory["planned lockstep"]["speedup_vs_planned_serial"] = round(
+        headline, 3
+    )
     write_bench_json(
         JSON_PATH,
         header={"benchmark": "runtime_throughput", "network": NETWORK},
@@ -131,17 +123,19 @@ def test_runtime_throughput(workload):
             },
             "kernel_available": kernel_available(),
             "paths": trajectory,
-            "headline_speedup_vs_pr1_lockstep": round(headline, 3),
+            "headline_speedup_vs_planned_serial": round(headline, 3),
         },
+        carry_keys=("history",),
     )
 
     if not kernel_available():
         pytest.skip(
             f"compiled SAD kernel unavailable; planned lockstep is "
-            f"{headline:.2f}x pr1 lockstep with NumPy hot paths only"
+            f"{headline:.2f}x planned serial with NumPy hot paths only"
         )
-    assert headline >= 3.0, (
-        f"expected >= 3x over the PR 1 lockstep runtime, got {headline:.2f}x"
+    assert headline >= LOCKSTEP_BAR, (
+        f"expected planned lockstep >= {LOCKSTEP_BAR}x planned serial, "
+        f"got {headline:.2f}x"
     )
 
 

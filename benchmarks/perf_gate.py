@@ -9,8 +9,10 @@ Absolute frames/sec are machine-dependent (a laptop baseline vs a shared
 CI runner), so the gate compares *normalized* metrics that survive a
 hardware change:
 
-* ``BENCH_runtime.json`` — each path's ``speedup_vs_seed`` (the shape of
-  the perf curve relative to the seed loop on the same host);
+* ``BENCH_runtime.json`` — each path's ``speedup_vs_loop_serial`` (the
+  shape of the perf curve relative to the serial loop-RFBME run on the
+  same host) and planned lockstep over planned serial; its frozen
+  ``history`` block is not compared;
 * ``BENCH_serving.json`` — ``serving_vs_static`` (continuous batching
   relative to static lockstep on the same host), ``shard_scaling_2x``
   (2-shard aggregate throughput relative to the single-process run),

@@ -70,6 +70,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.pipeline_depth < 1:
         print("error: --pipeline-depth must be >= 1", file=sys.stderr)
         return 2
+    if not args.threshold >= 0:
+        print("error: --threshold must be >= 0", file=sys.stderr)
+        return 2
     if args.clips > 1:
         if args.batch and args.workers > 1:
             print(
@@ -93,7 +96,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         AMCConfig(
             mode=mode,
             rfbme_backend=args.rfbme,
-            cnn_engine=args.cnn,
             dtype=args.dtype,
         ),
     )
@@ -133,7 +135,6 @@ def _spec_and_clips(args: argparse.Namespace):
         threshold=args.threshold,
         interval=args.interval or 4,
         rfbme_backend=args.rfbme,
-        cnn_engine=args.cnn,
         dtype=args.dtype,
         pipeline_depth=args.pipeline_depth,
         speculate=args.speculate,
@@ -220,6 +221,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if args.pipeline_depth < 1:
         print("error: --pipeline-depth must be >= 1", file=sys.stderr)
+        return 2
+    if not args.threshold >= 0:
+        print("error: --threshold must be >= 0", file=sys.stderr)
         return 2
     if args.deadline < 0:
         print("error: --deadline must be > 0 seconds (0 = off)",
@@ -483,16 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rfbme", default=None,
                      choices=["kernel", "batched", "loop"],
                      help="RFBME host backend (default: fastest available)")
-    run.add_argument("--cnn", default="planned",
-                     choices=["planned", "legacy"],
-                     help="CNN engine: compiled inference plan (default, "
-                          "bit-identical) or the layer-by-layer legacy path")
     run.add_argument("--dtype", default="float64",
                      choices=["float64", "float32", "int8", "q16"],
                      help="CNN arithmetic; float32 trades bit-exactness "
                           "for throughput, int8/q16 run the calibrated "
                           "fixed-point lane under an explicit tolerance "
-                          "contract (planned engine only)")
+                          "contract")
     run.add_argument("--pipeline-depth", type=int,
                      default=spec_defaults["pipeline_depth"],
                      help="software-pipeline depth for lockstep steps: 2 "
@@ -637,8 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["kernel", "batched", "loop"],
                         help="RFBME host backend (default: fastest "
                              "available)")
-    engine.add_argument("--cnn", default="planned",
-                        choices=["planned", "legacy"])
     engine.add_argument("--dtype", default="float64",
                         choices=["float64", "float32", "int8", "q16"])
     engine.add_argument("--prefix-coalesce",

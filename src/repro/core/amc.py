@@ -25,15 +25,13 @@ from ..hardware.fixed_point import QFormat
 from ..motion.vector_field import VectorField
 from ..nn.network import Network
 from .receptive_field import ReceptiveField, receptive_field_of
-from .rfbme import BACKENDS, PROFILES, RFBMEConfig, RFBMEEngine, RFBMEResult
-from .warp import scale_to_activation, warp_activation
+from .rfbme import BACKENDS, RFBMEConfig, RFBMEEngine, RFBMEResult
+from .warp import _INTERPOLATIONS, scale_to_activation, warp_activation
 
 __all__ = ["AMCConfig", "AMCExecutor", "PredictionStats"]
 
 _MODES = ("warp", "memoize")
-_CNN_ENGINES = ("planned", "legacy")
 _DTYPES = ("float64", "float32", "int8", "q16")
-_PLANNED_ONLY_DTYPES = ("float32", "int8", "q16")
 
 
 @dataclass(frozen=True)
@@ -55,16 +53,11 @@ class AMCConfig:
     #: fastest available. All backends are bit-identical — this knob
     #: exists for benchmarking and regression testing.
     rfbme_backend: Optional[str] = None
-    #: RFBME host tuning ("fast"/"pr1"); bit-identical, wall-clock only.
-    rfbme_profile: str = "fast"
-    #: CNN execution engine: "planned" runs prefix/suffix through a
-    #: compiled :class:`~repro.nn.inference.InferencePlan` (bit-identical,
-    #: faster); "legacy" keeps the layer-by-layer training-path forward.
-    cnn_engine: str = "planned"
-    #: CNN arithmetic: "float64" (default, bit-identical contract),
-    #: "float32" (planned engine only; tolerance-verified), or the
-    #: quantized lanes "int8" / "q16" (planned engine only; calibrated
-    #: fixed-point plans with an explicit
+    #: CNN arithmetic of the compiled
+    #: :class:`~repro.nn.inference.InferencePlan` that runs prefix and
+    #: suffix: "float64" (default, bit-identical contract), "float32"
+    #: (tolerance-verified), or the quantized lanes "int8" / "q16"
+    #: (calibrated fixed-point plans with an explicit
     #: :class:`~repro.nn.quantize.QuantTolerance` contract — the
     #: paper's accuracy-for-throughput knob).
     dtype: str = "float64"
@@ -87,28 +80,19 @@ class AMCConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.interpolation not in _INTERPOLATIONS:
+            raise ValueError(
+                f"interpolation must be one of {_INTERPOLATIONS}, "
+                f"got {self.interpolation!r}"
+            )
         if self.rfbme_backend is not None and self.rfbme_backend not in BACKENDS:
             raise ValueError(
                 f"rfbme_backend must be None or one of {BACKENDS}, "
                 f"got {self.rfbme_backend!r}"
             )
-        if self.rfbme_profile not in PROFILES:
-            raise ValueError(
-                f"rfbme_profile must be one of {PROFILES}, "
-                f"got {self.rfbme_profile!r}"
-            )
-        if self.cnn_engine not in _CNN_ENGINES:
-            raise ValueError(
-                f"cnn_engine must be one of {_CNN_ENGINES}, "
-                f"got {self.cnn_engine!r}"
-            )
         if self.dtype not in _DTYPES:
             raise ValueError(
                 f"dtype must be one of {_DTYPES}, got {self.dtype!r}"
-            )
-        if self.dtype in _PLANNED_ONLY_DTYPES and self.cnn_engine != "planned":
-            raise ValueError(
-                f"dtype={self.dtype!r} requires the planned CNN engine"
             )
         if self.pipeline_depth < 1:
             raise ValueError(
@@ -224,21 +208,18 @@ class AMCExecutor:
                 self.grid_shape,
                 config=self.config.rfbme,
                 backend=self.config.rfbme_backend,
-                profile=self.config.rfbme_profile,
             )
         return self._engine
 
     @property
     def plan(self):
-        """The compiled capacity-1 inference plan (planned engine only).
+        """The compiled capacity-1 inference plan.
 
         Resolved through the network's plan cache on every access (a dict
         lookup) rather than held here, so ``Network.load_state_dict``'s
         invalidation reaches executors too — a stale reference would
         silently keep serving float32 snapshots of the old weights.
         """
-        if self.config.cnn_engine != "planned":
-            raise RuntimeError("the legacy CNN engine has no inference plan")
         return self.network.inference_plan(max_batch=1, dtype=self.config.dtype)
 
     @property
@@ -287,13 +268,8 @@ class AMCExecutor:
         """Run ``frame`` (H, W grayscale) precisely; store pixels and the
         target activation; return the network output (1, ...)."""
         self._check_frame(frame)
-        batch = frame[None, None, :, :]
-        if self.config.cnn_engine == "planned":
-            activation = self.plan.run_prefix(batch, self.target)
-            output = self.plan.run_suffix(activation, self.target)
-        else:
-            activation = self.network.forward_prefix(batch, self.target)
-            output = self.network.forward_suffix(activation, self.target)
+        activation = self.plan.run_prefix(frame[None, None, :, :], self.target)
+        output = self.plan.run_suffix(activation, self.target)
         self._key_pixels = frame.copy()
         self._key_activation = activation[0].copy()
         return output
@@ -354,9 +330,7 @@ class AMCExecutor:
         if self.config.mode == "warp" and estimation is None and pixel_field is None:
             estimation = self.estimate(frame)
         activation = self.predicted_activation(estimation, pixel_field)
-        if self.config.cnn_engine == "planned":
-            return self.plan.run_suffix(activation[None], self.target)
-        return self.network.forward_suffix(activation[None], self.target)
+        return self.plan.run_suffix(activation[None], self.target)
 
     # ------------------------------------------------------------------ #
     def prefix_macs(self) -> int:

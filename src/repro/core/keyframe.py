@@ -123,7 +123,7 @@ class _AdaptivePolicy(KeyFramePolicy):
 
     def __init__(self, threshold: float, max_gap: Optional[int] = None):
         super().__init__()
-        if threshold < 0:
+        if not threshold >= 0:  # also rejects NaN, which no metric exceeds
             raise ValueError(f"threshold must be >= 0, got {threshold}")
         if max_gap is not None and max_gap < 1:
             raise ValueError(f"max_gap must be >= 1, got {max_gap}")

@@ -61,19 +61,10 @@ __all__ = [
     "estimate_motion",
     "estimate_motion_batch",
     "default_backend",
-    "PROFILES",
 ]
 
 #: Non-faithful backend names, in preference order.
 BACKENDS = ("kernel", "batched", "loop")
-
-#: Host-tuning profiles for the vectorized backends.  ``"fast"`` is the
-#: current hot path: grid-major producer output feeding a preallocated
-#: consumer workspace.  ``"pr1"`` preserves the previous release's host
-#: execution (offset-major producer, per-call consumer allocations) as a
-#: measurable baseline for the runtime benchmarks.  Results are
-#: bit-identical across profiles; only wall-clock time differs.
-PROFILES = ("fast", "pr1")
 
 
 @dataclass(frozen=True)
@@ -247,8 +238,8 @@ class _ProducerWorkspace:
         """Scratch for one dy-row of absolute differences; sized to stay
         cache-resident rather than streaming a full offset cube.
 
-        Allocated on first use: kernel-backend engines share this
-        workspace for its pad buffer but never run the NumPy producer.
+        Allocated on first use: kernel-backend engines read only this
+        workspace's geometry and never run the NumPy producer.
         """
         if self._scratch is None:
             n_off = len(self.offsets)
@@ -265,7 +256,7 @@ class _ProducerWorkspace:
             self.pad[:, :] = key
 
 
-def _tile_diffs_batched(
+def _tile_diffs_batched_grid(
     ws: _ProducerWorkspace, new: np.ndarray, out: np.ndarray
 ) -> None:
     """Vectorized producer: strided shift views + scratch-row reduction.
@@ -274,9 +265,10 @@ def _tile_diffs_batched(
     frame under every horizontal offset at once; one subtract/abs pass
     into a cache-resident scratch block and a two-step reduction (rows
     within a tile, then the canonical pairwise combine across tile
-    columns) produce that whole dy-row of tile differences.  Fills ``out``
-    (n_off, n_off, n_ty, n_tx); out-of-bounds entries hold padding junk
-    and are masked by the engine's precomputed validity.
+    columns) produce that whole dy-row of tile differences.  Fills
+    ``out`` (n_ty, n_tx, n_off, n_off) — the consumer workspace's native
+    layout; out-of-bounds entries hold padding junk and are masked by
+    the engine's precomputed validity.
     """
     tile, offsets, radius = ws.tile, ws.offsets, ws.radius
     n_off = len(offsets)
@@ -297,50 +289,7 @@ def _tile_diffs_batched(
         blocks = ws.scratch.reshape(n_off, ws.n_ty, tile, ws.n_tx, tile)
         # sum rows within each tile (sequential), then the canonical
         # pairwise combine across the tile's column sums — the same
-        # association as _tile_sums.
-        out[oi] = blocks.sum(axis=2).sum(axis=-1)
-
-
-def _tile_diffs_kernel(
-    ws: _ProducerWorkspace, new: np.ndarray, out: np.ndarray
-) -> None:
-    """Compiled producer: one fused C pass over all (tile, offset) pairs,
-    into ``out`` (n_off, n_off, n_ty, n_tx)."""
-    cur = np.ascontiguousarray(new)
-    offs = np.ascontiguousarray(ws.offsets, dtype=np.int64)
-    get_kernel().tile_sad(
-        addr(ws.pad), ws.pad.shape[1], addr(cur), cur.shape[1],
-        ws.n_ty, ws.n_tx, ws.tile, addr(offs), len(offs), ws.radius,
-        addr(out),
-    )
-
-
-def _tile_diffs_batched_grid(
-    ws: _ProducerWorkspace, new: np.ndarray, out: np.ndarray
-) -> None:
-    """Grid-major variant of :func:`_tile_diffs_batched`.
-
-    Fills ``out`` (n_ty, n_tx, n_off, n_off) — the consumer workspace's
-    native layout — with the same bit-exact tile sums; only the store
-    pattern differs.
-    """
-    tile, offsets, radius = ws.tile, ws.offsets, ws.radius
-    n_off = len(offsets)
-    crop_h, crop_w = ws.n_ty * tile, ws.n_tx * tile
-    pad = ws.pad
-    s0, s1 = pad.strides
-    crop = new[:crop_h, :crop_w]
-    step = int(offsets[1] - offsets[0]) if n_off > 1 else 1
-    for oi, dy in enumerate(offsets):
-        key_rows = as_strided(
-            pad[radius + dy :, :],
-            shape=(n_off, crop_h, crop_w),
-            strides=(step * s1, s0, s1),
-        )
-        np.subtract(crop[None], key_rows, out=ws.scratch)
-        np.abs(ws.scratch, out=ws.scratch)
-        blocks = ws.scratch.reshape(n_off, ws.n_ty, tile, ws.n_tx, tile)
-        # (n_off_j, n_ty, n_tx) -> out[ty, tx, oi, oj]
+        # association as _tile_sums — stored as out[ty, tx, oi, oj].
         out[:, :, oi, :] = blocks.sum(axis=2).sum(axis=-1).transpose(1, 2, 0)
 
 
@@ -642,13 +591,7 @@ class RFBMEEngine:
         grid_shape: Tuple[int, int],
         config: Optional[RFBMEConfig] = None,
         backend: Optional[str] = None,
-        profile: str = "fast",
     ):
-        if profile not in PROFILES:
-            raise ValueError(
-                f"profile must be one of {PROFILES}, got {profile!r}"
-            )
-        self.profile = profile
         self.config = config or RFBMEConfig()
         self.rf = rf
         self.grid_shape = grid_shape
@@ -715,7 +658,6 @@ class RFBMEEngine:
         rows, cols = _field_ranges(self.rf, self.grid_shape, n_ty, n_tx)
         ty0, ty1 = rows[:, 0], rows[:, 1]
         tx0, tx1 = cols[:, 0], cols[:, 1]
-        self._ty0, self._ty1, self._tx0, self._tx1 = ty0, ty1, tx0, tx1
         counts = (
             count_int[ty1[:, None], tx1[None, :]]
             - count_int[ty0[:, None], tx1[None, :]]
@@ -800,16 +742,6 @@ class RFBMEEngine:
             self._bind_geometry()
 
     # ------------------------------------------------------------------ #
-    def _compute_sums(
-        self, key: np.ndarray, new: np.ndarray, out: np.ndarray
-    ) -> None:
-        """PR1 producer dispatch: tile SADs into ``out`` (n_off, n_off, ...)."""
-        self._workspace.load_key(key)
-        if self.backend == "kernel":
-            _tile_diffs_kernel(self._workspace, new, out)
-        else:
-            _tile_diffs_batched(self._workspace, new, out)
-
     def _consumer_fast(self, batch: int) -> Tuple[np.ndarray, np.ndarray]:
         """Workspace consumer over the producer outputs in ``_cws.sums``.
 
@@ -873,47 +805,6 @@ class RFBMEEngine:
         )
         return fields, errors
 
-    def _consumer_pr1(
-        self, sums: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """PR1 consumer over a stack of producer outputs.
-
-        ``sums`` is (B, n_off, n_off, n_ty, n_tx) raw tile SADs; returns
-        fields (B, out_h, out_w, 2) and errors (B, out_h, out_w).
-        Performs the same integral-image box sums, candidate masking, and
-        argmin as :func:`_consumer_loop`, elementwise across the whole
-        grid and batch at once — bit-identical results, no per-field
-        Python loop.  Kept (with its per-call allocations) as the
-        measurable ``"pr1"`` host profile.
-        """
-        batch = sums.shape[0]
-        n_ty, n_tx = self._n_ty, self._n_tx
-        out_h, out_w = self.grid_shape
-        n_off = len(self._offsets)
-        ty0, ty1, tx0, tx1 = self._ty0, self._ty1, self._tx0, self._tx1
-
-        stack = sums.transpose(0, 3, 4, 1, 2)  # (B, n_ty, n_tx, n_off, n_off)
-        filled = np.where(self._valid[None], stack, 0.0)
-        cost_int = np.zeros((batch, n_ty + 1, n_tx + 1, n_off, n_off))
-        cost_int[:, 1:, 1:] = filled.cumsum(axis=1).cumsum(axis=2)
-        costs = (
-            cost_int[:, ty1[:, None], tx1[None, :]]
-            - cost_int[:, ty0[:, None], tx1[None, :]]
-            - cost_int[:, ty1[:, None], tx0[None, :]]
-            + cost_int[:, ty0[:, None], tx0[None, :]]
-        )  # (B, out_h, out_w, n_off, n_off)
-        masked = np.where(self._candidate[None], costs, np.inf)
-        flat = masked.reshape(batch, out_h, out_w, n_off * n_off)
-        best = flat.argmin(axis=3)
-        oi, oj = best // n_off, best % n_off
-        chosen = np.take_along_axis(flat, best[..., None], axis=3)[..., 0]
-
-        fields = np.empty((batch, out_h, out_w, 2))
-        fields[..., 0] = np.where(self._ok[None], self._offsets[oi], 0.0)
-        fields[..., 1] = np.where(self._ok[None], self._offsets[oj], 0.0)
-        errors = np.where(self._ok[None], chosen / self._denom[None], 0.0)
-        return fields, errors
-
     def _package(self, field: np.ndarray, errors: np.ndarray) -> RFBMEResult:
         return RFBMEResult(
             field=VectorField(field),
@@ -970,42 +861,33 @@ class RFBMEEngine:
                     )
                 )
             return results
-        n_off = len(self._offsets)
-        if self.profile == "pr1":
-            sums = np.empty((len(pairs), n_off, n_off, self._n_ty, self._n_tx))
+        batch = len(pairs)
+        ws = self._cws
+        radius = self._workspace.radius
+        ws.ensure(batch, self._n_ty, self._n_tx, len(self._offsets))
+        if self.backend == "kernel":
+            kernel = get_kernel()
+            height, width = self.frame_shape
+            ws.ensure_kernel(batch, self.frame_shape, radius, self.grid_shape)
             for i, (key, new) in enumerate(pairs):
-                self._compute_sums(key, new, sums[i])
-            fields, errors = self._consumer_pr1(sums)
+                ws.pads[i, radius : radius + height, radius : radius + width] = key
+                ws.curs[i] = new
+            pads, curs, ci, fields, errors = ws.kernel_addrs
+            kernel.tile_sad_grid_batch(
+                batch, pads, curs, ws.sums_addr, *self._producer_args
+            )
+            kernel.rfbme_consume(
+                batch, ws.sums_addr, ci, fields, errors,
+                *self._consumer_args,
+            )
+            fields = ws.fields[:batch].copy()
+            errors = ws.errors[:batch].copy()
         else:
-            batch = len(pairs)
-            ws = self._cws
-            radius = self._workspace.radius
-            ws.ensure(batch, self._n_ty, self._n_tx, n_off)
-            if self.backend == "kernel":
-                kernel = get_kernel()
-                height, width = self.frame_shape
-                ws.ensure_kernel(batch, self.frame_shape, radius, self.grid_shape)
-                for i, (key, new) in enumerate(pairs):
-                    ws.pads[i, radius : radius + height, radius : radius + width] = key
-                    ws.curs[i] = new
-                pads, curs, ci, fields, errors = ws.kernel_addrs
-                kernel.tile_sad_grid_batch(
-                    batch, pads, curs, ws.sums_addr, *self._producer_args
-                )
-                kernel.rfbme_consume(
-                    batch, ws.sums_addr, ci, fields, errors,
-                    *self._consumer_args,
-                )
-                fields = ws.fields[:batch].copy()
-                errors = ws.errors[:batch].copy()
-            else:
-                for i, (key, new) in enumerate(pairs):
-                    self._workspace.load_key(key)
-                    _tile_diffs_batched_grid(self._workspace, new, ws.sums[i])
-                ws.ensure_numpy(
-                    batch, self.grid_shape[0] * self.grid_shape[1]
-                )
-                fields, errors = self._consumer_fast(batch)
+            for i, (key, new) in enumerate(pairs):
+                self._workspace.load_key(key)
+                _tile_diffs_batched_grid(self._workspace, new, ws.sums[i])
+            ws.ensure_numpy(batch, self.grid_shape[0] * self.grid_shape[1])
+            fields, errors = self._consumer_fast(batch)
         return [
             self._package(fields[i], errors[i]) for i in range(len(pairs))
         ]

@@ -31,9 +31,6 @@ The entry points share one shared object:
 * ``warp_bilinear_f64`` / ``warp_bilinear_f32`` — the bilinear AMC warp
   (§III-B) of :func:`repro.core.warp.warp_activation_batch`'s float
   path, which at batch 1 is otherwise all NumPy dispatch.
-* ``tile_sad`` — the original scalar producer in offset-major layout
-  (``out[oi][oj][ty][tx]``), kept verbatim as the ``"pr1"`` host-profile
-  baseline that the runtime benchmarks measure speedups against.
 
 The kernels are *accelerators, not semantics changes*: they reproduce
 their NumPy twins bit-for-bit (for the SAD producer, per tile one
@@ -783,46 +780,6 @@ void NAME(long n, const T *act, const double *fields, T *out,               \
 
 WARP_BILINEAR(warp_bilinear_f64, double)
 WARP_BILINEAR(warp_bilinear_f32, float)
-
-/* PR 1 producer, kept verbatim: offset-major out[oi][oj][ty][tx]. */
-void tile_sad(const double *pad, long pad_w,
-              const double *cur, long cur_w,
-              long n_ty, long n_tx, long tile,
-              const long *offs, long n_off, long radius,
-              double *out)
-{
-    double col[8];
-    for (long oi = 0; oi < n_off; ++oi) {
-        for (long oj = 0; oj < n_off; ++oj) {
-            const double *key = pad + (radius + offs[oi]) * pad_w
-                                    + (radius + offs[oj]);
-            for (long ty = 0; ty < n_ty; ++ty) {
-                for (long tx = 0; tx < n_tx; ++tx) {
-                    const double *a = cur + ty * tile * cur_w + tx * tile;
-                    const double *b = key + ty * tile * pad_w + tx * tile;
-                    for (long v = 0; v < tile; ++v)
-                        col[v] = 0.0;
-                    for (long u = 0; u < tile; ++u) {
-                        const double *ar = a + u * cur_w;
-                        const double *br = b + u * pad_w;
-                        for (long v = 0; v < tile; ++v)
-                            col[v] += fabs(ar[v] - br[v]);
-                    }
-                    double total;
-                    if (tile == 8)
-                        total = ((col[0] + col[1]) + (col[2] + col[3]))
-                              + ((col[4] + col[5]) + (col[6] + col[7]));
-                    else {
-                        total = col[0];
-                        for (long v = 1; v < tile; ++v)
-                            total += col[v];
-                    }
-                    *out++ = total;
-                }
-            }
-        }
-    }
-}
 """
 
 #: ``-ffp-contract=off``: GCC would otherwise fuse ``a*b + c`` into one
@@ -867,7 +824,6 @@ _GEMM = [_P, _L, _L, _P, _L, _P, _P, _F, _F, _P, _L]
 #: order (see the C source for shapes and dtypes).  Arrays travel as raw
 #: base addresses (:func:`addr`) through ``c_void_p``, sizes as ``long``.
 _SIGNATURES = {
-    "tile_sad": [_P, _L, _P, _L, _L, _L, _L, _P, _L, _L, _P],
     "tile_sad_grid_batch": (
         [_L, _P, _P, _P] + [_L] * 7 + [_P, _L, _L] + [_P] * 4
     ),
@@ -1068,14 +1024,7 @@ def _self_check(kernel: SADKernel) -> bool:
         n_off = len(offsets)
         n_ty, n_tx = shape[0] // tile, shape[1] // tile
         want = _numpy_reference(pad, cur, tile, offsets, radius)
-        out = np.empty((n_off, n_off, n_ty, n_tx))
         offs = offsets.astype(np.int64)
-        kernel.tile_sad(
-            addr(pad), pad.shape[1], addr(cur), cur.shape[1], n_ty, n_tx,
-            tile, addr(offs), n_off, radius, addr(out),
-        )
-        if not np.array_equal(out, want):
-            return False
         pads = np.ascontiguousarray(np.stack([pad, np.pad(cur, radius)]))
         curs = np.ascontiguousarray(np.stack([cur, key]))
         want2 = _numpy_reference(pads[1], curs[1], tile, offsets, radius)

@@ -19,8 +19,7 @@ Contracts:
   earlier stages.  The only state mutation is the one the lifecycle
   defines — a key frame being adopted by its executor, in two halves:
   its pixels in :func:`stage_adopt_pixels`, right after the decisions,
-  and its target activation in :func:`stage_cnn_prefix` (on the legacy
-  engine both happen inside :func:`stage_legacy_cnn`).
+  and its target activation in :func:`stage_cnn_prefix`.
 * **Declared effects.**  Besides its dataflow inputs/outputs, every
   stage declares which :class:`LaneState` *resources* it reads and
   writes (:data:`KEY_PIXELS`, :data:`KEY_STATE`, :data:`POLICY_STATE`,
@@ -33,10 +32,9 @@ Contracts:
   ``cnn_prefix``/``warp``/``cnn_suffix``/``record``.
 * **Bit identity.**  Each stage performs exactly the array operations of
   the monolithic lockstep step it was extracted from, in the same order,
-  so running the stages in sequence reproduces the previous
-  ``execute_batched_step`` — and therefore the serial per-clip pipeline
-  — bit for bit.  ``tests/test_stages.py`` asserts the slice-by-slice
-  equivalence.
+  so running the stages in sequence reproduces the serial per-clip
+  pipeline bit for bit.  ``tests/test_stages.py`` asserts the
+  slice-by-slice equivalence.
 * **Picklability.**  :class:`LaneState` round-trips through ``pickle``:
   executors drop their lazily rebuilt RFBME engines, networks drop their
   compiled inference plans, and :class:`PlanHandle` re-resolves the plan
@@ -80,7 +78,6 @@ __all__ = [
     "stage_cnn_prefix",
     "stage_warp",
     "stage_cnn_suffix",
-    "stage_legacy_cnn",
     "stage_record",
 ]
 
@@ -305,8 +302,8 @@ class StepBatch:
 
     ``positions`` index into ``state.slots`` (the slots taking part in
     this step, in slot order); ``frames`` holds each position's frame at
-    its current cursor; ``plan`` is the resolved inference plan for the
-    planned CNN engine (``None`` selects the legacy per-clip path).
+    its current cursor; ``plan`` is the resolved inference plan that runs
+    the step's CNN prefix and suffix.
 
     ``cursors`` snapshots each position's clip-local frame index at batch
     construction.  With one step in flight at a time the snapshot equals
@@ -484,32 +481,6 @@ def stage_cnn_suffix(
     for row, k in enumerate(keys + preds):
         aligned[k] = outputs[row]
     return aligned
-
-
-@_effects(
-    reads={KEY_STATE, KEY_PIXELS, PLAN_SCRATCH},
-    writes={KEY_STATE, KEY_PIXELS, PLAN_SCRATCH},
-)
-def stage_legacy_cnn(
-    batch: StepBatch,
-    decisions: Sequence[bool],
-    estimations: Sequence[Optional[RFBMEResult]],
-) -> np.ndarray:
-    """Per-clip CNN execution for the legacy engine (no whole-batch CNN).
-
-    RFBME is still batched by :func:`stage_rfbme`; this stage runs each
-    clip's prefix/warp/suffix through its executor exactly as the serial
-    pipeline would, in slot order.
-    """
-    outputs = [
-        batch.slot(k).executor.process_key(batch.frames[k])
-        if decisions[k]
-        else batch.slot(k).executor.process_predicted(
-            batch.frames[k], estimations[k]
-        )
-        for k in range(len(batch))
-    ]
-    return np.concatenate(outputs)
 
 
 @_effects(reads={CURSOR_STATE})

@@ -66,14 +66,13 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
 
 Every execution path produces bit-identical per-clip results; the choice
 is purely a throughput knob.  ``benchmarks/bench_runtime_throughput.py``
-and ``benchmarks/bench_serving.py`` measure the paths against the seed
-serial loop.
+and ``benchmarks/bench_serving.py`` measure the paths against serial
+execution.
 """
 
 from .batched import (
     BatchedPipeline,
     WorkloadResult,
-    execute_batched_step,
     run_workload,
 )
 from .frontdoor import (
@@ -145,7 +144,6 @@ __all__ = [
     "BatchedPipeline",
     "WorkloadResult",
     "run_workload",
-    "execute_batched_step",
     "ClipScheduler",
     "SchedulerConfig",
     "ShardCrashError",

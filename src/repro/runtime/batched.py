@@ -29,10 +29,6 @@ outputs, same key-frame decisions, same op counts.  Executor
 construction, policy setup, and all workspace allocation happen once per
 workload instead of per clip (or per frame).
 
-``cnn_batching=False`` (or a spec with ``cnn_engine="legacy"``) keeps
-the PR 1 behaviour — batched RFBME, per-clip CNN — which the runtime
-benchmark measures speedups against.
-
 :class:`WorkloadResult` aggregates the per-clip
 :class:`~repro.core.pipeline.PipelineResult` records with the throughput
 statistics (frames/sec, key fraction, total adder ops) that the CLI and
@@ -61,44 +57,7 @@ __all__ = [
     "WorkloadResult",
     "BatchedPipeline",
     "run_workload",
-    "execute_batched_step",
 ]
-
-def execute_batched_step(plan, entries) -> List[FrameRecord]:
-    """One lockstep step with whole-batch CNN execution.
-
-    ``entries`` is a sequence of ``(executor, policy, frame, frame_index,
-    estimation)`` tuples — one per clip taking part in this step, where
-    ``frame_index`` is the clip-local frame number (policies see the same
-    index they would in a serial run) and ``estimation`` is the clip's
-    RFBME result for this frame (None before its first key frame).  All
-    executors must share one network, target, and AMC config, and
-    ``plan`` must have capacity for ``len(entries)``.
-
-    This is now a thin compatibility wrapper over the stage graph
-    (:func:`~repro.runtime.stage_graph.frame_lifecycle_graph`): it builds
-    a transient :class:`~repro.core.stages.LaneState` from the entries,
-    seeds the precomputed estimations (so the ``rfbme`` stage is
-    skipped), and runs the remaining stages.  Every stage is bitwise
-    equal to the per-clip path, so the returned records — aligned with
-    ``entries`` — match serial execution exactly.
-    """
-    state = LaneState(
-        slots=[
-            LaneSlot(executor=executor, policy=policy, cursor=index)
-            for executor, policy, _, index, _ in entries
-        ]
-    )
-    batch = StepBatch(
-        state=state,
-        positions=range(len(entries)),
-        frames=[frame for _, _, frame, _, _ in entries],
-        plan=plan,
-    )
-    env = frame_lifecycle_graph(planned=True).run(
-        batch, seed={"estimations": [entry[4] for entry in entries]}
-    )
-    return env["records"]
 
 
 @dataclass
@@ -244,11 +203,6 @@ class WorkloadResult:
 class BatchedPipeline:
     """Run a multi-clip workload in lockstep with batched hot paths.
 
-    ``cnn_batching`` selects whether CNN execution (prefix, warp, suffix)
-    also runs as whole-batch calls (requires the planned CNN engine);
-    ``None`` enables it exactly when the spec uses the planned engine.
-    ``False`` reproduces the PR 1 lockstep: batched RFBME, per-clip CNN.
-
     ``pipeline_depth`` (default: the spec's) selects sequential step
     execution (1) or the software-pipelined
     :class:`~repro.runtime.stage_graph.StageExecutor` (2): step
@@ -270,19 +224,10 @@ class BatchedPipeline:
     def __init__(
         self,
         spec: PipelineSpec,
-        cnn_batching: Optional[bool] = None,
         pipeline_depth: Optional[int] = None,
         prefix_cache_mb: float = 0.0,
     ):
-        if cnn_batching is None:
-            cnn_batching = spec.cnn_engine == "planned"
-        if cnn_batching and spec.cnn_engine != "planned":
-            raise ValueError(
-                "cross-clip CNN batching requires cnn_engine='planned', "
-                f"got {spec.cnn_engine!r}"
-            )
         self.spec = spec
-        self.cnn_batching = cnn_batching
         self.pipeline_depth = (
             spec.pipeline_depth if pipeline_depth is None else pipeline_depth
         )
@@ -310,18 +255,15 @@ class BatchedPipeline:
                 )
                 for _ in clips
             ],
-            plan=(
-                PlanHandle(network, self.spec.dtype)
-                if self.cnn_batching
-                else None
-            ),
+            plan=PlanHandle(network, self.spec.dtype),
         )
         for slot in state.slots:
             slot.executor.reset()
             slot.policy.reset()
-        graph = frame_lifecycle_graph(planned=self.cnn_batching)
-        executor = StageExecutor(graph, pipeline_depth=self.pipeline_depth)
-        plan = state.plan.resolve(len(clips)) if state.plan and clips else None
+        executor = StageExecutor(
+            frame_lifecycle_graph(), pipeline_depth=self.pipeline_depth
+        )
+        plan = state.plan.resolve(len(clips)) if clips else None
         # Lockstep already fuses coincident key frames within a step, so
         # the service is pure cache here (coalesce off).
         service = (
@@ -383,7 +325,6 @@ def run_workload(
     clips: Sequence[VideoClip],
     batch: bool = True,
     scheduler: Optional[SchedulerConfig] = None,
-    cnn_batching: Optional[bool] = None,
     prefix_cache_mb: float = 0.0,
 ) -> WorkloadResult:
     """Execute a workload on the path implied by the arguments.
@@ -391,11 +332,10 @@ def run_workload(
     ``scheduler`` with more than one worker selects the pooled
     :class:`~repro.runtime.scheduler.ClipScheduler`; otherwise ``batch``
     picks lockstep (default) or plain serial execution.
-    ``cnn_batching`` forwards to :class:`BatchedPipeline` (None = batch
-    the CNN whenever the spec's planned engine allows it), as does
-    ``prefix_cache_mb`` (> 0 enables the content-addressed prefix cache
-    on the lockstep path; serial and scheduled paths ignore it).  Every
-    path returns identical per-clip results.
+    ``prefix_cache_mb`` forwards to :class:`BatchedPipeline` (> 0
+    enables the content-addressed prefix cache on the lockstep path;
+    serial and scheduled paths ignore it).  Every path returns identical
+    per-clip results.
     """
     dtype = resolve_plan_dtype(spec.dtype)
     savings = quantized_savings(spec.shared_network(), spec.dtype)
@@ -413,7 +353,7 @@ def run_workload(
         )
     if batch:
         return BatchedPipeline(
-            spec, cnn_batching=cnn_batching, prefix_cache_mb=prefix_cache_mb
+            spec, prefix_cache_mb=prefix_cache_mb
         ).run_workload(clips)
     start = time.perf_counter()
     results = spec.build().run_clips(clips)

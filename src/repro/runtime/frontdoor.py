@@ -669,8 +669,6 @@ class ServerConfig:
     prefix_cache_mb: float = 0.0
     #: inference plan family every lane runs under ("float64",
     #: "float32", "int8", "q16"); None keeps each lane spec's own dtype.
-    #: The quantized families need the planned CNN engine — validated
-    #: against the lane specs when the runtime is constructed.
     inference_dtype: Optional[str] = None
 
     def __post_init__(self):

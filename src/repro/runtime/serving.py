@@ -94,11 +94,7 @@ import numpy as np
 from ..core.pipeline import FrameRecord, PipelineResult
 from ..core.stages import LaneSlot, LaneState, PlanHandle, StepBatch
 from ..hardware.fixed_point import QuantSavings
-from ..nn.inference import (
-    QUANT_DTYPES,
-    quantized_savings,
-    resolve_plan_dtype,
-)
+from ..nn.inference import quantized_savings, resolve_plan_dtype
 from ..video.generator import VideoClip
 from .batched import WorkloadResult
 from .frontdoor import (
@@ -619,23 +615,12 @@ class LaneWorker:
             executor = spec.build_executor(network)
             executor.reset()
             slots.append(LaneSlot(executor=executor))
-        plan_handle = (
-            PlanHandle(network, spec.dtype)
-            if spec.cnn_engine == "planned"
-            else None
-        )
-        if plan_handle is not None:
-            plan_handle.resolve(capacity)  # compile at capacity up front
+        plan_handle = PlanHandle(network, spec.dtype)
+        plan_handle.resolve(capacity)  # compile at capacity up front
         self.state = LaneState(slots=slots, plan=plan_handle)
-        self.graph = frame_lifecycle_graph(planned=plan_handle is not None)
         self.executor = StageExecutor(
-            self.graph, pipeline_depth=spec.pipeline_depth
+            frame_lifecycle_graph(), pipeline_depth=spec.pipeline_depth
         )
-        #: whether uncertain step boundaries may pipeline speculatively.
-        #: Requires a speculation-safe graph: the legacy graph's head
-        #: includes per-clip CNN execution (un-checkpointable key
-        #: state), so it falls back to PR 5's stable-only overlap.
-        self.speculate = spec.speculate and self.executor.speculation_safe
         #: the pipelined next-step batch (its head stages already ran).
         self._pending: Optional[StepBatch] = None
         #: the in-flight (batch, positions, env) between ``begin_step``
@@ -652,8 +637,8 @@ class LaneWorker:
     # -------------------------------------------------------------- #
     @property
     def plan(self):
-        """The lane's live inference plan (None on the legacy engine)."""
-        return self.state.plan.resolve() if self.state.plan else None
+        """The lane's live inference plan."""
+        return self.state.plan.resolve()
 
     def has_free_slot(self) -> bool:
         return any(resident is None for resident in self.residents)
@@ -686,11 +671,7 @@ class LaneWorker:
                 ]
                 for i in positions
             ],
-            plan=(
-                self.state.plan.resolve(len(positions))
-                if self.state.plan
-                else None
-            ),
+            plan=self.state.plan.resolve(len(positions)),
             cursors=[self.state.slots[i].cursor + advance for i in positions],
             prefix_service=self.prefix_service,
         )
@@ -727,8 +708,7 @@ class LaneWorker:
 
         One pass of the stage executor at current occupancy: batched
         RFBME over the slots with a stored key, per-clip decisions at
-        clip-local cursors, then the batched (or legacy per-clip) CNN
-        stages.  Slots whose clip finished release their executor and
+        clip-local cursors, then the batched CNN stages.  Slots whose clip finished release their executor and
         free up for the next admission.
 
         With a pipelined spec (``pipeline_depth >= 2``) the next step's
@@ -792,7 +772,7 @@ class LaneWorker:
             return None, False
         if self._membership_stable(positions):
             return self._build_batch(positions, advance=1), False
-        if not self.speculate:
+        if not self.spec.speculate:
             return None, False
         # Slots past their last frame depart this step for sure; everyone
         # else survives into step t+1 (admissions can only fill *other*
@@ -866,8 +846,7 @@ class LaneWorker:
                 self.state.slots[index].executor.release()
                 self.state.slots[index].policy = None
                 self.residents[index] = None
-        if self.state.plan is not None:
-            self.state.plan.resolve().shrink(1)
+        self.state.plan.resolve().shrink(1)
 
 
 class Router:
@@ -1485,17 +1464,7 @@ class ServingRuntime:
         self.config = config
         if config.inference_dtype is not None:
             # One dtype for every lane (per-lane dtypes come from per-lane
-            # specs).  The quantized families exist only in the planned
-            # engine — refuse a legacy-engine lane rather than silently
-            # serving float.
-            for name, lane_spec in specs.items():
-                if (config.inference_dtype in QUANT_DTYPES
-                        and lane_spec.cnn_engine != "planned"):
-                    raise ValueError(
-                        f"inference_dtype={config.inference_dtype!r} needs "
-                        f"cnn_engine='planned', but lane {name!r} uses "
-                        f"{lane_spec.cnn_engine!r}"
-                    )
+            # specs).
             specs = {
                 name: replace(lane_spec, dtype=config.inference_dtype)
                 for name, lane_spec in specs.items()

@@ -62,15 +62,8 @@ class PipelineSpec:
     search_stride: int = 2
     #: RFBME host backend; None = fastest available (see repro.core.rfbme).
     rfbme_backend: Optional[str] = None
-    #: RFBME host tuning profile ("fast"/"pr1"); results are identical,
-    #: "pr1" reproduces the previous release's wall-clock behaviour.
-    rfbme_profile: str = "fast"
-    #: CNN execution engine ("planned"/"legacy"); see
-    #: :class:`repro.core.amc.AMCConfig`.
-    cnn_engine: str = "planned"
-    #: CNN arithmetic ("float64"/"float32"/"int8"/"q16").  float32 and
-    #: the quantized lanes need the planned engine; the quantized lanes
-    #: trade bit-identity for throughput under a calibrated
+    #: CNN arithmetic ("float64"/"float32"/"int8"/"q16"); the quantized
+    #: lanes trade bit-identity for throughput under a calibrated
     #: :class:`~repro.nn.quantize.QuantTolerance` contract.
     dtype: str = "float64"
     #: runtime step pipelining depth (see
@@ -96,9 +89,12 @@ class PipelineSpec:
                 f"network must be one of {sorted(PAPER_MODES)}, "
                 f"got {self.network!r}"
             )
-        # Fail on a bad backend now, not minutes later when the first
-        # predicted frame lazily builds the RFBME engine.
+        # Fail on a bad backend or policy parameter now, not minutes
+        # later when the first predicted frame lazily builds the RFBME
+        # engine or the first clip (maybe in a shard process) builds
+        # its policy.
         self.amc_config()
+        self.build_policy()
 
     # ------------------------------------------------------------------ #
     def amc_config(self) -> AMCConfig:
@@ -107,8 +103,6 @@ class PipelineSpec:
             mode=mode,
             rfbme=RFBMEConfig(self.search_radius, self.search_stride),
             rfbme_backend=self.rfbme_backend,
-            rfbme_profile=self.rfbme_profile,
-            cnn_engine=self.cnn_engine,
             dtype=self.dtype,
             pipeline_depth=self.pipeline_depth,
             speculate=self.speculate,

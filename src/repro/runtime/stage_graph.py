@@ -9,15 +9,11 @@ construction, and executed over a shared value environment.  The stage
 bodies are the pure functions of :mod:`repro.core.stages`; this module
 declares how they wire together and *when* they run.
 
-Two graphs cover the two CNN engines:
-
-* **planned** — ``rfbme → decide → adopt_pixels → cnn_prefix → warp →
-  cnn_suffix → record``: key frames store their pixels, the key-frame
-  branch runs the batched CNN prefix, the predicted branch warps stored
-  activations, and one suffix call covers both (the whole-batch
-  lifecycle).
-* **legacy** — ``rfbme → decide → legacy_cnn → record``: batched RFBME
-  with per-clip CNN execution (the PR 1 shape).
+One graph, :func:`frame_lifecycle_graph`, covers the lifecycle:
+``rfbme → decide → adopt_pixels → cnn_prefix → warp → cnn_suffix →
+record``.  Key frames store their pixels, the key-frame branch runs the
+batched CNN prefix, the predicted branch warps stored activations, and
+one suffix call covers both (the whole-batch lifecycle).
 
 Validation raises *named* errors so callers can tell failure modes
 apart: :class:`UndeclaredInputError` (an input no stage produces),
@@ -32,7 +28,7 @@ it keeps *two in-flight step contexts*: the graph's declared resource
 sets prove which prefix of step ``t+1`` conflicts with which suffix of
 step ``t`` (:meth:`StageGraph.overlap_split`), and the executor
 software-pipelines the conflict-free head — ``rfbme``/``decide`` on the
-planned graph — into step ``t``'s tail window
+lifecycle graph — into step ``t``'s tail window
 (``cnn_prefix``/``warp``/``cnn_suffix``/``record``), on a worker
 thread.  Only ``rfbme`` touches the lane's RFBME engine and at most one
 head is in flight, and each context carries its own cursor snapshot, so
@@ -59,9 +55,9 @@ possible admissions/evictions and eats the occasional rollback.
 launches, and rollbacks per executor.
 
 Seeding: :meth:`StageGraph.run` accepts precomputed values; a stage
-whose outputs are all seeded is skipped.  That is how callers that
-already ran RFBME (e.g. :func:`~repro.runtime.batched.
-execute_batched_step`'s entries) reuse the rest of the graph.
+whose outputs are all seeded is skipped.  That is how a caller that
+already ran RFBME seeds its ``estimations`` and reuses the rest of the
+graph.
 """
 
 from __future__ import annotations
@@ -407,11 +403,11 @@ class StageGraph:
         tail stage — which is exactly the proof that step ``t+1``'s head
         may run while step ``t``'s tail is still in flight.  ``mid`` is
         whatever sits between: it must finish in step ``t`` before the
-        next head starts (on the planned graph that is ``adopt_pixels``,
+        next head starts (on the lifecycle graph that is ``adopt_pixels``,
         whose stored key pixels the next ``rfbme`` reads).  Among valid
         splits the largest tail wins (it is the overlap window), then
         the largest head; an empty head or tail means the graph cannot
-        pipeline.  The head never reaches a ``fence`` stage: the planned
+        pipeline.  The head never reaches a ``fence`` stage: the lifecycle
         graph fences ``adopt_pixels``, which would fit in the head by
         its resource sets alone but writes key pixels, which a
         speculative head could not roll back.  Memoised on the instance
@@ -491,7 +487,7 @@ class StageExecutor:
         # (see begin_step/finish_step).  Everything before the barrier
         # runs in phase 1, everything from it onward in phase 2.  A
         # pipelined executor puts it at the end of mid, where the next
-        # head launches (on the planned graph cnn_prefix opens the
+        # head launches (on the lifecycle graph cnn_prefix opens the
         # tail); a sequential one right before ``cnn_prefix``, if any.
         barrier = len(self.mid) if self.pipelined else next(
             (i for i, stage in enumerate(self.mid)
@@ -528,7 +524,7 @@ class StageExecutor:
 
         The head stages may write scratch resources freely (dead between
         steps by definition) but every *persistent* resource they write
-        must be checkpointable — on the lifecycle graphs that is
+        must be checkpointable — on the lifecycle graph that is
         ``decide``'s :data:`~repro.core.stages.POLICY_STATE`.  A graph
         whose head writes, say, key state cannot speculate: there is no
         checkpoint to roll back to.
@@ -718,7 +714,7 @@ class StageExecutor:
         barrier.
 
         Joins (or runs inline) the head stages and the pre-barrier slice
-        of ``mid``, so on the lifecycle graphs the returned env already
+        of ``mid``, so on the lifecycle graph the returned env already
         holds this step's final ``decisions`` — including any rollback +
         replay a mispredicted speculative head required.  ``next_batch``
         and ``speculative`` are :meth:`step`'s handoff: a pipelined
@@ -779,39 +775,26 @@ class StageExecutor:
 
 
 @functools.lru_cache(maxsize=None)
-def frame_lifecycle_graph(planned: bool = True) -> StageGraph:
+def frame_lifecycle_graph() -> StageGraph:
     """The EVA2 frame lifecycle as a stage graph.
 
-    ``planned`` selects whole-batch CNN execution (prefix for coincident
-    key frames, one warp batch, one suffix call); ``False`` gives the
-    legacy per-clip CNN path behind the shared RFBME batch.  Graphs are
-    stateless declarations, so each shape is built once and shared by
-    every caller (lockstep and serving run the same objects).
+    Whole-batch CNN execution: one prefix call for coincident key
+    frames, one warp batch, one suffix call.  The graph is a stateless
+    declaration, so it is built once and shared by every caller
+    (lockstep and serving run the same object).
     """
-    head = [
+    return StageGraph([
         Stage("rfbme", _stages.stage_rfbme, ("batch",), ("estimations",)),
         Stage("decide", _stages.stage_decide, ("batch", "estimations"),
               ("decisions",)),
-    ]
-    if planned:
-        body = [
-            Stage("adopt_pixels", _stages.stage_adopt_pixels,
-                  ("batch", "decisions"), ("key_positions",)),
-            Stage("cnn_prefix", _stages.stage_cnn_prefix,
-                  ("batch", "decisions"), ("key_acts",)),
-            Stage("warp", _stages.stage_warp,
-                  ("batch", "decisions", "estimations"), ("pred_acts",)),
-            Stage("cnn_suffix", _stages.stage_cnn_suffix,
-                  ("batch", "decisions", "key_acts", "pred_acts"),
-                  ("outputs",)),
-        ]
-    else:
-        body = [
-            Stage("legacy_cnn", _stages.stage_legacy_cnn,
-                  ("batch", "decisions", "estimations"), ("outputs",)),
-        ]
-    tail = [
+        Stage("adopt_pixels", _stages.stage_adopt_pixels,
+              ("batch", "decisions"), ("key_positions",)),
+        Stage("cnn_prefix", _stages.stage_cnn_prefix,
+              ("batch", "decisions"), ("key_acts",)),
+        Stage("warp", _stages.stage_warp,
+              ("batch", "decisions", "estimations"), ("pred_acts",)),
+        Stage("cnn_suffix", _stages.stage_cnn_suffix,
+              ("batch", "decisions", "key_acts", "pred_acts"), ("outputs",)),
         Stage("record", _stages.stage_record,
               ("batch", "decisions", "estimations", "outputs"), ("records",)),
-    ]
-    return StageGraph(head + body + tail)
+    ])

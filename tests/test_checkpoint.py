@@ -34,10 +34,13 @@ from repro.core.stages import (
 from repro.runtime import (
     Checkpointable,
     ClipRequest,
+    PipelineContractError,
     PipelineSpec,
     ServerConfig,
     ServingRuntime,
+    Stage,
     StageExecutor,
+    StageGraph,
     frame_lifecycle_graph,
     run_workload,
     synthetic_workload,
@@ -233,24 +236,34 @@ class TestResourceRoundTrip:
         restore_resource(batch, CURSOR_STATE, None)
 
 
+def _unfenced_lifecycle_graph():
+    """The lifecycle graph with its fence dropped: ``adopt_pixels`` then
+    joins the pipelined head, which thereby writes key pixels — a
+    persistent resource no checkpoint covers."""
+    return StageGraph([
+        Stage(stage.name, stage.fn, stage.inputs, stage.outputs,
+              stage.reads, stage.writes, fence=False)
+        for stage in frame_lifecycle_graph()
+    ])
+
+
 class TestExecutorSpeculationGuards:
-    def test_legacy_graph_is_speculation_unsafe(self):
-        executor = StageExecutor(
-            frame_lifecycle_graph(planned=False), pipeline_depth=2
-        )
+    def test_unfenced_graph_is_speculation_unsafe(self):
+        executor = StageExecutor(_unfenced_lifecycle_graph(), pipeline_depth=2)
+        assert "adopt_pixels" in {stage.name for stage in executor.head}
         assert not executor.speculation_safe
-        # the planned graph's head (rfbme + decide) is safe
+        # the lifecycle graph's head (rfbme + decide) is safe
         assert StageExecutor(
-            frame_lifecycle_graph(planned=True), pipeline_depth=2
+            frame_lifecycle_graph(), pipeline_depth=2
         ).speculation_safe
 
-    def test_speculating_on_unsafe_graph_raises(self, clips):
-        legacy = PipelineSpec(network=NETWORK, cnn_engine="legacy",
-                              pipeline_depth=2)
-        worker = LaneWorker("default", legacy, capacity=1)
+    def test_speculating_on_unsafe_graph_raises(self, spec, clips):
+        worker = LaneWorker("default", spec, capacity=1)
+        worker.executor = StageExecutor(
+            _unfenced_lifecycle_graph(), pipeline_depth=2
+        )
         worker.admit(0, ClipRequest(request_id=0, clip=clips[0]), now=0.0)
         batch = worker._build_batch(worker.state.occupied())
-        from repro.runtime.stage_graph import PipelineContractError
 
         with pytest.raises(PipelineContractError, match="cannot speculate"):
             worker.executor.step(batch, next_batch=batch, speculative=True)

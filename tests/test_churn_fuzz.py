@@ -269,20 +269,6 @@ class TestForcedChurn:
         assert report.speculated == 0
         assert report.rollbacks == 0
 
-    def test_legacy_engine_falls_back_to_stable_overlap(self, churn_trace):
-        """The legacy graph's head runs per-clip CNNs (un-checkpointable
-        key state), so the worker must refuse to speculate on it and
-        serve the churn trace with PR 5's stable-only overlap instead."""
-        clips, arrivals = churn_trace
-        spec = PipelineSpec(
-            network=NETWORK, cnn_engine="legacy", pipeline_depth=2
-        )
-        serial = run_workload(spec, clips, batch=False)
-        report = _serve(spec, clips, arrivals, capacity=3)
-        _assert_identical(report, serial)
-        assert report.speculated == 0
-        assert report.rollbacks == 0
-
     def test_static_policy_counter_survives_rollback(self, churn_trace):
         """StaticPolicy's interval counter is pure policy state — a
         missed rollback would shift every later key decision, so this

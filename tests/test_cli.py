@@ -115,6 +115,12 @@ class TestCLI:
         assert main(["serve", "--pipeline-depth", "0"]) == 2
         assert "--pipeline-depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1"])
+    def test_bad_threshold_rejected(self, capsys, threshold):
+        for command in ("run", "serve"):
+            assert main([command, f"--threshold={threshold}"]) == 2
+            assert "--threshold" in capsys.readouterr().err
+
     def test_serve_bad_serve_workers_rejected(self, capsys):
         assert main(["serve", "--serve-workers", "0"]) == 2
         assert "--serve-workers" in capsys.readouterr().err

@@ -25,7 +25,6 @@ from repro.runtime import (
     FaultEvent,
     FaultPlan,
     IteratorSource,
-    ListSource,
     PipelineSpec,
     QueueSource,
     ServerConfig,

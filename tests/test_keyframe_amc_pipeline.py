@@ -76,8 +76,12 @@ class TestPolicies:
         assert decisions == [True, False, False, True, False, False, True]
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            MatchErrorPolicy(threshold=-1.0)
+        # NaN would pass a `< 0` check, then no metric ever exceeds it
+        # and key frames silently stop refreshing.
+        for threshold in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                MatchErrorPolicy(threshold=threshold)
+        MatchErrorPolicy(threshold=float("inf"))  # never refresh: legal
         with pytest.raises(ValueError):
             MotionMagnitudePolicy(threshold=1.0, max_gap=0)
 
@@ -167,6 +171,11 @@ class TestAMCExecutor:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             AMCConfig(mode="extrapolate")
+
+    def test_invalid_interpolation(self):
+        """Rejected at construction, not at the first predicted frame."""
+        with pytest.raises(ValueError, match="interpolation"):
+            AMCConfig(interpolation="cubic")
 
     def test_frame_shape_validation(self, trained_fasterm, rng):
         executor = AMCExecutor(trained_fasterm)

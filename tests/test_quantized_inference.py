@@ -21,7 +21,6 @@ import pytest
 
 from repro.nn import InferencePlan
 from repro.nn.inference import (
-    QUANT_DTYPES,
     quantized_savings,
     resolve_plan_dtype,
 )

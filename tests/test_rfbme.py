@@ -141,18 +141,17 @@ class TestBackendEquivalence:
         _assert_bit_identical(first, again)
 
     @pytest.mark.parametrize(
-        "backend,profile",
-        [("loop", "fast"), ("batched", "fast"), ("batched", "pr1"),
-         ("kernel", "fast"), ("kernel", "pr1")],
+        "backend",
+        ["loop", "batched", "kernel"],
+        ids=["loop-fast", "batched-fast", "kernel-fast"],  # stable test ids
     )
-    def test_results_survive_the_next_call(self, rng, backend, profile):
+    def test_results_survive_the_next_call(self, rng, backend):
         """Step t's estimations are unchanged after step t+1's RFBME ran
         on the same engine: every backend hands out arrays it owns, so
         the pipelined executor needs one engine per lane, not two."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # no kernel
-            engine = RFBMEEngine((64, 64), RF, GRID, backend=backend,
-                                 profile=profile)
+            engine = RFBMEEngine((64, 64), RF, GRID, backend=backend)
         pairs = [(textured_frame(rng), textured_frame(rng)) for _ in range(4)]
         step_t = engine.estimate_batch(pairs)
         kept = [
@@ -362,7 +361,8 @@ def test_translation_recovery_property(dy, dx):
 
 
 class TestHostProfiles:
-    """"fast" and "pr1" are wall-clock knobs only: identical results."""
+    """The vectorized backends are wall-clock knobs only: identical
+    results to the loop oracle."""
 
     def test_profiles_and_backends_agree(self):
         rng = np.random.default_rng(20)
@@ -371,21 +371,17 @@ class TestHostProfiles:
             (rng.random((64, 64)), rng.random((64, 64))) for _ in range(5)
         ]
         engines = {
-            (backend, profile): RFBMEEngine(
-                (64, 64), rf, (8, 8), backend=backend, profile=profile
-            )
+            backend: RFBMEEngine((64, 64), rf, (8, 8), backend=backend)
             for backend in ("kernel", "batched")
-            for profile in ("fast", "pr1")
         }
         reference = RFBMEEngine((64, 64), rf, (8, 8), backend="loop")
         want = reference.estimate_batch(pairs)
-        for (backend, profile), engine in engines.items():
+        for backend, engine in engines.items():
             got = engine.estimate_batch(pairs)
             for a, b in zip(got, want):
-                label = f"{backend}/{profile}"
-                assert np.array_equal(a.field.data, b.field.data), label
-                assert np.array_equal(a.match_errors, b.match_errors), label
-                assert a.ops == b.ops, label
+                assert np.array_equal(a.field.data, b.field.data), backend
+                assert np.array_equal(a.match_errors, b.match_errors), backend
+                assert a.ops == b.ops, backend
 
     def test_varying_batch_sizes_reuse_workspace(self):
         rng = np.random.default_rng(21)
@@ -401,8 +397,3 @@ class TestHostProfiles:
             for a, b in zip(got, want):
                 assert np.array_equal(a.field.data, b.field.data)
                 assert np.array_equal(a.match_errors, b.match_errors)
-
-    def test_bad_profile_rejected(self):
-        rf = ReceptiveField(size=24, stride=8, padding=0)
-        with pytest.raises(ValueError):
-            RFBMEEngine((64, 64), rf, (8, 8), profile="fastest")

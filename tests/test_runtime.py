@@ -66,6 +66,17 @@ class TestPipelineSpec:
         with pytest.raises(ValueError):
             PipelineSpec(network="mini_fastrm")
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(policy="match_error", threshold=-1.0),
+        dict(policy="match_error", threshold=float("nan")),
+        dict(policy="motion", threshold=float("nan")),
+        dict(policy="static", interval=0),
+    ])
+    def test_bad_policy_parameter_rejected_at_construction(self, kwargs):
+        """Not at the first admission, which may be in a shard process."""
+        with pytest.raises(ValueError):
+            PipelineSpec(**kwargs)
+
     def test_paper_mode_defaults(self):
         assert PipelineSpec(network="mini_alexnet").amc_config().mode == "memoize"
         assert PipelineSpec(network="mini_fasterm").amc_config().mode == "warp"
@@ -236,24 +247,6 @@ class TestBatchedPipeline:
         _assert_identical(lockstep, serial_result)
         assert lockstep.path == "lockstep"
 
-    def test_lockstep_without_cnn_batching_matches_serial(
-        self, spec, workload, serial_result
-    ):
-        """The PR 1 execution shape (batched RFBME, per-clip CNN) still
-        produces identical results."""
-        lockstep = BatchedPipeline(spec, cnn_batching=False).run_workload(workload)
-        _assert_identical(lockstep, serial_result)
-
-    def test_legacy_engine_and_pr1_profile_match(self, workload, serial_result):
-        """The legacy CNN engine + pr1 RFBME host profile — the runtime
-        benchmark's baseline — reproduces the same results bit for bit."""
-        legacy = PipelineSpec(
-            network=NETWORK, cnn_engine="legacy", rfbme_profile="pr1"
-        )
-        for batch in (False, True):
-            result = run_workload(legacy, workload, batch=batch)
-            _assert_identical(result, serial_result)
-
     def test_memoize_network_lockstep_matches_serial(self):
         """Cross-clip CNN batching with memoization (classification
         networks) is bit-identical too."""
@@ -283,19 +276,6 @@ class TestBatchedPipeline:
         serial = run_workload(f32, workload, batch=False)
         lockstep = run_workload(f32, workload, batch=True)
         _assert_identical(lockstep, serial)
-
-    def test_cnn_batching_requires_planned_engine(self):
-        legacy = PipelineSpec(network=NETWORK, cnn_engine="legacy")
-        with pytest.raises(ValueError):
-            BatchedPipeline(legacy, cnn_batching=True)
-
-    def test_float32_requires_planned_engine(self):
-        with pytest.raises(ValueError):
-            PipelineSpec(network=NETWORK, cnn_engine="legacy", dtype="float32")
-
-    def test_bad_profile_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineSpec(network=NETWORK, rfbme_profile="pr2")
 
     def test_ragged_clip_lengths(self, spec, serial_result):
         """Clips of different lengths run in lockstep without padding."""
@@ -388,15 +368,6 @@ class TestPipelinedLockstep:
         serial = run_workload(memo, clips, batch=False)
         piped = run_workload(memo, clips, batch=True)
         _assert_identical(piped, serial)
-
-    def test_pipelined_legacy_engine(self, workload, serial_result):
-        """The legacy graph's overlap window is just `record`, but the
-        executor path must stay bit-identical there too."""
-        legacy = PipelineSpec(
-            network=NETWORK, cnn_engine="legacy", pipeline_depth=2
-        )
-        piped = run_workload(legacy, workload, batch=True)
-        _assert_identical(piped, serial_result)
 
     def test_depth_beyond_two_behaves_as_two(self, spec, workload,
                                              serial_result):

@@ -124,14 +124,6 @@ class TestBitIdentity:
         report = ServingRuntime(spec, ServerConfig(max_batch=2)).serve(_requests(clips))
         _assert_identical(report, serial)
 
-    def test_legacy_engine_serving(self, clips):
-        """The legacy CNN engine serves per-clip inside the shared RFBME
-        batch and stays bit-identical."""
-        legacy = PipelineSpec(network=NETWORK, cnn_engine="legacy")
-        serial = run_workload(legacy, clips, batch=False)
-        report = ServingRuntime(legacy, ServerConfig(max_batch=3)).serve(_requests(clips))
-        _assert_identical(report, serial)
-
     def test_full_width_server_matches_serial(self, spec):
         """The serving benchmark's max-batch-16 shape is covered by the
         gating suite too — large-occupancy identity must block a merge,

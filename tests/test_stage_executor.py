@@ -168,7 +168,7 @@ class TestWriteSetEnforcement:
         """The real frame lifecycle runs clean under full enforcement —
         every mutation it performs is one it declared."""
         batch = self._occupied_batch(spec, clips)
-        env = frame_lifecycle_graph(planned=True).run(
+        env = frame_lifecycle_graph().run(
             batch, enforce_writes=True
         )
         assert len(env["records"]) == len(batch)
@@ -179,7 +179,7 @@ class TestWriteSetEnforcement:
         batch = self._occupied_batch(spec, clips)
         env = {"batch": batch}
         changed = {}
-        for stage in frame_lifecycle_graph(planned=True):
+        for stage in frame_lifecycle_graph():
             before = {resource: fingerprint_resource(batch, resource)
                       for resource in (KEY_PIXELS, KEY_STATE)}
             result = stage.fn(*[env[name] for name in stage.inputs])
@@ -213,7 +213,7 @@ class TestWriteSetEnforcement:
             Stage(stage.name, prefix_and_pixels, stage.inputs,
                   stage.outputs, stage.reads, stage.writes)
             if stage.name == "cnn_prefix" else stage
-            for stage in frame_lifecycle_graph(planned=True)
+            for stage in frame_lifecycle_graph()
         ])
         with pytest.raises(WriteSetViolationError, match="key_pixels"):
             graph.run(batch, enforce_writes=True)
@@ -224,7 +224,7 @@ class TestOverlapSplit:
         """The paper's overlap: RFBME/decide against the whole CNN —
         prefix, warp, suffix, record — fenced only by adopt_pixels (the
         stored key pixels feed the next RFBME)."""
-        head, mid, tail = frame_lifecycle_graph(planned=True).overlap_split()
+        head, mid, tail = frame_lifecycle_graph().overlap_split()
         assert [stage.name for stage in head] == ["rfbme", "decide"]
         assert [stage.name for stage in mid] == ["adopt_pixels"]
         assert [stage.name for stage in tail] == ["cnn_prefix", "warp",
@@ -233,7 +233,7 @@ class TestOverlapSplit:
     def test_fence_keeps_stage_out_of_head(self):
         """adopt_pixels fits in the head by its resource sets alone; its
         fence is what keeps the head rollback-able."""
-        graph = frame_lifecycle_graph(planned=True)
+        graph = frame_lifecycle_graph()
         unfenced = StageGraph([
             Stage(stage.name, stage.fn, stage.inputs, stage.outputs,
                   stage.reads, stage.writes, fence=False)
@@ -244,12 +244,6 @@ class TestOverlapSplit:
                                                   "adopt_pixels"]
         assert mid == ()
         assert not StageExecutor(unfenced, pipeline_depth=2).speculation_safe
-
-    def test_legacy_lifecycle_split(self):
-        """legacy_cnn adopts key state, so only record can overlap it."""
-        head, mid, tail = frame_lifecycle_graph(planned=False).overlap_split()
-        assert [stage.name for stage in tail] == ["record"]
-        assert "legacy_cnn" not in {stage.name for stage in tail}
 
     def test_conflicting_graph_does_not_pipeline(self):
         """Every stage touching one resource leaves no overlap window."""
@@ -264,7 +258,7 @@ class TestOverlapSplit:
 
     def test_effects_default_from_stage_functions(self):
         """Stages inherit the read/write sets their functions declare."""
-        graph = frame_lifecycle_graph(planned=True)
+        graph = frame_lifecycle_graph()
         by_name = {stage.name: stage for stage in graph}
         assert by_name["rfbme"].reads == {KEY_PIXELS}
         assert by_name["rfbme"].writes == {ENGINE_SCRATCH}
@@ -275,9 +269,6 @@ class TestOverlapSplit:
         assert by_name["warp"].reads == {KEY_STATE}
         assert by_name["cnn_suffix"].writes == {PLAN_SCRATCH}
         assert by_name["record"].writes == frozenset()
-        legacy = {stage.name: stage
-                  for stage in frame_lifecycle_graph(planned=False)}
-        assert {KEY_STATE, KEY_PIXELS} <= legacy["legacy_cnn"].writes
 
 
 class TestStageExecutor:

@@ -35,7 +35,6 @@ from repro.runtime import (
     PipelineSpec,
     Stage,
     StageGraph,
-    execute_batched_step,
     frame_lifecycle_graph,
     synthetic_workload,
 )
@@ -111,22 +110,13 @@ class TestStageSlices:
         mono_state = _clone(worker.state)
         stage_state = _clone(worker.state)
 
-        # Monolithic reference: execute_batched_step over the same
-        # entries (it takes estimations precomputed, exactly as the
-        # serving loop used to hand them over).
+        # Monolithic reference: the whole graph in one run, seeded with
+        # precomputed estimations (so its rfbme stage is skipped).
         mono_batch = _next_batch(mono_state, clips)
         mono_est = stage_rfbme(mono_batch)
-        entries = [
-            (
-                mono_batch.slot(k).executor,
-                mono_batch.slot(k).policy,
-                mono_batch.frames[k],
-                mono_batch.slot(k).cursor,
-                mono_est[k],
-            )
-            for k in range(len(mono_batch))
-        ]
-        mono_records = execute_batched_step(mono_batch.plan, entries)
+        mono_records = frame_lifecycle_graph().run(
+            mono_batch, seed={"estimations": mono_est}
+        )["records"]
 
         # Stage-by-stage on an independent clone.
         batch = _next_batch(stage_state, clips)
@@ -183,7 +173,7 @@ class TestLaneStatePickle:
         original = worker.state
         restored = _clone(original)
 
-        graph = frame_lifecycle_graph(planned=True)
+        graph = frame_lifecycle_graph()
         for _ in range(3):
             batches = [_next_batch(s, clips) for s in (original, restored)]
             envs = [graph.run(b) for b in batches]
@@ -221,17 +211,13 @@ class TestLaneStatePickle:
 
 class TestStageGraphValidation:
     def test_declaration_order_is_execution_order(self):
-        graph = frame_lifecycle_graph(planned=True)
+        graph = frame_lifecycle_graph()
         names = [stage.name for stage in graph]
         assert names == [
             "rfbme", "decide", "adopt_pixels", "cnn_prefix", "warp",
             "cnn_suffix", "record",
         ]
         assert "outputs" in graph.produces
-
-    def test_legacy_graph_shape(self):
-        names = [stage.name for stage in frame_lifecycle_graph(planned=False)]
-        assert names == ["rfbme", "decide", "legacy_cnn", "record"]
 
     def test_unproduced_input_rejected(self):
         with pytest.raises(ValueError, match="consumes"):
