@@ -543,14 +543,17 @@ def _consumer_op_estimate(
 # Engine and public entry points
 # --------------------------------------------------------------------- #
 def _validate_pair(
-    key_frame: np.ndarray, new_frame: np.ndarray, tile: int
+    key_frame: np.ndarray, new_frame: np.ndarray, tile: int, index: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Validate a frame pair and coerce it to float64.
+    """Validate pair ``index`` of a batch and coerce it to float64.
 
     All backends compute in float64 (the compiled kernel reinterprets raw
     buffers, and bit-identity across backends is only defined for one
     dtype), so other dtypes are converted up front — a no-op for the
-    video substrate's native float64 frames.
+    video substrate's native float64 frames.  Non-finite pixels are
+    rejected: the integral-image backends would turn one NaN into NaN
+    match errors for the whole frame (which no key-frame threshold ever
+    exceeds), where ``loop`` stays local, so no backend accepts them.
     """
     key_frame = np.asarray(key_frame)
     new_frame = np.asarray(new_frame)
@@ -564,6 +567,12 @@ def _validate_pair(
         raise ValueError(
             f"frame {key_frame.shape} smaller than one tile ({tile})"
         )
+    for which, frame in (("key", key_frame), ("new", new_frame)):
+        if not np.isfinite(frame).all():
+            raise ValueError(
+                f"pair {index}: {which} frame has non-finite pixels "
+                "(NaN or inf)"
+            )
     if key_frame.dtype != np.float64:
         key_frame = key_frame.astype(np.float64)
     if new_frame.dtype != np.float64:
@@ -831,7 +840,8 @@ class RFBMEEngine:
         if not pairs:
             return []
         pairs = [
-            _validate_pair(key, new, self.rf.stride) for key, new in pairs
+            _validate_pair(key, new, self.rf.stride, i)
+            for i, (key, new) in enumerate(pairs)
         ]
         for key, _ in pairs:
             # Workspace buffers and precomputed geometry are bound to one

@@ -21,12 +21,13 @@ The entry points share one shared object:
   sums, candidate-masked argmin, match errors) over a producer-output
   batch.
 * ``gather_rows`` — the flat im2col gather behind the planned CNN
-  inference engine.
-* ``gather_rows_q8`` / ``gather_rows_q16`` — the same gather over int8
-  and int16 sources, widening to the quantized lanes' GEMM operand type
-  (float32 / float64) in the same pass, so the quantized planned engine
-  pays one memory sweep where np.take plus an astype would pay two.
-  The int8 lane's requantize, entry-quantize and AVX512-VNNI GEMM
+  inference engine's float64 lane.
+* ``im2col_q`` — the integer lanes' im2col: reads int8/int16 raws of
+  any layout (the previous conv's NHWC output, normally), applies a
+  max-pool and the zero padding as it reads, and writes the GEMM
+  operand directly — the +128 uint8 VNNI operand or float32/float64 —
+  with no index array.  Its NumPy twin is :func:`im2col_numpy`.  The
+  quantized lanes' requantize, entry-quantize and AVX512-VNNI GEMM
   entry points live here too.
 * ``warp_bilinear_f64`` / ``warp_bilinear_f32`` — the bilinear AMC warp
   (§III-B) of :func:`repro.core.warp.warp_activation_batch`'s float
@@ -52,14 +53,17 @@ when they allocate them and retake them on every reallocation.
 
 Gating: no compiler, any compile/load error, a failed self-check, or
 ``REPRO_SAD_KERNEL=0`` in the environment all make :func:`get_kernel`
-return ``None`` and callers silently fall back to the NumPy path.
+return ``None`` and callers fall back to the NumPy path.
 ``REPRO_FORCE_NUMPY=1`` does the same without even attempting a compile —
 the knob CI's NumPy lane uses to prove the pure-NumPy paths stay green
-(the kernel lane conversely asserts :func:`kernel_available` and
-``has_warp``, so a silent fallback can never masquerade as kernel
-coverage).  The warp checks on its own: when only it fails,
-:func:`get_kernel` keeps every other entry point, ``has_warp`` is false,
-and a :class:`KernelFallbackWarning` says the warp runs its NumPy twin.
+(the kernel lane conversely asserts :func:`kernel_available`,
+``has_warp`` and ``has_im2col``, so a fallback can never masquerade as
+kernel coverage).  The warp and the integer im2col check on their own:
+when one fails, :func:`get_kernel` keeps every other entry point and
+only its flag is false.  Every failure — build, load, self-check, or
+one of those two — emits one :class:`KernelFallbackWarning` per process
+naming what failed; the deliberate opt-outs and a host without a
+compiler stay silent.
 """
 
 from __future__ import annotations
@@ -68,18 +72,22 @@ import ctypes
 import hashlib
 import os
 import platform
+import shutil
 import subprocess
 import tempfile
 import warnings
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "KernelFallbackWarning",
     "SADKernel",
     "addr",
     "get_kernel",
+    "im2col_compiled",
+    "im2col_numpy",
     "kernel_available",
     "producer_bounds",
 ]
@@ -89,6 +97,7 @@ MAX_TILE = 8
 
 _SOURCE = r"""
 #include <math.h>
+#include <stdlib.h>
 #include <string.h>
 #if defined(__AVX512F__)
 #include <immintrin.h>
@@ -358,47 +367,6 @@ void gather_rows(const double *src, long src_len,
     }
 }
 
-/* Quantized-lane gathers: identical indexing to gather_rows, but the
- * source rows are int8/int16 activations and the output widens to the
- * float type the quantized GEMM consumes (the integer values survive
- * the widening exactly, so the GEMM still accumulates integers).  One
- * pass replaces np.take-then-astype's two. */
-void gather_rows_q8(const signed char *src, long src_len,
-                    const long *idx, long n_idx,
-                    long batch, float *out)
-{
-    for (long b = 0; b < batch; ++b) {
-        const signed char *s = src + b * src_len;
-        float *o = out + b * n_idx;
-        for (long k = 0; k < n_idx; ++k)
-            o[k] = (float) s[idx[k]];
-    }
-}
-
-void gather_rows_q16(const short *src, long src_len,
-                     const long *idx, long n_idx,
-                     long batch, double *out)
-{
-    for (long b = 0; b < batch; ++b) {
-        const short *s = src + b * src_len;
-        double *o = out + b * n_idx;
-        for (long k = 0; k < n_idx; ++k)
-            o[k] = (double) s[idx[k]];
-    }
-}
-
-void gather_rows_q16f(const short *src, long src_len,
-                      const long *idx, long n_idx,
-                      long batch, float *out)
-{
-    for (long b = 0; b < batch; ++b) {
-        const short *s = src + b * src_len;
-        float *o = out + b * n_idx;
-        for (long k = 0; k < n_idx; ++k)
-            o[k] = (float) s[idx[k]];
-    }
-}
-
 /* Quantized-lane requantization: fold the quantized bias into an
  * integer-exact GEMM output and scale it into the next layer's raws.
  * bias/mult are per output channel (the GEMM output's last axis);
@@ -557,33 +525,204 @@ void quantize_q16(const float *src, long n, float scale,
     }
 }
 
-/* im2col gather for the int8 VNNI GEMM: per-sample row structure with
- * the activation offset applied in flight.  out row (b*rows + r) gets
- * src[b][idx[r*k .. r*k+k-1]] ^ 0x80 (two's-complement int8 + 128 ==
- * xor with the sign bit) in its first k bytes; the kp-k pad bytes are
- * never written (the caller zeroes the buffer once — zero u8 activation
- * times zero weight pad contributes nothing). */
-void gather_cols_q8u(const signed char *src, long src_len,
-                     const long *idx, long rows, long k,
-                     long batch, long kp, unsigned char *out)
+/* Direct im2col for the integer convolution lanes.
+ *
+ * src holds integer raws (1-byte int8 or 2-byte int16) of any layout,
+ * addressed through element strides sb, sy, sx, sc (batch, row,
+ * column, channel): the previous conv's NHWC GEMM output, a pool's
+ * NCHW output or a caller's array alike.  With pf > 1 the logical
+ * input is its pf x pf, stride-ps max-pool (h x w x c is the pooled
+ * grid), computed as the rows are read.  Output row (b*out_h + oy) *
+ * out_w + ox, row stride ld, holds the k x k window at (oy, ox) in
+ * (ky, kx, c) order -- c contiguous values per tap, which the caller
+ * matches by permuting the GEMM weights -- and zero padding outside
+ * the grid.  out_size selects the conversion: 1 = the uint8 VNNI
+ * operand (raw + 128, i.e. the sign bit flipped; int8 only), 4 =
+ * float32, 8 = float64.  Columns k*k*c to ld - 1 are never written.
+ *
+ * Each needed input row is converted once per sample into a ring of k
+ * zero-bordered rows, so every (output pixel, ky) segment is one
+ * contiguous k*c copy.  Max-pool and conversion are monotone and
+ * exact, so the result equals the NumPy twin bit for bit (no index
+ * array either way).  Returns -1 on an unsupported type pair or a
+ * failed allocation, else 0. */
+static inline void copy_span(unsigned char *d, const unsigned char *s,
+                             long n)
 {
-    for (long b = 0; b < batch; ++b) {
-        const signed char *s = src + b * src_len;
-        for (long r = 0; r < rows; ++r) {
-            const long *ir = idx + r * k;
-            unsigned char *o = out + (b * rows + r) * kp;
-            for (long j = 0; j < k; ++j)
-                o[j] = (unsigned char) (s[ir[j]] ^ 0x80);
-        }
+    /* exact-length copy from fixed-size moves (the last one overlaps) */
+    if (n >= 32) {
+        long j = 0;
+        for (; j + 32 <= n; j += 32)
+            memcpy(d + j, s + j, 32);
+        if (j < n)
+            memcpy(d + n - 32, s + n - 32, 32);
+    } else if (n >= 16) {
+        long j = 0;
+        for (; j + 16 <= n; j += 16)
+            memcpy(d + j, s + j, 16);
+        if (j < n)
+            memcpy(d + n - 16, s + n - 16, 16);
+    } else if (n >= 8) {
+        memcpy(d, s, 8);
+        memcpy(d + n - 8, s + n - 8, 8);
+    } else if (n >= 4) {
+        memcpy(d, s, 4);
+        memcpy(d + n - 4, s + n - 4, 4);
+    } else {
+        for (long j = 0; j < n; ++j)
+            d[j] = s[j];
     }
+}
+
+/* The row loop of one output pixel row: k segments of nb bytes per
+ * pixel.  With CH >= nb every segment but the last is one CH-byte move
+ * that spills into the next segment (CH <= 2 nb keeps the spill inside
+ * it; that segment is written next); the last one is two HALF-byte
+ * moves ending exactly at nb.  Constant move sizes keep the loop free
+ * of size dispatch. */
+#define EMIT_ROWS(CH, HALF)                                                 \
+    for (long ox = 0; ox < out_w; ++ox, o += ld) {                          \
+        unsigned char *ob = (unsigned char *) o;                            \
+        long off = ox * stride * c;                                         \
+        for (long ky = 0; ky + 1 < k; ++ky)                                 \
+            memcpy(ob + ky * nb, rows[ky] + off, CH);                       \
+        const unsigned char *sl = (const unsigned char *) (rows[k - 1] + off);\
+        unsigned char *dl = ob + (k - 1) * nb;                              \
+        memcpy(dl, sl, HALF);                                               \
+        memcpy(dl + nb - HALF, sl + nb - HALF, HALF);                       \
+    }
+
+#define MAX(a, b) ((a) > (b) ? (a) : (b))
+#define TO_U8(v) ((unsigned char) ((v) ^ 0x80))
+#define TO_F32(v) ((float) (v))
+#define TO_F64(v) ((double) (v))
+
+#define IM2COL(NAME, SRC_T, DST_T, CONV)                                    \
+static long NAME(const SRC_T *src, long sb, long sy, long sx, long sc,      \
+                 long pf, long ps, long h, long w, long c,                  \
+                 long k, long stride, long pad, long out_h, long out_w,     \
+                 long batch, long ld, DST_T *out)                           \
+{                                                                           \
+    /* ring rows carry 64 bytes of slack for EMIT_ROWS' spilling reads */  \
+    long rw = (w + 2 * pad) * c + 64 / sizeof(DST_T), kc = k * c;          \
+    long nb = kc * sizeof(DST_T);                                           \
+    long chunk = nb < 4 ? 0 : nb <= 8 ? 8 : nb <= 16 ? 16 : 0;              \
+    /* rows stored contiguously (NHWC): whole-row passes that vectorize */  \
+    int dense = (sc == 1 || c == 1) && sx == c;                             \
+    long span = ((w - 1) * ps + pf) * c, hspan = ((w - 1) * ps + 1) * c;    \
+    long *held = malloc(k * sizeof(long) + k * sizeof(DST_T *)             \
+                        + (k + 1) * rw * sizeof(DST_T)                      \
+                        + (span + hspan) * sizeof(SRC_T));                  \
+    if (held == NULL)                                                       \
+        return -1;                                                          \
+    const DST_T **rows = (const DST_T **) (held + k);                       \
+    DST_T *zero = (DST_T *) (rows + k), *ring = zero + rw;                  \
+    SRC_T *vmax = (SRC_T *) (ring + k * rw), *hmax = vmax + span;           \
+    for (long j = 0; j < (k + 1) * rw; ++j)                                 \
+        zero[j] = CONV((SRC_T) 0);                                          \
+    for (long b = 0; b < batch; ++b) {                                      \
+        const SRC_T *sample = src + b * sb;                                 \
+        for (long j = 0; j < k; ++j)                                        \
+            held[j] = -1 - pad;  /* no row held */                          \
+        for (long oy = 0; oy < out_h; ++oy) {                               \
+            for (long ky = 0; ky < k; ++ky) {                               \
+                long iy = oy * stride + ky - pad;                           \
+                if (iy < 0 || iy >= h) {                                    \
+                    rows[ky] = zero;                                        \
+                    continue;                                               \
+                }                                                           \
+                long slot = (iy + pad) % k;                                 \
+                DST_T *row = ring + slot * rw;                              \
+                rows[ky] = row;                                             \
+                if (held[slot] == iy)                                       \
+                    continue;                                               \
+                held[slot] = iy;                                            \
+                const SRC_T *s = sample + iy * ps * sy;                     \
+                DST_T *d = row + pad * c;                                   \
+                if (pf == 1 && dense) {                                     \
+                    for (long j = 0; j < w * c; ++j)                        \
+                        d[j] = CONV(s[j]);                                  \
+                } else if (dense) {                                         \
+                    /* pool = max over the pf rows, then over pf column     \
+                     * shifts, then every ps-th pixel: branch-free passes */\
+                    for (long j = 0; j < span; ++j)                         \
+                        vmax[j] = s[j];                                     \
+                    for (long fy = 1; fy < pf; ++fy)                        \
+                        for (long j = 0; j < span; ++j)                     \
+                            vmax[j] = MAX(vmax[j], s[fy * sy + j]);         \
+                    for (long j = 0; j < hspan; ++j)                        \
+                        hmax[j] = vmax[j];                                  \
+                    for (long fx = 1; fx < pf; ++fx)                        \
+                        for (long j = 0; j < hspan; ++j)                    \
+                            hmax[j] = MAX(hmax[j], vmax[fx * c + j]);       \
+                    for (long ix = 0; ix < w; ++ix)                         \
+                        for (long ci = 0; ci < c; ++ci)                     \
+                            d[ix * c + ci] = CONV(hmax[ix * ps * c + ci]);  \
+                } else {                                                    \
+                    for (long ix = 0; ix < w; ++ix) {                       \
+                        for (long ci = 0; ci < c; ++ci) {                   \
+                            const SRC_T *p = s + ix * ps * sx + ci * sc;    \
+                            SRC_T m = p[0];                                 \
+                            for (long fy = 0; fy < pf; ++fy)                \
+                                for (long fx = 0; fx < pf; ++fx)            \
+                                    m = MAX(m, p[fy * sy + fx * sx]);       \
+                            d[ix * c + ci] = CONV(m);                       \
+                        }                                                   \
+                    }                                                       \
+                }                                                           \
+            }                                                               \
+            DST_T *o = out + (b * out_h + oy) * out_w * ld;                 \
+            switch (chunk) {                                                \
+            case 8: EMIT_ROWS(8, 4); break;                                 \
+            case 16: EMIT_ROWS(16, 8); break;                               \
+            default:                                                        \
+                for (long ox = 0; ox < out_w; ++ox, o += ld)                \
+                    for (long ky = 0; ky < k; ++ky)                         \
+                        copy_span((unsigned char *) (o + ky * kc),          \
+                                  (const unsigned char *)                   \
+                                      (rows[ky] + ox * stride * c), nb);    \
+            }                                                               \
+        }                                                                   \
+    }                                                                       \
+    free(held);                                                             \
+    return 0;                                                               \
+}
+
+IM2COL(im2col_q8u, signed char, unsigned char, TO_U8)
+IM2COL(im2col_q8f, signed char, float, TO_F32)
+IM2COL(im2col_q8d, signed char, double, TO_F64)
+IM2COL(im2col_q16f, short, float, TO_F32)
+IM2COL(im2col_q16d, short, double, TO_F64)
+
+long im2col_q(const void *src, long src_size,
+              long sb, long sy, long sx, long sc, long pf, long ps,
+              long h, long w, long c, long k, long stride, long pad,
+              long out_h, long out_w, long batch, long ld,
+              void *out, long out_size)
+{
+#define IM2COL_ARGS sb, sy, sx, sc, pf, ps, h, w, c, k, stride, pad, \
+                    out_h, out_w, batch, ld
+    if (src_size == 1 && out_size == 1)
+        return im2col_q8u(src, IM2COL_ARGS, out);
+    if (src_size == 1 && out_size == 4)
+        return im2col_q8f(src, IM2COL_ARGS, out);
+    if (src_size == 1 && out_size == 8)
+        return im2col_q8d(src, IM2COL_ARGS, out);
+    if (src_size == 2 && out_size == 4)
+        return im2col_q16f(src, IM2COL_ARGS, out);
+    if (src_size == 2 && out_size == 8)
+        return im2col_q16d(src, IM2COL_ARGS, out);
+#undef IM2COL_ARGS
+    return -1;
 }
 
 /* int8 convolution GEMM with fused requantization (AVX512-VNNI).
  *
  * a:  (m, k4*4) uint8 activations offset by +128, zero-padded past the
  *     true reduction depth.
- * bp: packed int8 weights, k4 groups x 32 channels x 4 consecutive
- *     k-positions (vpdpbusd's operand shape), zero-padded in both axes.
+ * bp: packed int8 weights, k4 groups x L channels x 4 consecutive
+ *     k-positions (vpdpbusd's operand shape), zero-padded in both axes;
+ *     L = 16 when n <= 16 (one ZMM of channels per row), else 32.
  * bias/mult: 32 floats per channel; bias already carries the
  *     -128 * sum_k(w) correction for the activation offset, so the
  *     int32 accumulator equals acc_true + 128*colsum and
@@ -603,7 +742,8 @@ static inline void requant_store_q8(__m512i acc0, __m512i acc1,
                                     __m512 vb0, __m512 vb1,
                                     __m512 vm0, __m512 vm1,
                                     __m512 vlo, __m512 vhi,
-                                    long n, signed char *dst)
+                                    __mmask16 k0, __mmask16 k1,
+                                    signed char *dst)
 {
     __m512 f0 = _mm512_mul_ps(
         _mm512_add_ps(_mm512_cvtepi32_ps(acc0), vb0), vm0);
@@ -613,19 +753,16 @@ static inline void requant_store_q8(__m512i acc0, __m512i acc1,
     f1 = _mm512_roundscale_ps(f1, 0x08);
     f0 = _mm512_min_ps(_mm512_max_ps(f0, vlo), vhi);
     f1 = _mm512_min_ps(_mm512_max_ps(f1, vlo), vhi);
-    signed char tmp[32];
-    _mm_storeu_si128((__m128i *) tmp,
-                     _mm512_cvtepi32_epi8(_mm512_cvtps_epi32(f0)));
-    _mm_storeu_si128((__m128i *) (tmp + 16),
-                     _mm512_cvtepi32_epi8(_mm512_cvtps_epi32(f1)));
-    memcpy(dst, tmp, n);
+    _mm512_mask_cvtepi32_storeu_epi8(dst, k0, _mm512_cvtps_epi32(f0));
+    _mm512_mask_cvtepi32_storeu_epi8(dst + 16, k1, _mm512_cvtps_epi32(f1));
 }
 
 static inline void requant_store_q16(__m512i acc0, __m512i acc1,
                                      __m512 vb0, __m512 vb1,
                                      __m512 vm0, __m512 vm1,
                                      __m512 vlo, __m512 vhi,
-                                     long n, short *dst)
+                                     __mmask16 k0, __mmask16 k1,
+                                     short *dst)
 {
     __m512 f0 = _mm512_mul_ps(
         _mm512_add_ps(_mm512_cvtepi32_ps(acc0), vb0), vm0);
@@ -635,12 +772,8 @@ static inline void requant_store_q16(__m512i acc0, __m512i acc1,
     f1 = _mm512_roundscale_ps(f1, 0x08);
     f0 = _mm512_min_ps(_mm512_max_ps(f0, vlo), vhi);
     f1 = _mm512_min_ps(_mm512_max_ps(f1, vlo), vhi);
-    short tmp[32];
-    _mm256_storeu_si256((__m256i *) tmp,
-                        _mm512_cvtepi32_epi16(_mm512_cvtps_epi32(f0)));
-    _mm256_storeu_si256((__m256i *) (tmp + 16),
-                        _mm512_cvtepi32_epi16(_mm512_cvtps_epi32(f1)));
-    memcpy(dst, tmp, n * sizeof(short));
+    _mm512_mask_cvtepi32_storeu_epi16(dst, k0, _mm512_cvtps_epi32(f0));
+    _mm512_mask_cvtepi32_storeu_epi16(dst + 16, k1, _mm512_cvtps_epi32(f1));
 }
 
 #define VNNI_GEMM_BODY(REQUANT_STORE, OUT_T)                               \
@@ -649,7 +782,46 @@ static inline void requant_store_q16(__m512i acc0, __m512i acc1,
     const __m512 vb1 = _mm512_loadu_ps(bias + 16);                         \
     const __m512 vm0 = _mm512_loadu_ps(mult);                              \
     const __m512 vm1 = _mm512_loadu_ps(mult + 16);                         \
+    /* store masks: the first n of the 32 computed channels */             \
+    const __mmask16 k0 = n >= 16 ? 0xFFFF : (__mmask16) ((1u << n) - 1);   \
+    const __mmask16 k1 =                                                   \
+        n <= 16 ? 0 : n >= 32 ? 0xFFFF : (__mmask16) ((1u << (n - 16)) - 1);\
     long i = 0;                                                            \
+    if (n <= 16) {                                                         \
+        const __m512i zero = _mm512_setzero_si512();                       \
+        for (; i + 4 <= m; i += 4) {                                       \
+            const unsigned *a0 = (const unsigned *) (a + (i + 0) * k4 * 4);\
+            const unsigned *a1 = (const unsigned *) (a + (i + 1) * k4 * 4);\
+            const unsigned *a2 = (const unsigned *) (a + (i + 2) * k4 * 4);\
+            const unsigned *a3 = (const unsigned *) (a + (i + 3) * k4 * 4);\
+            __m512i c0 = zero, c1 = zero, c2 = zero, c3 = zero;            \
+            for (long g = 0; g < k4; ++g) {                                \
+                __m512i b0 = _mm512_loadu_si512(bp + g * 64);              \
+                c0 = _mm512_dpbusd_epi32(c0, _mm512_set1_epi32(a0[g]), b0);\
+                c1 = _mm512_dpbusd_epi32(c1, _mm512_set1_epi32(a1[g]), b0);\
+                c2 = _mm512_dpbusd_epi32(c2, _mm512_set1_epi32(a2[g]), b0);\
+                c3 = _mm512_dpbusd_epi32(c3, _mm512_set1_epi32(a3[g]), b0);\
+            }                                                              \
+            REQUANT_STORE(c0, zero, vb0, vb1, vm0, vm1, vlo, vhi, k0, 0,   \
+                          out + (i + 0) * out_stride);                     \
+            REQUANT_STORE(c1, zero, vb0, vb1, vm0, vm1, vlo, vhi, k0, 0,   \
+                          out + (i + 1) * out_stride);                     \
+            REQUANT_STORE(c2, zero, vb0, vb1, vm0, vm1, vlo, vhi, k0, 0,   \
+                          out + (i + 2) * out_stride);                     \
+            REQUANT_STORE(c3, zero, vb0, vb1, vm0, vm1, vlo, vhi, k0, 0,   \
+                          out + (i + 3) * out_stride);                     \
+        }                                                                  \
+        for (; i < m; ++i) {                                               \
+            const unsigned *a0 = (const unsigned *) (a + i * k4 * 4);      \
+            __m512i c0 = zero;                                             \
+            for (long g = 0; g < k4; ++g)                                  \
+                c0 = _mm512_dpbusd_epi32(c0, _mm512_set1_epi32(a0[g]),     \
+                                         _mm512_loadu_si512(bp + g * 64)); \
+            REQUANT_STORE(c0, zero, vb0, vb1, vm0, vm1, vlo, vhi, k0, 0,   \
+                          out + i * out_stride);                           \
+        }                                                                  \
+        return;                                                            \
+    }                                                                      \
     for (; i + 4 <= m; i += 4) {                                           \
         const unsigned *a0 = (const unsigned *) (a + (i + 0) * k4 * 4);    \
         const unsigned *a1 = (const unsigned *) (a + (i + 1) * k4 * 4);    \
@@ -675,13 +847,13 @@ static inline void requant_store_q16(__m512i acc0, __m512i acc1,
             c30 = _mm512_dpbusd_epi32(c30, v3, b0);                        \
             c31 = _mm512_dpbusd_epi32(c31, v3, b1);                        \
         }                                                                  \
-        REQUANT_STORE(c00, c01, vb0, vb1, vm0, vm1, vlo, vhi, n,           \
+        REQUANT_STORE(c00, c01, vb0, vb1, vm0, vm1, vlo, vhi, k0, k1,      \
                       out + (i + 0) * out_stride);                         \
-        REQUANT_STORE(c10, c11, vb0, vb1, vm0, vm1, vlo, vhi, n,           \
+        REQUANT_STORE(c10, c11, vb0, vb1, vm0, vm1, vlo, vhi, k0, k1,      \
                       out + (i + 1) * out_stride);                         \
-        REQUANT_STORE(c20, c21, vb0, vb1, vm0, vm1, vlo, vhi, n,           \
+        REQUANT_STORE(c20, c21, vb0, vb1, vm0, vm1, vlo, vhi, k0, k1,      \
                       out + (i + 2) * out_stride);                         \
-        REQUANT_STORE(c30, c31, vb0, vb1, vm0, vm1, vlo, vhi, n,           \
+        REQUANT_STORE(c30, c31, vb0, vb1, vm0, vm1, vlo, vhi, k0, k1,      \
                       out + (i + 3) * out_stride);                         \
     }                                                                      \
     for (; i < m; ++i) {                                                   \
@@ -694,7 +866,7 @@ static inline void requant_store_q16(__m512i acc0, __m512i acc1,
             c1 = _mm512_dpbusd_epi32(                                      \
                 c1, v0, _mm512_loadu_si512(bp + g * 128 + 64));            \
         }                                                                  \
-        REQUANT_STORE(c0, c1, vb0, vb1, vm0, vm1, vlo, vhi, n,             \
+        REQUANT_STORE(c0, c1, vb0, vb1, vm0, vm1, vlo, vhi, k0, k1,        \
                       out + i * out_stride);                               \
     }
 
@@ -814,7 +986,6 @@ def addr(array: np.ndarray) -> int:
 
 _P, _L = ctypes.c_void_p, ctypes.c_long
 _F, _D = ctypes.c_float, ctypes.c_double
-_GATHER = [_P, _L, _P, _L, _L, _P]
 _REQUANT_F = [_P, _L, _L, _P, _P, _F, _F, _P]
 _QUANTIZE = [_P, _L, _F, _F, _F, _P]
 _WARP = [_L, _P, _P, _P, _L, _L, _L]
@@ -828,11 +999,8 @@ _SIGNATURES = {
         [_L, _P, _P, _P] + [_L] * 7 + [_P, _L, _L] + [_P] * 4
     ),
     "rfbme_consume": [_L] + [_P] * 13 + [_L] * 5,
-    "gather_rows": _GATHER,
-    "gather_rows_q8": _GATHER,
-    "gather_rows_q16": _GATHER,
-    "gather_rows_q16f": _GATHER,
-    "gather_cols_q8u": [_P, _L, _P, _L, _L, _L, _L, _P],
+    "gather_rows": [_P, _L, _P, _L, _L, _P],
+    "im2col_q": [_P] + [_L] * 17 + [_P, _L],
     "requant_rows_q8": _REQUANT_F,
     "requant_rows_q16f": _REQUANT_F,
     "requant_rows_q16": [_P, _L, _L, _P, _P, _D, _D, _P],
@@ -862,6 +1030,7 @@ class SADKernel:
     def __init__(self, lib: ctypes.CDLL):
         for name, argtypes in _SIGNATURES.items():
             self._bind(lib, name, argtypes)
+        self.im2col_q.restype = ctypes.c_long
         lib.have_vnni.restype = ctypes.c_int
         #: AVX512-VNNI int8 GEMM compiled in?  The quantized lanes route
         #: through ``gemm_requant_u8s8`` only when true; the math is
@@ -874,6 +1043,10 @@ class SADKernel:
         #: :func:`get_kernel`; when false only the warp runs its NumPy
         #: twin, every other entry point stays compiled.
         self.has_warp = False
+        #: compiled integer im2col passed its own self-check?  Same
+        #: rule: when false only the integer convolutions' im2col runs
+        #: its NumPy twin (:func:`im2col_numpy`).
+        self.has_im2col = False
 
     def _bind(self, lib: ctypes.CDLL, name: str, argtypes) -> None:
         fn = getattr(lib, name)
@@ -942,6 +1115,77 @@ def producer_bounds(
     row_lo, row_hi = axis(height)
     col_lo, col_hi = axis(width)
     return row_lo, row_hi, col_lo, col_hi
+
+
+def _conv_size(size: int, kernel: int, stride: int, pad: int) -> int:
+    return (size + 2 * pad - kernel) // stride + 1
+
+
+def im2col_numpy(src, pool, k, stride, pad, out) -> None:
+    """NumPy twin of the compiled integer im2col (``im2col_q``).
+
+    ``src`` is a (B, C, H, W) array of int8/int16 raws in any memory
+    layout (typically an NCHW view of a conv's NHWC output); ``pool`` is
+    ``(field, stride)`` of a max-pool applied as the input is read, or
+    None.  Row ``(b, oy, ox)`` of ``out`` (shape ``(B * out_h * out_w,
+    ld)``) receives the ``k x k`` window at ``(oy, ox)`` of the zero-padded
+    input in (ky, kx, c) order; a uint8 ``out`` holds raw + 128 (the
+    VNNI operand), a float ``out`` the raws themselves.  Columns from
+    ``k*k*C`` on are left as they are.  Built on sliding-window views:
+    no index array, same bits as the compiled pass.
+    """
+    x = src.transpose(0, 2, 3, 1)
+    if pool is not None:
+        field, step = pool
+        x = sliding_window_view(x, (field, field), axis=(1, 2))[
+            :, ::step, ::step
+        ].max(axis=(-2, -1))
+    b, h, w, c = x.shape
+    zero = 0
+    if out.dtype == np.uint8:
+        x = x.view(np.uint8) ^ np.uint8(0x80)  # int8 raw + 128
+        zero = 0x80
+    padded = np.full((b, h + 2 * pad, w + 2 * pad, c), zero, out.dtype)
+    padded[:, pad : pad + h, pad : pad + w] = x
+    windows = sliding_window_view(padded, (k, k), axis=(1, 2))[
+        :, ::stride, ::stride
+    ]
+    out[:, : k * k * c] = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
+        out.shape[0], k * k * c
+    )
+
+
+def im2col_compiled(kernel: "SADKernel", src, pool, k, stride, pad, out) -> None:
+    """The compiled integer im2col, same arguments as :func:`im2col_numpy`.
+
+    ``src`` may have any strides; ``out`` must be C-contiguous with
+    ``B * out_h * out_w`` rows of uint8 (int8 ``src`` only), float32 or
+    float64.
+    """
+    item = src.itemsize
+    sb, sc, sy, sx = (stride_ // item for stride_ in src.strides)
+    batch, c, h, w = src.shape
+    pf, ps = pool if pool is not None else (1, 1)
+    h, w = _conv_size(h, pf, ps, 0), _conv_size(w, pf, ps, 0)
+    out_h, out_w = _conv_size(h, k, stride, pad), _conv_size(w, k, stride, pad)
+    if (
+        not out.flags.c_contiguous
+        or out.shape[0] != batch * out_h * out_w
+        or out.shape[1] < k * k * c
+    ):
+        raise ValueError(
+            f"im2col output must be C-contiguous with {batch * out_h * out_w} "
+            f"rows of at least {k * k * c} columns, got {out.shape}"
+        )
+    status = kernel.im2col_q(
+        addr(src), item, sb, sy, sx, sc, pf, ps, h, w, c, k, stride, pad,
+        out_h, out_w, batch, out.shape[1], addr(out), out.itemsize,
+    )
+    if status != 0:
+        raise ValueError(
+            f"compiled im2col failed: {src.dtype} -> {out.dtype} is not a "
+            "supported pair, or its row ring could not be allocated"
+        )
 
 
 def _consumer_reference(
@@ -1068,30 +1312,9 @@ def _self_check(kernel: SADKernel) -> bool:
                     return False
     src = np.ascontiguousarray(rng.random((3, 500)))
     idx = np.ascontiguousarray(rng.integers(0, 500, 200), dtype=np.int64)
-    def gather(fn, src, out):
-        fn(addr(src), src.shape[1], addr(idx), len(idx), len(src), addr(out))
-
     got = np.empty((3, 200))
-    gather(kernel.gather_rows, src, got)
+    kernel.gather_rows(addr(src), 500, addr(idx), 200, 3, addr(got))
     if not np.array_equal(got, np.take(src, idx, axis=1)):
-        return False
-    src8 = np.ascontiguousarray(
-        rng.integers(-128, 128, (3, 500)), dtype=np.int8
-    )
-    got8 = np.empty((3, 200), dtype=np.float32)
-    gather(kernel.gather_rows_q8, src8, got8)
-    if not np.array_equal(got8, np.take(src8, idx, axis=1).astype(np.float32)):
-        return False
-    src16 = np.ascontiguousarray(
-        rng.integers(-32768, 32768, (3, 500)), dtype=np.int16
-    )
-    got16 = np.empty((3, 200))
-    gather(kernel.gather_rows_q16, src16, got16)
-    if not np.array_equal(got16, np.take(src16, idx, axis=1).astype(np.float64)):
-        return False
-    got16f = np.empty((3, 200), dtype=np.float32)
-    gather(kernel.gather_rows_q16f, src16, got16f)
-    if not np.array_equal(got16f, np.take(src16, idx, axis=1).astype(np.float32)):
         return False
     # Requant: both the pattern-expanded fast path (cols <= 256) and the
     # wide-cols fallback must be bitwise the NumPy chain.
@@ -1136,23 +1359,8 @@ def _self_check(kernel: SADKernel) -> bool:
                 32767.0, got_r16)
         if not np.array_equal(got_r16, want_r.astype(np.int16)):
             return False
-    rows_g, kg, kp = 37, 30, 32
-    idxg = np.ascontiguousarray(
-        rng.integers(0, 500, rows_g * kg), dtype=np.int64
-    )
-    got_u = np.zeros((3 * rows_g, kp), dtype=np.uint8)
-    kernel.gather_cols_q8u(
-        addr(src8), src8.shape[1], addr(idxg), rows_g, kg, len(src8), kp,
-        addr(got_u),
-    )
-    want_u = np.zeros((3 * rows_g, kp), dtype=np.uint8)
-    want_u[:, :kg] = (
-        np.take(src8, idxg, axis=1).astype(np.int16) + 128
-    ).reshape(3 * rows_g, kg).astype(np.uint8)
-    if not np.array_equal(got_u, want_u):
-        return False
     if kernel.has_vnni:
-        for m, k, n in ((37, 30, 24), (8, 216, 16), (5, 4, 32)):
+        for m, k, n in ((37, 30, 24), (8, 216, 16), (5, 4, 32), (19, 25, 8)):
             k4 = (k + 3) // 4
             a_s = rng.integers(-128, 128, (m, k)).astype(np.int8)
             w_t = rng.integers(-128, 128, (n, k)).astype(np.int8)
@@ -1160,10 +1368,11 @@ def _self_check(kernel: SADKernel) -> bool:
             mult = (2.0 ** rng.integers(-12, -6, n)).astype(np.float32)
             a_u = np.zeros((m, k4 * 4), dtype=np.uint8)
             a_u[:, :k] = (a_s.astype(np.int16) + 128).astype(np.uint8)
-            wt_pad = np.zeros((32, k4 * 4), dtype=np.int8)
+            lanes = 16 if n <= 16 else 32
+            wt_pad = np.zeros((lanes, k4 * 4), dtype=np.int8)
             wt_pad[:n, :k] = w_t
             bp = np.ascontiguousarray(
-                wt_pad.reshape(32, k4, 4).transpose(1, 0, 2)
+                wt_pad.reshape(lanes, k4, 4).transpose(1, 0, 2)
             )
             colsum = w_t.astype(np.int64).sum(axis=1)
             bias_eff = np.zeros(32, dtype=np.float32)
@@ -1228,6 +1437,46 @@ def _check_warp(kernel: SADKernel) -> bool:
     return True
 
 
+def _check_im2col(kernel: SADKernel) -> bool:
+    """The compiled integer im2col must match :func:`im2col_numpy` bit
+    for bit on every type pair, with and without a max-pool read in,
+    from NCHW-contiguous and NHWC-backed sources, with pad columns
+    (which neither side may write) between rows."""
+    rng = np.random.default_rng(20180603)
+    geometries = (  # c, h, w, k, stride, pad, pool
+        (1, 13, 11, 5, 2, 2, None),
+        (3, 10, 9, 3, 1, 1, (2, 2)),
+        (5, 11, 12, 3, 2, 0, (3, 2)),
+        (2, 6, 7, 1, 1, 0, None),
+    )
+    pairs = (
+        (np.int8, np.uint8), (np.int8, np.float32), (np.int8, np.float64),
+        (np.int16, np.float32), (np.int16, np.float64),
+    )
+    for c, h, w, k, stride, pad, pool in geometries:
+        for raw, operand in pairs:
+            info = np.iinfo(raw)
+            nhwc = rng.integers(info.min, info.max + 1, (2, h, w, c))
+            for src in (
+                np.ascontiguousarray(nhwc.transpose(0, 3, 1, 2), dtype=raw),
+                nhwc.astype(raw).transpose(0, 3, 1, 2),
+            ):
+                ph, pw = h, w
+                if pool is not None:
+                    ph = _conv_size(h, pool[0], pool[1], 0)
+                    pw = _conv_size(w, pool[0], pool[1], 0)
+                rows = 2 * _conv_size(ph, k, stride, pad) * _conv_size(
+                    pw, k, stride, pad
+                )
+                want = np.full((rows, k * k * c + 3), 7, dtype=operand)
+                got = want.copy()
+                im2col_numpy(src, pool, k, stride, pad, want)
+                im2col_compiled(kernel, src, pool, k, stride, pad, got)
+                if not np.array_equal(got, want):
+                    return False
+    return True
+
+
 def _cpu_identity() -> str:
     """A string that changes when the host ISA does.
 
@@ -1248,15 +1497,21 @@ def _cpu_identity() -> str:
     return identity
 
 
-def _compile() -> Optional[str]:
-    """Compile the kernels into the on-disk cache; return the .so path."""
+def _compile() -> Tuple[Optional[str], Optional[str]]:
+    """Compile the kernels into the on-disk cache.
+
+    Returns ``(path to the .so, None)``, or ``(None, why the build
+    failed)``; ``(None, None)`` when there is no C compiler at all.
+    """
     tag = hashlib.sha256(
         (_SOURCE + " ".join(_CFLAGS) + _cpu_identity()).encode()
     ).hexdigest()[:16]
     cache_dir = os.path.abspath(_CACHE_DIR)
     lib_path = os.path.join(cache_dir, f"sad-{tag}.so")
     if os.path.exists(lib_path):
-        return lib_path
+        return lib_path, None
+    if shutil.which("cc") is None:
+        return None, None
     try:
         os.makedirs(cache_dir, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=cache_dir) as tmp:
@@ -1271,13 +1526,55 @@ def _compile() -> Optional[str]:
                 timeout=120,
             )
             os.replace(built, lib_path)  # atomic under concurrent builds
-        return lib_path
-    except (OSError, subprocess.SubprocessError):
-        return None
+        return lib_path, None
+    except subprocess.CalledProcessError as exc:
+        lines = exc.stderr.decode(errors="replace").strip().splitlines()
+        return None, f"cc exited {exc.returncode}: {lines[0] if lines else ''}"
+    except (OSError, subprocess.SubprocessError) as exc:
+        return None, str(exc)
+
+
+def _load() -> Tuple[Optional[SADKernel], Optional[str]]:
+    """Build, load and self-check the kernel: ``(kernel or None, what
+    failed or None)``.  A missing compiler is not a failure."""
+    lib_path, error = _compile()
+    if lib_path is None:
+        if error is None:
+            return None, None
+        return None, f"compiled kernels failed to build ({error})"
+    try:
+        kernel = SADKernel(ctypes.CDLL(lib_path))
+    except (OSError, AttributeError) as exc:
+        return None, f"compiled kernels failed to load ({exc})"
+    if not _self_check(kernel):
+        return None, "compiled kernels failed their self-check"
+    kernel.has_warp = _check_warp(kernel)
+    kernel.has_im2col = _check_im2col(kernel)
+    failed = [
+        name for name, ok in (
+            ("AMC warp", kernel.has_warp),
+            ("integer im2col", kernel.has_im2col),
+        ) if not ok
+    ]
+    if not failed:
+        return kernel, None
+    return kernel, (
+        f"compiled {' and '.join(failed)} failed "
+        f"{'its' if len(failed) == 1 else 'their'} own self-check "
+        "(the rest stays compiled)"
+    )
 
 
 def get_kernel() -> Optional[SADKernel]:
-    """The compiled kernel, or None when disabled or unavailable."""
+    """The compiled kernel, or None when disabled or unavailable.
+
+    The first call builds and checks it.  Anything that fails there —
+    the build, the load, the self-check, or one of the entry points that
+    check on their own — emits one :class:`KernelFallbackWarning` naming
+    what failed; the failed parts then run their NumPy twins.  The
+    deliberate opt-outs (``REPRO_FORCE_NUMPY=1``, ``REPRO_SAD_KERNEL=0``)
+    and a host without a C compiler stay silent.
+    """
     global _STATE
     if _STATE is None:
         _STATE = False
@@ -1286,24 +1583,16 @@ def get_kernel() -> Optional[SADKernel]:
             or os.environ.get("REPRO_FORCE_NUMPY", "0") == "1"
         )
         if not disabled:
-            lib_path = _compile()
-            if lib_path is not None:
-                try:
-                    kernel = SADKernel(ctypes.CDLL(lib_path))
-                except (OSError, AttributeError):
-                    kernel = None
-                if kernel is not None and _self_check(kernel):
-                    kernel.has_warp = _check_warp(kernel)
-                    if not kernel.has_warp:
-                        warnings.warn(
-                            "compiled AMC warp failed its self-check; "
-                            "warping with its NumPy twin (results are "
-                            "identical; RFBME and the CNN gathers stay "
-                            "compiled)",
-                            KernelFallbackWarning,
-                            stacklevel=2,
-                        )
-                    _STATE = kernel
+            kernel, failed = _load()
+            if failed is not None:
+                warnings.warn(
+                    f"{failed}; the affected paths run their NumPy twins "
+                    "(results are identical, only slower)",
+                    KernelFallbackWarning,
+                    stacklevel=2,
+                )
+            if kernel is not None:
+                _STATE = kernel
     return _STATE if isinstance(_STATE, SADKernel) else None
 
 

@@ -5,10 +5,13 @@ runs the same prefix/suffix every frame of every clip and should not.  An
 :class:`InferencePlan` is compiled once per (network, batch capacity,
 dtype) and then executes layer ranges against preallocated scratch:
 
-* **im2col as a gather** — each convolution's unfold geometry is compiled
-  to one flat index array; per call the input is staged into a persistent
-  padded buffer and a single ``np.take`` materialises the column matrix.
-  No 6-D scratch, no transpose copy, no per-frame allocation.
+* **im2col as a gather** (float lanes) — each convolution's unfold
+  geometry is compiled to one flat index array; per call the input is
+  staged into a persistent padded buffer and a single ``np.take``
+  materialises the column matrix.  No 6-D scratch, no transpose copy, no
+  per-frame allocation.  The integer lanes need no index array at all: a
+  direct im2col reads the previous conv's NHWC output, padding and any
+  max-pool in between included (see :class:`_QuantConvStep`).
 * **per-sample GEMMs with a batched probe** — BLAS does not guarantee
   that one matmul over ``B`` stacked samples is bitwise equal to ``B``
   single-sample matmuls (it is not for this repo's FC shapes), and AMC's
@@ -45,12 +48,13 @@ runtime stores per-frame outputs).
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.sad_kernel import addr, get_kernel
+from ..core.sad_kernel import addr, get_kernel, im2col_compiled, im2col_numpy
 from ..hardware.fixed_point import QFormat, QuantSavings, estimate_quantized_savings
 from . import functional as F
 from .layers import AvgPool2d, Conv2d, Flatten, Layer, Linear, MaxPool2d, ReLU
@@ -77,9 +81,10 @@ class _QuantSpec:
 
     ``conv_bits`` sizes convolution weights *and* activations — for the
     int8 family both ride in one byte, which is where the speed lives:
-    the im2col gathers (the planned engine's dominant memory traffic)
-    move a quarter of float32's bytes, and the 8-bit operands feed the
-    AVX512-VNNI integer GEMM when the host kernel has it.
+    the im2col columns (with the GEMM, the planned engine's dominant
+    memory traffic) take a quarter of float32's bytes, and the 8-bit
+    operands feed the AVX512-VNNI integer GEMM when the host kernel has
+    it.
     ``linear_bits`` sizes the fully-connected layers: they carry under
     2% of the MACs, so the int8 family keeps them at 16 bits — logit
     accuracy is nearly free while the convolutions still move the
@@ -247,8 +252,8 @@ class _Step:
     def resize(self, capacity: int) -> None:
         """Reallocate scratch for a new batch capacity.
 
-        Only leading-axis scratch changes; compiled geometry (gather
-        indices, weight snapshots, fused-GEMM probe results) is
+        Only leading-axis scratch changes; compiled geometry (float
+        gather indices, weight snapshots, fused-GEMM probe results) is
         capacity-independent and survives every resize.
         """
 
@@ -544,7 +549,19 @@ class _GenericStep(_Step):
 # quantized-lane steps
 # --------------------------------------------------------------------- #
 def _quantize_raws(x: np.ndarray, fmt: QFormat, storage: np.dtype) -> np.ndarray:
-    """Float activations → raw integers in ``fmt`` (round, saturate)."""
+    """Float activations → raw integers in ``fmt`` (round, saturate).
+
+    The compiled one-pass quantize serves C-contiguous float32 input
+    (the plan boundary's dtype); the scale is a power of two, so its
+    float32 multiply is as exact as the NumPy chain's float64 one.
+    """
+    ck = get_kernel()
+    if ck is not None and x.dtype == np.float32 and x.flags["C_CONTIGUOUS"]:
+        raw = np.empty(x.shape, storage)
+        quantize = ck.quantize_q8 if storage == np.int8 else ck.quantize_q16
+        quantize(addr(x), x.size, float(fmt.scale), float(fmt.min_raw),
+                 float(fmt.max_raw), addr(raw))
+        return raw
     raw = np.rint(np.asarray(x, dtype=np.float64) * fmt.scale)
     np.clip(raw, fmt.min_raw, fmt.max_raw, out=raw)
     return raw.astype(storage)
@@ -612,14 +629,24 @@ def _requant_gemm_out(out2d, mult, lo, hi, store) -> None:
 class _QuantConvStep(_Step):
     """A convolution over raw integer activations.
 
-    Same im2col-as-gather geometry as :class:`_ConvStep`, but the padded
-    buffer and gather run over int8/int16 raws and the GEMM multiplies
-    integer-valued float operands — exact integer arithmetic (see
-    ``_QuantSpec``), so the fused batched GEMM is *always* bitwise equal
-    to the per-sample loop and no probe is needed.  The accumulator
-    (scale ``in_fmt.scale * w_fmt.scale``) absorbs the quantized bias
-    and is then requantized to ``out_fmt`` — or dequantized to float32
-    when this is the plan's final compute layer (``out_fmt is None``).
+    The input arrives as integer raws in any layout — normally an NCHW
+    view of the previous conv's NHWC GEMM output — and one im2col pass
+    (:func:`~repro.core.sad_kernel.im2col_compiled`, or its NumPy twin)
+    reads it straight into the GEMM operand: zero padding, the +128
+    VNNI offset or the widening to the GEMM dtype, and an optional
+    max-pool all happen as it reads, so no padded copy and no index
+    array exist.  Its columns come out in (ky, kx, c) order, and the
+    GEMM weights are permuted to match once at compile time; the GEMM
+    is integer-exact (see ``_QuantSpec``), so column order, like batch
+    fusion, cannot change a bit.  The accumulator (scale ``in_fmt.scale
+    * w_fmt.scale``) absorbs the quantized bias and is requantized to
+    ``out_fmt`` — clamped at 0 as well when a ReLU follows, which on
+    integer raws is exactly that ReLU — or dequantized to float32 when
+    this is the plan's final compute layer (``out_fmt is None``).
+
+    ``run(x, batch, pool, relu)`` takes the folded neighbours from the
+    plan's schedule (:meth:`InferencePlan._schedule`); with neither it
+    is the plain per-layer step the calibration walk runs.
     """
 
     def __init__(self, layer: Conv2d, in_shape, capacity: int, spec,
@@ -627,26 +654,12 @@ class _QuantConvStep(_Step):
                  out_fmt: Optional[QFormat]):
         super().__init__(layer)
         c, h, w = in_shape
-        k, stride, pad = layer.kernel, layer.stride, layer.pad
-        self.out_h = F.conv_output_size(h, k, stride, pad)
-        self.out_w = F.conv_output_size(w, k, stride, pad)
+        k = layer.kernel
+        self.out_h = F.conv_output_size(h, k, layer.stride, layer.pad)
+        self.out_w = F.conv_output_size(w, k, layer.stride, layer.pad)
         self.out_c = layer.out_channels
         self.rows = self.out_h * self.out_w
-        hp, wp = h + 2 * pad, w + 2 * pad
-        self._interior = (slice(None), slice(pad, pad + h), slice(pad, pad + w))
-        oy = np.arange(self.out_h) * stride
-        ox = np.arange(self.out_w) * stride
-        ci = np.arange(c)
-        ky = np.arange(k)
-        kx = np.arange(k)
-        idx = (
-            ci[None, None, :, None, None] * (hp * wp)
-            + (ky[None, None, None, :, None] + oy[:, None, None, None, None]) * wp
-            + (kx[None, None, None, None, :] + ox[None, :, None, None, None])
-        )
-        self.gather = np.ascontiguousarray(idx.reshape(-1), dtype=np.int64)
         self.ckk = c * k * k
-        self._in_shape = (c, h, w)
         self.in_fmt = in_fmt if in_fmt is not None else cal.input_format
         self.quantize_input = in_fmt is None
         self.out_fmt = out_fmt
@@ -662,48 +675,37 @@ class _QuantConvStep(_Step):
                 self.gemm_dtype,
             )
         )
-        self._padded_shape = (c, hp, wp)
+        # The GEMM operand in the im2col's (ky, kx, c) row order; w_q
+        # keeps the layer's (c, ky, kx) order.
+        self._w_cols = np.ascontiguousarray(
+            self.w_q.reshape(c, k, k, self.out_c).transpose(1, 2, 0, 3)
+            .reshape(self.ckk, self.out_c)
+        )
         ck = get_kernel()
-        # Fused gather-and-widen: only for the storage/GEMM pairs the
-        # kernel implements (the common ones; exotic escalations fall
-        # back to np.take + cast, still exact).
-        self._gather_fn = None if ck is None else {
-            (np.int8, np.float32): ck.gather_rows_q8,
-            (np.int16, np.float32): ck.gather_rows_q16f,
-            (np.int16, np.float64): ck.gather_rows_q16,
-        }.get((self.storage, self.gemm_dtype))
+        self._kernel = ck
+        self._im2col_kernel = ck if ck is not None and ck.has_im2col else None
+        out_storage = None if out_fmt is None else _storage_for(out_fmt)
         # Single-pass bias-fold + requantize; the NumPy fallback adds
         # the bias separately first.
-        out_storage = None if out_fmt is None else _storage_for(out_fmt)
         self._requant_fn = None if ck is None else {
             (np.float32, np.int8): ck.requant_rows_q8,
             (np.float32, np.int16): ck.requant_rows_q16f,
             (np.float64, np.int16): ck.requant_rows_q16,
         }.get((self.gemm_dtype, out_storage))
-        self._quant_kernel = ck
-        if ck is not None:
-            self._gather_addr = addr(self.gather)
-            if self.quantize_input:
-                self._quantize = (
-                    ck.quantize_q8 if self.storage == np.int8
-                    else ck.quantize_q16,
-                    float(self.in_fmt.scale), float(self.in_fmt.min_raw),
-                    float(self.in_fmt.max_raw),
-                )
-        if self._requant_fn is not None:
-            # bias_q is only ever updated in place (bias correction), so
-            # its address holds for the plan's life.
-            self._requant_consts = (
-                addr(self.bias_q), addr(self.requant_mult),
-                float(out_fmt.min_raw), float(out_fmt.max_raw),
-            )
+        if out_fmt is not None:
+            #: requant clamp bounds without / with a folded ReLU
+            self._clamp = {
+                False: (float(out_fmt.min_raw), float(out_fmt.max_raw)),
+                True: (max(float(out_fmt.min_raw), 0.0),
+                       float(out_fmt.max_raw)),
+            }
         # AVX512-VNNI route: with one-byte operands and a requantized
-        # output, the whole conv collapses into a byte gather plus one
-        # fused integer-GEMM/requant call — no float column matrix, no
+        # output, the GEMM reads the im2col's uint8 columns (raw + 128)
+        # and requantizes in the same call — no float column matrix, no
         # separate requant pass.  ckk <= 512 keeps the offset
-        # accumulator (activations ride as u8 = raw + 128) and the
-        # offset-corrected bias inside float32's 24-bit mantissa, so the
-        # kernel is bitwise the sgemm/NumPy chain it replaces.
+        # accumulator and the offset-corrected bias inside float32's
+        # 24-bit mantissa, so the kernel is bitwise the sgemm/NumPy
+        # chain it replaces.
         self._vnni = (
             ck is not None
             and ck.has_vnni
@@ -719,30 +721,33 @@ class _QuantConvStep(_Step):
                 else ck.gemm_requant_u8s8_o16
             )
             self._kp = -(-self.ckk // 4) * 4
-            w_raw = np.ascontiguousarray(self.w_q.T).astype(np.int8)
-            wt_pad = np.zeros((32, self._kp), dtype=np.int8)
+            w_raw = np.ascontiguousarray(self._w_cols.T).astype(np.int8)
+            # One ZMM of channels per row when they fit, else two.
+            lanes = 16 if self.out_c <= 16 else 32
+            wt_pad = np.zeros((lanes, self._kp), dtype=np.int8)
             wt_pad[: self.out_c, : self.ckk] = w_raw
             self._w_packed = np.ascontiguousarray(
-                wt_pad.reshape(32, self._kp // 4, 4).transpose(1, 0, 2)
+                wt_pad.reshape(lanes, self._kp // 4, 4).transpose(1, 0, 2)
             )
-            self._w_colsum = w_raw.astype(np.int64).sum(axis=1)
+            self._w_colsum = w_raw.sum(axis=1, dtype=np.float64)  # exact
             self._pack_vnni_operands()
+        elif self._requant_fn is not None:
+            # bias_q is only ever updated in place (bias correction), so
+            # its address holds for the plan's life.
+            self._requant_consts = {
+                relu: (addr(self.bias_q), addr(self.requant_mult), lo, hi)
+                for relu, (lo, hi) in self._clamp.items()
+            }
         self._alloc(capacity)
 
     def _bind(self) -> None:
         """Addresses of the scratch the kernels touch, retaken on every
         reallocation (``_alloc``)."""
-        if self._quant_kernel is None:
+        if self._kernel is None:
             return
-        self._padded_addr = addr(self.padded)
-        self._src_len = self.padded[0].size
-        if self._vnni:
-            self._cols_u8_addr = addr(self.cols_u8)
-        else:
-            self._cols_addr = addr(self.cols)
+        self._cols_addr = addr(self.cols)
+        if not self._vnni:
             self._out2d_addr = addr(self.out2d)
-        if self.quantize_input:
-            self._quant_raw_addr = addr(self.quant_raw)
         if self.out_fmt is not None:
             self._out_q_addr = addr(self.out_q)
 
@@ -762,118 +767,61 @@ class _QuantConvStep(_Step):
         mult[: self.out_c] = self.requant_mult
         self._vnni_bias = bias_eff
         self._vnni_mult = mult
-        self._vnni_consts = (
-            addr(self._w_packed), self.out_c, addr(bias_eff), addr(mult),
-            float(self.out_fmt.min_raw), float(self.out_fmt.max_raw),
-        )
+        self._vnni_consts = {
+            relu: (addr(self._w_packed), self.out_c, addr(bias_eff),
+                   addr(mult), lo, hi)
+            for relu, (lo, hi) in self._clamp.items()
+        }
 
     def _alloc(self, capacity: int) -> None:
-        c, hp, wp = self._padded_shape
-        # Border must stay zero — np.zeros, not empty (same as _ConvStep).
-        self.padded = np.zeros((capacity, c, hp, wp), dtype=self.storage)
         if self._vnni:
-            # One byte per operand; the kp-ckk pad columns stay zero
-            # forever (the gather never writes them), matching the
-            # zero-padded packed weights.
-            self.cols_u8 = np.zeros(
+            # One byte per operand; the kp-ckk pad columns are never
+            # written and meet zero packed weights, so they stay inert.
+            self.cols = np.zeros(
                 (capacity * self.rows, self._kp), dtype=np.uint8
             )
-            self.cols = self.cols_raw = self.out2d = None
+            self.out2d = None
         else:
             self.cols = np.empty(
-                (capacity, self.rows * self.ckk), dtype=self.gemm_dtype
-            )
-            # np.take cannot widen in place, so the NumPy fallback
-            # gathers into a raw-typed staging buffer first; the
-            # compiled kernel widens during the gather and never
-            # touches it.
-            self.cols_raw = (
-                None
-                if self._gather_fn is not None
-                else np.empty((capacity, self.rows * self.ckk), self.storage)
+                (capacity * self.rows, self.ckk), dtype=self.gemm_dtype
             )
             self.out2d = np.empty(
                 (capacity * self.rows, self.out_c), dtype=self.gemm_dtype
             )
-        if self.quantize_input:
-            # Kernel path: one-pass quantize into integer staging, then
-            # a cheap strided int copy into the padded interior.  NumPy
-            # fallback: float64 scratch for the multiply/rint/clip chain
-            # (float64 so a float64 input from an unspecialised
-            # predecessor quantizes identically).
-            if self._quant_kernel is not None:
-                self.quant_raw = np.empty(
-                    (capacity,) + self._in_shape, dtype=self.storage
-                )
-                self.quant_buf = None
-            else:
-                self.quant_raw = None
-                self.quant_buf = np.empty(
-                    (capacity,) + self._in_shape, dtype=np.float64
-                )
+        shape = (capacity, self.out_h, self.out_w, self.out_c)
         if self.out_fmt is None:
-            self.out_f = np.empty(
-                (capacity, self.out_h, self.out_w, self.out_c), np.float32
-            )
+            self.out_f = np.empty(shape, np.float32)
         else:
-            self.out_q = np.empty(
-                (capacity, self.out_h, self.out_w, self.out_c),
-                dtype=_storage_for(self.out_fmt),
-            )
+            self.out_q = np.empty(shape, dtype=_storage_for(self.out_fmt))
         self._bind()
 
     def resize(self, capacity: int) -> None:
         self._alloc(capacity)
 
-    def run(self, x: np.ndarray, batch: int) -> np.ndarray:
-        padded = self.padded[:batch]
+    def run(self, x: np.ndarray, batch: int, pool=None,
+            relu: bool = False) -> np.ndarray:
+        """Convolve ``x`` (a max-pool ``(field, stride)`` of it when
+        ``pool`` is given), then apply ReLU when ``relu``."""
         if self.quantize_input:
-            fmt = self.in_fmt
-            if (
-                self._quant_kernel is not None
-                and x.dtype == np.float32
-                and x.flags["C_CONTIGUOUS"]
-            ):
-                quantize, scale, lo, hi = self._quantize
-                quantize(addr(x), x.size, scale, lo, hi, self._quant_raw_addr)
-                padded[(slice(None),) + self._interior] = self.quant_raw[:batch]
-            else:
-                buf = self.quant_buf
-                if buf is None:
-                    buf = np.empty(x.shape, dtype=np.float64)
-                else:
-                    buf = buf[:batch]
-                np.multiply(x, fmt.scale, out=buf)
-                np.rint(buf, out=buf)
-                np.clip(buf, fmt.min_raw, fmt.max_raw, out=buf)
-                np.copyto(padded[(slice(None),) + self._interior], buf,
-                          casting="unsafe")
-        else:
-            padded[(slice(None),) + self._interior] = x
-        if self._vnni:
-            self._quant_kernel.gather_cols_q8u(
-                self._padded_addr, self._src_len, self._gather_addr,
-                self.rows, self.ckk, batch, self._kp, self._cols_u8_addr,
+            x = _quantize_raws(x, self.in_fmt, self.storage)
+        cols = self.cols[: batch * self.rows]
+        layer = self.layer
+        if self._im2col_kernel is not None:
+            im2col_compiled(
+                self._im2col_kernel, x, pool, layer.kernel, layer.stride,
+                layer.pad, cols,
             )
+        else:
+            im2col_numpy(x, pool, layer.kernel, layer.stride, layer.pad, cols)
+        if self._vnni:
             self._gemm_fn(
-                self._cols_u8_addr, batch * self.rows, self._kp // 4,
-                *self._vnni_consts, self._out_q_addr, self.out_c,
+                self._cols_addr, batch * self.rows, self._kp // 4,
+                *self._vnni_consts[relu], self._out_q_addr, self.out_c,
             )
             return self.out_q[:batch].transpose(0, 3, 1, 2)
-        cols = self.cols[:batch]
-        if self._gather_fn is not None:
-            self._gather_fn(
-                self._padded_addr, self._src_len, self._gather_addr,
-                self.gather.size, batch, self._cols_addr,
-            )
-        else:
-            raws = self.cols_raw[:batch]
-            np.take(padded.reshape(batch, -1), self.gather, axis=1, out=raws)
-            np.copyto(cols, raws, casting="unsafe")
-        cols2d = cols.reshape(batch * self.rows, self.ckk)
         out2d = self.out2d[: batch * self.rows]
         # Integer-exact, hence order-independent: always fused.
-        np.matmul(cols2d, self.w_q, out=out2d)
+        np.matmul(cols, self._w_cols, out=out2d)
         if self.out_fmt is None:
             np.add(out2d, self.bias_q, out=out2d)
             out4 = out2d.reshape(batch, self.out_h, self.out_w, self.out_c)
@@ -881,18 +829,18 @@ class _QuantConvStep(_Step):
             np.multiply(out4, self.out_scale, out=out, casting="unsafe")
             return out.transpose(0, 3, 1, 2)
         store = self.out_q[:batch]
-        store2d = store.reshape(batch * self.rows, self.out_c)
         if self._requant_fn is not None:
             # The kernel folds the bias into its single requant pass.
             self._requant_fn(
                 self._out2d_addr, batch * self.rows, self.out_c,
-                *self._requant_consts, self._out_q_addr,
+                *self._requant_consts[relu], self._out_q_addr,
             )
         else:
             np.add(out2d, self.bias_q, out=out2d)
+            lo, hi = self._clamp[relu]
             _requant_gemm_out(
-                out2d, self.requant_mult,
-                self.out_fmt.min_raw, self.out_fmt.max_raw, store2d,
+                out2d, self.requant_mult, lo, hi,
+                store.reshape(batch * self.rows, self.out_c),
             )
         return store.transpose(0, 3, 1, 2)
 
@@ -906,7 +854,7 @@ class _QuantLinearStep(_Step):
     """A fully-connected layer over raw integer activations.
 
     Same integer-exact GEMM scheme as :class:`_QuantConvStep`, minus the
-    gather (the flattened raws are the operand, widened into a staging
+    im2col (the flattened raws are the operand, widened into a staging
     buffer).  The plan's final layer dequantizes instead of requantizing
     so the network outputs keep full float32 resolution.
     """
@@ -1052,6 +1000,7 @@ class InferencePlan:
         self.tolerance: Optional[QuantTolerance] = None
         self.calibration_top1: Optional[float] = None
         self._steps: List[_Step] = []
+        self._schedules: Dict[Tuple[int, int], List[Callable]] = {}
         if self._quant is not None:
             samples, refs, reference = self._calibrate()
         prev: Optional[Layer] = None
@@ -1231,6 +1180,45 @@ class InferencePlan:
             step = _DequantWrapStep(step, current, in_shape, cap)
         return step, None
 
+    def _schedule(self, start: int, stop: int) -> List[Callable]:
+        """Step runners for ``steps[start:stop]`` of a quantized plan.
+
+        An integer conv absorbs the max-pool right before it (read in by
+        its im2col) and the ReLU right after it (its requant clamp) —
+        only when that neighbour lies inside the range.  A neighbour
+        outside it runs as its own step, so every split point returns
+        exactly the activation its layer names: ``run_prefix(x,
+        "conv2")`` is pre-ReLU, a ``pool1`` target is pooled.  Cached
+        per range; steps keep their identity across ``reserve``/
+        ``shrink``, so the cache does too.
+        """
+        runners = self._schedules.get((start, stop))
+        if runners is not None:
+            return runners
+        runners = []
+        steps = self._steps
+        i = start
+        while i < stop:
+            step, pool = steps[i], None
+            nxt = steps[i + 1] if i + 1 < stop else None
+            if (
+                isinstance(step, _MaxPoolStep)
+                and isinstance(nxt, _QuantConvStep)
+                and not nxt.quantize_input
+            ):
+                pool = (step.field, step.stride)
+                i += 1
+                step, nxt = nxt, steps[i + 1] if i + 1 < stop else None
+            if isinstance(step, _QuantConvStep):
+                relu = step.out_fmt is not None and isinstance(nxt, _ReLUStep)
+                runners.append(functools.partial(step.run, pool=pool, relu=relu))
+                i += 1 + relu
+            else:
+                runners.append(step.run)
+                i += 1
+        self._schedules[(start, stop)] = runners
+        return runners
+
     def _measure_tolerance(self, samples, reference):
         """Run the calibration set through the compiled plan and size
         the :class:`QuantTolerance` contract from the measured error."""
@@ -1280,8 +1268,8 @@ class InferencePlan:
                 fmt = self._boundary[start - 1]
                 if fmt is not None:
                     x = _quantize_raws(x, fmt, _storage_for(fmt))
-            for step in self._steps[start:stop]:
-                x = step.run(x, batch)
+            for run in self._schedule(start, stop):
+                x = run(x, batch)
             fmt = self._boundary[stop - 1]
             if fmt is not None:
                 out = np.empty(x.shape, np.float32)
@@ -1301,7 +1289,7 @@ class InferencePlan:
     def reserve(self, capacity: int) -> "InferencePlan":
         """Grow batch capacity to at least ``capacity`` without recompiling.
 
-        Only the leading-axis scratch buffers reallocate; gather geometry,
+        Only the leading-axis scratch buffers reallocate; conv geometry,
         weight snapshots, and fused-GEMM probe results are untouched, so a
         grown plan stays bit-identical at every occupancy it already
         served.  The serving runtime uses this to widen a lane when

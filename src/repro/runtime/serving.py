@@ -95,7 +95,7 @@ from ..core.pipeline import FrameRecord, PipelineResult
 from ..core.stages import LaneSlot, LaneState, PlanHandle, StepBatch
 from ..hardware.fixed_point import QuantSavings
 from ..nn.inference import quantized_savings, resolve_plan_dtype
-from ..video.generator import VideoClip
+from ..video.generator import VideoClip, nonfinite_frame
 from .batched import WorkloadResult
 from .frontdoor import (
     Autoscaler,
@@ -181,6 +181,14 @@ class ClipRequest:
     def __post_init__(self):
         if len(self.clip) < 1:
             raise ValueError(f"request {self.request_id!r} has an empty clip")
+        # The clip checked its frames when it was built; they are
+        # mutable arrays, so the request checks them again.
+        bad = nonfinite_frame(self.clip.frames)
+        if bad is not None:
+            raise ValueError(
+                f"request {self.request_id!r}: frame {bad} has non-finite "
+                "pixels (NaN or inf)"
+            )
         if self.arrival_time < 0:
             raise ValueError(
                 f"arrival_time must be >= 0, got {self.arrival_time}"

@@ -16,7 +16,7 @@ import numpy as np
 from . import sprites
 from .scenes import SceneConfig
 
-__all__ = ["Annotation", "VideoClip", "generate_clip"]
+__all__ = ["Annotation", "VideoClip", "generate_clip", "nonfinite_frame"]
 
 #: Frame period implied by the paper's 30 fps decode (§IV-B).
 FRAME_PERIOD_MS = 33.0
@@ -38,9 +38,23 @@ class Annotation:
         return (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
+def nonfinite_frame(frames: np.ndarray) -> Optional[int]:
+    """Index of the first frame of a (T, H, W) stack holding a NaN or an
+    infinity, or None when every pixel is finite."""
+    finite = np.isfinite(frames)
+    if finite.all():
+        return None
+    return int(np.argmin(finite.reshape(len(frames), -1).all(axis=1)))
+
+
 @dataclass
 class VideoClip:
-    """Frames plus per-frame annotations."""
+    """Frames plus per-frame annotations.
+
+    Every pixel must be finite: a NaN or an infinity would silently
+    break key-frame refresh and backend bit-identity downstream, so
+    construction rejects it with a ``ValueError`` naming the frame.
+    """
 
     frames: np.ndarray  # (T, H, W), float64 in [0, 1]
     annotations: List[Annotation]
@@ -55,6 +69,9 @@ class VideoClip:
                 f"{len(self.annotations)} annotations for "
                 f"{self.frames.shape[0]} frames"
             )
+        bad = nonfinite_frame(self.frames)
+        if bad is not None:
+            raise ValueError(f"frame {bad} has non-finite pixels (NaN or inf)")
 
     def __len__(self) -> int:
         return self.frames.shape[0]

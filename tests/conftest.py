@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import sad_kernel
 from repro.nn.train import get_trained_network
 from repro.video import build_clipset, generate_clip, scenario
 
@@ -55,3 +56,21 @@ def tiny_test_set():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def compiled(monkeypatch):
+    """The compiled kernel in either kernel lane.
+
+    Under ``REPRO_FORCE_NUMPY=1`` the kernel is loaded for this test only
+    (``_STATE`` is put back afterwards), so the compiled-versus-NumPy
+    checks run in both lanes; they skip only where nothing can compile.
+    """
+    if sad_kernel.get_kernel() is None:
+        monkeypatch.delenv("REPRO_FORCE_NUMPY", raising=False)
+        monkeypatch.delenv("REPRO_SAD_KERNEL", raising=False)
+        monkeypatch.setattr(sad_kernel, "_STATE", None)
+    kernel = sad_kernel.get_kernel()
+    if kernel is None:
+        pytest.skip("the compiled kernel cannot build on this host")
+    return kernel

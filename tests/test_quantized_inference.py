@@ -15,12 +15,16 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.core import sad_kernel
+from repro.core.sad_kernel import KernelFallbackWarning
 from repro.nn import InferencePlan
 from repro.nn.inference import (
+    _QuantConvStep,
     quantized_savings,
     resolve_plan_dtype,
 )
@@ -314,3 +318,187 @@ class TestQuantizedSavings:
             if isinstance(layer, (Conv2d, Linear))
         )
         assert savings.macs == want
+
+
+# -------------------------------------------------------------------- #
+# the fused integer conv path: direct im2col, pool read-in, folded ReLU
+
+SPLIT_NETS = ("mini_fasterm", "mini_alexnet", "mini_faster16")
+
+
+def _in_lane(monkeypatch, state, fn):
+    """``fn()`` with the kernel state set to ``state`` (a loaded kernel,
+    or False for the pure NumPy twins)."""
+    monkeypatch.setattr(sad_kernel, "_STATE", state)
+    return fn()
+
+
+class TestFusedIntegerPath:
+    @pytest.mark.parametrize("dtype", QUANT)
+    @pytest.mark.parametrize("name", SPLIT_NETS)
+    def test_every_split_matches_numpy_twin(
+        self, compiled, monkeypatch, name, dtype
+    ):
+        """Every run_prefix/run_suffix split point, at batch 1, 3 and 16,
+        is bitwise the in-process pure-NumPy plan.  The three networks
+        put the pools after conv2 (AlexNet), after conv3 (FasterM) and
+        after conv-conv pairs (Faster16), so pool read-in, ReLU folding
+        and ranges that stop between a conv and its neighbours all run."""
+        net = get_trained_network(name)
+        fast = InferencePlan(net, max_batch=16, dtype=dtype)
+        twin = _in_lane(
+            monkeypatch, False, lambda: InferencePlan(net, 16, dtype)
+        )
+        assert any(s._vnni for s in fast._steps if hasattr(s, "_vnni")) == (
+            dtype == "int8" and compiled.has_vnni
+        )
+        rng = np.random.default_rng(7)
+        for batch in (1, 3, 16):
+            x = rng.random((batch, 1, 64, 64)).astype(np.float32)
+            want = _in_lane(monkeypatch, compiled, lambda: fast.run(x))
+            np.testing.assert_array_equal(
+                _in_lane(monkeypatch, False, lambda: twin.run(x)), want
+            )
+            for layer in net.layers[:-1]:
+                def split(plan, target=layer.name):
+                    prefix = plan.run_prefix(x, target)
+                    return prefix, plan.run_suffix(prefix, target)
+
+                fp, fs = _in_lane(monkeypatch, compiled, lambda: split(fast))
+                tp, ts = _in_lane(monkeypatch, False, lambda: split(twin))
+                np.testing.assert_array_equal(fp, tp, err_msg=layer.name)
+                np.testing.assert_array_equal(fs, ts, err_msg=layer.name)
+                np.testing.assert_array_equal(fs, want, err_msg=layer.name)
+
+    def test_int8_without_vnni_is_the_same_plan(
+        self, compiled, monkeypatch, net, frames
+    ):
+        """Hosts without AVX512-VNNI run the int8 convs as float32
+        columns, sgemm and the compiled requant: the same bits."""
+        want = InferencePlan(net, max_batch=8, dtype="int8")
+        monkeypatch.setattr(compiled, "has_vnni", False)
+        plain = InferencePlan(net, max_batch=8, dtype="int8")
+        assert not any(getattr(s, "_vnni", False) for s in plain._steps)
+        target = net.last_spatial_layer()
+        np.testing.assert_array_equal(plain.run(frames), want.run(frames))
+        np.testing.assert_array_equal(
+            plain.run_prefix(frames, target), want.run_prefix(frames, target)
+        )
+
+    @pytest.mark.parametrize("dtype", QUANT)
+    def test_split_points_return_the_named_activation(self, net, frames, dtype):
+        """A ReLU or pool outside the executed range is never folded:
+        a conv target is pre-ReLU, a pool target is pooled."""
+        plan = net.inference_plan(max_batch=8, dtype=dtype)
+        x = frames[:3]
+        pre = plan.run_prefix(x, "conv2")
+        assert (pre < 0).any()
+        np.testing.assert_array_equal(
+            plan.run_prefix(x, "relu2"), np.maximum(pre, 0)
+        )
+        relu1 = plan.run_prefix(x, "relu1")
+        pooled = plan.run_prefix(x, "pool1")
+        assert pooled.shape == (3, 8, 16, 16)
+        np.testing.assert_array_equal(
+            pooled, relu1.reshape(3, 8, 16, 2, 16, 2).max(axis=(3, 5))
+        )
+        # Entering at the ReLU runs it on its own: still the same bits.
+        np.testing.assert_array_equal(
+            plan.run_suffix(pre, "conv2"), plan.run(x)
+        )
+
+    @pytest.mark.parametrize("dtype", QUANT)
+    def test_reserve_shrink_rebind_scratch(self, net, frames, dtype):
+        """Every conv step's kernel addresses follow its scratch across
+        reserve/shrink (a stale address would write freed memory), and
+        the outputs stay bitwise a fresh plan's at every capacity."""
+        x = np.random.default_rng(3).random((16, 1, 64, 64))
+        fresh = InferencePlan(net, max_batch=16, dtype=dtype).run(x)
+        plan = InferencePlan(net, max_batch=1, dtype=dtype)
+        for capacity, batch in ((16, 16), (2, 2), (5, 1), (16, 16)):
+            if capacity > plan.max_batch:
+                plan.reserve(capacity)
+            else:
+                plan.shrink(capacity)
+            np.testing.assert_array_equal(plan.run(x[:batch]), fresh[:batch])
+            for step in plan._steps:
+                if getattr(step, "_kernel", None) is None:
+                    continue
+                assert step._cols_addr == sad_kernel.addr(step.cols)
+                if step.out_fmt is not None:
+                    assert step._out_q_addr == sad_kernel.addr(step.out_q)
+
+    def test_im2col_rejects_a_wrong_output_buffer(self, compiled):
+        src = np.zeros((2, 3, 6, 6), dtype=np.int8)
+        for out in (
+            np.zeros((2 * 36 - 1, 27), np.float32),  # a row short
+            np.zeros((2 * 36, 26), np.float32),  # a column short
+            np.zeros((27, 2 * 36), np.float32).T,  # not C-contiguous
+        ):
+            with pytest.raises(ValueError, match="im2col output"):
+                sad_kernel.im2col_compiled(compiled, src, None, 3, 1, 1, out)
+
+    def test_no_conv_step_holds_an_index_array(self, net):
+        for dtype in QUANT:
+            plan = net.inference_plan(max_batch=2, dtype=dtype)
+            for step in plan._steps:
+                if isinstance(step, _QuantConvStep):
+                    assert not any(
+                        isinstance(v, np.ndarray) and v.dtype == np.int64
+                        for v in vars(step).values()
+                    )
+
+
+class TestKernelFallbackWarnings:
+    """A failed build or self-check warns once, naming what failed; the
+    outputs do not change, because every fallback is a bitwise twin."""
+
+    def test_failed_build_warns_and_keeps_outputs(
+        self, compiled, monkeypatch, tmp_path, net, frames
+    ):
+        want = InferencePlan(net, max_batch=3, dtype="int8").run(frames[:3])
+        monkeypatch.setattr(
+            sad_kernel, "_SOURCE", sad_kernel._SOURCE + "\n#error forced\n"
+        )
+        monkeypatch.setattr(sad_kernel, "_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(sad_kernel, "_STATE", None)
+        with pytest.warns(KernelFallbackWarning, match="failed to build"):
+            assert sad_kernel.get_kernel() is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # once per process
+            assert sad_kernel.get_kernel() is None
+            got = InferencePlan(net, max_batch=3, dtype="int8").run(frames[:3])
+        np.testing.assert_array_equal(got, want)
+
+    def test_missing_compiler_stays_silent(
+        self, compiled, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(sad_kernel.shutil, "which", lambda name: None)
+        monkeypatch.setattr(sad_kernel, "_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(sad_kernel, "_STATE", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sad_kernel.get_kernel() is None
+
+    def test_failed_im2col_check_falls_back_alone(
+        self, compiled, monkeypatch, net, frames
+    ):
+        want = InferencePlan(net, max_batch=3, dtype="int8").run(frames[:3])
+        real = sad_kernel.im2col_numpy
+
+        def one_off(src, pool, k, stride, pad, out):
+            real(src, pool, k, stride, pad, out)
+            out[0, 0] += 1
+
+        monkeypatch.setattr(sad_kernel, "_STATE", None)
+        with monkeypatch.context() as patch:
+            patch.setattr(sad_kernel, "im2col_numpy", one_off)
+            with pytest.warns(KernelFallbackWarning, match="integer im2col"):
+                kernel = sad_kernel.get_kernel()
+        assert kernel is not None
+        assert not kernel.has_im2col and kernel.has_warp
+        plan = InferencePlan(net, max_batch=3, dtype="int8")
+        convs = [s for s in plan._steps if isinstance(s, _QuantConvStep)]
+        assert all(s._im2col_kernel is None for s in convs)
+        assert all(s._kernel is kernel for s in convs)  # GEMMs stay compiled
+        np.testing.assert_array_equal(plan.run(frames[:3]), want)

@@ -332,6 +332,27 @@ class TestValidation:
                 rng.normal(size=(16, 16)), rng.normal(size=(16, 16)), small_rf, (1, 1)
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["key", "new"])
+    @pytest.mark.parametrize("backend", ["loop", "batched", "kernel"])
+    def test_non_finite_pixel_names_the_pair(
+        self, compiled, rng, backend, which, bad
+    ):
+        """One NaN or infinite pixel is rejected identically by every
+        backend, naming the pair and the frame; the fast backends would
+        otherwise turn it into all-NaN match errors that never trigger a
+        key frame, while ``loop`` keeps going."""
+        engine = RFBMEEngine((64, 64), RF, GRID, backend=backend)
+        assert engine.backend == backend
+        pairs = [(rng.random((64, 64)), rng.random((64, 64))) for _ in range(3)]
+        pairs[2][0 if which == "key" else 1][40, 9] = bad
+        with pytest.raises(
+            ValueError, match=f"pair 2: {which} frame has non-finite pixels"
+        ):
+            engine.estimate_batch(pairs)
+        with pytest.raises(ValueError, match="pair 0: "):
+            estimate_motion(*pairs[2], RF, GRID, backend=backend)
+
 
 class TestOpCounts:
     def test_total(self):

@@ -907,6 +907,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="arrival_time"):
             ClipRequest(0, clips[0], arrival_time=-1.0)
 
+    def test_non_finite_frame_named_by_serve(self, spec, clips):
+        """A frame that turned NaN after its clip was built fails the
+        request that carries it, naming request and frame, out of serve."""
+        bad = _clip_with(clips[1], clips[1].frames.copy())
+        bad.frames[3, 5, 5] = np.nan
+        stream = (
+            ClipRequest(request_id=f"cam-{i}", clip=clip)
+            for i, clip in enumerate([clips[0], bad])
+        )
+        with pytest.raises(
+            ValueError,
+            match="request 'cam-1': frame 3 has non-finite pixels",
+        ):
+            ServingRuntime(spec).serve(stream)
+
     def test_bad_max_batch_rejected(self, spec):
         with pytest.raises(ValueError):
             ServingRuntime(spec, ServerConfig(max_batch=0))

@@ -94,6 +94,16 @@ class TestScenes:
 
 
 class TestGenerateClip:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_rejected(self, bad):
+        from repro.video.generator import VideoClip
+
+        clip = generate_clip(scenario("camera_pan"), seed=1, num_frames=4)
+        frames = clip.frames.copy()
+        frames[2, 10, 20] = bad
+        with pytest.raises(ValueError, match="frame 2 has non-finite pixels"):
+            VideoClip(frames, clip.annotations, clip.scenario)
+
     def test_shapes_and_range(self):
         clip = generate_clip(scenario("linear_motion"), seed=1)
         assert clip.frames.shape == (24, 64, 64)

@@ -206,24 +206,6 @@ class TestWarpBatch:
         assert out.dtype == np.float32
 
 
-@pytest.fixture()
-def compiled(monkeypatch):
-    """The compiled kernel in either kernel lane.
-
-    Under ``REPRO_FORCE_NUMPY=1`` the kernel is loaded for this test only
-    (``_STATE`` is put back afterwards), so the compiled-versus-NumPy
-    checks run in both lanes; they skip only where nothing can compile.
-    """
-    if sad_kernel.get_kernel() is None:
-        monkeypatch.delenv("REPRO_FORCE_NUMPY", raising=False)
-        monkeypatch.delenv("REPRO_SAD_KERNEL", raising=False)
-        monkeypatch.setattr(sad_kernel, "_STATE", None)
-    kernel = sad_kernel.get_kernel()
-    if kernel is None:
-        pytest.skip("the compiled kernel cannot build on this host")
-    return kernel
-
-
 def _warp_probe(rng, batch, dtype):
     """Activations plus fields that sample far past every border, at
     integer, quarter-step and arbitrary positions, in every direction."""
