@@ -67,11 +67,11 @@ def normalized_metrics(data: dict) -> Dict[str, float]:
 
     Absolute frames/sec are machine-dependent, so only ratios that
     survive a hardware change are compared: per-path speedups vs loop
-    serial and planned lockstep vs planned serial (runtime; its frozen
-    ``history`` block is not compared), and serving's headline ratios
-    (vs static lockstep, shard scaling, pipelined-vs-sequential, and the
-    speculative-pipelining p99/throughput ratios, among others).  Every
-    metric is higher-is-better.
+    serial and planned lockstep vs planned serial (runtime), and
+    serving's headline ratios (vs static lockstep, shard scaling,
+    pipelined-vs-sequential, chaos, autoscale, prefix and quantized
+    ratios, among others).  Neither file's frozen ``history`` block is
+    compared.  Every metric is higher-is-better.
     """
     if "paths" in data:  # BENCH_runtime.json
         metrics = {
@@ -87,10 +87,6 @@ def normalized_metrics(data: dict) -> Dict[str, float]:
         optional = {
             "shard_scaling_2x": "2-shard serving (x 1 worker)",
             "pipelined_vs_sequential": "pipelined lockstep (x sequential)",
-            "speculation_p99_speedup":
-                "speculative p99 TTFF speedup (x non-speculative)",
-            "speculation_fps_ratio":
-                "speculative serving throughput (x non-speculative)",
             "chaos_p99_retention":
                 "chaos p99 TTFF retention (x fault-free)",
             "autoscale_p99_speedup":

@@ -12,9 +12,7 @@ paths:
 * ``planned lockstep``— the headline: one RFBME batch, one batched CNN
   prefix for coincident key frames, one batched warp, one CNN suffix
   call per lockstep step, with the next step's RFBME on a second
-  thread;
-* ``threads``         — :class:`repro.runtime.ClipScheduler` on a thread
-  pool (informational; wins only on multi-core hosts).
+  thread.
 
 Every path must produce identical outputs, key-frame decisions, and op
 counts — the speedup comes purely from host execution strategy.  The
@@ -26,7 +24,6 @@ execution paths that no longer exist, carried over verbatim and never
 gated.
 """
 
-import os
 import time
 
 import pytest
@@ -35,7 +32,7 @@ from _common import bench_json_path, write_bench_json
 from conftest import register_table
 from repro.core.rfbme import RFBMEEngine
 from repro.core.sad_kernel import kernel_available
-from repro.runtime import PipelineSpec, SchedulerConfig, run_workload, synthetic_workload
+from repro.runtime import PipelineSpec, run_workload, synthetic_workload
 
 NETWORK = "mini_fasterm"
 NUM_CLIPS = 16
@@ -71,15 +68,6 @@ def test_runtime_throughput(workload):
         spec.warm()
         resolved[label] = spec.build_executor().rfbme_engine.backend
         measured[label] = _best_of(2, spec, workload, **run_kwargs)
-
-    workers = min(4, os.cpu_count() or 1)
-    if workers > 1:
-        spec = PipelineSpec(network=NETWORK)
-        measured["threads"] = _best_of(
-            1, spec, workload,
-            scheduler=SchedulerConfig(workers=workers, backend="thread"),
-        )
-        resolved["threads"] = resolved["planned lockstep"]
 
     reference = measured["loop serial"]
     rows, trajectory = [], {}

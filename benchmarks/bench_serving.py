@@ -42,24 +42,16 @@ shared per-lane backlog:
 * **tail latency under skew** — long and short clips interleaved across
   2 shards that steal from one shared backlog; p99 time-to-first-frame
   is recorded with every clip asserted bit-identical.  Sharded serving
-  has no other admission mode: the static round-robin baseline it beat
-  1.57x (``static_p99_ttff_ms``, ``admission_p99_speedup``) is kept in
-  ``BENCH_serving.json`` as frozen history, no longer measured or gated.
+  has no other admission mode.
 
-The fifth headline is **speculation**: under arrival-limited Poisson
-traffic the server is almost never at full occupancy, so PR 5's
-stable-membership predicate ran every step sequentially.  Speculative
-pipelining (checkpoint + rollback, PR 6) overlaps those same steps and
-eats the occasional rollback; p99 time-to-first-frame with speculation
-on must be **>= 1.1x** better than with it off, with speculation
-engaging on a majority of steps and at least one rollback exercised.
-Both sides are measured on the concurrent-overlap timeline
-(``overlap_timeline=True`` — per-step CPU-time charges,
-``max(head, tail)`` for overlapped steps), the per-step analogue of the
-shard-scaling benchmark's per-shard-clock convention, so the ratio is
-comparable across hosts with any core count.
+``BENCH_serving.json``'s ``history`` block holds the frozen values of
+removed measurements, carried over verbatim and never re-measured or
+gated: the static round-robin admission baseline the shared backlog
+beat 1.57x, and the speculative-pipelining headline (speculation and
+its modelled overlap clock are gone; serving pipelines only steps whose
+successor is certain).
 
-The sixth headline is **chaos failover**: one of two *real* shard
+The fifth headline is **chaos failover**: one of two *real* shard
 processes is killed mid-trace under burst load.  The supervisor must
 detect the crash, fail its unacknowledged requests over to the survivor
 — every completed request bit-identical to its serial run, the failover
@@ -68,7 +60,7 @@ The tracked ratio is p99 TTFF *retention* (fault-free p99 over chaos
 p99, clamped at 1.0): how much of the tail survives losing half the
 fleet.
 
-The seventh headline is **autoscaling under bursts**: whole bursts of
+The sixth headline is **autoscaling under bursts**: whole bursts of
 requests land at once with idle lulls between them — the regime where a
 fixed fleet either over-provisions the lulls or drowns in the bursts.
 An autoscaled lane (1→4 shards, scale decisions from observed admission
@@ -77,13 +69,13 @@ depth) must beat the fixed 2-shard fleet on p99 time-to-first-frame by
 run regardless of when shards scaled, and the fleet asserted to have
 actually reached 4 shards.
 
-The eighth headline is **virtual-time admission**: the same supervised
+The seventh headline is **virtual-time admission**: the same supervised
 process backend, but the parent releases arrivals by logical timestamps
 instead of real sleeps — a ~60-second simulated trace must complete in
 **well under half** its simulated duration (the gated metric is the
 real-vs-simulated speedup, capped so faster hosts don't inflate it).
 
-The ninth headline is **the prefix service**: two lanes serving the
+The eighth headline is **the prefix service**: two lanes serving the
 same repeated-scene clips with every frame a key frame — the regime
 where per-lane execution runs one CNN prefix call per lane per step and
 recomputes identical pixels over and over.  With cross-lane coalescing
@@ -92,7 +84,7 @@ and the content-addressed prefix cache on, throughput must reach
 one fused batch executed, a substantial cache hit rate, and every
 served clip still bit-identical to its serial run on both sides.
 
-The tenth headline is **the quantized inference lane**: the same
+The ninth headline is **the quantized inference lane**: the same
 16-clip workload with every frame a key frame, served by the int8
 planned lane vs the float32 lane.  All-key-frames is the CNN-bound
 regime — under the default match-error policy both lanes share the same
@@ -147,10 +139,6 @@ SHARD_SCALING_FLOOR = 1.5
 #: gated only with at least two usable cores (the head thread needs its
 #: own).  Measured 1.37-1.52x on this 16-clip workload on a 2-core host.
 PIPELINE_FLOOR = 1.2
-#: speculation bar: with arrival-limited Poisson traffic, p99 TTFF with
-#: speculative pipelining on vs off (both on the concurrent-overlap
-#: timeline; measured ~1.2-1.6x better on this workload).
-SPECULATION_P99_FLOOR = 1.1
 #: chaos bar: p99 TTFF retention after losing 1 of 2 process shards
 #: mid-trace (fault-free p99 / chaos p99, clamped at 1.0).  The real
 #: bound under test is bit identity + exact failover accounting + no
@@ -188,19 +176,14 @@ _RESULTS = {}
 #: keys from the on-disk file, so renamed/removed metrics die with the
 #: schema instead of being resurrected from an old JSON forever.
 _JSON_KEYS = (
+    # frozen values of removed measurements, carried but never rewritten.
+    "history",
     "workload", "kernel_available", "static_lockstep_fps", "serving_fps",
     "serving_vs_static", "mean_occupancy", "latency_ms",
     "identical_to_serial", "shard_workload", "single_process_fps",
     "sharded_fps", "shard_scaling_2x", "pipeline_workload",
     "sequential_fps", "pipelined_fps", "pipelined_vs_sequential",
-    # static_p99_ttff_ms / admission_p99_speedup: frozen history of the
-    # removed static round-robin admission, carried but never rewritten.
-    "skew_workload", "static_p99_ttff_ms", "shared_p99_ttff_ms",
-    "admission_p99_speedup", "speculation_workload",
-    "nonspeculative_p99_ttff_ms", "speculative_p99_ttff_ms",
-    "speculation_p99_speedup", "speculation_fps_ratio",
-    "speculation_engagement", "speculation_rollback_rate",
-    "chaos_workload", "fault_free_p99_ttff_ms", "chaos_p99_ttff_ms",
+    "skew_workload", "shared_p99_ttff_ms", "chaos_workload", "fault_free_p99_ttff_ms", "chaos_p99_ttff_ms",
     "chaos_p99_retention", "chaos_failovers", "autoscale_workload",
     "fixed2_p99_ttff_ms", "autoscale_p99_ttff_ms", "autoscale_p99_speedup",
     "autoscale_peak_shards", "autoscale_scale_events", "virtual_workload",
@@ -332,8 +315,7 @@ def test_shard_scaling_two_lanes(spec):
     the shared frame shape stays unambiguous) carry a balanced Poisson
     workload.  ``serve_workers=1`` interleaves both lanes in one
     process; ``serve_workers=2`` gives each lane its own shard — own
-    executors, own inference plan — on the scheduler-resolved pool
-    backend.  Identity is asserted for every served clip in both shapes.
+    executors, own inference plan — on the inline shard backend.  Identity is asserted for every served clip in both shapes.
     """
     num_requests = 24
     frames = 12
@@ -377,7 +359,9 @@ def test_shard_scaling_two_lanes(spec):
     assert {shard.lane for shard in sharded.shards} == {"cam0", "cam1"}
 
     scaling = sharded.frames_per_second / single.frames_per_second
-    backend = sharded_runtime.shard_config.resolve(len(sharded.shards))
+    backend = sharded_runtime.config.resolve_shard_backend(
+        len(sharded.shards)
+    )
     register_table(
         f"shard scaling ({num_requests} Poisson requests over 2 lanes, "
         f"backend={backend})",
@@ -538,141 +522,6 @@ def test_skewed_admission_tail_latency(spec):
         }
     )
     _write_json()
-
-
-def test_speculative_serving_tail_latency():
-    """Speculation must cut p99 TTFF >= 1.1x under arrival-limited load.
-
-    The workload is the regime ISSUE 6 targets: Poisson arrivals at 0.7x
-    the serial service rate, so occupancy hovers around 1-2 of 8 slots
-    and full-occupancy stability never holds — the non-speculative
-    depth-2 server pipelines *zero* steps (asserted), exactly PR 5's
-    degenerate case.  With speculation on, the same trace overlaps ~95%
-    of steps and rolls back the few admission-mismatched ones.  A heavy
-    RFBME (radius 20, stride 1) makes the overlapped head worth hiding.
-
-    Both sides run on the concurrent-overlap timeline so the numbers
-    model a two-core deployment regardless of host cores.  Per side,
-    the p99 is the median over ``reps`` serves (a single serve's p99 at
-    40 requests is one order statistic — the median filters scheduler
-    outliers without collapsing the structural residual the way a min
-    would); the whole comparison retries up to ``trials`` times and
-    keeps the best ratio, the same flake allowance the skew benchmark's
-    min-of-2 gives its real-time measurement.  Every rep of every serve
-    is asserted bit-identical to the serial run first.
-    """
-    num_requests, frames, reps, trials = 40, 24, 5, 3
-    base = dict(
-        network=NETWORK, pipeline_depth=2, search_radius=20, search_stride=1
-    )
-    spec_off = PipelineSpec(speculate=False, **base)
-    spec_off.warm()
-    spec_on = PipelineSpec(speculate=True, **base)
-    clips = synthetic_workload(num_requests, num_frames=frames, base_seed=41)
-
-    def serve_once(spec, requests, serial):
-        report = ServingRuntime(
-            spec, ServerConfig(max_batch=8, overlap_timeline=True)
-        ).serve(requests)
-        assert report.workload_result().matches(serial), (
-            "speculative serving diverged from serial execution"
-        )
-        return report
-
-    def measure(requests, serial):
-        # Interleave the two sides rep by rep, so a load excursion on
-        # the host (the p99s here are milliseconds; a noisy neighbour
-        # lasts longer than one serve) lands on both sides alike
-        # instead of skewing whichever side it happened to overlap.
-        p99s = {spec_off: [], spec_on: []}
-        best = {}
-        for _ in range(reps):
-            for spec in (spec_off, spec_on):
-                report = serve_once(spec, requests, serial)
-                p99s[spec].append(report.latency_percentiles()["ttff_p99"])
-                held = best.get(spec)
-                if held is None or (
-                    report.frames_per_second > held.frames_per_second
-                ):
-                    best[spec] = report
-        return (
-            float(np.median(p99s[spec_off])),
-            float(np.median(p99s[spec_on])),
-            best[spec_off],
-            best[spec_on],
-        )
-
-    attempts = []
-    for trial in range(trials):
-        # Re-derive the arrival schedule per trial — the serial rate is
-        # remeasured (CPU state drifts over a long bench run) and the
-        # Poisson seed varies, so a retry samples a fresh trace instead
-        # of re-running the exact phase alignment that just flaked.
-        serial = run_workload(spec_off, clips, batch=False)
-        clip_rate = 0.7 * serial.frames_per_second / frames
-        arrivals = poisson_arrival_times(
-            num_requests, rate=clip_rate, seed=7 + trial
-        )
-        requests = [
-            ClipRequest(request_id=i, clip=clip, arrival_time=t)
-            for i, (clip, t) in enumerate(zip(clips, arrivals))
-        ]
-        off_p99, on_p99, off, on = measure(requests, serial)
-        attempts.append((off_p99 / on_p99, off_p99, on_p99, off, on))
-        if attempts[-1][0] >= SPECULATION_P99_FLOOR:
-            break
-    speedup, off_p99, on_p99, off, on = max(attempts, key=lambda a: a[0])
-
-    # PR 5's predicate never proves stability here (occupancy < 8
-    # throughout), so the non-speculative server pipelined nothing —
-    # every step speculation engages is one PR 5 ran sequentially.
-    assert off.pipelined_steps == 0
-    assert off.speculated == 0
-    assert on.speculation_engagement > 0.5, (
-        f"speculation engaged on only {on.speculation_engagement:.0%} of steps"
-    )
-    assert on.rollbacks > 0, "trace never exercised the rollback path"
-
-    fps_ratio = on.frames_per_second / off.frames_per_second
-    register_table(
-        f"speculative vs non-speculative serving ({num_requests} Poisson "
-        f"requests at 0.7x load, radius 20/stride 1, {NETWORK})",
-        ["quantity", "speculate=False", "speculate=True"],
-        [
-            ["ttff p99 ms", round(off_p99 * 1e3, 2), round(on_p99 * 1e3, 2)],
-            ["p99 speedup", "-", f"{speedup:.2f}x"],
-            ["throughput ratio", "-", f"{fps_ratio:.2f}x"],
-            ["pipelined steps", off.pipelined_steps, on.pipelined_steps],
-            ["engagement", "0.00", round(on.speculation_engagement, 3)],
-            ["rollback rate", "-", round(on.rollback_rate, 3)],
-            ["identical to serial", "yes", "yes"],
-        ],
-    )
-    _RESULTS.update(
-        {
-            "speculation_workload": {
-                "requests": num_requests,
-                "frames_per_clip": frames,
-                "max_batch": 8,
-                "search_radius": 20,
-                "search_stride": 1,
-                "load_fraction": 0.7,
-                "reps_per_side": reps,
-            },
-            "nonspeculative_p99_ttff_ms": round(off_p99 * 1e3, 3),
-            "speculative_p99_ttff_ms": round(on_p99 * 1e3, 3),
-            "speculation_p99_speedup": round(speedup, 3),
-            "speculation_fps_ratio": round(fps_ratio, 3),
-            "speculation_engagement": round(on.speculation_engagement, 3),
-            "speculation_rollback_rate": round(on.rollback_rate, 3),
-        }
-    )
-    _write_json()
-
-    assert speedup >= SPECULATION_P99_FLOOR, (
-        f"speculative p99 TTFF is {speedup:.2f}x the non-speculative "
-        f"server's; the speculation bar is {SPECULATION_P99_FLOOR:.2f}x"
-    )
 
 
 def test_chaos_failover_process_shards(spec):

@@ -11,14 +11,15 @@ hardware change:
 
 * ``BENCH_runtime.json`` — each path's ``speedup_vs_loop_serial`` (the
   shape of the perf curve relative to the serial loop-RFBME run on the
-  same host) and planned lockstep over planned serial; its frozen
-  ``history`` block is not compared;
+  same host) and planned lockstep over planned serial;
 * ``BENCH_serving.json`` — ``serving_vs_static`` (continuous batching
   relative to static lockstep on the same host), ``shard_scaling_2x``
   (2-shard aggregate throughput relative to the single-process run),
   ``pipelined_vs_sequential`` (the depth-2 stage executor relative to
-  sequential lockstep), and the speculation, chaos, autoscale,
-  virtual-time, prefix-service and quantized-lane ratios.
+  sequential lockstep), and the chaos, autoscale, virtual-time,
+  prefix-service and quantized-lane ratios.
+
+Neither file's frozen ``history`` block is compared.
 
 A markdown speedup table is written to ``--summary`` (the
 ``$GITHUB_STEP_SUMMARY`` file in CI) and echoed to stdout.  Any metric

@@ -6,9 +6,8 @@ Commands:
 * ``run``       — stream synthetic clips through the EVA2 pipeline; one
                   clip prints per-frame decisions plus accuracy, while
                   ``--clips N`` runs a multi-clip workload on the runtime
-                  layer (``--batch`` for lockstep RFBME batching,
-                  ``--workers N`` for a worker pool) and prints
-                  throughput statistics.
+                  layer (``--batch`` for lockstep RFBME batching) and
+                  prints throughput statistics.
 * ``serve``     — streaming serving simulation: Poisson or bursty clip
                   arrivals (``--traffic``) admitted into a continuously
                   batched server (``--arrival-rate``, ``--max-batch``),
@@ -74,17 +73,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --threshold must be >= 0", file=sys.stderr)
         return 2
     if args.clips > 1:
-        if args.batch and args.workers > 1:
-            print(
-                "error: --batch (lockstep) and --workers (pool) are "
-                "separate execution paths; pick one",
-                file=sys.stderr,
-            )
-            return 2
         return _run_workload(args, mode)
-    if args.batch or args.workers > 1:
+    if args.batch:
         print(
-            "error: --batch/--workers apply to multi-clip workloads; "
+            "error: --batch applies to multi-clip workloads; "
             "add --clips N (N > 1)",
             file=sys.stderr,
         )
@@ -137,7 +129,6 @@ def _spec_and_clips(args: argparse.Namespace):
         rfbme_backend=args.rfbme,
         dtype=args.dtype,
         pipeline_depth=args.pipeline_depth,
-        speculate=args.speculate,
     )
     clips = synthetic_workload(
         args.clips,
@@ -151,14 +142,11 @@ def _spec_and_clips(args: argparse.Namespace):
 
 def _run_workload(args: argparse.Namespace, mode: str) -> int:
     """Multi-clip path of ``run``: the runtime layer plus a summary table."""
-    from .runtime import SchedulerConfig, run_workload
+    from .runtime import run_workload
 
     spec, clips = _spec_and_clips(args)
-    scheduler = (
-        SchedulerConfig(workers=args.workers) if args.workers > 1 else None
-    )
     result = run_workload(
-        spec, clips, batch=args.batch, scheduler=scheduler,
+        spec, clips, batch=args.batch,
         prefix_cache_mb=args.prefix_cache_mb if args.prefix_cache else 0.0,
     )
     print(format_table(["quantity", "value"], result.summary_rows()))
@@ -482,8 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="clips in the workload; >1 uses the runtime layer")
     run.add_argument("--batch", action="store_true",
                      help="lockstep batched execution for multi-clip runs")
-    run.add_argument("--workers", type=int, default=0,
-                     help="worker pool size for multi-clip runs")
     run.add_argument("--rfbme", default=None,
                      choices=["kernel", "batched", "loop"],
                      help="RFBME host backend (default: fastest available)")
@@ -501,14 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "steps one after another (faster for one or "
                           "two clips); bit-identical either way "
                           "(default %(default)s)")
-    run.add_argument("--speculate", action=argparse.BooleanOptionalAction,
-                     default=spec_defaults["speculate"],
-                     help="pipeline speculatively across uncertain step "
-                          "boundaries (serving admissions/evictions): "
-                          "checkpoint, overlap, roll back + replay on a "
-                          "mismatch; bit-identical either way "
-                          "(--no-speculate overlaps stable steps only; "
-                          "default %(default)s)")
     run.add_argument("--prefix-cache", action=argparse.BooleanOptionalAction,
                      default=False,
                      help="content-addressed CNN prefix cache for lockstep "
@@ -620,15 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="software-pipeline depth for serving steps "
                              "(2 overlaps RFBME with the CNN stages; "
                              "bit-identical; default %(default)s)")
-    engine.add_argument("--speculate", action=argparse.BooleanOptionalAction,
-                        default=spec_defaults["speculate"],
-                        help="with --pipeline-depth 2, overlap across "
-                             "possible admissions/evictions too: the "
-                             "executor checkpoints policy state and rolls "
-                             "back + replays on a membership mismatch; "
-                             "the report shows engagement and rollback "
-                             "rates (--no-speculate = stable-only overlap; "
-                             "default %(default)s)")
     engine.add_argument("--threshold", type=float, default=2.0,
                         help="adaptive match-error threshold")
     engine.add_argument("--interval", type=int, default=0,

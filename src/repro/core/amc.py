@@ -68,14 +68,6 @@ class AMCConfig:
     #: reference the pipelined runs are checked against.  Depths beyond
     #: 2 behave as 2 — the lifecycle has one overlap window.
     pipeline_depth: int = 2
-    #: with pipeline_depth >= 2, let drivers pipeline *speculatively*
-    #: across uncertain step boundaries (possible admissions/evictions):
-    #: the executor checkpoints policy/cursor state before the
-    #: speculative head and rolls back + replays on a mismatch.
-    #: Bit-identical either way.  Off by default: overlapping only
-    #: provably stable steps keeps batch-1 serving latency flat, while a
-    #: speculative head at occupancy ~1 pays Python on both threads.
-    speculate: bool = False
 
     def __post_init__(self):
         if self.mode not in _MODES:

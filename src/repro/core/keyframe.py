@@ -16,7 +16,6 @@ predict from.
 
 from __future__ import annotations
 
-import copy
 from abc import ABC, abstractmethod
 from typing import Optional
 
@@ -41,34 +40,6 @@ class KeyFramePolicy(ABC):
 
     def __init__(self):
         self._frames_since_key = 0
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint/rollback — the Checkpointable contract (see
-    # repro.runtime.stage_graph).  decide() mutates inter-frame state,
-    # so a speculative executor snapshots it before running decide
-    # against a batch that may never happen, and restores it on a
-    # mismatch.  Round trip is exact: checkpoint → decide(...)* →
-    # rollback leaves the policy indistinguishable (vars()-equal) from
-    # the moment of the checkpoint.
-    def checkpoint(self) -> object:
-        """An opaque snapshot of all mutable policy state.
-
-        Deep-copied so later mutations (including of nested/aliased
-        containers a subclass might hold) can never reach back into the
-        snapshot.
-        """
-        return copy.deepcopy(self.__dict__)
-
-    def rollback(self, snapshot: object) -> None:
-        """Restore the state captured by :meth:`checkpoint`.
-
-        The snapshot is deep-copied on the way back in, so one snapshot
-        may be rolled back to any number of times; aliasing *within* the
-        snapshot (two attributes sharing one object) is preserved by the
-        copy memo.
-        """
-        self.__dict__.clear()
-        self.__dict__.update(copy.deepcopy(snapshot))
 
     def decide(self, frame_index: int, estimation: Optional[RFBMEResult]) -> bool:
         """Return True to run ``frame_index`` as a key frame.

@@ -141,7 +141,6 @@ class EVA2Pipeline:
         the simple serial path — for multi-clip workloads prefer
         :mod:`repro.runtime`, whose :class:`~repro.runtime.BatchedPipeline`
         produces bit-identical results while batching the RFBME hot path
-        across clips, and whose :class:`~repro.runtime.ClipScheduler` fans
-        clips out over a worker pool.
+        across clips.
         """
         return [self.run_clip(clip) for clip in clips]

@@ -68,10 +68,7 @@ __all__ = [
     "PLAN_SCRATCH",
     "RESOURCES",
     "CHECKED_RESOURCES",
-    "CHECKPOINT_RESOURCES",
     "fingerprint_resource",
-    "checkpoint_resource",
-    "restore_resource",
     "stage_rfbme",
     "stage_decide",
     "stage_adopt_pixels",
@@ -115,14 +112,6 @@ RESOURCES = (KEY_STATE, KEY_PIXELS, POLICY_STATE, CURSOR_STATE,
 #: untouched unless declared in its write set.  The scratch resources
 #: are exempt by definition (their contents are dead between stages).
 CHECKED_RESOURCES = (KEY_STATE, KEY_PIXELS, POLICY_STATE, CURSOR_STATE)
-
-#: persistent resources that support checkpoint → rollback (the
-#: :class:`~repro.runtime.stage_graph.Checkpointable` contract) — what a
-#: speculative executor snapshots before running head stages against a
-#: batch that may never happen.  These are exactly the resources the
-#: head of the lifecycle graphs can write (``decide`` advances policy
-#: state) plus the cursors its decisions are keyed on.
-CHECKPOINT_RESOURCES = (POLICY_STATE, CURSOR_STATE)
 
 
 def _effects(reads=(), writes=(), fence=False):
@@ -174,61 +163,6 @@ def fingerprint_resource(batch: "StepBatch", resource: str):
     if resource == CURSOR_STATE:
         return tuple(batch.slot(k).cursor for k in range(len(batch)))
     return None
-
-
-def checkpoint_resource(batch: "StepBatch", resource: str):
-    """A restorable snapshot of one checkpointable resource of ``batch``.
-
-    The speculative executor's counterpart to
-    :func:`fingerprint_resource`: where a fingerprint only *detects*
-    change, a checkpoint can undo it —
-    :func:`restore_resource` puts the resource's observable content back
-    exactly (``fingerprint_resource`` before and after agree).  Only the
-    :data:`CHECKPOINT_RESOURCES` are supported; snapshots cover the
-    batch's positions, which is precisely the state a speculative head
-    run over this batch could have touched.  Non-``StepBatch`` seeds
-    (toy graphs) have no lane state: their snapshot is ``None`` and
-    restoring it is a no-op, mirroring :func:`fingerprint_resource`.
-    """
-    if not isinstance(batch, StepBatch):
-        return None
-    if resource == POLICY_STATE:
-        return tuple(
-            batch.slot(k).policy.checkpoint()
-            if batch.slot(k).policy is not None
-            else None
-            for k in range(len(batch))
-        )
-    if resource == CURSOR_STATE:
-        return tuple(batch.slot(k).cursor for k in range(len(batch)))
-    raise ValueError(
-        f"resource {resource!r} is not checkpointable "
-        f"(supported: {CHECKPOINT_RESOURCES})"
-    )
-
-
-def restore_resource(batch: "StepBatch", resource: str, snapshot) -> None:
-    """Roll one resource of ``batch`` back to its checkpointed content.
-
-    Safe to call more than once with the same snapshot (snapshots are
-    never consumed); see :func:`checkpoint_resource`.
-    """
-    if snapshot is None:
-        return
-    if resource == POLICY_STATE:
-        for k, state in enumerate(snapshot):
-            policy = batch.slot(k).policy
-            if policy is not None and state is not None:
-                policy.rollback(state)
-        return
-    if resource == CURSOR_STATE:
-        for k, cursor in enumerate(snapshot):
-            batch.slot(k).cursor = cursor
-        return
-    raise ValueError(
-        f"resource {resource!r} is not checkpointable "
-        f"(supported: {CHECKPOINT_RESOURCES})"
-    )
 
 
 @dataclass
@@ -387,9 +321,10 @@ def stage_adopt_pixels(
 
     The first half of adopting a key frame, split from the CNN prefix so
     the next step's ``rfbme`` — which reads only pixels — can start
-    while this step's prefix runs.  Fenced out of the pipelined head: a
-    speculative head could store pixels for a step that never happens,
-    and stored pixels cannot be rolled back.
+    while this step's prefix runs.  Fenced out of the pipelined head, a
+    scheduling choice: it runs on the driver thread, keeping the head
+    thread (the critical path when the CNN is cheap) to RFBME and the
+    decisions.
     """
     keys = [k for k, is_key in enumerate(decisions) if is_key]
     for k in keys:

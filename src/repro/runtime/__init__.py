@@ -6,8 +6,6 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
 
 * :class:`PipelineSpec` — picklable recipe for building identical
   pipelines in any worker.
-* :class:`ClipScheduler` — fan clips over a serial / thread / process
-  pool, order-preserving.
 * :class:`StageGraph` / :class:`StageExecutor` — the frame lifecycle as
   declared stages with typed inputs/outputs and resource read/write
   sets (:func:`frame_lifecycle_graph`), topologically scheduled, run
@@ -15,11 +13,8 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
   definition of the step that lockstep and serving both execute.  At
   ``pipeline_depth=2`` (the default) the executor software-pipelines
   step t+1's RFBME/decisions against step t's CNN stages
-  (bit-identical) whenever the next batch is certain; with
-  ``speculate=True`` also speculatively (checkpoint → rollback + replay
-  on a membership mismatch; :class:`Checkpointable`,
-  :class:`RollbackEvent`, :class:`SpeculationStats`) when serving
-  admissions/evictions make it uncertain.
+  (bit-identical) whenever the next batch is certain
+  (:class:`PipelineStats` counts the engaged overlaps).
 * :class:`BatchedPipeline` — lockstep execution that batches the RFBME
   hot path across all active clips in one vectorized call.
 * :class:`ServingRuntime` — streaming serving with continuous batching,
@@ -49,7 +44,8 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
   and JSON-replayable), shard supervision with heartbeats and result
   acknowledgements, deadline-aware shedding
   (:class:`RequestShedError` / :class:`ShedRecord`), and explicit
-  failover accounting (:class:`FailoverEvent`) — recovery re-executes
+  failover accounting (:class:`FailoverEvent`, :class:`ShardCrashError`
+  when a lane runs out of shards) — recovery re-executes
   bit-identically because every clip's execution is deterministic.
 * :class:`PrefixService` — the cross-lane prefix service: within a
   step, coincident key-frame CNN prefix requests from every lane
@@ -90,11 +86,6 @@ from .frontdoor import (
     ServerConfig,
     as_request_source,
 )
-from .scheduler import (
-    ClipScheduler,
-    SchedulerConfig,
-    ShardCrashError,
-)
 from .serving import (
     ClipRequest,
     DuplicateRequestError,
@@ -109,11 +100,9 @@ from .serving import (
 from .prefix_service import PrefixService, PrefixStats
 from .spec import PAPER_MODES, PipelineSpec
 from .stage_graph import (
-    Checkpointable,
     DuplicateOutputError,
     PipelineContractError,
-    RollbackEvent,
-    SpeculationStats,
+    PipelineStats,
     Stage,
     StageCycleError,
     StageExecutor,
@@ -128,6 +117,7 @@ from .supervision import (
     FaultEvent,
     FaultPlan,
     RequestShedError,
+    ShardCrashError,
     ShardSupervisor,
     ShedRecord,
     SupervisorConfig,
@@ -144,9 +134,6 @@ __all__ = [
     "BatchedPipeline",
     "WorkloadResult",
     "run_workload",
-    "ClipScheduler",
-    "SchedulerConfig",
-    "ShardCrashError",
     "ClipRequest",
     "ServerConfig",
     "FrontDoor",
@@ -178,9 +165,7 @@ __all__ = [
     "DuplicateOutputError",
     "WriteSetViolationError",
     "PipelineContractError",
-    "Checkpointable",
-    "RollbackEvent",
-    "SpeculationStats",
+    "PipelineStats",
     "frame_lifecycle_graph",
     "PAPER_MODES",
     "PipelineSpec",
@@ -188,6 +173,7 @@ __all__ = [
     "FaultPlan",
     "FailoverEvent",
     "RequestShedError",
+    "ShardCrashError",
     "ShedRecord",
     "ShardSupervisor",
     "SupervisorConfig",

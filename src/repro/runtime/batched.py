@@ -49,7 +49,6 @@ from ..hardware.fixed_point import QuantSavings
 from ..nn.inference import quantized_savings, resolve_plan_dtype
 from ..video.generator import VideoClip
 from .prefix_service import PrefixService
-from .scheduler import ClipScheduler, SchedulerConfig
 from .spec import PipelineSpec
 from .stage_graph import StageExecutor, frame_lifecycle_graph
 
@@ -69,8 +68,6 @@ class WorkloadResult:
     wall_seconds: float
     #: which execution path produced this ("serial", "lockstep", ...).
     path: str
-    #: worker count used (1 for serial and lockstep).
-    workers: int = 1
     #: lifecycle steps executed (0 for paths without a step executor).
     steps: int = 0
     #: steps whose head was precomputed by the pipelined executor.
@@ -295,7 +292,7 @@ class BatchedPipeline:
             for t, batch in enumerate(batches):
                 next_batch = batches[t + 1] if t + 1 < len(batches) else None
                 # The step stream is static, so every handoff is
-                # definite — no checkpoint, no speculation needed.
+                # definite.
                 env = executor.step(batch, next_batch=next_batch)
                 for k, i in enumerate(batch.positions):
                     records[i].append(env["records"][k])
@@ -324,33 +321,16 @@ def run_workload(
     spec: PipelineSpec,
     clips: Sequence[VideoClip],
     batch: bool = True,
-    scheduler: Optional[SchedulerConfig] = None,
     prefix_cache_mb: float = 0.0,
 ) -> WorkloadResult:
     """Execute a workload on the path implied by the arguments.
 
-    ``scheduler`` with more than one worker selects the pooled
-    :class:`~repro.runtime.scheduler.ClipScheduler`; otherwise ``batch``
-    picks lockstep (default) or plain serial execution.
+    ``batch`` picks lockstep (default) or plain serial execution.
     ``prefix_cache_mb`` forwards to :class:`BatchedPipeline` (> 0
     enables the content-addressed prefix cache on the lockstep path;
-    serial and scheduled paths ignore it).  Every path returns identical
-    per-clip results.
+    the serial path ignores it).  Both paths return identical per-clip
+    results.
     """
-    dtype = resolve_plan_dtype(spec.dtype)
-    savings = quantized_savings(spec.shared_network(), spec.dtype)
-    if scheduler is not None and scheduler.workers > 1:
-        start = time.perf_counter()
-        results = ClipScheduler(spec, scheduler).run(clips)
-        wall = time.perf_counter() - start
-        return WorkloadResult(
-            results=results,
-            wall_seconds=wall,
-            path=scheduler.resolve(len(clips)),
-            workers=scheduler.workers,
-            dtype=dtype,
-            quant_savings=savings,
-        )
     if batch:
         return BatchedPipeline(
             spec, prefix_cache_mb=prefix_cache_mb
@@ -362,6 +342,6 @@ def run_workload(
         results=results,
         wall_seconds=wall,
         path="serial",
-        dtype=dtype,
-        quant_savings=savings,
+        dtype=resolve_plan_dtype(spec.dtype),
+        quant_savings=quantized_savings(spec.shared_network(), spec.dtype),
     )

@@ -41,6 +41,7 @@ spawned or drained, which is what makes elasticity safe to apply.
 from __future__ import annotations
 
 import asyncio
+import os
 import queue as queue_module
 from collections import deque
 from dataclasses import dataclass
@@ -55,7 +56,6 @@ from typing import (
     Tuple,
 )
 
-from .scheduler import SchedulerConfig
 from .supervision import FaultPlan, SupervisorConfig
 
 __all__ = [
@@ -621,6 +621,11 @@ class Autoscaler:
 # -------------------------------------------------------------------- #
 # server configuration
 # -------------------------------------------------------------------- #
+#: shard backend names :class:`ServerConfig` accepts ('thread' is named
+#: so its refusal can say why).
+_SHARD_BACKENDS = ("auto", "serial", "thread", "process")
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Validated configuration for :class:`ServingRuntime`.
@@ -637,8 +642,6 @@ class ServerConfig:
     #: shard pool backend: auto / serial / process (thread is refused —
     #: concurrent thread shards would share one plan's scratch).
     shard_backend: str = "auto"
-    #: charge pipelined steps their concurrent-overlap duration.
-    overlap_timeline: bool = False
     #: deterministic fault injection (sharded serving only).
     fault_plan: FaultPlan = None  # normalized to FaultPlan() below
     #: failure detection / recovery knobs.
@@ -691,13 +694,13 @@ class ServerConfig:
                 "thread shards would share one inference plan's scratch; "
                 "use 'process', 'serial', or 'auto'"
             )
-        # Reuses the scheduler's backend-name validation and error text.
-        SchedulerConfig(workers=self.serve_workers,
-                        backend=self.shard_backend)
+        if self.shard_backend not in _SHARD_BACKENDS:
+            raise ValueError(
+                f"backend must be one of {_SHARD_BACKENDS}, got "
+                f"{self.shard_backend!r}"
+            )
         object.__setattr__(self, "max_batch", int(self.max_batch))
         object.__setattr__(self, "serve_workers", int(self.serve_workers))
-        object.__setattr__(self, "overlap_timeline",
-                           bool(self.overlap_timeline))
         object.__setattr__(self, "virtual_time", bool(self.virtual_time))
         if self.fault_plan is None:
             object.__setattr__(self, "fault_plan", FaultPlan())
@@ -745,6 +748,19 @@ class ServerConfig:
         if self.autoscale is not None:
             return max(self.serve_workers, self.autoscale.max_shards)
         return self.serve_workers
+
+    def resolve_shard_backend(self, shards: int) -> str:
+        """The concrete shard backend for ``shards`` concurrent shards.
+
+        One shard, or a worker budget of one, is just the inline
+        (``serial``) path; ``auto`` picks ``process`` when the host has
+        more than one core.
+        """
+        if self.pool_workers <= 1 or shards <= 1:
+            return "serial"
+        if self.shard_backend != "auto":
+            return self.shard_backend
+        return "process" if (os.cpu_count() or 1) > 1 else "serial"
 
     @property
     def sharded(self) -> bool:

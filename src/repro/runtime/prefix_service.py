@@ -30,10 +30,10 @@ bit:
   ``Network.load_state_dict`` bumps ``weight_version``, so a live
   weight swap invalidates without draining the cache explicitly.
 
-Speculation stays sound for free: ``cnn_prefix`` lives in the executor's
-mid or tail segment, which only ever runs on committed steps — a
-rolled-back speculative head has executed RFBME/decide at most, so
-neither fused results nor cache entries can be poisoned by a rollback.
+Pipelining needs nothing from the service: ``cnn_prefix`` lives in the
+executor's mid or tail segment, which runs on the driver thread, and a
+pipelined head runs RFBME/decide only — so a head never touches fused
+batches or cache entries.
 """
 
 from __future__ import annotations

@@ -15,13 +15,10 @@ The serving layer is split along the line a deployment would draw:
   a time through a :class:`~repro.runtime.stage_graph.StageExecutor`.
   With a ``pipeline_depth=2`` spec (the default) the worker
   software-pipelines every step whose successor is certain: at provably
-  stable membership (full occupancy, no departure due) the handoff is
-  definite.  With ``spec.speculate`` (opt-in) it also pipelines across
-  uncertain boundaries — possible admissions or evictions: the
-  surviving residents' next step is launched under a policy-state
-  checkpoint and rolled back + replayed if membership actually changes.
-  Bit-identical in every case; :class:`ServingReport` surfaces the
-  engagement and rollback rates.  A worker's execution state is the
+  stable membership (full occupancy, no departure due) it hands the
+  next step's batch over, definitely; anywhere else it steps
+  sequentially.  Bit-identical either way; :class:`ServingReport`
+  surfaces the pipelined fraction of steps.  A worker's execution state is the
   picklable :class:`~repro.core.stages.LaneState` recipe away from a
   spec, so a shard process builds **its own** network and plan
   (plan-per-worker ownership: live plans never cross a process boundary; see
@@ -105,12 +102,12 @@ from .frontdoor import (
     as_request_source,
 )
 from .prefix_service import PrefixService, PrefixStats
-from .scheduler import SchedulerConfig, ShardCrashError, deal_shard_budget
 from .spec import PipelineSpec
-from .stage_graph import SpeculationStats, StageExecutor, frame_lifecycle_graph
+from .stage_graph import PipelineStats, StageExecutor, frame_lifecycle_graph
 from .supervision import (
     FailoverEvent,
     FaultEvent,
+    ShardCrashError,
     ShardSupervisor,
     ShedRecord,
     SupervisorConfig,
@@ -130,10 +127,37 @@ __all__ = [
     "LaneRoutingError",
     "DuplicateRequestError",
     "ShardInfo",
+    "deal_shard_budget",
 ]
 
 #: latency percentiles the report surfaces (tails matter under load).
 PERCENTILES = (50, 95, 99)
+
+
+def deal_shard_budget(
+    lane_names: Sequence[str],
+    lane_counts: Mapping[str, int],
+    budget: int,
+) -> Dict[str, int]:
+    """Deal a worker budget round-robin across lanes, capped per lane.
+
+    Shards assigned here are concurrent queue consumers, so the total
+    never exceeds ``budget``, and a lane never receives more shards
+    than it has requests (``lane_counts``) — an extra shard could not
+    admit anything, and its executors/plan compile aren't free.  Used
+    by sharded serving to size each lane's fleet.
+    """
+    shards = {name: 0 for name in lane_names}
+    while budget > 0:
+        assigned = False
+        for name in lane_names:
+            if budget > 0 and shards[name] < lane_counts[name]:
+                shards[name] += 1
+                budget -= 1
+                assigned = True
+        if not assigned:
+            break
+    return shards
 
 
 class LaneRoutingError(KeyError, ValueError):
@@ -279,23 +303,15 @@ class ShardInfo:
     wall_seconds: float
     idle_seconds: float
     steps: int
-    #: the shard executor's pipelining and speculation counters.
-    speculation: SpeculationStats = field(default_factory=SpeculationStats)
+    #: the shard executor's pipelining counters.
+    pipeline: PipelineStats = field(default_factory=PipelineStats)
     #: the shard's own prefix-service counters (empty when the shards
     #: shared one service; the report then carries the shared counters).
     prefix: PrefixStats = field(default_factory=PrefixStats)
 
     @property
     def pipelined_steps(self) -> int:
-        return self.speculation.pipelined_steps
-
-    @property
-    def speculated(self) -> int:
-        return self.speculation.speculated
-
-    @property
-    def rollbacks(self) -> int:
-        return self.speculation.rollbacks
+        return self.pipeline.pipelined_steps
 
     @property
     def frames_per_second(self) -> float:
@@ -325,10 +341,6 @@ class ServingReport:
     #: steps that consumed a pipelined (precomputed) head, across all
     #: lanes and shards.  0 on a sequential (pipeline_depth=1) run.
     pipelined_steps: int = 0
-    #: speculative head launches across all lanes and shards.
-    speculated: int = 0
-    #: speculative launches rolled back on a membership mismatch.
-    rollbacks: int = 0
     #: requests dropped because their deadline passed while queued —
     #: explicit rejections, never silent.  ``records`` holds completed
     #: requests only; every submission is exactly one of the two.
@@ -402,19 +414,9 @@ class ServingReport:
         return self.total_frames / self.steps if self.steps else 0.0
 
     @property
-    def speculation_engagement(self) -> float:
-        """Fraction of steps whose head was precomputed in flight.
-
-        Counts definite and speculative overlaps alike — it answers
-        "how often did pipelining actually engage", which PR 5 could
-        only say yes to at provably stable membership.
-        """
+    def pipeline_engagement(self) -> float:
+        """Fraction of steps whose head was precomputed in flight."""
         return self.pipelined_steps / self.steps if self.steps else 0.0
-
-    @property
-    def rollback_rate(self) -> float:
-        """Fraction of speculative launches that were rolled back."""
-        return self.rollbacks / self.speculated if self.speculated else 0.0
 
     @property
     def prefix_hit_rate(self) -> float:
@@ -469,7 +471,6 @@ class ServingReport:
             results=[record.result for record in self.records],
             wall_seconds=self.wall_seconds,
             path="serving",
-            workers=self.serve_workers,
             prefix_fused_batches=self.prefix_fused_batches,
             prefix_cache_hits=self.prefix_cache_hits,
             prefix_cache_misses=self.prefix_cache_misses,
@@ -527,14 +528,10 @@ class ServingReport:
             rows.append(["peak shards", peak])
         if self.backpressure_pauses:
             rows.append(["backpressure pauses", self.backpressure_pauses])
-        if self.pipelined_steps or self.speculated:
-            rows.append(["pipelined steps", self.pipelined_steps])
+        if self.pipelined_steps:
             rows.append(
-                ["speculation engagement",
-                 round(self.speculation_engagement, 3)]
+                ["pipelined steps", f"{self.pipelined_steps}/{self.steps}"]
             )
-            rows.append(["rollbacks", self.rollbacks])
-            rows.append(["rollback rate", round(self.rollback_rate, 3)])
         if (self.prefix_fused_batches or self.prefix_cache_hits
                 or self.prefix_cache_misses):
             rows.append(["prefix batches fused", self.prefix_fused_batches])
@@ -631,8 +628,8 @@ class LaneWorker:
         )
         #: the pipelined next-step batch (its head stages already ran).
         self._pending: Optional[StepBatch] = None
-        #: the in-flight (batch, positions, env) between ``begin_step``
-        #: and its ``finish_step``.
+        #: the in-flight (positions, env) between ``begin_step`` and its
+        #: ``finish_step``.
         self._round = None
         #: memoised ``[occupancy, min frames remaining]`` behind the
         #: stability predicate; None = must rescan (membership event).
@@ -690,9 +687,9 @@ class LaneWorker:
         True only when every slot is occupied (a free slot could admit a
         queued request at the next boundary) and no resident serves its
         last frame this step (no departure frees a slot).  This is the
-        full-occupancy steady state, where the pipelined next batch is
-        definite — no checkpoint needed; anywhere else the worker may
-        still overlap, but only speculatively.
+        full-occupancy steady state, where the next batch is definite
+        and the worker pipelines into it; anywhere else it steps
+        sequentially.
 
         The scan is memoised: membership only changes at admissions and
         departures, so between membership events the predicate answers
@@ -716,19 +713,15 @@ class LaneWorker:
 
         One pass of the stage executor at current occupancy: batched
         RFBME over the slots with a stored key, per-clip decisions at
-        clip-local cursors, then the batched CNN stages.  Slots whose clip finished release their executor and
-        free up for the next admission.
+        clip-local cursors, then the batched CNN stages.  Slots whose
+        clip finished release their executor and free up for the next
+        admission.
 
-        With a pipelined spec (``pipeline_depth >= 2``) the next step's
-        RFBME/decisions are launched against this step's CNN stages and
-        picked up by the next :meth:`step` call.  At provably stable
-        membership the handoff is *definite*; anywhere else — a free
-        slot that might admit, a departure due — a ``spec.speculate``
-        worker hands over the *survivors* batch speculatively: the clips
-        certain to still be resident continue at their next cursors, and
-        if an admission changes membership the executor rolls the
-        speculation back and replays (bit-identical, the overlap is
-        merely forfeited for that step).
+        With a pipelined spec (``pipeline_depth >= 2``) and provably
+        stable membership, the next step's RFBME/decisions are launched
+        against this step's CNN stages and picked up by the next
+        :meth:`step` call.  Anywhere else — a free slot that might
+        admit, a departure due — the next step runs sequentially.
         """
         self.begin_step(register=False)
         return self.finish_step()
@@ -736,11 +729,11 @@ class LaneWorker:
     def begin_step(self, register: bool = True) -> None:
         """Phase 1 of a serve round: head stages + this step's decisions.
 
-        Resolves the step batch (reusing or discarding a pipelined
-        handoff), runs the stage executor up to the coalescing barrier —
-        so the step's key-frame decisions are final, including any
-        speculation rollback — and hands the next step's batch over, so
-        its head runs during the round's flush and CNN stages.  With
+        Resolves the step batch (the pipelined handoff, if one is
+        pending), runs the stage executor up to the coalescing barrier —
+        so the step's key-frame decisions are final — and hands the next
+        step's batch over when it is certain, so its head runs during
+        the round's flush and CNN stages.  With
         ``register=True`` it registers the key rows with the worker's
         prefix service for the round's
         :meth:`~repro.runtime.prefix_service.PrefixService.flush`.  Must
@@ -749,55 +742,25 @@ class LaneWorker:
         positions = [
             i for i, resident in enumerate(self.residents) if resident is not None
         ]
-        batch = None
-        if self._pending is not None:
-            pending, self._pending = self._pending, None
-            if list(pending.positions) == positions and all(
-                pending.cursors[k] == self.state.slots[i].cursor
-                for k, i in enumerate(positions)
-            ):
-                batch = pending  # the pipelined head is for this step
-            else:
-                # Membership changed under a speculative handoff; the
-                # executor recognises the fresh batch is not the one it
-                # speculated on, rolls back, and replays the head.
-                batch = self._build_batch(positions)
+        batch = self._pending
         if batch is None:
             batch = self._build_batch(positions)
-        self._pending, speculative = self._next_batch(positions)
-        env = self.executor.begin_step(batch, next_batch=self._pending,
-                                       speculative=speculative)
-        self._round = (batch, positions, env)
+        self._pending = self._next_batch(positions)
+        env = self.executor.begin_step(batch, next_batch=self._pending)
+        self._round = (positions, env)
         if register and self.prefix_service is not None:
             self.prefix_service.prepare(batch, env.get("decisions"))
 
-    def _next_batch(
-        self, positions: List[int]
-    ) -> Tuple[Optional[StepBatch], bool]:
-        """The batch to pipeline after this step's, and whether the
-        handoff is speculative — ``(None, False)`` when nothing may."""
-        if not self.executor.pipelined:
-            return None, False
-        if self._membership_stable(positions):
-            return self._build_batch(positions, advance=1), False
-        if not self.spec.speculate:
-            return None, False
-        # Slots past their last frame depart this step for sure; everyone
-        # else survives into step t+1 (admissions can only fill *other*
-        # slots).
-        survivors = [
-            i
-            for i in positions
-            if self.state.slots[i].cursor + 1
-            < len(self.residents[i].request.clip)
-        ]
-        if not survivors:
-            return None, False
-        return self._build_batch(survivors, advance=1), True
+    def _next_batch(self, positions: List[int]) -> Optional[StepBatch]:
+        """The batch to pipeline after this step's, or None when the
+        next step is not certain."""
+        if self.executor.pipelined and self._membership_stable(positions):
+            return self._build_batch(positions, advance=1)
+        return None
 
     def finish_step(self) -> List[_Resident]:
         """Phase 2 of a serve round: CNN stages and bookkeeping."""
-        batch, positions, env = self._round
+        positions, env = self._round
         self._round = None
         self.executor.finish_step(env)
         finished: List[_Resident] = []
@@ -817,38 +780,12 @@ class LaneWorker:
             self._stable_cache[1] -= 1  # same slots, one frame closer
         return finished
 
-    def overlap_credit(
-        self, raw_step_seconds: float, inline_cpu_seconds: float
-    ) -> float:
-        """Concurrent-overlap timeline credit for the step just run.
-
-        On a core-starved host the pipelined head time-slices the same
-        CPU as the tail it nominally overlaps, so the measured wall
-        duration of a step is ``head + tail`` (plus whatever the OS
-        preempted) rather than what a concurrent deployment realizes:
-        the classic two-stage pipeline bound ``max(head, tail)``.  The
-        credit is the difference between the raw wall duration and that
-        modeled duration — ``max(inline CPU, joined-head CPU)`` when the
-        step consumed an in-flight head, plain inline CPU otherwise
-        (rolled-back heads replay inline, so their cost is already in
-        the inline term and the wasted speculative work stays hidden,
-        exactly as it would be on a spare core).  Charging CPU time
-        rather than wall slices keeps the attribution per-step exact:
-        the *next* head's work, which physically executes inside this
-        step's wall window on one core, is charged to the step that
-        joins it.  This is the per-step analogue of the shard-scaling
-        benchmark's per-shard-clock convention.
-        """
-        head_busy = self.executor.consume_joined_head_busy()
-        modeled = max(inline_cpu_seconds, head_busy)
-        return max(0.0, raw_step_seconds - modeled)
-
     def release(self) -> None:
         """Drop resident state and hand plan scratch back."""
         self._pending = None
         self._round = None
         self._stable_cache = None
-        self.executor.close()  # rolls back any abandoned speculation
+        self.executor.close()  # joins any in-flight head
         for index, resident in enumerate(self.residents):
             if resident is not None:
                 self.state.slots[index].executor.release()
@@ -925,7 +862,7 @@ class _ShardOutcome:
     wall_seconds: float
     idle_seconds: float
     steps: int
-    speculation: SpeculationStats = field(default_factory=SpeculationStats)
+    pipeline: PipelineStats = field(default_factory=PipelineStats)
     prefix: PrefixStats = field(default_factory=PrefixStats)
 
     def info(self) -> ShardInfo:
@@ -940,7 +877,7 @@ class _ShardOutcome:
             wall_seconds=self.wall_seconds,
             idle_seconds=self.idle_seconds,
             steps=self.steps,
-            speculation=self.speculation,
+            pipeline=self.pipeline,
             prefix=self.prefix,
         )
 
@@ -1069,14 +1006,14 @@ class _Timeline:
             self.virtual = at
 
     def outcome(self) -> _ShardOutcome:
-        speculation = SpeculationStats()
+        pipeline = PipelineStats()
         for worker in self.workers:
-            speculation.merge(worker.executor.stats)
+            pipeline.merge(worker.executor.stats)
         lane, shard = self.order
         return _ShardOutcome(
             lane=lane, shard=shard, records=self.records,
             wall_seconds=self.busy, idle_seconds=self.idle,
-            steps=self.steps, speculation=speculation,
+            steps=self.steps, pipeline=pipeline,
         )
 
 
@@ -1112,7 +1049,6 @@ def _boundary(
     backlogs: Mapping[str, _Backlog],
     shed: Optional[List[ShedRecord]] = None,
     coalesce: bool = False,
-    overlap: bool = False,
 ) -> Tuple[List[_PendingEntry], List[Tuple[_Timeline, _Resident]], float]:
     """One scheduling boundary for ``cohort``: timelines tied in time.
 
@@ -1122,8 +1058,7 @@ def _boundary(
     than one is active and ``coalesce`` is on — and finalizes
     departures.  Every member is charged the real time from ``since``
     (the clock reading that closed the previous boundary) to this
-    boundary's last reading, less any ``overlap`` credit
-    (:meth:`LaneWorker.overlap_credit`), so tied members stay tied.
+    boundary's last reading, so tied members stay tied.
     In-process serving, inline shards, and shard processes all admit,
     step, and finalize here.
 
@@ -1133,12 +1068,11 @@ def _boundary(
     base = cohort[0].virtual
     clock = cohort[0].clock
     reading = since
-    credit = 0.0
 
     def now() -> float:
         nonlocal reading
         reading = clock()
-        return base + (reading - since) - credit
+        return base + (reading - since)
 
     current = now()
     admitted: List[_PendingEntry] = []
@@ -1162,7 +1096,7 @@ def _boundary(
         if worker.has_active()
     ]
     departed: List[Tuple[_Timeline, _Resident]] = []
-    if coalesce and not overlap and len(active) > 1:
+    if coalesce and len(active) > 1:
         # Two-phase round: every worker's decisions first, one fused /
         # cached prefix flush, then every worker's CNN stages.
         for _, worker in active:
@@ -1175,18 +1109,10 @@ def _boundary(
             departed += [(timeline, resident) for resident in gone]
     else:
         for timeline, worker in active:
-            if overlap:
-                step_start = now()
-                cpu_start = time.thread_time()
-                gone = worker.step()
-                inline_cpu = time.thread_time() - cpu_start
-                credit += worker.overlap_credit(now() - step_start,
-                                                inline_cpu)
-            else:
-                gone = worker.step()
+            gone = worker.step()
             _finalize_step(worker, gone, now(), timeline.records)
             departed += [(timeline, resident) for resident in gone]
-    charge = (reading - since) - credit
+    charge = reading - since
     for timeline in cohort:
         timeline.virtual = base + charge
         timeline.busy += charge
@@ -1204,7 +1130,6 @@ def _run_core(
     spawn: Optional[Callable[[str, int], LaneWorker]] = None,
     supervisor: Optional[SupervisorConfig] = None,
     autoscaler: Optional[Autoscaler] = None,
-    overlap: bool = False,
 ) -> Tuple[List[_Timeline], List[ShedRecord], List[FailoverEvent],
            Dict[str, int]]:
     """The serve core: every timeline over the door's traffic, one DES.
@@ -1400,7 +1325,6 @@ def _run_core(
             ]
         admitted, departed, since = _boundary(
             cohort, since, backlogs, shed=shed, coalesce=service.coalesce,
-            overlap=overlap,
         )
         for entry in admitted:
             in_flight[entry.seq] = entry
@@ -1442,8 +1366,8 @@ class ServingRuntime:
     policy starts each lane at ``min_shards`` and grows and shrinks it.
     Results are bit-identical in every shape; sharding only changes
     wall-clock time and latency accounting (each shard keeps its own
-    clock).  ``shard_backend`` resolves like
-    :class:`~repro.runtime.scheduler.SchedulerConfig` backends:
+    clock).  ``shard_backend`` resolves through
+    :meth:`~repro.runtime.frontdoor.ServerConfig.resolve_shard_backend`:
     ``process`` runs shards on supervised worker processes (real clock,
     arrivals released by the parent), ``serial`` simulates them inline
     as a deterministic discrete-event run that honours the injected
@@ -1483,15 +1407,6 @@ class ServingRuntime:
         # long before any spec exists.
         _validate_fault_plan(config, self.router)
         self._workers: Optional[Dict[str, LaneWorker]] = None
-
-    @property
-    def shard_config(self) -> SchedulerConfig:
-        """Pool resolution, sized to the worker budget (autoscale's
-        ``max_shards`` when elastic, ``serve_workers`` otherwise)."""
-        return SchedulerConfig(
-            workers=self.config.pool_workers,
-            backend=self.config.shard_backend,
-        )
 
     # -------------------------------------------------------------- #
     @property
@@ -1538,7 +1453,7 @@ class ServingRuntime:
                 )
                 for lane_spec in self.router.specs.values():
                     lane_spec.warm()  # shards load the cache, never train
-                if self.shard_config.resolve(size) == "process":
+                if self.config.resolve_shard_backend(size) == "process":
                     report = self._serve_process(door)
                 else:
                     report = self._serve_inline(door, fleet)
@@ -1588,10 +1503,15 @@ class ServingRuntime:
             worker.prefix_service = service
         clock = self.config.clock or time.perf_counter
         timeline = _Timeline(workers, clock)
-        _, shed, _, _ = _run_core(
-            [timeline], door, clock, service,
-            overlap=self.config.overlap_timeline,
-        )
+        try:
+            _, shed, _, _ = _run_core([timeline], door, clock, service)
+        except BaseException:
+            # A failed serve must not leave residents seated, a pending
+            # handoff, or a head in flight for the next serve to trip
+            # over: release every warm worker (joining its head).
+            for worker in workers:
+                worker.release()
+            raise
         return self._report([timeline.outcome()], sharded=False, shed=shed,
                             prefix=service.stats)
 
@@ -1619,7 +1539,6 @@ class ServingRuntime:
         timelines, shed, failover_events, counters = _run_core(
             timelines, door, clock, service, spawn=self._spawn_worker,
             supervisor=self.config.supervisor, autoscaler=autoscaler,
-            overlap=self.config.overlap_timeline,
         )
         return self._report(
             [timeline.outcome() for timeline in timelines], sharded=True,
@@ -1686,14 +1605,14 @@ class ServingRuntime:
         merged (independent per-process services).
         """
         done: Dict[int, RequestRecord] = {}
-        speculation = SpeculationStats()
+        pipeline = PipelineStats()
         if prefix is None:
             prefix = PrefixStats()
             for outcome in outcomes:
                 prefix.merge(outcome.prefix)
         for outcome in outcomes:
             done.update(outcome.records)
-            speculation.merge(outcome.speculation)
+            pipeline.merge(outcome.pipeline)
         slowest = max(outcomes, key=lambda o: o.wall_seconds, default=None)
         lane_dtypes, lane_savings = self._lane_quant_info()
         return ServingReport(
@@ -1704,9 +1623,7 @@ class ServingRuntime:
             max_batch=self.config.max_batch,
             serve_workers=self.config.serve_workers if sharded else 1,
             shards=[outcome.info() for outcome in outcomes] if sharded else [],
-            pipelined_steps=speculation.pipelined_steps,
-            speculated=speculation.speculated,
-            rollbacks=speculation.rollbacks,
+            pipelined_steps=pipeline.pipelined_steps,
             shed=sorted(shed, key=lambda record: record.seq),
             retries=retries,
             failovers=failovers,

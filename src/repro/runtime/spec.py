@@ -1,10 +1,10 @@
 """Picklable pipeline descriptions for the runtime layer.
 
 Worker processes cannot receive live :class:`~repro.core.EVA2Pipeline`
-objects (they hold networks and scratch buffers), so the scheduler ships a
-:class:`PipelineSpec` — a frozen, picklable recipe — and each worker builds
-its pipeline once from it.  The same spec drives the serial, lockstep, and
-pooled execution paths, which is what makes their results comparable
+objects (they hold networks and scratch buffers), so sharded serving ships
+a :class:`PipelineSpec` — a frozen, picklable recipe — and each shard
+process builds its own pipeline from it.  The same spec drives the serial,
+lockstep, and serving paths, which is what makes their results comparable
 bit for bit.
 """
 
@@ -71,13 +71,6 @@ class PipelineSpec:
     #: t+1's RFBME/decide on a second thread against the CNN stages of
     #: step t, 1 = sequential steps.  Bit-identical either way.
     pipeline_depth: int = 2
-    #: allow *speculative* pipelining across uncertain step boundaries
-    #: (serving admissions/evictions): checkpoint, overlap, roll back +
-    #: replay on a membership mismatch.  Default off: serving overlaps
-    #: only provably stable steps (lane full, no departure due), which
-    #: keeps batch-1 latency flat.  Results are bit-identical either
-    #: way.  No effect at pipeline_depth=1.
-    speculate: bool = False
 
     def __post_init__(self):
         if self.policy not in _POLICIES:
@@ -105,7 +98,6 @@ class PipelineSpec:
             rfbme_backend=self.rfbme_backend,
             dtype=self.dtype,
             pipeline_depth=self.pipeline_depth,
-            speculate=self.speculate,
         )
 
     def build_policy(self) -> KeyFramePolicy:
@@ -143,7 +135,7 @@ class PipelineSpec:
     def warm(self) -> None:
         """Train/load the network into the on-disk cache.
 
-        Call in the parent before spawning workers so they load the cached
-        weights instead of racing to train.
+        Call in the parent before spawning shard processes so they load
+        the cached weights instead of racing to train.
         """
         self.shared_network()

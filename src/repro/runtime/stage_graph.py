@@ -35,24 +35,14 @@ head is in flight, and each context carries its own cursor snapshot, so
 the overlapped steps touch disjoint state and every output stays
 **bit-identical** to sequential execution.
 
-**Speculation.**  A *definite* handoff (``speculative=False``) promises
-the executor that ``next_batch`` IS the following step — ``decide``
-mutates policy state, so breaking that promise raises
-:class:`PipelineContractError`.  A *speculative* handoff
-(``speculative=True``) drops the promise: before the head launches, the
-executor snapshots every :data:`~repro.core.stages.CHECKPOINT_RESOURCES`
-resource of the speculated batch (the :class:`Checkpointable` contract —
-policies checkpoint their mutable state, cursors are plain ints), and
-if the batch actually submitted next is a *different* object the
-executor quiesces the in-flight head, rolls the snapshot back, records
-a named :class:`RollbackEvent`, and replays the head inline against the
-true batch.  Either way every output is bit-identical to sequential
-execution; speculation only moves work, never results.  The lockstep
-driver hands over definite batches (its step stream is static); a
-serving worker whose spec opts in (``speculate=True``) speculates across
-possible admissions/evictions and eats the occasional rollback.
-:class:`SpeculationStats` counts steps, engaged overlaps, speculative
-launches, and rollbacks per executor.
+Every handoff is *definite*: the ``next_batch`` a step pipelines IS the
+batch of the following step.  ``decide`` mutates policy state, so the
+head's effects are permanent, and a following step that submits any
+other batch raises :class:`PipelineContractError` before running
+anything against it.  The lockstep driver's step stream is static, and
+a serving worker hands a batch over only at provably stable membership
+(full lane, no departure due).  :class:`PipelineStats` counts steps and
+engaged overlaps per executor.
 
 Seeding: :meth:`StageGraph.run` accepts precomputed values; a stage
 whose outputs are all seeded is skipped.  That is how a caller that
@@ -63,30 +53,12 @@ graph.
 from __future__ import annotations
 
 import functools
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import stages as _stages
-from ..core.stages import (
-    CHECKED_RESOURCES,
-    CHECKPOINT_RESOURCES,
-    StepBatch,
-    checkpoint_resource,
-    fingerprint_resource,
-    restore_resource,
-)
+from ..core.stages import CHECKED_RESOURCES, StepBatch, fingerprint_resource
 from .blas import limit_openblas_threads
 
 __all__ = [
@@ -100,9 +72,7 @@ __all__ = [
     "DuplicateOutputError",
     "WriteSetViolationError",
     "PipelineContractError",
-    "Checkpointable",
-    "RollbackEvent",
-    "SpeculationStats",
+    "PipelineStats",
 ]
 
 #: the seed value every graph starts from (the step's working set).
@@ -132,88 +102,35 @@ class WriteSetViolationError(StageGraphError):
 class PipelineContractError(RuntimeError):
     """A pipelined next-batch handoff broke the executor's contract.
 
-    For a *definite* handoff (``speculative=False``) the batch submitted
-    to the following :meth:`StageExecutor.step` must be the exact
-    ``next_batch`` object that was pipelined — without a checkpoint the
-    head's effects (``decide`` mutates policy state) are irreversible,
-    so the executor stops before running anything against the mismatched
-    batch.  Also raised when a *speculative* handoff is requested on a
-    graph whose head writes a resource that cannot be checkpointed
-    (:attr:`StageExecutor.speculation_safe`), and when a seed supplies a
-    value the in-flight head already computed.  Mismatches under a
-    speculative handoff do NOT raise: they roll back and replay.
+    The batch submitted to the step after a pipelined one must be the
+    exact ``next_batch`` object that was handed over: the head's effects
+    (``decide`` mutates policy state) are permanent, so the executor
+    stops before running anything against a mismatched batch.  Also
+    raised when a seed supplies a value the in-flight head already
+    computed.
     """
-
-
-@runtime_checkable
-class Checkpointable(Protocol):
-    """Structural contract for objects holding checkpointable resources.
-
-    ``checkpoint()`` returns an opaque snapshot of all mutable state;
-    ``rollback(snapshot)`` restores it exactly — after the round trip
-    the object is observationally identical (same future behaviour, same
-    :func:`~repro.core.stages.fingerprint_resource`) to the moment of
-    the checkpoint, and one snapshot may be restored any number of
-    times.  :class:`~repro.core.keyframe.KeyFramePolicy` implements
-    this; the protocol is structural (``typing.Protocol``) so the core
-    layer never has to import the runtime to participate.
-    """
-
-    def checkpoint(self) -> object: ...
-
-    def rollback(self, snapshot: object) -> None: ...
-
-
-@dataclass(frozen=True)
-class RollbackEvent:
-    """One named rollback of a speculative head.
-
-    ``step`` is the executor's step count when the rollback happened;
-    ``reason`` names why — ``"membership-mismatch"`` (the submitted
-    batch was not the speculated one) or ``"abandoned"`` (the executor
-    was closed with a speculative head still in flight); ``positions``
-    are the speculated batch's slot positions (empty for non-lane
-    batches).
-    """
-
-    step: int
-    reason: str
-    positions: Tuple[int, ...] = ()
 
 
 @dataclass
-class SpeculationStats:
+class PipelineStats:
     """What one :class:`StageExecutor` did with its overlap window.
 
     ``steps`` counts every :meth:`StageExecutor.step` call;
-    ``pipelined_steps`` the steps that consumed an in-flight head
-    (definite or speculative hit) — the engaged overlaps;
-    ``speculated`` the speculative head launches; ``rollbacks`` the
-    speculative launches that were rolled back (mismatch or abandon).
+    ``pipelined_steps`` the steps that consumed an in-flight head — the
+    engaged overlaps.
     """
 
     steps: int = 0
     pipelined_steps: int = 0
-    speculated: int = 0
-    rollbacks: int = 0
-    events: List[RollbackEvent] = field(default_factory=list)
 
-    def merge(self, other: "SpeculationStats") -> None:
+    def merge(self, other: "PipelineStats") -> None:
         self.steps += other.steps
         self.pipelined_steps += other.pipelined_steps
-        self.speculated += other.speculated
-        self.rollbacks += other.rollbacks
-        self.events.extend(other.events)
 
     @property
     def engagement(self) -> float:
         """Fraction of steps that ran with their head precomputed."""
         return self.pipelined_steps / self.steps if self.steps else 0.0
-
-    @property
-    def rollback_rate(self) -> float:
-        """Fraction of speculative launches that were rolled back."""
-        return self.rollbacks / self.speculated if self.speculated else 0.0
 
 
 @dataclass(frozen=True)
@@ -409,8 +326,8 @@ class StageGraph:
         the largest head; an empty head or tail means the graph cannot
         pipeline.  The head never reaches a ``fence`` stage: the lifecycle
         graph fences ``adopt_pixels``, which would fit in the head by
-        its resource sets alone but writes key pixels, which a
-        speculative head could not roll back.  Memoised on the instance
+        its resource sets alone, so that it runs on the driver thread
+        rather than on the head thread.  Memoised on the instance
         (geometry never changes).
         """
         if self._overlap_split is not None:
@@ -496,129 +413,35 @@ class StageExecutor:
         )
         self._mid_pre = tuple(self.mid[:barrier])
         self._mid_post = tuple(self.mid[barrier:])
-        #: (batch, future, checkpoint, busy_cell) of the in-flight head;
-        #: the checkpoint is None for a definite (non-speculative)
-        #: handoff, and busy_cell receives the head's measured busy
-        #: seconds once the future resolves.
-        self._inflight: Optional[Tuple[StepBatch, object, object, list]] = None
+        #: (batch, future) of the in-flight head.
+        self._inflight: Optional[Tuple[StepBatch, object]] = None
         self._worker: Optional[ThreadPoolExecutor] = None
-        #: busy seconds of the most recently joined head (consumed by
-        #: :meth:`consume_joined_head_busy`).
-        self._joined_head_busy = 0.0
-        #: per-executor speculation/pipelining counters.
-        self.stats = SpeculationStats()
-        #: union of the head stages' declared write sets — what a
-        #: speculative checkpoint must cover.
-        self._head_writes = frozenset().union(
-            *(stage.writes for stage in self.head)
-        ) if self.head else frozenset()
+        #: per-executor pipelining counters.
+        self.stats = PipelineStats()
 
     @property
     def pipelined(self) -> bool:
         """Whether this executor can overlap consecutive steps at all."""
         return bool(self.head) and bool(self.tail)
 
-    @property
-    def speculation_safe(self) -> bool:
-        """Whether the head's persistent writes can all be rolled back.
-
-        The head stages may write scratch resources freely (dead between
-        steps by definition) but every *persistent* resource they write
-        must be checkpointable — on the lifecycle graph that is
-        ``decide``'s :data:`~repro.core.stages.POLICY_STATE`.  A graph
-        whose head writes, say, key state cannot speculate: there is no
-        checkpoint to roll back to.
-        """
-        persistent = frozenset(CHECKED_RESOURCES)
-        checkpointable = frozenset(CHECKPOINT_RESOURCES)
-        for stage in self.head:
-            if (stage.writes & persistent) - checkpointable:
-                return False
-        return True
-
     def reset_stats(self) -> None:
-        """Start a fresh :class:`SpeculationStats` window (per serve)."""
-        self.stats = SpeculationStats()
-
-    def consume_joined_head_busy(self) -> float:
-        """Busy seconds of the head joined during the latest step, once.
-
-        Returns 0.0 when the step joined no in-flight head (sequential
-        step, or the first step of a stream).  The value is consumed:
-        a second call before the next join returns 0.0.  This is the
-        measurement behind serving's concurrent-overlap timeline — on a
-        core-starved host the head and tail time-slice one CPU, so the
-        measured step duration is their *sum*; charging
-        ``sum - min(head_busy, sum - head_busy)`` instead models the
-        ``max(head, tail)`` a concurrent deployment realizes, the same
-        convention the shard-scaling benchmark uses for its per-shard
-        clocks.
-        """
-        busy, self._joined_head_busy = self._joined_head_busy, 0.0
-        return busy
+        """Start a fresh :class:`PipelineStats` window (per serve)."""
+        self.stats = PipelineStats()
 
     # ------------------------------------------------------------------ #
     def _run_head(self, env: Dict[str, object]) -> Dict[str, object]:
         self.graph._run_stages(self.head, env)
         return env
 
-    def _launch_head(
-        self, next_batch: StepBatch, speculative: bool = False
-    ) -> None:
-        checkpoint = None
-        if speculative:
-            # Snapshot BEFORE the head can run: the worker thread starts
-            # mutating policy state the moment the future is submitted.
-            # Only resources the head *writes* are captured — rolling
-            # back anything else (e.g. cursors, which the driver
-            # advances between launch and join) would undo legitimate
-            # non-head mutations.
-            checkpoint = {
-                resource: checkpoint_resource(next_batch, resource)
-                for resource in CHECKPOINT_RESOURCES
-                if resource in self._head_writes
-            }
-            self.stats.speculated += 1
+    def _launch_head(self, next_batch: StepBatch) -> None:
         env: Dict[str, object] = {_SEED: next_batch}
         if self._worker is None:
             limit_openblas_threads()
             self._worker = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="stage-head"
             )
-        # The head measures its own busy seconds on the worker thread;
-        # the cell is final once the future resolves.  Serving's
-        # concurrent-overlap timeline reads it through
-        # :meth:`consume_joined_head_busy` to credit the overlap window.
-        # Thread CPU time, not wall time: on a core-starved host the
-        # head thread's wall clock includes GIL waits behind the tail,
-        # which would understate the hideable window by however long the
-        # scheduler happened to interleave the two.
-        busy_cell = [0.0]
-
-        def run_timed() -> Dict[str, object]:
-            start = time.thread_time()
-            try:
-                return self._run_head(env)
-            finally:
-                busy_cell[0] = time.thread_time() - start
-
-        future = self._worker.submit(run_timed)
-        self._inflight = (next_batch, future, checkpoint, busy_cell)
-
-    def _rollback(
-        self, batch: StepBatch, checkpoint: Mapping[str, object], reason: str
-    ) -> None:
-        """Undo a speculative head's effects and record the named event."""
-        for resource, snapshot in checkpoint.items():
-            restore_resource(batch, resource, snapshot)
-        self.stats.rollbacks += 1
-        self.stats.events.append(
-            RollbackEvent(
-                step=self.stats.steps,
-                reason=reason,
-                positions=tuple(getattr(batch, "positions", ()) or ()),
-            )
-        )
+        future = self._worker.submit(self._run_head, env)
+        self._inflight = (next_batch, future)
 
     def _join(
         self, batch: StepBatch, seed: Optional[Mapping[str, object]]
@@ -630,35 +453,15 @@ class StageExecutor:
                 env.update(seed)
             self.graph._run_stages(self.head, env)
             return env
-        expected, future, checkpoint, busy_cell = self._inflight
+        expected, future = self._inflight
         self._inflight = None
+        env = future.result()  # a head failure surfaces first
         if expected is not batch:
-            if checkpoint is None:
-                future.result()  # surface head failures before complaining
-                raise PipelineContractError(
-                    "the batch submitted to step() is not the next_batch "
-                    "the previous step pipelined; a definite handoff must "
-                    "be honoured (no checkpoint to roll back to) — "
-                    "pipeline with speculative=True when the next step "
-                    "is uncertain"
-                )
-            # Speculation missed: quiesce the in-flight head (it may
-            # still be mutating policy state on the worker thread), roll
-            # its effects back, and replay the head against the batch
-            # that actually arrived.  A head failure still surfaces, but
-            # only after the rollback restored consistent state.
-            try:
-                future.result()
-            finally:
-                self._joined_head_busy = busy_cell[0]
-                self._rollback(expected, checkpoint, "membership-mismatch")
-            env = {_SEED: batch}
-            if seed:
-                env.update(seed)
-            self.graph._run_stages(self.head, env)
-            return env
-        env = future.result()
-        self._joined_head_busy = busy_cell[0]
+            raise PipelineContractError(
+                "the batch submitted to step() is not the next_batch "
+                "the previous step pipelined; a handoff must be honoured "
+                "(the head's effects are permanent)"
+            )
         self.stats.pipelined_steps += 1
         if seed:
             # Head outputs were already computed in flight — a seed for
@@ -682,25 +485,18 @@ class StageExecutor:
         batch: StepBatch,
         next_batch: Optional[StepBatch] = None,
         seed: Optional[Mapping[str, object]] = None,
-        speculative: bool = False,
     ) -> Dict[str, object]:
         """Execute one full step; optionally pipeline into the next.
 
         ``next_batch`` — when given and the graph pipelines — launches
         the next step's head stages as soon as this step's ``mid`` has
-        run, overlapped with this step's tail.  With
-        ``speculative=False`` (default) the handoff is
-        *definite*: it MUST be the exact batch of the following
+        run, overlapped with this step's tail.  The handoff is
+        definite: it MUST be the exact batch of the following
         :meth:`step` call, because the head's effects (policy state
-        advanced by ``decide``) are applied permanently.  With
-        ``speculative=True`` the executor checkpoints the speculated
-        batch's :data:`~repro.core.stages.CHECKPOINT_RESOURCES` first;
-        if the following step submits a different batch the head's
-        effects are rolled back and the head replayed — results are
-        bit-identical either way, a miss just forfeits the overlap.
-        Pass ``next_batch=None`` when there is nothing to pipeline.
+        advanced by ``decide``) are applied permanently.  Pass
+        ``next_batch=None`` when the next step is not certain.
         """
-        env = self.begin_step(batch, seed, next_batch, speculative)
+        env = self.begin_step(batch, seed, next_batch)
         return self.finish_step(env)
 
     def begin_step(
@@ -708,22 +504,19 @@ class StageExecutor:
         batch: StepBatch,
         seed: Optional[Mapping[str, object]] = None,
         next_batch: Optional[StepBatch] = None,
-        speculative: bool = False,
     ) -> Dict[str, object]:
         """Phase 1 of a two-phase step: everything up to the coalescing
         barrier.
 
         Joins (or runs inline) the head stages and the pre-barrier slice
         of ``mid``, so on the lifecycle graph the returned env already
-        holds this step's final ``decisions`` — including any rollback +
-        replay a mispredicted speculative head required.  ``next_batch``
-        and ``speculative`` are :meth:`step`'s handoff: a pipelined
-        executor launches the next head here, right after ``mid``.  A
-        serve round may ``begin_step`` every lane, hand their key-frame
-        requests to a shared
-        :class:`~repro.runtime.prefix_service.PrefixService`, flush it
-        once — overlapped with the lanes' next heads — and only then
-        :meth:`finish_step` each lane.  :meth:`step` is exactly
+        holds this step's final ``decisions``.  ``next_batch`` is
+        :meth:`step`'s handoff: a pipelined executor launches the next
+        head here, right after ``mid``.  A serve round may
+        ``begin_step`` every lane, hand their key-frame requests to a
+        shared :class:`~repro.runtime.prefix_service.PrefixService`,
+        flush it once — overlapped with the lanes' next heads — and only
+        then :meth:`finish_step` each lane.  :meth:`step` is exactly
         ``begin_step`` + ``finish_step``, so the two-phase round is
         bit-identical to sequential stepping.
         """
@@ -731,13 +524,7 @@ class StageExecutor:
         env = self._join(batch, seed)
         self.graph._run_stages(self._mid_pre, env)
         if next_batch is not None and self.pipelined:
-            if speculative and not self.speculation_safe:
-                raise PipelineContractError(
-                    "cannot speculate on this graph: its head writes a "
-                    "persistent resource outside CHECKPOINT_RESOURCES, "
-                    "so a mispredicted head could not be rolled back"
-                )
-            self._launch_head(next_batch, speculative=speculative)
+            self._launch_head(next_batch)
         return env
 
     def finish_step(self, env: Dict[str, object]) -> Dict[str, object]:
@@ -757,18 +544,14 @@ class StageExecutor:
         The executor remains usable afterwards (the worker is rebuilt on
         the next pipelined launch); callers that pipelined to a batch
         they will never submit must close to avoid leaking the thread.
-        An abandoned *speculative* head is rolled back — its decide
-        effects never happened as far as lane state is concerned.
         """
         if self._inflight is not None:
-            expected, future, checkpoint, _busy = self._inflight
+            _, future = self._inflight
             self._inflight = None
             try:
                 future.result()
             except Exception:
                 pass  # the step that owned this head was abandoned
-            if checkpoint is not None:
-                self._rollback(expected, checkpoint, "abandoned")
         if self._worker is not None:
             self._worker.shutdown(wait=True)
             self._worker = None

@@ -67,7 +67,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scheduler import ShardCrashError
 from .spec import PipelineSpec
 
 __all__ = [
@@ -79,10 +78,24 @@ __all__ = [
     "RequestShedError",
     "ShedRecord",
     "FailoverEvent",
+    "ShardCrashError",
 ]
 
 #: the fault kinds both backends honour.
 FAULT_KINDS = ("kill", "stall", "drop_ack")
+
+
+class ShardCrashError(RuntimeError):
+    """A serving shard died (or stopped progressing) with work unresolved.
+
+    Raised instead of hanging or silently dropping work: the message
+    names what was lost and ``lost`` carries the request seqs whose
+    results never arrived.
+    """
+
+    def __init__(self, message: str, lost: Sequence = ()):
+        super().__init__(message)
+        self.lost = tuple(lost)
 
 
 class RequestShedError(RuntimeError):
@@ -235,7 +248,7 @@ class FaultPlan:
         Kills never target every shard of a lane — at least one original
         shard always survives, so a seeded plan cannot manufacture a
         total-loss run (hand-built plans still can, for testing the
-        explicit :class:`~repro.runtime.scheduler.ShardCrashError`
+        explicit :class:`ShardCrashError`
         path).  Same seed and shape, same plan, on any host.
         """
         if shards_per_lane < 1:
@@ -309,7 +322,7 @@ class SupervisorConfig:
     heartbeat_timeout: float = 30.0
     #: replacement shards the supervisor may spawn per serve; a lane
     #: that loses every shard with no budget left raises
-    #: :class:`~repro.runtime.scheduler.ShardCrashError` instead of
+    #: :class:`ShardCrashError` instead of
     #: hanging.
     max_respawns: int = 1
     #: a dispatched request unacknowledged for this long is retried
@@ -543,7 +556,7 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
         "wall": timeline.busy,
         "idle": timeline.idle,
         "steps": timeline.steps,
-        "speculation": worker.executor.stats,
+        "pipeline": worker.executor.stats,
         "prefix": worker.prefix_service.stats,
     }))
 
@@ -606,7 +619,7 @@ class ShardSupervisor:
     are idempotent because re-execution is bit-identical.  Total loss —
     a lane with work but no shards and no respawn budget — terminates
     everything and raises
-    :class:`~repro.runtime.scheduler.ShardCrashError`; a run never
+    :class:`ShardCrashError`; a run never
     hangs (``drain_timeout`` bounds any no-progress stretch).
     """
 
@@ -1003,7 +1016,7 @@ class ShardSupervisor:
 
         from .prefix_service import PrefixStats
         from .serving import _ShardOutcome
-        from .stage_graph import SpeculationStats
+        from .stage_graph import PipelineStats
 
         outcomes = []
         for state in shards:
@@ -1015,7 +1028,7 @@ class ShardSupervisor:
                 wall_seconds=tail.get("wall", 0.0),
                 idle_seconds=tail.get("idle", 0.0),
                 steps=tail.get("steps", 0),
-                speculation=tail.get("speculation") or SpeculationStats(),
+                pipeline=tail.get("pipeline") or PipelineStats(),
                 prefix=tail.get("prefix") or PrefixStats(),
             ))
         return SupervisionResult(

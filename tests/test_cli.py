@@ -14,7 +14,6 @@ class TestCLI:
         for command in ("run", "serve"):
             args = parser.parse_args([command])
             assert args.pipeline_depth == spec.pipeline_depth
-            assert args.speculate == spec.speculate
 
     def test_info(self, capsys):
         assert main(["info"]) == 0
@@ -141,9 +140,20 @@ class TestCLI:
         assert main(["run", "--clips", "0"]) == 2
         assert "--clips" in capsys.readouterr().err
 
-    def test_batch_and_workers_conflict(self, capsys):
-        assert main(["run", "--clips", "4", "--batch", "--workers", "2"]) == 2
-        assert "pick one" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["run", "--clips", "4", "--workers", "2"],
+        ["run", "--speculate"],
+        ["run", "--no-speculate"],
+        ["serve", "--speculate"],
+        ["serve", "--no-speculate"],
+    ], ids=["run-workers", "run-speculate", "run-no-speculate",
+            "serve-speculate", "serve-no-speculate"])
+    def test_removed_flags_rejected(self, argv):
+        """The clip pool and speculative pipelining are gone; their
+        flags are argparse errors, not silently ignored."""
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -170,6 +170,23 @@ class TestServerConfig:
         with pytest.raises(ValueError, match="resume_pending"):
             ServerConfig(max_pending=4, resume_pending=4)
 
+    def test_bad_backend_rejected(self):
+        with pytest.raises(ValueError, match="backend must be one of"):
+            ServerConfig(serve_workers=2, shard_backend="quantum")
+
+    def test_auto_resolution(self, monkeypatch):
+        """One shard, or a budget of one, is the inline path; an explicit
+        backend is kept; ``auto`` picks processes on a multi-core host."""
+        assert ServerConfig().resolve_shard_backend(8) == "serial"
+        process = ServerConfig(serve_workers=4, shard_backend="process")
+        assert process.resolve_shard_backend(8) == "process"
+        assert process.resolve_shard_backend(1) == "serial"
+        auto = ServerConfig(serve_workers=4)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert auto.resolve_shard_backend(4) == "process"
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        assert auto.resolve_shard_backend(4) == "serial"
+
     def test_autoscale_implies_shared_admission(self):
         config = ServerConfig(autoscale=AutoscalePolicy(max_shards=3))
         assert config.sharded

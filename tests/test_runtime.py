@@ -1,6 +1,6 @@
-"""Runtime-layer tests: spec building, workload construction, scheduler
-backends, and the lockstep BatchedPipeline — including the contract that
-every execution path produces results identical to the serial loop."""
+"""Runtime-layer tests: spec building, workload construction, and the
+lockstep BatchedPipeline — including the contract that every execution
+path produces results identical to the serial loop."""
 
 import sys
 
@@ -10,9 +10,7 @@ import pytest
 from repro.core import EVA2Pipeline, MatchErrorPolicy, StaticPolicy
 from repro.runtime import (
     BatchedPipeline,
-    ClipScheduler,
     PipelineSpec,
-    SchedulerConfig,
     poisson_arrival_times,
     run_workload,
     slack_deadlines,
@@ -164,79 +162,6 @@ def _assert_identical(result, reference):
     for got, want in zip(result.results, reference.results):
         np.testing.assert_array_equal(got.outputs(), want.outputs())
         np.testing.assert_array_equal(got.key_mask(), want.key_mask())
-
-
-class TestSchedulerBackends:
-    def test_serial(self, spec, workload, serial_result):
-        results = ClipScheduler(spec, SchedulerConfig(backend="serial")).run(workload)
-        for got, want in zip(results, serial_result.results):
-            np.testing.assert_array_equal(got.outputs(), want.outputs())
-
-    def test_threads_match_serial(self, spec, workload, serial_result):
-        threaded = run_workload(
-            spec, workload, scheduler=SchedulerConfig(workers=2, backend="thread")
-        )
-        _assert_identical(threaded, serial_result)
-        assert threaded.path == "thread"
-        assert threaded.workers == 2
-
-    def test_processes_match_serial(self, spec, workload, serial_result):
-        pooled = run_workload(
-            spec, workload, scheduler=SchedulerConfig(workers=2, backend="process")
-        )
-        _assert_identical(pooled, serial_result)
-        assert pooled.path == "process"
-
-    def test_process_backend_mid_run_completion(self, spec):
-        """Ragged-length clips finish at different times mid-run; workers
-        are recycled onto the remaining clips and per-clip results stay
-        identical and input-ordered."""
-        mixed = (
-            synthetic_workload(2, num_frames=8, base_seed=2)
-            + synthetic_workload(3, num_frames=3, base_seed=21)
-            + synthetic_workload(2, num_frames=5, base_seed=33)
-        )
-        serial = run_workload(spec, mixed, batch=False)
-        pooled = run_workload(
-            spec, mixed, scheduler=SchedulerConfig(workers=2, backend="process")
-        )
-        assert [len(r) for r in pooled.results] == [8, 8, 3, 3, 3, 5, 5]
-        _assert_identical(pooled, serial)
-
-    def test_process_backend_more_workers_than_clips(self, spec, workload,
-                                                     serial_result):
-        """A pool wider than the workload leaves workers idle, not wrong."""
-        pooled = run_workload(
-            spec,
-            workload,
-            scheduler=SchedulerConfig(workers=len(workload) + 2,
-                                      backend="process"),
-        )
-        _assert_identical(pooled, serial_result)
-
-    def test_auto_resolution(self):
-        assert SchedulerConfig(workers=0).resolve(8) == "serial"
-        assert SchedulerConfig(workers=4, backend="thread").resolve(8) == "thread"
-        assert SchedulerConfig(workers=4).resolve(1) == "serial"
-
-    def test_explicit_backend_with_no_workers_runs_serially(
-        self, spec, workload, serial_result
-    ):
-        """An explicit pool backend with workers <= 1 is the serial path,
-        not a zero-worker pool crash."""
-        config = SchedulerConfig(backend="thread")
-        assert config.resolve(len(workload)) == "serial"
-        results = ClipScheduler(spec, config).run(workload)
-        for got, want in zip(results, serial_result.results):
-            np.testing.assert_array_equal(got.outputs(), want.outputs())
-
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError):
-            SchedulerConfig(backend="quantum")
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            SchedulerConfig(workers=-1)
 
 
 class TestBatchedPipeline:

@@ -16,6 +16,7 @@ import pytest
 from repro.runtime import (
     AutoscalePolicy,
     ClipRequest,
+    DuplicateRequestError,
     LaneRoutingError,
     PipelineSpec,
     ServerConfig,
@@ -355,7 +356,6 @@ class TestPipelinedServing:
             for depth in (1, 2)
         }
         assert reports[1].pipelined_steps == 0
-        assert reports[2].speculated == 0
         assert reports[2].pipelined_steps == reports[2].steps - 1
         for report in reports.values():
             _assert_identical(report, serial)
@@ -369,13 +369,12 @@ class TestPipelinedServing:
         assert runtime.lanes["default"]._membership_scans == 0
 
 
-class TestSpeculationMetrics:
-    """ServingReport's rollback/engagement accounting, end to end."""
+class TestPipelineMetrics:
+    """ServingReport's pipelining accounting, end to end."""
 
     @pytest.fixture(scope="class")
     def piped_spec(self):
-        spec = PipelineSpec(network=NETWORK, pipeline_depth=2,
-                            speculate=True)
+        spec = PipelineSpec(network=NETWORK, pipeline_depth=2)
         spec.warm()
         return spec
 
@@ -388,68 +387,65 @@ class TestSpeculationMetrics:
         arrivals = [0.0, 0.0, 0.006, 0.012, 0.018]
         return clips, arrivals
 
-    def test_stable_traffic_never_speculates(self, piped_spec):
-        """Full occupancy + equal lengths: every overlap is definite, so
-        the speculation counters stay zero while engagement is high."""
+    def test_stable_traffic_pipelines(self, piped_spec):
+        """Full occupancy + equal lengths: every step but the last hands
+        its successor over."""
         equal = synthetic_workload(3, num_frames=8, base_seed=21)
         report = ServingRuntime(piped_spec, ServerConfig(max_batch=3,
                                 clock=FakeClock())).serve(_requests(equal))
-        assert report.speculated == 0
-        assert report.rollbacks == 0
-        assert report.rollback_rate == 0.0
-        assert report.pipelined_steps > 0
-        assert 0.0 < report.speculation_engagement <= 1.0
+        assert report.pipelined_steps == report.steps - 1
+        assert report.pipeline_engagement == pytest.approx(7 / 8)
 
-    def test_forced_churn_rolls_back(self, piped_spec, churny):
+    def test_churn_engagement_is_pipelined_fraction(self, piped_spec,
+                                                    churny):
         clips, arrivals = churny
-        report = ServingRuntime(piped_spec, ServerConfig(max_batch=3,
+        report = ServingRuntime(piped_spec, ServerConfig(max_batch=2,
                                 clock=FakeClock())).serve(
             _requests(clips, arrivals)
         )
-        assert report.speculated > 0
-        assert report.rollbacks > 0
-        assert report.rollback_rate == report.rollbacks / report.speculated
-        assert report.speculation_engagement == (
+        assert 0 < report.pipelined_steps < report.steps
+        assert report.pipeline_engagement == (
             report.pipelined_steps / report.steps
         )
 
-    def test_summary_rows_surface_speculation(self, piped_spec, churny):
+    def test_summary_rows_surface_pipelining(self, piped_spec, churny):
         clips, arrivals = churny
-        report = ServingRuntime(piped_spec, ServerConfig(max_batch=3,
+        report = ServingRuntime(piped_spec, ServerConfig(max_batch=2,
                                 clock=FakeClock())).serve(
             _requests(clips, arrivals)
         )
-        labels = [row[0] for row in report.summary_rows()]
-        for label in ("pipelined steps", "speculation engagement",
-                      "rollbacks", "rollback rate"):
-            assert label in labels
+        rows = dict(report.summary_rows())
+        assert rows["pipelined steps"] == (
+            f"{report.pipelined_steps}/{report.steps}"
+        )
 
-    def test_sequential_report_omits_speculation_rows(self, sequential_spec,
-                                                      clips):
+    def test_sequential_report_omits_pipeline_rows(self, sequential_spec,
+                                                   clips):
         report = ServingRuntime(sequential_spec, ServerConfig(max_batch=3)).serve(
             _requests(clips)
         )
         assert report.pipelined_steps == 0
-        assert report.speculated == 0
-        assert report.speculation_engagement == 0.0
+        assert report.pipeline_engagement == 0.0
         labels = [row[0] for row in report.summary_rows()]
-        assert "rollbacks" not in labels
+        assert "pipelined steps" not in labels
 
-    def test_shard_merge_sums_speculation_counters(self, piped_spec,
-                                                   churny):
-        """The metrics survive the shard-merge path: per-shard counters
-        are carried on ShardInfo and summed into the lane report."""
+    def test_shard_merge_sums_pipeline_counters(self, piped_spec, churny):
+        """The counters survive the shard-merge path: per-shard
+        PipelineStats are carried on ShardInfo and summed into the lane
+        report."""
         clips, arrivals = churny
         report = ServingRuntime(
             piped_spec, ServerConfig(max_batch=2, serve_workers=2,
-            shard_backend="serial"),
+            shard_backend="serial", clock=FakeClock()),
         ).serve(_requests(clips, arrivals))
         assert len(report.shards) == 2
-        for field in ("pipelined_steps", "speculated", "rollbacks"):
-            assert getattr(report, field) == sum(
-                getattr(shard, field) for shard in report.shards
-            )
-        assert report.pipelined_steps + report.speculated > 0
+        assert report.pipelined_steps == sum(
+            shard.pipelined_steps for shard in report.shards
+        )
+        assert report.steps == sum(
+            shard.pipeline.steps for shard in report.shards
+        )
+        assert report.pipelined_steps > 0
 
 
 class TestSharedAdmission:
@@ -874,6 +870,33 @@ class TestLifecycle:
         second = runtime.serve(_requests(clips))
         _assert_identical(first, serial_result)
         _assert_identical(second, serial_result)
+
+    @pytest.mark.parametrize("failure", ["duplicate_id", "source_raises"])
+    def test_failed_serve_leaves_runtime_clean(self, spec, clips,
+                                               serial_result, failure):
+        """A serve that raises mid-stream releases every warm worker: no
+        resident stays seated, no handoff or head stays in flight, and
+        the next serve on the same runtime matches serial."""
+
+        def stream():
+            yield ClipRequest(0, clips[0], arrival_time=0.0)
+            yield ClipRequest(1, clips[1], arrival_time=0.0)
+            yield ClipRequest(2, clips[2], arrival_time=0.003)
+            if failure == "duplicate_id":
+                yield ClipRequest(1, clips[3], arrival_time=0.004)
+            else:
+                raise RuntimeError("camera feed lost")
+
+        runtime = ServingRuntime(spec, ServerConfig(max_batch=2,
+                                 clock=FakeClock()))
+        with pytest.raises(DuplicateRequestError if failure == "duplicate_id"
+                           else RuntimeError):
+            runtime.serve(stream())
+        lane = runtime.lanes["default"]
+        assert not lane.has_active()
+        assert lane._pending is None
+        assert lane.executor._inflight is None
+        _assert_identical(runtime.serve(_requests(clips)), serial_result)
 
     def test_empty_request_list(self, spec):
         report = ServingRuntime(spec, ServerConfig(max_batch=2)).serve([])

@@ -232,7 +232,7 @@ class TestOverlapSplit:
 
     def test_fence_keeps_stage_out_of_head(self):
         """adopt_pixels fits in the head by its resource sets alone; its
-        fence is what keeps the head rollback-able."""
+        fence is what keeps it on the driver thread."""
         graph = frame_lifecycle_graph()
         unfenced = StageGraph([
             Stage(stage.name, stage.fn, stage.inputs, stage.outputs,
@@ -243,7 +243,6 @@ class TestOverlapSplit:
         assert [stage.name for stage in head] == ["rfbme", "decide",
                                                   "adopt_pixels"]
         assert mid == ()
-        assert not StageExecutor(unfenced, pipeline_depth=2).speculation_safe
 
     def test_conflicting_graph_does_not_pipeline(self):
         """Every stage touching one resource leaves no overlap window."""
@@ -322,70 +321,32 @@ class TestStageExecutor:
         finally:
             executor.close()
         assert pipelined == sequential
+        assert (executor.stats.steps, executor.stats.pipelined_steps) == (6, 5)
+        assert executor.stats.engagement == pytest.approx(5 / 6)
         # Per-stage program order is preserved across in-flight contexts.
         for name in "abc":
             seen = [batch for stage, batch in log if stage == name]
             assert seen == batches
 
     def test_next_batch_must_be_definite(self):
-        executor = StageExecutor(self._toy_graph([]), pipeline_depth=2)
+        log = []
+        executor = StageExecutor(self._toy_graph(log), pipeline_depth=2)
         try:
             executor.step(1, next_batch=2)
             with pytest.raises(PipelineContractError):
                 executor.step(99)
         finally:
             executor.close()
+        # Nothing ran against the mismatched batch, and the refused step
+        # did not count as pipelined.
+        assert all(batch != 99 for _, batch in log)
+        assert (executor.stats.steps, executor.stats.pipelined_steps) == (2, 0)
 
     def test_close_allows_reuse(self):
         executor = StageExecutor(self._toy_graph([]), pipeline_depth=2)
         executor.step(1, next_batch=2)
         executor.close()  # abandons the in-flight head
         assert executor.step(5)["z"] == 102
-        executor.close()
-
-    def test_speculative_mismatch_rolls_back_and_replays(self):
-        """A mispredicted speculative handoff must not raise: the
-        executor rolls the head back, records a named event, and replays
-        inline against the true batch — results stay sequential."""
-        sequential = [
-            StageExecutor(self._toy_graph([]), 1).step(batch)["z"]
-            for batch in (1, 2, 3)
-        ]
-        log = []
-        executor = StageExecutor(self._toy_graph(log), pipeline_depth=2)
-        try:
-            out = [
-                executor.step(1, next_batch=99, speculative=True)["z"],
-                executor.step(2, next_batch=3, speculative=True)["z"],
-                executor.step(3)["z"],
-            ]
-        finally:
-            executor.close()
-        assert out == sequential
-        stats = executor.stats
-        assert (stats.steps, stats.speculated) == (3, 2)
-        assert stats.rollbacks == 1  # batch 99 never arrived
-        assert stats.pipelined_steps == 1  # batch 3's head was a hit
-        assert [event.reason for event in stats.events] == [
-            "membership-mismatch"
-        ]
-        assert stats.engagement == pytest.approx(1 / 3)
-        assert stats.rollback_rate == pytest.approx(1 / 2)
-        # The mispredicted head really ran, and batch 2's head re-ran
-        # inline after the rollback.
-        assert ("a", 99) in log
-        assert ("a", 2) in log
-
-    def test_close_rolls_back_speculative_head_with_named_event(self):
-        executor = StageExecutor(self._toy_graph([]), pipeline_depth=2)
-        executor.step(1, next_batch=2, speculative=True)
-        executor.close()
-        assert executor.stats.rollbacks == 1
-        assert executor.stats.events[-1].reason == "abandoned"
-        executor.reset_stats()
-        assert executor.stats.steps == 0
-        assert executor.stats.events == []
-        assert executor.step(5)["z"] == 102  # still usable after close
         executor.close()
 
     def test_bad_depth_rejected(self):
