@@ -1,16 +1,20 @@
 """Planned CNN inference engine: per-layer and end-to-end gains.
 
 The engine (:class:`repro.nn.inference.InferencePlan`) compiles each
-network once per (batch capacity, dtype): im2col becomes one flat gather
-into preallocated scratch, pooling loses its unfold/argmax, ReLU reuses
-one mask buffer in the GEMM's natural layout, and matmuls stay at serial
-shapes unless fusing across the batch is proven bit-identical on the
-host.  This bench reports, per layer and end to end:
+network once per (batch capacity, dtype).  A float convolution runs one
+sample at a time: one compiled read-in adds the previous conv's bias,
+applies the ReLU and max-pool between the two convs, pads, and writes
+the sample's im2col rows into L2-resident scratch, which the sample's
+serial-shape GEMM reads straight away.  This bench reports, per layer
+and end to end:
 
 * batch-of-1 planned execution vs the seed layer-by-layer forward (the
   serial pipeline's win), and
 * batch-of-16 planned execution per frame (the lockstep runtime's win —
   one call serving a whole workload step), and
+* the float64 AMC prefix per fused unit: each conv with the ReLU and
+  max-pool its read-in folds (``relu1+pool1+conv2``), split into the
+  read-in and the GEMM, plus the tail that writes the result, and
 * the int8 plan (full forward at batch 1 and 16, and the AMC prefix at
   batch 16, which is what a key frame costs), per fused step: an integer
   conv runs with the max-pool before it and the ReLU after it folded in,
@@ -78,6 +82,56 @@ def test_per_layer_inference(net, frames):
     register_table(
         f"planned inference per layer ({NETWORK}; µs/frame, batch {BATCH})",
         ["layer", "type", "seed b=1", "plan b=1", f"plan b={BATCH}", "speedup"],
+        rows,
+    )
+
+
+def test_per_unit_float64_prefix(net, frames):
+    """The float64 AMC prefix per fused unit (µs/frame at batch 16):
+    each unit's read-in (previous bias, ReLU, pool, padding, im2col) and
+    its per-sample GEMM, timed on the calls the plan makes."""
+    from repro.core.sad_kernel import addr
+
+    plan = net.inference_plan(max_batch=BATCH)
+    target = net.last_spatial_layer()
+    stop = net.index_of(target) + 1
+    (chain,) = plan._schedule(0, stop)
+    if chain.kernel is None:
+        pytest.skip("the compiled float read-in is not active")
+    act = plan.run_prefix(frames, target)  # leaves each conv's raw output
+    for s in range(BATCH):
+        np.testing.assert_array_equal(
+            act[s], net.forward_prefix(frames[s : s + 1], target)[0]
+        )
+    ends = [net.index_of(conv.layer.name) for conv in chain.convs]
+    starts = [0] + [end + 1 for end in ends]
+    first = chain._bind(frames[:1], chain.links[0], chain.convs[0])
+    geometry = [addr(first)] + chain._geometry_at
+    sources = [addr(frames)] + chain._raw_at
+    operands = [conv.operands() for conv in chain.convs]
+    biases = [None] + [addr(bias) for _, bias in operands]
+    im2col = chain.kernel.im2col
+    out = np.empty((1,) + chain.out_shape)
+    rows = []
+    for i, conv in enumerate(chain.convs + [None]):
+        names = "+".join(
+            layer.name for layer in net.layers[starts[i] : (ends + [stop - 1])[i] + 1]
+        )
+        dst = addr(out) if conv is None else addr(conv.cols)
+        read = _time(lambda: im2col(sources[i], geometry[i], biases[i], dst),
+                     repeats=300)
+        gemm = 0.0
+        if conv is not None:
+            w_t = operands[i][0]
+            gemm = _time(lambda: np.matmul(conv.cols, w_t, out=conv.raw),
+                         repeats=300)
+        rows.append([names or "(tail)", round(read * 1e6, 1),
+                     round(gemm * 1e6, 1), round((read + gemm) * 1e6, 1)])
+    t_prefix = _time(lambda: plan.run_prefix(frames, target)) / BATCH
+    rows.append([f"run_prefix to {target}", "", "", round(t_prefix * 1e6, 1)])
+    register_table(
+        f"float64 prefix per fused unit ({NETWORK}; µs/frame, batch {BATCH})",
+        ["layers", "read-in", "GEMM", "unit"],
         rows,
     )
 

@@ -20,15 +20,16 @@ The entry points share one shared object:
 * ``rfbme_consume`` — the whole RFBME consumer (integral images, box
   sums, candidate-masked argmin, match errors) over a producer-output
   batch.
-* ``gather_rows`` — the flat im2col gather behind the planned CNN
-  inference engine's float64 lane.
-* ``im2col_q`` — the integer lanes' im2col: reads int8/int16 raws of
-  any layout (the previous conv's NHWC output, normally), applies a
-  max-pool and the zero padding as it reads, and writes the GEMM
-  operand directly — the +128 uint8 VNNI operand or float32/float64 —
-  with no index array.  Its NumPy twin is :func:`im2col_numpy`.  The
-  quantized lanes' requantize, entry-quantize and AVX512-VNNI GEMM
-  entry points live here too.
+* ``im2col`` — every convolution's read-in, with no index array.  It
+  reads a source of any layout (the previous conv's NHWC GEMM output,
+  normally), applies a max-pool and the zero padding as it reads, and
+  writes the GEMM operand directly.  Integer raws become the +128 uint8
+  VNNI operand or float32/float64 columns in (ky, kx, c) order; a float
+  source also takes the previous conv's pending bias and ReLU and keeps
+  the training path's (c, ky, kx) order, one sample at a time for the
+  float lanes, or writes a range's last layer as NCHW.  Its NumPy twin
+  is :func:`im2col_numpy`.  The quantized lanes' requantize,
+  entry-quantize and AVX512-VNNI GEMM entry points live here too.
 * ``warp_bilinear_f64`` / ``warp_bilinear_f32`` — the bilinear AMC warp
   (§III-B) of :func:`repro.core.warp.warp_activation_batch`'s float
   path, which at batch 1 is otherwise all NumPy dispatch.
@@ -57,13 +58,13 @@ return ``None`` and callers fall back to the NumPy path.
 ``REPRO_FORCE_NUMPY=1`` does the same without even attempting a compile —
 the knob CI's NumPy lane uses to prove the pure-NumPy paths stay green
 (the kernel lane conversely asserts :func:`kernel_available`,
-``has_warp`` and ``has_im2col``, so a fallback can never masquerade as
-kernel coverage).  The warp and the integer im2col check on their own:
-when one fails, :func:`get_kernel` keeps every other entry point and
-only its flag is false.  Every failure — build, load, self-check, or
-one of those two — emits one :class:`KernelFallbackWarning` per process
-naming what failed; the deliberate opt-outs and a host without a
-compiler stay silent.
+``has_warp``, ``has_im2col`` and ``has_float_im2col``, so a fallback can
+never masquerade as kernel coverage).  The warp, the integer im2col and
+the float read-in check on their own: when one fails, :func:`get_kernel`
+keeps every other entry point and only its flag is false.  Every
+failure — build, load, self-check, or one of those three — emits one
+:class:`KernelFallbackWarning` per process naming what failed; the
+deliberate opt-outs and a host without a compiler stay silent.
 """
 
 from __future__ import annotations
@@ -351,22 +352,6 @@ void rfbme_consume(long n_pairs, const double *sums, double *ci,
     }
 }
 
-/* Row-wise gather: out[b][k] = src[b][idx[k]].  The im2col hot path of
- * the planned inference engine (one flat gather materialises each
- * convolution's column matrix); plain np.take spends most of its time in
- * generic dispatch at these sizes. */
-void gather_rows(const double *src, long src_len,
-                 const long *idx, long n_idx,
-                 long batch, double *out)
-{
-    for (long b = 0; b < batch; ++b) {
-        const double *s = src + b * src_len;
-        double *o = out + b * n_idx;
-        for (long k = 0; k < n_idx; ++k)
-            o[k] = s[idx[k]];
-    }
-}
-
 /* Quantized-lane requantization: fold the quantized bias into an
  * integer-exact GEMM output and scale it into the next layer's raws.
  * bias/mult are per output channel (the GEMM output's last axis);
@@ -525,27 +510,41 @@ void quantize_q16(const float *src, long n, float scale,
     }
 }
 
-/* Direct im2col for the integer convolution lanes.
+/* Direct im2col for every convolution lane.
  *
- * src holds integer raws (1-byte int8 or 2-byte int16) of any layout,
- * addressed through element strides sb, sy, sx, sc (batch, row,
- * column, channel): the previous conv's NHWC GEMM output, a pool's
- * NCHW output or a caller's array alike.  With pf > 1 the logical
- * input is its pf x pf, stride-ps max-pool (h x w x c is the pooled
- * grid), computed as the rows are read.  Output row (b*out_h + oy) *
- * out_w + ox, row stride ld, holds the k x k window at (oy, ox) in
- * (ky, kx, c) order -- c contiguous values per tap, which the caller
- * matches by permuting the GEMM weights -- and zero padding outside
- * the grid.  out_size selects the conversion: 1 = the uint8 VNNI
- * operand (raw + 128, i.e. the sign bit flipped; int8 only), 4 =
- * float32, 8 = float64.  Columns k*k*c to ld - 1 are never written.
+ * src holds one activation per sample -- int8 or int16 raws, or float32
+ * or float64 values -- of any layout, addressed through element strides
+ * sb, sy, sx, sc (batch, row, column, channel): the previous conv's
+ * NHWC GEMM output, a pool's NCHW output or a caller's array alike.  A
+ * float source may carry the previous conv's pending bias and ReLU:
+ * each element read becomes v + bias[c] (bias may be NULL), then
+ * v * (v > 0) when relu is set -- the training path's expressions.  With
+ * pf > 1 the logical input is then its pf x pf, stride-ps max-pool (h x
+ * w x c is the pooled grid), computed as the rows are read.  The pool
+ * keeps the first maximum of each window's row-major scan: a later
+ * element replaces the running one only when strictly greater, or when
+ * it is the window's first NaN -- the training path's argmax pick, which
+ * decides the sign of a pooled zero (on integers it is plain max).
  *
- * Each needed input row is converted once per sample into a ring of k
- * zero-bordered rows, so every (output pixel, ky) segment is one
- * contiguous k*c copy.  Max-pool and conversion are monotone and
- * exact, so the result equals the NumPy twin bit for bit (no index
- * array either way).  Returns -1 on an unsupported type pair or a
- * failed allocation, else 0. */
+ * Output row (b*out_h + oy) * out_w + ox, row stride ld, holds the k x k
+ * window at (oy, ox), zero padding outside the grid.  Integer sources
+ * emit (ky, kx, c) order -- c contiguous values per tap, which the
+ * caller matches by permuting the GEMM weights -- converted per out_size:
+ * 1 = the uint8 VNNI operand (raw + 128, i.e. the sign bit flipped; int8
+ * only), 4 = float32, 8 = float64.  Float sources emit the training
+ * path's (c, ky, kx) order, in their own type: float sums depend on
+ * order, so their columns cannot be permuted.  Columns k*k*c to ld - 1
+ * are never written.  k == 0 (float only) writes the logical input
+ * itself to out as contiguous NCHW: a range's last layer.
+ *
+ * Each needed input row is read once per sample into a ring of k
+ * zero-bordered rows -- pixel-major for integers, channel-major for
+ * floats -- so every tap (a (pixel, ky) segment of k*c values, or a
+ * (pixel, c, ky) segment of k) is one contiguous copy.  Conversion,
+ * bias, ReLU and pool are the same operations in the same order as the
+ * NumPy twin, so the result equals it bit for bit (no index array
+ * either way).  Returns -1 on an unsupported type pair or a failed
+ * allocation, else 0. */
 static inline void copy_span(unsigned char *d, const unsigned char *s,
                              long n)
 {
@@ -574,54 +573,165 @@ static inline void copy_span(unsigned char *d, const unsigned char *s,
     }
 }
 
-/* The row loop of one output pixel row: k segments of nb bytes per
- * pixel.  With CH >= nb every segment but the last is one CH-byte move
- * that spills into the next segment (CH <= 2 nb keeps the spill inside
- * it; that segment is written next); the last one is two HALF-byte
- * moves ending exactly at nb.  Constant move sizes keep the loop free
- * of size dispatch. */
-#define EMIT_ROWS(CH, HALF)                                                 \
+/* One output pixel row: ntaps segments of nb bytes per pixel.  With
+ * CH >= nb every segment but the last is one CH-byte move that spills
+ * into the next segment (CH <= 2 nb keeps the spill inside the row; the
+ * spilled bytes are written next); the last one is two HALF-byte moves
+ * ending exactly at nb.  Constant move sizes keep the loop free of size
+ * dispatch. */
+#define EMIT_TAPS(CH, HALF)                                                 \
     for (long ox = 0; ox < out_w; ++ox, o += ld) {                          \
         unsigned char *ob = (unsigned char *) o;                            \
-        long off = ox * stride * c;                                         \
-        for (long ky = 0; ky + 1 < k; ++ky)                                 \
-            memcpy(ob + ky * nb, rows[ky] + off, CH);                       \
-        const unsigned char *sl = (const unsigned char *) (rows[k - 1] + off);\
-        unsigned char *dl = ob + (k - 1) * nb;                              \
+        long off = ox * step;                                               \
+        for (long t = 0; t + 1 < ntaps; ++t)                                \
+            memcpy(ob + t * nb, taps[t] + off, CH);                         \
+        const unsigned char *sl =                                           \
+            (const unsigned char *) (taps[ntaps - 1] + off);                \
+        unsigned char *dl = ob + (ntaps - 1) * nb;                          \
         memcpy(dl, sl, HALF);                                               \
         memcpy(dl + nb - HALF, sl + nb - HALF, HALF);                       \
     }
 
-#define MAX(a, b) ((a) > (b) ? (a) : (b))
+/* first maximum of a row-major scan (NaN wins once, as np.argmax) */
+#define TAKE(v, m) (!((v) <= (m)) & ((m) == (m)))
 #define TO_U8(v) ((unsigned char) ((v) ^ 0x80))
 #define TO_F32(v) ((float) (v))
 #define TO_F64(v) ((double) (v))
+#define AS_IS(v) (v)
+/* a float source's pending operations, as the training path writes
+ * them: the previous conv's bias b, then the ReLU x * (x > 0) */
+#define XF_B(v, b) ((v) + (b))
+#define XF_R(v, b) ((v) * ((v) > 0))
+#define XF_BR(v, b) XF_R(XF_B(v, b), b)
 
-#define IM2COL(NAME, SRC_T, DST_T, CONV)                                    \
+static inline long round64(long n) { return (n + 63) & ~63L; }
+
+/* dst[j] = the pending operations applied to src[j], j < n; bias[j] is
+ * the bias of j's channel */
+#define PENDING(dst, src, n)                                                \
+    if (bias != NULL && relu)                                               \
+        for (long j = 0; j < (n); ++j)                                      \
+            dst[j] = XF_BR(src[j], pattern[j]);                             \
+    else if (bias != NULL)                                                  \
+        for (long j = 0; j < (n); ++j)                                      \
+            dst[j] = XF_B(src[j], pattern[j]);                              \
+    else if (relu)                                                          \
+        for (long j = 0; j < (n); ++j)                                      \
+            dst[j] = XF_R(src[j], 0);                                       \
+    else                                                                    \
+        for (long j = 0; j < (n); ++j)                                      \
+            dst[j] = src[j];
+
+/* line[ix * c + ci] <- element (IY, ix, ci) of the logical input: the
+ * source through its pending operations, max-pooled -- the first
+ * maximum over each window's row-major scan, so per source row first
+ * over the pf column shifts, then over the rows.  Rows stored
+ * contiguously (NHWC) take whole-row passes that vectorize: every
+ * shift at once, then every ps-th pixel. */
+#define READ_LINE(IY, SRC_T)                                                \
+    for (long fy = 0; fy < pf; ++fy) {                                      \
+        const SRC_T *restrict x = sample + ((IY) * ps + fy) * sy;           \
+        SRC_T *restrict t = fy == 0 ? line : hrow;                          \
+        if (dense) {                                                        \
+            if (pf == 1) {                                                  \
+                PENDING(t, x, w * c)                                        \
+            } else {                                                        \
+                if (bias != NULL || relu) {                                 \
+                    PENDING(xrow, x, span)                                  \
+                    x = xrow;                                               \
+                }                                                           \
+                for (long j = 0; j < hspan; ++j)                            \
+                    hmax[j] = x[j];                                         \
+                for (long fx = 1; fx < pf; ++fx)                            \
+                    for (long j = 0; j < hspan; ++j) {                      \
+                        SRC_T v = x[fx * c + j];                            \
+                        hmax[j] = TAKE(v, hmax[j]) ? v : hmax[j];           \
+                    }                                                       \
+                for (long ix = 0; ix < w; ++ix)                             \
+                    memcpy(t + ix * c, hmax + ix * ps * c,                  \
+                           c * sizeof(SRC_T));                              \
+            }                                                               \
+        } else {                                                            \
+            for (long ix = 0; ix < w; ++ix)                                 \
+                for (long ci = 0; ci < c; ++ci) {                           \
+                    const SRC_T *p = x + ix * ps * sx + ci * sc;            \
+                    SRC_T m = 0;                                            \
+                    for (long fx = 0; fx < pf; ++fx) {                      \
+                        SRC_T v = p[fx * sx];                               \
+                        if (bias != NULL)                                   \
+                            v = XF_B(v, bias[ci]);                          \
+                        if (relu)                                           \
+                            v = XF_R(v, 0);                                 \
+                        m = fx == 0 || TAKE(v, m) ? v : m;                  \
+                    }                                                       \
+                    t[ix * c + ci] = m;                                     \
+                }                                                           \
+        }                                                                   \
+        if (fy > 0)                                                         \
+            for (long j = 0; j < w * c; ++j)                                \
+                line[j] = TAKE(hrow[j], line[j]) ? hrow[j] : line[j];       \
+    }
+
+#define IM2COL(NAME, SRC_T, DST_T, CONV, FLOAT)                             \
 static long NAME(const SRC_T *src, long sb, long sy, long sx, long sc,      \
                  long pf, long ps, long h, long w, long c,                  \
                  long k, long stride, long pad, long out_h, long out_w,     \
-                 long batch, long ld, DST_T *out)                           \
+                 long batch, long ld, DST_T *out,                           \
+                 const SRC_T *bias, long relu)                              \
 {                                                                           \
-    /* ring rows carry 64 bytes of slack for EMIT_ROWS' spilling reads */  \
-    long rw = (w + 2 * pad) * c + 64 / sizeof(DST_T), kc = k * c;          \
-    long nb = kc * sizeof(DST_T);                                           \
-    long chunk = nb < 4 ? 0 : nb <= 8 ? 8 : nb <= 16 ? 16 : 0;              \
+    long wp = w + 2 * pad, nring = k > 0 ? k : 1;                           \
+    /* ring rows carry 64 bytes of slack for EMIT_TAPS' spilling reads */   \
+    long rw = wp * c + 64 / sizeof(DST_T);                                  \
+    long ntaps = FLOAT ? c * k : k;                                         \
+    long nb = (FLOAT ? k : k * c) * sizeof(DST_T);                          \
+    long step = FLOAT ? stride : stride * c;                                \
+    long chunk = nb <= 4 ? 0 : nb <= 8 ? 8 : nb <= 16 ? 16                  \
+               : nb <= 32 ? 32 : nb <= 64 ? 64 : 0;                         \
     /* rows stored contiguously (NHWC): whole-row passes that vectorize */  \
     int dense = (sc == 1 || c == 1) && sx == c;                             \
     long span = ((w - 1) * ps + pf) * c, hspan = ((w - 1) * ps + 1) * c;    \
-    long *held = malloc(k * sizeof(long) + k * sizeof(DST_T *)             \
-                        + (k + 1) * rw * sizeof(DST_T)                      \
-                        + (span + hspan) * sizeof(SRC_T));                  \
-    if (held == NULL)                                                       \
+    long sizes[] = {                                                        \
+        nring * (long) sizeof(long), nring * (long) sizeof(DST_T *),        \
+        (ntaps + 1) * (long) sizeof(DST_T *),                               \
+        (nring + 1) * rw * (long) sizeof(DST_T),                            \
+        span * (long) sizeof(SRC_T), span * (long) sizeof(SRC_T),           \
+        hspan * (long) sizeof(SRC_T), w * c * (long) sizeof(SRC_T),         \
+        w * c * (long) sizeof(SRC_T),                                       \
+    };                                                                      \
+    long total = 0;                                                         \
+    for (int j = 0; j < 9; ++j)                                             \
+        total += round64(sizes[j]);                                         \
+    unsigned char *mem = malloc(total), *cursor = mem;                      \
+    if (mem == NULL)                                                        \
         return -1;                                                          \
-    const DST_T **rows = (const DST_T **) (held + k);                       \
-    DST_T *zero = (DST_T *) (rows + k), *ring = zero + rw;                  \
-    SRC_T *vmax = (SRC_T *) (ring + k * rw), *hmax = vmax + span;           \
-    for (long j = 0; j < (k + 1) * rw; ++j)                                 \
+    void *piece[9];                                                         \
+    for (int j = 0; j < 9; ++j) {                                           \
+        piece[j] = cursor;                                                  \
+        cursor += round64(sizes[j]);                                        \
+    }                                                                       \
+    long *held = piece[0];                                                  \
+    const DST_T **rows = piece[1], **taps = piece[2];                       \
+    DST_T *zero = piece[3], *ring = zero + rw;                              \
+    SRC_T *restrict pattern = piece[4], *restrict xrow = piece[5];          \
+    SRC_T *restrict hmax = piece[6], *restrict line = piece[7];             \
+    SRC_T *restrict hrow = piece[8];                                        \
+    if (bias != NULL)                                                       \
+        for (long j = 0; j < span; ++j)                                     \
+            pattern[j] = bias[j % c];                                       \
+    for (long j = 0; j < (nring + 1) * rw; ++j)                             \
         zero[j] = CONV((SRC_T) 0);                                          \
     for (long b = 0; b < batch; ++b) {                                      \
         const SRC_T *sample = src + b * sb;                                 \
+        if (k == 0) {                                                       \
+            DST_T *o = out + b * c * h * w;                                 \
+            for (long iy = 0; iy < h; ++iy) {                               \
+                READ_LINE(iy, SRC_T)                                        \
+                for (long ci = 0; ci < c; ++ci)                             \
+                    for (long ix = 0; ix < w; ++ix)                         \
+                        o[(ci * h + iy) * w + ix] = CONV(line[ix * c + ci]);\
+            }                                                               \
+            continue;                                                       \
+        }                                                                   \
         for (long j = 0; j < k; ++j)                                        \
             held[j] = -1 - pad;  /* no row held */                          \
         for (long oy = 0; oy < out_h; ++oy) {                               \
@@ -637,81 +747,79 @@ static long NAME(const SRC_T *src, long sb, long sy, long sx, long sc,      \
                 if (held[slot] == iy)                                       \
                     continue;                                               \
                 held[slot] = iy;                                            \
-                const SRC_T *s = sample + iy * ps * sy;                     \
-                DST_T *d = row + pad * c;                                   \
-                if (pf == 1 && dense) {                                     \
+                if (!FLOAT && pf == 1 && dense) {                           \
+                    const SRC_T *s = sample + iy * sy;                      \
+                    DST_T *d = row + pad * c;                               \
                     for (long j = 0; j < w * c; ++j)                        \
                         d[j] = CONV(s[j]);                                  \
-                } else if (dense) {                                         \
-                    /* pool = max over the pf rows, then over pf column     \
-                     * shifts, then every ps-th pixel: branch-free passes */\
-                    for (long j = 0; j < span; ++j)                         \
-                        vmax[j] = s[j];                                     \
-                    for (long fy = 1; fy < pf; ++fy)                        \
-                        for (long j = 0; j < span; ++j)                     \
-                            vmax[j] = MAX(vmax[j], s[fy * sy + j]);         \
-                    for (long j = 0; j < hspan; ++j)                        \
-                        hmax[j] = vmax[j];                                  \
-                    for (long fx = 1; fx < pf; ++fx)                        \
-                        for (long j = 0; j < hspan; ++j)                    \
-                            hmax[j] = MAX(hmax[j], vmax[fx * c + j]);       \
-                    for (long ix = 0; ix < w; ++ix)                         \
-                        for (long ci = 0; ci < c; ++ci)                     \
-                            d[ix * c + ci] = CONV(hmax[ix * ps * c + ci]);  \
+                    continue;                                               \
+                }                                                           \
+                READ_LINE(iy, SRC_T)                                        \
+                if (FLOAT) {                                                \
+                    for (long ci = 0; ci < c; ++ci)                         \
+                        for (long ix = 0; ix < w; ++ix)                     \
+                            row[ci * wp + pad + ix] =                       \
+                                CONV(line[ix * c + ci]);                    \
                 } else {                                                    \
-                    for (long ix = 0; ix < w; ++ix) {                       \
-                        for (long ci = 0; ci < c; ++ci) {                   \
-                            const SRC_T *p = s + ix * ps * sx + ci * sc;    \
-                            SRC_T m = p[0];                                 \
-                            for (long fy = 0; fy < pf; ++fy)                \
-                                for (long fx = 0; fx < pf; ++fx)            \
-                                    m = MAX(m, p[fy * sy + fx * sx]);       \
-                            d[ix * c + ci] = CONV(m);                       \
-                        }                                                   \
-                    }                                                       \
+                    for (long j = 0; j < w * c; ++j)                        \
+                        row[pad * c + j] = CONV(line[j]);                   \
                 }                                                           \
             }                                                               \
+            for (long t = 0; t < ntaps; ++t)                                \
+                taps[t] = FLOAT ? rows[t % k] + (t / k) * wp : rows[t];     \
             DST_T *o = out + (b * out_h + oy) * out_w * ld;                 \
             switch (chunk) {                                                \
-            case 8: EMIT_ROWS(8, 4); break;                                 \
-            case 16: EMIT_ROWS(16, 8); break;                               \
+            case 8: EMIT_TAPS(8, 4); break;                                 \
+            case 16: EMIT_TAPS(16, 8); break;                               \
+            case 32: EMIT_TAPS(32, 16); break;                              \
+            case 64: EMIT_TAPS(64, 32); break;                              \
             default:                                                        \
                 for (long ox = 0; ox < out_w; ++ox, o += ld)                \
-                    for (long ky = 0; ky < k; ++ky)                         \
-                        copy_span((unsigned char *) (o + ky * kc),          \
+                    for (long t = 0; t < ntaps; ++t)                        \
+                        copy_span((unsigned char *) o + t * nb,             \
                                   (const unsigned char *)                   \
-                                      (rows[ky] + ox * stride * c), nb);    \
+                                      (taps[t] + ox * step), nb);           \
             }                                                               \
         }                                                                   \
     }                                                                       \
-    free(held);                                                             \
+    free(mem);                                                              \
     return 0;                                                               \
 }
 
-IM2COL(im2col_q8u, signed char, unsigned char, TO_U8)
-IM2COL(im2col_q8f, signed char, float, TO_F32)
-IM2COL(im2col_q8d, signed char, double, TO_F64)
-IM2COL(im2col_q16f, short, float, TO_F32)
-IM2COL(im2col_q16d, short, double, TO_F64)
+IM2COL(im2col_q8u, signed char, unsigned char, TO_U8, 0)
+IM2COL(im2col_q8f, signed char, float, TO_F32, 0)
+IM2COL(im2col_q8d, signed char, double, TO_F64, 0)
+IM2COL(im2col_q16f, short, float, TO_F32, 0)
+IM2COL(im2col_q16d, short, double, TO_F64, 0)
+IM2COL(im2col_f32, float, float, AS_IS, 1)
+IM2COL(im2col_f64, double, double, AS_IS, 1)
 
-long im2col_q(const void *src, long src_size,
-              long sb, long sy, long sx, long sc, long pf, long ps,
-              long h, long w, long c, long k, long stride, long pad,
-              long out_h, long out_w, long batch, long ld,
-              void *out, long out_size)
+/* The one im2col entry point.  g holds the geometry: src item size (1 =
+ * int8, 2 = int16, 4 = float32, 8 = float64), out item size, then sb,
+ * sy, sx, sc, pf, ps, h, w, c, k, stride, pad, out_h, out_w, batch, ld
+ * and relu.  bias (float sources only) may be NULL.  Four arguments keep
+ * the per-sample calls of the float lanes cheap. */
+long im2col(const void *src, const long *g, const void *bias, void *out)
 {
-#define IM2COL_ARGS sb, sy, sx, sc, pf, ps, h, w, c, k, stride, pad, \
-                    out_h, out_w, batch, ld
+    long src_size = g[0], out_size = g[1];
+#define IM2COL_ARGS g[2], g[3], g[4], g[5], g[6], g[7], g[8], g[9], g[10], \
+                    g[11], g[12], g[13], g[14], g[15], g[16], g[17]
+    if (src_size == 8 && out_size == 8)
+        return im2col_f64(src, IM2COL_ARGS, out, bias, g[18]);
+    if (src_size == 4 && out_size == 4)
+        return im2col_f32(src, IM2COL_ARGS, out, bias, g[18]);
+    if (g[11] == 0 || bias != NULL || g[18])
+        return -1;  /* rows mode, bias and ReLU read floats only */
     if (src_size == 1 && out_size == 1)
-        return im2col_q8u(src, IM2COL_ARGS, out);
+        return im2col_q8u(src, IM2COL_ARGS, out, NULL, 0);
     if (src_size == 1 && out_size == 4)
-        return im2col_q8f(src, IM2COL_ARGS, out);
+        return im2col_q8f(src, IM2COL_ARGS, out, NULL, 0);
     if (src_size == 1 && out_size == 8)
-        return im2col_q8d(src, IM2COL_ARGS, out);
+        return im2col_q8d(src, IM2COL_ARGS, out, NULL, 0);
     if (src_size == 2 && out_size == 4)
-        return im2col_q16f(src, IM2COL_ARGS, out);
+        return im2col_q16f(src, IM2COL_ARGS, out, NULL, 0);
     if (src_size == 2 && out_size == 8)
-        return im2col_q16d(src, IM2COL_ARGS, out);
+        return im2col_q16d(src, IM2COL_ARGS, out, NULL, 0);
 #undef IM2COL_ARGS
     return -1;
 }
@@ -999,8 +1107,7 @@ _SIGNATURES = {
         [_L, _P, _P, _P] + [_L] * 7 + [_P, _L, _L] + [_P] * 4
     ),
     "rfbme_consume": [_L] + [_P] * 13 + [_L] * 5,
-    "gather_rows": [_P, _L, _P, _L, _L, _P],
-    "im2col_q": [_P] + [_L] * 17 + [_P, _L],
+    "im2col": [_P, _P, _P, _P],
     "requant_rows_q8": _REQUANT_F,
     "requant_rows_q16f": _REQUANT_F,
     "requant_rows_q16": [_P, _L, _L, _P, _P, _D, _D, _P],
@@ -1030,7 +1137,7 @@ class SADKernel:
     def __init__(self, lib: ctypes.CDLL):
         for name, argtypes in _SIGNATURES.items():
             self._bind(lib, name, argtypes)
-        self.im2col_q.restype = ctypes.c_long
+        self.im2col.restype = ctypes.c_long
         lib.have_vnni.restype = ctypes.c_int
         #: AVX512-VNNI int8 GEMM compiled in?  The quantized lanes route
         #: through ``gemm_requant_u8s8`` only when true; the math is
@@ -1047,6 +1154,10 @@ class SADKernel:
         #: rule: when false only the integer convolutions' im2col runs
         #: its NumPy twin (:func:`im2col_numpy`).
         self.has_im2col = False
+        #: compiled float read-in (bias, ReLU, first-max pool, (c, ky,
+        #: kx) columns) passed its own self-check?  When false only the
+        #: float convolutions' read-in runs its NumPy twin.
+        self.has_float_im2col = False
 
     def _bind(self, lib: ctypes.CDLL, name: str, argtypes) -> None:
         fn = getattr(lib, name)
@@ -1121,65 +1232,143 @@ def _conv_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
-def im2col_numpy(src, pool, k, stride, pad, out) -> None:
-    """NumPy twin of the compiled integer im2col (``im2col_q``).
+def first_max_pool(x: np.ndarray, field: int, step: int) -> np.ndarray:
+    """Max-pool an (N, C, H, W) array the way the training path does.
 
-    ``src`` is a (B, C, H, W) array of int8/int16 raws in any memory
-    layout (typically an NCHW view of a conv's NHWC output); ``pool`` is
-    ``(field, stride)`` of a max-pool applied as the input is read, or
-    None.  Row ``(b, oy, ox)`` of ``out`` (shape ``(B * out_h * out_w,
-    ld)``) receives the ``k x k`` window at ``(oy, ox)`` of the zero-padded
-    input in (ky, kx, c) order; a uint8 ``out`` holds raw + 128 (the
-    VNNI operand), a float ``out`` the raws themselves.  Columns from
-    ``k*k*C`` on are left as they are.  Built on sliding-window views:
-    no index array, same bits as the compiled pass.
+    Each window keeps its first maximum in row-major order: a later
+    element replaces the running one only when strictly greater, or when
+    it is the window's first NaN -- the element ``np.argmax`` picks.
+    ``np.maximum`` would return its second operand on a ``-0.0``/``0.0``
+    tie and flip the sign of a pooled zero.  Returns a new array.
     """
-    x = src.transpose(0, 2, 3, 1)
-    if pool is not None:
-        field, step = pool
-        x = sliding_window_view(x, (field, field), axis=(1, 2))[
-            :, ::step, ::step
-        ].max(axis=(-2, -1))
-    b, h, w, c = x.shape
-    zero = 0
-    if out.dtype == np.uint8:
-        x = x.view(np.uint8) ^ np.uint8(0x80)  # int8 raw + 128
-        zero = 0x80
-    padded = np.full((b, h + 2 * pad, w + 2 * pad, c), zero, out.dtype)
-    padded[:, pad : pad + h, pad : pad + w] = x
-    windows = sliding_window_view(padded, (k, k), axis=(1, 2))[
-        :, ::stride, ::stride
+    windows = sliding_window_view(x, (field, field), axis=(2, 3))[
+        :, :, ::step, ::step
     ]
-    out[:, : k * k * c] = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
-        out.shape[0], k * k * c
+    out = windows[..., 0, 0].copy()
+    for fy in range(field):
+        for fx in range(field):
+            if fy or fx:
+                v = windows[..., fy, fx]
+                np.copyto(out, v, where=~(v <= out) & (out == out))
+    return out
+
+
+def im2col_numpy(src, pool, k, stride, pad, out, bias=None,
+                 relu=False) -> None:
+    """NumPy twin of the compiled im2col (``im2col``).
+
+    ``src`` is a (B, C, H, W) array in any memory layout (typically an
+    NCHW view of a conv's NHWC output).  A float ``src`` first takes the
+    previous conv's pending ``bias`` (shape ``(C,)``, or None) and, with
+    ``relu``, ``v * (v > 0)``; ``pool`` is ``(field, stride)`` of a
+    max-pool applied next (:func:`first_max_pool`), or None.  Row ``(b,
+    oy, ox)`` of ``out`` (shape ``(B * out_h * out_w, ld)``) receives the
+    ``k x k`` window at ``(oy, ox)`` of the zero-padded input: in (c, ky,
+    kx) order for float sources -- the training path's im2col -- and in
+    (ky, kx, c) order for int8/int16 raws, where a uint8 ``out`` holds
+    raw + 128 (the VNNI operand) and a float ``out`` the raws themselves.
+    Columns from ``k*k*C`` on are left as they are.  ``k == 0`` (float
+    only) writes the logical input itself into an NCHW ``out``.  Built
+    on sliding-window views: no index array, same bits as the compiled
+    pass.
+    """
+    x = src
+    if bias is not None:
+        x = x + bias[:, None, None]
+    if relu:
+        x = x * (x > 0)
+    if pool is not None:
+        x = first_max_pool(x, *pool)
+    if k == 0:
+        np.copyto(out, x)
+        return
+    b, c, h, w = x.shape
+    if x.dtype.kind == "f":
+        padded = np.zeros((b, c, h + 2 * pad, w + 2 * pad), out.dtype)
+        padded[:, :, pad : pad + h, pad : pad + w] = x
+        windows = sliding_window_view(padded, (k, k), axis=(2, 3))[
+            :, :, ::stride, ::stride
+        ].transpose(0, 2, 3, 1, 4, 5)
+    else:
+        x = x.transpose(0, 2, 3, 1)
+        zero = 0
+        if out.dtype == np.uint8:
+            x = x.view(np.uint8) ^ np.uint8(0x80)  # int8 raw + 128
+            zero = 0x80
+        padded = np.full((b, h + 2 * pad, w + 2 * pad, c), zero, out.dtype)
+        padded[:, pad : pad + h, pad : pad + w] = x
+        windows = sliding_window_view(padded, (k, k), axis=(1, 2))[
+            :, ::stride, ::stride
+        ].transpose(0, 1, 2, 4, 5, 3)
+    out[:, : k * k * c] = windows.reshape(out.shape[0], k * k * c)
+
+
+#: numpy twin of C ``long``, the element type of an im2col geometry.
+_LONG = np.dtype(f"i{ctypes.sizeof(ctypes.c_long)}")
+
+
+def im2col_geometry(shape, strides, item, pool, k, stride, pad, out_item,
+                    ld=0, relu=False) -> np.ndarray:
+    """The geometry argument of the compiled ``im2col``.
+
+    ``shape`` is the (B, C, H, W) source shape and ``strides`` its
+    strides in elements; ``item`` and ``out_item`` are the source and
+    output item sizes.  Callers that read the same layout on every call
+    (the float lanes' per-sample read-ins) build it once and pass its
+    :func:`addr`.
+    """
+    batch, c, h, w = shape
+    sb, sc, sy, sx = strides
+    pf, ps = pool if pool is not None else (1, 1)
+    h, w = _conv_size(h, pf, ps, 0), _conv_size(w, pf, ps, 0)
+    out_h, out_w = (
+        (h, w) if k == 0
+        else (_conv_size(h, k, stride, pad), _conv_size(w, k, stride, pad))
+    )
+    return np.array(
+        [item, out_item, sb, sy, sx, sc, pf, ps, h, w, c, k, stride, pad,
+         out_h, out_w, batch, ld, int(relu)],
+        dtype=_LONG,
     )
 
 
-def im2col_compiled(kernel: "SADKernel", src, pool, k, stride, pad, out) -> None:
-    """The compiled integer im2col, same arguments as :func:`im2col_numpy`.
+def im2col_compiled(kernel: "SADKernel", src, pool, k, stride, pad, out,
+                    bias=None, relu=False) -> None:
+    """The compiled im2col, same arguments as :func:`im2col_numpy`.
 
-    ``src`` may have any strides; ``out`` must be C-contiguous with
-    ``B * out_h * out_w`` rows of uint8 (int8 ``src`` only), float32 or
-    float64.
+    ``src`` may have any non-negative strides; ``out`` must be
+    C-contiguous with ``B * out_h * out_w`` rows of uint8 (int8 ``src``
+    only), float32 or float64 -- ``src``'s own type for a float ``src``
+    -- or, with ``k == 0``, the (B, C, out_h, out_w) pooled input.
     """
     item = src.itemsize
-    sb, sc, sy, sx = (stride_ // item for stride_ in src.strides)
-    batch, c, h, w = src.shape
-    pf, ps = pool if pool is not None else (1, 1)
-    h, w = _conv_size(h, pf, ps, 0), _conv_size(w, pf, ps, 0)
-    out_h, out_w = _conv_size(h, k, stride, pad), _conv_size(w, k, stride, pad)
+    strides = tuple(s // item for s in src.strides)
+    geometry = im2col_geometry(
+        src.shape, strides, item, pool, k, stride, pad, out.itemsize,
+        out.shape[-1] if out.ndim == 2 else 0, relu,
+    )
+    batch, c = src.shape[:2]
+    out_h, out_w = int(geometry[14]), int(geometry[15])
+    want = (
+        (batch, c, out_h, out_w) if k == 0
+        else (batch * out_h * out_w, k * k * c)
+    )
     if (
         not out.flags.c_contiguous
-        or out.shape[0] != batch * out_h * out_w
-        or out.shape[1] < k * k * c
+        or out.shape[0] != want[0]
+        or (k == 0 and out.shape != want)
+        or (k > 0 and (out.ndim != 2 or out.shape[1] < want[1]))
     ):
         raise ValueError(
-            f"im2col output must be C-contiguous with {batch * out_h * out_w} "
-            f"rows of at least {k * k * c} columns, got {out.shape}"
+            f"im2col output must be C-contiguous with {want[0]} rows of at "
+            f"least {want[1]} columns (or shape {want} when k == 0), got "
+            f"{out.shape}"
         )
-    status = kernel.im2col_q(
-        addr(src), item, sb, sy, sx, sc, pf, ps, h, w, c, k, stride, pad,
-        out_h, out_w, batch, out.shape[1], addr(out), out.itemsize,
+    if bias is not None:
+        bias = np.ascontiguousarray(bias, dtype=src.dtype)
+    status = kernel.im2col(
+        addr(src), addr(geometry), None if bias is None else addr(bias),
+        addr(out),
     )
     if status != 0:
         raise ValueError(
@@ -1310,12 +1499,6 @@ def _self_check(kernel: SADKernel) -> bool:
                     want2.transpose(2, 3, 0, 1)[ty, tx, oi, oj],
                 ):
                     return False
-    src = np.ascontiguousarray(rng.random((3, 500)))
-    idx = np.ascontiguousarray(rng.integers(0, 500, 200), dtype=np.int64)
-    got = np.empty((3, 200))
-    kernel.gather_rows(addr(src), 500, addr(idx), 200, 3, addr(got))
-    if not np.array_equal(got, np.take(src, idx, axis=1)):
-        return False
     # Requant: both the pattern-expanded fast path (cols <= 256) and the
     # wide-cols fallback must be bitwise the NumPy chain.
     def requant(fn, src, bias, mult, lo, hi, out):
@@ -1477,6 +1660,61 @@ def _check_im2col(kernel: SADKernel) -> bool:
     return True
 
 
+def _check_float_im2col(kernel: SADKernel) -> bool:
+    """The compiled float read-in must match :func:`im2col_numpy` bit for
+    bit -- signed zeros and NaNs included -- for float64 and float32,
+    with and without a pending bias, a ReLU and a max-pool, from
+    NCHW-contiguous and NHWC-backed sources, with untouched pad columns
+    between rows, and in rows mode (``k == 0``)."""
+    rng = np.random.default_rng(20180604)
+    geometries = (  # c, h, w, k, stride, pad, pool
+        (1, 13, 11, 5, 2, 2, None),
+        (3, 10, 9, 3, 1, 1, (2, 2)),
+        (5, 11, 12, 3, 2, 0, (3, 2)),
+        (2, 6, 7, 1, 1, 0, None),
+        (4, 8, 10, 0, 1, 0, (2, 2)),
+        (3, 5, 6, 0, 1, 0, None),
+    )
+    for c, h, w, k, stride, pad, pool in geometries:
+        for dtype in (np.float64, np.float32):
+            nhwc = rng.standard_normal((2, h, w, c)).astype(dtype)
+            # zeros of both signs (negatives turn into -0.0 under the
+            # ReLU) make pooled ties; a NaN must win its window once
+            flat = nhwc.reshape(-1)
+            flat[rng.random(flat.size) < 0.3] = 0.0
+            flat[rng.random(flat.size) < 0.3] = -0.0
+            flat[rng.integers(flat.size)] = np.nan
+            bias = rng.standard_normal(c).astype(dtype)
+            bias[0] = 0.0
+            for src in (
+                np.ascontiguousarray(nhwc.transpose(0, 3, 1, 2)),
+                nhwc.transpose(0, 3, 1, 2),
+            ):
+                ph, pw = h, w
+                if pool is not None:
+                    ph = _conv_size(h, pool[0], pool[1], 0)
+                    pw = _conv_size(w, pool[0], pool[1], 0)
+                if k == 0:
+                    shape = (2, c, ph, pw)
+                else:
+                    shape = (
+                        2 * _conv_size(ph, k, stride, pad)
+                        * _conv_size(pw, k, stride, pad),
+                        k * k * c + 3,
+                    )
+                for pending, relu in ((None, False), (bias, True),
+                                      (bias, False), (None, True)):
+                    want = np.full(shape, 7, dtype=dtype)
+                    got = want.copy()
+                    im2col_numpy(src, pool, k, stride, pad, want,
+                                 pending, relu)
+                    im2col_compiled(kernel, src, pool, k, stride, pad, got,
+                                    pending, relu)
+                    if got.tobytes() != want.tobytes():
+                        return False
+    return True
+
+
 def _cpu_identity() -> str:
     """A string that changes when the host ISA does.
 
@@ -1550,10 +1788,12 @@ def _load() -> Tuple[Optional[SADKernel], Optional[str]]:
         return None, "compiled kernels failed their self-check"
     kernel.has_warp = _check_warp(kernel)
     kernel.has_im2col = _check_im2col(kernel)
+    kernel.has_float_im2col = _check_float_im2col(kernel)
     failed = [
         name for name, ok in (
             ("AMC warp", kernel.has_warp),
             ("integer im2col", kernel.has_im2col),
+            ("float im2col", kernel.has_float_im2col),
         ) if not ok
     ]
     if not failed:

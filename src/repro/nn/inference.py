@@ -5,23 +5,27 @@ runs the same prefix/suffix every frame of every clip and should not.  An
 :class:`InferencePlan` is compiled once per (network, batch capacity,
 dtype) and then executes layer ranges against preallocated scratch:
 
-* **im2col as a gather** (float lanes) — each convolution's unfold
-  geometry is compiled to one flat index array; per call the input is
-  staged into a persistent padded buffer and a single ``np.take``
-  materialises the column matrix.  No 6-D scratch, no transpose copy, no
-  per-frame allocation.  The integer lanes need no index array at all: a
-  direct im2col reads the previous conv's NHWC output, padding and any
-  max-pool in between included (see :class:`_QuantConvStep`).
-* **per-sample GEMMs with a batched probe** — BLAS does not guarantee
-  that one matmul over ``B`` stacked samples is bitwise equal to ``B``
-  single-sample matmuls (it is not for this repo's FC shapes), and AMC's
-  contract is that batched execution reproduces the serial pipeline
-  exactly.  The plan therefore defaults to one GEMM per sample — the
-  serial shapes — and, on the first call at each batch size, probes
-  whether the fused batched GEMM is bitwise identical on this host;
-  if it is, later calls take the fused path.
-* **no training caches** — forward-only; pooling skips argmax entirely
-  (the strided-window max needs no unfold), ReLU reuses one mask buffer.
+* **one read-in per convolution, no index arrays** — every conv reads
+  its input through one direct im2col pass
+  (:func:`~repro.core.sad_kernel.im2col_compiled`, or its NumPy twin)
+  that applies the pooling and padding between it and the previous conv
+  as it reads.  Float convolutions run one sample at a time
+  (:class:`_FloatChain`): the read-in also adds the previous conv's bias
+  and applies the ReLU, the sample's im2col rows stay in L2 for its
+  GEMM, and the last conv of a range writes the owned result.  Integer
+  convolutions read the previous conv's raws for the whole batch (see
+  :class:`_QuantConvStep`).  :meth:`InferencePlan._schedule` folds the
+  neighbours for every family, inside the executed range only.
+* **per-sample GEMMs** — BLAS does not guarantee that one matmul over
+  ``B`` stacked samples is bitwise equal to ``B`` single-sample matmuls
+  (it is not for this repo's FC shapes), and AMC's contract is that
+  batched execution reproduces the serial pipeline exactly.  Float
+  convolutions therefore always run the serial shape; the FC layers, on
+  the first call at each batch size, probe whether the fused batched
+  GEMM is bitwise identical on this host and, if it is, take it.
+* **no training caches** — forward-only; pooling skips the argmax (a
+  first-maximum scan picks the same element), and a ReLU or pool that
+  cannot fold allocates its output per call instead of holding scratch.
 * **opt-in float32** — ``dtype="float32"`` snapshots casted weights at
   compile time for roughly half the memory traffic.  float64 remains the
   default and is bit-identical to :meth:`repro.nn.network.Network.forward`.
@@ -40,6 +44,8 @@ size up to the capacity reuse the same scratch through leading-axis
 views, and :meth:`InferencePlan.reserve` / :meth:`InferencePlan.shrink`
 resize the scratch without recompiling geometry — the mechanism the
 serving runtime uses to track occupancy without ever rebuilding a plan.
+A float plan's convolutions hold per-sample scratch only, which no
+capacity change touches.
 
 Ownership: arrays returned by ``run``/``run_prefix``/``run_suffix`` are
 fresh copies, safe to store (the executor stores key activations, the
@@ -54,7 +60,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.sad_kernel import addr, get_kernel, im2col_compiled, im2col_numpy
+from ..core.sad_kernel import (
+    addr,
+    first_max_pool,
+    get_kernel,
+    im2col_compiled,
+    im2col_geometry,
+    im2col_numpy,
+)
 from ..hardware.fixed_point import QFormat, QuantSavings, estimate_quantized_savings
 from . import functional as F
 from .layers import AvgPool2d, Conv2d, Flatten, Layer, Linear, MaxPool2d, ReLU
@@ -252,152 +265,187 @@ class _Step:
     def resize(self, capacity: int) -> None:
         """Reallocate scratch for a new batch capacity.
 
-        Only leading-axis scratch changes; compiled geometry (float
-        gather indices, weight snapshots, fused-GEMM probe results) is
+        Only leading-axis scratch changes; compiled geometry (weight
+        snapshots, fused-GEMM probe results, per-sample conv scratch) is
         capacity-independent and survives every resize.
         """
 
 
-class _MatmulMixin:
-    """Shared per-sample-vs-fused GEMM dispatch.
+class _ConvStep(_Step):
+    """A float convolution, run one sample at a time.
 
-    ``_matmul_rows(a2d, w_t, out2d, rows_per_sample, batch)`` computes
-    ``a2d @ w_t`` into ``out2d``.  The default is one GEMM per sample —
-    exactly the shapes the serial pipeline issues, hence bitwise equal to
-    it by construction.  On first encountering a batch size, a probe on
-    synthetic full-range random data (never the live activations, which
-    could be degenerate — e.g. mostly zero after a ReLU — and pass by
-    coincidence) compares the fused single GEMM against the per-sample
-    loop: when BLAS produces identical bits for the stacked shape
-    (shape-dependent, so probed per host), the fused call — fewer kernel
-    launches and numpy round-trips — serves all later calls at that
-    batch size.
+    Per sample, one read-in (:func:`~repro.core.sad_kernel.im2col_compiled`
+    or its NumPy twin) writes the sample's im2col rows into ``cols`` in
+    the training path's (c, ky, kx) order, and the sample's GEMM -- the
+    serial shape, with the training path's weight operand -- reads them
+    straight from L2 into ``raw``: this conv's output for that sample,
+    NHWC, bias not yet added.  The next read-in adds the bias, applies
+    the ReLU and max-pool in between, and pads, all as it reads
+    (:class:`_FloatChain`), so no padded copy, index array or batch-wide
+    column matrix exists, and the scratch does not grow with capacity.
+    float64 reads the live layer parameters on every call; float32 uses
+    the compile-time snapshot ``weights``.
     """
 
-    def _init_matmul(self):
-        self._fused_ok: Dict[int, bool] = {}
-
-    def _probe_fused(self, w_t: np.ndarray, rows: int, batch: int) -> bool:
-        rng = np.random.default_rng(0x5EED + batch)
-        a = rng.standard_normal((batch * rows, w_t.shape[0])).astype(
-            w_t.dtype, copy=False
-        )
-        fused = a @ w_t
-        looped = np.empty_like(fused)
-        for s in range(batch):
-            np.matmul(a[s * rows : (s + 1) * rows], w_t,
-                      out=looped[s * rows : (s + 1) * rows])
-        return bool(np.array_equal(fused, looped))
-
-    def _matmul_rows(
-        self,
-        a2d: np.ndarray,
-        w_t: np.ndarray,
-        out2d: np.ndarray,
-        rows: int,
-        batch: int,
-    ) -> None:
-        if batch == 1:
-            np.matmul(a2d, w_t, out=out2d)
-            return
-        fused = self._fused_ok.get(batch)
-        if fused is None:
-            fused = self._fused_ok[batch] = self._probe_fused(w_t, rows, batch)
-        if fused:
-            np.matmul(a2d, w_t, out=out2d)
-            return
-        for s in range(batch):
-            np.matmul(a2d[s * rows : (s + 1) * rows], w_t,
-                      out=out2d[s * rows : (s + 1) * rows])
-
-
-class _ConvStep(_Step, _MatmulMixin):
-    def __init__(self, layer: Conv2d, in_shape, capacity: int, dtype,
+    def __init__(self, layer: Conv2d, in_shape, dtype,
                  weights: Optional[Tuple[np.ndarray, np.ndarray]]):
         super().__init__(layer)
-        self._init_matmul()
         c, h, w = in_shape
-        k, stride, pad = layer.kernel, layer.stride, layer.pad
-        self.out_h = F.conv_output_size(h, k, stride, pad)
-        self.out_w = F.conv_output_size(w, k, stride, pad)
+        k = layer.kernel
+        self.out_h = F.conv_output_size(h, k, layer.stride, layer.pad)
+        self.out_w = F.conv_output_size(w, k, layer.stride, layer.pad)
         self.out_c = layer.out_channels
         self.rows = self.out_h * self.out_w
-        hp, wp = h + 2 * pad, w + 2 * pad
-        self._interior = (slice(None), slice(pad, pad + h), slice(pad, pad + w))
-        self.padded = np.zeros((capacity, c, hp, wp), dtype=dtype)
-        # Gather geometry: cols[b, (oy, ox), (c, ky, kx)] =
-        # padded[b, c, ky + stride*oy, kx + stride*ox] — im2col's exact
-        # column layout, compiled to flat indices once.
-        oy = np.arange(self.out_h) * stride
-        ox = np.arange(self.out_w) * stride
-        ci = np.arange(c)
-        ky = np.arange(k)
-        kx = np.arange(k)
-        idx = (
-            ci[None, None, :, None, None] * (hp * wp)
-            + (ky[None, None, None, :, None] + oy[:, None, None, None, None]) * wp
-            + (kx[None, None, None, None, :] + ox[None, :, None, None, None])
-        )
-        self.gather = np.ascontiguousarray(idx.reshape(-1), dtype=np.int64)
         self.ckk = c * k * k
-        self._dtype = dtype
-        self._padded_shape = (c, hp, wp)
-        self.cols = np.empty((capacity, self.rows * self.ckk), dtype=dtype)
-        self.out2d = np.empty((capacity * self.rows, self.out_c), dtype=dtype)
+        self.dtype = np.dtype(dtype)
+        self.cols = np.empty((self.rows, self.ckk), self.dtype)
+        self.raw = np.empty((self.rows, self.out_c), self.dtype)
+        #: ``raw`` as the (1, C, H, W) source of the next read-in
+        self.raw_nchw = self.raw.reshape(
+            1, self.out_h, self.out_w, self.out_c
+        ).transpose(0, 3, 1, 2)
         self._weights = weights  # None = read live float64 params
-        # The compiled gather (when the optional kernel built) moves the
-        # column materialisation off np.take's generic path; float64 only.
-        self._ckernel = get_kernel() if dtype == np.float64 else None
-        self._bind()
+        ck = get_kernel()
+        self.kernel = ck if ck is not None and ck.has_float_im2col else None
+        self._alone: Optional[_FloatChain] = None
 
-    def resize(self, capacity: int) -> None:
-        # The padded buffer's border must stay zero — np.zeros, not empty.
-        self.padded = np.zeros((capacity,) + self._padded_shape, dtype=self._dtype)
-        self.cols = np.empty((capacity, self.rows * self.ckk), dtype=self._dtype)
-        self.out2d = np.empty(
-            (capacity * self.rows, self.out_c), dtype=self._dtype
-        )
-        self._bind()
-
-    def _bind(self) -> None:
-        """The compiled gather's arguments but the batch, bound to the
-        current scratch (rebound on every reallocation)."""
-        if self._ckernel is not None:
-            self._gather_src = (
-                addr(self.padded), self.padded[0].size,
-                addr(self.gather), self.gather.size,
-            )
-            self._cols_addr = addr(self.cols)
-
-    def _operands(self):
+    def operands(self):
+        """``(w_t, bias)``: float64 passes the training path's ``w_mat.T``
+        view itself (a contiguous copy of it changes output bits)."""
         if self._weights is not None:
             return self._weights
         w_mat = self.layer.params["weight"].reshape(self.out_c, -1)
         return w_mat.T, self.layer.params["bias"]
 
     def run(self, x: np.ndarray, batch: int) -> np.ndarray:
-        padded = self.padded[:batch]
-        padded[(slice(None),) + self._interior] = x
-        cols = self.cols[:batch]
-        if self._ckernel is not None:
-            self._ckernel.gather_rows(*self._gather_src, batch, self._cols_addr)
-        else:
-            np.take(padded.reshape(batch, -1), self.gather, axis=1, out=cols)
-        cols2d = cols.reshape(batch * self.rows, self.ckk)
-        out2d = self.out2d[: batch * self.rows]
-        w_t, bias = self._operands()
-        self._matmul_rows(cols2d, w_t, out2d, self.rows, batch)
-        np.add(out2d, bias, out=out2d)
-        return out2d.reshape(batch, self.out_h, self.out_w, self.out_c).transpose(
-            0, 3, 1, 2
+        """This conv alone, bias added: a fresh NCHW array."""
+        if self._alone is None:
+            self._alone = _FloatChain([self], [(False, None)], (False, None))
+        return self._alone(x, batch)
+
+
+class _FloatChain:
+    """Consecutive float convolutions with their folded neighbours, run
+    one sample at a time -- the float lanes' step runner.
+
+    ``links[i]`` is the ``(relu, pool)`` read in before ``convs[i]``: for
+    ``i = 0`` from the range's input, for ``i > 0`` from ``convs[i-1]``'s
+    raw output, whose bias the read-in adds first.  ``tail`` is the
+    ``(relu, pool)`` applied as the last conv's raw output is written,
+    bias added, into the owned NCHW result.  Each sample passes through
+    every conv before the next sample starts, so its activations stay in
+    L2 from one GEMM to the next read-in.
+    """
+
+    def __init__(self, convs, links, tail):
+        self.convs = convs
+        self.links = links
+        self.tail = tail
+        last = convs[-1]
+        out_h, out_w = last.out_h, last.out_w
+        if tail[1] is not None:
+            field, step = tail[1]
+            out_h = F.conv_output_size(out_h, field, step, 0)
+            out_w = F.conv_output_size(out_w, field, step, 0)
+        self.out_shape = (last.out_c, out_h, out_w)
+        self.dtype = last.dtype
+        self.kernel = convs[0].kernel
+        if self.kernel is not None:
+            # Every read-in but the first reads the previous conv's raw
+            # buffer, which never moves: geometry and addresses are bound
+            # once.  The first read-in's geometry follows the input's
+            # strides, bound on first sight of each.
+            self._geometry = [
+                self._bind(prev.raw_nchw, link, conv)
+                for prev, link, conv in zip(convs, links[1:], convs[1:])
+            ] + [self._bind(last.raw_nchw, tail, None)]
+            self._geometry_at = [addr(g) for g in self._geometry]
+            self._cols_at = [addr(conv.cols) for conv in convs]
+            self._raw_at = [addr(conv.raw) for conv in convs]
+            self._first: Dict[tuple, np.ndarray] = {}
+
+    def _bind(self, src, link, conv) -> np.ndarray:
+        """Read-in geometry from ``src`` into ``conv``'s columns, or
+        (``conv`` None, the tail) into the NCHW result."""
+        relu, pool = link
+        item = src.itemsize
+        k, stride, pad, ld = (0, 1, 0, 0) if conv is None else (
+            conv.layer.kernel, conv.layer.stride, conv.layer.pad, conv.ckk
+        )
+        return im2col_geometry(
+            src.shape, [s // item for s in src.strides], item, pool,
+            k, stride, pad, item, ld, relu,
         )
 
+    def __call__(self, x: np.ndarray, batch: int) -> np.ndarray:
+        out = np.empty((batch,) + self.out_shape, self.dtype)
+        operands = [conv.operands() for conv in self.convs]
+        w_ts = [w_t for w_t, _ in operands]
+        biases = [
+            np.ascontiguousarray(bias, self.dtype) for _, bias in operands
+        ]
+        if self.kernel is None:
+            self._run_numpy(x, batch, w_ts, biases, out)
+        else:
+            self._run_compiled(x, batch, w_ts, biases, out)
+        return out
 
-class _LinearStep(_Step, _MatmulMixin):
+    def _run_compiled(self, x, batch, w_ts, biases, out) -> None:
+        convs = self.convs
+        if min(x.strides) < 0 or any(s % x.itemsize for s in x.strides):
+            x = np.ascontiguousarray(x)
+        first = self._first.get(x.strides)
+        if first is None:
+            first = self._first[x.strides] = self._bind(
+                x[:1], self.links[0], convs[0]
+            )
+        geometry = [addr(first)] + self._geometry_at
+        bias_at = [addr(bias) for bias in biases]
+        cols_at, raw_at = self._cols_at, self._raw_at
+        x_at, out_at = addr(x), addr(out)
+        im2col, n = self.kernel.im2col, len(convs)
+        for b in range(batch):
+            src, bias = x_at + b * x.strides[0], None
+            for i in range(n):
+                if im2col(src, geometry[i], bias, cols_at[i]):
+                    raise MemoryError("im2col could not allocate its row ring")
+                np.matmul(convs[i].cols, w_ts[i], out=convs[i].raw)
+                src, bias = raw_at[i], bias_at[i]
+            if im2col(src, geometry[n], bias, out_at + b * out.strides[0]):
+                raise MemoryError("im2col could not allocate its row ring")
+
+    def _run_numpy(self, x, batch, w_ts, biases, out) -> None:
+        for b in range(batch):
+            src, bias = x[b : b + 1], None
+            for conv, (relu, pool), w_t, conv_bias in zip(
+                self.convs, self.links, w_ts, biases
+            ):
+                layer = conv.layer
+                im2col_numpy(src, pool, layer.kernel, layer.stride,
+                             layer.pad, conv.cols, bias, relu)
+                np.matmul(conv.cols, w_t, out=conv.raw)
+                src, bias = conv.raw_nchw, conv_bias
+            relu, pool = self.tail
+            im2col_numpy(src, pool, 0, 1, 0, out[b : b + 1], bias, relu)
+
+
+class _LinearStep(_Step):
+    """A fully-connected layer: one GEMM per sample by default.
+
+    One GEMM per sample is exactly the shapes the serial pipeline
+    issues, hence bitwise equal to it by construction.  On first
+    encountering a batch size, a probe on synthetic full-range random
+    data (never the live activations, which could be degenerate — e.g.
+    mostly zero after a ReLU — and pass by coincidence) compares the
+    fused single GEMM against the per-sample loop: when BLAS produces
+    identical bits for the stacked shape (shape-dependent, so probed per
+    host), the fused call serves all later calls at that batch size.
+    """
+
     def __init__(self, layer: Linear, capacity: int, dtype,
                  weights: Optional[Tuple[np.ndarray, np.ndarray]]):
         super().__init__(layer)
-        self._init_matmul()
+        self._fused_ok: Dict[int, bool] = {}
         self.out = np.empty((capacity, layer.out_features), dtype=dtype)
         self._weights = weights
 
@@ -409,99 +457,70 @@ class _LinearStep(_Step, _MatmulMixin):
             return self._weights
         return self.layer.params["weight"].T, self.layer.params["bias"]
 
+    def _probe_fused(self, w_t: np.ndarray, batch: int) -> bool:
+        rng = np.random.default_rng(0x5EED + batch)
+        a = rng.standard_normal((batch, w_t.shape[0])).astype(
+            w_t.dtype, copy=False
+        )
+        fused = a @ w_t
+        looped = np.empty_like(fused)
+        for s in range(batch):
+            np.matmul(a[s : s + 1], w_t, out=looped[s : s + 1])
+        return bool(np.array_equal(fused, looped))
+
     def run(self, x: np.ndarray, batch: int) -> np.ndarray:
         flat = x.reshape(batch, -1)
         out = self.out[:batch]
         w_t, bias = self._operands()
-        self._matmul_rows(flat, w_t, out, 1, batch)
+        fused = batch == 1 or self._fused_ok.get(batch)
+        if fused is None:
+            fused = self._fused_ok[batch] = self._probe_fused(w_t, batch)
+        if fused:
+            np.matmul(flat, w_t, out=out)
+        else:
+            for s in range(batch):
+                np.matmul(flat[s : s + 1], w_t, out=out[s : s + 1])
         np.add(out, bias, out=out)
         return out
 
 
 class _ReLUStep(_Step):
-    def __init__(self, layer: ReLU, in_shape, capacity: int, dtype,
-                 nhwc: bool = False):
-        super().__init__(layer)
-        # A ReLU fed by a convolution sees an NHWC-contiguous transpose
-        # view (the conv GEMM's natural layout); computing in that layout
-        # keeps both ufunc passes on contiguous memory.  ReLU is
-        # elementwise, so the layout cannot change a single bit.
-        self.nhwc = nhwc and len(in_shape) == 3
-        # Integer raws (quantized plans) have no signed zeros, so a
-        # single max(x, 0) pass is exact and the mask pass is dead
-        # weight.  Float lanes keep the two-pass x * (x > 0) form, which
-        # is bitwise the training path.
-        self.integer = np.issubdtype(np.dtype(dtype), np.integer)
-        if self.nhwc:
-            c, h, w = in_shape
-            shape = (capacity, h, w, c)
-        else:
-            shape = (capacity,) + tuple(in_shape)
-        self.mask = None if self.integer else np.empty(shape, dtype=bool)
-        self.out = np.empty(shape, dtype=dtype)
+    """A ReLU the schedule could not fold into a conv's read-in or
+    requant clamp (a range that starts at it, or one after a Linear).
 
-    def resize(self, capacity: int) -> None:
-        shape = (capacity,) + self.out.shape[1:]
-        if not self.integer:
-            self.mask = np.empty(shape, dtype=bool)
-        self.out = np.empty(shape, dtype=self.out.dtype)
+    Both forms keep the input's memory layout (an NHWC-backed view stays
+    one, so each pass runs over contiguous memory) and allocate their
+    output per call: a folded ReLU never needs scratch.
+    """
+
+    def __init__(self, layer: ReLU, dtype):
+        super().__init__(layer)
+        self.dtype = np.dtype(dtype)
 
     def run(self, x: np.ndarray, batch: int) -> np.ndarray:
-        if self.nhwc:
-            base = x.transpose(0, 2, 3, 1)
-            if not base.flags["C_CONTIGUOUS"]:
-                # Unexpected layout (custom caller): stay correct.
-                return x * (x > 0)
-            out = self.out[:batch]
-            if self.integer:
-                np.maximum(base, 0, out=out)
-                return out.transpose(0, 3, 1, 2)
-            mask = self.mask[:batch]
-            np.greater(base, 0, out=mask)
-            np.multiply(base, mask, out=out)
-            return out.transpose(0, 3, 1, 2)
-        out = self.out[:batch]
-        if self.integer:
-            np.maximum(x, 0, out=out)
-            return out
-        mask = self.mask[:batch]
-        np.greater(x, 0, out=mask)
-        # x * mask, exactly as the training path computes it (bitwise
-        # including signed zeros), into reused scratch.
-        np.multiply(x, mask, out=out)
-        return out
+        if self.dtype.kind in "iu":
+            # Integer raws have no signed zeros: one max pass is exact.
+            return np.maximum(x, 0)
+        # x * (x > 0), exactly as the training path computes it (bitwise
+        # including signed zeros).
+        return x * (x > 0)
 
 
 class _MaxPoolStep(_Step):
-    def __init__(self, layer: MaxPool2d, in_shape, capacity: int, dtype):
-        super().__init__(layer)
-        c, h, w = in_shape
-        self.field, self.stride = layer.field, layer.stride
-        self.out_h = F.conv_output_size(h, self.field, self.stride, 0)
-        self.out_w = F.conv_output_size(w, self.field, self.stride, 0)
-        self.out = np.empty((capacity, c, self.out_h, self.out_w), dtype=dtype)
+    """A max-pool the schedule could not fold into a conv's read-in.
 
-    def resize(self, capacity: int) -> None:
-        self.out = np.empty((capacity,) + self.out.shape[1:], dtype=self.out.dtype)
+    Keeps each window's first maximum, as the training path's argmax
+    (:func:`~repro.core.sad_kernel.first_max_pool`): on a ``-0.0``/``0.0``
+    tie ``np.maximum`` would flip the sign of the pooled zero.
+    """
+
+    def __init__(self, layer: MaxPool2d, dtype):
+        super().__init__(layer)
+        self.field, self.stride = layer.field, layer.stride
+        self.dtype = np.dtype(dtype)
 
     def run(self, x: np.ndarray, batch: int) -> np.ndarray:
-        out = self.out[:batch]
-        # field² shifted strided slices folded with elementwise maximum —
-        # max is exact, so any fold order matches the unfold+argmax
-        # training path bit for bit, and each pass is a plain vectorised
-        # ufunc instead of a windowed gather.
-        first = True
-        for fy in range(self.field):
-            y_max = fy + self.stride * self.out_h
-            for fx in range(self.field):
-                x_max = fx + self.stride * self.out_w
-                window = x[:, :, fy:y_max:self.stride, fx:x_max:self.stride]
-                if first:
-                    np.copyto(out, window)
-                    first = False
-                else:
-                    np.maximum(out, window, out=out)
-        return out
+        return first_max_pool(x, self.field, self.stride)
 
 
 class _AvgPoolStep(_Step):
@@ -1003,19 +1022,17 @@ class InferencePlan:
         self._schedules: Dict[Tuple[int, int], List[Callable]] = {}
         if self._quant is not None:
             samples, refs, reference = self._calibrate()
-        prev: Optional[Layer] = None
         current: Optional[QFormat] = None
         layers = list(zip(network.layers, network.layer_input_shapes))
         for i, (layer, in_shape) in enumerate(layers):
             if self._quant is None:
-                self._steps.append(self._compile(layer, in_shape, prev))
+                self._steps.append(self._compile(layer, in_shape))
             else:
                 step, current = self._compile_quant(
-                    layer, in_shape, prev, current, last=(i == len(layers) - 1)
+                    layer, in_shape, current, last=(i == len(layers) - 1)
                 )
                 self._steps.append(step)
                 self._boundary.append(current)
-            prev = layer
         if self._quant is not None:
             self._bias_correct(samples, refs)
             self._measure_tolerance(samples, reference)
@@ -1038,19 +1055,19 @@ class InferencePlan:
         )
         return (w_t, layer.params["bias"].astype(dt))
 
-    def _compile(self, layer: Layer, in_shape, prev: Optional[Layer]) -> _Step:
+    def _compile(self, layer: Layer, in_shape) -> _Step:
         cap, dt = self.max_batch, self.dtype
         snapshot = None
         if dt == np.float32 and isinstance(layer, (Conv2d, Linear)):
             snapshot = self._float_snapshot(layer, dt)
         if isinstance(layer, Conv2d):
-            return _ConvStep(layer, in_shape, cap, dt, snapshot)
+            return _ConvStep(layer, in_shape, dt, snapshot)
         if isinstance(layer, Linear):
             return _LinearStep(layer, cap, dt, snapshot)
         if isinstance(layer, ReLU):
-            return _ReLUStep(layer, in_shape, cap, dt, nhwc=isinstance(prev, Conv2d))
+            return _ReLUStep(layer, dt)
         if isinstance(layer, MaxPool2d):
-            return _MaxPoolStep(layer, in_shape, cap, dt)
+            return _MaxPoolStep(layer, dt)
         if isinstance(layer, AvgPool2d):
             return _AvgPoolStep(layer, in_shape, cap, dt)
         if isinstance(layer, Flatten):
@@ -1127,7 +1144,7 @@ class InferencePlan:
         if orig < n:
             self.shrink(orig)
 
-    def _compile_quant(self, layer, in_shape, prev, current, last):
+    def _compile_quant(self, layer, in_shape, current, last):
         """Compile one layer of a quantized plan.
 
         ``current`` is the Q-format of the incoming activation (None =
@@ -1143,7 +1160,7 @@ class InferencePlan:
             if cal.fallback:
                 snapshot = self._float_snapshot(layer, np.float32)
                 if isinstance(layer, Conv2d):
-                    step = _ConvStep(layer, in_shape, cap, np.float32, snapshot)
+                    step = _ConvStep(layer, in_shape, np.float32, snapshot)
                 else:
                     step = _LinearStep(layer, cap, np.float32, snapshot)
                 if current is not None:
@@ -1159,16 +1176,12 @@ class InferencePlan:
             return step, out_fmt
         if isinstance(layer, ReLU):
             dt = _storage_for(current) if current is not None else np.float32
-            return (
-                _ReLUStep(layer, in_shape, cap, dt,
-                          nhwc=isinstance(prev, Conv2d)),
-                current,
-            )
+            return _ReLUStep(layer, dt), current
         if isinstance(layer, MaxPool2d):
             # Max is monotone and the scale positive: max over raws is
             # the raw of the max — runs on integers unchanged.
             dt = _storage_for(current) if current is not None else np.float32
-            return _MaxPoolStep(layer, in_shape, cap, dt), current
+            return _MaxPoolStep(layer, dt), current
         if isinstance(layer, Flatten):
             return _FlattenStep(layer), current
         # No integer path (AvgPool's mean, unspecialised layers): float.
@@ -1181,16 +1194,21 @@ class InferencePlan:
         return step, None
 
     def _schedule(self, start: int, stop: int) -> List[Callable]:
-        """Step runners for ``steps[start:stop]`` of a quantized plan.
+        """Step runners for ``steps[start:stop]``, every plan family.
 
-        An integer conv absorbs the max-pool right before it (read in by
-        its im2col) and the ReLU right after it (its requant clamp) —
-        only when that neighbour lies inside the range.  A neighbour
-        outside it runs as its own step, so every split point returns
-        exactly the activation its layer names: ``run_prefix(x,
-        "conv2")`` is pre-ReLU, a ``pool1`` target is pooled.  Cached
-        per range; steps keep their identity across ``reserve``/
-        ``shrink``, so the cache does too.
+        Float convolutions run as :class:`_FloatChain` runners: a chain
+        takes a float ReLU and max-pool before its first conv (read in
+        from the range's input), the ReLU and pool between consecutive
+        convs (read in with the previous conv's bias) and the ReLU and
+        pool after its last conv (applied as the result is written).  An
+        integer conv absorbs the max-pool right before it (read in by its
+        im2col) and the ReLU right after it (its requant clamp).  Either
+        way only neighbours inside the range fold; one outside it runs
+        as its own step, so every split point returns exactly the
+        activation its layer names: ``run_prefix(x, "conv2")`` is
+        pre-ReLU, a ``pool1`` target is pooled.  Cached per range; steps
+        keep their identity across ``reserve``/``shrink``, so the cache
+        does too.
         """
         runners = self._schedules.get((start, stop))
         if runners is not None:
@@ -1199,6 +1217,11 @@ class InferencePlan:
         steps = self._steps
         i = start
         while i < stop:
+            chain = self._float_chain(i, stop)
+            if chain is not None:
+                runner, i = chain
+                runners.append(runner)
+                continue
             step, pool = steps[i], None
             nxt = steps[i + 1] if i + 1 < stop else None
             if (
@@ -1218,6 +1241,38 @@ class InferencePlan:
                 i += 1
         self._schedules[(start, stop)] = runners
         return runners
+
+    def _float_fold(self, i: int, stop: int):
+        """``(relu, pool, j)``: the float ReLU and then max-pool that
+        ``steps[i:stop]`` opens with, and the index after them."""
+        steps = self._steps
+
+        def floating(j, kind):
+            return (
+                j < stop and isinstance(steps[j], kind)
+                and steps[j].dtype.kind == "f"
+            )
+
+        relu = floating(i, _ReLUStep)
+        i += relu
+        pool = None
+        if floating(i, _MaxPoolStep):
+            pool = (steps[i].field, steps[i].stride)
+            i += 1
+        return relu, pool, i
+
+    def _float_chain(self, i: int, stop: int):
+        """``(chain, next index)`` of the float chain that starts at
+        ``steps[i]``, or None when no float conv follows its folds."""
+        relu, pool, j = self._float_fold(i, stop)
+        convs, links = [], []
+        while j < stop and isinstance(self._steps[j], _ConvStep):
+            convs.append(self._steps[j])
+            links.append((relu, pool))
+            relu, pool, j = self._float_fold(j + 1, stop)
+        if not convs:
+            return None
+        return _FloatChain(convs, links, (relu, pool)), j
 
     def _measure_tolerance(self, samples, reference):
         """Run the calibration set through the compiled plan and size
@@ -1258,27 +1313,27 @@ class InferencePlan:
             )
         if x.dtype != self.dtype:
             x = x.astype(self.dtype)
-        if self._quant is not None and start < stop:
-            # The plan boundary exchanges float32; raws live only between
-            # steps.  Entering mid-plan (run_suffix) re-quantizes into the
-            # boundary format, leaving mid-plan dequantizes below.  The
-            # round trip is lossless: raws fit float32's mantissa and the
-            # scales are powers of two.
-            if start > 0:
-                fmt = self._boundary[start - 1]
-                if fmt is not None:
-                    x = _quantize_raws(x, fmt, _storage_for(fmt))
-            for run in self._schedule(start, stop):
-                x = run(x, batch)
-            fmt = self._boundary[stop - 1]
-            if fmt is not None:
-                out = np.empty(x.shape, np.float32)
-                np.multiply(x, np.float32(1.0 / fmt.scale), out=out,
-                            casting="unsafe")
-                return out
+        if start >= stop:
             return np.array(x, order="C")
-        for step in self._steps[start:stop]:
-            x = step.run(x, batch)
+        # The quantized plans' boundary exchanges float32; raws live only
+        # between steps.  Entering mid-plan (run_suffix) re-quantizes into
+        # the boundary format, leaving mid-plan dequantizes below.  The
+        # round trip is lossless: raws fit float32's mantissa and the
+        # scales are powers of two.
+        fmts = self._boundary if self._quant is not None else None
+        if fmts and start > 0 and fmts[start - 1] is not None:
+            fmt = fmts[start - 1]
+            x = _quantize_raws(x, fmt, _storage_for(fmt))
+        runners = self._schedule(start, stop)
+        for run in runners:
+            x = run(x, batch)
+        if fmts and fmts[stop - 1] is not None:
+            out = np.empty(x.shape, np.float32)
+            np.multiply(x, np.float32(1.0 / fmts[stop - 1].scale), out=out,
+                        casting="unsafe")
+            return out
+        if isinstance(runners[-1], _FloatChain):
+            return x  # a chain writes its result into a fresh array
         # Hand back an owned copy: every scratch buffer is reused on the
         # next call, and callers (executor, runtime) store results.  A
         # view (ascontiguousarray of contiguous scratch is a no-op) would

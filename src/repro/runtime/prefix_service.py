@@ -124,11 +124,14 @@ class _PrefixCache:
 
 
 def _frame_digest(frame: np.ndarray) -> bytes:
-    """blake2b of the frame's bytes in C order, hashed straight from the
-    (contiguous) buffer — the same digest as hashing ``tobytes()``
-    without the copy."""
+    """SHA-256 of the frame's bytes in C order, truncated to 16 bytes and
+    hashed straight from the (contiguous) buffer — the same digest as
+    hashing ``tobytes()`` without the copy.  SHA-256 runs on the CPU's
+    SHA extensions where present (about twice blake2b's speed on a
+    64x64 float64 frame); 128 bits keep collisions negligible at any
+    cache size."""
     data = frame if frame.flags["C_CONTIGUOUS"] else np.ascontiguousarray(frame)
-    return hashlib.blake2b(data, digest_size=16).digest()
+    return hashlib.sha256(data).digest()[:16]
 
 
 class PrefixService:

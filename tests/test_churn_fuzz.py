@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fake_clock import FakeClock
 from repro.core.sad_kernel import get_kernel
 from repro.runtime import (
     ClipRequest,
@@ -68,19 +69,6 @@ LANES = [
     ),
     pytest.param("batched"),
 ]
-
-
-class FakeClock:
-    """Manually advanced clock (see test_serving): each reading moves
-    time one tick, so admission interleaves with service deterministically."""
-
-    def __init__(self, tick: float = 0.001):
-        self.now = 0.0
-        self.tick = tick
-
-    def __call__(self) -> float:
-        self.now += self.tick
-        return self.now
 
 
 def _requests(clips, arrivals=None):

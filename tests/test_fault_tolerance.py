@@ -25,6 +25,7 @@ import threading
 import numpy as np
 import pytest
 
+from fake_clock import FakeClock
 from repro.core.sad_kernel import get_kernel
 from repro.runtime import (
     ClipRequest,
@@ -59,19 +60,6 @@ LANES = [
 def _chaos_seeds():
     env = os.environ.get("REPRO_CHAOS_SEEDS", "").replace(",", " ").split()
     return tuple(int(token) for token in env) if env else DEFAULT_SEEDS
-
-
-class FakeClock:
-    """Manually advanced clock (see test_serving): each reading moves
-    time one tick, so the inline serve core is fully deterministic."""
-
-    def __init__(self, tick: float = 0.001):
-        self.now = 0.0
-        self.tick = tick
-
-    def __call__(self) -> float:
-        self.now += self.tick
-        return self.now
 
 
 @pytest.fixture(scope="module")

@@ -274,3 +274,159 @@ class TestBlasThreads:
 
         with pytest.raises(ValueError, match="threads"):
             blas.set_openblas_threads(0)
+
+
+def _bits(array) -> bytes:
+    """An array's exact bytes: signed zeros and NaN payloads included,
+    which ``assert_array_equal`` does not tell apart."""
+    array = np.ascontiguousarray(array)
+    return f"{array.dtype.str}{array.shape}".encode() + array.tobytes()
+
+
+class TestFusedFloatPath:
+    """Float convolutions run one sample at a time through the fused
+    read-in (bias, ReLU, max-pool and padding applied as the next conv's
+    im2col reads the previous conv's raw GEMM output)."""
+
+    def test_every_split_is_the_training_forward_bit_for_bit(self, net):
+        frames = np.random.default_rng(5).random((16, 1, 64, 64))
+        plan = net.inference_plan(max_batch=16)
+        # refs[s][i]: sample s alone through layers[: i + 1]
+        refs = []
+        for s in range(16):
+            x, acts = frames[s : s + 1], []
+            for layer in net.layers:
+                x = layer.forward(x)
+                acts.append(_bits(x))
+            refs.append(acts)
+        for batch in (1, 3, 16):
+            x = frames[:batch]
+            out = plan.run(x)
+            assert [_bits(out[s : s + 1]) for s in range(batch)] == [
+                refs[s][-1] for s in range(batch)
+            ]
+            for i, layer in enumerate(net.layers[:-1]):
+                act = plan.run_prefix(x, layer.name)
+                tail = plan.run_suffix(act, layer.name)
+                for s in range(batch):
+                    assert _bits(act[s : s + 1]) == refs[s][i], (layer.name, s)
+                    assert _bits(tail[s : s + 1]) == refs[s][-1], (layer.name, s)
+
+    def test_one_runner_covers_the_whole_conv_prefix(self, net):
+        plan = net.inference_plan(max_batch=2)
+        stop = net.index_of(net.last_spatial_layer()) + 1
+        (runner,) = plan._schedule(0, stop)
+        assert [conv.layer.name for conv in runner.convs] == [
+            layer.name for layer in net.layers[:stop]
+            if type(layer).__name__ == "Conv2d"
+        ]
+        # a split point right after a conv leaves its ReLU out of the range
+        first_conv = runner.convs[0].layer.name
+        (alone,) = plan._schedule(0, net.index_of(first_conv) + 1)
+        assert alone.tail == (False, None)
+
+    def test_float64_scratch_is_per_sample(self):
+        """No batch-wide column matrix, padded copy, GEMM output or index
+        array: a capacity-16 float64 plan holds under 2 MiB of scratch,
+        no more than a capacity-1 plan does in its convolutions."""
+        net = get_trained_network("mini_fasterm")
+
+        def scratch(plan, kind=object):
+            return sum(
+                value.nbytes
+                for step in plan._steps if isinstance(step, kind)
+                for value in vars(step).values()
+                if isinstance(value, np.ndarray) and value.base is None
+            )
+
+        wide, narrow = InferencePlan(net, 16), InferencePlan(net, 1)
+        conv = type(wide._steps[0])
+        assert scratch(wide) <= 2 * 1024 * 1024
+        assert scratch(wide, conv) == scratch(narrow, conv)
+        assert not any(
+            isinstance(value, np.ndarray) and value.dtype == np.int64
+            for step in wide._steps for value in vars(step).values()
+        )
+
+
+class TestMaxPoolSign:
+    """Pooling keeps each window's first maximum, as the training path's
+    argmax does: on a ``-0.0``/``0.0`` tie the pooled zero keeps the sign
+    of the window's first element."""
+
+    def test_pooled_zero_keeps_the_training_sign(self):
+        from repro.nn.layers import MaxPool2d
+        from repro.nn.network import Network
+
+        net = Network("p", [MaxPool2d("pool", field=2, stride=2)], (1, 4, 4))
+        x = np.zeros((1, 1, 4, 4))
+        x[0, 0, 0, 0] = -0.0
+        want = net.forward(x)
+        assert np.signbit(want[0, 0, 0, 0])
+        assert _bits(net.inference_plan(1).run(x)) == _bits(want)
+
+    def test_pool1_split_keeps_the_training_sign(self):
+        """conv1 passes the input through (weight 1, bias 0), so its ReLU
+        turns -1 into -0.0 and 0 into 0.0; ``pool1`` then sees ties."""
+        from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU
+        from repro.nn.network import Network
+
+        layers = [
+            Conv2d("conv1", 1, 1, kernel=1),
+            ReLU("relu1"),
+            MaxPool2d("pool1", field=2, stride=2),
+            Conv2d("conv2", 1, 2, kernel=3, pad=1),
+            ReLU("relu2"),
+            Flatten("flatten"),
+            Linear("fc", 2 * 4 * 4, 3),
+        ]
+        layers[0].params["weight"][:] = 1.0
+        net = Network("ties", layers, (1, 8, 8))
+        rng = np.random.default_rng(3)
+        x = np.where(rng.random((3, 1, 8, 8)) < 0.5, -1.0, 0.0)
+        plan = net.inference_plan(3)
+        for batch in (1, 3):
+            got = plan.run_prefix(x[:batch], "pool1")
+            want = net.forward_prefix(x[:batch], "pool1")
+            assert np.signbit(want).any() and not np.signbit(want).all()
+            assert _bits(got) == _bits(want)
+            suffix = plan.run_suffix(got, "pool1")
+            assert _bits(suffix) == _bits(net.forward_suffix(want, "pool1"))
+
+
+class TestFloatReadInFallback:
+    def test_failed_float_im2col_check_falls_back_alone(
+        self, compiled, monkeypatch, frames
+    ):
+        """A failed float read-in check warns, naming it, and only the
+        float convolutions' read-in runs its NumPy twin."""
+        import warnings
+
+        from repro.core import sad_kernel
+
+        net = get_trained_network("mini_fasterm")
+        want = [_bits(net.forward(frames[s : s + 1])) for s in range(3)]
+        real = sad_kernel.im2col_numpy
+
+        def one_off(src, pool, k, stride, pad, out, *pending):
+            real(src, pool, k, stride, pad, out, *pending)
+            if src.dtype.kind == "f":
+                out.reshape(-1)[0] += 1
+
+        monkeypatch.setattr(sad_kernel, "_STATE", None)
+        with monkeypatch.context() as patch:
+            patch.setattr(sad_kernel, "im2col_numpy", one_off)
+            with pytest.warns(sad_kernel.KernelFallbackWarning,
+                              match="float im2col"):
+                kernel = sad_kernel.get_kernel()
+        assert kernel is not None
+        assert not kernel.has_float_im2col
+        assert kernel.has_im2col and kernel.has_warp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = InferencePlan(net, max_batch=3)
+        assert all(
+            step.kernel is None for step in plan._steps if hasattr(step, "raw")
+        )
+        out = plan.run(frames[:3])
+        assert [_bits(out[s : s + 1]) for s in range(3)] == want

@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
+from fake_clock import FakeClock
 from repro.core.stages import LaneSlot, LaneState, StepBatch
 from repro.runtime import (
     ClipRequest,
@@ -26,22 +27,10 @@ from repro.runtime import (
     static_stretch_workload,
     synthetic_workload,
 )
-from repro.runtime.prefix_service import _PrefixCache
+from repro.runtime.prefix_service import _frame_digest, _PrefixCache
 from repro.video import frozen_scene, generate_clip
 
 NETWORK = "mini_fasterm"
-
-
-class FakeClock:
-    """Deterministic clock: each reading advances one tick (no sleeps)."""
-
-    def __init__(self, tick: float = 0.001):
-        self.now = 0.0
-        self.tick = tick
-
-    def __call__(self) -> float:
-        self.now += self.tick
-        return self.now
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +119,33 @@ class TestDirectProtocol:
         assert service.stats.saved_macs == network.prefix_macs(
             spec.build_executor(network).target
         )
+
+    def test_digest_hits_equal_pixels_and_misses_one_flipped_bit(self, spec):
+        """The key hashes the frame's bytes: an equal copy hits, a frame
+        one bit away misses and computes its own activation."""
+        network = spec.shared_network()
+        frame = generate_clip(frozen_scene(), seed=2, num_frames=1).frames[0]
+        service = PrefixService(coalesce=False, cache_mb=64.0)
+        first = service.run_prefix(_single_slot_batch(spec, network, frame), [0])
+        same = service.run_prefix(
+            _single_slot_batch(spec, network, frame.copy()), [0]
+        )
+        assert (service.stats.hits, service.stats.misses) == (1, 1)
+        np.testing.assert_array_equal(first, same)
+        flipped = frame.copy()
+        flipped.view(np.uint64)[0, 0] ^= 1  # lowest mantissa bit
+        assert not np.array_equal(flipped, frame)
+        other = service.run_prefix(
+            _single_slot_batch(spec, network, flipped), [0]
+        )
+        assert (service.stats.hits, service.stats.misses) == (1, 2)
+        want = network.inference_plan(1).run_prefix(
+            flipped[None, None], spec.build_executor(network).target
+        )
+        np.testing.assert_array_equal(other, want)
+        assert _frame_digest(flipped) != _frame_digest(frame)
+        assert _frame_digest(frame.copy()) == _frame_digest(frame)
+        assert len(_frame_digest(frame)) == 16
 
     def test_cache_off_counts_nothing(self, spec):
         network = spec.shared_network()

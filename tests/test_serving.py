@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fake_clock import FakeClock
 from repro.runtime import (
     AutoscalePolicy,
     ClipRequest,
@@ -27,22 +28,6 @@ from repro.runtime import (
 )
 
 NETWORK = "mini_fasterm"
-
-
-class FakeClock:
-    """A manually advanced clock; each reading moves time forward a tick.
-
-    The tick stands in for step execution time so admission interleaves
-    with service deterministically, without real sleeps.
-    """
-
-    def __init__(self, tick: float = 0.001):
-        self.now = 0.0
-        self.tick = tick
-
-    def __call__(self) -> float:
-        self.now += self.tick
-        return self.now
 
 
 @pytest.fixture(scope="module")
@@ -456,7 +441,8 @@ class TestSharedAdmission:
     def test_inline_two_shards_match_serial(self, spec, clips,
                                             serial_result):
         report = ServingRuntime(
-            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial"),
+            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial",
+                         clock=FakeClock()),
         ).serve(_requests(clips))
         _assert_identical(report, serial_result)
         assert len(report.shards) == 2
@@ -466,9 +452,8 @@ class TestSharedAdmission:
                                                   serial_result):
         runtime = ServingRuntime(
             {"cam0": spec, "cam1": spec},
-            ServerConfig(max_batch=3,
-            serve_workers=2,
-            shard_backend="serial"),
+            ServerConfig(max_batch=3, serve_workers=2, shard_backend="serial",
+                         clock=FakeClock()),
         )
         requests = [
             ClipRequest(i, clip, lane=f"cam{i % 2}")
@@ -487,7 +472,8 @@ class TestSharedAdmission:
         clips = [clip for pair in zip(longs, shorts) for clip in pair]
         serial = run_workload(spec, clips, batch=False)
         report = ServingRuntime(
-            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial"),
+            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial",
+                         clock=FakeClock()),
         ).serve(_requests(clips))
         _assert_identical(report, serial)
         frames = sorted(shard.frames for shard in report.shards)
@@ -507,7 +493,8 @@ class TestSharedAdmission:
 
     def test_shared_accounting_aggregates(self, spec, clips):
         report = ServingRuntime(
-            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial"),
+            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial",
+                         clock=FakeClock()),
         ).serve(_requests(clips))
         assert report.total_frames == sum(len(clip) for clip in clips)
         assert report.steps == sum(shard.steps for shard in report.shards)
@@ -519,7 +506,8 @@ class TestSharedAdmission:
 
     def test_records_in_submission_order(self, spec, clips):
         report = ServingRuntime(
-            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial"),
+            spec, ServerConfig(max_batch=2, serve_workers=2, shard_backend="serial",
+                         clock=FakeClock()),
         ).serve(_requests(clips))
         assert [record.request_id for record in report.records] == list(
             range(len(clips))
@@ -540,9 +528,8 @@ class TestSharedAdmission:
         budget is dealt across lanes and capped at serve_workers."""
         runtime = ServingRuntime(
             {"cam0": spec, "cam1": spec},
-            ServerConfig(max_batch=2,
-            serve_workers=3,
-            shard_backend="serial"),
+            ServerConfig(max_batch=2, serve_workers=3, shard_backend="serial",
+                         clock=FakeClock()),
         )
         requests = [
             ClipRequest(i, clip, lane=f"cam{i % 2}")
