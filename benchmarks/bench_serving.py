@@ -9,7 +9,11 @@ steps.  The price of that flexibility is the headline question here:
 * **throughput** — steady-state frames/sec of a max-batch-16 server
   under oversubscribed Poisson arrivals must hold **>= 80%** of the
   static 16-clip lockstep number (the ``planned lockstep`` path of
-  ``bench_runtime_throughput.py``, measured fresh on this host);
+  ``bench_runtime_throughput.py``, measured fresh on this host).  The
+  arrival schedule is fixed (``ARRIVAL_RATE``, seed 7), and static and
+  serving runs alternate in ``SERVING_ROUNDS`` rounds; the gate is the
+  median of the per-round serving/static ratios, and every round must
+  offer at least 2x its own static f/s;
 * **correctness** — every served clip's outputs, key-frame decisions,
   and op counts are asserted bit-identical to its serial run, regardless
   of which batch-mates shared its steps.
@@ -133,6 +137,16 @@ NUM_REQUESTS = 48
 FRAMES_PER_CLIP = 16
 #: steady-state bar: serving throughput as a fraction of static lockstep.
 THROUGHPUT_FLOOR = 0.80
+#: fixed Poisson arrival rate of the serving gate, clips/s: 10000
+#: offered frames/s, 2x oversubscription up to a static lockstep of
+#: 5000 f/s — above the fastest static round measured on a shared 2-core
+#: host (4431 f/s; its rounds ranged from 2400 f/s up).  A fixed schedule
+#: keeps host noise out of the workload: the fresh static f/s is the
+#: ratio's denominator, so a rate derived from it moved the workload and
+#: the bar together.
+ARRIVAL_RATE = 625.0
+#: interleaved static/serving rounds of the serving gate (median ratio).
+SERVING_ROUNDS = 11
 #: sharding bar: 2-shard aggregate throughput vs the single-process run.
 SHARD_SCALING_FLOOR = 1.5
 #: pipelining bar: depth-2 lockstep throughput vs sequential lockstep,
@@ -179,7 +193,8 @@ _JSON_KEYS = (
     # frozen values of removed measurements, carried but never rewritten.
     "history",
     "workload", "kernel_available", "static_lockstep_fps", "serving_fps",
-    "serving_vs_static", "mean_occupancy", "latency_ms",
+    "serving_vs_static", "serving_vs_static_rounds", "mean_occupancy",
+    "latency_ms",
     "identical_to_serial", "shard_workload", "single_process_fps",
     "sharded_fps", "shard_scaling_2x", "pipeline_workload",
     "sequential_fps", "pipelined_fps", "pipelined_vs_sequential",
@@ -232,44 +247,56 @@ def _static_lockstep_fps(spec, traffic):
 
 
 def test_serving_throughput_and_identity(spec, traffic):
-    static_fps = _static_lockstep_fps(spec, traffic)
-
-    # Oversubscribe: offered load ~2x the server's capacity, so the
-    # admission queue stays non-empty and occupancy sits at max_batch —
-    # the steady state the 80% bar is defined over.
-    clip_rate = 2.0 * static_fps / FRAMES_PER_CLIP
-    arrivals = poisson_arrival_times(NUM_REQUESTS, rate=clip_rate, seed=7)
+    # A fixed, staggered arrival schedule (see ARRIVAL_RATE): clips join
+    # and depart mid-flight, the churn the 80% bar is defined over.
+    arrivals = poisson_arrival_times(NUM_REQUESTS, rate=ARRIVAL_RATE, seed=7)
     requests = [
         ClipRequest(request_id=i, clip=clip, arrival_time=arrival)
         for i, (clip, arrival) in enumerate(zip(traffic, arrivals))
     ]
-
+    offered_fps = ARRIVAL_RATE * FRAMES_PER_CLIP
     runtime = ServingRuntime(spec, ServerConfig(max_batch=MAX_BATCH))
-    report = max(
-        (runtime.serve(requests) for _ in range(2)),
-        key=lambda r: r.frames_per_second,
-    )
-
-    # Correctness first: every served clip bit-identical to its serial
-    # run — outputs, key decisions, and op counts.
     serial = run_workload(spec, traffic, batch=False)
-    served = report.workload_result()
-    assert served.matches(serial), "serving diverged from serial execution"
-    for record, want in zip(served.results, serial.results):
-        np.testing.assert_array_equal(record.outputs(), want.outputs())
-        np.testing.assert_array_equal(record.key_mask(), want.key_mask())
 
-    ratio = report.frames_per_second / static_fps
+    # Interleaved rounds: each ratio divides by the static f/s measured
+    # next to it, so host drift between rounds cancels; the median
+    # ratio is the gated reading.
+    rounds = []
+    for _ in range(SERVING_ROUNDS):
+        static_fps = _static_lockstep_fps(spec, traffic)
+        report = max(
+            (runtime.serve(requests) for _ in range(2)),
+            key=lambda r: r.frames_per_second,
+        )
+        # Correctness first: every served clip bit-identical to its
+        # serial run — outputs, key decisions, and op counts.
+        served = report.workload_result()
+        assert served.matches(serial), "serving diverged from serial execution"
+        for record, want in zip(served.results, serial.results):
+            np.testing.assert_array_equal(record.outputs(), want.outputs())
+            np.testing.assert_array_equal(record.key_mask(), want.key_mask())
+        rounds.append(
+            (report.frames_per_second / static_fps, static_fps, report)
+        )
+    ratio, static_fps, report = sorted(rounds, key=lambda entry: entry[0])[
+        len(rounds) // 2
+    ]
+    ratios = [round(entry[0], 3) for entry in rounds]  # in round order
+    oversubscription = offered_fps / max(entry[1] for entry in rounds)
+
     enqueue = report.enqueue_latencies()
     ttff = report.times_to_first_frame()
     register_table(
-        f"serving vs static lockstep ({NUM_REQUESTS} Poisson requests, "
-        f"max_batch={MAX_BATCH}, {NETWORK})",
+        f"serving vs static lockstep ({NUM_REQUESTS} Poisson requests at "
+        f"{ARRIVAL_RATE:g} clips/s, max_batch={MAX_BATCH}, {NETWORK}; "
+        f"median of {SERVING_ROUNDS} interleaved rounds)",
         ["quantity", "value"],
         [
             ["static lockstep f/s", round(static_fps, 1)],
             ["serving f/s", round(report.frames_per_second, 1)],
             ["serving/static", f"{ratio:.2f}x"],
+            ["per-round serving/static", " ".join(f"{r:.2f}" for r in ratios)],
+            ["offered / static (min round)", f"{oversubscription:.2f}x"],
             ["mean occupancy", round(report.mean_occupancy, 2)],
             ["enqueue p50 ms", round(float(np.percentile(enqueue, 50)) * 1e3, 2)],
             ["enqueue p95 ms", round(float(np.percentile(enqueue, 95)) * 1e3, 2)],
@@ -286,12 +313,14 @@ def test_serving_throughput_and_identity(spec, traffic):
                 "requests": NUM_REQUESTS,
                 "frames_per_clip": FRAMES_PER_CLIP,
                 "max_batch": MAX_BATCH,
-                "arrival_rate_clips_per_s": round(clip_rate, 2),
+                "arrival_rate_clips_per_s": ARRIVAL_RATE,
+                "rounds": SERVING_ROUNDS,
             },
             "kernel_available": kernel_available(),
             "static_lockstep_fps": round(static_fps, 2),
             "serving_fps": round(report.frames_per_second, 2),
             "serving_vs_static": round(ratio, 3),
+            "serving_vs_static_rounds": ratios,
             "mean_occupancy": round(report.mean_occupancy, 2),
             "latency_ms": {
                 key: round(value * 1e3, 3)
@@ -302,9 +331,20 @@ def test_serving_throughput_and_identity(spec, traffic):
     )
     _write_json()
 
+    short = [
+        f"round {index}: {offered_fps / fps:.2f}x (static {fps:.0f} f/s)"
+        for index, (_, fps, _) in enumerate(rounds)
+        if offered_fps < 2.0 * fps
+    ]
+    assert not short, (
+        f"the fixed schedule offers {offered_fps:.0f} f/s, under 2x the "
+        f"static lockstep f/s in {len(short)} of {SERVING_ROUNDS} rounds: "
+        f"{', '.join(short)}; the serving bar needs an oversubscribed lane"
+    )
     assert ratio >= THROUGHPUT_FLOOR, (
-        f"serving throughput is {ratio:.2f}x static lockstep; "
-        f"the continuous-batching bar is {THROUGHPUT_FLOOR:.2f}x"
+        f"serving throughput is {ratio:.2f}x static lockstep (median of "
+        f"rounds {ratios}); the continuous-batching bar is "
+        f"{THROUGHPUT_FLOOR:.2f}x"
     )
 
 

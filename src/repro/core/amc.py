@@ -61,13 +61,6 @@ class AMCConfig:
     #: :class:`~repro.nn.quantize.QuantTolerance` contract — the
     #: paper's accuracy-for-throughput knob).
     dtype: str = "float64"
-    #: runtime step pipelining: 2 (default) lets the stage executor run
-    #: step t+1's RFBME/decision on a second thread while step t runs
-    #: its CNN prefix, warp, suffix and record (bit-identical results);
-    #: 1 executes the frame lifecycle sequentially per step — the
-    #: reference the pipelined runs are checked against.  Depths beyond
-    #: 2 behave as 2 — the lifecycle has one overlap window.
-    pipeline_depth: int = 2
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -85,10 +78,6 @@ class AMCConfig:
         if self.dtype not in _DTYPES:
             raise ValueError(
                 f"dtype must be one of {_DTYPES}, got {self.dtype!r}"
-            )
-        if self.pipeline_depth < 1:
-            raise ValueError(
-                f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
             )
 
 

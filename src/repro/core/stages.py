@@ -6,8 +6,8 @@ frames, activation warping for predicted frames, the CNN suffix for
 everyone.  Earlier releases executed that lifecycle as one opaque
 function whose state lived in closures; this module makes each phase a
 *pure stage function* over an explicit, picklable :class:`LaneState`, so
-the runtime layer can schedule the phases (a
-:class:`~repro.runtime.stage_graph.StageGraph`), ship lane state to
+the runtime layer can run the phases in their fixed order (a
+:class:`~repro.runtime.stage_graph.StageExecutor`), ship lane state to
 worker processes (sharded serving), and run the next step's RFBME
 against this step's CNN stages.
 
@@ -20,16 +20,16 @@ Contracts:
   defines — a key frame being adopted by its executor, in two halves:
   its pixels in :func:`stage_adopt_pixels`, right after the decisions,
   and its target activation in :func:`stage_cnn_prefix`.
-* **Declared effects.**  Besides its dataflow inputs/outputs, every
-  stage declares which :class:`LaneState` *resources* it reads and
-  writes (:data:`KEY_PIXELS`, :data:`KEY_STATE`, :data:`POLICY_STATE`,
-  :data:`ENGINE_SCRATCH`, :data:`PLAN_SCRATCH`).  Dataflow orders
-  stages *within* a step; the resource sets are what lets the
-  pipelined executor (:class:`~repro.runtime.stage_graph.StageExecutor`)
-  prove that two stages of *consecutive* steps are conflict-free and
-  may overlap — e.g. step ``t+1``'s ``rfbme`` only reads key pixels and
-  writes engine scratch, so it can run against step ``t``'s
-  ``cnn_prefix``/``warp``/``cnn_suffix``/``record``.
+* **Declared effects.**  Every stage function declares which
+  :class:`LaneState` *resources* it reads and writes (:data:`KEY_PIXELS`,
+  :data:`KEY_STATE`, :data:`POLICY_STATE`, :data:`CURSOR_STATE`,
+  :data:`ENGINE_SCRATCH`, :data:`PLAN_SCRATCH`) as its ``reads`` and
+  ``writes`` attributes.  They are the proof behind the pipelined
+  executor's split: step ``t+1``'s ``rfbme`` and ``decide`` touch
+  nothing that step ``t``'s ``cnn_prefix``/``warp``/``cnn_suffix``/
+  ``record`` write, or write anything those read, so they may run
+  concurrently.  :func:`run_checked` verifies a stage's write set at
+  run time (a testing aid, off every hot path).
 * **Bit identity.**  Each stage performs exactly the array operations of
   the monolithic lockstep step it was extracted from, in the same order,
   so running the stages in sequence reproduces the serial per-clip
@@ -66,9 +66,10 @@ __all__ = [
     "CURSOR_STATE",
     "ENGINE_SCRATCH",
     "PLAN_SCRATCH",
-    "RESOURCES",
     "CHECKED_RESOURCES",
+    "WriteSetViolationError",
     "fingerprint_resource",
+    "run_checked",
     "stage_rfbme",
     "stage_decide",
     "stage_adopt_pixels",
@@ -103,45 +104,36 @@ ENGINE_SCRATCH = "engine_scratch"
 #: resolution, all of which run on the executor's driver thread.
 PLAN_SCRATCH = "plan_scratch"
 
-#: every declared resource, in a stable order.
-RESOURCES = (KEY_STATE, KEY_PIXELS, POLICY_STATE, CURSOR_STATE,
-             ENGINE_SCRATCH, PLAN_SCRATCH)
-
 #: resources with *persistent* content, cheap enough to fingerprint —
-#: what ``StageGraph.run(enforce_writes=True)`` verifies a stage left
-#: untouched unless declared in its write set.  The scratch resources
-#: are exempt by definition (their contents are dead between stages).
+#: what :func:`run_checked` verifies a stage left untouched unless
+#: declared in its write set.  The scratch resources are exempt by
+#: definition (their contents are dead between stages).
 CHECKED_RESOURCES = (KEY_STATE, KEY_PIXELS, POLICY_STATE, CURSOR_STATE)
 
 
-def _effects(reads=(), writes=(), fence=False):
-    """Attach declared LaneState read/write sets to a stage function.
-
-    ``fence`` keeps the stage out of the pipelined head (see
-    :meth:`~repro.runtime.stage_graph.StageGraph.overlap_split`).
-    """
+def _effects(reads=(), writes=()):
+    """Attach declared LaneState read/write sets to a stage function."""
 
     def mark(fn):
         fn.reads = frozenset(reads)
         fn.writes = frozenset(writes)
-        fn.fence = fence
         return fn
 
     return mark
 
 
+class WriteSetViolationError(ValueError):
+    """A stage mutated a lane-state resource outside its declared write set."""
+
+
 def fingerprint_resource(batch: "StepBatch", resource: str):
     """A cheap equality token for one checked resource of one step batch.
 
-    Used by the write-set enforcement mode of
-    :meth:`~repro.runtime.stage_graph.StageGraph.run`: two fingerprints
-    differ iff the resource's observable content changed.  Returns
-    ``None`` for scratch resources (exempt) and non-``StepBatch`` seeds.
+    Two fingerprints differ iff the resource's observable content
+    changed.  Returns ``None`` for scratch resources (exempt).
     """
     import zlib
 
-    if not isinstance(batch, StepBatch):
-        return None
     executors = [batch.slot(k).executor for k in range(len(batch))]
     if resource == KEY_STATE:
         return tuple(
@@ -163,6 +155,25 @@ def fingerprint_resource(batch: "StepBatch", resource: str):
     if resource == CURSOR_STATE:
         return tuple(batch.slot(k).cursor for k in range(len(batch)))
     return None
+
+
+def run_checked(fn, batch: "StepBatch", *args):
+    """Call stage function ``fn`` on ``batch`` and verify its write set.
+
+    Fingerprints every checked resource outside ``fn.writes`` before and
+    after the call, and raises :class:`WriteSetViolationError` if one
+    changed.  A testing aid: no hot path calls it.
+    """
+    guarded = [r for r in CHECKED_RESOURCES if r not in fn.writes]
+    before = [fingerprint_resource(batch, r) for r in guarded]
+    result = fn(batch, *args)
+    for resource, token in zip(guarded, before):
+        if fingerprint_resource(batch, resource) != token:
+            raise WriteSetViolationError(
+                f"stage {fn.__name__!r} mutated resource {resource!r} "
+                f"outside its declared write set {sorted(fn.writes)}"
+            )
+    return result
 
 
 @dataclass
@@ -313,7 +324,7 @@ def stage_decide(
     ]
 
 
-@_effects(reads={KEY_PIXELS}, writes={KEY_PIXELS}, fence=True)
+@_effects(reads={KEY_PIXELS}, writes={KEY_PIXELS})
 def stage_adopt_pixels(
     batch: StepBatch, decisions: Sequence[bool]
 ) -> List[int]:
@@ -321,10 +332,9 @@ def stage_adopt_pixels(
 
     The first half of adopting a key frame, split from the CNN prefix so
     the next step's ``rfbme`` — which reads only pixels — can start
-    while this step's prefix runs.  Fenced out of the pipelined head, a
-    scheduling choice: it runs on the driver thread, keeping the head
-    thread (the critical path when the CNN is cheap) to RFBME and the
-    decisions.
+    while this step's prefix runs.  It runs on the driver thread, before
+    the next step's head is launched: it writes the key pixels that
+    ``rfbme`` reads.
     """
     keys = [k for k, is_key in enumerate(decisions) if is_key]
     for k in keys:

@@ -6,11 +6,11 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
 
 * :class:`PipelineSpec` — picklable recipe for building identical
   pipelines in any worker.
-* :class:`StageGraph` / :class:`StageExecutor` — the frame lifecycle as
-  declared stages with typed inputs/outputs and resource read/write
-  sets (:func:`frame_lifecycle_graph`), topologically scheduled, run
-  over the picklable :class:`~repro.core.stages.LaneState`; the one
-  definition of the step that lockstep and serving both execute.  At
+* :class:`StageExecutor` — the one definition of the step that
+  lockstep and serving both execute: the stage functions of
+  :mod:`repro.core.stages` in the lifecycle's fixed order (RFBME,
+  decide, adopt pixels | CNN prefix, warp, CNN suffix, record) over the
+  picklable :class:`~repro.core.stages.LaneState`.  At
   ``pipeline_depth=2`` (the default) the executor software-pipelines
   step t+1's RFBME/decisions against step t's CNN stages
   (bit-identical) whenever the next batch is certain
@@ -20,7 +20,7 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
 * :class:`ServingRuntime` — streaming serving with continuous batching,
   split into a :class:`Router` front end (shape bucketing,
   :class:`LaneRoutingError` rejections) and :class:`LaneWorker` back
-  ends that run the stage graph, scheduled by one serve core whose
+  ends that run the step executor, scheduled by one serve core whose
   timelines (virtual clocks owning lane workers) cover in-process,
   inline-sharded, and process-sharded serving (plan-per-worker
   ownership); configured by one validated :class:`ServerConfig`;
@@ -29,7 +29,7 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
   breakdowns.
 * :class:`FrontDoor` / :class:`RequestSource` — the elastic front
   door: ``serve()`` accepts any request source (list, iterator or
-  generator, thread-fed :class:`QueueSource`, ``asyncio.Queue``) with
+  generator, thread-fed :class:`QueueSource`) with
   bounded in-flight admission (queue-depth watermarks, a named
   :class:`BackpressureError` on push-side overflow), a pure-function
   :class:`AutoscalePolicy` + :class:`Autoscaler` that grow and shrink
@@ -72,7 +72,6 @@ from .batched import (
     run_workload,
 )
 from .frontdoor import (
-    AsyncQueueSource,
     AutoscaleDecision,
     AutoscalePolicy,
     Autoscaler,
@@ -99,19 +98,7 @@ from .serving import (
 )
 from .prefix_service import PrefixService, PrefixStats
 from .spec import PAPER_MODES, PipelineSpec
-from .stage_graph import (
-    DuplicateOutputError,
-    PipelineContractError,
-    PipelineStats,
-    Stage,
-    StageCycleError,
-    StageExecutor,
-    StageGraph,
-    StageGraphError,
-    UndeclaredInputError,
-    WriteSetViolationError,
-    frame_lifecycle_graph,
-)
+from .stage_graph import PipelineContractError, PipelineStats, StageExecutor
 from .supervision import (
     FailoverEvent,
     FaultEvent,
@@ -141,7 +128,6 @@ __all__ = [
     "ListSource",
     "IteratorSource",
     "QueueSource",
-    "AsyncQueueSource",
     "as_request_source",
     "BackpressureError",
     "AutoscalePolicy",
@@ -156,17 +142,9 @@ __all__ = [
     "ServingReport",
     "ServingRuntime",
     "ShardInfo",
-    "Stage",
-    "StageGraph",
     "StageExecutor",
-    "StageGraphError",
-    "StageCycleError",
-    "UndeclaredInputError",
-    "DuplicateOutputError",
-    "WriteSetViolationError",
     "PipelineContractError",
     "PipelineStats",
-    "frame_lifecycle_graph",
     "PAPER_MODES",
     "PipelineSpec",
     "FaultEvent",

@@ -17,9 +17,9 @@ every stage of the frame lifecycle:
 * **Suffix** — the per-frame CNN tail runs once over the concatenated
   key and predicted activations.
 
-Each step executes as the declared stage graph of
-:func:`~repro.runtime.stage_graph.frame_lifecycle_graph` over a
-:class:`~repro.core.stages.LaneState` — the same graph the serving
+Each step runs the lifecycle's stage functions in their fixed order
+through a :class:`~repro.runtime.stage_graph.StageExecutor` over a
+:class:`~repro.core.stages.LaneState` — the same step the serving
 workers run.  Key-frame decisions stay per clip, and every batched
 stage is bitwise equal to its per-clip form (the inference plan keeps
 BLAS calls at serial shapes unless fusing is proven bit-identical on
@@ -50,7 +50,7 @@ from ..nn.inference import quantized_savings, resolve_plan_dtype
 from ..video.generator import VideoClip
 from .prefix_service import PrefixService
 from .spec import PipelineSpec
-from .stage_graph import StageExecutor, frame_lifecycle_graph
+from .stage_graph import StageExecutor
 
 __all__ = [
     "WorkloadResult",
@@ -86,11 +86,6 @@ class WorkloadResult:
     dtype: str = "float64"
     #: estimated MAC-energy / traffic savings for quantized dtypes.
     quant_savings: Optional[QuantSavings] = None
-
-    @property
-    def pipeline_engagement(self) -> float:
-        """Fraction of steps that ran with their head precomputed."""
-        return self.pipelined_steps / self.steps if self.steps else 0.0
 
     @property
     def num_clips(self) -> int:
@@ -200,8 +195,8 @@ class WorkloadResult:
 class BatchedPipeline:
     """Run a multi-clip workload in lockstep with batched hot paths.
 
-    ``pipeline_depth`` (default: the spec's) selects sequential step
-    execution (1) or the software-pipelined
+    The spec's ``pipeline_depth`` selects sequential step execution (1)
+    or the software-pipelined
     :class:`~repro.runtime.stage_graph.StageExecutor` (2): step
     ``t+1``'s RFBME/decisions run on a second thread while step ``t``
     runs its CNN prefix, warp, suffix and record.  Lockstep batches are
@@ -218,20 +213,8 @@ class BatchedPipeline:
     is the knob that pays here.
     """
 
-    def __init__(
-        self,
-        spec: PipelineSpec,
-        pipeline_depth: Optional[int] = None,
-        prefix_cache_mb: float = 0.0,
-    ):
+    def __init__(self, spec: PipelineSpec, prefix_cache_mb: float = 0.0):
         self.spec = spec
-        self.pipeline_depth = (
-            spec.pipeline_depth if pipeline_depth is None else pipeline_depth
-        )
-        if self.pipeline_depth < 1:
-            raise ValueError(
-                f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
-            )
         if prefix_cache_mb < 0:
             raise ValueError(
                 f"prefix_cache_mb must be >= 0, got {prefix_cache_mb}"
@@ -257,9 +240,7 @@ class BatchedPipeline:
         for slot in state.slots:
             slot.executor.reset()
             slot.policy.reset()
-        executor = StageExecutor(
-            frame_lifecycle_graph(), pipeline_depth=self.pipeline_depth
-        )
+        executor = StageExecutor(self.spec.pipeline_depth)
         plan = state.plan.resolve(len(clips)) if clips else None
         # Lockstep already fuses coincident key frames within a step, so
         # the service is pure cache here (coalesce off).
@@ -293,9 +274,9 @@ class BatchedPipeline:
                 next_batch = batches[t + 1] if t + 1 < len(batches) else None
                 # The step stream is static, so every handoff is
                 # definite.
-                env = executor.step(batch, next_batch=next_batch)
+                step = executor.step(batch, next_batch=next_batch)
                 for k, i in enumerate(batch.positions):
-                    records[i].append(env["records"][k])
+                    records[i].append(step.records[k])
                     state.slots[i].cursor += 1
         finally:
             executor.close()

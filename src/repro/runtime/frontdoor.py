@@ -6,10 +6,9 @@ module is that layer for the EVA2 serving runtime, split into four
 pieces that :class:`~repro.runtime.serving.ServingRuntime` composes:
 
 * :class:`RequestSource` and its adapters (:class:`ListSource`,
-  :class:`IteratorSource`, :class:`QueueSource`,
-  :class:`AsyncQueueSource`) — *streaming ingestion*.
-  ``ServingRuntime.serve()`` accepts any of them (or a plain list /
-  iterator / generator / :class:`asyncio.Queue`, coerced by
+  :class:`IteratorSource`, :class:`QueueSource`) — *streaming
+  ingestion*.  ``ServingRuntime.serve()`` accepts any of them (or a
+  plain list / iterator / generator, coerced by
   :func:`as_request_source`): a source yields ``(seq, request)`` pairs
   in nondecreasing arrival order, and the historical list path is just
   one adapter that pre-sorts by ``(arrival_time, submission order)``.
@@ -40,7 +39,6 @@ spawned or drained, which is what makes elasticity safe to apply.
 
 from __future__ import annotations
 
-import asyncio
 import os
 import queue as queue_module
 from collections import deque
@@ -64,7 +62,6 @@ __all__ = [
     "ListSource",
     "IteratorSource",
     "QueueSource",
-    "AsyncQueueSource",
     "as_request_source",
     "FrontDoor",
     "ScaleEvent",
@@ -236,52 +233,17 @@ class QueueSource(RequestSource):
         self._closed = True
 
 
-class AsyncQueueSource(RequestSource):
-    """Adapt an :class:`asyncio.Queue` fed by producer coroutines.
-
-    The serve loop pulls with ``get_nowait`` (it never awaits), so the
-    producing event loop must run concurrently (or have finished
-    filling the queue).  Call :meth:`close` after the last put — until
-    then an empty queue means "nothing yet", not end-of-stream.
-    """
-
-    def __init__(self, async_queue: "asyncio.Queue"):
-        super().__init__()
-        self._queue = async_queue
-        self._closed = False
-
-    def _next_pair(self) -> Optional[Tuple[int, object]]:
-        try:
-            request = self._queue.get_nowait()
-        except asyncio.QueueEmpty:
-            return None
-        if request is None:  # producer-side end-of-stream sentinel
-            self._closed = True
-            return None
-        return self._take_seq(), request
-
-    @property
-    def finished(self) -> bool:
-        return self._closed and self._queue.empty()
-
-    def close(self) -> None:
-        self._closed = True
-
-
 def as_request_source(requests) -> RequestSource:
     """Coerce whatever ``serve()`` was handed into a request source."""
     if isinstance(requests, RequestSource):
         return requests
     if isinstance(requests, (list, tuple)):
         return ListSource(requests)
-    if isinstance(requests, asyncio.Queue):
-        return AsyncQueueSource(requests)
     if isinstance(requests, Iterable):
         return IteratorSource(requests)
     raise TypeError(
         f"serve() accepts a sequence of requests, an iterator/generator, "
-        f"an asyncio.Queue, or a RequestSource; got "
-        f"{type(requests).__name__}"
+        f"or a RequestSource; got {type(requests).__name__}"
     )
 
 

@@ -30,10 +30,10 @@ bit:
   ``Network.load_state_dict`` bumps ``weight_version``, so a live
   weight swap invalidates without draining the cache explicitly.
 
-Pipelining needs nothing from the service: ``cnn_prefix`` lives in the
-executor's mid or tail segment, which runs on the driver thread, and a
-pipelined head runs RFBME/decide only — so a head never touches fused
-batches or cache entries.
+Pipelining needs nothing from the service: ``cnn_prefix`` is in the
+executor's tail, which runs on the driver thread, and a pipelined head
+runs RFBME/decide only — so a head never touches fused batches or cache
+entries.
 """
 
 from __future__ import annotations
@@ -75,14 +75,6 @@ class PrefixStats:
         self.evictions += other.evictions
         self.saved_macs += other.saved_macs
 
-    def reset(self) -> None:
-        self.fused_batches = 0
-        self.fused_rows = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.saved_macs = 0
-
 
 class _PrefixCache:
     """Byte-bounded LRU of prefix activations."""
@@ -117,10 +109,6 @@ class _PrefixCache:
             self.nbytes -= dropped.nbytes
             evicted += 1
         return evicted
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.nbytes = 0
 
 
 def _frame_digest(frame: np.ndarray) -> bytes:
@@ -168,7 +156,7 @@ class PrefixService:
     # ------------------------------------------------------------------ #
     def prepare(self, batch, decisions) -> None:
         """Register one lane's key-frame rows for the next :meth:`flush`."""
-        if not self.coalesce or decisions is None or batch.plan is None:
+        if not self.coalesce or batch.plan is None:
             return
         keys = [k for k, is_key in enumerate(decisions) if is_key]
         if keys:
@@ -296,9 +284,3 @@ class PrefixService:
         for j, row in enumerate(rows):
             out[j] = row
         return out
-
-    # ------------------------------------------------------------------ #
-    def reset_stats(self) -> None:
-        self.stats.reset()
-        self._pending.clear()
-        self._staged.clear()

@@ -9,10 +9,9 @@ The serving layer is split along the line a deployment would draw:
   :class:`LaneRoutingError` that names every registered lane.  Pure
   bookkeeping — it never touches an executor.
 * :class:`LaneWorker` — the back end.  One *shard* of one lane: warm
-  executor slots and the lane's compiled inference plan, driving the
-  declared stage graph
-  (:func:`~repro.runtime.stage_graph.frame_lifecycle_graph`) one step at
-  a time through a :class:`~repro.runtime.stage_graph.StageExecutor`.
+  executor slots and the lane's compiled inference plan, running the
+  frame lifecycle one step at a time through a
+  :class:`~repro.runtime.stage_graph.StageExecutor`.
   With a ``pipeline_depth=2`` spec (the default) the worker
   software-pipelines every step whose successor is certain: at provably
   stable membership (full occupancy, no departure due) it hands the
@@ -103,7 +102,7 @@ from .frontdoor import (
 )
 from .prefix_service import PrefixService, PrefixStats
 from .spec import PipelineSpec
-from .stage_graph import PipelineStats, StageExecutor, frame_lifecycle_graph
+from .stage_graph import PipelineStats, Step, StageExecutor
 from .supervision import (
     FailoverEvent,
     FaultEvent,
@@ -582,14 +581,15 @@ class _Resident:
 
 
 class LaneWorker:
-    """One shard of one lane: slots, plan, and the stage graph.
+    """One shard of one lane: slots, plan, and the step executor.
 
     Holds the lane's picklable execution state
     (:class:`~repro.core.stages.LaneState`: warm executor slots, plan
     handle, per-clip cursors) plus the per-slot residents, and advances
-    everything one lifecycle step at a time by running the declared
-    stage graph at the current occupancy.  Admission and accounting
-    belong to the serve core's timelines.
+    everything one lifecycle step at a time through a
+    :class:`~repro.runtime.stage_graph.StageExecutor` at the current
+    occupancy.  Admission and accounting belong to the serve core's
+    timelines.
 
     A worker is cheap to build from its spec, which is how process
     shards work: the parent ships ``(lane, spec, capacity)`` to a worker
@@ -623,14 +623,11 @@ class LaneWorker:
         plan_handle = PlanHandle(network, spec.dtype)
         plan_handle.resolve(capacity)  # compile at capacity up front
         self.state = LaneState(slots=slots, plan=plan_handle)
-        self.executor = StageExecutor(
-            frame_lifecycle_graph(), pipeline_depth=spec.pipeline_depth
-        )
+        self.executor = StageExecutor(spec.pipeline_depth)
         #: the pipelined next-step batch (its head stages already ran).
         self._pending: Optional[StepBatch] = None
-        #: the in-flight (positions, env) between ``begin_step`` and its
-        #: ``finish_step``.
-        self._round = None
+        #: the step between ``begin_step`` and its ``finish_step``.
+        self._round: Optional[Step] = None
         #: memoised ``[occupancy, min frames remaining]`` behind the
         #: stability predicate; None = must rescan (membership event).
         self._stable_cache: Optional[List[int]] = None
@@ -730,12 +727,11 @@ class LaneWorker:
         """Phase 1 of a serve round: head stages + this step's decisions.
 
         Resolves the step batch (the pipelined handoff, if one is
-        pending), runs the stage executor up to the coalescing barrier —
-        so the step's key-frame decisions are final — and hands the next
-        step's batch over when it is certain, so its head runs during
-        the round's flush and CNN stages.  With
-        ``register=True`` it registers the key rows with the worker's
-        prefix service for the round's
+        pending), runs the step's head and mid — so its key-frame
+        decisions are final — and hands the next step's batch over when
+        it is certain, so its head runs during the round's flush and CNN
+        stages.  With ``register=True`` it registers the key rows with
+        the worker's prefix service for the round's
         :meth:`~repro.runtime.prefix_service.PrefixService.flush`.  Must
         be paired with exactly one :meth:`finish_step`.
         """
@@ -746,10 +742,9 @@ class LaneWorker:
         if batch is None:
             batch = self._build_batch(positions)
         self._pending = self._next_batch(positions)
-        env = self.executor.begin_step(batch, next_batch=self._pending)
-        self._round = (positions, env)
+        self._round = self.executor.begin_step(batch, self._pending)
         if register and self.prefix_service is not None:
-            self.prefix_service.prepare(batch, env.get("decisions"))
+            self.prefix_service.prepare(batch, self._round.decisions)
 
     def _next_batch(self, positions: List[int]) -> Optional[StepBatch]:
         """The batch to pipeline after this step's, or None when the
@@ -760,13 +755,12 @@ class LaneWorker:
 
     def finish_step(self) -> List[_Resident]:
         """Phase 2 of a serve round: CNN stages and bookkeeping."""
-        positions, env = self._round
+        step = self.executor.finish_step(self._round)
         self._round = None
-        self.executor.finish_step(env)
         finished: List[_Resident] = []
-        for k, i in enumerate(positions):
+        for k, i in enumerate(step.batch.positions):
             resident = self.residents[i]
-            resident.records.append(env["records"][k])
+            resident.records.append(step.records[k])
             slot = self.state.slots[i]
             slot.cursor += 1
             if slot.cursor >= len(resident.request.clip):
@@ -1429,8 +1423,7 @@ class ServingRuntime:
 
         ``requests`` is anything :func:`as_request_source` accepts: a
         sequence (routing and duplicate-id failures surface before any
-        serving starts), an iterator or generator, an
-        :class:`asyncio.Queue`, or a
+        serving starts), an iterator or generator, or a
         :class:`~repro.runtime.frontdoor.RequestSource` such as a
         bounded :class:`~repro.runtime.frontdoor.QueueSource`.
         """

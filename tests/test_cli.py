@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _parse_kill_shard, build_parser, main
 
 
 class TestCLI:
@@ -162,3 +164,49 @@ class TestCLI:
     def test_bad_network_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["hardware", "--network", "resnet"])
+
+
+class TestCorrectnessPaths:
+    """The int8 tolerance check behind ``serve --verify-tolerance`` and
+    the ``--kill-shard`` parser, driven in process through ``main``."""
+
+    SERVE = ["serve", "--clips", "6", "--frames", "8"]
+
+    def test_verify_tolerance_met(self, capsys):
+        assert main(self.SERVE + ["--dtype", "int8",
+                                  "--verify-tolerance"]) == 0
+        out = capsys.readouterr().out
+        assert "tolerance contract (int8)" in out
+        assert "tolerance contract met" in out
+
+    def test_verify_tolerance_needs_a_quantized_dtype(self, capsys):
+        assert main(self.SERVE + ["--dtype", "float64",
+                                  "--verify-tolerance"]) == 2
+        assert "needs a quantized --dtype" in capsys.readouterr().err
+
+    def test_verify_tolerance_violation_fails(self, capsys, monkeypatch):
+        from repro.nn.train import get_trained_network
+
+        plan = get_trained_network(
+            "mini_fasterm", fresh_copy=False
+        ).inference_plan(1, "int8")
+        monkeypatch.setattr(
+            plan, "tolerance", replace(plan.tolerance, max_abs_error=1e-9)
+        )
+        assert main(self.SERVE + ["--dtype", "int8",
+                                  "--verify-tolerance"]) == 1
+        captured = capsys.readouterr()
+        assert "(bound 0.0000)" in captured.out
+        assert "violate the tolerance contract" in captured.err
+
+    def test_kill_shard_parses(self):
+        event = _parse_kill_shard("1@0.25")
+        assert (event.kind, event.lane, event.shard, event.at) == (
+            "kill", "default", 1, 0.25
+        )
+
+    def test_bad_kill_shard_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--kill-shard", "x"])
+        assert info.value.code == 2
+        assert "SHARD@SECONDS" in capsys.readouterr().err

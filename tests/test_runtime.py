@@ -3,6 +3,7 @@ lockstep BatchedPipeline — including the contract that every execution
 path produces results identical to the serial loop."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,7 +239,9 @@ class TestPipelinedLockstep:
             assert all(mask.all() for mask in masks)
         else:
             assert any((mask[:-1] & ~mask[1:]).any() for mask in masks)
-        sequential = BatchedPipeline(spec, pipeline_depth=1).run_workload(clips)
+        sequential = BatchedPipeline(
+            replace(spec, pipeline_depth=1)
+        ).run_workload(clips)
         piped = BatchedPipeline(spec).run_workload(clips)
         assert sequential.pipelined_steps == 0
         assert piped.pipelined_steps == piped.steps - 1
@@ -264,11 +267,13 @@ class TestPipelinedLockstep:
     def test_pipelined_run_leaves_one_blas_thread(self, spec, workload):
         from repro.runtime import blas
 
-        BatchedPipeline(spec, pipeline_depth=2).run_workload(workload)
+        BatchedPipeline(replace(spec, pipeline_depth=2)).run_workload(workload)
         assert set(blas.openblas_threads().values()) <= {1}
 
     def test_pipelined_matches_serial(self, spec, workload, serial_result):
-        piped = BatchedPipeline(spec, pipeline_depth=2).run_workload(workload)
+        piped = BatchedPipeline(
+            replace(spec, pipeline_depth=2)
+        ).run_workload(workload)
         _assert_identical(piped, serial_result)
 
     def test_spec_depth_reaches_lockstep(self, workload, serial_result):
@@ -283,7 +288,7 @@ class TestPipelinedLockstep:
         clips = synthetic_workload(2, num_frames=7, base_seed=2) + \
             synthetic_workload(2, num_frames=3, base_seed=13)
         serial = run_workload(spec, clips, batch=False)
-        piped = BatchedPipeline(spec, pipeline_depth=2).run_workload(clips)
+        piped = BatchedPipeline(replace(spec, pipeline_depth=2)).run_workload(clips)
         _assert_identical(piped, serial)
 
     def test_pipelined_memoize_network(self):
@@ -296,12 +301,14 @@ class TestPipelinedLockstep:
 
     def test_depth_beyond_two_behaves_as_two(self, spec, workload,
                                              serial_result):
-        piped = BatchedPipeline(spec, pipeline_depth=4).run_workload(workload)
+        piped = BatchedPipeline(
+            replace(spec, pipeline_depth=4)
+        ).run_workload(workload)
         _assert_identical(piped, serial_result)
 
     def test_bad_depth_rejected(self, spec):
         with pytest.raises(ValueError, match="pipeline_depth"):
-            BatchedPipeline(spec, pipeline_depth=0)
+            replace(spec, pipeline_depth=0)
         with pytest.raises(ValueError, match="pipeline_depth"):
             PipelineSpec(network=NETWORK, pipeline_depth=0)
 

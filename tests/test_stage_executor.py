@@ -1,51 +1,68 @@
-"""Stage-graph scheduling and the pipelined executor.
+"""The fixed lifecycle step and its pipelined executor.
 
-PR 5 promoted :class:`~repro.runtime.stage_graph.StageGraph` from a
-validated wiring diagram into a dependency-driven executor: stages are
-topologically scheduled from their declared inputs/outputs, validation
-failures raise *named* errors, declared read/write sets prove which
-stages of consecutive steps may overlap, and
-:class:`~repro.runtime.stage_graph.StageExecutor` software-pipelines the
-conflict-free head of step ``t+1`` into step ``t``'s tail — bit-identical
-to sequential execution by construction.
+:class:`~repro.runtime.stage_graph.StageExecutor` runs the stage
+functions of :mod:`repro.core.stages` in one fixed order — head
+``rfbme``/``decide``, mid ``adopt_pixels``, tail ``cnn_prefix``/``warp``/
+``cnn_suffix``/``record`` — and at depth 2 runs a handed-over next
+step's head on a worker thread during this step's tail.  These tests
+check the stages' declared write sets
+(:func:`~repro.core.stages.run_checked`), the proof that the head may
+overlap the tail, and the executor's contract on real step batches.
 """
+
+import itertools
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.stages import (
+    CURSOR_STATE,
     ENGINE_SCRATCH,
     KEY_PIXELS,
     KEY_STATE,
     PLAN_SCRATCH,
     POLICY_STATE,
+    LaneSlot,
+    LaneState,
+    PlanHandle,
+    StepBatch,
+    WriteSetViolationError,
+    _effects,
     fingerprint_resource,
+    run_checked,
+    stage_adopt_pixels,
     stage_cnn_prefix,
+    stage_cnn_suffix,
+    stage_decide,
+    stage_record,
+    stage_rfbme,
+    stage_warp,
 )
 from repro.runtime import (
+    BatchedPipeline,
     ClipRequest,
-    DuplicateOutputError,
     LaneWorker,
     PipelineContractError,
     PipelineSpec,
-    Stage,
-    StageCycleError,
     StageExecutor,
-    StageGraph,
-    StageGraphError,
-    UndeclaredInputError,
-    WriteSetViolationError,
-    frame_lifecycle_graph,
     synthetic_workload,
 )
+from repro.runtime import stage_graph
 
 NETWORK = "mini_fasterm"
+
+#: the lifecycle's stage functions, in the executor's fixed order.
+LIFECYCLE = (stage_rfbme, stage_decide, stage_adopt_pixels, stage_cnn_prefix,
+             stage_warp, stage_cnn_suffix, stage_record)
 
 
 @pytest.fixture(scope="module")
 def spec():
     # Depth 1: a pipelined worker would leave its next head in flight,
-    # still deciding on lane state these tests fingerprint.
+    # still deciding on lane state these tests fingerprint.  A static
+    # interval of 2 mixes key and predicted frames, so every stage works.
     spec = PipelineSpec(network=NETWORK, policy="static", interval=2,
                         pipeline_depth=1)
     spec.warm()
@@ -57,150 +74,158 @@ def clips():
     return synthetic_workload(3, num_frames=6, base_seed=4)
 
 
-def _stage(name, fn, inputs, outputs, reads=(), writes=()):
-    return Stage(name, fn, tuple(inputs), tuple(outputs),
-                 frozenset(reads), frozenset(writes))
+def _occupied_batch(spec, clips):
+    """A mid-stream batch: clips admitted on consecutive steps."""
+    worker = LaneWorker("default", spec, capacity=len(clips))
+    for i, clip in enumerate(clips):
+        worker.admit(i, ClipRequest(request_id=i, clip=clip), now=0.0)
+        worker.step()
+    return worker._build_batch(
+        [i for i, r in enumerate(worker.residents) if r is not None]
+    )
 
 
-class TestValidationErrors:
-    """Each declaration failure mode raises its own named error."""
-
-    def test_cycle_detected(self):
-        a = _stage("a", lambda batch, y: 1, ("batch", "y"), ("x",))
-        b = _stage("b", lambda batch, x: 2, ("batch", "x"), ("y",))
-        with pytest.raises(StageCycleError, match="cycle"):
-            StageGraph([a, b])
-
-    def test_self_cycle_detected(self):
-        loop = _stage("loop", lambda batch, x: x, ("batch", "x"), ("x",))
-        with pytest.raises(StageCycleError):
-            StageGraph([loop])
-
-    def test_undeclared_input(self):
-        with pytest.raises(UndeclaredInputError, match="consumes"):
-            StageGraph(
-                [_stage("a", lambda batch, x: x, ("batch", "missing"), ("y",))]
-            )
-
-    def test_duplicate_output_producer(self):
-        a = _stage("a", lambda batch: 1, ("batch",), ("x",))
-        b = _stage("b", lambda batch: 2, ("batch",), ("x",))
-        with pytest.raises(DuplicateOutputError, match="redefine"):
-            StageGraph([a, b])
-
-    def test_seed_name_cannot_be_produced(self):
-        with pytest.raises(DuplicateOutputError):
-            StageGraph([_stage("a", lambda batch: 1, ("batch",), ("batch",))])
-
-    def test_all_named_errors_are_value_errors(self):
-        for error in (StageCycleError, UndeclaredInputError,
-                      DuplicateOutputError, WriteSetViolationError):
-            assert issubclass(error, StageGraphError)
-            assert issubclass(error, ValueError)
+def _lockstep_batches(spec, clips):
+    """A fresh lane and its static lockstep step stream, as
+    :class:`~repro.runtime.BatchedPipeline` builds them."""
+    network = spec.shared_network()
+    state = LaneState(
+        slots=[LaneSlot(executor=spec.build_executor(network),
+                        policy=spec.build_policy()) for _ in clips],
+        plan=PlanHandle(network, spec.dtype),
+    )
+    plan = state.plan.resolve(len(clips))
+    positions = list(range(len(clips)))
+    return [
+        StepBatch(state=state, positions=positions,
+                  frames=[clip.frames[t] for clip in clips], plan=plan,
+                  cursors=[t] * len(clips))
+        for t in range(min(len(clip) for clip in clips))
+    ]
 
 
-class TestTopologicalSchedule:
-    def test_out_of_order_declaration_is_scheduled(self):
-        """Declaration order no longer constrains execution order."""
-        consume = _stage("consume", lambda batch, x: x + 1, ("batch", "x"),
-                         ("y",))
-        produce = _stage("produce", lambda batch: 41, ("batch",), ("x",))
-        graph = StageGraph([consume, produce])
-        assert [stage.name for stage in graph] == ["produce", "consume"]
-        assert graph.run(batch=None)["y"] == 42
-
-    def test_declaration_order_breaks_ties(self):
-        stages = [
-            _stage(name, lambda batch: 1, ("batch",), (f"out_{name}",))
-            for name in ("c", "a", "b")
+def _run_stream(executor, batches):
+    try:
+        return [
+            executor.step(batch, next_batch=(
+                batches[t + 1] if t + 1 < len(batches) else None
+            )).records
+            for t, batch in enumerate(batches)
         ]
-        graph = StageGraph(stages)
-        assert [stage.name for stage in graph] == ["c", "a", "b"]
+    finally:
+        executor.close()
+
+
+def _log_stages(monkeypatch, calls):
+    """Wrap every stage function the executor calls; each call appends
+    ``(name, thread name, start tick, end tick, batch)`` to ``calls``."""
+    tick = itertools.count()
+
+    def logged(fn):
+        def run(batch, *args):
+            start = next(tick)
+            result = fn(batch, *args)
+            calls.append((fn.__name__, threading.current_thread().name,
+                          start, next(tick), batch))
+            return result
+
+        return run
+
+    for fn in LIFECYCLE:
+        monkeypatch.setattr(stage_graph, fn.__name__, logged(fn))
+
+
+def _lifecycle(batch, call=run_checked, prefix=stage_cnn_prefix):
+    """One step's stages in the fixed order, each through ``call``."""
+    estimations = call(stage_rfbme, batch)
+    decisions = call(stage_decide, batch, estimations)
+    call(stage_adopt_pixels, batch, decisions)
+    key_acts = call(prefix, batch, decisions)
+    pred_acts = call(stage_warp, batch, decisions, estimations)
+    outputs = call(stage_cnn_suffix, batch, decisions, key_acts, pred_acts)
+    return call(stage_record, batch, decisions, estimations, outputs)
+
+
+def _conflicts(a, b) -> bool:
+    """The dependence test over declared resources: one stage writes
+    something the other reads or writes.  Read-read sharing is free."""
+    return bool(a.writes & (b.reads | b.writes) or b.writes & a.reads)
 
 
 class TestWriteSetEnforcement:
-    def _occupied_batch(self, spec, clips):
-        worker = LaneWorker("default", spec, capacity=len(clips))
-        for i, clip in enumerate(clips):
-            worker.admit(i, ClipRequest(request_id=i, clip=clip), now=0.0)
-            worker.step()
-        return worker._build_batch(
-            [i for i, r in enumerate(worker.residents) if r is not None]
-        )
-
     def test_undeclared_policy_mutation_raises(self, spec, clips):
-        batch = self._occupied_batch(spec, clips)
+        batch = _occupied_batch(spec, clips)
 
+        @_effects()
         def rogue(batch):
             batch.slot(0).policy._frames_since_key += 1  # undeclared write
             return "done"
 
-        graph = StageGraph([_stage("rogue", rogue, ("batch",), ("x",))])
         with pytest.raises(WriteSetViolationError, match="policy_state"):
-            graph.run(batch, enforce_writes=True)
+            run_checked(rogue, batch)
 
     def test_undeclared_key_state_mutation_raises(self, spec, clips):
-        batch = self._occupied_batch(spec, clips)
+        batch = _occupied_batch(spec, clips)
 
+        @_effects()
         def rogue(batch):
             batch.slot(0).executor.reset()  # drops stored key state
             return "done"
 
-        graph = StageGraph([_stage("rogue", rogue, ("batch",), ("x",))])
         with pytest.raises(WriteSetViolationError, match="key_state"):
-            graph.run(batch, enforce_writes=True)
+            run_checked(rogue, batch)
 
     def test_declared_mutation_passes(self, spec, clips):
         """A stage whose write set covers its mutation is accepted."""
-        batch = self._occupied_batch(spec, clips)
+        batch = _occupied_batch(spec, clips)
 
+        @_effects(writes={POLICY_STATE})
         def declared(batch):
             batch.slot(0).policy._frames_since_key += 1
             return "done"
 
-        graph = StageGraph(
-            [_stage("declared", declared, ("batch",), ("x",),
-                    writes={POLICY_STATE})]
-        )
-        assert graph.run(batch, enforce_writes=True)["x"] == "done"
+        assert run_checked(declared, batch) == "done"
 
     def test_lifecycle_graph_honours_its_declarations(self, spec, clips):
         """The real frame lifecycle runs clean under full enforcement —
         every mutation it performs is one it declared."""
-        batch = self._occupied_batch(spec, clips)
-        env = frame_lifecycle_graph().run(
-            batch, enforce_writes=True
-        )
-        assert len(env["records"]) == len(batch)
+        batch = _occupied_batch(spec, clips)
+        assert len(_lifecycle(batch)) == len(batch)
 
     def test_each_half_of_key_state_has_one_writer(self, spec, clips):
         """adopt_pixels changes key pixels and never the activation;
         cnn_prefix changes the activation and never key pixels."""
-        batch = self._occupied_batch(spec, clips)
-        env = {"batch": batch}
+        batch = _occupied_batch(spec, clips)
         changed = {}
-        for stage in frame_lifecycle_graph():
+        seen = {}
+
+        def call(fn, batch, *args):
             before = {resource: fingerprint_resource(batch, resource)
                       for resource in (KEY_PIXELS, KEY_STATE)}
-            result = stage.fn(*[env[name] for name in stage.inputs])
-            env[stage.outputs[0]] = result
-            changed[stage.name] = {
+            result = fn(batch, *args)
+            seen[fn.__name__] = result
+            changed[fn.__name__] = {
                 resource
                 for resource in (KEY_PIXELS, KEY_STATE)
                 if fingerprint_resource(batch, resource) != before[resource]
             }
-        assert True in env["decisions"] and False in env["decisions"]
-        assert changed["adopt_pixels"] == {KEY_PIXELS}
-        assert changed["cnn_prefix"] == {KEY_STATE}
+            return result
+
+        _lifecycle(batch, call=call)
+        decisions = seen["stage_decide"]
+        assert True in decisions and False in decisions
+        assert changed["stage_adopt_pixels"] == {KEY_PIXELS}
+        assert changed["stage_cnn_prefix"] == {KEY_STATE}
         assert all(not resources for name, resources in changed.items()
-                   if name not in ("adopt_pixels", "cnn_prefix"))
+                   if name not in ("stage_adopt_pixels", "stage_cnn_prefix"))
 
     def test_prefix_storing_pixels_is_caught(self, spec, clips):
         """Enforcement has the power to catch a prefix that writes key
         pixels — the write the overlap of rfbme(t+1) with cnn_prefix(t)
         relies on never happening."""
-        batch = self._occupied_batch(spec, clips)
+        batch = _occupied_batch(spec, clips)
 
+        @_effects(reads=stage_cnn_prefix.reads, writes=stage_cnn_prefix.writes)
         def prefix_and_pixels(batch, decisions):
             for k, is_key in enumerate(decisions):
                 if is_key:
@@ -209,173 +234,168 @@ class TestWriteSetEnforcement:
                     )
             return stage_cnn_prefix(batch, decisions)
 
-        graph = StageGraph([
-            Stage(stage.name, prefix_and_pixels, stage.inputs,
-                  stage.outputs, stage.reads, stage.writes)
-            if stage.name == "cnn_prefix" else stage
-            for stage in frame_lifecycle_graph()
-        ])
         with pytest.raises(WriteSetViolationError, match="key_pixels"):
-            graph.run(batch, enforce_writes=True)
+            _lifecycle(batch, prefix=prefix_and_pixels)
 
 
 class TestOverlapSplit:
-    def test_planned_lifecycle_split(self):
-        """The paper's overlap: RFBME/decide against the whole CNN —
-        prefix, warp, suffix, record — fenced only by adopt_pixels (the
-        stored key pixels feed the next RFBME)."""
-        head, mid, tail = frame_lifecycle_graph().overlap_split()
-        assert [stage.name for stage in head] == ["rfbme", "decide"]
-        assert [stage.name for stage in mid] == ["adopt_pixels"]
-        assert [stage.name for stage in tail] == ["cnn_prefix", "warp",
-                                                  "cnn_suffix", "record"]
+    def test_planned_lifecycle_split(self, monkeypatch, spec, clips):
+        """The paper's overlap, proved on a running pipelined workload:
+        exactly rfbme and decide run on the head thread, no head stage
+        conflicts with a tail stage, and adopt_pixels — which writes
+        the key pixels rfbme reads — finishes before the next head
+        starts."""
+        calls = []
+        _log_stages(monkeypatch, calls)
+        result = BatchedPipeline(
+            replace(spec, pipeline_depth=2)
+        ).run_workload(clips)
+        assert result.pipelined_steps == result.steps - 1 > 0
 
-    def test_fence_keeps_stage_out_of_head(self):
-        """adopt_pixels fits in the head by its resource sets alone; its
-        fence is what keeps it on the driver thread."""
-        graph = frame_lifecycle_graph()
-        unfenced = StageGraph([
-            Stage(stage.name, stage.fn, stage.inputs, stage.outputs,
-                  stage.reads, stage.writes, fence=False)
-            for stage in graph
-        ])
-        head, mid, tail = unfenced.overlap_split()
-        assert [stage.name for stage in head] == ["rfbme", "decide",
-                                                  "adopt_pixels"]
-        assert mid == ()
+        def on_head(thread):
+            return thread.startswith("stage-head")
 
-    def test_conflicting_graph_does_not_pipeline(self):
-        """Every stage touching one resource leaves no overlap window."""
-        a = _stage("a", lambda batch: 1, ("batch",), ("x",),
-                   writes={KEY_STATE})
-        b = _stage("b", lambda batch, x: x, ("batch", "x"), ("y",),
-                   reads={KEY_STATE}, writes={KEY_STATE})
-        graph = StageGraph([a, b])
-        head, mid, tail = graph.overlap_split()
-        assert head == () and tail == ()
-        assert not StageExecutor(graph, pipeline_depth=2).pipelined
+        head = {name for name, thread, *_ in calls if on_head(thread)}
+        assert head == {"stage_rfbme", "stage_decide"}
+
+        by_batch = {}
+        for call in sorted(calls, key=lambda call: call[2]):
+            by_batch.setdefault(id(call[4]), []).append(call)
+        steps = list(by_batch.values())  # in step order
+        assert len(steps) == result.steps
+        driver = ["stage_adopt_pixels", "stage_cnn_prefix", "stage_warp",
+                  "stage_cnn_suffix", "stage_record"]
+        for previous, step in zip(steps, steps[1:]):
+            assert [name for name, thread, *_ in step
+                    if not on_head(thread)] == driver
+            adopted = next(end for name, _, _, end, _ in previous
+                           if name == "stage_adopt_pixels")
+            rfbme = next(start for name, _, start, _, _ in step
+                         if name == "stage_rfbme")
+            assert rfbme > adopted  # the launch waited for adopt_pixels
+
+        stages = {fn.__name__: fn for fn in LIFECYCLE}
+        tail = set(driver[1:])
+        for h in head:
+            for t in tail:
+                assert not _conflicts(stages[h], stages[t]), (h, t)
+        assert _conflicts(stage_adopt_pixels, stage_rfbme)
+
+    def test_fence_keeps_stage_out_of_head(self, monkeypatch, spec, clips):
+        """adopt_pixels fits in the head by its resource sets alone — it
+        conflicts with no head or tail stage — yet it runs on the driver
+        thread: it writes the key pixels the next head's rfbme reads."""
+        tail = (stage_cnn_prefix, stage_warp, stage_cnn_suffix, stage_record)
+        for stage in (stage_decide, *tail):
+            assert not _conflicts(stage_adopt_pixels, stage), stage.__name__
+        assert _conflicts(stage_adopt_pixels, stage_rfbme)
+
+        calls = []
+        _log_stages(monkeypatch, calls)
+        result = BatchedPipeline(
+            replace(spec, pipeline_depth=2)
+        ).run_workload(clips)
+        assert result.pipelined_steps > 0
+        driver = threading.current_thread().name
+        adopt = [thread for name, thread, *_ in calls
+                 if name == "stage_adopt_pixels"]
+        assert len(adopt) == result.steps
+        assert set(adopt) == {driver}
 
     def test_effects_default_from_stage_functions(self):
-        """Stages inherit the read/write sets their functions declare."""
-        graph = frame_lifecycle_graph()
-        by_name = {stage.name: stage for stage in graph}
-        assert by_name["rfbme"].reads == {KEY_PIXELS}
-        assert by_name["rfbme"].writes == {ENGINE_SCRATCH}
-        assert by_name["decide"].writes == {POLICY_STATE}
-        assert by_name["adopt_pixels"].writes == {KEY_PIXELS}
-        assert by_name["adopt_pixels"].fence
-        assert by_name["cnn_prefix"].writes == {KEY_STATE, PLAN_SCRATCH}
-        assert by_name["warp"].reads == {KEY_STATE}
-        assert by_name["cnn_suffix"].writes == {PLAN_SCRATCH}
-        assert by_name["record"].writes == frozenset()
+        """Each stage function carries its declared read/write sets."""
+        assert stage_rfbme.reads == {KEY_PIXELS}
+        assert stage_rfbme.writes == {ENGINE_SCRATCH}
+        assert stage_decide.reads == {POLICY_STATE, CURSOR_STATE}
+        assert stage_decide.writes == {POLICY_STATE}
+        assert stage_adopt_pixels.writes == {KEY_PIXELS}
+        assert stage_cnn_prefix.writes == {KEY_STATE, PLAN_SCRATCH}
+        assert stage_warp.reads == {KEY_STATE}
+        assert stage_warp.writes == frozenset()
+        assert stage_cnn_suffix.writes == {PLAN_SCRATCH}
+        assert stage_record.writes == frozenset()
 
 
 class TestStageExecutor:
-    def _toy_graph(self, log):
-        """a → b → c over integer 'batches'; a may overlap b/c."""
-
-        def stage_a(batch):
-            log.append(("a", batch))
-            return batch * 10
-
-        def stage_b(batch, x):
-            log.append(("b", batch))
-            return x + 1
-
-        def stage_c(batch, y):
-            log.append(("c", batch))
-            return y * 2
-
-        return StageGraph(
-            [
-                _stage("a", stage_a, ("batch",), ("x",)),
-                _stage("b", stage_b, ("batch", "x"), ("y",)),
-                _stage("c", stage_c, ("batch", "y"), ("z",)),
-            ]
-        )
-
-    def test_depth_one_is_sequential(self):
-        log = []
-        executor = StageExecutor(self._toy_graph(log), pipeline_depth=1)
+    def test_depth_one_is_sequential(self, monkeypatch, spec, clips):
+        calls = []
+        _log_stages(monkeypatch, calls)
+        batch = _occupied_batch(spec, clips)
+        calls.clear()
+        executor = StageExecutor(pipeline_depth=1)
         assert not executor.pipelined
-        env = executor.step(3)
-        assert env["z"] == 62
-        assert log == [("a", 3), ("b", 3), ("c", 3)]
+        batches = _lockstep_batches(spec, clips)
+        step = executor.step(batch, next_batch=batches[0])  # not launched
+        assert len(step.records) == len(batch)
+        assert [name for name, *_ in calls] == [fn.__name__ for fn in LIFECYCLE]
+        main = threading.current_thread().name
+        assert {thread for _, thread, *_ in calls} == {main}
+        assert executor._inflight is None and executor._worker is None
+        assert (executor.stats.steps, executor.stats.pipelined_steps) == (1, 0)
 
-    def test_pipelined_stream_matches_sequential(self):
-        batches = list(range(1, 7))
-        sequential = [
-            StageExecutor(self._toy_graph([]), 1).step(batch)["z"]
-            for batch in batches
-        ]
-        log = []
-        executor = StageExecutor(self._toy_graph(log), pipeline_depth=2)
+    def test_pipelined_stream_matches_sequential(self, monkeypatch, spec,
+                                                 clips):
+        batches = _lockstep_batches(spec, clips)
+        sequential = _run_stream(StageExecutor(1), batches)
+        calls = []
+        _log_stages(monkeypatch, calls)
+        executor = StageExecutor(pipeline_depth=2)
         assert executor.pipelined
-        pipelined = []
-        try:
-            for t, batch in enumerate(batches):
-                next_batch = batches[t + 1] if t + 1 < len(batches) else None
-                pipelined.append(
-                    executor.step(batch, next_batch=next_batch)["z"]
-                )
-        finally:
-            executor.close()
-        assert pipelined == sequential
-        assert (executor.stats.steps, executor.stats.pipelined_steps) == (6, 5)
-        assert executor.stats.engagement == pytest.approx(5 / 6)
-        # Per-stage program order is preserved across in-flight contexts.
-        for name in "abc":
-            seen = [batch for stage, batch in log if stage == name]
-            assert seen == batches
+        batches = _lockstep_batches(spec, clips)
+        pipelined = _run_stream(executor, batches)
+        for got_step, want_step in zip(pipelined, sequential, strict=True):
+            for got, want in zip(got_step, want_step, strict=True):
+                assert (got.index, got.is_key) == (want.index, want.is_key)
+                np.testing.assert_array_equal(got.output, want.output)
+                assert got.estimation_ops == want.estimation_ops
+        assert any(r.is_key for step in sequential for r in step)
+        assert any(not r.is_key for step in sequential for r in step)
+        n = len(batches)
+        assert (executor.stats.steps, executor.stats.pipelined_steps) == (
+            n, n - 1
+        )
+        # Per-stage program order is preserved across in-flight steps.
+        for fn in LIFECYCLE:
+            seen = [batch for name, _, _, _, batch in
+                    sorted(calls, key=lambda call: call[2])
+                    if name == fn.__name__]
+            assert [id(b) for b in seen] == [id(b) for b in batches]
 
-    def test_next_batch_must_be_definite(self):
-        log = []
-        executor = StageExecutor(self._toy_graph(log), pipeline_depth=2)
+    def test_next_batch_must_be_definite(self, monkeypatch, spec, clips):
+        stream = _lockstep_batches(spec, clips)
+        other = _occupied_batch(spec, clips)  # another lane, mid-stream
+        before = {resource: fingerprint_resource(other, resource)
+                  for resource in (POLICY_STATE, KEY_PIXELS)}
+        assert all(token is not None for token in before[KEY_PIXELS])
+        calls = []
+        _log_stages(monkeypatch, calls)
+        executor = StageExecutor(pipeline_depth=2)
         try:
-            executor.step(1, next_batch=2)
+            executor.step(stream[0], next_batch=stream[1])
             with pytest.raises(PipelineContractError):
-                executor.step(99)
+                executor.step(other)
         finally:
             executor.close()
-        # Nothing ran against the mismatched batch, and the refused step
-        # did not count as pipelined.
-        assert all(batch != 99 for _, batch in log)
+        # Nothing ran against the mismatched batch, its lane state is
+        # untouched, and the refused step did not count as pipelined.
+        assert all(batch is not other for *_, batch in calls)
+        assert {resource: fingerprint_resource(other, resource)
+                for resource in before} == before
         assert (executor.stats.steps, executor.stats.pipelined_steps) == (2, 0)
 
-    def test_close_allows_reuse(self):
-        executor = StageExecutor(self._toy_graph([]), pipeline_depth=2)
-        executor.step(1, next_batch=2)
+    def test_close_allows_reuse(self, spec, clips):
+        batches = _lockstep_batches(spec, clips)
+        executor = StageExecutor(pipeline_depth=2)
+        executor.step(batches[0], next_batch=batches[1])
         executor.close()  # abandons the in-flight head
-        assert executor.step(5)["z"] == 102
+        assert executor._inflight is None and executor._worker is None
+        fresh = _lockstep_batches(spec, clips)
+        want = StageExecutor(1).step(fresh[0]).records
+        got = executor.step(_lockstep_batches(spec, clips)[0]).records
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a.output, b.output)
         executor.close()
 
     def test_bad_depth_rejected(self):
         with pytest.raises(ValueError, match="pipeline_depth"):
-            StageExecutor(self._toy_graph([]), pipeline_depth=0)
-
-    def test_seed_skips_stages_in_executor(self):
-        log = []
-        executor = StageExecutor(self._toy_graph(log), pipeline_depth=1)
-        env = executor.step(3, seed={"x": 100})
-        assert env["z"] == 202
-        assert ("a", 3) not in log
-
-    def test_seed_merges_into_pipelined_step(self):
-        """Seeds for non-head values are honoured even when the step's
-        head was computed in flight; seeds for head outputs arrive too
-        late and are refused rather than silently dropped."""
-        executor = StageExecutor(self._toy_graph([]), pipeline_depth=2)
-        try:
-            executor.step(1, next_batch=2)
-            env = executor.step(2, seed={"y": 500})  # 'b' is skipped
-            assert env["z"] == 1000
-        finally:
-            executor.close()
-
-        executor = StageExecutor(self._toy_graph([]), pipeline_depth=2)
-        try:
-            executor.step(1, next_batch=2)
-            with pytest.raises(PipelineContractError, match="already"):
-                executor.step(2, seed={"x": 7})  # head output 'x'
-        finally:
-            executor.close()
+            StageExecutor(pipeline_depth=0)

@@ -1,8 +1,9 @@
-"""Stage-graph seam tests.
+"""Stage seam tests.
 
 The lockstep step used to be one monolithic function; it is now a
-declared graph of pure stage functions over a picklable
-:class:`~repro.core.stages.LaneState`.  Two seams must hold for that
+fixed sequence of pure stage functions over a picklable
+:class:`~repro.core.stages.LaneState`, run by
+:class:`~repro.runtime.StageExecutor`.  Two seams must hold for that
 refactor to be safe:
 
 * each stage, invoked standalone on a lane state, reproduces the
@@ -33,11 +34,10 @@ from repro.runtime import (
     ClipRequest,
     LaneWorker,
     PipelineSpec,
-    Stage,
-    StageGraph,
-    frame_lifecycle_graph,
+    StageExecutor,
     synthetic_workload,
 )
+from repro.runtime import stage_graph
 
 NETWORK = "mini_fasterm"
 
@@ -110,13 +110,10 @@ class TestStageSlices:
         mono_state = _clone(worker.state)
         stage_state = _clone(worker.state)
 
-        # Monolithic reference: the whole graph in one run, seeded with
-        # precomputed estimations (so its rfbme stage is skipped).
+        # Monolithic reference: the whole step in one executor call.
         mono_batch = _next_batch(mono_state, clips)
-        mono_est = stage_rfbme(mono_batch)
-        mono_records = frame_lifecycle_graph().run(
-            mono_batch, seed={"estimations": mono_est}
-        )["records"]
+        mono_step = StageExecutor().step(mono_batch)
+        mono_est, mono_records = mono_step.estimations, mono_step.records
 
         # Stage-by-stage on an independent clone.
         batch = _next_batch(stage_state, clips)
@@ -173,11 +170,11 @@ class TestLaneStatePickle:
         original = worker.state
         restored = _clone(original)
 
-        graph = frame_lifecycle_graph()
+        executor = StageExecutor()
         for _ in range(3):
             batches = [_next_batch(s, clips) for s in (original, restored)]
-            envs = [graph.run(b) for b in batches]
-            for got, want in zip(envs[1]["records"], envs[0]["records"]):
+            steps = [executor.step(b) for b in batches]
+            for got, want in zip(steps[1].records, steps[0].records):
                 assert got.is_key == want.is_key
                 np.testing.assert_array_equal(got.output, want.output)
                 assert got.estimation_ops == want.estimation_ops
@@ -210,44 +207,23 @@ class TestLaneStatePickle:
 
 
 class TestStageGraphValidation:
-    def test_declaration_order_is_execution_order(self):
-        graph = frame_lifecycle_graph()
-        names = [stage.name for stage in graph]
-        assert names == [
-            "rfbme", "decide", "adopt_pixels", "cnn_prefix", "warp",
-            "cnn_suffix", "record",
-        ]
-        assert "outputs" in graph.produces
-
-    def test_unproduced_input_rejected(self):
-        with pytest.raises(ValueError, match="consumes"):
-            StageGraph(
-                [Stage("a", lambda batch, x: x, ("batch", "missing"), ("y",))]
+    def test_declaration_order_is_execution_order(self, spec, clips,
+                                                  monkeypatch):
+        """A step runs the stage functions in the lifecycle's one fixed
+        order, each exactly once."""
+        worker = _mid_stream_worker(spec, clips)
+        batch = _next_batch(_clone(worker.state), clips)
+        order = []
+        for fn in (stage_rfbme, stage_decide, stage_adopt_pixels,
+                   stage_cnn_prefix, stage_warp, stage_cnn_suffix,
+                   stage_record):
+            monkeypatch.setattr(
+                stage_graph, fn.__name__,
+                lambda *args, fn=fn: order.append(fn.__name__) or fn(*args),
             )
-
-    def test_redefined_output_rejected(self):
-        ok = Stage("a", lambda batch: 1, ("batch",), ("x",))
-        dup = Stage("b", lambda batch: 2, ("batch",), ("x",))
-        with pytest.raises(ValueError, match="redefine"):
-            StageGraph([ok, dup])
-
-    def test_no_outputs_rejected(self):
-        with pytest.raises(ValueError, match="no outputs"):
-            Stage("a", lambda batch: 1, ("batch",), ())
-
-    def test_seeded_stage_is_skipped(self):
-        calls = []
-
-        def produce(batch):
-            calls.append("produce")
-            return 1
-
-        graph = StageGraph(
-            [
-                Stage("produce", produce, ("batch",), ("x",)),
-                Stage("consume", lambda batch, x: x + 1, ("batch", "x"), ("y",)),
-            ]
-        )
-        env = graph.run(batch=None, seed={"x": 41})
-        assert env["y"] == 42
-        assert calls == []  # the seeded stage never ran
+        StageExecutor().step(batch)
+        assert order == [
+            "stage_rfbme", "stage_decide", "stage_adopt_pixels",
+            "stage_cnn_prefix", "stage_warp", "stage_cnn_suffix",
+            "stage_record",
+        ]
