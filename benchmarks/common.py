@@ -72,21 +72,23 @@ def baseline_accuracy(name: str, split: str = "test") -> float:
 def metric_samples(name: str, metric: str = "match_error") -> Tuple[float, ...]:
     """Per-frame values of an adaptive metric at gap 1 on validation.
 
-    Collected from an all-key-frames run (motion estimation happens every
-    frame regardless of the decision, Fig. 6), these set the threshold
-    scale for the sweeps.
+    Each sample is RFBME between a frame and the one before it — what an
+    adaptive policy reads on the frame after a key frame — computed on
+    the executor's engine directly (no pipeline run estimates every
+    frame: the all-key-frames baseline estimates none).  These set the
+    threshold scale for the sweeps.
     """
-    from repro.core import EVA2Pipeline
-
-    pipeline = EVA2Pipeline(executor_for(name), AlwaysKeyPolicy())
+    engine = executor_for(name).rfbme_engine
     values: List[float] = []
     for clip in eval_clips("val"):
-        result = pipeline.run_clip(clip)
-        for record in result.records[1:]:
+        for index in range(1, len(clip)):
+            estimation = engine.estimate(
+                clip.frames[index - 1], clip.frames[index]
+            )
             values.append(
-                record.match_error
+                estimation.total_match_error
                 if metric == "match_error"
-                else record.motion_magnitude
+                else estimation.field.total_magnitude()
             )
     return tuple(values)
 

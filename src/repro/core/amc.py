@@ -227,7 +227,7 @@ class AMCExecutor:
         are known, so the next step's RFBME can start before this
         step's batched CNN prefix has run.
         """
-        self._check_frame(frame)
+        self._check_frame(frame, key=True)
         self._key_pixels = frame.copy()
 
     def adopt_key_activation(self, activation: np.ndarray) -> None:
@@ -248,7 +248,7 @@ class AMCExecutor:
     def process_key(self, frame: np.ndarray) -> np.ndarray:
         """Run ``frame`` (H, W grayscale) precisely; store pixels and the
         target activation; return the network output (1, ...)."""
-        self._check_frame(frame)
+        self._check_frame(frame, key=True)
         activation = self.plan.run_prefix(frame[None, None, :, :], self.target)
         output = self.plan.run_suffix(activation, self.target)
         self._key_pixels = frame.copy()
@@ -322,9 +322,14 @@ class AMCExecutor:
         """MACs every frame pays."""
         return self.network.suffix_macs(self.target)
 
-    def _check_frame(self, frame: np.ndarray) -> None:
+    def _check_frame(self, frame: np.ndarray, key: bool = False) -> None:
         expected = self.network.input_shape[1:]
         if frame.ndim != 2 or frame.shape != expected:
             raise ValueError(
                 f"frame must be {expected} grayscale, got {frame.shape}"
             )
+        # Every frame an estimate reads passes RFBME's own pair check, but
+        # the always-key baseline estimates none, so a frame that turned
+        # non-finite after its clip was built is caught as it is stored.
+        if key and not np.isfinite(frame).all():
+            raise ValueError("key frame has non-finite pixels (NaN or inf)")

@@ -8,10 +8,13 @@ cheap AMC prediction. The paper evaluates:
   RFBME chosen for the hardware because it is free), and
 * adaptive selection on the total motion magnitude.
 
-All policies see the :class:`~repro.core.rfbme.RFBMEResult` for the
-incoming frame (EVA2 always runs motion estimation first, Fig. 6) and
-return the decision. Frame 0 is always a key frame — there is nothing to
-predict from.
+EVA2 runs motion estimation first (Fig. 6), because two things read its
+estimate: the decision and the warp of a predicted frame. So policies see
+the :class:`~repro.core.rfbme.RFBMEResult` for the incoming frame and
+return the decision. :class:`AlwaysKeyPolicy`, the ``orig`` baseline,
+reads neither; its class sets :attr:`KeyFramePolicy.estimates` to False,
+and the pipelines estimate none of its frames. Frame 0 is always a key
+frame — there is nothing to predict from.
 """
 
 from __future__ import annotations
@@ -34,6 +37,12 @@ __all__ = [
 class KeyFramePolicy(ABC):
     """Decides, per frame, between precise and predicted execution."""
 
+    #: whether any frame after frame 0 is motion-estimated for this
+    #: policy.  A class-level fact: every pipeline reads it to skip
+    #: RFBME for policies that neither decide from the estimate nor
+    #: ever warp.
+    estimates: bool = True
+
     def reset(self) -> None:
         """Clear inter-frame state (start of a new clip)."""
         self._frames_since_key = 0
@@ -44,7 +53,9 @@ class KeyFramePolicy(ABC):
     def decide(self, frame_index: int, estimation: Optional[RFBMEResult]) -> bool:
         """Return True to run ``frame_index`` as a key frame.
 
-        ``estimation`` is None only for frame 0 (no stored key frame yet).
+        ``estimation`` is None for frame 0 (no stored key frame yet), and
+        for every frame when the policy's class sets :attr:`estimates`
+        to False.
         """
         if frame_index == 0 or estimation is None:
             self._frames_since_key = 0
@@ -62,7 +73,13 @@ class KeyFramePolicy(ABC):
 
 
 class AlwaysKeyPolicy(KeyFramePolicy):
-    """Every frame is precise — the paper's ``orig`` baseline."""
+    """Every frame is precise — the paper's ``orig`` baseline.
+
+    It never decides from an estimate and never warps, so no frame is
+    estimated: its records carry no estimation and no RFBME adds.
+    """
+
+    estimates = False
 
     def _decide(self, estimation: RFBMEResult) -> bool:
         return True

@@ -2,9 +2,10 @@
 
 For every incoming frame the vision processing unit:
 
-1. runs RFBME against the stored key frame (motion estimation is always
-   performed once a key frame exists — its match error feeds the key-frame
-   decision),
+1. runs RFBME against the stored key frame once one exists — its match
+   error feeds the key-frame decision and its field the warp.  The
+   always-key baseline reads neither, so none of its frames is estimated
+   (:attr:`~repro.core.keyframe.KeyFramePolicy.estimates`),
 2. asks the key-frame policy for a decision,
 3. runs either the full CNN (key) or warp + suffix (predicted).
 
@@ -37,11 +38,12 @@ class FrameRecord:
     is_key: bool
     #: network output, batch dim squeezed: (num_outputs,).
     output: np.ndarray
-    #: RFBME adder ops (None for frame 0: nothing to match against).
+    #: RFBME adder ops; None where the frame was not estimated: frame 0
+    #: (nothing to match against) and every always-key frame.
     estimation_ops: Optional[OpCounts]
-    #: aggregate block-match error (key-frame signal), None for frame 0.
+    #: aggregate block-match error (key-frame signal), None likewise.
     match_error: Optional[float]
-    #: total motion magnitude, None for frame 0.
+    #: total motion magnitude, None likewise.
     motion_magnitude: Optional[float]
 
     @classmethod
@@ -119,7 +121,7 @@ class EVA2Pipeline:
         for index in range(len(clip)):
             frame = clip.frames[index]
             estimation: Optional[RFBMEResult] = None
-            if self.executor.has_key:
+            if self.policy.estimates and self.executor.has_key:
                 estimation = self.executor.estimate(frame)
 
             is_key = self.policy.decide(index, estimation)

@@ -121,10 +121,6 @@ class RFBMEResult:
         """Aggregate block-match error — the key-frame-choice signal."""
         return float(self.match_errors.sum())
 
-    @property
-    def mean_match_error(self) -> float:
-        return float(self.match_errors.mean()) if self.match_errors.size else 0.0
-
 
 def default_backend() -> str:
     """The fastest backend available on this host."""

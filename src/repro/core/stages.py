@@ -288,18 +288,24 @@ class StepBatch:
 # --------------------------------------------------------------------- #
 @_effects(reads={KEY_PIXELS}, writes={ENGINE_SCRATCH})
 def stage_rfbme(batch: StepBatch) -> List[Optional[RFBMEResult]]:
-    """Batched RFBME for every slot with stored key pixels.
+    """Batched RFBME for every slot with stored key pixels whose policy
+    :attr:`~repro.core.keyframe.KeyFramePolicy.estimates`.
 
     Returns estimations aligned with ``batch.positions`` (``None`` for
-    slots still waiting on their first key frame).  One
+    slots still waiting on their first key frame, and for every slot of
+    the always-key baseline, which reads no estimate).  One
     :meth:`~repro.core.rfbme.RFBMEEngine.estimate_batch` call on the
     lane engine covers the whole step, exactly as the monolithic
     lockstep step did.  Readiness is judged by the stored pixels alone:
     under the pipelined executor the previous step's CNN prefix may
-    still be writing the activations on the other thread.
+    still be writing the activations on the other thread.  The policy
+    is read only for its class-level fact, which no stage writes.
     """
     ready = [
-        k for k in range(len(batch)) if batch.slot(k).executor.has_key_pixels
+        k
+        for k in range(len(batch))
+        if batch.slot(k).policy.estimates
+        and batch.slot(k).executor.has_key_pixels
     ]
     results = batch.state.engine.estimate_batch(
         [

@@ -21,10 +21,12 @@ batch, the executor launches that batch's head on a worker thread as
 soon as this step's mid has run, overlapped with this step's tail — so
 RFBME, a GIL-releasing compiled call on the hot backends, runs beside
 the CNN the way the paper's RFBME unit runs beside the CNN accelerator.
-The split is safe by the stages' declared resource sets: no head stage
-writes anything a tail stage reads or writes, or reads anything a tail
-stage writes.  ``stage_adopt_pixels`` writes the key pixels the next
-``stage_rfbme`` reads, which is why the launch waits for it.
+(``stage_rfbme`` estimates no always-key row, so for those rows the
+head only decides.)  The split is safe by the stages' declared resource
+sets: no head stage writes anything a tail stage reads or writes, or
+reads anything a tail stage writes.  ``stage_adopt_pixels`` writes the
+key pixels the next ``stage_rfbme`` reads, which is why the launch waits
+for it.
 ``tests/test_stage_executor.py`` checks these three facts on a running
 pipelined workload.  Only the head touches the lane's RFBME engine, at
 most one head is in flight, and each batch carries its own cursor

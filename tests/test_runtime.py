@@ -225,17 +225,19 @@ class TestPipelinedLockstep:
     """pipeline_depth=2: step t+1's RFBME/decide overlap step t's CNN
     stages on one shared engine — bit-identical at any depth."""
 
-    @pytest.mark.parametrize("policy", ["always", "match_error"])
+    @pytest.mark.parametrize("policy", ["always", "match_error", "static"])
     def test_keys_on_consecutive_steps(self, policy):
         """rfbme(t+1) reads the key pixels stored at step t while
         cnn_prefix(t) is still storing that slot's activation: with a
-        key on every step (always) or keys followed by predictions
-        (match_error), depth 2 equals depth 1 and serial bit for bit."""
-        spec = PipelineSpec(network=NETWORK, policy=policy)
+        key on every step (static at interval 1, which still estimates
+        every frame; always, whose head only decides) or keys followed
+        by predictions (match_error), depth 2 equals depth 1 and serial
+        bit for bit."""
+        spec = PipelineSpec(network=NETWORK, policy=policy, interval=1)
         clips = synthetic_workload(4, num_frames=8, base_seed=3)
         serial = run_workload(spec, clips, batch=False)
         masks = [result.key_mask() for result in serial.results]
-        if policy == "always":
+        if policy != "match_error":
             assert all(mask.all() for mask in masks)
         else:
             assert any((mask[:-1] & ~mask[1:]).any() for mask in masks)
@@ -251,8 +253,9 @@ class TestPipelinedLockstep:
     def test_forced_thread_switches_keep_bits(self):
         """A 1 µs switch interval interleaves the head and driver
         threads almost every bytecode; key pixels and activations are
-        still read only after their writer finished."""
-        spec = PipelineSpec(network=NETWORK, policy="always")
+        still read only after their writer finished.  Static at
+        interval 1 keys every frame and still estimates every frame."""
+        spec = PipelineSpec(network=NETWORK, policy="static", interval=1)
         clips = synthetic_workload(3, num_frames=6, base_seed=3)
         serial = run_workload(spec, clips, batch=False)
         interval = sys.getswitchinterval()
@@ -345,3 +348,24 @@ class TestWorkloadResult:
             PipelineSpec(network=NETWORK, policy="always"), workload, batch=False
         )
         assert not serial_result.matches(other)
+
+
+class TestNonFiniteFrames:
+    """A frame that turns NaN or inf after its clip was built fails with
+    a named error in every shape.  RFBME's pair check names it for the
+    policies that estimate; the always-key baseline estimates nothing,
+    so storing a key frame checks it."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "int8"])
+    @pytest.mark.parametrize("policy", ["always", "match_error"])
+    @pytest.mark.parametrize("shape", ["serial", "depth1", "depth2"])
+    @pytest.mark.parametrize("frame,bad", [(0, np.nan), (3, np.inf)])
+    def test_mutated_clip_named(self, dtype, policy, shape, frame, bad):
+        spec = PipelineSpec(
+            network=NETWORK, policy=policy, dtype=dtype,
+            pipeline_depth=2 if shape == "depth2" else 1,
+        )
+        clips = synthetic_workload(3, num_frames=5, base_seed=13)
+        clips[1].frames[frame, 10, 20] = bad
+        with pytest.raises(ValueError, match="frame has non-finite pixels"):
+            run_workload(spec, clips, batch=shape != "serial")

@@ -325,12 +325,14 @@ class TestPipelinedServing:
         _assert_identical(report, serial)
         assert runtime.lanes["default"]._membership_scans == 1
 
-    @pytest.mark.parametrize("policy", ["always", "match_error"])
+    @pytest.mark.parametrize("policy", ["always", "match_error", "static"])
     def test_stable_lane_matches_depth_one(self, policy):
         """A full lane with no departure due hands every step over
-        definitely, so rfbme(t+1) runs against cnn_prefix(t) on every
-        step but the last — and the bits equal depth 1 and serial."""
-        spec = PipelineSpec(network=NETWORK, policy=policy)
+        definitely, so the head of t+1 (rfbme, except for always, and
+        decide) runs against cnn_prefix(t) on every step but the last —
+        and the bits equal depth 1 and serial.  Static at interval 1
+        keys every frame and still estimates every frame."""
+        spec = PipelineSpec(network=NETWORK, policy=policy, interval=1)
         clips = synthetic_workload(3, num_frames=8, base_seed=21)
         serial = run_workload(spec, clips, batch=False)
         reports = {
@@ -548,6 +550,109 @@ class TestSharedAdmission:
         ).serve(_requests(clips))
         _assert_identical(report, serial_result)
         assert report.serve_workers == 1
+
+
+@pytest.fixture
+def estimated_pairs(monkeypatch):
+    """The (key, new) pairs RFBME estimates in this process, per engine.
+
+    Spies on :meth:`RFBMEEngine.estimate_batch`, which the serial path
+    reaches through ``AMCExecutor.estimate`` and every batched shape
+    calls from ``stage_rfbme``, on the head thread or inline.
+    """
+    from collections import Counter
+
+    from repro.core.rfbme import RFBMEEngine
+
+    counts = Counter()
+    original = RFBMEEngine.estimate_batch
+
+    def counting(engine, pairs):
+        counts[engine] += len(pairs)
+        return original(engine, pairs)
+
+    monkeypatch.setattr(RFBMEEngine, "estimate_batch", counting)
+    return counts
+
+
+def _run_shape(spec, clips, shape):
+    """One in-process execution shape of ``spec`` over ``clips``."""
+    if shape == "serial":
+        return run_workload(spec, clips, batch=False)
+    if shape.startswith("lockstep"):
+        depth = int(shape[-1])
+        return run_workload(replace(spec, pipeline_depth=depth), clips)
+    config = (
+        ServerConfig(max_batch=3, prefix_coalesce=True, clock=FakeClock())
+        if shape == "serving"
+        else ServerConfig(max_batch=2, serve_workers=2,
+                          shard_backend="serial", clock=FakeClock())
+    )
+    return ServingRuntime(spec, config).serve(_requests(clips)).workload_result()
+
+
+class TestAlwaysKeyEstimatesNothing:
+    """The always-key baseline (the paper's ``orig``) neither decides
+    from an estimate nor warps, so no shape runs RFBME for it; its bits
+    and decisions are those of the serial run."""
+
+    @pytest.fixture(scope="class")
+    def always(self, spec):
+        return replace(spec, policy="always")
+
+    @pytest.mark.parametrize("shape", [
+        "serial", "lockstep1", "lockstep2", "serving", "inline-shards",
+    ])
+    def test_no_pair_estimated(self, always, clips, shape, estimated_pairs):
+        result = _run_shape(always, clips, shape)
+        assert sum(estimated_pairs.values()) == 0
+        assert result.total_estimation_ops == 0
+        assert result.key_mask().all()
+        for clip_result in result.results:
+            for record in clip_result.records:
+                assert record.estimation_ops is None
+                assert record.match_error is None
+                assert record.motion_magnitude is None
+        serial = run_workload(always, clips, batch=False)
+        assert result.matches(serial)
+        for got, want in zip(result.results, serial.results):
+            np.testing.assert_array_equal(got.outputs(), want.outputs())
+            np.testing.assert_array_equal(got.key_mask(), want.key_mask())
+
+    def test_estimating_lane_beside_always_lane(self, spec, always, clips,
+                                                estimated_pairs):
+        """A match_error lane served beside an always lane in one runtime
+        still estimates every frame after each clip's first."""
+        requests = [
+            ClipRequest(i, clip, lane="estimating" if i % 2 else "always")
+            for i, clip in enumerate(clips)
+        ]
+        runtime = ServingRuntime(
+            {"estimating": spec, "always": always},
+            ServerConfig(max_batch=3, clock=FakeClock()),
+        )
+        report = runtime.serve(requests)
+        estimating = [r.clip for r in requests if r.lane == "estimating"]
+        pairs = sum(len(clip) for clip in estimating) - len(estimating)
+        lanes = runtime.lanes
+        assert estimated_pairs[lanes["estimating"].state.engine] == pairs
+        assert estimated_pairs[lanes["always"].state.engine] == 0
+        assert sum(estimated_pairs.values()) == pairs
+        for record, request in zip(report.records, requests):
+            lane_spec = spec if request.lane == "estimating" else always
+            serial = run_workload(lane_spec, [request.clip], batch=False)
+            assert record.result.outputs().tobytes() == \
+                serial.results[0].outputs().tobytes()
+            np.testing.assert_array_equal(
+                record.result.key_mask(), serial.results[0].key_mask()
+            )
+            estimated = [
+                r.estimation_ops is not None for r in record.result.records
+            ]
+            assert estimated == [
+                request.lane == "estimating" and index > 0
+                for index in range(len(request.clip))
+            ]
 
 
 class TestOneCore:
