@@ -2,19 +2,21 @@
 
 The engine (:class:`repro.nn.inference.InferencePlan`) compiles each
 network once per (batch capacity, dtype).  A float convolution runs one
-sample at a time: one compiled read-in adds the previous conv's bias,
-applies the ReLU and max-pool between the two convs, pads, and writes
-the sample's im2col rows into L2-resident scratch, which the sample's
-serial-shape GEMM reads straight away.  This bench reports, per layer
-and end to end:
+sample at a time: its read-in adds the previous conv's bias and applies
+the ReLU and max-pool between the two convs as it reads.  A float64
+chain whose convs' BLAS summation orders the plan recognises runs as
+one compiled call per batch that convolves straight from zero-padded
+input planes; any other writes each sample's im2col rows for a
+serial-shape GEMM.  This bench reports, per layer and end to end:
 
 * batch-of-1 planned execution vs the seed layer-by-layer forward (the
   serial pipeline's win), and
 * batch-of-16 planned execution per frame (the lockstep runtime's win —
   one call serving a whole workload step), and
-* the float64 AMC prefix per fused unit: each conv with the ReLU and
-  max-pool its read-in folds (``relu1+pool1+conv2``), split into the
-  read-in and the GEMM, plus the tail that writes the result, and
+* the float64 AMC prefix at batch 1 and 16, and each of its convs
+  alone, in µs/frame and GMAC/s, with the summation order it runs in
+  (the direct kernel's ``sequential`` or ``k-residue``, or ``gemm``
+  where a conv keeps the read-in + BLAS path), and
 * the int8 plan (full forward at batch 1 and 16, and the AMC prefix at
   batch 16, which is what a key frame costs), per fused step: an integer
   conv runs with the max-pool before it and the ReLU after it folded in,
@@ -86,52 +88,47 @@ def test_per_layer_inference(net, frames):
     )
 
 
-def test_per_unit_float64_prefix(net, frames):
-    """The float64 AMC prefix per fused unit (µs/frame at batch 16):
-    each unit's read-in (previous bias, ReLU, pool, padding, im2col) and
-    its per-sample GEMM, timed on the calls the plan makes."""
-    from repro.core.sad_kernel import addr
-
+def test_float64_prefix_per_conv(net, frames):
+    """The float64 AMC prefix (µs/frame at batch 1 and 16), and each of
+    its convs alone at batch 16 -- the conv's read-in, its sums and the
+    biased NCHW write -- in µs/frame and GMAC/s, with the order it runs
+    in: ``sequential`` or ``k-residue`` on the direct kernel, ``gemm`` on
+    the read-in + BLAS path."""
     plan = net.inference_plan(max_batch=BATCH)
     target = net.last_spatial_layer()
     stop = net.index_of(target) + 1
-    (chain,) = plan._schedule(0, stop)
-    if chain.kernel is None:
-        pytest.skip("the compiled float read-in is not active")
-    act = plan.run_prefix(frames, target)  # leaves each conv's raw output
+    act = plan.run_prefix(frames, target)
     for s in range(BATCH):
         np.testing.assert_array_equal(
             act[s], net.forward_prefix(frames[s : s + 1], target)[0]
         )
-    ends = [net.index_of(conv.layer.name) for conv in chain.convs]
-    starts = [0] + [end + 1 for end in ends]
-    first = chain._bind(frames[:1], chain.links[0], chain.convs[0])
-    geometry = [addr(first)] + chain._geometry_at
-    sources = [addr(frames)] + chain._raw_at
-    operands = [conv.operands() for conv in chain.convs]
-    biases = [None] + [addr(bias) for _, bias in operands]
-    im2col = chain.kernel.im2col
-    out = np.empty((1,) + chain.out_shape)
-    rows = []
-    for i, conv in enumerate(chain.convs + [None]):
-        names = "+".join(
-            layer.name for layer in net.layers[starts[i] : (ends + [stop - 1])[i] + 1]
-        )
-        dst = addr(out) if conv is None else addr(conv.cols)
-        read = _time(lambda: im2col(sources[i], geometry[i], biases[i], dst),
-                     repeats=300)
-        gemm = 0.0
-        if conv is not None:
-            w_t = operands[i][0]
-            gemm = _time(lambda: np.matmul(conv.cols, w_t, out=conv.raw),
-                         repeats=300)
-        rows.append([names or "(tail)", round(read * 1e6, 1),
-                     round(gemm * 1e6, 1), round((read + gemm) * 1e6, 1)])
-    t_prefix = _time(lambda: plan.run_prefix(frames, target)) / BATCH
-    rows.append([f"run_prefix to {target}", "", "", round(t_prefix * 1e6, 1)])
+    rows, x = [], frames
+    for layer, step, shape in zip(
+        net.layers[:stop], plan._steps, net.layer_input_shapes
+    ):
+        y = np.ascontiguousarray(step.run(x, BATCH))
+        if hasattr(step, "direct"):
+            for s in range(BATCH):  # the per-sample training forward
+                np.testing.assert_array_equal(
+                    y[s : s + 1], layer.forward(x[s : s + 1])
+                )
+            t = _time(lambda: step.run(x, BATCH), repeats=100) / BATCH
+            macs = layer.macs(shape)
+            rows.append([
+                layer.name, step.direct.order if step.direct else "gemm",
+                round(t * 1e6, 1), round(macs / t / 1e9, 1),
+            ])
+        x = y
+    for batch in (1, BATCH):
+        x = frames[:batch]
+        t = _time(lambda: plan.run_prefix(x, target), repeats=3000 // 16)
+        rows.append([f"run_prefix to {target}, b={batch}", "",
+                     round(t / batch * 1e6, 1),
+                     round(net.prefix_macs(target) * batch / t / 1e9, 1)])
     register_table(
-        f"float64 prefix per fused unit ({NETWORK}; µs/frame, batch {BATCH})",
-        ["layers", "read-in", "GEMM", "unit"],
+        f"float64 prefix per conv ({NETWORK}; µs/frame, batch {BATCH} "
+        "unless named)",
+        ["conv", "order", "µs/frame", "GMAC/s"],
         rows,
     )
 

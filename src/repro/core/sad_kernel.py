@@ -30,12 +30,22 @@ The entry points share one shared object:
   float lanes, or writes a range's last layer as NCHW.  Its NumPy twin
   is :func:`im2col_numpy`.  The quantized lanes' requantize,
   entry-quantize and AVX512-VNNI GEMM entry points live here too.
+* ``conv_chain_f64`` — a float64 chain of convolutions over a whole
+  batch in one call: per sample, each conv's read-in (the same pending
+  bias, ReLU and first-max pool as ``im2col``) fills a zero-padded input
+  plane, and the conv sums straight from it in the order numpy's BLAS
+  uses for the training path's GEMM -- one FMA chain per element
+  (``sequential``) or eight interleaved ones (``k-residue``), which
+  :func:`blas_conv_order` probes per conv shape.  Blocks of output
+  pixels x eight-channel groups in AVX-512 or AVX2, a scalar ``fma``
+  loop on other ISAs: the same bits on each.
 * ``warp_bilinear_f64`` / ``warp_bilinear_f32`` — the bilinear AMC warp
   (§III-B) of :func:`repro.core.warp.warp_activation_batch`'s float
   path, which at batch 1 is otherwise all NumPy dispatch.
 
 The kernels are *accelerators, not semantics changes*: they reproduce
-their NumPy twins bit-for-bit (for the SAD producer, per tile one
+their NumPy twins bit-for-bit (for the direct convolution, the BLAS GEMM
+of the order it was probed for; for the SAD producer, per tile one
 sequential accumulator per column, then numpy's pairwise combine of the
 column sums — for the AVX-512 path each ZMM lane is one column
 accumulator, and the final combine is the same tree, eight search
@@ -58,34 +68,42 @@ return ``None`` and callers fall back to the NumPy path.
 ``REPRO_FORCE_NUMPY=1`` does the same without even attempting a compile —
 the knob CI's NumPy lane uses to prove the pure-NumPy paths stay green
 (the kernel lane conversely asserts :func:`kernel_available`,
-``has_warp``, ``has_im2col`` and ``has_float_im2col``, so a fallback can
-never masquerade as kernel coverage).  The warp, the integer im2col and
-the float read-in check on their own: when one fails, :func:`get_kernel`
-keeps every other entry point and only its flag is false.  Every
-failure — build, load, self-check, or one of those three — emits one
-:class:`KernelFallbackWarning` per process naming what failed; the
-deliberate opt-outs and a host without a compiler stay silent.
+``has_warp``, ``has_im2col``, ``has_float_im2col`` and
+``has_float_direct``, so a fallback can never masquerade as kernel
+coverage).  The warp, the integer im2col, the float read-in and the
+direct float64 convolution check on their own -- the last against an
+exact, BLAS-independent reference in both orders (:func:`_fma_exact`):
+when one fails, :func:`get_kernel` keeps every other entry point and
+only its flag is false.  Every failure — build, load, self-check, or
+one of those four — emits one :class:`KernelFallbackWarning` per
+process naming what failed; the deliberate opt-outs and a host without
+a compiler stay silent.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import platform
 import shutil
 import subprocess
 import tempfile
 import warnings
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
+    "DIRECT_ORDERS",
+    "DirectConv",
     "KernelFallbackWarning",
     "SADKernel",
     "addr",
+    "blas_conv_order",
+    "conv_chain_compiled",
     "get_kernel",
     "im2col_compiled",
     "im2col_numpy",
@@ -100,7 +118,7 @@ _SOURCE = r"""
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
-#if defined(__AVX512F__)
+#if defined(__AVX512F__) || defined(__AVX2__)
 #include <immintrin.h>
 #endif
 
@@ -824,6 +842,323 @@ long im2col(const void *src, const long *g, const void *bias, void *out)
     return -1;
 }
 
+/* Direct float64 convolution: a chain of convs, one call per batch.
+ *
+ * Each output element is one of the two summation orders numpy's BLAS
+ * uses for the training path's cols @ w_mat.T (the caller probes which,
+ * per conv):
+ *   order 0, sequential: one FMA chain over k = (c, ky, kx) from +0.0;
+ *   order 1, k-residue: eight FMA chains, chain l summing k = l (mod 8)
+ *     in k order from +0.0, combined ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)).
+ * A chain started at +0.0 is never -0.0, so a zero sum is +0.0 in both.
+ *
+ * Per sample, each conv reads its logical input -- the range input, or
+ * the previous conv's raw (M, n) output through that conv's pending bias,
+ * the ReLU v * (v > 0) and the first-max pool (READ_LINE, as the im2col
+ * read-in does) -- into a zero-padded (h + 2 pad, w + 2 pad, c) plane,
+ * and convolves straight from it into its raw output, bias not yet
+ * added.  The tail writes the last raw output through its bias, ReLU
+ * and pool as the sample's NCHW result. */
+static void read_input(const double *sample, long sy, long sx, long sc,
+                       long pf, long ps, long h, long w, long c,
+                       const double *bias, long relu, double *tmp,
+                       double *dst, long pad, int nchw)
+{
+    long span = ((w - 1) * ps + pf) * c, hspan = ((w - 1) * ps + 1) * c;
+    int dense = (sc == 1 || c == 1) && sx == c;
+    double *restrict pattern = tmp, *restrict xrow = pattern + span;
+    double *restrict hmax = xrow + span, *restrict hrow = hmax + hspan;
+    long wp = w + 2 * pad;
+    if (bias != NULL)
+        for (long j = 0; j < span; ++j)
+            pattern[j] = bias[j % c];
+    for (long iy = 0; iy < h; ++iy) {
+        /* a plane row takes the line as it is read; NCHW transposes it */
+        double *restrict line =
+            nchw ? hrow + w * c : dst + ((iy + pad) * wp + pad) * c;
+        READ_LINE(iy, double)
+        if (nchw)
+            for (long ci = 0; ci < c; ++ci)
+                for (long ix = 0; ix < w; ++ix)
+                    dst[(ci * h + iy) * w + ix] = line[ix * c + ci];
+    }
+}
+
+#if defined(__AVX512F__)
+/* P pixels x G groups of eight channels, one accumulator vector each:
+ * per tap, G weight vectors and P broadcast plane values.  Every lane
+ * is one element's FMA chain over the taps in order, from +0.0.  The
+ * last group stores the lanes in `last` only (a channel tail). */
+#define DIRECT_BLOCK(G, P)                                                  \
+static inline void direct_##G##_##P(                                        \
+    const double *plane, const long *pix, const long *taps, long t0,       \
+    long tstep, long kk, const double *wp, long npad, double *out,         \
+    long ld, __mmask8 last)                                                \
+{                                                                           \
+    __m512d acc[P][G];                                                      \
+    const double *base[P];                                                  \
+    _Pragma("GCC unroll 8")                                                 \
+    for (int p = 0; p < P; ++p) {                                           \
+        base[p] = plane + pix[p];                                           \
+        _Pragma("GCC unroll 4")                                             \
+        for (int g = 0; g < G; ++g)                                         \
+            acc[p][g] = _mm512_setzero_pd();                                \
+    }                                                                       \
+    for (long t = t0; t < kk; t += tstep) {                                 \
+        const double *w = wp + t * npad;                                    \
+        long off = taps[t];                                                 \
+        __m512d wv[G];                                                      \
+        _Pragma("GCC unroll 4")                                             \
+        for (int g = 0; g < G; ++g)                                         \
+            wv[g] = _mm512_loadu_pd(w + 8 * g);                             \
+        _Pragma("GCC unroll 8")                                             \
+        for (int p = 0; p < P; ++p) {                                       \
+            __m512d xb = _mm512_set1_pd(base[p][off]);                      \
+            _Pragma("GCC unroll 4")                                         \
+            for (int g = 0; g < G; ++g)                                     \
+                acc[p][g] = _mm512_fmadd_pd(xb, wv[g], acc[p][g]);          \
+        }                                                                   \
+    }                                                                       \
+    _Pragma("GCC unroll 8")                                                 \
+    for (int p = 0; p < P; ++p) {                                           \
+        _Pragma("GCC unroll 4")                                             \
+        for (int g = 0; g + 1 < G; ++g)                                     \
+            _mm512_storeu_pd(out + p * ld + 8 * g, acc[p][g]);              \
+        _mm512_mask_storeu_pd(out + p * ld + 8 * (G - 1), last,             \
+                              acc[p][G - 1]);                               \
+    }                                                                       \
+}
+
+DIRECT_BLOCK(1, 8)
+DIRECT_BLOCK(1, 1)
+DIRECT_BLOCK(2, 8)
+DIRECT_BLOCK(2, 1)
+DIRECT_BLOCK(3, 8)
+DIRECT_BLOCK(3, 1)
+DIRECT_BLOCK(4, 4)
+DIRECT_BLOCK(4, 1)
+#elif defined(__AVX2__) && defined(__FMA__)
+/* The AVX2 block: P pixels x one group of eight channels, as two
+ * four-lane halves -- the same chains as the AVX-512 blocks.  A partial
+ * group goes through a stack row and stores its `lanes` channels. */
+#define DIRECT_BLOCK2(P)                                                    \
+static inline void direct2_##P(                                             \
+    const double *plane, const long *pix, const long *taps, long t0,       \
+    long tstep, long kk, const double *wp, long npad, double *out,         \
+    long ld, long lanes)                                                   \
+{                                                                           \
+    __m256d lo[P], hi[P];                                                   \
+    const double *base[P];                                                  \
+    _Pragma("GCC unroll 8")                                                 \
+    for (int p = 0; p < P; ++p) {                                           \
+        base[p] = plane + pix[p];                                           \
+        lo[p] = hi[p] = _mm256_setzero_pd();                                \
+    }                                                                       \
+    for (long t = t0; t < kk; t += tstep) {                                 \
+        const double *w = wp + t * npad;                                    \
+        __m256d wl = _mm256_loadu_pd(w), wh = _mm256_loadu_pd(w + 4);       \
+        long off = taps[t];                                                 \
+        _Pragma("GCC unroll 8")                                             \
+        for (int p = 0; p < P; ++p) {                                       \
+            __m256d xb = _mm256_broadcast_sd(base[p] + off);                \
+            lo[p] = _mm256_fmadd_pd(xb, wl, lo[p]);                         \
+            hi[p] = _mm256_fmadd_pd(xb, wh, hi[p]);                         \
+        }                                                                   \
+    }                                                                       \
+    for (int p = 0; p < P; ++p) {                                           \
+        double row[8];                                                      \
+        double *o = lanes == 8 ? out + p * ld : row;                        \
+        _mm256_storeu_pd(o, lo[p]);                                         \
+        _mm256_storeu_pd(o + 4, hi[p]);                                     \
+        if (lanes < 8)                                                      \
+            memcpy(out + p * ld, row, lanes * sizeof(double));              \
+    }                                                                       \
+}
+
+DIRECT_BLOCK2(6)
+DIRECT_BLOCK2(1)
+#endif
+
+/* out[m * ld + j], pixel m < npix, channel j < n: the FMA chain over taps
+ * t = t0, t0 + tstep, ... < kk of plane[pix[m] + taps[t]] * wp[t * npad +
+ * j], from +0.0.  wp holds npad >= n channels per tap, zero past n. */
+static void conv_taps(const double *plane, const long *pix, long npix,
+                      const long *taps, long t0, long tstep, long kk,
+                      const double *wp, long n, long npad, double *out,
+                      long ld)
+{
+#if defined(__AVX512F__)
+    long groups = npad / 8;
+    for (long g0 = 0; g0 < groups; g0 += 4) {
+        long G = groups - g0 < 4 ? groups - g0 : 4;
+        long rest = n - (g0 + G - 1) * 8;
+        __mmask8 last = rest >= 8 ? 0xFF : (__mmask8) ((1u << rest) - 1);
+        const double *w = wp + g0 * 8;
+        double *o = out + g0 * 8;
+        long m = 0;
+#define RUN_BLOCKS(G, P)                                                    \
+        for (; m + P <= npix; m += P)                                       \
+            direct_##G##_##P(plane, pix + m, taps, t0, tstep, kk, w, npad,  \
+                             o + m * ld, ld, last);
+        switch (G) {
+        case 1: RUN_BLOCKS(1, 8) RUN_BLOCKS(1, 1) break;
+        case 2: RUN_BLOCKS(2, 8) RUN_BLOCKS(2, 1) break;
+        case 3: RUN_BLOCKS(3, 8) RUN_BLOCKS(3, 1) break;
+        default: RUN_BLOCKS(4, 4) RUN_BLOCKS(4, 1) break;
+        }
+#undef RUN_BLOCKS
+    }
+#elif defined(__AVX2__) && defined(__FMA__)
+    for (long g0 = 0; g0 < npad; g0 += 8) {
+        long lanes = n - g0 < 8 ? n - g0 : 8, m = 0;
+        for (; m + 6 <= npix; m += 6)
+            direct2_6(plane, pix + m, taps, t0, tstep, kk, wp + g0, npad,
+                      out + m * ld + g0, ld, lanes);
+        for (; m < npix; ++m)
+            direct2_1(plane, pix + m, taps, t0, tstep, kk, wp + g0, npad,
+                      out + m * ld + g0, ld, lanes);
+    }
+#else
+    for (long m = 0; m < npix; ++m)
+        for (long j = 0; j < n; ++j) {
+            double acc = 0.0;
+            for (long t = t0; t < kk; t += tstep)
+                acc = fma(plane[pix[m] + taps[t]], wp[t * npad + j], acc);
+            out[m * ld + j] = acc;
+        }
+#endif
+}
+
+/* panel[t * npad + j] = weight[j * kk + t]: the (n, kk) weights as
+ * (kk, npad) panels, in 8 x 8 transposed blocks where AVX-512 allows */
+static void pack_panel(const double *weight, long n, long kk, double *panel,
+                       long npad)
+{
+    long j0 = 0;
+#if defined(__AVX512F__)
+    const __m512i lo2 = _mm512_set_epi64(13, 12, 5, 4, 9, 8, 1, 0);
+    const __m512i hi2 = _mm512_set_epi64(15, 14, 7, 6, 11, 10, 3, 2);
+    const __m512i lo4 = _mm512_set_epi64(11, 10, 9, 8, 3, 2, 1, 0);
+    const __m512i hi4 = _mm512_set_epi64(15, 14, 13, 12, 7, 6, 5, 4);
+    for (; j0 + 8 <= n; j0 += 8) {
+        long t0 = 0;
+        for (; t0 + 8 <= kk; t0 += 8) {
+            __m512d r[8], u[8];
+            for (int l = 0; l < 8; ++l)
+                r[l] = _mm512_loadu_pd(weight + (j0 + l) * kk + t0);
+            for (int l = 0; l < 8; l += 2) {  /* pairs of rows */
+                u[l] = _mm512_unpacklo_pd(r[l], r[l + 1]);
+                u[l + 1] = _mm512_unpackhi_pd(r[l], r[l + 1]);
+            }
+            for (int l = 0; l < 8; l += 4) {  /* quads of rows */
+                r[l] = _mm512_permutex2var_pd(u[l], lo2, u[l + 2]);
+                r[l + 1] = _mm512_permutex2var_pd(u[l + 1], lo2, u[l + 3]);
+                r[l + 2] = _mm512_permutex2var_pd(u[l], hi2, u[l + 2]);
+                r[l + 3] = _mm512_permutex2var_pd(u[l + 1], hi2, u[l + 3]);
+            }
+            for (int l = 0; l < 4; ++l) {  /* columns l and l + 4 */
+                _mm512_storeu_pd(panel + (t0 + l) * npad + j0,
+                                 _mm512_permutex2var_pd(r[l], lo4, r[l + 4]));
+                _mm512_storeu_pd(panel + (t0 + l + 4) * npad + j0,
+                                 _mm512_permutex2var_pd(r[l], hi4, r[l + 4]));
+            }
+        }
+        for (; t0 < kk; ++t0)
+            for (long j = j0; j < j0 + 8; ++j)
+                panel[t0 * npad + j] = weight[j * kk + t0];
+    }
+#endif
+    for (long t = 0; t < kk; ++t)
+        for (long j = j0; j < n; ++j)
+            panel[t * npad + j] = weight[j * kk + t];
+}
+
+/* g: nconv, the input's sample stride, the output's sample stride, then
+ * per conv 17 longs -- its read-in (source strides sy, sx, sc; pool pf,
+ * ps; the logical input h, w, c; relu), then k, stride, pad, out_h,
+ * out_w, n, npad and order -- and 9 for the tail's read-in.  p: per
+ * conv its weight (n, c, k, k), pending bias (may be NULL), plane, raw
+ * (M, n), weight panel (c k k, npad; zero past n) and, for order 1,
+ * eight (M, n) partial sums.  Weights and biases are read on every
+ * call; the panels are repacked from them.  Returns -1 when scratch
+ * could not be allocated, else 0. */
+#define CONV_REC 17
+long conv_chain_f64(const double *x, long batch, const long *g,
+                    void *const *p, double *out)
+{
+    long nconv = g[0], sb = g[1], out_sb = g[2];
+    const long *rec = g + 3, *tail = rec + nconv * CONV_REC;
+    long tmp_n = 0, off_n = 0;
+    for (long i = 0; i <= nconv; ++i) {
+        const long *r = i < nconv ? rec + i * CONV_REC : tail;
+        long pf = r[3], ps = r[4], w = r[6], c = r[7];
+        long span = ((w - 1) * ps + pf) * c, hspan = ((w - 1) * ps + 1) * c;
+        long need = 2 * span + hspan + 2 * w * c;
+        tmp_n = need > tmp_n ? need : tmp_n;
+        if (i < nconv)
+            off_n += c * r[9] * r[9] + r[12] * r[13];
+    }
+    double *tmp = malloc(tmp_n * sizeof(double));
+    long *offs = malloc(off_n * sizeof(long));
+    if (tmp == NULL || offs == NULL) {
+        free(tmp);
+        free(offs);
+        return -1;
+    }
+    long *o = offs;
+    for (long i = 0; i < nconv; ++i) {
+        const long *r = rec + i * CONV_REC;
+        long h = r[5], w = r[6], c = r[7], k = r[9], stride = r[10];
+        long pad = r[11], out_h = r[12], out_w = r[13], n = r[14];
+        long npad = r[15], kk = c * k * k, wp = w + 2 * pad;
+        pack_panel(p[6 * i], n, kk, p[6 * i + 4], npad);
+        for (long ci = 0; ci < c; ++ci)
+            for (long ky = 0; ky < k; ++ky)
+                for (long kx = 0; kx < k; ++kx)
+                    *o++ = (ky * wp + kx) * c + ci;
+        for (long oy = 0; oy < out_h; ++oy)
+            for (long ox = 0; ox < out_w; ++ox)
+                *o++ = (oy * wp + ox) * stride * c;
+    }
+    for (long b = 0; b < batch; ++b) {
+        const double *src = x + b * sb, *bias = NULL;
+        o = offs;
+        for (long i = 0; i < nconv; ++i) {
+            const long *r = rec + i * CONV_REC;
+            long c = r[7], k = r[9], pad = r[11], m = r[12] * r[13];
+            long n = r[14], npad = r[15], kk = c * k * k;
+            double *plane = p[6 * i + 2], *raw = p[6 * i + 3];
+            const double *panel = p[6 * i + 4];
+            const long *taps = o, *pix = o + kk;
+            o += kk + m;
+            read_input(src, r[0], r[1], r[2], r[3], r[4], r[5], r[6], c,
+                       bias, r[8], tmp, plane, pad, 0);
+            if (r[16] == 0) {
+                conv_taps(plane, pix, m, taps, 0, 1, kk, panel, n, npad,
+                          raw, n);
+            } else {
+                double *q = p[6 * i + 5];
+                long mn = m * n;
+                for (long l = 0; l < 8; ++l)
+                    conv_taps(plane, pix, m, taps, l, 8, kk, panel, n, npad,
+                              q + l * mn, n);
+                for (long j = 0; j < mn; ++j)
+                    raw[j] = ((q[j] + q[mn + j]) + (q[2 * mn + j] + q[3 * mn + j]))
+                           + ((q[4 * mn + j] + q[5 * mn + j])
+                              + (q[6 * mn + j] + q[7 * mn + j]));
+            }
+            src = raw;
+            bias = p[6 * i + 1];
+        }
+        read_input(src, tail[0], tail[1], tail[2], tail[3], tail[4],
+                   tail[5], tail[6], tail[7], bias, tail[8], tmp,
+                   out + b * out_sb, 0, 1);
+    }
+    free(tmp);
+    free(offs);
+    return 0;
+}
+
 /* int8 convolution GEMM with fused requantization (AVX512-VNNI).
  *
  * a:  (m, k4*4) uint8 activations offset by +128, zero-padded past the
@@ -1064,7 +1399,9 @@ WARP_BILINEAR(warp_bilinear_f32, float)
 
 #: ``-ffp-contract=off``: GCC would otherwise fuse ``a*b + c`` into one
 #: FMA (one rounding instead of two) and break bit-identity with the
-#: NumPy twins — the warp's weighted sum is exactly that shape.
+#: NumPy twins — the warp's weighted sum is exactly that shape.  The
+#: direct convolution's FMAs are explicit (``_mm512_fmadd_pd``,
+#: ``_mm256_fmadd_pd``, ``fma``), which the flag leaves alone.
 _CFLAGS = ["-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC"]
 
 _CACHE_DIR = os.path.join(
@@ -1108,6 +1445,7 @@ _SIGNATURES = {
     ),
     "rfbme_consume": [_L] + [_P] * 13 + [_L] * 5,
     "im2col": [_P, _P, _P, _P],
+    "conv_chain_f64": [_P, _L, _P, _P, _P],
     "requant_rows_q8": _REQUANT_F,
     "requant_rows_q16f": _REQUANT_F,
     "requant_rows_q16": [_P, _L, _L, _P, _P, _D, _D, _P],
@@ -1138,6 +1476,7 @@ class SADKernel:
         for name, argtypes in _SIGNATURES.items():
             self._bind(lib, name, argtypes)
         self.im2col.restype = ctypes.c_long
+        self.conv_chain_f64.restype = ctypes.c_long
         lib.have_vnni.restype = ctypes.c_int
         #: AVX512-VNNI int8 GEMM compiled in?  The quantized lanes route
         #: through ``gemm_requant_u8s8`` only when true; the math is
@@ -1158,6 +1497,10 @@ class SADKernel:
         #: kx) columns) passed its own self-check?  When false only the
         #: float convolutions' read-in runs its NumPy twin.
         self.has_float_im2col = False
+        #: compiled direct float64 convolution (``conv_chain_f64``)
+        #: matched an exact reference in both summation orders?  When
+        #: false every float chain keeps the read-in + BLAS GEMM path.
+        self.has_float_direct = False
 
     def _bind(self, lib: ctypes.CDLL, name: str, argtypes) -> None:
         fn = getattr(lib, name)
@@ -1375,6 +1718,171 @@ def im2col_compiled(kernel: "SADKernel", src, pool, k, stride, pad, out,
             f"compiled im2col failed: {src.dtype} -> {out.dtype} is not a "
             "supported pair, or its row ring could not be allocated"
         )
+
+
+#: summation orders of the direct float64 convolution, in the numbering
+#: ``conv_chain_f64`` takes (see its C comment)
+DIRECT_ORDERS = ("sequential", "k-residue")
+
+
+class DirectConv(NamedTuple):
+    """One convolution of a direct float64 chain (``conv_chain_f64``):
+    its logical input ``(c, h, w)`` -- after the pool read in before it --
+    kernel ``k``, ``stride``, ``pad``, ``n`` output channels and summation
+    ``order``, one of :data:`DIRECT_ORDERS`."""
+
+    c: int
+    h: int
+    w: int
+    k: int
+    stride: int
+    pad: int
+    n: int
+    order: str
+
+    @property
+    def out_hw(self) -> Tuple[int, int]:
+        return (_conv_size(self.h, self.k, self.stride, self.pad),
+                _conv_size(self.w, self.k, self.stride, self.pad))
+
+    def scratch(self):
+        """``(block, plane, raw, panel, parts)``: the buffers
+        ``conv_chain_f64`` works in -- the zero-padded input plane, the
+        (rows, n) raw output, the weight panel and, in the k-residue
+        order only (else None), the eight partial sums -- as views of one
+        zeroed ``block``, each starting on a 64-byte line so that no
+        vector load or store of a whole panel or output row straddles
+        two.  The kernel never writes the plane's border nor the panel's
+        channels past ``n``."""
+        out_h, out_w = self.out_hw
+        rows = out_h * out_w
+        shapes = [
+            (self.h + 2 * self.pad, self.w + 2 * self.pad, self.c),
+            (rows, self.n),
+            (self.c * self.k * self.k, -(-self.n // 8) * 8),
+        ] + ([(8, rows, self.n)] if self.order == "k-residue" else [])
+        sizes = [-(-math.prod(shape) // 8) * 8 for shape in shapes]
+        block = np.zeros(sum(sizes) + 8)
+        at = -addr(block) % 64 // block.itemsize
+        views = []
+        for shape, size in zip(shapes, sizes):
+            views.append(block[at : at + math.prod(shape)].reshape(shape))
+            at += size
+        if self.order != "k-residue":
+            views.append(None)
+        return (block, *views)
+
+
+def direct_chain_geometry(x_strides, convs, links, tail) -> np.ndarray:
+    """The geometry argument of ``conv_chain_f64``.
+
+    ``x_strides`` are the range input's (batch, channel, row, column)
+    strides in elements, ``convs`` the chain's :class:`DirectConv`\\ s,
+    ``links[i]`` the ``(relu, pool)`` read in before ``convs[i]`` and
+    ``tail`` the one applied as the last conv's output is written.
+    """
+    sb, sc, sy, sx = x_strides
+    src = (sy, sx, sc)
+    rows = [len(convs), sb, 0]
+    for conv, (relu, pool) in zip(convs, links):
+        pf, ps = pool if pool is not None else (1, 1)
+        out_h, out_w = conv.out_hw
+        rows += [
+            *src, pf, ps, conv.h, conv.w, conv.c, int(relu),
+            conv.k, conv.stride, conv.pad, out_h, out_w, conv.n,
+            -(-conv.n // 8) * 8, DIRECT_ORDERS.index(conv.order),
+        ]
+        src = (out_w * conv.n, conv.n, 1)
+    relu, pool = tail
+    pf, ps = pool if pool is not None else (1, 1)
+    out_h, out_w = convs[-1].out_hw
+    h, w = _conv_size(out_h, pf, ps, 0), _conv_size(out_w, pf, ps, 0)
+    rows[2] = convs[-1].n * h * w
+    rows += [*src, pf, ps, h, w, convs[-1].n, int(relu)]
+    return np.array(rows, dtype=_LONG)
+
+
+def direct_pointers(weights, biases, scratch) -> np.ndarray:
+    """The pointer argument of ``conv_chain_f64``: per conv its weight,
+    pending bias (None: none) and :meth:`DirectConv.scratch` buffers."""
+    table = np.zeros(6 * len(scratch), dtype=np.uintp)
+    for i, (weight, bias, (_, *buffers)) in enumerate(
+        zip(weights, biases, scratch)
+    ):
+        table[6 * i : 6 * i + 6] = [
+            0 if array is None else addr(array)
+            for array in (weight, bias, *buffers)
+        ]
+    return table
+
+
+def conv_chain_compiled(kernel: "SADKernel", x, convs, weights, biases,
+                        links, tail) -> np.ndarray:
+    """``conv_chain_f64`` on fresh scratch: the (B, n, h, w) result of
+    the float64 range input ``x`` through ``convs`` (with the links and
+    tail of :func:`direct_chain_geometry`).  ``weights[i]`` is the
+    (n, c, k, k) weight of ``convs[i]`` and ``biases[i]`` the bias added
+    as its output is read (None: none)."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    weights = [np.ascontiguousarray(w, dtype=np.float64) for w in weights]
+    biases = [
+        None if b is None else np.ascontiguousarray(b, dtype=np.float64)
+        for b in biases
+    ]
+    # the kernel reads every extent below through raw addresses
+    pf, ps = links[0][1] or (1, 1)
+    fits = x.ndim == 4 and (x.shape[1],) + tuple(
+        _conv_size(size, pf, ps, 0) for size in x.shape[2:]
+    ) == (convs[0].c, convs[0].h, convs[0].w)
+    for conv, weight, bias in zip(convs, weights, biases):
+        fits = fits and weight.shape == (conv.n, conv.c, conv.k, conv.k)
+        fits = fits and (bias is None or bias.shape == (conv.n,))
+    if not fits:
+        raise ValueError("input, weights or biases do not fit the chain")
+    geometry = direct_chain_geometry(
+        [s // x.itemsize for s in x.strides], convs, links, tail
+    )
+    scratch = [conv.scratch() for conv in convs]
+    table = direct_pointers(weights, biases, scratch)
+    c, h, w = convs[-1].n, int(geometry[-4]), int(geometry[-3])
+    out = np.empty((x.shape[0], c, h, w))
+    if kernel.conv_chain_f64(addr(x), x.shape[0], addr(geometry),
+                             addr(table), addr(out)):
+        raise MemoryError("conv_chain_f64 could not allocate its scratch")
+    return out
+
+
+def blas_conv_order(kernel: "SADKernel", conv: DirectConv) -> Optional[str]:
+    """The order in which numpy's matmul sums ``conv``'s GEMM as the
+    training path issues it -- contiguous im2col rows times the
+    ``w_mat.T`` view -- when it is one the direct kernel computes:
+    ``"sequential"`` or ``"k-residue"``, else None.  ``conv.order`` is
+    ignored.
+
+    Compares bytes on a random probe at the conv's own shape, with 40%
+    zeros, a band of all-zero windows and weights of both signs.
+    The answer depends on the BLAS build and the CPU, so callers cache
+    it per shape per process.
+    """
+    rng = np.random.default_rng(20180605)
+    out_h, out_w = conv.out_hw
+    kk = conv.c * conv.k * conv.k
+    x = rng.standard_normal((1, conv.c, conv.h, conv.w))
+    x[rng.random(x.shape) < 0.4] = 0.0
+    x[:, :, : conv.h // 3] = 0.0
+    weight = rng.standard_normal((conv.n, conv.c, conv.k, conv.k))
+    cols = np.empty((out_h * out_w, kk))
+    im2col_numpy(x, None, conv.k, conv.stride, conv.pad, cols)
+    want = np.matmul(cols, weight.reshape(conv.n, -1).T)
+    want = want.reshape(1, out_h, out_w, conv.n).transpose(0, 3, 1, 2)
+    for order in DIRECT_ORDERS:
+        got = conv_chain_compiled(
+            kernel, x, [conv._replace(order=order)], [weight], [None],
+            [(False, None)], (False, None),
+        )
+        if got.tobytes() == np.ascontiguousarray(want).tobytes():
+            return order
+    return None
 
 
 def _consumer_reference(
@@ -1715,6 +2223,99 @@ def _check_float_im2col(kernel: SADKernel) -> bool:
     return True
 
 
+def _fma_exact(a, b, c: float) -> float:
+    """``a * b + c`` rounded once, without the FPU: exact integer
+    arithmetic on the power-of-two ratios ``a`` and ``b`` (from
+    ``float.as_integer_ratio``) and ``c``'s, then CPython's correctly
+    rounded integer division (an exact zero is ``+0.0``)."""
+    (na, da), (nb, db) = a, b
+    nc, dc = c.as_integer_ratio()
+    return (na * nb * dc + nc * da * db) / (da * db * dc)
+
+
+def _exact_gemm(cols: np.ndarray, weight: np.ndarray, order: str):
+    """``cols @ w_mat.T`` summed exactly in ``order`` (see the C comment
+    of ``conv_chain_f64``)."""
+    def ratios(matrix):
+        return [[v.as_integer_ratio() for v in row] for row in matrix]
+
+    w_rows = ratios(weight.reshape(weight.shape[0], -1).tolist())
+    lanes = 8 if order == "k-residue" else 1
+    out = np.empty((cols.shape[0], len(w_rows)))
+    for m, row in enumerate(ratios(cols.tolist())):
+        for j, w_row in enumerate(w_rows):
+            acc = [0.0] * lanes
+            for t, (a, b) in enumerate(zip(row, w_row)):
+                acc[t % lanes] = _fma_exact(a, b, acc[t % lanes])
+            out[m, j] = acc[0] if lanes == 1 else (
+                ((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+            )
+    return out
+
+
+def _check_float_direct(kernel: SADKernel) -> bool:
+    """The direct float64 chain must equal an exact, BLAS-independent
+    reference bit for bit in both summation orders: its read-ins
+    (:func:`im2col_numpy`'s bias, ReLU and first-max pool, zeros of both
+    signs in the input), a stride-2 conv, channel counts whose last group
+    of eight is partial (the masked tail) at one to four groups, and
+    reduction depths that are no multiple of eight.  The reference covers
+    the first of two samples; the second must match the same chain run
+    on it alone."""
+    rng = np.random.default_rng(20180605)
+    x = rng.standard_normal((2, 2, 7, 7))
+    flat = x.reshape(-1)
+    flat[rng.random(flat.size) < 0.3] = 0.0
+    flat[rng.random(flat.size) < 0.3] = -0.0
+    # After the first read-in's ReLU and pool, the first conv's corner
+    # windows hold only +0.0 (top left) or only -0.0 (bottom right), and
+    # its channel 0 (1) has only negative (positive) weights: sums of
+    # -0.0 products alone, which are +0.0 from a +0.0 start.
+    x[:, :, :3, :3] = 0.0
+    x[:, :, 3:, 3:] = -1.0
+    shapes = (  # c, h, w, k, stride, pad, n
+        (2, 6, 6, 3, 2, 1, 9), (9, 2, 2, 1, 1, 0, 27), (27, 1, 1, 1, 1, 0, 20),
+    )
+    links = [(True, (2, 1)), (True, (2, 1)), (False, (2, 2))]
+    tail = (True, None)
+    weights = [rng.standard_normal((s[6], s[0], s[3], s[3])) for s in shapes]
+    weights[0][0], weights[0][1] = -abs(weights[0][0]), abs(weights[0][1])
+    biases = [rng.standard_normal(s[6]) for s in shapes]
+    biases[0][0] = 0.0
+    for order in DIRECT_ORDERS:
+        convs = [DirectConv(*shape, order) for shape in shapes]
+        got = conv_chain_compiled(kernel, x, convs, weights, biases, links,
+                                  tail)
+        alone = conv_chain_compiled(kernel, x[1:], convs, weights, biases,
+                                    links, tail)
+        # the first conv without a bias: its sums' own bits
+        first = conv_chain_compiled(kernel, x[:1], convs[:1], weights[:1],
+                                    [None], links[:1], (False, None))
+        if got[1:].tobytes() != alone.tobytes():
+            return False
+        src, bias = x[:1], None
+        for conv, (relu, pool), weight, conv_bias in zip(
+            convs, links, weights, biases
+        ):
+            out_h, out_w = conv.out_hw
+            cols = np.empty((out_h * out_w, conv.c * conv.k * conv.k))
+            im2col_numpy(src, pool, conv.k, conv.stride, conv.pad, cols,
+                         bias, relu)
+            raw = _exact_gemm(cols, weight, order)
+            src = raw.reshape(1, out_h, out_w, conv.n).transpose(0, 3, 1, 2)
+            if conv is convs[0] and first.tobytes() != (
+                np.ascontiguousarray(src).tobytes()
+            ):
+                return False
+            bias = conv_bias
+        want = np.empty((1,) + got.shape[1:])
+        im2col_numpy(src, tail[1], 0, 1, 0, want, bias, tail[0])
+        if got[:1].tobytes() != want.tobytes():
+            return False
+    return True
+
+
 def _cpu_identity() -> str:
     """A string that changes when the host ISA does.
 
@@ -1789,11 +2390,13 @@ def _load() -> Tuple[Optional[SADKernel], Optional[str]]:
     kernel.has_warp = _check_warp(kernel)
     kernel.has_im2col = _check_im2col(kernel)
     kernel.has_float_im2col = _check_float_im2col(kernel)
+    kernel.has_float_direct = _check_float_direct(kernel)
     failed = [
         name for name, ok in (
             ("AMC warp", kernel.has_warp),
             ("integer im2col", kernel.has_im2col),
             ("float im2col", kernel.has_float_im2col),
+            ("float direct convolution", kernel.has_float_direct),
         ) if not ok
     ]
     if not failed:

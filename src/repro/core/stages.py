@@ -296,9 +296,10 @@ def stage_rfbme(batch: StepBatch) -> List[Optional[RFBMEResult]]:
     the always-key baseline, which reads no estimate).  One
     :meth:`~repro.core.rfbme.RFBMEEngine.estimate_batch` call on the
     lane engine covers the whole step, exactly as the monolithic
-    lockstep step did.  Readiness is judged by the stored pixels alone:
-    under the pipelined executor the previous step's CNN prefix may
-    still be writing the activations on the other thread.  The policy
+    lockstep step did; a step with no ready slot makes no call, so the
+    engine's calls count RFBME work.  Readiness is judged by the stored
+    pixels alone: under the pipelined executor the previous step's CNN
+    prefix may still be writing the activations on the other thread.  The policy
     is read only for its class-level fact, which no stage writes.
     """
     ready = [
@@ -307,13 +308,15 @@ def stage_rfbme(batch: StepBatch) -> List[Optional[RFBMEResult]]:
         if batch.slot(k).policy.estimates
         and batch.slot(k).executor.has_key_pixels
     ]
+    estimations: List[Optional[RFBMEResult]] = [None] * len(batch)
+    if not ready:
+        return estimations  # no pair: the engine is not called
     results = batch.state.engine.estimate_batch(
         [
             (batch.slot(k).executor.stored_pixels(), batch.frames[k])
             for k in ready
         ]
     )
-    estimations: List[Optional[RFBMEResult]] = [None] * len(batch)
     for k, estimation in zip(ready, results):
         estimations[k] = estimation
     return estimations

@@ -6,22 +6,32 @@ runs the same prefix/suffix every frame of every clip and should not.  An
 dtype) and then executes layer ranges against preallocated scratch:
 
 * **one read-in per convolution, no index arrays** — every conv reads
-  its input through one direct im2col pass
-  (:func:`~repro.core.sad_kernel.im2col_compiled`, or its NumPy twin)
-  that applies the pooling and padding between it and the previous conv
-  as it reads.  Float convolutions run one sample at a time
-  (:class:`_FloatChain`): the read-in also adds the previous conv's bias
-  and applies the ReLU, the sample's im2col rows stay in L2 for its
-  GEMM, and the last conv of a range writes the owned result.  Integer
-  convolutions read the previous conv's raws for the whole batch (see
-  :class:`_QuantConvStep`).  :meth:`InferencePlan._schedule` folds the
-  neighbours for every family, inside the executed range only.
+  its input in one pass that applies the pooling and padding between it
+  and the previous conv as it reads.  Float convolutions run one sample
+  at a time (:class:`_FloatChain`): the read-in also adds the previous
+  conv's bias and applies the ReLU, and the last conv of a range writes
+  the owned result.  Integer convolutions read the previous conv's raws
+  for the whole batch through one direct im2col
+  (:func:`~repro.core.sad_kernel.im2col_compiled`, or its NumPy twin;
+  see :class:`_QuantConvStep`).  :meth:`InferencePlan._schedule` folds
+  the neighbours for every family, inside the executed range only.
+* **float64 convolutions in BLAS's own summation order** — numpy's BLAS
+  sums each element of the training path's ``cols @ w_mat.T`` in a
+  fixed order per GEMM shape.  At compile time a byte-level probe
+  (:func:`_conv_order`) recognises it per conv: one FMA chain over the
+  reduction (``sequential``) or eight interleaved ones (``k-residue``).
+  A chain whose every conv is recognised runs as one compiled
+  ``conv_chain_f64`` call per batch that convolves straight from small
+  zero-padded input planes in that order -- no column matrix, no GEMM
+  call, the GIL released throughout.  Any other chain (another BLAS or
+  CPU, float32, no compiled kernel) writes each sample's im2col rows
+  into L2-resident scratch for a serial-shape GEMM.
 * **per-sample GEMMs** — BLAS does not guarantee that one matmul over
   ``B`` stacked samples is bitwise equal to ``B`` single-sample matmuls
   (it is not for this repo's FC shapes), and AMC's contract is that
   batched execution reproduces the serial pipeline exactly.  Float
-  convolutions therefore always run the serial shape; the FC layers, on
-  the first call at each batch size, probe whether the fused batched
+  convolutions therefore always compute the serial shape; the FC layers,
+  on the first call at each batch size, probe whether the fused batched
   GEMM is bitwise identical on this host and, if it is, take it.
 * **no training caches** — forward-only; pooling skips the argmax (a
   first-maximum scan picks the same element), and a ReLU or pool that
@@ -61,7 +71,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.sad_kernel import (
+    DirectConv,
     addr,
+    blas_conv_order,
+    direct_chain_geometry,
+    direct_pointers,
     first_max_pool,
     get_kernel,
     im2col_compiled,
@@ -274,17 +288,23 @@ class _Step:
 class _ConvStep(_Step):
     """A float convolution, run one sample at a time.
 
-    Per sample, one read-in (:func:`~repro.core.sad_kernel.im2col_compiled`
-    or its NumPy twin) writes the sample's im2col rows into ``cols`` in
-    the training path's (c, ky, kx) order, and the sample's GEMM -- the
-    serial shape, with the training path's weight operand -- reads them
-    straight from L2 into ``raw``: this conv's output for that sample,
-    NHWC, bias not yet added.  The next read-in adds the bias, applies
-    the ReLU and max-pool in between, and pads, all as it reads
-    (:class:`_FloatChain`), so no padded copy, index array or batch-wide
-    column matrix exists, and the scratch does not grow with capacity.
-    float64 reads the live layer parameters on every call; float32 uses
-    the compile-time snapshot ``weights``.
+    float64 convolutions whose order :func:`_conv_order` recognises run
+    *direct*: the compiled ``conv_chain_f64`` reads the sample's input
+    into the zero-padded ``plane`` and convolves straight from it into
+    ``raw`` -- this conv's output for that sample, NHWC, bias not yet
+    added -- in the order numpy's BLAS sums the training path's GEMM,
+    so no column matrix exists.  Every other float convolution (float32,
+    an unrecognised order, no compiled kernel) writes the sample's im2col
+    rows into ``cols`` in the training path's (c, ky, kx) order
+    (:func:`~repro.core.sad_kernel.im2col_compiled` or its NumPy twin),
+    and the sample's GEMM -- the serial shape, with the training path's
+    weight operand -- reads them straight from L2 into ``raw``.  Either
+    way the next read-in adds the bias, applies the ReLU and max-pool in
+    between, and pads, all as it reads (:class:`_FloatChain`), so no
+    padded copy, index array or batch-wide buffer exists, and the scratch
+    does not grow with capacity.  float64 reads the live layer
+    parameters on every call; float32 uses the compile-time snapshot
+    ``weights``.
     """
 
     def __init__(self, layer: Conv2d, in_shape, dtype,
@@ -298,16 +318,36 @@ class _ConvStep(_Step):
         self.rows = self.out_h * self.out_w
         self.ckk = c * k * k
         self.dtype = np.dtype(dtype)
-        self.cols = np.empty((self.rows, self.ckk), self.dtype)
-        self.raw = np.empty((self.rows, self.out_c), self.dtype)
+        self._weights = weights  # None = read live float64 params
+        ck = get_kernel()
+        self.kernel = ck if ck is not None and ck.has_float_im2col else None
+        #: the direct kernel's geometry and summation order, or None: the
+        #: read-in + GEMM path
+        self.direct: Optional[DirectConv] = None
+        if (self.kernel is not None and self.kernel.has_float_direct
+                and self.dtype == np.float64 and weights is None):
+            conv = DirectConv(c, h, w, k, layer.stride, layer.pad,
+                              self.out_c, "sequential")
+            order = _conv_order(self.kernel, conv)
+            if order is not None:
+                self.direct = conv._replace(order=order)
+        self.cols: Optional[np.ndarray] = None
+        if self.direct is None:
+            self.raw = np.empty((self.rows, self.out_c), self.dtype)
+            self.use_cols()
+        else:
+            (self.scratch, self.plane, self.raw, self.panel,
+             self.parts) = self.direct.scratch()
         #: ``raw`` as the (1, C, H, W) source of the next read-in
         self.raw_nchw = self.raw.reshape(
             1, self.out_h, self.out_w, self.out_c
         ).transpose(0, 3, 1, 2)
-        self._weights = weights  # None = read live float64 params
-        ck = get_kernel()
-        self.kernel = ck if ck is not None and ck.has_float_im2col else None
         self._alone: Optional[_FloatChain] = None
+
+    def use_cols(self) -> None:
+        """Allocate the column scratch of the read-in + GEMM path."""
+        if self.cols is None:
+            self.cols = np.empty((self.rows, self.ckk), self.dtype)
 
     def operands(self):
         """``(w_t, bias)``: float64 passes the training path's ``w_mat.T``
@@ -324,6 +364,21 @@ class _ConvStep(_Step):
         return self._alone(x, batch)
 
 
+#: :func:`~repro.core.sad_kernel.blas_conv_order` per conv geometry, for
+#: this process
+_ORDERS: Dict[DirectConv, Optional[str]] = {}
+
+
+def _conv_order(kernel, conv: DirectConv) -> Optional[str]:
+    """The summation order numpy's BLAS uses for ``conv``'s GEMM, when
+    the direct kernel computes it (``"sequential"`` or ``"k-residue"``),
+    else None: probed once per geometry per process."""
+    key = conv._replace(order="sequential")
+    if key not in _ORDERS:
+        _ORDERS[key] = blas_conv_order(kernel, key)
+    return _ORDERS[key]
+
+
 class _FloatChain:
     """Consecutive float convolutions with their folded neighbours, run
     one sample at a time -- the float lanes' step runner.
@@ -334,7 +389,13 @@ class _FloatChain:
     ``(relu, pool)`` applied as the last conv's raw output is written,
     bias added, into the owned NCHW result.  Each sample passes through
     every conv before the next sample starts, so its activations stay in
-    L2 from one GEMM to the next read-in.
+    L2 from one conv to the next read-in.
+
+    When every conv runs direct (``self.direct``), the whole batch is one
+    compiled ``conv_chain_f64`` call, which releases the GIL; otherwise
+    -- one unrecognised order is enough -- the chain keeps the per-conv
+    read-in + GEMM path (``_run_compiled``, or ``_run_numpy`` without the
+    compiled read-in).
     """
 
     def __init__(self, convs, links, tail):
@@ -350,6 +411,23 @@ class _FloatChain:
         self.out_shape = (last.out_c, out_h, out_w)
         self.dtype = last.dtype
         self.kernel = convs[0].kernel
+        self.direct = all(conv.direct is not None for conv in convs)
+        if self.direct:
+            # Scratch never moves: its addresses are bound once.  The
+            # geometry follows the input's strides, bound on first sight
+            # of each; weights and biases are bound when their arrays
+            # change (``_live``).
+            self._table = direct_pointers(
+                [None] * len(convs), [None] * len(convs),
+                [(conv.scratch, conv.plane, conv.raw, conv.panel, conv.parts)
+                 for conv in convs],
+            )
+            self._table_at = addr(self._table)
+            self._live: List[np.ndarray] = []
+            self._direct: Dict[tuple, np.ndarray] = {}
+            return
+        for conv in convs:
+            conv.use_cols()
         if self.kernel is not None:
             # Every read-in but the first reads the previous conv's raw
             # buffer, which never moves: geometry and addresses are bound
@@ -379,6 +457,9 @@ class _FloatChain:
 
     def __call__(self, x: np.ndarray, batch: int) -> np.ndarray:
         out = np.empty((batch,) + self.out_shape, self.dtype)
+        if self.direct:
+            self._run_direct(x, batch, out)
+            return out
         operands = [conv.operands() for conv in self.convs]
         w_ts = [w_t for w_t, _ in operands]
         biases = [
@@ -389,6 +470,48 @@ class _FloatChain:
         else:
             self._run_compiled(x, batch, w_ts, biases, out)
         return out
+
+    def _bind_live(self) -> None:
+        """Point the table at each conv's live weight and bias.  Arrays
+        the kernel can read in place are bound until the layer holds
+        another array; any other is copied, and rebound, on every call."""
+        live = [
+            array for conv in self.convs
+            for array in (conv.layer.params["weight"],
+                          conv.layer.params["bias"])
+        ]
+        if len(live) == len(self._live) and all(
+            a is b for a, b in zip(live, self._live)
+        ):
+            return
+        for conv, weight, bias in zip(self.convs, live[0::2], live[1::2]):
+            d = conv.direct  # the kernel reads these extents unchecked
+            if weight.shape != (d.n, d.c, d.k, d.k) or bias.shape != (d.n,):
+                raise ValueError(
+                    f"{conv.layer.name}: weight {weight.shape} and bias "
+                    f"{bias.shape} do not fit the compiled geometry"
+                )
+        bound = [np.ascontiguousarray(a, np.float64) for a in live]
+        table = self._table.reshape(-1, 6)
+        table[:, 0] = [addr(a) for a in bound[0::2]]
+        table[:, 1] = [addr(a) for a in bound[1::2]]
+        in_place = all(a is b for a, b in zip(live, bound))
+        self._live = live if in_place else []
+        self._bound = bound  # the copies stay alive while bound
+
+    def _run_direct(self, x, batch, out) -> None:
+        if min(x.strides) < 0 or any(s % x.itemsize for s in x.strides):
+            x = np.ascontiguousarray(x)
+        geometry = self._direct.get(x.strides)
+        if geometry is None:
+            geometry = self._direct[x.strides] = direct_chain_geometry(
+                [s // x.itemsize for s in x.strides],
+                [conv.direct for conv in self.convs], self.links, self.tail,
+            )
+        self._bind_live()
+        if self.kernel.conv_chain_f64(addr(x), batch, addr(geometry),
+                                      self._table_at, addr(out)):
+            raise MemoryError("conv_chain_f64 could not allocate its scratch")
 
     def _run_compiled(self, x, batch, w_ts, biases, out) -> None:
         convs = self.convs

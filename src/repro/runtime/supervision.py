@@ -61,7 +61,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -471,7 +473,10 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
     finalization, and counters go through the serve core's boundary
     (:func:`~repro.runtime.serving._boundary`) on a one-worker
     timeline.  Every completed request is acknowledged with its full
-    :class:`~repro.runtime.serving.RequestRecord`; injected faults fire
+    :class:`~repro.runtime.serving.RequestRecord`; an exception the serve
+    core raises (a frame that turned non-finite after its request was
+    built, say) goes to the parent, which raises it
+    (:func:`_report_error`).  Injected faults fire
     against the shard's own clock: ``kill`` is ``os._exit`` (a real
     crash — no cleanup, no goodbyes), ``stall`` a literal sleep with
     heartbeats suppressed, ``drop_ack`` a swallowed acknowledgement.
@@ -535,7 +540,11 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
         if worker.has_active() or len(backlogs[task.lane]):
             since = now()
             timeline.skip_to(since)
-            _, departed, _ = _boundary([timeline], since, backlogs)
+            try:
+                _, departed, _ = _boundary([timeline], since, backlogs)
+            except Exception as exc:
+                _report_error(task, exc)
+                return
             for _, resident in departed:
                 record = timeline.records.pop(resident.seq)
                 if timeline.drops and timeline.drops[0].at <= now():
@@ -559,6 +568,26 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
         "pipeline": worker.executor.stats,
         "prefix": worker.prefix_service.stats,
     }))
+
+
+def _report_error(task: SupervisedShardTask, exc: Exception) -> None:
+    """Hand an exception the serve core raised to the parent, which
+    raises it as an in-process serve would, then wait to be retired: a
+    child that exited here would read as a crash and be respawned.  The
+    child's traceback rides along as a note; an exception that does not
+    pickle travels as a ``RuntimeError`` naming its type and message."""
+    exc.add_note(
+        f"raised in shard {task.lane}/{task.shard}:\n"
+        + "".join(traceback.format_exception(exc)).rstrip()
+    )
+    try:
+        task.events.put(("error", task.lane, task.shard, exc))
+    except (pickle.PicklingError, TypeError, AttributeError):
+        task.events.put(("error", task.lane, task.shard, RuntimeError(
+            f"{type(exc).__name__}: {exc}"
+        )))
+    while task.inbox.get() is not None:
+        pass
 
 
 # -------------------------------------------------------------------- #
@@ -827,6 +856,8 @@ class ShardSupervisor:
                 state.done = True
                 state.tail = message[3]
                 return True
+            if kind == "error":  # a request's own fault, not a crash
+                raise message[3]
             return False
 
         # ---------------- the dispatch/monitor loop ---------------- #

@@ -10,6 +10,7 @@ float32 mode is the explicit exception, covered by tolerance bounds.
 import numpy as np
 import pytest
 
+from repro.core import sad_kernel
 from repro.nn import InferencePlan
 from repro.nn.train import get_trained_network
 
@@ -250,12 +251,26 @@ class TestBlasThreads:
         network = get_trained_network("mini_fasterm")
         plan = network.inference_plan(max_batch=16, dtype="float64")
         frames = np.random.default_rng(7).random((16, 1, 64, 64))
+        want = [_bits(network.forward(frames[s : s + 1])) for s in range(16)]
+        direct = [
+            step.direct for step in plan._steps
+            if getattr(step, "direct", None) is not None
+        ]
         outputs = {}
         try:
             for threads in (2, 1):
                 assert blas.set_openblas_threads(threads) == len(pools)
                 assert set(blas.openblas_threads().values()) == {threads}
                 outputs[threads] = plan.run(frames)
+                assert [
+                    _bits(outputs[threads][s : s + 1]) for s in range(16)
+                ] == want, threads
+                # the order each conv was bound with is BLAS's at this
+                # thread count too
+                for conv in direct:
+                    assert sad_kernel.blas_conv_order(
+                        sad_kernel.get_kernel(), conv
+                    ) == conv.order, (threads, conv)
         finally:
             for pool, threads in saved:
                 pool.set_threads(threads)
@@ -347,6 +362,110 @@ class TestFusedFloatPath:
             isinstance(value, np.ndarray) and value.dtype == np.int64
             for step in wide._steps for value in vars(step).values()
         )
+
+
+class TestDirectFloatPath:
+    """float64 chains whose every conv has an order the probe recognises
+    run as one compiled ``conv_chain_f64`` call per batch; any other
+    chain keeps the read-in + BLAS GEMM path.  Both give the training
+    forward's bytes."""
+
+    def test_zoo_prefixes_run_direct(self, compiled, net):
+        plan = InferencePlan(net, max_batch=2)
+        stop = net.index_of(net.last_spatial_layer()) + 1
+        (runner,) = plan._schedule(0, stop)
+        assert runner.direct
+        assert all(conv.cols is None for conv in runner.convs)
+        orders = {conv.direct.order for conv in runner.convs}
+        assert orders <= set(sad_kernel.DIRECT_ORDERS)
+
+    def test_all_zero_window_gives_the_training_zero_bits(self, compiled):
+        """Windows whose ReLU'd inputs are all zeros of either sign, with
+        weights of both signs: conv2's bias is ``-0.0``, so its output
+        shows the sign of every zero sum."""
+        from repro.nn.layers import Conv2d, Flatten, Linear, ReLU
+        from repro.nn.network import Network
+
+        rng = np.random.default_rng(11)
+        layers = [
+            Conv2d("conv1", 1, 8, kernel=1),
+            ReLU("relu1"),
+            Conv2d("conv2", 8, 16, kernel=3, pad=1, rng=rng),
+            ReLU("relu2"),
+            Flatten("flatten"),
+            Linear("fc", 16 * 8 * 8, 3, rng=rng),
+        ]
+        layers[0].params["weight"][:] = 1.0  # conv1 passes x through
+        weight = layers[2].params["weight"]
+        # channel 0 all negative, channel 1 all positive, the rest mixed:
+        # a window of +0.0 (-0.0) inputs has only -0.0 products in channel
+        # 0 (1), whose sum is +0.0 only when it starts from +0.0
+        weight[0], weight[1] = -np.abs(weight[0]), np.abs(weight[1])
+        layers[2].params["bias"][:] = -0.0
+        net = Network("zero_windows", layers, (1, 8, 8))
+        x = rng.standard_normal((3, 1, 8, 8))
+        x[:, :, :4, :4] = -1.0  # -0.0 after the ReLU
+        x[:, :, :4, 4:] = 0.0
+        x[1:, :, 4:] = rng.choice([-1.0, 0.0, -0.0], size=(2, 1, 4, 8))
+        plan = InferencePlan(net, max_batch=3)
+        (runner,) = plan._schedule(0, net.index_of("conv2") + 1)
+        assert runner.direct
+        for batch in (1, 3):
+            got = plan.run_prefix(x[:batch], "conv2")
+            want = np.concatenate([
+                net.forward_prefix(x[s : s + 1], "conv2") for s in range(batch)
+            ])
+            assert (want[:, :, :3] == 0).all()
+            assert _bits(got) == _bits(want)
+            assert _bits(plan.run(x[:batch])) == _bits(np.concatenate([
+                net.forward(x[s : s + 1]) for s in range(batch)
+            ]))
+
+    def test_probe_miss_keeps_that_chain_on_the_gemm_path(
+        self, compiled, monkeypatch
+    ):
+        """A conv whose order the probe does not recognise sends every
+        chain it belongs to down the read-in + GEMM path, with identical
+        bytes; chains without it stay direct."""
+        from repro.nn import inference
+
+        net = get_trained_network("mini_fasterm")
+        real = inference._conv_order
+        missed = []
+
+        def miss_conv3(kernel, conv):
+            if (conv.c, conv.n) == (16, 24):
+                missed.append(conv)
+                return None
+            return real(kernel, conv)
+
+        monkeypatch.setattr(inference, "_conv_order", miss_conv3)
+        plan = InferencePlan(net, max_batch=3)
+        assert missed
+        conv3 = net.index_of("conv3")
+        frames = np.random.default_rng(9).random((3, 1, 64, 64))
+        for start, stop in ((0, len(net.layers)), (conv3 + 1, len(net.layers)),
+                            (0, conv3)):
+            chain = next(
+                run for run in plan._schedule(start, stop)
+                if isinstance(run, inference._FloatChain)
+            )
+            assert chain.direct == (not start <= conv3 < stop)
+            if not chain.direct:
+                assert all(conv.cols is not None for conv in chain.convs)
+        refs = []
+        for s in range(3):
+            x, acts = frames[s : s + 1], []
+            for layer in net.layers:
+                x = layer.forward(x)
+                acts.append(_bits(x))
+            refs.append(acts)
+        for i, layer in enumerate(net.layers[:-1]):
+            act = plan.run_prefix(frames, layer.name)
+            tail = plan.run_suffix(act, layer.name)
+            for s in range(3):
+                assert _bits(act[s : s + 1]) == refs[s][i], (layer.name, s)
+                assert _bits(tail[s : s + 1]) == refs[s][-1], (layer.name, s)
 
 
 class TestMaxPoolSign:

@@ -369,3 +369,26 @@ class TestNonFiniteFrames:
         clips[1].frames[frame, 10, 20] = bad
         with pytest.raises(ValueError, match="frame has non-finite pixels"):
             run_workload(spec, clips, batch=shape != "serial")
+
+    @pytest.mark.parametrize("policy", ["always", "match_error"])
+    @pytest.mark.parametrize("backend", ["unsharded", "serial", "process"])
+    def test_mutated_request_named_by_every_serve_shape(self, policy,
+                                                        backend):
+        """A frame that turned NaN after its request was built fails the
+        serve with the named error in every serve shape.  A process shard
+        hands the error to the parent, which raises it: no crash, no
+        respawn, no :class:`ShardCrashError`."""
+        from repro.runtime import ClipRequest, ServerConfig, ServingRuntime
+
+        spec = PipelineSpec(network=NETWORK, policy=policy)
+        clips = synthetic_workload(4, num_frames=5, base_seed=13)
+        requests = [
+            ClipRequest(request_id=i, clip=clip)
+            for i, clip in enumerate(clips)
+        ]
+        clips[1].frames[2, 10, 20] = np.nan
+        config = ServerConfig(max_batch=2) if backend == "unsharded" else (
+            ServerConfig(max_batch=2, serve_workers=2, shard_backend=backend)
+        )
+        with pytest.raises(ValueError, match="frame has non-finite pixels"):
+            ServingRuntime(spec, config).serve(requests)

@@ -591,6 +591,33 @@ def _run_shape(spec, clips, shape):
     return ServingRuntime(spec, config).serve(_requests(clips)).workload_result()
 
 
+@pytest.mark.parametrize("shape", [
+    "serial", "lockstep1", "lockstep2", "serving", "inline-shards",
+])
+@pytest.mark.parametrize("policy", ["always", "match_error"])
+def test_rfbme_is_never_called_without_a_pair(spec, clips, shape, policy,
+                                              monkeypatch):
+    """A step with no ready row (every frame-0 step, and every step of
+    the always-key baseline) makes no RFBME call, and no pair or result
+    changes for it."""
+    from repro.core.rfbme import RFBMEEngine
+
+    sizes = []
+    original = RFBMEEngine.estimate_batch
+
+    def recording(engine, pairs):
+        sizes.append(len(pairs))
+        return original(engine, pairs)
+
+    monkeypatch.setattr(RFBMEEngine, "estimate_batch", recording)
+    policy_spec = replace(spec, policy=policy)
+    result = _run_shape(policy_spec, clips, shape)
+    assert 0 not in sizes
+    assert (sum(sizes) == 0) == (policy == "always")
+    monkeypatch.setattr(RFBMEEngine, "estimate_batch", original)
+    assert result.matches(run_workload(policy_spec, clips, batch=False))
+
+
 class TestAlwaysKeyEstimatesNothing:
     """The always-key baseline (the paper's ``orig``) neither decides
     from an estimate nor warps, so no shape runs RFBME for it; its bits
