@@ -74,9 +74,9 @@ run regardless of when shards scaled, and the fleet asserted to have
 actually reached 4 shards.
 
 The seventh headline is **virtual-time admission**: the same supervised
-process backend, but the parent releases arrivals by logical timestamps
-instead of real sleeps — a ~60-second simulated trace must complete in
-**well under half** its simulated duration (the gated metric is the
+process backend on a sparse trace, whose idle gaps the parent jumps
+instead of sleeping through — a ~60-second simulated trace must complete
+in **well under half** its simulated duration (the gated metric is the
 real-vs-simulated speedup, capped so faster hosts don't inflate it).
 
 The eighth headline is **the prefix service**: two lanes serving the
@@ -809,7 +809,7 @@ def test_autoscale_bursty_tail_latency(spec):
 def test_virtual_time_admission(spec):
     """A ~60s simulated trace over process shards must finish early.
 
-    The virtual-time admission protocol: the parent holds the logical
+    Process shards skip idle gaps: the parent holds the logical
     clock, and whenever nothing is in flight anywhere and the next
     arrival is in the future, it jumps the clock to that arrival and
     broadcasts the same skip to every shard — no one sleeps through the
@@ -838,8 +838,7 @@ def test_virtual_time_admission(spec):
         for i, (clip, t) in enumerate(zip(clips, arrivals))
     ]
     runtime = ServingRuntime(spec, ServerConfig(
-        max_batch=4, serve_workers=2,
-        shard_backend="process", virtual_time=True,
+        max_batch=4, serve_workers=2, shard_backend="process",
     ))
 
     outcome = {}

@@ -8,10 +8,8 @@ from .evaluation import (
 )
 from .first_order import FirstOrderReport, first_order_report
 from .tradeoff import (
-    DtypePoint,
     SweepPoint,
     TradeoffConfig,
-    quantized_tradeoff,
     run_policy,
     select_configs,
     sweep_thresholds,
@@ -26,8 +24,6 @@ __all__ = [
     "first_order_report",
     "SweepPoint",
     "TradeoffConfig",
-    "DtypePoint",
-    "quantized_tradeoff",
     "run_policy",
     "select_configs",
     "sweep_thresholds",

@@ -5,22 +5,12 @@ adaptive key-frame threshold on the *validation* set, picking the largest
 threshold (fewest key frames) whose accuracy drop stays under a budget
 (<0.5%, <1%, <2%), then reporting accuracy and cost on the *test* set.
 This module implements that protocol end to end.
-
-:func:`quantized_tradeoff` extends the same accuracy-for-efficiency story
-to the quantized inference lanes: one workload run per plan family, each
-scored against the float64 reference (max-abs error, top-1 agreement)
-next to its compute cost (measured host throughput plus the estimated
-MAC-energy and memory-traffic ratios of an EVA2-style datapath at the
-family's bit widths) — the knob EVA2 itself turns with its 16-bit
-datapath, §IV-B.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
 
 from ..core.amc import AMCExecutor
 from ..core.keyframe import (
@@ -37,8 +27,6 @@ __all__ = [
     "TradeoffConfig",
     "sweep_thresholds",
     "select_configs",
-    "DtypePoint",
-    "quantized_tradeoff",
 ]
 
 #: Policy constructors by metric name (Fig. 15 compares the two).
@@ -141,82 +129,3 @@ def select_configs(
             accuracy=chosen.accuracy,
         )
     return configs
-
-
-# -------------------------------------------------------------------- #
-# quantized-lane accuracy vs compute
-
-
-@dataclass(frozen=True)
-class DtypePoint:
-    """One plan family's accuracy-vs-compute outcome on a workload.
-
-    Accuracy is measured against the float64 reference run (so the
-    float64 row is exact by construction); compute pairs the measured
-    host throughput with the estimated hardware ratios of the family's
-    bit widths (1.0 for the float lanes — nothing narrows).
-    ``within_tolerance`` reports whether the measured max-abs error met
-    the family's calibrated contract bound (trivially true for float
-    lanes, whose contract is bit-identity with themselves).
-    """
-
-    dtype: str
-    max_abs_error: float
-    top1_agreement: float
-    frames_per_second: float
-    mac_energy_ratio: float
-    traffic_ratio: float
-    within_tolerance: bool
-
-
-def quantized_tradeoff(
-    spec,
-    clips: Sequence[VideoClip],
-    dtypes: Sequence[str] = ("float64", "float32", "int8", "q16"),
-) -> List[DtypePoint]:
-    """Run ``clips`` once per plan family and score each against float64.
-
-    ``spec`` is a :class:`~repro.runtime.spec.PipelineSpec` whose
-    ``dtype`` field is overridden per family (everything else — policy,
-    engine, network — held fixed, so the rows differ only in the
-    datapath width).  The float64 reference always runs, even when not
-    in ``dtypes``.
-    """
-    from ..nn.inference import QUANT_DTYPES
-    from ..runtime.batched import run_workload
-
-    spec.warm()
-    reference = run_workload(replace(spec, dtype="float64"), clips)
-    ref_out = reference.outputs()
-    points = []
-    for dtype in dtypes:
-        if dtype == "float64":
-            result, out = reference, ref_out
-        else:
-            result = run_workload(replace(spec, dtype=dtype), clips)
-            out = result.outputs()
-        err = float(np.max(np.abs(out - ref_out))) if out.size else 0.0
-        top1 = (
-            float(np.mean(out.argmax(axis=1) == ref_out.argmax(axis=1)))
-            if out.size else 1.0
-        )
-        savings = result.quant_savings
-        if dtype in QUANT_DTYPES:
-            plan = spec.shared_network().inference_plan(1, dtype)
-            within = err <= plan.tolerance.max_abs_error
-        else:
-            within = True
-        points.append(
-            DtypePoint(
-                dtype=dtype,
-                max_abs_error=err,
-                top1_agreement=top1,
-                frames_per_second=result.frames_per_second,
-                mac_energy_ratio=(
-                    savings.mac_energy_ratio if savings else 1.0
-                ),
-                traffic_ratio=savings.traffic_ratio if savings else 1.0,
-                within_tolerance=within,
-            )
-        )
-    return points

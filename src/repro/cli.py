@@ -14,19 +14,20 @@ Commands:
                   with per-request latency percentiles, optional
                   sharding across worker processes
                   (``--serve-workers N``) or an autoscaled shard fleet
-                  (``--autoscale --max-shards N``), virtual-time
-                  admission for fast simulated traces
-                  (``--virtual-time``), per-request TTFF deadlines with
-                  load shedding (``--deadline``), deterministic fault
-                  injection (``--fault-seed``, ``--kill-shard``) under
+                  (``--autoscale --max-shards N``), per-request TTFF
+                  deadlines with load shedding (``--deadline``),
+                  deterministic fault injection (``--fault-seed``,
+                  ``--kill-shard``) under
                   shard supervision (``--heartbeat-timeout``,
                   ``--max-respawns``), a cross-lane prefix service that
                   fuses coincident key-frame CNN prefixes and optionally
                   caches them by content (``--prefix-cache``,
                   ``--no-prefix-coalesce``), and optional ``--verify``
                   against the serial pipeline (shed-aware, keyed by
-                  request id).  Flags are grouped: traffic / sharding /
-                  faults / engine.
+                  request id).  Every serve shape skips the idle gaps
+                  of a sparse trace instead of sleeping through them.
+                  Flags are grouped: traffic / sharding / faults /
+                  engine.
 * ``hardware``  — the Fig. 12 / Fig. 13 numbers for a real network.
 * ``firstorder``— the §IV-A op-count comparison.
 """
@@ -283,7 +284,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 min_shards=args.min_shards, max_shards=args.max_shards
             ) if args.autoscale else None
         ),
-        virtual_time=args.virtual_time,
         max_pending=args.max_pending,
         prefix_coalesce=args.prefix_coalesce,
         prefix_cache_mb=args.prefix_cache_mb if args.prefix_cache else 0.0,
@@ -560,11 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "ingesting past this many arrived but "
                                "unadmitted requests, resume at half "
                                "(default: unbounded)")
-    sharding.add_argument("--virtual-time", action="store_true",
-                          help="release arrivals to process shards by "
-                               "logical timestamps instead of real sleeps "
-                               "so long simulated traces run at full "
-                               "speed (process backend)")
 
     faults = serve.add_argument_group(
         "faults", "deterministic fault injection and supervision"

@@ -100,10 +100,6 @@ class PipelineResult:
         """Fraction of frames executed precisely (the paper's 'keys')."""
         return self.num_key_frames / max(len(self.records), 1)
 
-    @property
-    def predicted_fraction(self) -> float:
-        return 1.0 - self.key_fraction
-
 
 class EVA2Pipeline:
     """Run live-vision clips through AMC under a key-frame policy."""

@@ -98,10 +98,6 @@ class EVA2Model:
         return self.params.grid_height * self.params.grid_width * self.params.channels
 
     @property
-    def dense_activation_bytes(self) -> int:
-        return self.activation_values * VALUE_BITS // 8
-
-    @property
     def sparse_activation_bytes(self) -> int:
         """Buffer sizing: RLE storage scales with density (plus gap field
         overhead of 4 bits per 16-bit entry)."""

@@ -155,9 +155,6 @@ class NetworkSpec:
     def fc_macs(self) -> int:
         return sum(s.macs for s in self.stats if s.kind == "fc")
 
-    def total_macs(self) -> int:
-        return sum(s.macs for s in self.stats)
-
     def prefix_macs(self, target: str) -> int:
         """MACs through ``target`` inclusive (the AMC prefix)."""
         idx = self._index(target)
@@ -175,13 +172,6 @@ class NetworkSpec:
 
     def layer(self, layer_name: str) -> LayerStats:
         return self.stats[self._index(layer_name)]
-
-    def activation_values(self, layer_name: str) -> int:
-        c, h, w = self.layer(layer_name).out_shape
-        return c * h * w
-
-    def weight_count(self) -> int:
-        return sum(s.weights for s in self.stats)
 
     def receptive_field(self, target: str) -> Tuple[int, int, int]:
         """(size, stride, padding) of ``target``'s outputs w.r.t. the input.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["MemoryTech", "EDRAM", "SRAM", "buffer_area_mm2", "access_energy_pj"]
+__all__ = ["MemoryTech", "EDRAM", "SRAM"]
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,6 @@ class MemoryTech:
     def read_energy_mj(self, num_bytes: int) -> float:
         return num_bytes * self.read_energy_pj_per_byte * 1e-9
 
-    def write_energy_mj(self, num_bytes: int) -> float:
-        return num_bytes * self.write_energy_pj_per_byte * 1e-9
-
 
 #: 65 nm eDRAM (the three large EVA2 buffers).
 EDRAM = MemoryTech(
@@ -57,14 +54,3 @@ SRAM = MemoryTech(
     write_energy_pj_per_byte=0.6,
     cycle_ns=2.0,
 )
-
-
-def buffer_area_mm2(size_bytes: int, tech: MemoryTech = EDRAM) -> float:
-    """Convenience wrapper used by the area model."""
-    return tech.area_mm2(size_bytes)
-
-
-def access_energy_pj(num_bytes: int, tech: MemoryTech = EDRAM, write: bool = False) -> float:
-    """Access energy in picojoules for ``num_bytes``."""
-    per_byte = tech.write_energy_pj_per_byte if write else tech.read_energy_pj_per_byte
-    return num_bytes * per_byte

@@ -1,6 +1,6 @@
 """Numpy CNN substrate: layers, networks, training, quantization."""
 
-from .layers import AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU
+from .layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU
 from .models import (
     DETECTION_OUTPUTS,
     INPUT_SHAPE,
@@ -21,7 +21,6 @@ from .train import (
 )
 
 __all__ = [
-    "AvgPool2d",
     "Conv2d",
     "Flatten",
     "Linear",

@@ -26,8 +26,6 @@ __all__ = [
     "conv2d_backward",
     "maxpool2d_forward",
     "maxpool2d_backward",
-    "avgpool2d_forward",
-    "avgpool2d_backward",
     "relu_forward",
     "relu_backward",
     "linear_forward",
@@ -161,8 +159,8 @@ def pool_windows(x: np.ndarray, field: int, stride: int) -> np.ndarray:
     """Zero-copy view of ``x`` (N, C, H, W) as pooling windows.
 
     Returns (N, C, OH, OW, field, field) where ``[..., i, j, :, :]`` is the
-    window reduced into output position (i, j) — the shared geometry of
-    max and average pooling.  Pure stride arithmetic: no data moves, so
+    window reduced into output position (i, j) — max pooling's
+    geometry.  Pure stride arithmetic: no data moves, so
     reductions over the last two axes read ``x`` directly instead of
     round-tripping through a generic im2col copy.
     """
@@ -203,38 +201,6 @@ def maxpool2d_backward(grad_out: np.ndarray, cache):
     grad_cols[np.arange(cols_shape[0]), arg] = grad_out.reshape(-1)
     grad_x = col2im(grad_cols, (n * c, 1, h, w), field, field, stride, 0)
     return grad_x.reshape(x_shape)
-
-
-def avgpool2d_forward(x: np.ndarray, field: int, stride: int):
-    """Average pooling with square windows (no padding)."""
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, field, stride, 0)
-    out_w = conv_output_size(w, field, stride, 0)
-    cols = pool_windows(x, field, stride).reshape(-1, field * field)
-    out = cols.mean(axis=1).reshape(n, c, out_h, out_w)
-    cache = (x.shape, field, stride, cols.shape)
-    return out, cache
-
-
-def avgpool2d_backward(grad_out: np.ndarray, cache):
-    """Backward pass of average pooling: spread gradients uniformly.
-
-    Every input position inside a window receives grad/field² from that
-    window, so the fold is a direct strided scatter-add of the scaled
-    output gradient — no (N*C*OH*OW, field*field) repeat intermediate.
-    """
-    x_shape, field, stride, cols_shape = cache
-    n, c, h, w = x_shape
-    out_h = conv_output_size(h, field, stride, 0)
-    out_w = conv_output_size(w, field, stride, 0)
-    g = grad_out.reshape(n, c, out_h, out_w) / (field * field)
-    grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
-    for fy in range(field):
-        y_max = fy + stride * out_h
-        for fx in range(field):
-            x_max = fx + stride * out_w
-            grad_x[:, :, fy:y_max:stride, fx:x_max:stride] += g
-    return grad_x
 
 
 def relu_forward(x: np.ndarray):

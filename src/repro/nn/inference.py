@@ -84,7 +84,7 @@ from ..core.sad_kernel import (
 )
 from ..hardware.fixed_point import QFormat, QuantSavings, estimate_quantized_savings
 from . import functional as F
-from .layers import AvgPool2d, Conv2d, Flatten, Layer, Linear, MaxPool2d, ReLU
+from .layers import Conv2d, Flatten, Layer, Linear, MaxPool2d, ReLU
 from .quantize import (
     CALIBRATION_SAMPLES,
     CALIBRATION_SEED,
@@ -646,35 +646,6 @@ class _MaxPoolStep(_Step):
         return first_max_pool(x, self.field, self.stride)
 
 
-class _AvgPoolStep(_Step):
-    def __init__(self, layer: AvgPool2d, in_shape, capacity: int, dtype):
-        super().__init__(layer)
-        c, h, w = in_shape
-        self.field, self.stride = layer.field, layer.stride
-        out_h = F.conv_output_size(h, self.field, self.stride, 0)
-        out_w = F.conv_output_size(w, self.field, self.stride, 0)
-        self.flat = np.empty(
-            (capacity, c, out_h, out_w, self.field * self.field), dtype=dtype
-        )
-        self.out = np.empty((capacity, c, out_h, out_w), dtype=dtype)
-
-    def resize(self, capacity: int) -> None:
-        self.flat = np.empty(
-            (capacity,) + self.flat.shape[1:], dtype=self.flat.dtype
-        )
-        self.out = np.empty((capacity,) + self.out.shape[1:], dtype=self.out.dtype)
-
-    def run(self, x: np.ndarray, batch: int) -> np.ndarray:
-        windows = F.pool_windows(x, self.field, self.stride)
-        flat = self.flat[:batch]
-        # Materialise windows once so the mean reduces a contiguous last
-        # axis — the same reduction order as the unfold-based layer path.
-        np.copyto(flat, windows.reshape(windows.shape[:4] + (-1,)))
-        out = self.out[:batch]
-        np.mean(flat, axis=-1, out=out)
-        return out
-
-
 class _FlattenStep(_Step):
     def run(self, x: np.ndarray, batch: int) -> np.ndarray:
         return x.reshape(batch, -1)
@@ -1191,8 +1162,6 @@ class InferencePlan:
             return _ReLUStep(layer, dt)
         if isinstance(layer, MaxPool2d):
             return _MaxPoolStep(layer, dt)
-        if isinstance(layer, AvgPool2d):
-            return _AvgPoolStep(layer, in_shape, cap, dt)
         if isinstance(layer, Flatten):
             return _FlattenStep(layer)
         return _GenericStep(layer)
@@ -1307,11 +1276,8 @@ class InferencePlan:
             return _MaxPoolStep(layer, dt), current
         if isinstance(layer, Flatten):
             return _FlattenStep(layer), current
-        # No integer path (AvgPool's mean, unspecialised layers): float.
-        if isinstance(layer, AvgPool2d):
-            step = _AvgPoolStep(layer, in_shape, cap, np.float32)
-        else:
-            step = _GenericStep(layer)
+        # No integer path (unspecialised layers): float.
+        step = _GenericStep(layer)
         if current is not None:
             step = _DequantWrapStep(step, current, in_shape, cap)
         return step, None

@@ -25,7 +25,7 @@ import numpy as np
 from . import functional as F
 from . import init as winit
 
-__all__ = ["Layer", "Conv2d", "MaxPool2d", "AvgPool2d", "ReLU", "Flatten", "Linear"]
+__all__ = ["Layer", "Conv2d", "MaxPool2d", "ReLU", "Flatten", "Linear"]
 
 
 class Layer:
@@ -148,34 +148,6 @@ class MaxPool2d(Layer):
         if self._cache is None:
             raise RuntimeError(f"backward on {self.name} without train-mode forward")
         return F.maxpool2d_backward(grad_out, self._cache)
-
-    def geometry(self) -> Tuple[int, int, int]:
-        return (self.field, self.stride, 0)
-
-    def output_shape(self, input_shape):
-        c, h, w = input_shape
-        oh = F.conv_output_size(h, self.field, self.stride, 0)
-        ow = F.conv_output_size(w, self.field, self.stride, 0)
-        return (c, oh, ow)
-
-
-class AvgPool2d(Layer):
-    """Average pooling with square windows."""
-
-    def __init__(self, name: str, field: int, stride: int):
-        super().__init__(name)
-        self.field = field
-        self.stride = stride
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        out, cache = F.avgpool2d_forward(x, self.field, self.stride)
-        self._cache = cache if train else None
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(f"backward on {self.name} without train-mode forward")
-        return F.avgpool2d_backward(grad_out, self._cache)
 
     def geometry(self) -> Tuple[int, int, int]:
         return (self.field, self.stride, 0)

@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .layers import Layer, MaxPool2d, AvgPool2d
+from .layers import Layer, MaxPool2d
 
 __all__ = ["Network"]
 
@@ -79,7 +79,7 @@ class Network:
     def first_post_pool_layer(self) -> str:
         """Name of the first pooling layer — the paper's *early* target."""
         for layer in self.layers:
-            if isinstance(layer, (MaxPool2d, AvgPool2d)):
+            if isinstance(layer, MaxPool2d):
                 return layer.name
         raise ValueError(f"network {self.name} has no pooling layers")
 

@@ -34,9 +34,9 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
   :class:`BackpressureError` on push-side overflow), a pure-function
   :class:`AutoscalePolicy` + :class:`Autoscaler` that grow and shrink
   a lane's shard fleet from observed backlog depth and deadline slack
-  (:class:`ScaleEvent` log), and a virtual-time admission protocol
-  that releases arrivals to process shards by logical timestamps so
-  large simulated traces run at full speed.
+  (:class:`ScaleEvent` log).  Every serve shape, process shards
+  included, admits from the door through one backlog per lane and
+  skips idle gaps, so a sparse simulated trace serves at full speed.
 * :class:`WorkloadResult` — aggregate results plus throughput stats
   (frames/sec, key fraction, total adder ops).
 * :class:`FaultPlan` / :class:`ShardSupervisor` — fault-tolerant

@@ -379,33 +379,6 @@ class FrontDoor:
             return depth > self.resume_pending
         return depth >= self.max_pending
 
-    def drain_per_lane(self) -> Dict[str, List[Tuple[int, object]]]:
-        """Pull *everything* into per-lane ``(seq, request)`` lists.
-
-        Process shards need the full request set up front (the
-        supervisor schedules releases and deals the shard budget from
-        it), so they drain the source — streaming traffic is consumed
-        whole, watermarks do not apply.  Source order is arrival order.
-        """
-        per_lane: Dict[str, List[Tuple[int, object]]] = {
-            name: [] for name in self.router.specs
-        }
-        while True:
-            peeked = self._fill_peek()
-            if peeked is None:
-                if self.source.finished:
-                    break
-                raise ValueError(
-                    "process shards need the full trace up front, but the "
-                    "request source is still open; close() it after the "
-                    "last submit, or serve inline (shard_backend='serial' "
-                    "or serve_workers=1), which streams"
-                )
-            self._peeked = None
-            seq, request, lane = peeked
-            per_lane[lane].append((seq, request))
-        return per_lane
-
 
 # -------------------------------------------------------------------- #
 # autoscaling — pure policy, thin stateful wrapper
@@ -614,10 +587,6 @@ class ServerConfig:
     #: min_shards and max_shards from observed queue depth and deadline
     #: slack.  None = fixed ``serve_workers`` shards.
     autoscale: Optional[AutoscalePolicy] = None
-    #: release arrivals to process shards by logical timestamps instead
-    #: of real sleeps, so large simulated traces run at full speed (the
-    #: in-process and inline shard timelines are already virtual).
-    virtual_time: bool = False
     #: pull-side watermark: stop ingesting past this many arrived but
     #: unadmitted requests (None = unbounded, the historical behaviour) …
     max_pending: Optional[int] = None
@@ -663,7 +632,6 @@ class ServerConfig:
             )
         object.__setattr__(self, "max_batch", int(self.max_batch))
         object.__setattr__(self, "serve_workers", int(self.serve_workers))
-        object.__setattr__(self, "virtual_time", bool(self.virtual_time))
         if self.fault_plan is None:
             object.__setattr__(self, "fault_plan", FaultPlan())
         if self.supervisor is None:

@@ -38,9 +38,10 @@ The serving layer is split along the line a deployment would draw:
   lane's shared backlog: whichever shard reaches a free slot first in
   virtual time admits the next due request.  The ``process`` shard
   backend realizes the same shape on real processes under a
-  :class:`~repro.runtime.supervision.ShardSupervisor`; each shard
-  process admits, steps and finalizes through the same boundary
-  function.
+  :class:`~repro.runtime.supervision.ShardSupervisor`, which admits
+  from the door through the same per-lane backlogs and skips the same
+  idle gaps; each shard process admits, steps and finalizes through
+  the same boundary function.
 
 The correctness contract is what makes every shape safe: every served
 clip's outputs, key-frame decisions, and op counts are bit-identical to
@@ -79,7 +80,6 @@ configuration lives in one validated
 
 from __future__ import annotations
 
-import heapq
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -110,9 +110,8 @@ from .supervision import (
     ShardSupervisor,
     ShedRecord,
     SupervisorConfig,
-    _edf_key,
+    _Backlog,
     _PendingEntry,
-    _shed_expired,
 )
 
 __all__ = [
@@ -877,81 +876,8 @@ class _ShardOutcome:
 
 
 # -------------------------------------------------------------------- #
-# the serve core — backlogs, timelines, the boundary, the event loop
+# the serve core — timelines, the boundary, the event loop
 # -------------------------------------------------------------------- #
-class _Backlog:
-    """One lane's queued-but-unadmitted requests.
-
-    Entries wait in a heap ordered by availability until a boundary
-    reaches their ``available`` time, then move to a heap in
-    earliest-deadline-first order (:func:`_edf_key`) that admission pops
-    from — so a boundary costs O(due + admitted), not O(backlog).
-    Shedding scans the backlog only while a queued request carries a
-    deadline.
-    """
-
-    def __init__(self):
-        self._future: List[Tuple[float, int, _PendingEntry]] = []
-        self._due: List[Tuple[Tuple[float, float, int], _PendingEntry]] = []
-        #: when entries last became due: a bound on their availability.
-        self._due_since = 0.0
-        #: queued entries that carry a deadline.
-        self.deadlined = 0
-
-    def __len__(self) -> int:
-        return len(self._future) + len(self._due)
-
-    def entries(self) -> List[_PendingEntry]:
-        return [item[-1] for item in self._future + self._due]
-
-    def push(self, entry: _PendingEntry) -> None:
-        heapq.heappush(self._future, (entry.available, entry.seq, entry))
-        if entry.request.deadline is not None:
-            self.deadlined += 1
-
-    def earliest(self) -> Optional[float]:
-        """When the next entry may be admitted (None = nothing queued)."""
-        if self._due:
-            return self._due_since
-        return self._future[0][0] if self._future else None
-
-    def promote(self, now: float) -> None:
-        """Move every entry available by ``now`` into admission order."""
-        while self._future and self._future[0][0] <= now:
-            entry = heapq.heappop(self._future)[2]
-            heapq.heappush(self._due, (_edf_key(entry), entry))
-            self._due_since = now
-
-    def pop_due(self) -> Optional[_PendingEntry]:
-        """The earliest-deadline due entry, or None."""
-        if not self._due:
-            return None
-        entry = heapq.heappop(self._due)[1]
-        if entry.request.deadline is not None:
-            self.deadlined -= 1
-        return entry
-
-    def shed_expired(self, now: float, shard: int) -> List[ShedRecord]:
-        """Drop (and return records for) entries whose deadline passed."""
-        if not self.deadlined:
-            return []
-        kept, shed = _shed_expired(self.entries(), now, shard=shard)
-        if shed:
-            self._future, self._due, self.deadlined = [], [], 0
-            for entry in kept:
-                self.push(entry)
-        return shed
-
-    def slack(self, now: float) -> Optional[float]:
-        """Seconds until the earliest queued deadline (None = none)."""
-        if not self.deadlined:
-            return None
-        return min(
-            entry.request.deadline - now for entry in self.entries()
-            if entry.request.deadline is not None
-        )
-
-
 class _Timeline:
     """A virtual clock that owns one or more lane workers.
 
@@ -1447,7 +1373,7 @@ class ServingRuntime:
                 for lane_spec in self.router.specs.values():
                     lane_spec.warm()  # shards load the cache, never train
                 if self.config.resolve_shard_backend(size) == "process":
-                    report = self._serve_process(door)
+                    report = self._serve_process(door, fleet)
                 else:
                     report = self._serve_inline(door, fleet)
         finally:
@@ -1540,40 +1466,35 @@ class ServingRuntime:
             prefix=service.stats, **counters,
         )
 
-    def _serve_process(self, door: FrontDoor) -> ServingReport:
-        """Sharded serving on real processes, under shard supervision.
+    def _serve_process(self, door: FrontDoor,
+                       fleet: Mapping[str, int]) -> ServingReport:
+        """One supervised shard process per shard, on the real clock.
 
-        The parent is the shared queue: a
-        :class:`~repro.runtime.supervision.ShardSupervisor` releases
-        requests at their arrival times (real clock — or by logical
-        timestamps under ``virtual_time``, jumping idle gaps instead of
-        sleeping them), dispatches them earliest-deadline-first to
-        whichever shard of the lane has the most free capacity, and
-        recovers from crashed/stalled shards by re-dispatching
-        unacknowledged requests — bit-identical by the serving
-        contract.  It needs the full trace for release scheduling, so
-        the door is drained (closed sources only).
+        A :class:`~repro.runtime.supervision.ShardSupervisor` admits
+        from the front door through one backlog per lane, as the serve
+        core does, and dispatches to the shard processes; it recovers
+        from crashed/stalled shards by re-dispatching unacknowledged
+        requests — bit-identical by the serving contract.  Streams
+        straight from the door, like :meth:`_serve_inline`.
         """
-        per_lane = door.drain_per_lane()
-        lane_shards = self._fleet(
-            {name: len(items) for name, items in per_lane.items()}
-        )
         policy = self.config.autoscale
+        autoscaler = Autoscaler(policy) if policy is not None else None
         supervisor = ShardSupervisor(
             self.router.specs, self.config.max_batch,
             config=self.config.supervisor,
             fault_plan=self.config.fault_plan,
-            virtual_time=self.config.virtual_time,
-            autoscaler=Autoscaler(policy) if policy is not None else None,
+            autoscaler=autoscaler,
             prefix_coalesce=self.config.prefix_coalesce,
             prefix_cache_mb=self.config.prefix_cache_mb,
         )
-        result = supervisor.serve(per_lane, lane_shards)
+        outcomes, shed, failover_events, counters = supervisor.serve(
+            door, fleet
+        )
         return self._report(
-            result.outcomes, sharded=True, shed=result.shed,
-            failover_events=result.failover_events,
-            retries=result.retries, failovers=result.failovers,
-            respawns=result.respawns, scale_events=result.scale_events,
+            outcomes, sharded=True, shed=shed,
+            failover_events=failover_events,
+            scale_events=autoscaler.events if autoscaler else (),
+            **counters,
         )
 
     def _report(

@@ -30,7 +30,9 @@ re-dispatch explicitly.
   *shed*: dropped with an explicit :class:`ShedRecord` (whose
   ``error`` is a named :class:`RequestShedError`) instead of served
   late or silently dropped.  Admission among due requests is
-  earliest-deadline-first.
+  earliest-deadline-first.  One :class:`_Backlog` per lane holds the
+  queued requests on every path that admits: the serve core's
+  timelines, each shard process, and the supervisor's dispatcher.
 
 The supervised child protocol (all messages flow through one shared
 event queue; dispatches flow through per-shard inboxes)::
@@ -40,24 +42,26 @@ event queue; dispatches flow through per-shard inboxes)::
                      ("ack",   lane, shard, seq, record) per completion
                      ("done",  lane, shard, tail)        final counters
     parent -> child: ("go", t0)     release, clock base = parent time t0
-                     ("skip", dt)   virtual-time jump: advance clock dt
+                     ("skip", dt)   idle jump: advance clock dt
                      (seq, request) dispatch
                      None           retire sentinel
 
-Virtual-time admission (``ShardSupervisor(virtual_time=True)``): when
-every shard is idle and the next arrival is in the future, the parent
-*jumps* its logical clock to that arrival instead of sleeping, and
-broadcasts ``("skip", dt)`` so every shard advances its own clock by the
-same ``dt`` (a shard's clock base just moves back).  All deadlines,
-shedding, and admission stamps live on the logical timeline, so a large
-simulated trace serves in real time proportional to its busy time, not
-its simulated duration.  *Liveness* stays on the real clock — a jump
-must never read as heartbeat silence — and ack timeouts are unaffected
-because a jump only happens with zero dispatches in flight.
+Idle jumps: when nothing is dispatched anywhere and the next request
+(queued, or next at the front door) is in the future, the parent
+*jumps* its logical clock to it instead of sleeping, and broadcasts
+``("skip", dt)`` so every shard advances its own clock by the same
+``dt`` (a shard's clock base just moves back).  All deadlines,
+shedding, and admission stamps live on the logical timeline, so a
+sparse trace serves in real time proportional to its busy time, not
+its span — as the serve core's timelines do.  *Liveness* stays on the
+real clock — a jump must never read as heartbeat silence — and ack
+timeouts are unaffected because a jump only happens with zero
+dispatches in flight.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import os
@@ -76,7 +80,6 @@ __all__ = [
     "FaultPlan",
     "SupervisorConfig",
     "ShardSupervisor",
-    "SupervisionResult",
     "RequestShedError",
     "ShedRecord",
     "FailoverEvent",
@@ -406,33 +409,112 @@ def _edf_key(entry: _PendingEntry) -> Tuple[float, float, int]:
     )
 
 
-def _shed_expired(
-    entries: List[_PendingEntry], now: float, shard: int = -1
-) -> Tuple[List[_PendingEntry], List[ShedRecord]]:
-    """Split a backlog into survivors and newly shed entries.
+class _Backlog:
+    """One lane's queued-but-unadmitted requests.
 
-    A request is shed the moment its deadline passes while it is still
-    waiting for a slot — service that has not begun by the deadline can
-    no longer meet it.  Admitted requests are never shed: they run to
-    completion and their record simply shows a missed deadline.
+    Entries wait in a heap ordered by availability until a boundary
+    reaches their ``available`` time, then move to a heap in
+    earliest-deadline-first order (:func:`_edf_key`) that admission pops
+    from — so a boundary costs O(due + admitted), not O(backlog).
+    Shedding scans the backlog only while a queued request carries a
+    deadline.  Both heaps break ties on ``seq``, so one backlog must
+    never hold two entries with the same seq: the tie would fall
+    through to comparing the entries, and with them the clips' frames.
     """
-    kept: List[_PendingEntry] = []
-    shed: List[ShedRecord] = []
-    for entry in entries:
-        deadline = getattr(entry.request, "deadline", None)
-        if deadline is not None and deadline <= now:
-            shed.append(ShedRecord(
-                seq=entry.seq,
-                request_id=entry.request.request_id,
-                lane=entry.lane,
-                arrival_time=entry.request.arrival_time,
-                deadline=deadline,
-                shed_time=now,
-                shard=shard,
-            ))
-        else:
-            kept.append(entry)
-    return kept, shed
+
+    def __init__(self):
+        self._future: List[Tuple[float, int, _PendingEntry]] = []
+        self._due: List[Tuple[Tuple[float, float, int], _PendingEntry]] = []
+        #: when entries last became due: a bound on their availability.
+        self._due_since = 0.0
+        #: queued entries that carry a deadline.
+        self.deadlined = 0
+
+    def __len__(self) -> int:
+        return len(self._future) + len(self._due)
+
+    def entries(self) -> List[_PendingEntry]:
+        return [item[-1] for item in self._future + self._due]
+
+    def push(self, entry: _PendingEntry) -> None:
+        heapq.heappush(self._future, (entry.available, entry.seq, entry))
+        if entry.request.deadline is not None:
+            self.deadlined += 1
+
+    def earliest(self) -> Optional[float]:
+        """When the next entry may be admitted (None = nothing queued)."""
+        if self._due:
+            return self._due_since
+        return self._future[0][0] if self._future else None
+
+    def promote(self, now: float) -> None:
+        """Move every entry available by ``now`` into admission order."""
+        while self._future and self._future[0][0] <= now:
+            entry = heapq.heappop(self._future)[2]
+            heapq.heappush(self._due, (_edf_key(entry), entry))
+            self._due_since = now
+
+    def pop_due(self) -> Optional[_PendingEntry]:
+        """The earliest-deadline due entry, or None."""
+        if not self._due:
+            return None
+        entry = heapq.heappop(self._due)[1]
+        if entry.request.deadline is not None:
+            self.deadlined -= 1
+        return entry
+
+    def shed_expired(self, now: float, shard: int) -> List[ShedRecord]:
+        """Drop (and return records for) entries whose deadline passed.
+
+        A request is shed the moment its deadline passes while it is
+        still waiting for a slot — service that has not begun by the
+        deadline can no longer meet it.  Admitted requests are never
+        shed: they run to completion and their record simply shows a
+        missed deadline.
+        """
+        if not self.deadlined:
+            return []
+        kept: List[_PendingEntry] = []
+        shed: List[ShedRecord] = []
+        for entry in self.entries():
+            deadline = entry.request.deadline
+            if deadline is not None and deadline <= now:
+                shed.append(ShedRecord(
+                    seq=entry.seq,
+                    request_id=entry.request.request_id,
+                    lane=entry.lane,
+                    arrival_time=entry.request.arrival_time,
+                    deadline=deadline,
+                    shed_time=now,
+                    shard=shard,
+                ))
+            else:
+                kept.append(entry)
+        if shed:
+            self._refill(kept)
+        return shed
+
+    def withdraw(self, seq: int) -> Optional[_PendingEntry]:
+        """Remove and return the queued entry for ``seq`` (None = none)."""
+        entries = self.entries()
+        found = next((entry for entry in entries if entry.seq == seq), None)
+        if found is not None:
+            self._refill([entry for entry in entries if entry is not found])
+        return found
+
+    def _refill(self, entries: List[_PendingEntry]) -> None:
+        self._future, self._due, self.deadlined = [], [], 0
+        for entry in entries:
+            self.push(entry)
+
+    def slack(self, now: float) -> Optional[float]:
+        """Seconds until the earliest queued deadline (None = none)."""
+        if not self.deadlined:
+            return None
+        return min(
+            entry.request.deadline - now for entry in self.entries()
+            if entry.request.deadline is not None
+        )
 
 
 # -------------------------------------------------------------------- #
@@ -484,7 +566,7 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
     import queue as queue_module
 
     from .prefix_service import PrefixService
-    from .serving import LaneWorker, _Backlog, _boundary, _Timeline
+    from .serving import LaneWorker, _boundary, _Timeline
 
     worker = LaneWorker(
         task.lane, task.spec, task.capacity, shard=task.shard,
@@ -502,7 +584,8 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
     def now() -> float:
         return time.perf_counter() - start
 
-    backlogs = {task.lane: _Backlog()}
+    backlog = _Backlog()
+    backlogs = {task.lane: backlog}
     timeline = _Timeline([worker], now, faults=task.faults)
     last_beat = -math.inf
     draining = False
@@ -512,9 +595,15 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
         if item is None:
             draining = True
         elif item[0] == "skip":
-            start -= float(item[1])  # virtual-time jump: clock leaps
-        elif item[0] != "go":  # a duplicate release is inert
-            backlogs[task.lane].push(_PendingEntry(
+            start -= float(item[1])  # idle jump: the clock leaps
+        elif item[0] != "go" and item[0] not in (
+            [entry.seq for entry in backlog.entries()]
+            + [resident.seq for resident in worker.active_residents()]
+        ):
+            # A duplicate release is inert, and so is a retry of a
+            # request this shard still holds: the original's ack
+            # resolves it.
+            backlog.push(_PendingEntry(
                 seq=item[0], request=item[1], lane=task.lane, available=0.0,
             ))
 
@@ -537,7 +626,7 @@ def _run_supervised_shard(task: SupervisedShardTask) -> None:
                 receive(task.inbox.get_nowait())
             except queue_module.Empty:
                 break
-        if worker.has_active() or len(backlogs[task.lane]):
+        if worker.has_active() or len(backlog):
             since = now()
             timeline.skip_to(since)
             try:
@@ -594,21 +683,6 @@ def _report_error(task: SupervisedShardTask, exc: Exception) -> None:
 # the parent-side supervisor
 # -------------------------------------------------------------------- #
 @dataclass
-class SupervisionResult:
-    """What a supervised serve produced, for report aggregation."""
-
-    outcomes: List[object]  # List[serving._ShardOutcome]
-    shed: List[ShedRecord]
-    failover_events: List[FailoverEvent]
-    retries: int
-    failovers: int
-    respawns: int
-    #: autoscaling decisions that changed a lane's shard count (empty
-    #: without an autoscaler).
-    scale_events: List[object] = field(default_factory=list)
-
-
-@dataclass
 class _ShardState:
     """Parent-side view of one supervised shard process."""
 
@@ -624,7 +698,7 @@ class _ShardState:
     #: nothing new, retires when empty.
     draining: bool = False
     #: last sign of life, on the REAL clock (``time.perf_counter()``) —
-    #: virtual-time jumps must never read as heartbeat silence.
+    #: idle jumps must never read as heartbeat silence.
     last_beat: float = 0.0
     tail: Optional[dict] = None
     in_flight: Dict[int, _PendingEntry] = field(default_factory=dict)
@@ -634,22 +708,25 @@ class _ShardState:
 class ShardSupervisor:
     """Supervised shared-admission serving over real shard processes.
 
-    The parent is dispatcher and failure detector in one loop: it
-    releases requests at their arrival times, dispatches them
-    earliest-deadline-first to the lane shard with the most free
-    capacity (credit = ``capacity`` minus unacknowledged dispatches),
-    sheds whatever expires while queued, and watches each shard's
-    process liveness and heartbeats.  A dead or silent shard's
-    unacknowledged requests go back into the backlog — their eventual
-    records are flagged ``"failover"`` — and, when the lane would
-    otherwise be shardless, a replacement is spawned (bounded by
-    ``max_respawns``).  An unacknowledged request on a *live* shard is
-    retried after ``ack_timeout`` (the drop-ack case); duplicate acks
-    are idempotent because re-execution is bit-identical.  Total loss —
-    a lane with work but no shards and no respawn budget — terminates
-    everything and raises
-    :class:`ShardCrashError`; a run never
-    hangs (``drain_timeout`` bounds any no-progress stretch).
+    The parent is dispatcher and failure detector in one loop.  It
+    admits as the serve core does: the front door releases requests as
+    they arrive into one :class:`_Backlog` per lane, which sheds
+    whatever expires while queued and hands due requests out
+    earliest-deadline-first, each to the lane shard with the most free
+    capacity (credit = ``capacity`` minus unacknowledged dispatches).
+    With nothing in flight it jumps idle gaps instead of sleeping them.
+    It also watches each shard's process liveness and heartbeats.  A
+    dead or silent shard's unacknowledged requests go back into the
+    backlog — their eventual records are flagged ``"failover"`` — and,
+    when the lane would otherwise be shardless, a replacement is spawned
+    (bounded by ``max_respawns``).  An unacknowledged request on a
+    *live* shard is retried after ``ack_timeout`` (the drop-ack case);
+    duplicate acks are idempotent because re-execution is bit-identical.
+    Total loss — a lane with work but no shards and no respawn budget —
+    terminates everything and raises :class:`ShardCrashError`; a run
+    never hangs (``drain_timeout`` bounds any no-progress stretch).
+    The core's event loop itself is not shared: shard processes step
+    concurrently on the real clock, so only admission is.
     """
 
     def __init__(
@@ -658,7 +735,6 @@ class ShardSupervisor:
         capacity: int,
         config: Optional[SupervisorConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
-        virtual_time: bool = False,
         autoscaler: Optional[object] = None,
         prefix_coalesce: bool = True,
         prefix_cache_mb: float = 0.0,
@@ -670,9 +746,6 @@ class ShardSupervisor:
         #: prefix-service knobs forwarded to every shard process.
         self.prefix_coalesce = bool(prefix_coalesce)
         self.prefix_cache_mb = float(prefix_cache_mb)
-        #: release arrivals by logical timestamps: idle gaps are jumped
-        #: (a ``("skip", dt)`` broadcast) instead of slept.
-        self.virtual_time = bool(virtual_time)
         #: a :class:`~repro.runtime.frontdoor.Autoscaler`; when set, the
         #: supervisor grows lanes through its spawn machinery and
         #: shrinks them by draining idle shards (not charged against
@@ -681,10 +754,17 @@ class ShardSupervisor:
 
     # ---------------------------------------------------------------- #
     def serve(
-        self,
-        per_lane: Mapping[str, Sequence[Tuple[int, object]]],
-        lane_shards: Mapping[str, int],
-    ) -> SupervisionResult:
+        self, door, lane_shards: Mapping[str, int],
+    ) -> Tuple[List[object], List[ShedRecord], List[FailoverEvent],
+               Dict[str, int]]:
+        """Serve a :class:`~repro.runtime.frontdoor.FrontDoor`'s traffic
+        on ``lane_shards`` processes per lane.
+
+        Returns what the serve core returns: ``(outcomes, shed, failover
+        events, counters)``, one ``_ShardOutcome`` per shard process in
+        spawn order; ``counters`` keys ``retries``/``failovers``/
+        ``respawns``.
+        """
         import multiprocessing
 
         manager = multiprocessing.Manager()
@@ -717,8 +797,8 @@ class ShardSupervisor:
             for lane, count in lane_shards.items():
                 for shard in range(count):
                     spawn(lane, shard)
-            return self._dispatch_loop(per_lane, lane_shards, events,
-                                       spawn, shards)
+            return self._dispatch_loop(door, lane_shards, events, spawn,
+                                       shards)
         finally:
             for state in shards:
                 if state.process.is_alive():
@@ -728,7 +808,7 @@ class ShardSupervisor:
             manager.shutdown()
 
     # ---------------------------------------------------------------- #
-    def _dispatch_loop(self, per_lane, lane_shards, events, spawn, shards):
+    def _dispatch_loop(self, door, lane_shards, events, spawn, shards):
         import queue as queue_module
 
         config = self.config
@@ -759,23 +839,18 @@ class ShardSupervisor:
                 self._state_of(shards, message[1], message[2]).ready = True
 
         base = time.perf_counter()
-        offset = [0.0]  # virtual seconds jumped over idle gaps
+        offset = 0.0  # logical seconds jumped over idle gaps
 
         def now() -> float:
-            return time.perf_counter() - base + offset[0]
+            return time.perf_counter() - base + offset
 
         for state in shards:
             state.inbox.put(("go", now()))
             state.released = True
             state.last_beat = time.perf_counter()
 
-        pending: List[_PendingEntry] = [
-            _PendingEntry(seq=seq, request=request, lane=lane,
-                          available=request.arrival_time)
-            for lane, items in per_lane.items()
-            for seq, request in items
-        ]
-        resolved: Dict[int, object] = {}
+        backlogs = {name: _Backlog() for name in self.specs}
+        resolved = set()
         shed: List[ShedRecord] = []
         failover_events: List[FailoverEvent] = []
         counters = {"retries": 0, "failovers": 0, "respawns": 0}
@@ -794,26 +869,24 @@ class ShardSupervisor:
                 entry.attempts += 1
                 entry.outcome = "failover"
                 entry.available = detect
-                pending.append(entry)
+                backlogs[state.lane].push(entry)
             counters["failovers"] += len(seqs)
             lane_live = [
                 s for s in shards
                 if s.lane == state.lane and s.alive and not s.done
                 and not s.draining
             ]
-            lane_work = seqs or any(
-                e.lane == state.lane for e in pending
-            ) or any(
-                s.lane == state.lane and s.in_flight for s in shards
+            lane_work = (
+                seqs or len(backlogs[state.lane]) or not door.exhausted
+                or any(s.lane == state.lane and s.in_flight for s in shards)
             )
             respawned = False
             if (not lane_live and lane_work
                     and counters["respawns"] < config.max_respawns):
-                replacement = spawn(state.lane, next_shard[state.lane])
+                spawn(state.lane, next_shard[state.lane])
                 next_shard[state.lane] += 1
                 counters["respawns"] += 1
-                respawned = True
-                del replacement  # released when its "ready" arrives
+                respawned = True  # released when its "ready" arrives
             failover_events.append(FailoverEvent(
                 lane=state.lane, shard=state.shard, time=detect,
                 reason=reason, seqs=seqs, respawned=respawned,
@@ -842,13 +915,17 @@ class ShardSupervisor:
                     return False  # duplicate of a retried request
                 entry = state.in_flight.pop(seq, None)
                 if entry is None:
-                    # The request was retried elsewhere after an ack
-                    # timeout, but the original attempt finished after
-                    # all; results are bit-identical, so first ack wins.
-                    entry = self._retract(pending, shards, seq)
+                    # The request was retried after an ack timeout, but
+                    # the original attempt finished after all; results
+                    # are bit-identical, so the first ack wins and the
+                    # retry is withdrawn from wherever it waits now.
+                    entry = backlogs[lane].withdraw(seq) or next(
+                        (s.in_flight.pop(seq) for s in shards
+                         if seq in s.in_flight), None,
+                    )
                 record.outcome = entry.outcome if entry else "served"
                 record.attempts = entry.attempts if entry else 1
-                resolved[seq] = record
+                resolved.add(seq)
                 state.records[seq] = record
                 return True
             if kind == "done":
@@ -861,7 +938,8 @@ class ShardSupervisor:
             return False
 
         # ---------------- the dispatch/monitor loop ---------------- #
-        while pending or any(s.in_flight for s in shards):
+        while (not door.exhausted or any(len(b) for b in backlogs.values())
+               or any(s.in_flight for s in shards)):
             try:
                 message = events.get(timeout=0.01)
             except queue_module.Empty:
@@ -874,10 +952,6 @@ class ShardSupervisor:
                 except queue_module.Empty:
                     message = None
             current = now()
-            pending, newly_shed = _shed_expired(pending, current)
-            if newly_shed:
-                shed.extend(newly_shed)
-                last_progress = current
             # Retry unacknowledged dispatches on shards that still look
             # alive — the ack (not the shard) may be what was lost.
             for state in shards:
@@ -891,7 +965,7 @@ class ShardSupervisor:
                     entry.attempts += 1
                     entry.outcome = "retried"
                     entry.available = current
-                    pending.append(entry)
+                    backlogs[entry.lane].push(entry)
                     counters["retries"] += 1
                     last_progress = current
             # Liveness: a dead process is a crash; heartbeat silence on
@@ -905,11 +979,45 @@ class ShardSupervisor:
                 elif (state.released
                         and time.perf_counter() - state.last_beat
                         > config.heartbeat_timeout):
-                    # Real-clock silence: virtual jumps never trip this.
+                    # Real-clock silence: idle jumps never trip this.
                     fail_shard(state, "stall")
                     last_progress = now()
-            # Autoscale: observe each lane's due backlog and deadline
-            # slack on the real beat cadence.  Growth reuses the spawn
+            # Idle jump: with nothing in flight anywhere, leap the
+            # logical clock to the earliest request any lane could take
+            # — queued, or next at the door — and broadcast the same gap
+            # to every released shard instead of sleeping it out.  An
+            # open source with nothing submitted yet is idle, not stuck.
+            depth = sum(len(backlog) for backlog in backlogs.values())
+            if not any(s.in_flight for s in shards):
+                times = [
+                    t for t in (b.earliest() for b in backlogs.values())
+                    if t is not None
+                ]
+                upcoming = door.upcoming(depth)
+                if upcoming is not None:
+                    times.append(upcoming[0])
+                gap = min(times) - now() if times else 0.0
+                if gap > 0:
+                    offset += gap
+                    for state in shards:
+                        if state.alive and state.released and not state.done:
+                            state.inbox.put(("skip", gap))
+                if gap > 0 or not times:
+                    last_progress = now()
+            # Release arrivals (after the jump, so a jumped-to arrival
+            # dispatches in this same pass), then shed what expired.
+            current = now()
+            for seq, request, lane in door.take(depth, now=current):
+                backlogs[lane].push(_PendingEntry(
+                    seq=seq, request=request, lane=lane, available=current,
+                ))
+            for backlog in backlogs.values():
+                newly_shed = backlog.shed_expired(current, shard=-1)
+                if newly_shed:
+                    shed.extend(newly_shed)
+                    last_progress = current
+            # Autoscale: observe each lane's backlog and deadline slack
+            # on the real beat cadence.  Growth reuses the spawn
             # machinery without charging the respawn budget; shrink
             # marks the emptiest shard draining and sends its sentinel
             # — the FIFO inbox guarantees earlier dispatches are served
@@ -918,26 +1026,16 @@ class ShardSupervisor:
                     and time.perf_counter() - last_observe
                     >= config.beat_interval):
                 last_observe = time.perf_counter()
-                current = now()
                 for lane in sorted(self.specs):
+                    backlog = backlogs[lane]
                     live = [
                         s for s in shards
                         if s.lane == lane and s.alive and not s.done
                         and not s.draining
                     ]
-                    due = [
-                        e for e in pending
-                        if e.lane == lane and e.available <= current
-                    ]
-                    slack = min(
-                        (getattr(e.request, "deadline", None) - current
-                         for e in due
-                         if getattr(e.request, "deadline", None) is not None),
-                        default=None,
-                    )
                     target = self.autoscaler.observe(
-                        lane, len(live), len(due), current,
-                        deadline_slack=slack,
+                        lane, len(live), len(backlog), current,
+                        deadline_slack=backlog.slack(current),
                     )
                     if target > len(live):
                         for _ in range(target - len(live)):
@@ -959,18 +1057,16 @@ class ShardSupervisor:
             # An autoscaled fleet self-heals instead — the policy clamp
             # restores the lane to min_shards on the next observation,
             # with drain_timeout as the backstop.
-            lanes_with_work = {e.lane for e in pending} | {
-                s.lane for s in shards if s.in_flight
-            }
+            lanes_with_work = {
+                lane for lane, backlog in backlogs.items() if len(backlog)
+            } | {s.lane for s in shards if s.in_flight}
             for lane in sorted(lanes_with_work):
                 if self.autoscaler is not None:
                     break
                 if not any(
                     s.lane == lane and s.alive and not s.done for s in shards
                 ):
-                    lost = sorted(
-                        e.seq for e in pending if e.lane == lane
-                    )
+                    lost = sorted(e.seq for e in backlogs[lane].entries())
                     raise ShardCrashError(
                         f"lane {lane!r} lost every shard with "
                         f"{len(lost)} request(s) unresolved (seqs {lost}) "
@@ -978,48 +1074,32 @@ class ShardSupervisor:
                         f"(max_respawns={config.max_respawns})",
                         lost=lost,
                     )
-            # Virtual-time admission: with zero dispatches in flight
-            # anywhere and only future arrivals pending, jump the
-            # logical clock to the next arrival and broadcast the same
-            # gap to every released shard instead of sleeping it out.
-            if (self.virtual_time and pending
-                    and not any(s.in_flight for s in shards)):
-                earliest = min(e.available for e in pending)
-                if earliest > now():
-                    delta = earliest - now()
-                    offset[0] += delta
-                    for state in shards:
-                        if state.alive and state.released and not state.done:
-                            state.inbox.put(("skip", delta))
-                    last_progress = now()
-            # Dispatch: deadline order, to the emptiest shard (credit =
-            # capacity minus unacknowledged dispatches on that shard).
-            current = now()
-            due = sorted(
-                (e for e in pending if e.available <= current),
-                key=_edf_key,
-            )
-            for entry in due:
-                candidates = [
+            # Dispatch: deadline order, each to the emptiest shard of
+            # its lane while that shard has credit.
+            for lane, backlog in backlogs.items():
+                backlog.promote(current)
+                open_shards = [
                     s for s in shards
-                    if s.lane == entry.lane and s.alive and s.released
+                    if s.lane == lane and s.alive and s.released
                     and not s.done and not s.draining
-                    and len(s.in_flight) < self.capacity
                 ]
-                if not candidates:
-                    continue
-                target = min(
-                    candidates, key=lambda s: (len(s.in_flight), s.shard)
-                )
-                pending.remove(entry)
-                entry.dispatch_time = current
-                target.in_flight[entry.seq] = entry
-                target.inbox.put((entry.seq, entry.request))
-                last_progress = current
+                while open_shards:
+                    target = min(
+                        open_shards, key=lambda s: (len(s.in_flight), s.shard)
+                    )
+                    if len(target.in_flight) >= self.capacity:
+                        break
+                    entry = backlog.pop_due()
+                    if entry is None:
+                        break
+                    entry.dispatch_time = current
+                    target.in_flight[entry.seq] = entry
+                    target.inbox.put((entry.seq, entry.request))
+                    last_progress = current
             if now() - last_progress > config.drain_timeout:
                 unresolved = sorted(
-                    [e.seq for e in pending]
-                    + [s2 for s in shards for s2 in s.in_flight]
+                    [e.seq for b in backlogs.values() for e in b.entries()]
+                    + [seq for s in shards for seq in s.in_flight]
                 )
                 raise ShardCrashError(
                     f"supervised serve made no progress for "
@@ -1062,17 +1142,7 @@ class ShardSupervisor:
                 pipeline=tail.get("pipeline") or PipelineStats(),
                 prefix=tail.get("prefix") or PrefixStats(),
             ))
-        return SupervisionResult(
-            outcomes=outcomes,
-            shed=shed,
-            failover_events=failover_events,
-            retries=counters["retries"],
-            failovers=counters["failovers"],
-            respawns=counters["respawns"],
-            scale_events=list(
-                self.autoscaler.events
-            ) if self.autoscaler is not None else [],
-        )
+        return outcomes, shed, failover_events, counters
 
     # ---------------------------------------------------------------- #
     @staticmethod
@@ -1082,16 +1152,3 @@ class ShardSupervisor:
             if state.lane == lane and state.shard == shard:
                 return state
         raise KeyError(f"unknown shard {lane}/{shard}")
-
-    @staticmethod
-    def _retract(pending: List[_PendingEntry], shards: List[_ShardState],
-                 seq: int) -> Optional[_PendingEntry]:
-        """Pull a retried seq back out of wherever it waits now."""
-        for entry in pending:
-            if entry.seq == seq:
-                pending.remove(entry)
-                return entry
-        for state in shards:
-            if seq in state.in_flight:
-                return state.in_flight.pop(seq)
-        return None

@@ -41,6 +41,7 @@ from repro.runtime import (
     run_workload,
     synthetic_workload,
 )
+from repro.runtime.supervision import _Backlog, _PendingEntry
 
 NETWORK = "mini_fasterm"
 DEFAULT_SEEDS = (0, 1, 2)
@@ -315,20 +316,16 @@ class TestProcessChaos:
     trace; every request completes bit-identically, the failover is
     accounted exactly, and the serve cannot hang (watchdog-bounded)."""
 
-    def test_kill_one_process_shard(self, spec, clips, serial_result):
-        plan = FaultPlan(events=(
-            FaultEvent("kill", at=0.001, lane="default", shard=1),
-        ))
-        requests = _requests(clips, arrivals=[0.0] * len(clips))
+    @staticmethod
+    def _serve_watched(spec, requests, plan, supervisor):
+        """A 2-shard process serve under a watchdog thread."""
         runtime = ServingRuntime(
             spec,
             ServerConfig(max_batch=2,
             serve_workers=2,
             shard_backend="process",
             fault_plan=plan,
-            supervisor=SupervisorConfig(
-                heartbeat_timeout=5.0, max_respawns=0, drain_timeout=60.0
-            )),
+            supervisor=supervisor),
         )
         outcome = {}
 
@@ -344,7 +341,16 @@ class TestProcessChaos:
         assert not thread.is_alive(), "supervised chaos serve hung"
         if "error" in outcome:
             raise outcome["error"]
-        report = outcome["report"]
+        return outcome["report"]
+
+    def test_kill_one_process_shard(self, spec, clips, serial_result):
+        plan = FaultPlan(events=(
+            FaultEvent("kill", at=0.001, lane="default", shard=1),
+        ))
+        requests = _requests(clips, arrivals=[0.0] * len(clips))
+        report = self._serve_watched(spec, requests, plan, SupervisorConfig(
+            heartbeat_timeout=5.0, max_respawns=0, drain_timeout=60.0
+        ))
         assert len(report.records) == len(clips)
         assert report.failover_events, "the kill was never detected"
         assert {(e.lane, e.shard, e.reason) for e in report.failover_events} \
@@ -352,6 +358,47 @@ class TestProcessChaos:
         _assert_recovery_accounted(report)
         assert report.outcome_counts().get("failover", 0) == report.failovers
         _assert_identical_by_id(report, requests, serial_result)
+
+    def test_retry_sent_back_to_the_shard_still_holding_it(
+        self, spec, clips, serial_result
+    ):
+        # Shard 1 sleeps through its ack timeout holding its dispatches,
+        # so they are retried; the emptiest-shard rule can send a retry
+        # straight back to shard 1, which must drop the duplicate and
+        # let the original's ack resolve it.
+        plan = FaultPlan(events=(
+            FaultEvent("stall", at=0.0, shard=1, seconds=0.6),
+        ))
+        requests = _requests(clips, arrivals=[0.0] * len(clips))
+        report = self._serve_watched(spec, requests, plan, SupervisorConfig(
+            heartbeat_timeout=5.0, ack_timeout=0.3, max_respawns=0
+        ))
+        assert sorted(r.request_id for r in report.records) == list(
+            range(len(clips))
+        )
+        assert report.retries >= 1
+        assert report.num_shed == 0
+        _assert_identical_by_id(report, requests, serial_result)
+
+
+class TestBacklog:
+    """The per-lane backlog every serve shape admits from."""
+
+    def test_late_ack_withdraws_a_queued_retry(self):
+        # A retry still queued when the original attempt's ack arrives
+        # is withdrawn; what stays queued keeps its admission order.
+        clips = synthetic_workload(3, num_frames=2, base_seed=5)
+        backlog = _Backlog()
+        for seq, deadline in enumerate([None, 5.0, 1.0]):
+            backlog.push(_PendingEntry(
+                seq=seq, lane="default", available=0.0,
+                request=ClipRequest(seq, clips[seq], deadline=deadline),
+            ))
+        assert backlog.withdraw(1).seq == 1
+        assert backlog.withdraw(1) is None
+        assert len(backlog) == 2 and backlog.deadlined == 1
+        backlog.promote(0.0)
+        assert [backlog.pop_due().seq, backlog.pop_due().seq] == [2, 0]
 
 
 class TestShedding:

@@ -7,8 +7,8 @@ Three contracts under test:
   explicitly through the returned streak;
 * serving from any :class:`RequestSource` (list, generator, bounded
   queue) and under any fleet shape (fixed shards, autoscaled 1→N,
-  virtual-time process admission) yields clip results bit-identical to
-  the serial run;
+  process shards skipping a sparse trace's idle gaps) yields clip
+  results bit-identical to the serial run;
 * :class:`ServerConfig` is the one validated way to shape the server.
 """
 
@@ -36,6 +36,13 @@ from repro.runtime import (
 )
 
 NETWORK = "mini_fasterm"
+
+#: the serve shapes the streaming and watermark contracts must hold on:
+#: one in-process timeline, and supervised shard processes.
+SHAPES = {
+    "in-process": {},
+    "process shards": {"serve_workers": 2, "shard_backend": "process"},
+}
 
 
 @pytest.fixture(scope="module")
@@ -262,31 +269,31 @@ class TestRequestSources:
 
     def test_live_queue_source_serves_while_producing(self, spec, clips,
                                                       serial_result):
-        source = QueueSource()
-        requests = _requests(clips)
-
-        def produce():
-            for request in requests:
+        def produce(source):
+            for request in _requests(clips):
                 source.submit(request)
                 time.sleep(0.002)
             source.close()
 
-        producer = threading.Thread(target=produce)
-        producer.start()
-        try:
-            report = ServingRuntime(spec, ServerConfig(max_batch=4)).serve(
-                source
-            )
-        finally:
-            producer.join()
-        _assert_identical(report, serial_result)
+        for fleet in SHAPES.values():
+            source = QueueSource()
+            producer = threading.Thread(target=produce, args=(source,))
+            producer.start()
+            try:
+                report = ServingRuntime(
+                    spec, ServerConfig(max_batch=4, **fleet)
+                ).serve(source)
+            finally:
+                producer.join()
+            _assert_identical(report, serial_result)
 
     def test_watermark_pauses_ingestion(self, spec, clips, serial_result):
-        report = ServingRuntime(spec, ServerConfig(
-            max_batch=1, max_pending=2,
-        )).serve(_requests(clips))
-        _assert_identical(report, serial_result)
-        assert report.backpressure_pauses >= 1
+        for shape, fleet in SHAPES.items():
+            report = ServingRuntime(spec, ServerConfig(
+                max_batch=1, max_pending=2, **fleet,
+            )).serve(_requests(clips))
+            _assert_identical(report, serial_result)
+            assert report.backpressure_pauses >= 1, shape
 
     def test_list_source_duplicate_ids_still_fail_fast(self, spec, clips):
         requests = _requests(clips[:3])
@@ -350,7 +357,7 @@ class TestAutoscaledServing:
 
 
 # ------------------------------------------------------------------ #
-# Virtual-time process admission
+# Process shards skip a sparse trace's idle gaps
 # ------------------------------------------------------------------ #
 class TestVirtualTime:
     def test_sparse_trace_finishes_early_and_identically(self, spec, clips,
@@ -360,12 +367,11 @@ class TestVirtualTime:
         simulated = gap * (len(clips) - 1)
         start = time.perf_counter()
         report = ServingRuntime(spec, ServerConfig(
-            max_batch=2, serve_workers=2,
-            shard_backend="process", virtual_time=True,
+            max_batch=2, serve_workers=2, shard_backend="process",
         )).serve(requests)
         elapsed = time.perf_counter() - start
         _assert_identical(report, serial_result)
         assert elapsed < simulated / 2, (
-            f"virtual time took {elapsed:.1f}s against a "
+            f"process shards took {elapsed:.1f}s against a "
             f"{simulated:.0f}s simulated trace"
         )

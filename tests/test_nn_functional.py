@@ -135,23 +135,6 @@ class TestPooling:
 
         np.testing.assert_allclose(gx, numerical_grad(loss, x), atol=1e-5)
 
-    def test_avgpool_values(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out, _ = F.avgpool2d_forward(x, 2, 2)
-        np.testing.assert_array_equal(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avgpool_backward(self, rng):
-        x = rng.normal(size=(1, 1, 4, 4))
-        out, cache = F.avgpool2d_forward(x, 2, 2)
-        grad_out = rng.normal(size=out.shape)
-        gx = F.avgpool2d_backward(grad_out, cache)
-
-        def loss():
-            o, _ = F.avgpool2d_forward(x, 2, 2)
-            return float((o * grad_out).sum())
-
-        np.testing.assert_allclose(gx, numerical_grad(loss, x), atol=1e-5)
-
 
 class TestReLU:
     def test_forward(self):
@@ -277,7 +260,7 @@ def test_conv_linearity_property(seed):
 
 
 class TestPoolWindows:
-    """The shared strided-window helper behind both pooling forwards."""
+    """The strided-window helper behind the max-pooling forward."""
 
     def test_is_a_view_with_window_content(self):
         rng = np.random.default_rng(0)
@@ -303,39 +286,3 @@ class TestPoolWindows:
         want_max, _ = F.maxpool2d_forward(np.ascontiguousarray(x), 2, 2)
         got_max, _ = F.maxpool2d_forward(x, 2, 2)
         np.testing.assert_array_equal(got_max, want_max)
-        want_avg, _ = F.avgpool2d_forward(np.ascontiguousarray(x), 2, 2)
-        got_avg, _ = F.avgpool2d_forward(x, 2, 2)
-        np.testing.assert_array_equal(got_avg, want_avg)
-
-
-class TestAvgPoolBackwardRegression:
-    def test_matches_numerical_gradient(self):
-        """The broadcast fold must implement the true gradient of the
-        average-pooling forward (satellite regression for the np.repeat
-        removal)."""
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(1, 2, 6, 6))
-        field, stride = 2, 2
-        out, cache = F.avgpool2d_forward(x, field, stride)
-        grad_out = rng.normal(size=out.shape)
-        grad_x = F.avgpool2d_backward(grad_out, cache)
-
-        eps = 1e-6
-        numeric = np.zeros_like(x)
-        for idx in np.ndindex(x.shape):
-            bumped = x.copy()
-            bumped[idx] += eps
-            plus, _ = F.avgpool2d_forward(bumped, field, stride)
-            bumped[idx] -= 2 * eps
-            minus, _ = F.avgpool2d_forward(bumped, field, stride)
-            numeric[idx] = ((plus - minus) * grad_out).sum() / (2 * eps)
-        np.testing.assert_allclose(grad_x, numeric, atol=1e-6)
-
-    def test_overlapping_windows_accumulate(self):
-        """Overlapping windows (stride < field) must sum contributions."""
-        x = np.ones((1, 1, 4, 4))
-        out, cache = F.avgpool2d_forward(x, 2, 1)
-        grad_x = F.avgpool2d_backward(np.ones_like(out), cache)
-        # the centre pixels belong to four 2x2 windows, corners to one
-        assert grad_x[0, 0, 0, 0] == pytest.approx(0.25)
-        assert grad_x[0, 0, 1, 1] == pytest.approx(1.0)

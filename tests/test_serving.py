@@ -752,7 +752,8 @@ class TestOneCore:
         {},
         {"shard_backend": "serial",
          "autoscale": AutoscalePolicy(min_shards=1, max_shards=1)},
-    ], ids=["in_process", "inline_shards"])
+        {"serve_workers": 2, "shard_backend": "process"},
+    ], ids=["in_process", "inline_shards", "process_shards"])
     def test_watermark_counts_only_arrived_requests(self, spec, clips,
                                                     config):
         """max_pending bounds requests that arrived and wait for a slot:
