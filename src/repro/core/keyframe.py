@@ -145,4 +145,4 @@ class MotionMagnitudePolicy(_AdaptivePolicy):
     """
 
     def _metric(self, estimation: RFBMEResult) -> float:
-        return estimation.field.total_magnitude()
+        return estimation.total_motion_magnitude

@@ -69,7 +69,7 @@ class FrameRecord:
                 estimation.total_match_error if estimation else None
             ),
             motion_magnitude=(
-                estimation.field.total_magnitude() if estimation else None
+                estimation.total_motion_magnitude if estimation else None
             ),
         )
 

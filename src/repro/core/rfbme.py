@@ -22,10 +22,13 @@ same adder-operation counts for the hardware energy model:
   Python loop.  Handles stacks of frame pairs in one call
   (:func:`estimate_motion_batch`), which the runtime layer uses to run
   many clips in lockstep.
-* ``"kernel"`` — the batched consumer fed by an optional compiled
-  producer (:mod:`repro.core.sad_kernel`) that fuses subtract/abs/reduce
-  into one pass.  Bit-identical to ``"batched"`` (enforced by a load-time
-  self-check) and used automatically when available.
+* ``"kernel"`` — one compiled call per batch
+  (:mod:`repro.core.sad_kernel` ``rfbme_batch``) that releases the GIL,
+  checks every pixel finite, reads both frames of every pair in place and
+  runs the producer (subtract/abs/reduce fused into one pass) into one
+  pair-sized block and the consumer over it at once.  Bit-identical to
+  ``"batched"`` (enforced by a load-time self-check) and used
+  automatically when available.
 * ``"loop"`` — the reference implementation: one Python iteration per
   search offset in the producer and per receptive field in the consumer.
   The vectorized backends are regression-tested to match it *bit for
@@ -37,7 +40,10 @@ same adder-operation counts for the hardware energy model:
 
 All tile sums share one canonical summation order (sequential per tile
 column, then numpy's pairwise combine of the column sums) so that backend
-choice never changes a single output bit.
+choice never changes a single output bit.  Every result carries its two
+key-frame signals, the total match error and the total motion magnitude,
+reduced once per batch, so the policies and frame records read them
+instead of reducing again.
 """
 
 from __future__ import annotations
@@ -115,11 +121,18 @@ class RFBMEResult:
     match_errors: np.ndarray
     #: adder-op accounting for the hardware model.
     ops: OpCounts
+    #: aggregate block-match error, ``float(match_errors.sum())`` — the
+    #: key-frame-choice signal.  Engines reduce it once per batch; left
+    #: out, it is reduced here.
+    total_match_error: Optional[float] = None
+    #: total motion magnitude, ``field.total_magnitude()``, likewise.
+    total_motion_magnitude: Optional[float] = None
 
-    @property
-    def total_match_error(self) -> float:
-        """Aggregate block-match error — the key-frame-choice signal."""
-        return float(self.match_errors.sum())
+    def __post_init__(self):
+        if self.total_match_error is None:
+            self.total_match_error = float(self.match_errors.sum())
+        if self.total_motion_magnitude is None:
+            self.total_motion_magnitude = self.field.total_magnitude()
 
 
 def default_backend() -> str:
@@ -212,11 +225,13 @@ def _tile_diffs_loop(
 
 
 class _ProducerWorkspace:
-    """Preallocated buffers for the vectorized producers.
+    """Preallocated buffers for the NumPy 'batched' producer.
 
     Reused across frames by :class:`RFBMEEngine` so the hot path never
     touches the allocator; one workspace serves one (frame shape, config)
-    pair.
+    pair.  ``pad`` holds the zero-padded key frame; ``scratch`` one
+    dy-row of absolute differences, sized to stay cache-resident rather
+    than streaming a full offset cube.
     """
 
     def __init__(self, shape: Tuple[int, int], tile: int, offsets: np.ndarray):
@@ -227,22 +242,9 @@ class _ProducerWorkspace:
         self.radius = int(offsets[-1]) if len(offsets) else 0
         self.n_ty, self.n_tx = height // tile, width // tile
         self.pad = np.zeros((height + 2 * self.radius, width + 2 * self.radius))
-        self._scratch: Optional[np.ndarray] = None
-
-    @property
-    def scratch(self) -> np.ndarray:
-        """Scratch for one dy-row of absolute differences; sized to stay
-        cache-resident rather than streaming a full offset cube.
-
-        Allocated on first use: kernel-backend engines read only this
-        workspace's geometry and never run the NumPy producer.
-        """
-        if self._scratch is None:
-            n_off = len(self.offsets)
-            self._scratch = np.empty(
-                (n_off, self.n_ty * self.tile, self.n_tx * self.tile)
-            )
-        return self._scratch
+        self.scratch = np.empty(
+            (len(offsets), self.n_ty * tile, self.n_tx * tile)
+        )
 
     def load_key(self, key: np.ndarray) -> None:
         radius = self.radius
@@ -290,76 +292,66 @@ def _tile_diffs_batched_grid(
 
 
 class _ConsumerWorkspace:
-    """Preallocated buffers for the fast consumer path.
+    """Preallocated buffers for the fast paths.
 
-    One workspace serves one engine; ``ensure`` grows it to the largest
-    lockstep batch seen so repeated :meth:`RFBMEEngine.estimate_batch`
-    calls never touch the allocator.  ``sums`` doubles as the producer's
-    output buffer (grid-major, so the consumer reads it without a
-    transpose) and is zeroed at invalid (tile, offset) entries in place.
+    One workspace serves one engine; ``ensure_kernel`` and
+    ``ensure_numpy`` grow it to the largest lockstep batch seen, so
+    repeated :meth:`RFBMEEngine.estimate_batch` calls never touch the
+    allocator, and each path allocates only what it touches.
 
-    The compiled kernels take raw buffer addresses (``*_addr``), bound
-    here on every (re)allocation: a stale address would not raise, it
-    would silently write freed memory.
+    The compiled entry point takes raw buffer addresses (``*_addr``),
+    bound here on every (re)allocation: a stale address would not raise,
+    it would silently write freed memory.
     """
 
     def __init__(self):
-        self.capacity = 0
         self._kernel_ready = 0
         self._numpy_ready = 0
-
-    def ensure(self, batch: int, n_ty: int, n_tx: int, n_off: int) -> None:
-        if batch <= self.capacity:
-            return
-        self.capacity = batch
-        self._dims = (n_ty, n_tx, n_off)
-        self.sums = np.zeros((batch, n_ty, n_tx, n_off, n_off))
-        self.sums_addr = addr(self.sums)
 
     def ensure_kernel(
         self,
         batch: int,
-        frame_shape: Tuple[int, int],
-        radius: int,
+        dims: Tuple[int, int, int],
         grid_shape: Tuple[int, int],
+        geometry_ptrs: Tuple[int, ...],
     ) -> None:
-        """Staging only the compiled producer/consumer touch.
-
-        Allocated lazily so the NumPy 'batched' backend never pays for
-        the kernel's stacked frame copies or integral-image plane.
-        """
+        """The compiled path's buffers: one pair's SAD block and the
+        consumer's integral-image plane, reused pair after pair; the
+        batch's fields and errors (each call hands out copies of its
+        rows); the frame address array; and the pointer table
+        ``rfbme_batch`` reads the geometry and all of these through."""
         if batch <= self._kernel_ready:
             return
-        self._kernel_ready = batch = max(batch, self.capacity)
-        n_ty, n_tx, n_off = self._dims
-        height, width = frame_shape
-        # Stacked producer inputs for the one-call batched kernel; pad
-        # borders are written once and only interiors change per step.
-        self.pads = np.zeros(
-            (batch, height + 2 * radius, width + 2 * radius)
-        )
-        self.curs = np.empty((batch, height, width))
-        # One integral-image plane, reused across the batch by the
-        # compiled consumer.
-        self.ci_scratch = np.empty((n_ty + 1) * (n_tx + 1) * n_off * n_off)
-        # Consumer outputs; each call hands out copies of its rows.
+        n_ty, n_tx, n_off = dims
+        if not self._kernel_ready:
+            # Entries outside a tile's offset window are never written;
+            # the consumer masks them, and zeros keep them defined.
+            self.sad = np.zeros(n_ty * n_tx * n_off * n_off)
+            self.ci = np.empty((n_ty + 1) * (n_tx + 1) * n_off * n_off)
+        self._kernel_ready = batch
         out_h, out_w = grid_shape
         self.fields = np.empty((batch, out_h, out_w, 2))
         self.errors = np.empty((batch, out_h, out_w))
-        self.kernel_addrs = tuple(
-            addr(buf)
-            for buf in (
-                self.pads, self.curs, self.ci_scratch, self.fields,
-                self.errors,
-            )
+        self.frames = np.empty(2 * batch, dtype=np.uintp)
+        self.frames_addr = addr(self.frames)
+        buffers = (self.sad, self.ci, self.fields, self.errors)
+        self.table = np.array(
+            [*geometry_ptrs, *map(addr, buffers)], dtype=np.uintp
         )
+        self.table_addr = addr(self.table)
 
-    def ensure_numpy(self, batch: int, n_fields: int) -> None:
-        """Buffers only the NumPy fallback consumer needs."""
+    def ensure_numpy(
+        self, batch: int, dims: Tuple[int, int, int], n_fields: int
+    ) -> None:
+        """Buffers only the NumPy 'batched' path needs: the producer's
+        output for the whole batch (grid-major, so the consumer reads it
+        without a transpose, and zeroed at invalid entries in place), the
+        integral images and the costs."""
         if batch <= self._numpy_ready:
             return
-        self._numpy_ready = batch = max(batch, self.capacity)
-        n_ty, n_tx, n_off = self._dims
+        self._numpy_ready = batch
+        n_ty, n_tx, n_off = dims
+        self.sums = np.zeros((batch, n_ty, n_tx, n_off, n_off))
         self.cost_int = np.zeros((batch, n_ty + 1, n_tx + 1, n_off, n_off))
         self.costs = np.empty((batch, n_fields, n_off * n_off))
         # Non-candidate entries must read +inf in the argmin; they are
@@ -538,6 +530,15 @@ def _consumer_op_estimate(
 # --------------------------------------------------------------------- #
 # Engine and public entry points
 # --------------------------------------------------------------------- #
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _non_finite(index: int, which: str) -> ValueError:
+    return ValueError(
+        f"pair {index}: {which} frame has non-finite pixels (NaN or inf)"
+    )
+
+
 def _validate_pair(
     key_frame: np.ndarray, new_frame: np.ndarray, tile: int, index: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -565,10 +566,7 @@ def _validate_pair(
         )
     for which, frame in (("key", key_frame), ("new", new_frame)):
         if not np.isfinite(frame).all():
-            raise ValueError(
-                f"pair {index}: {which} frame has non-finite pixels "
-                "(NaN or inf)"
-            )
+            raise _non_finite(index, which)
     if key_frame.dtype != np.float64:
         key_frame = key_frame.astype(np.float64)
     if new_frame.dtype != np.float64:
@@ -628,8 +626,14 @@ class RFBMEEngine:
         self._n_ty, self._n_tx = height // tile, width // tile
         self._workspace = (
             _ProducerWorkspace(frame_shape, tile, self._offsets)
-            if backend != "loop"
+            if backend == "batched"
             else None
+        )
+        #: the shape the compiled path reads frames of in place; None
+        #: when a frame of the bound shape holds no whole tile, which
+        #: only the coercing checks can reject.
+        self._in_place_shape = (
+            self.frame_shape if min(self.frame_shape) >= tile else None
         )
         self._consumer_ops = _consumer_op_estimate(
             rf, grid_shape, len(self._offsets) ** 2
@@ -654,7 +658,11 @@ class RFBMEEngine:
         valid = _valid_tiles(height, width, tile, offsets)
         # (n_ty, n_tx, n_off, n_off), the consumer's native layout.
         self._valid = np.moveaxis(valid, (0, 1), (2, 3)).copy()
-        self._producer_adds = int(valid.sum()) * tile * tile
+        #: the op counts every result of this engine shares.
+        self._ops = OpCounts(
+            producer_adds=int(valid.sum()) * tile * tile,
+            consumer_adds=self._consumer_ops,
+        )
 
         count_int = np.zeros((n_ty + 1, n_tx + 1, n_off, n_off))
         count_int[1:, 1:] = (
@@ -692,7 +700,7 @@ class RFBMEEngine:
         self._cand_flat = np.ascontiguousarray(
             self._candidate.reshape(out_h * out_w, n_off * n_off)
         )
-        # Compiled-consumer constants (uint8 masks, int64 ranges) and the
+        # Compiled-path constants (uint8 masks, int64 ranges) and the
         # producer's valid offset windows.
         self._valid_u8 = np.ascontiguousarray(self._valid, dtype=np.uint8)
         self._cand_u8 = np.ascontiguousarray(self._cand_flat, dtype=np.uint8)
@@ -707,28 +715,24 @@ class RFBMEEngine:
             (height, width), tile, self._offsets
         )
         self._offsets_i64 = as_i64(offsets)
+        self._geometry = as_i64(
+            [height, width, n_ty, n_tx, tile, n_off, out_h, out_w]
+        )
         if self.backend == "kernel":
             self._bind_geometry()
 
     def _bind_geometry(self) -> None:
-        """The kernels' geometry arguments, bound once: the arrays they
-        point into live as long as the engine and never reallocate."""
-        height, width = self.frame_shape
-        n_ty, n_tx, n_off = self._n_ty, self._n_tx, len(self._offsets)
-        out_h, out_w = self.grid_shape
-        radius = self._workspace.radius
-        offs = addr(self._offsets_i64)
-        self._producer_args = (
-            height + 2 * radius, width + 2 * radius, height, width,
-            n_ty, n_tx, self.rf.stride, offs, n_off, radius,
-            *[addr(bound) for bound in self._prod_bounds],
-        )
-        self._consumer_args = (
-            addr(self._valid_u8),
-            *[addr(r) for r in self._row_ranges + self._col_ranges],
-            addr(self._cand_u8), addr(self._ok_u8),
-            addr(self._denom_flat), offs,
-            n_ty, n_tx, n_off, out_h, out_w,
+        """``rfbme_batch``'s geometry addresses (see its C comment),
+        bound once: the arrays they point into live as long as the engine
+        and never reallocate."""
+        self._geometry_addr = addr(self._geometry)
+        self._geometry_ptrs = tuple(
+            addr(array)
+            for array in (
+                self._offsets_i64, *self._prod_bounds, self._valid_u8,
+                *self._row_ranges, *self._col_ranges, self._cand_u8,
+                self._ok_u8, self._denom_flat,
+            )
         )
 
     def __getstate__(self):
@@ -737,8 +741,8 @@ class RFBMEEngine:
         workspace and binds its own geometry in ``__setstate__``."""
         state = self.__dict__.copy()
         state["_cws"] = _ConsumerWorkspace()
-        state.pop("_producer_args", None)
-        state.pop("_consumer_args", None)
+        state.pop("_geometry_addr", None)
+        state.pop("_geometry_ptrs", None)
         return state
 
     def __setstate__(self, state) -> None:
@@ -810,15 +814,27 @@ class RFBMEEngine:
         )
         return fields, errors
 
-    def _package(self, field: np.ndarray, errors: np.ndarray) -> RFBMEResult:
-        return RFBMEResult(
-            field=VectorField(field),
-            match_errors=errors,
-            ops=OpCounts(
-                producer_adds=self._producer_adds,
-                consumer_adds=self._consumer_ops,
-            ),
+    def _package(
+        self, fields: np.ndarray, errors: np.ndarray
+    ) -> List[RFBMEResult]:
+        """One result per row of a batch's stacked fields (B, out_h,
+        out_w, 2) and errors (B, out_h, out_w), which the results own.
+
+        Both summaries are reduced once for the whole batch: each row's
+        sum runs over that row alone in numpy's pairwise order, so it
+        equals the per-result reduction bit for bit.
+        """
+        batch = len(errors)
+        match = errors.reshape(batch, -1).sum(axis=1).tolist()
+        motion = (
+            np.hypot(fields[..., 0], fields[..., 1])
+            .reshape(batch, -1).sum(axis=1).tolist()
         )
+        ops = self._ops
+        return [
+            RFBMEResult(VectorField(fields[i]), errors[i], ops, match[i], motion[i])
+            for i in range(batch)
+        ]
 
     def estimate(self, key: np.ndarray, new: np.ndarray) -> RFBMEResult:
         """RFBME between one key frame and one new frame."""
@@ -829,24 +845,16 @@ class RFBMEEngine:
     ) -> List[RFBMEResult]:
         """RFBME for many (key, new) pairs in lockstep.
 
-        Bit-identical to calling :meth:`estimate` per pair; the producer
-        reuses one scratch workspace across items and the consumer handles
-        the whole stack in a single vectorized pass.
+        Bit-identical to calling :meth:`estimate` per pair.  The kernel
+        backend runs the whole batch in one compiled call; the batched
+        producer reuses one scratch workspace across items and its
+        consumer handles the whole stack in a single vectorized pass.
         """
         if not pairs:
             return []
-        pairs = [
-            _validate_pair(key, new, self.rf.stride, i)
-            for i, (key, new) in enumerate(pairs)
-        ]
-        for key, _ in pairs:
-            # Workspace buffers and precomputed geometry are bound to one
-            # frame shape; reject others identically on every backend.
-            if key.shape != self.frame_shape:
-                raise ValueError(
-                    f"engine is bound to frames of shape {self.frame_shape}, "
-                    f"got {key.shape}"
-                )
+        if self.backend == "kernel":
+            return self._estimate_compiled(get_kernel(), pairs)
+        pairs = self._validated(pairs)
         if self.backend == "loop":
             results = []
             for key, new in pairs:
@@ -869,34 +877,77 @@ class RFBMEEngine:
             return results
         batch = len(pairs)
         ws = self._cws
-        radius = self._workspace.radius
-        ws.ensure(batch, self._n_ty, self._n_tx, len(self._offsets))
-        if self.backend == "kernel":
-            kernel = get_kernel()
-            height, width = self.frame_shape
-            ws.ensure_kernel(batch, self.frame_shape, radius, self.grid_shape)
-            for i, (key, new) in enumerate(pairs):
-                ws.pads[i, radius : radius + height, radius : radius + width] = key
-                ws.curs[i] = new
-            pads, curs, ci, fields, errors = ws.kernel_addrs
-            kernel.tile_sad_grid_batch(
-                batch, pads, curs, ws.sums_addr, *self._producer_args
-            )
-            kernel.rfbme_consume(
-                batch, ws.sums_addr, ci, fields, errors,
-                *self._consumer_args,
-            )
-            fields = ws.fields[:batch].copy()
-            errors = ws.errors[:batch].copy()
-        else:
-            for i, (key, new) in enumerate(pairs):
-                self._workspace.load_key(key)
-                _tile_diffs_batched_grid(self._workspace, new, ws.sums[i])
-            ws.ensure_numpy(batch, self.grid_shape[0] * self.grid_shape[1])
-            fields, errors = self._consumer_fast(batch)
-        return [
-            self._package(fields[i], errors[i]) for i in range(len(pairs))
+        out_h, out_w = self.grid_shape
+        ws.ensure_numpy(
+            batch, (self._n_ty, self._n_tx, len(self._offsets)), out_h * out_w
+        )
+        for i, (key, new) in enumerate(pairs):
+            self._workspace.load_key(key)
+            _tile_diffs_batched_grid(self._workspace, new, ws.sums[i])
+        return self._package(*self._consumer_fast(batch))
+
+    def _validated(
+        self, pairs: Sequence[Tuple[np.ndarray, np.ndarray]]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Every pair checked and coerced by :func:`_validate_pair`, in
+        order, then held to the engine's bound frame shape."""
+        pairs = [
+            _validate_pair(key, new, self.rf.stride, i)
+            for i, (key, new) in enumerate(pairs)
         ]
+        for key, _ in pairs:
+            # Workspace buffers and precomputed geometry are bound to one
+            # frame shape; reject others identically on every backend.
+            if key.shape != self.frame_shape:
+                raise ValueError(
+                    f"engine is bound to frames of shape {self.frame_shape}, "
+                    f"got {key.shape}"
+                )
+        return pairs
+
+    def _estimate_compiled(
+        self, kernel, pairs: Sequence[Tuple[np.ndarray, np.ndarray]]
+    ) -> List[RFBMEResult]:
+        """The kernel backend: one ``rfbme_batch`` call per batch, which
+        releases the GIL once, checks every pixel finite and reads both
+        frames of every pair in place.
+
+        Frames already float64, C-contiguous and of the bound shape go
+        straight in by address; a batch holding any other frame takes
+        :meth:`_validated`'s coercing path first, which raises exactly
+        what the other backends raise.
+        """
+        batch = len(pairs)
+        ws = self._cws
+        ws.ensure_kernel(
+            batch,
+            (self._n_ty, self._n_tx, len(self._offsets)),
+            self.grid_shape,
+            self._geometry_ptrs,
+        )
+        frames = [frame for pair in pairs for frame in pair]
+        shape = self._in_place_shape
+        if not all(
+            isinstance(frame, np.ndarray)
+            and frame.dtype is _FLOAT64
+            and frame.flags.c_contiguous
+            and frame.shape == shape
+            for frame in frames
+        ):
+            frames = [
+                np.ascontiguousarray(frame)
+                for pair in self._validated(pairs)
+                for frame in pair
+            ]
+        ws.frames[: 2 * batch] = [frame.ctypes.data for frame in frames]
+        bad = kernel.rfbme_batch(
+            batch, ws.frames_addr, self._geometry_addr, ws.table_addr
+        )
+        if bad >= 0:
+            raise _non_finite(bad // 2, ("key", "new")[bad % 2])
+        return self._package(
+            ws.fields[:batch].copy(), ws.errors[:batch].copy()
+        )
 
 
 def estimate_motion(

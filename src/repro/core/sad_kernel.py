@@ -9,17 +9,18 @@ use and loads them through :mod:`ctypes`.
 
 The entry points share one shared object:
 
-* ``tile_sad_grid_batch`` — the fast producer over a whole lockstep
-  batch of frame pairs.  Keeps the current frame's tile rows in
-  registers across every search offset (8-wide AVX-512 column
-  accumulators where the ISA allows, the same scalar loop elsewhere),
-  computes only each tile's in-bounds offset window, and writes
-  *grid-major* output — ``out[ty][tx][oi][oj]`` — which is exactly the
-  layout the consumer reads, so no transpose pass sits between producer
-  and consumer.
-* ``rfbme_consume`` — the whole RFBME consumer (integral images, box
-  sums, candidate-masked argmin, match errors) over a producer-output
-  batch.
+* ``rfbme_batch`` — the whole of RFBME over a lockstep batch of frame
+  pairs, in one call with the GIL released: it reads both frames of
+  every pair in place through an array of their addresses, checks every
+  pixel finite, and per pair runs the producer into one pair-sized SAD
+  block and the consumer (integral images, box sums, candidate-masked
+  argmin, match errors) over it at once.  The producer keeps the current
+  frame's tile rows in registers across every search offset (8-wide
+  AVX-512 column accumulators where the ISA allows, the same scalar loop
+  elsewhere), computes only each tile's in-bounds offset window — so it
+  never reads outside the key frame and needs no padded copy — and
+  writes *grid-major* output, ``sad[ty][tx][oi][oj]``, which is exactly
+  the layout the consumer reads.
 * ``im2col`` — every convolution's read-in, with no index array.  It
   reads a source of any layout (the previous conv's NHWC GEMM output,
   normally), applies a max-pool and the zero padding as it reads, and
@@ -54,7 +55,12 @@ double-precision operations in the same order, built with
 ``-ffp-contract=off`` so no multiply-add fuses).  A self-check at load
 time compares every entry point against its NumPy reference on random
 probes, so every caller can treat "kernel" and "batched" results as
-interchangeable.
+interchangeable.  ``rfbme_batch`` is checked end to end against the
+NumPy engine on four geometries, three with pixels outside the
+tile-aligned crop: fields and errors bit for bit, the last pair's SAD
+block against :func:`_numpy_reference` inside every tile's offset
+window, and the index of the first non-finite frame, from a pixel inside
+the crop or outside it.
 
 Calling convention: every entry point takes its arrays as raw base
 addresses (:func:`addr`) through ``c_void_p``.  Building a ctypes
@@ -115,6 +121,7 @@ __all__ = [
 MAX_TILE = 8
 
 _SOURCE = r"""
+#include <float.h>
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
@@ -122,21 +129,21 @@ _SOURCE = r"""
 #include <immintrin.h>
 #endif
 
-/* Tile SADs between a padded key frame and the current frame.
+/* Tile SADs of one (key, new) frame pair, both read in place.
  *
- * Both kernels compute, for every tile (ty, tx) and search offset pair
- * (offs[oi], offs[oj]), the sum over the (tile x tile) block of
- * |cur - shifted key|.  Summation order is bit-identical to the NumPy
- * reference (see repro.core.rfbme._tile_sums): each column v accumulates
- * sequentially over rows u; the `tile` column sums then combine with
- * numpy's pairwise order (a tree for tile == 8, sequential below 8).
+ * For every tile (ty, tx) and search offset pair (offs[oi], offs[oj]),
+ * the sum over the (tile x tile) block of |new - shifted key|.  Summation
+ * order is bit-identical to the NumPy reference (see
+ * repro.core.rfbme._tile_sums): each column v accumulates sequentially
+ * over rows u; the `tile` column sums then combine with numpy's pairwise
+ * order (a tree for tile == 8, sequential below 8).
  */
 
 #if defined(__AVX512F__)
 /* One tile==8 comparison: the eight column accumulators, each summing
  * |cur - key| down its column (rows in order, as the NumPy reference). */
 static inline __m512d tile_cols8(const __m512d a[8], const double *b,
-                                 long pad_w)
+                                 long w)
 {
     const __m512d sign = _mm512_set1_pd(-0.0);
     __m512d acc = _mm512_andnot_pd(sign, _mm512_sub_pd(a[0], _mm512_loadu_pd(b)));
@@ -144,7 +151,7 @@ static inline __m512d tile_cols8(const __m512d a[8], const double *b,
         acc = _mm512_add_pd(
             acc,
             _mm512_andnot_pd(
-                sign, _mm512_sub_pd(a[u], _mm512_loadu_pd(b + u * pad_w))));
+                sign, _mm512_sub_pd(a[u], _mm512_loadu_pd(b + u * w))));
     return acc;
 }
 
@@ -166,42 +173,52 @@ static inline __m512d tree8(const __m512d s[8])
 }
 #endif
 
-/* Fast producer: grid-major output out[ty][tx][oi][oj].  The current
- * frame's tile rows load once per tile and stay in registers across
- * every offset; with AVX-512, one ZMM holds the eight column
- * accumulators of a tile==8 block, and eight horizontal offsets at a
- * time reduce together (tree8) into one vector store.  Only the
- * in-bounds offset window of each tile is computed — oi in
- * [row_lo[ty], row_hi[ty]) and oj in [col_lo[tx], col_hi[tx]); entries
- * outside it are left untouched (the consumer masks them by the same
- * validity geometry).  Full-range bounds reproduce the unbounded cube. */
-static void tile_sad_grid_bounded(const double *pad, long pad_w,
-                                  const double *cur, long cur_w,
-                                  long n_ty, long n_tx, long tile,
-                                  const long *offs, long n_off, long radius,
-                                  const long *row_lo, const long *row_hi,
-                                  const long *col_lo, const long *col_hi,
-                                  double *out)
+/* The geometry of one RFBME engine, fixed for its lifetime, and its
+ * workspace (see rfbme_batch for the layout it is unpacked from). */
+typedef struct {
+    long w, n_ty, n_tx, tile, n_off, out_h, out_w;
+    const long *offs, *row_lo, *row_hi, *col_lo, *col_hi;
+    const unsigned char *valid;
+    const long *ty0, *ty1, *tx0, *tx1;
+    const unsigned char *cand, *ok;
+    const double *denom;
+    double *sad, *ci, *fields, *errors;
+} rfbme_geometry;
+
+/* The producer: grid-major output sad[ty][tx][oi][oj], which is exactly
+ * the layout the consumer reads, so no transpose pass sits between
+ * them.  The current frame's tile rows load once per tile and stay in
+ * registers across every offset; with AVX-512, one ZMM holds the eight
+ * column accumulators of a tile==8 block, and eight horizontal offsets
+ * at a time reduce together (tree8) into one vector store.  Only the
+ * in-bounds offset window of each tile is computed -- oi in
+ * [row_lo[ty], row_hi[ty]) and oj in [col_lo[tx], col_hi[tx]) -- so
+ * every key pixel read lies inside the frame; entries outside the
+ * window are left untouched (the consumer masks them by the same
+ * validity geometry). */
+static void tile_sads(const double *key, const double *cur,
+                      const rfbme_geometry *g)
 {
+    long w = g->w, n_tx = g->n_tx, tile = g->tile, n_off = g->n_off;
+    const long *offs = g->offs;
 #if defined(__AVX512F__)
     if (tile == 8) {
-        for (long ty = 0; ty < n_ty; ++ty) {
+        for (long ty = 0; ty < g->n_ty; ++ty) {
             for (long tx = 0; tx < n_tx; ++tx) {
-                const double *cur_tile = cur + ty * 8 * cur_w + tx * 8;
+                const double *cur_tile = cur + ty * 8 * w + tx * 8;
                 __m512d a[8];
                 for (int u = 0; u < 8; ++u)
-                    a[u] = _mm512_loadu_pd(cur_tile + u * cur_w);
-                double *o = out + (ty * n_tx + tx) * n_off * n_off;
-                for (long oi = row_lo[ty]; oi < row_hi[ty]; ++oi) {
-                    const double *brow =
-                        pad + (radius + offs[oi] + ty * 8) * pad_w
-                            + radius + tx * 8;
-                    for (long oj = col_lo[tx]; oj < col_hi[tx]; oj += 8) {
-                        long r = col_hi[tx] - oj < 8 ? col_hi[tx] - oj : 8;
+                    a[u] = _mm512_loadu_pd(cur_tile + u * w);
+                double *o = g->sad + (ty * n_tx + tx) * n_off * n_off;
+                long lo = g->col_lo[tx], hi = g->col_hi[tx];
+                for (long oi = g->row_lo[ty]; oi < g->row_hi[ty]; ++oi) {
+                    const double *brow = key + (offs[oi] + ty * 8) * w + tx * 8;
+                    for (long oj = lo; oj < hi; oj += 8) {
+                        long r = hi - oj < 8 ? hi - oj : 8;
                         __m512d s[8];
                         for (int j = 0; j < 8; ++j)
                             s[j] = j < r
-                                ? tile_cols8(a, brow + offs[oj + j], pad_w)
+                                ? tile_cols8(a, brow + offs[oj + j], w)
                                 : _mm512_setzero_pd();
                         _mm512_mask_storeu_pd(o + oi * n_off + oj,
                                               (__mmask8) ((1u << r) - 1),
@@ -214,20 +231,19 @@ static void tile_sad_grid_bounded(const double *pad, long pad_w,
     }
 #endif
     double col[8];
-    for (long ty = 0; ty < n_ty; ++ty) {
+    for (long ty = 0; ty < g->n_ty; ++ty) {
         for (long tx = 0; tx < n_tx; ++tx) {
-            const double *a = cur + ty * tile * cur_w + tx * tile;
-            double *o = out + (ty * n_tx + tx) * n_off * n_off;
-            for (long oi = row_lo[ty]; oi < row_hi[ty]; ++oi) {
-                for (long oj = col_lo[tx]; oj < col_hi[tx]; ++oj) {
+            const double *a = cur + ty * tile * w + tx * tile;
+            double *o = g->sad + (ty * n_tx + tx) * n_off * n_off;
+            for (long oi = g->row_lo[ty]; oi < g->row_hi[ty]; ++oi) {
+                for (long oj = g->col_lo[tx]; oj < g->col_hi[tx]; ++oj) {
                     const double *b =
-                        pad + (radius + offs[oi] + ty * tile) * pad_w
-                            + radius + offs[oj] + tx * tile;
+                        key + (offs[oi] + ty * tile) * w + offs[oj] + tx * tile;
                     for (long v = 0; v < tile; ++v)
                         col[v] = 0.0;
                     for (long u = 0; u < tile; ++u) {
-                        const double *ar = a + u * cur_w;
-                        const double *br = b + u * pad_w;
+                        const double *ar = a + u * w;
+                        const double *br = b + u * w;
                         for (long v = 0; v < tile; ++v)
                             col[v] += fabs(ar[v] - br[v]);
                     }
@@ -247,127 +263,139 @@ static void tile_sad_grid_bounded(const double *pad, long pad_w,
     }
 }
 
-/* Lockstep batch: n_pairs (padded key, current) pairs in one call, so a
- * whole runtime step pays one FFI crossing instead of one per clip.
- * Only the valid offset window of each tile is computed.  The per-call
- * arguments lead; the geometry after them is fixed per engine. */
-void tile_sad_grid_batch(long n_pairs, const double *pads,
-                         const double *curs, double *out,
-                         long pad_h, long pad_w, long cur_h, long cur_w,
-                         long n_ty, long n_tx, long tile,
-                         const long *offs, long n_off, long radius,
-                         const long *row_lo, const long *row_hi,
-                         const long *col_lo, const long *col_hi)
-{
-    long out_stride = n_ty * n_tx * n_off * n_off;
-    for (long p = 0; p < n_pairs; ++p)
-        tile_sad_grid_bounded(pads + p * pad_h * pad_w, pad_w,
-                              curs + p * cur_h * cur_w, cur_w,
-                              n_ty, n_tx, tile, offs, n_off, radius,
-                              row_lo, row_hi, col_lo, col_hi,
-                              out + p * out_stride);
-}
-
-/* The RFBME consumer over a batch of grid-major producer outputs.
+/* The consumer: one pair's producer block into its fields (out_h,
+ * out_w, 2) and match errors (out_h, out_w).
  *
  * Reproduces, add for add, the vectorized NumPy consumer (see
  * repro.core.rfbme.RFBMEEngine._consumer_fast): a 2-D integral image per
- * offset (row pass then column pass of sequential binary adds), box sums
- * in ((A - B) - C) + D order, first-minimum argmin over the candidate
- * offsets of each receptive field, and error = cost / denom.  Fields
- * with no valid tile range write zeros, exactly like the NumPy path.
- *
- * sums:   (n_pairs, n_ty, n_tx, n_off*n_off) raw producer output
- * ci:     scratch, (n_ty+1) * (n_tx+1) * n_off*n_off doubles
- * fields: (n_pairs, out_h, out_w, 2) out; errors: (n_pairs, out_h, out_w)
- * valid:  (n_ty, n_tx, n_off*n_off) 0/1 tile validity
- * ty0/ty1: (out_h) tile ranges per field row; tx0/tx1: (out_w)
- * cand:   (out_h*out_w, n_off*n_off) 0/1 candidate offsets
- * ok:     (out_h*out_w) 0/1 field has candidates
- * denom:  (out_h*out_w) error denominators
- *
- * As in the producer, the workspace arguments lead and the geometry
- * (valid onwards) is fixed per engine.
- */
-void rfbme_consume(long n_pairs, const double *sums, double *ci,
-                   double *fields, double *errors,
-                   const unsigned char *valid,
-                   const long *ty0, const long *ty1,
-                   const long *tx0, const long *tx1,
-                   const unsigned char *cand,
-                   const unsigned char *ok,
-                   const double *denom,
-                   const long *offs,
-                   long n_ty, long n_tx, long n_off,
-                   long out_h, long out_w)
+ * offset (row pass then column pass of sequential binary adds) over the
+ * valid entries, box sums in ((A - B) - C) + D order, first-minimum
+ * argmin over the candidate offsets of each receptive field, and error =
+ * cost / denom.  Fields with no valid tile range write zeros, exactly
+ * like the NumPy path.  Geometry: valid (n_ty, n_tx, F) 0/1 tile
+ * validity; ty0/ty1 (out_h) and tx0/tx1 (out_w) tile ranges per field;
+ * cand (out_h*out_w, F) 0/1 candidate offsets; ok (out_h*out_w) 0/1
+ * field has candidates; denom (out_h*out_w) error denominators; ci is
+ * scratch of (n_ty+1) * (n_tx+1) * F doubles. */
+static void consume(const rfbme_geometry *g, double *fields, double *errors)
 {
+    long n_ty = g->n_ty, n_tx = g->n_tx, n_off = g->n_off;
     long F = n_off * n_off;
     long ci_w = (n_tx + 1) * F;
-    for (long p = 0; p < n_pairs; ++p) {
-        const double *s = sums + p * n_ty * n_tx * F;
-        /* zero the top row and left column margins */
-        for (long k = 0; k < ci_w; ++k)
-            ci[k] = 0.0;
-        for (long ty = 0; ty < n_ty; ++ty)
+    const double *s = g->sad;
+    double *ci = g->ci;
+    /* zero the top row and left column margins */
+    for (long k = 0; k < ci_w; ++k)
+        ci[k] = 0.0;
+    for (long ty = 0; ty < n_ty; ++ty)
+        for (long k = 0; k < F; ++k)
+            ci[(ty + 1) * ci_w + k] = 0.0;
+    /* row pass: interior[ty] = filled[ty] + interior[ty-1] */
+    for (long ty = 0; ty < n_ty; ++ty) {
+        const double *prev = ci + ty * ci_w + F;
+        double *row = ci + (ty + 1) * ci_w + F;
+        for (long tx = 0; tx < n_tx; ++tx) {
+            const double *sv = s + (ty * n_tx + tx) * F;
+            const unsigned char *vv = g->valid + (ty * n_tx + tx) * F;
+            double *cell = row + tx * F;
+            const double *up = prev + tx * F;
             for (long k = 0; k < F; ++k)
-                ci[(ty + 1) * ci_w + k] = 0.0;
-        /* row pass: interior[ty] = filled[ty] + interior[ty-1] */
-        for (long ty = 0; ty < n_ty; ++ty) {
-            const double *prev = ci + ty * ci_w + F;
-            double *row = ci + (ty + 1) * ci_w + F;
-            for (long tx = 0; tx < n_tx; ++tx) {
-                const double *sv = s + (ty * n_tx + tx) * F;
-                const unsigned char *vv = valid + (ty * n_tx + tx) * F;
-                double *cell = row + tx * F;
-                const double *up = prev + tx * F;
-                for (long k = 0; k < F; ++k)
-                    cell[k] = (vv[k] ? sv[k] : 0.0) + up[k];
-            }
-        }
-        /* column pass: interior[:, tx] += interior[:, tx-1] */
-        for (long ty = 0; ty < n_ty; ++ty) {
-            double *row = ci + (ty + 1) * ci_w + F;
-            for (long tx = 1; tx < n_tx; ++tx) {
-                double *cell = row + tx * F;
-                const double *left = cell - F;
-                for (long k = 0; k < F; ++k)
-                    cell[k] += left[k];
-            }
-        }
-        /* box sums, candidate-masked first-minimum argmin, errors */
-        for (long i = 0; i < out_h; ++i) {
-            for (long j = 0; j < out_w; ++j) {
-                long f = i * out_w + j;
-                double *fv = fields + ((p * out_h + i) * out_w + j) * 2;
-                double *ev = errors + (p * out_h + i) * out_w + j;
-                if (!ok[f]) {
-                    fv[0] = 0.0;
-                    fv[1] = 0.0;
-                    *ev = 0.0;
-                    continue;
-                }
-                const double *r11 = ci + ty1[i] * ci_w + tx1[j] * F;
-                const double *r01 = ci + ty0[i] * ci_w + tx1[j] * F;
-                const double *r10 = ci + ty1[i] * ci_w + tx0[j] * F;
-                const double *r00 = ci + ty0[i] * ci_w + tx0[j] * F;
-                const unsigned char *cf = cand + f * F;
-                long best = -1;
-                double best_cost = 0.0;
-                for (long k = 0; k < F; ++k) {
-                    if (!cf[k])
-                        continue;
-                    double cost = ((r11[k] - r01[k]) - r10[k]) + r00[k];
-                    if (best < 0 || cost < best_cost) {
-                        best = k;
-                        best_cost = cost;
-                    }
-                }
-                fv[0] = (double) offs[best / n_off];
-                fv[1] = (double) offs[best % n_off];
-                *ev = best_cost / denom[f];
-            }
+                cell[k] = (vv[k] ? sv[k] : 0.0) + up[k];
         }
     }
+    /* column pass: interior[:, tx] += interior[:, tx-1] */
+    for (long ty = 0; ty < n_ty; ++ty) {
+        double *row = ci + (ty + 1) * ci_w + F;
+        for (long tx = 1; tx < n_tx; ++tx) {
+            double *cell = row + tx * F;
+            const double *left = cell - F;
+            for (long k = 0; k < F; ++k)
+                cell[k] += left[k];
+        }
+    }
+    /* box sums, candidate-masked first-minimum argmin, errors */
+    for (long i = 0; i < g->out_h; ++i) {
+        for (long j = 0; j < g->out_w; ++j) {
+            long f = i * g->out_w + j;
+            double *fv = fields + f * 2;
+            if (!g->ok[f]) {
+                fv[0] = 0.0;
+                fv[1] = 0.0;
+                errors[f] = 0.0;
+                continue;
+            }
+            const double *r11 = ci + g->ty1[i] * ci_w + g->tx1[j] * F;
+            const double *r01 = ci + g->ty0[i] * ci_w + g->tx1[j] * F;
+            const double *r10 = ci + g->ty1[i] * ci_w + g->tx0[j] * F;
+            const double *r00 = ci + g->ty0[i] * ci_w + g->tx0[j] * F;
+            const unsigned char *cf = g->cand + f * F;
+            long best = -1;
+            double best_cost = 0.0;
+            for (long k = 0; k < F; ++k) {
+                if (!cf[k])
+                    continue;
+                double cost = ((r11[k] - r01[k]) - r10[k]) + r00[k];
+                if (best < 0 || cost < best_cost) {
+                    best = k;
+                    best_cost = cost;
+                }
+            }
+            fv[0] = (double) g->offs[best / n_off];
+            fv[1] = (double) g->offs[best % n_off];
+            errors[f] = best_cost / g->denom[f];
+        }
+    }
+}
+
+/* 1 when none of the n doubles is NaN or infinite. */
+static int all_finite(const double *x, long n)
+{
+    int bad = 0;
+    for (long i = 0; i < n; ++i)
+        bad |= !(fabs(x[i]) <= DBL_MAX);
+    return !bad;
+}
+
+/* RFBME over a lockstep batch of frame pairs: the one call an engine
+ * makes per step, with the GIL released for all of it.
+ *
+ * frames: 2 * n_pairs addresses, the key then the new frame of each
+ *         pair, each a C-contiguous (height, width) float64 frame that
+ *         is read in place.
+ * g:      height, width, n_ty, n_tx, tile, n_off, out_h, out_w.
+ * p:      offs, row_lo, row_hi, col_lo, col_hi (the producer's offset
+ *         windows); valid, ty0, ty1, tx0, tx1, cand, ok, denom (the
+ *         consumer's geometry); then the workspace: sad (one pair's
+ *         n_ty * n_tx * n_off * n_off block), ci (the consumer's
+ *         scratch), fields (n_pairs, out_h, out_w, 2) and errors
+ *         (n_pairs, out_h, out_w).
+ *
+ * Per pair: every pixel of the key frame, then of the new frame, must
+ * be finite -- rows and columns outside the tile-aligned crop too --
+ * then the producer fills the SAD block and the consumer turns it into
+ * the pair's fields and errors at once.  Returns -1 when every frame
+ * was finite, else 2 * pair + (0 key, 1 new) of the first that was not,
+ * with that pair and the ones after it left unwritten. */
+long rfbme_batch(long n_pairs, const double *const *frames, const long *g,
+                 void *const *p)
+{
+    rfbme_geometry geo = {
+        g[1], g[2], g[3], g[4], g[5], g[6], g[7],
+        p[0], p[1], p[2], p[3], p[4],
+        p[5], p[6], p[7], p[8], p[9], p[10], p[11], p[12],
+        p[13], p[14], p[15], p[16],
+    };
+    long pixels = g[0] * g[1], cells = geo.out_h * geo.out_w;
+    for (long q = 0; q < n_pairs; ++q) {
+        const double *key = frames[2 * q], *cur = frames[2 * q + 1];
+        if (!all_finite(key, pixels))
+            return 2 * q;
+        if (!all_finite(cur, pixels))
+            return 2 * q + 1;
+        tile_sads(key, cur, &geo);
+        consume(&geo, geo.fields + q * cells * 2, geo.errors + q * cells);
+    }
+    return -1;
 }
 
 /* Quantized-lane requantization: fold the quantized bias into an
@@ -1440,10 +1468,7 @@ _GEMM = [_P, _L, _L, _P, _L, _P, _P, _F, _F, _P, _L]
 #: order (see the C source for shapes and dtypes).  Arrays travel as raw
 #: base addresses (:func:`addr`) through ``c_void_p``, sizes as ``long``.
 _SIGNATURES = {
-    "tile_sad_grid_batch": (
-        [_L, _P, _P, _P] + [_L] * 7 + [_P, _L, _L] + [_P] * 4
-    ),
-    "rfbme_consume": [_L] + [_P] * 13 + [_L] * 5,
+    "rfbme_batch": [_L, _P, _P, _P],
     "im2col": [_P, _P, _P, _P],
     "conv_chain_f64": [_P, _L, _P, _P, _P],
     "requant_rows_q8": _REQUANT_F,
@@ -1475,6 +1500,7 @@ class SADKernel:
     def __init__(self, lib: ctypes.CDLL):
         for name, argtypes in _SIGNATURES.items():
             self._bind(lib, name, argtypes)
+        self.rfbme_batch.restype = ctypes.c_long
         self.im2col.restype = ctypes.c_long
         self.conv_chain_f64.restype = ctypes.c_long
         lib.have_vnni.restype = ctypes.c_int
@@ -1885,128 +1911,83 @@ def blas_conv_order(kernel: "SADKernel", conv: DirectConv) -> Optional[str]:
     return None
 
 
-def _consumer_reference(
-    sums, valid, ty0, ty1, tx0, tx1, cand, ok, denom, offsets, n_off
-):
-    """NumPy mirror of the C consumer, for the load-time self-check."""
-    b, n_ty, n_tx, n_flat = sums.shape
-    filled = np.where(valid[None].astype(bool), sums, 0.0)
-    ci = np.zeros((b, n_ty + 1, n_tx + 1, n_flat))
-    ci[:, 1:, 1:] = filled.cumsum(axis=1).cumsum(axis=2)
-    out_h, out_w = len(ty0), len(tx0)
-    fields = np.zeros((b, out_h, out_w, 2))
-    errors = np.zeros((b, out_h, out_w))
-    for i in range(out_h):
-        for j in range(out_w):
-            f = i * out_w + j
-            if not ok[f]:
-                continue
-            costs = (
-                (ci[:, ty1[i], tx1[j]] - ci[:, ty0[i], tx1[j]])
-                - ci[:, ty1[i], tx0[j]]
-            ) + ci[:, ty0[i], tx0[j]]
-            masked = np.where(cand[f].astype(bool), costs, np.inf)
-            best = masked.argmin(axis=1)
-            fields[:, i, j, 0] = offsets[best // n_off]
-            fields[:, i, j, 1] = offsets[best % n_off]
-            errors[:, i, j] = (
-                np.take_along_axis(masked, best[:, None], axis=1)[:, 0] / denom[f]
-            )
-    return fields, errors
+def _check_rfbme(kernel: SADKernel, rng: np.random.Generator) -> bool:
+    """``rfbme_batch`` end to end against the NumPy 'batched' engine.
 
+    On four geometries -- the zoo's 64x64 frames, then three with rows
+    and columns outside the tile-aligned crop: a non-square frame, a
+    4-pixel tile with a coarse search stride, and a zero search radius --
+    a batch of pairs must give the engine's fields and errors bit for
+    bit, ties in a pair of constant frames included; the last pair's SAD
+    block must match :func:`_numpy_reference` inside every tile's offset
+    window; and a NaN or infinite pixel in any frame, inside the crop or
+    outside it, must come back as the index of the first offending
+    (pair, key|new).  Each receptive field spans
+    three tiles from the frame's origin, so fields at the grid's far
+    edge span fewer tiles, and one extra row and column of fields spans
+    none (zero fields and errors).
+    """
+    from .receptive_field import ReceptiveField
+    from .rfbme import RFBMEConfig, RFBMEEngine  # rfbme imports this module
 
-def _check_consumer(kernel: SADKernel, rng: np.random.Generator) -> bool:
-    """The compiled consumer must match the NumPy mirror bit for bit."""
-    n_ty = n_tx = 6
-    n_off = 5
-    out_h, out_w = 4, 4
-    n_flat = n_off * n_off
-    n_fields = out_h * out_w
-    offsets = np.arange(-4, 5, 2)
-    sums = np.ascontiguousarray(rng.random((3, n_ty, n_tx, n_flat)) * 100)
-    valid = np.ascontiguousarray((rng.random((n_ty, n_tx, n_flat)) > 0.3), np.uint8)
-    ty0 = rng.integers(0, n_ty - 1, out_h).astype(np.int64)
-    ty1 = (ty0 + rng.integers(1, 3, out_h)).clip(max=n_ty).astype(np.int64)
-    tx0 = rng.integers(0, n_tx - 1, out_w).astype(np.int64)
-    tx1 = (tx0 + rng.integers(1, 3, out_w)).clip(max=n_tx).astype(np.int64)
-    cand = np.ascontiguousarray(rng.random((n_fields, n_flat)) > 0.4, np.uint8)
-    cand[:, 0] = 1  # every field keeps at least one candidate
-    ok = np.ascontiguousarray(rng.random(n_fields) > 0.2, np.uint8)
-    denom = np.ascontiguousarray(rng.random(n_fields) * 50 + 1)
-    fields = np.empty((3, out_h, out_w, 2))
-    errors = np.empty((3, out_h, out_w))
-    scratch = np.empty((n_ty + 1) * (n_tx + 1) * n_flat)
-    offs = offsets.astype(np.int64)
-    kernel.rfbme_consume(
-        3, addr(sums), addr(scratch), addr(fields), addr(errors),
-        addr(valid), addr(ty0), addr(ty1), addr(tx0), addr(tx1),
-        addr(cand), addr(ok), addr(denom), addr(offs),
-        n_ty, n_tx, n_off, out_h, out_w,
-    )
-    want_f, want_e = _consumer_reference(
-        sums, valid, ty0, ty1, tx0, tx1, cand, ok, denom, offsets, n_off
-    )
-    return np.array_equal(fields, want_f) and np.array_equal(errors, want_e)
+    for tile, radius, stride, shape in (
+        (8, 12, 2, (64, 64)),
+        (8, 8, 2, (50, 43)),
+        (4, 6, 3, (35, 33)),
+        (8, 0, 1, (29, 24)),
+    ):
+        n_ty, n_tx = shape[0] // tile, shape[1] // tile
+        engine = RFBMEEngine(
+            shape, ReceptiveField(size=3 * tile, stride=tile, padding=0),
+            (n_ty + 1, n_tx + 1), RFBMEConfig(radius, stride),
+            backend="batched",
+        )
+        engine._bind_geometry()
+        frames = [rng.random(shape) for _ in range(6)]
+        frames[2][:] = frames[3][:] = 0.5  # every candidate ties
+        pairs = list(zip(frames[::2], frames[1::2]))
+        got = engine._estimate_compiled(kernel, pairs)
+        for a, b in zip(got, engine.estimate_batch(pairs)):
+            if (a.field.data.tobytes() != b.field.data.tobytes()
+                    or a.match_errors.tobytes() != b.match_errors.tobytes()):
+                return False
+        offsets = engine._offsets
+        n_off = len(offsets)
+        want = _numpy_reference(
+            np.pad(frames[4], radius), frames[5], tile, offsets, radius
+        ).transpose(2, 3, 0, 1)
+        sad = engine._cws.sad.reshape(n_ty, n_tx, n_off, n_off)
+        row_lo, row_hi, col_lo, col_hi = producer_bounds(shape, tile, offsets)
+        for ty in range(n_ty):
+            for tx in range(n_tx):
+                window = (
+                    ty, tx, slice(row_lo[ty], row_hi[ty]),
+                    slice(col_lo[tx], col_hi[tx]),
+                )
+                if not np.array_equal(sad[window], want[window]):
+                    return False
+        ws = engine._cws
+        for at, bad in (((1, 2), np.nan), ((-1, -1), np.inf)):
+            for first in range(len(frames)):
+                # a second bad pixel in the last frame must not mask the
+                # first one
+                probe = [frame.copy() for frame in frames]
+                for index in {first, len(frames) - 1}:
+                    probe[index][at] = bad
+                ws.frames[: len(probe)] = [addr(frame) for frame in probe]
+                if kernel.rfbme_batch(
+                    len(pairs), ws.frames_addr, engine._geometry_addr,
+                    ws.table_addr,
+                ) != first:
+                    return False
+    return True
 
 
 def _self_check(kernel: SADKernel) -> bool:
     """Every compiled entry point must be bit-identical to NumPy."""
     rng = np.random.default_rng(20180601)
-    for tile, radius, stride, shape in (
-        (8, 12, 2, (64, 64)),
-        (8, 8, 2, (48, 40)),
-        (4, 6, 3, (32, 32)),
-        (8, 0, 1, (24, 24)),
-    ):
-        key = np.ascontiguousarray(rng.random(shape))
-        cur = np.ascontiguousarray(rng.random(shape))
-        offsets = np.arange(-radius, radius + 1, stride)
-        pad = np.pad(key, radius)
-        n_off = len(offsets)
-        n_ty, n_tx = shape[0] // tile, shape[1] // tile
-        want = _numpy_reference(pad, cur, tile, offsets, radius)
-        offs = offsets.astype(np.int64)
-        pads = np.ascontiguousarray(np.stack([pad, np.pad(cur, radius)]))
-        curs = np.ascontiguousarray(np.stack([cur, key]))
-        want2 = _numpy_reference(pads[1], curs[1], tile, offsets, radius)
-        # Full-range bounds must reproduce the whole reference cube (the
-        # zero padding makes out-of-frame comparisons well-defined).
-        full = (
-            np.zeros(n_ty, dtype=np.int64), np.full(n_ty, n_off, np.int64),
-            np.zeros(n_tx, dtype=np.int64), np.full(n_tx, n_off, np.int64),
-        )
-        def grid_batch(bounds, out):
-            kernel.tile_sad_grid_batch(
-                2, addr(pads), addr(curs), addr(out),
-                pads.shape[1], pads.shape[2], shape[0], shape[1],
-                n_ty, n_tx, tile, addr(offs), n_off, radius,
-                *[addr(b) for b in bounds],
-            )
-
-        batch = np.empty((2, n_ty, n_tx, n_off, n_off))
-        grid_batch(full, batch)
-        if not np.array_equal(batch[0].transpose(2, 3, 0, 1), want):
-            return False
-        if not np.array_equal(batch[1].transpose(2, 3, 0, 1), want2):
-            return False
-        # Real bounds: every in-window entry must match the reference.
-        bounds = producer_bounds(shape, tile, offsets)
-        row_lo, row_hi, col_lo, col_hi = bounds
-        batch = np.zeros((2, n_ty, n_tx, n_off, n_off))
-        grid_batch(bounds, batch)
-        for ty in range(n_ty):
-            for tx in range(n_tx):
-                oi = slice(row_lo[ty], row_hi[ty])
-                oj = slice(col_lo[tx], col_hi[tx])
-                if not np.array_equal(
-                    batch[0, ty, tx, oi, oj], want.transpose(2, 3, 0, 1)[ty, tx, oi, oj]
-                ):
-                    return False
-                if not np.array_equal(
-                    batch[1, ty, tx, oi, oj],
-                    want2.transpose(2, 3, 0, 1)[ty, tx, oi, oj],
-                ):
-                    return False
+    if not _check_rfbme(kernel, rng):
+        return False
     # Requant: both the pattern-expanded fast path (cols <= 256) and the
     # wide-cols fallback must be bitwise the NumPy chain.
     def requant(fn, src, bias, mult, lo, hi, out):
@@ -2103,7 +2084,7 @@ def _self_check(kernel: SADKernel) -> bool:
     )
     if not np.array_equal(got_q16, want_q.astype(np.int16)):
         return False
-    return _check_consumer(kernel, rng)
+    return True
 
 
 def _check_warp(kernel: SADKernel) -> bool:

@@ -28,8 +28,8 @@ Contracts:
   executor's split: step ``t+1``'s ``rfbme`` and ``decide`` touch
   nothing that step ``t``'s ``cnn_prefix``/``warp``/``cnn_suffix``/
   ``record`` write, or write anything those read, so they may run
-  concurrently.  :func:`run_checked` verifies a stage's write set at
-  run time (a testing aid, off every hot path).
+  concurrently.  The tests verify each stage's write set at run time
+  (``tests/write_set.py``).
 * **Bit identity.**  Each stage performs exactly the array operations of
   the monolithic lockstep step it was extracted from, in the same order,
   so running the stages in sequence reproduces the serial per-clip
@@ -66,10 +66,6 @@ __all__ = [
     "CURSOR_STATE",
     "ENGINE_SCRATCH",
     "PLAN_SCRATCH",
-    "CHECKED_RESOURCES",
-    "WriteSetViolationError",
-    "fingerprint_resource",
-    "run_checked",
     "stage_rfbme",
     "stage_decide",
     "stage_adopt_pixels",
@@ -104,12 +100,6 @@ ENGINE_SCRATCH = "engine_scratch"
 #: resolution, all of which run on the executor's driver thread.
 PLAN_SCRATCH = "plan_scratch"
 
-#: resources with *persistent* content, cheap enough to fingerprint —
-#: what :func:`run_checked` verifies a stage left untouched unless
-#: declared in its write set.  The scratch resources are exempt by
-#: definition (their contents are dead between stages).
-CHECKED_RESOURCES = (KEY_STATE, KEY_PIXELS, POLICY_STATE, CURSOR_STATE)
-
 
 def _effects(reads=(), writes=()):
     """Attach declared LaneState read/write sets to a stage function."""
@@ -120,60 +110,6 @@ def _effects(reads=(), writes=()):
         return fn
 
     return mark
-
-
-class WriteSetViolationError(ValueError):
-    """A stage mutated a lane-state resource outside its declared write set."""
-
-
-def fingerprint_resource(batch: "StepBatch", resource: str):
-    """A cheap equality token for one checked resource of one step batch.
-
-    Two fingerprints differ iff the resource's observable content
-    changed.  Returns ``None`` for scratch resources (exempt).
-    """
-    import zlib
-
-    executors = [batch.slot(k).executor for k in range(len(batch))]
-    if resource == KEY_STATE:
-        return tuple(
-            zlib.crc32(e.key_activation.tobytes()) if e.has_key else None
-            for e in executors
-        )
-    if resource == KEY_PIXELS:
-        return tuple(
-            zlib.crc32(e.stored_pixels().tobytes()) if e.has_key_pixels else None
-            for e in executors
-        )
-    if resource == POLICY_STATE:
-        return tuple(
-            repr(vars(batch.slot(k).policy))
-            if batch.slot(k).policy is not None
-            else None
-            for k in range(len(batch))
-        )
-    if resource == CURSOR_STATE:
-        return tuple(batch.slot(k).cursor for k in range(len(batch)))
-    return None
-
-
-def run_checked(fn, batch: "StepBatch", *args):
-    """Call stage function ``fn`` on ``batch`` and verify its write set.
-
-    Fingerprints every checked resource outside ``fn.writes`` before and
-    after the call, and raises :class:`WriteSetViolationError` if one
-    changed.  A testing aid: no hot path calls it.
-    """
-    guarded = [r for r in CHECKED_RESOURCES if r not in fn.writes]
-    before = [fingerprint_resource(batch, r) for r in guarded]
-    result = fn(batch, *args)
-    for resource, token in zip(guarded, before):
-        if fingerprint_resource(batch, resource) != token:
-            raise WriteSetViolationError(
-                f"stage {fn.__name__!r} mutated resource {resource!r} "
-                f"outside its declared write set {sorted(fn.writes)}"
-            )
-    return result
 
 
 @dataclass

@@ -392,6 +392,10 @@ class _PendingEntry:
     outcome: str = "served"
     #: when the current attempt was dispatched (process backend).
     dispatch_time: float = 0.0
+    #: the lane shard whose ack last timed out on this entry (process
+    #: backend): its child still holds the original, so the retry goes
+    #: elsewhere while the lane has another open shard.
+    timed_out_on: Optional[int] = None
 
 
 def _edf_key(entry: _PendingEntry) -> Tuple[float, float, int]:
@@ -720,8 +724,9 @@ class ShardSupervisor:
     backlog — their eventual records are flagged ``"failover"`` — and,
     when the lane would otherwise be shardless, a replacement is spawned
     (bounded by ``max_respawns``).  An unacknowledged request on a
-    *live* shard is retried after ``ack_timeout`` (the drop-ack case);
-    duplicate acks are idempotent because re-execution is bit-identical.
+    *live* shard is retried after ``ack_timeout`` (the drop-ack case),
+    on another open shard of its lane when there is one; duplicate acks
+    are idempotent because re-execution is bit-identical.
     Total loss — a lane with work but no shards and no respawn budget —
     terminates everything and raises :class:`ShardCrashError`; a run
     never hangs (``drain_timeout`` bounds any no-progress stretch).
@@ -965,6 +970,7 @@ class ShardSupervisor:
                     entry.attempts += 1
                     entry.outcome = "retried"
                     entry.available = current
+                    entry.timed_out_on = state.shard
                     backlogs[entry.lane].push(entry)
                     counters["retries"] += 1
                     last_progress = current
@@ -1075,7 +1081,10 @@ class ShardSupervisor:
                         lost=lost,
                     )
             # Dispatch: deadline order, each to the emptiest shard of
-            # its lane while that shard has credit.
+            # its lane that has credit.  A retry skips the shard whose
+            # ack timed out — its child still holds the original and
+            # would drop the duplicate — unless that shard is the lane's
+            # only open one; held back, it waits for another's credit.
             for lane, backlog in backlogs.items():
                 backlog.promote(current)
                 open_shards = [
@@ -1083,19 +1092,31 @@ class ShardSupervisor:
                     if s.lane == lane and s.alive and s.released
                     and not s.done and not s.draining
                 ]
-                while open_shards:
-                    target = min(
-                        open_shards, key=lambda s: (len(s.in_flight), s.shard)
-                    )
-                    if len(target.in_flight) >= self.capacity:
-                        break
-                    entry = backlog.pop_due()
+                held = []
+                while True:
+                    credit = [
+                        s for s in open_shards
+                        if len(s.in_flight) < self.capacity
+                    ]
+                    entry = backlog.pop_due() if credit else None
                     if entry is None:
                         break
+                    if len(open_shards) > 1:
+                        credit = [
+                            s for s in credit if s.shard != entry.timed_out_on
+                        ]
+                    if not credit:
+                        held.append(entry)
+                        continue
+                    target = min(
+                        credit, key=lambda s: (len(s.in_flight), s.shard)
+                    )
                     entry.dispatch_time = current
                     target.in_flight[entry.seq] = entry
                     target.inbox.put((entry.seq, entry.request))
                     last_progress = current
+                for entry in held:
+                    backlog.push(entry)
             if now() - last_progress > config.drain_timeout:
                 unresolved = sorted(
                     [e.seq for b in backlogs.values() for e in b.entries()]

@@ -318,7 +318,8 @@ class TestProcessChaos:
 
     @staticmethod
     def _serve_watched(spec, requests, plan, supervisor):
-        """A 2-shard process serve under a watchdog thread."""
+        """A 2-shard process serve under a watchdog thread; ``spec`` is
+        one lane's spec or a mapping of lanes to specs."""
         runtime = ServingRuntime(
             spec,
             ServerConfig(max_batch=2,
@@ -359,13 +360,12 @@ class TestProcessChaos:
         assert report.outcome_counts().get("failover", 0) == report.failovers
         _assert_identical_by_id(report, requests, serial_result)
 
-    def test_retry_sent_back_to_the_shard_still_holding_it(
-        self, spec, clips, serial_result
-    ):
+    def test_retry_goes_to_another_shard(self, spec, clips, serial_result):
         # Shard 1 sleeps through its ack timeout holding its dispatches,
-        # so they are retried; the emptiest-shard rule can send a retry
-        # straight back to shard 1, which must drop the duplicate and
-        # let the original's ack resolve it.
+        # so they are retried.  Each retry goes to shard 0, which acks
+        # it long before shard 1 wakes: one retry per retried request.
+        # Sent back to shard 1, a retry would be dropped as a duplicate
+        # and time out again.
         plan = FaultPlan(events=(
             FaultEvent("stall", at=0.0, shard=1, seconds=0.6),
         ))
@@ -377,6 +377,40 @@ class TestProcessChaos:
             range(len(clips))
         )
         assert report.retries >= 1
+        assert report.retries == report.outcome_counts().get("retried", 0)
+        assert report.num_shed == 0
+        _assert_identical_by_id(report, requests, serial_result)
+
+    def test_retry_sent_back_to_the_shard_still_holding_it(
+        self, spec, clips, serial_result
+    ):
+        # Two lanes of one shard each.  The "default" lane's only shard
+        # sleeps through its ack timeout holding its dispatches, so
+        # their retries go back to it; it must drop the duplicates and
+        # let the originals' acks resolve them.
+        plan = FaultPlan(events=(
+            FaultEvent("stall", at=0.0, lane="default", shard=0, seconds=0.6),
+        ))
+        requests = [
+            ClipRequest(i, clip, arrival_time=0.0,
+                        lane="default" if i % 2 else "other")
+            for i, clip in enumerate(clips)
+        ]
+        report = self._serve_watched(
+            {"default": spec, "other": spec}, requests, plan,
+            SupervisorConfig(
+                heartbeat_timeout=5.0, ack_timeout=0.3, max_respawns=0
+            ),
+        )
+        assert [(info.lane, info.shard) for info in report.shards] == [
+            ("default", 0), ("other", 0)
+        ]
+        assert sorted(r.request_id for r in report.records) == list(
+            range(len(clips))
+        )
+        retried = [r for r in report.records if r.outcome == "retried"]
+        assert retried and {r.lane for r in retried} == {"default"}
+        assert report.retries >= len(retried)
         assert report.num_shed == 0
         _assert_identical_by_id(report, requests, serial_result)
 

@@ -78,6 +78,8 @@ def _assert_bit_identical(a, b):
     np.testing.assert_array_equal(a.field.data, b.field.data)
     assert np.array_equal(a.match_errors, b.match_errors), "match errors differ"
     assert a.ops == b.ops
+    assert a.total_match_error == b.total_match_error
+    assert a.total_motion_magnitude == b.total_motion_magnitude
 
 
 class TestBackendEquivalence:
@@ -196,8 +198,9 @@ class TestBackendEquivalence:
         for a, b in zip(want, clone.estimate_batch(pairs)):
             _assert_bit_identical(a, b)
         if engine.backend == "kernel":
-            assert clone._consumer_args[0] != engine._consumer_args[0]
-            assert clone._cws.sums_addr != engine._cws.sums_addr
+            assert clone._geometry_addr != engine._geometry_addr
+            # every geometry array and workspace buffer is the clone's own
+            assert not set(clone._cws.table) & set(engine._cws.table)
 
     def test_kernel_falls_back_when_unavailable(self, monkeypatch):
         monkeypatch.setattr(sad_kernel, "_STATE", False)
@@ -261,6 +264,137 @@ class TestBackendEquivalence:
             _assert_bit_identical(
                 reference, estimate_motion(key, new, RF, GRID, backend=backend)
             )
+
+
+def _quiet_engine(*args, backend):
+    """An engine of ``backend``; where the compiled kernel is off,
+    "kernel" falls back to "batched" with a warning this silences."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sad_kernel.KernelFallbackWarning)
+        return RFBMEEngine(*args, backend=backend)
+
+
+def _checkerboard(shape, period):
+    """A pattern that repeats every ``period`` pixels along both axes."""
+    rows, cols = np.indices(shape)
+    return ((rows % period) + period * (cols % period)) / period**2
+
+
+def _adversarial_pairs(rng, shape=(64, 64)):
+    """Pairs on which every candidate ties, or no candidate fits; every
+    frame C-contiguous float64, as a lane's frames are, so the kernel
+    reads them in place."""
+    key = np.ascontiguousarray(textured_frame(rng, *shape))
+    return [
+        (np.zeros(shape), np.zeros(shape)),              # every cost is 0
+        (np.full(shape, 0.25), np.full(shape, 0.75)),    # every cost equal
+        (_checkerboard(shape, 2), _checkerboard(shape, 2)),
+        (_checkerboard(shape, 2), 1.0 - _checkerboard(shape, 2)),
+        (key, translate(key, 20, -18)),                  # beyond radius 12
+        (key, translate(key, 0, 13)),                    # between offsets
+    ]
+
+
+class TestAdversarialFrames:
+    """Every backend stays bit-identical to ``loop`` where ties decide
+    (the first minimum in offset order wins), where no offset explains
+    the motion, and across workspace growth."""
+
+    CONFIG = RFBMEConfig(12, 2)
+
+    @pytest.mark.parametrize("backend", ["batched", "kernel"])
+    def test_ties_and_lost_motion_match_loop(self, rng, backend):
+        pairs = _adversarial_pairs(rng)
+        engine = _quiet_engine((64, 64), RF, GRID, self.CONFIG, backend=backend)
+        loop = RFBMEEngine((64, 64), RF, GRID, self.CONFIG, backend="loop")
+        for want, got in zip(
+            loop.estimate_batch(pairs), engine.estimate_batch(pairs)
+        ):
+            _assert_bit_identical(want, got)
+        # equal costs everywhere: the first candidate offset of each
+        # field, so border fields point away from the frame's edges
+        ties = engine.estimate_batch(pairs[:1])[0]
+        assert ties.total_match_error == 0.0
+        assert ties.field.data[0, 0].tolist() == [0.0, 0.0]
+        assert ties.field.data[-1, -1].tolist() == [-12.0, -12.0]
+
+    @pytest.mark.parametrize("backend", ["batched", "kernel"])
+    def test_checkerboard_at_a_coarse_stride_matches_loop(self, rng, backend):
+        """A period-3 pattern searched at stride 3: every offset is an
+        exact match."""
+        config = RFBMEConfig(6, 3)
+        board = _checkerboard((61, 67), 3)
+        pairs = [(board, board.copy()), (board, np.roll(board, 1, axis=1))]
+        engine = _quiet_engine((61, 67), RF, GRID, config, backend=backend)
+        loop = RFBMEEngine((61, 67), RF, GRID, config, backend="loop")
+        for want, got in zip(
+            loop.estimate_batch(pairs), engine.estimate_batch(pairs)
+        ):
+            _assert_bit_identical(want, got)
+
+    @pytest.mark.parametrize("backend", ["batched", "kernel"])
+    def test_batches_of_1_to_16_across_workspace_growth(self, rng, backend):
+        pool = _adversarial_pairs(rng) + [
+            (rng.random((64, 64)), rng.random((64, 64))) for _ in range(10)
+        ]
+        loop = RFBMEEngine((64, 64), RF, GRID, self.CONFIG, backend="loop")
+        want = loop.estimate_batch(pool)
+        engine = _quiet_engine((64, 64), RF, GRID, self.CONFIG, backend=backend)
+        for size in (1, 16, 2, 9, 3, 15, 4, 8, 5, 13, 6, 11, 7, 14, 10, 12):
+            start = size % 5
+            pairs = (pool + pool)[start : start + size]
+            for a, b in zip(
+                (want + want)[start : start + size],
+                engine.estimate_batch(pairs),
+            ):
+                _assert_bit_identical(a, b)
+
+    @pytest.mark.parametrize("at", [(60, 9), (7, 66)], ids=["row60", "col66"])
+    @pytest.mark.parametrize("backend", ["loop", "batched", "kernel"])
+    def test_non_finite_pixel_outside_the_crop(self, rng, backend, at):
+        """On a 61x67 frame the 8-pixel tiles cover 56x64; a NaN in row
+        60 or column 66 is read by no tile, and is still rejected with
+        the pair and frame it sits in."""
+        engine = _quiet_engine((61, 67), RF, GRID, backend=backend)
+        for index in range(3):
+            for which in ("key", "new"):
+                pairs = [
+                    (rng.random((61, 67)), rng.random((61, 67)))
+                    for _ in range(3)
+                ]
+                pairs[index][("key", "new").index(which)][at] = np.nan
+                with pytest.raises(
+                    ValueError,
+                    match=f"pair {index}: {which} frame has non-finite pixels",
+                ):
+                    engine.estimate_batch(pairs)
+
+    @pytest.mark.parametrize(
+        "network", ["mini_alexnet", "mini_fasterm", "mini_faster16"]
+    )
+    def test_cached_summaries_equal_per_pair_reductions(self, rng, network):
+        from repro.core.amc import AMCExecutor
+        from repro.nn.models import build_network
+
+        executor = AMCExecutor(build_network(network))
+        shape = executor.network.input_shape[1:]
+        pairs = _adversarial_pairs(rng, shape) + [
+            (rng.random(shape), rng.random(shape)) for _ in range(10)
+        ]
+        for backend in ("loop", "batched", "kernel"):
+            engine = _quiet_engine(
+                shape, executor.rf, executor.grid_shape, executor.config.rfbme,
+                backend=backend,
+            )
+            for size in (1, 5, 16):
+                for result in engine.estimate_batch(pairs[:size]):
+                    assert type(result.total_match_error) is float
+                    assert result.total_match_error == float(
+                        result.match_errors.sum()
+                    )
+                    assert result.total_motion_magnitude == float(
+                        result.field.magnitudes().sum()
+                    )
 
 
 class TestFaithfulPipeline:

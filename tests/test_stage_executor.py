@@ -6,7 +6,7 @@ functions of :mod:`repro.core.stages` in one fixed order — head
 ``cnn_suffix``/``record`` — and at depth 2 runs a handed-over next
 step's head on a worker thread during this step's tail.  These tests
 check the stages' declared write sets
-(:func:`~repro.core.stages.run_checked`), the proof that the head may
+(:func:`write_set.run_checked`), the proof that the head may
 overlap the tail, and the executor's contract on real step batches.
 """
 
@@ -28,10 +28,7 @@ from repro.core.stages import (
     LaneState,
     PlanHandle,
     StepBatch,
-    WriteSetViolationError,
     _effects,
-    fingerprint_resource,
-    run_checked,
     stage_adopt_pixels,
     stage_cnn_prefix,
     stage_cnn_suffix,
@@ -50,6 +47,7 @@ from repro.runtime import (
     synthetic_workload,
 )
 from repro.runtime import stage_graph
+from write_set import WriteSetViolationError, fingerprint_resource, run_checked
 
 NETWORK = "mini_fasterm"
 
