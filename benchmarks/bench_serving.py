@@ -39,9 +39,9 @@ serial run, same as the single-process path.
 Two further measurements cover the pipelined stage executor and the
 shared per-lane backlog:
 
-* **pipelining** — depth-2 lockstep (step t+1's RFBME/decisions on a
-  second thread during step t's CNN stages, the default) must reach
-  >= 1.2x sequential (depth-1) lockstep throughput on hosts with at
+* **pipelining** — lockstep (step t+1's RFBME/decisions on a second
+  thread during step t's CNN stages) must reach >= 1.2x the same
+  lockstep batches stepped with every head inline, on hosts with at
   least two usable cores, bit-identical; on one core the bar is skipped;
 * **tail latency under skew** — long and short clips interleaved across
   2 shards that steal from one shared backlog; p99 time-to-first-frame
@@ -107,13 +107,13 @@ fresh-vs-committed.
 import os
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from _common import bench_json_path, write_bench_json
 from conftest import register_table
+from repro.core import LaneSlot, LaneState, PipelineResult, PlanHandle, StepBatch
 from repro.core.sad_kernel import kernel_available
 from repro.runtime import (
     AutoscalePolicy,
@@ -123,7 +123,9 @@ from repro.runtime import (
     PipelineSpec,
     ServerConfig,
     ServingRuntime,
+    StageExecutor,
     SupervisorConfig,
+    WorkloadResult,
     bursty_arrival_times,
     poisson_arrival_times,
     run_workload,
@@ -149,9 +151,10 @@ ARRIVAL_RATE = 625.0
 SERVING_ROUNDS = 11
 #: sharding bar: 2-shard aggregate throughput vs the single-process run.
 SHARD_SCALING_FLOOR = 1.5
-#: pipelining bar: depth-2 lockstep throughput vs sequential lockstep,
-#: gated only with at least two usable cores (the head thread needs its
-#: own).  Measured 1.37-1.52x on this 16-clip workload on a 2-core host.
+#: pipelining bar: lockstep throughput vs the same batches stepped with
+#: every head inline, gated only with at least two usable cores (the
+#: head thread needs its own).  Measured 1.37-1.52x on this 16-clip
+#: workload on a 2-core host.
 PIPELINE_FLOOR = 1.2
 #: chaos bar: p99 TTFF retention after losing 1 of 2 process shards
 #: mid-trace (fault-free p99 / chaos p99, clamped at 1.0).  The real
@@ -446,27 +449,62 @@ def test_shard_scaling_two_lanes(spec):
     )
 
 
-def test_pipelined_lockstep_throughput(spec, traffic):
-    """Depth-2 pipelined lockstep must reach >= 1.2x sequential lockstep.
+def _sequential_lockstep(spec, clips):
+    """Lockstep with every head inline: the batches
+    :class:`~repro.runtime.BatchedPipeline` builds, stepped by a
+    :class:`~repro.runtime.StageExecutor` that is handed no next batch.
+    """
+    start = time.perf_counter()
+    network = spec.shared_network()
+    state = LaneState(
+        slots=[
+            LaneSlot(executor=spec.build_executor(network),
+                     policy=spec.build_policy())
+            for _ in clips
+        ],
+        plan=PlanHandle(network, spec.dtype),
+    )
+    plan = state.plan.resolve(len(clips))
+    executor = StageExecutor()
+    records = [[] for _ in clips]
+    for index in range(max(len(clip) for clip in clips)):
+        positions = [i for i, clip in enumerate(clips) if index < len(clip)]
+        step = executor.step(StepBatch(
+            state=state, positions=positions,
+            frames=[clips[i].frames[index] for i in positions], plan=plan,
+            cursors=[index] * len(positions),
+        ))
+        for k, i in enumerate(positions):
+            records[i].append(step.records[k])
+    return WorkloadResult(
+        results=[PipelineResult(records=r) for r in records],
+        wall_seconds=time.perf_counter() - start, path="sequential",
+        steps=executor.stats.steps,
+    )
 
-    The pipelined stage executor runs step t+1's RFBME/decisions on a
-    worker thread while step t runs its CNN prefix, warp, suffix and
-    record, so on two cores RFBME leaves the critical path.  Identity
-    is asserted bit-for-bit against the sequential run — the executor's
-    core contract.  The speed bar needs a second usable core for the
-    head thread; with one it is skipped after the identity check.
+
+def test_pipelined_lockstep_throughput(spec, traffic):
+    """Pipelined lockstep must reach >= 1.2x sequential lockstep.
+
+    The stage executor runs step t+1's RFBME/decisions on a worker
+    thread while step t runs its CNN prefix, warp, suffix and record, so
+    on two cores RFBME leaves the critical path.  The sequential side
+    steps the same batches with every head inline.  Identity is asserted
+    bit-for-bit against it — the executor's core contract.  The speed
+    bar needs a second usable core for the head thread; with one it is
+    skipped after the identity check.
     """
     clips = traffic[:MAX_BATCH]
-    depth_one = replace(spec, pipeline_depth=1)
-    depth_two = replace(spec, pipeline_depth=2)
     sequential = max(
-        (run_workload(depth_one, clips, batch=True) for _ in range(3)),
+        (_sequential_lockstep(spec, clips) for _ in range(3)),
         key=lambda result: result.frames_per_second,
     )
     pipelined = max(
-        (run_workload(depth_two, clips, batch=True) for _ in range(3)),
+        (run_workload(spec, clips, batch=True) for _ in range(3)),
         key=lambda result: result.frames_per_second,
     )
+    assert sequential.pipelined_steps == 0
+    assert pipelined.pipelined_steps == pipelined.steps - 1
     assert pipelined.matches(sequential), (
         "pipelined lockstep diverged from sequential execution"
     )
@@ -476,7 +514,7 @@ def test_pipelined_lockstep_throughput(spec, traffic):
     ratio = pipelined.frames_per_second / sequential.frames_per_second
     register_table(
         f"pipelined vs sequential lockstep ({len(clips)} clips, "
-        f"pipeline_depth=2, {NETWORK})",
+        f"{NETWORK})",
         ["quantity", "value"],
         [
             ["sequential f/s", round(sequential.frames_per_second, 1)],
@@ -490,7 +528,6 @@ def test_pipelined_lockstep_throughput(spec, traffic):
             "pipeline_workload": {
                 "clips": len(clips),
                 "frames_per_clip": FRAMES_PER_CLIP,
-                "pipeline_depth": 2,
             },
             "sequential_fps": round(sequential.frames_per_second, 2),
             "pipelined_fps": round(pipelined.frames_per_second, 2),

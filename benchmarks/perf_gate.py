@@ -15,9 +15,9 @@ hardware change:
 * ``BENCH_serving.json`` — ``serving_vs_static`` (continuous batching
   relative to static lockstep on the same host), ``shard_scaling_2x``
   (2-shard aggregate throughput relative to the single-process run),
-  ``pipelined_vs_sequential`` (the depth-2 stage executor relative to
-  sequential lockstep), and the chaos, autoscale, virtual-time,
-  prefix-service and quantized-lane ratios.
+  ``pipelined_vs_sequential`` (pipelined lockstep relative to the same
+  batches stepped with every head inline), and the chaos, autoscale,
+  virtual-time, prefix-service and quantized-lane ratios.
 
 Neither file's frozen ``history`` block is compared.
 

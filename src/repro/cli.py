@@ -67,9 +67,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.clips < 1:
         print("error: --clips must be >= 1", file=sys.stderr)
         return 2
-    if args.pipeline_depth < 1:
-        print("error: --pipeline-depth must be >= 1", file=sys.stderr)
-        return 2
     if not args.threshold >= 0:
         print("error: --threshold must be >= 0", file=sys.stderr)
         return 2
@@ -129,7 +126,6 @@ def _spec_and_clips(args: argparse.Namespace):
         interval=args.interval or 4,
         rfbme_backend=args.rfbme,
         dtype=args.dtype,
-        pipeline_depth=args.pipeline_depth,
     )
     clips = synthetic_workload(
         args.clips,
@@ -207,9 +203,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if args.serve_workers < 1:
         print("error: --serve-workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.pipeline_depth < 1:
-        print("error: --pipeline-depth must be >= 1", file=sys.stderr)
         return 2
     if not args.threshold >= 0:
         print("error: --threshold must be >= 0", file=sys.stderr)
@@ -435,20 +428,7 @@ def _cmd_firstorder(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spec_defaults() -> dict:
-    """``PipelineSpec``'s field defaults, which the CLI flags reuse so the
-    command line and the API cannot drift apart."""
-    import dataclasses
-
-    from .runtime.spec import PipelineSpec
-
-    return {
-        field.name: field.default for field in dataclasses.fields(PipelineSpec)
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
-    spec_defaults = _spec_defaults()
     parser = argparse.ArgumentParser(
         prog="repro", description="EVA2 (ISCA 2018) reproduction toolkit"
     )
@@ -479,14 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "for throughput, int8/q16 run the calibrated "
                           "fixed-point lane under an explicit tolerance "
                           "contract")
-    run.add_argument("--pipeline-depth", type=int,
-                     default=spec_defaults["pipeline_depth"],
-                     help="software-pipeline depth for lockstep steps: 2 "
-                          "runs step t+1's RFBME/decision on a second "
-                          "thread during step t's CNN stages, 1 runs "
-                          "steps one after another (faster for one or "
-                          "two clips); bit-identical either way "
-                          "(default %(default)s)")
     run.add_argument("--prefix-cache", action=argparse.BooleanOptionalAction,
                      default=False,
                      help="content-addressed CNN prefix cache for lockstep "
@@ -588,11 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--network", default="mini_fasterm",
                         choices=["mini_alexnet", "mini_fasterm",
                                  "mini_faster16"])
-    engine.add_argument("--pipeline-depth", type=int,
-                        default=spec_defaults["pipeline_depth"],
-                        help="software-pipeline depth for serving steps "
-                             "(2 overlaps RFBME with the CNN stages; "
-                             "bit-identical; default %(default)s)")
     engine.add_argument("--threshold", type=float, default=2.0,
                         help="adaptive match-error threshold")
     engine.add_argument("--interval", type=int, default=0,

@@ -18,7 +18,6 @@ from .rfbme import (
     RFBMEEngine,
     RFBMEResult,
     estimate_motion,
-    estimate_motion_batch,
 )
 from .stages import LaneSlot, LaneState, PlanHandle, StepBatch
 from .warp import scale_to_activation, warp_activation
@@ -46,7 +45,6 @@ __all__ = [
     "RFBMEEngine",
     "RFBMEResult",
     "estimate_motion",
-    "estimate_motion_batch",
     "LaneSlot",
     "LaneState",
     "PlanHandle",

@@ -20,8 +20,8 @@ same adder-operation counts for the hardware energy model:
   offsets with strided tile views and a preallocated scratch block, the
   consumer uses integral images over the tile axes with no per-field
   Python loop.  Handles stacks of frame pairs in one call
-  (:func:`estimate_motion_batch`), which the runtime layer uses to run
-  many clips in lockstep.
+  (:meth:`RFBMEEngine.estimate_batch`, which the runtime layer calls
+  once per step to run many clips in lockstep).
 * ``"kernel"`` — one compiled call per batch
   (:mod:`repro.core.sad_kernel` ``rfbme_batch``) that releases the GIL,
   checks every pixel finite, reads both frames of every pair in place and
@@ -65,7 +65,6 @@ __all__ = [
     "RFBMEResult",
     "RFBMEEngine",
     "estimate_motion",
-    "estimate_motion_batch",
     "default_backend",
 ]
 
@@ -994,21 +993,3 @@ def estimate_motion(
     engine = RFBMEEngine(key_frame.shape, rf, grid_shape, config, backend)
     return engine.estimate(key_frame, new_frame)
 
-
-def estimate_motion_batch(
-    pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
-    rf: ReceptiveField,
-    grid_shape: Tuple[int, int],
-    config: Optional[RFBMEConfig] = None,
-    backend: Optional[str] = None,
-) -> List[RFBMEResult]:
-    """RFBME over a batch of (key frame, new frame) pairs.
-
-    Convenience wrapper building a transient :class:`RFBMEEngine`; the
-    runtime layer holds a persistent engine instead so workspace buffers
-    survive across lockstep steps.
-    """
-    if not pairs:
-        return []
-    engine = RFBMEEngine(pairs[0][0].shape, rf, grid_shape, config, backend)
-    return engine.estimate_batch(pairs)

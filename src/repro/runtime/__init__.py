@@ -10,11 +10,11 @@ per-clip :class:`~repro.core.EVA2Pipeline` into a workload runtime:
   lockstep and serving both execute: the stage functions of
   :mod:`repro.core.stages` in the lifecycle's fixed order (RFBME,
   decide, adopt pixels | CNN prefix, warp, CNN suffix, record) over the
-  picklable :class:`~repro.core.stages.LaneState`.  At
-  ``pipeline_depth=2`` (the default) the executor software-pipelines
-  step t+1's RFBME/decisions against step t's CNN stages
-  (bit-identical) whenever the next batch is certain
-  (:class:`PipelineStats` counts the engaged overlaps).
+  picklable :class:`~repro.core.stages.LaneState`.  The executor
+  software-pipelines step t+1's RFBME/decisions against step t's CNN
+  stages (bit-identical) whenever the next batch is certain and one of
+  its rows' policies estimates (:class:`PipelineStats` counts the
+  engaged overlaps).
 * :class:`BatchedPipeline` — lockstep execution that batches the RFBME
   hot path across all active clips in one vectorized call.
 * :class:`ServingRuntime` — streaming serving with continuous batching,

@@ -195,14 +195,12 @@ class WorkloadResult:
 class BatchedPipeline:
     """Run a multi-clip workload in lockstep with batched hot paths.
 
-    The spec's ``pipeline_depth`` selects sequential step execution (1)
-    or the software-pipelined
-    :class:`~repro.runtime.stage_graph.StageExecutor` (2): step
-    ``t+1``'s RFBME/decisions run on a second thread while step ``t``
-    runs its CNN prefix, warp, suffix and record.  Lockstep batches are
-    static, so every step pipelines; results are bit-identical at any
-    depth.  With one or two clips the overlap is too short to pay for
-    the handoff, so such workloads are faster at depth 1.
+    Lockstep batches are static, so every step hands its successor to
+    the :class:`~repro.runtime.stage_graph.StageExecutor`, which runs
+    step ``t+1``'s RFBME/decisions on a second thread while step ``t``
+    runs its CNN prefix, warp, suffix and record — whenever the policy
+    estimates.  The always-key baseline has nothing to overlap, so its
+    heads run inline.  Results are bit-identical either way.
 
     ``prefix_cache_mb`` > 0 attaches a content-addressed
     :class:`~repro.runtime.prefix_service.PrefixService` cache to every
@@ -240,7 +238,7 @@ class BatchedPipeline:
         for slot in state.slots:
             slot.executor.reset()
             slot.policy.reset()
-        executor = StageExecutor(self.spec.pipeline_depth)
+        executor = StageExecutor()
         plan = state.plan.resolve(len(clips)) if clips else None
         # Lockstep already fuses coincident key frames within a step, so
         # the service is pure cache here (coalesce off).

@@ -12,15 +12,16 @@ The serving layer is split along the line a deployment would draw:
   executor slots and the lane's compiled inference plan, running the
   frame lifecycle one step at a time through a
   :class:`~repro.runtime.stage_graph.StageExecutor`.
-  With a ``pipeline_depth=2`` spec (the default) the worker
-  software-pipelines every step whose successor is certain: at provably
-  stable membership (full occupancy, no departure due) it hands the
-  next step's batch over, definitely; anywhere else it steps
-  sequentially.  Bit-identical either way; :class:`ServingReport`
-  surfaces the pipelined fraction of steps.  A worker's execution state is the
-  picklable :class:`~repro.core.stages.LaneState` recipe away from a
-  spec, so a shard process builds **its own** network and plan
-  (plan-per-worker ownership: live plans never cross a process boundary; see
+  The worker hands a step's successor over whenever it is certain:
+  at provably stable membership (full occupancy, no departure due) it
+  passes the next step's batch to the executor, which runs that head
+  beside this step's CNN stages if one of its rows estimates; anywhere
+  else the next step runs its head inline.  Bit-identical either way;
+  :class:`ServingReport` surfaces the pipelined fraction of steps.  A
+  worker's execution state is the picklable
+  :class:`~repro.core.stages.LaneState` recipe away from a spec, so a
+  shard process builds **its own** network and plan (plan-per-worker
+  ownership: live plans never cross a process boundary; see
   :meth:`~repro.nn.network.Network.__getstate__`).
 * The *serve core* — one discrete-event scheduler for every serve shape.
   Its unit is a **timeline**: a virtual clock that owns one or more lane
@@ -337,7 +338,8 @@ class ServingReport:
     #: per-shard accounting (empty for in-process runs).
     shards: List[ShardInfo] = field(default_factory=list)
     #: steps that consumed a pipelined (precomputed) head, across all
-    #: lanes and shards.  0 on a sequential (pipeline_depth=1) run.
+    #: lanes and shards.  0 when no lane ran full with an estimating
+    #: policy.
     pipelined_steps: int = 0
     #: requests dropped because their deadline passed while queued —
     #: explicit rejections, never silent.  ``records`` holds completed
@@ -622,17 +624,11 @@ class LaneWorker:
         plan_handle = PlanHandle(network, spec.dtype)
         plan_handle.resolve(capacity)  # compile at capacity up front
         self.state = LaneState(slots=slots, plan=plan_handle)
-        self.executor = StageExecutor(spec.pipeline_depth)
-        #: the pipelined next-step batch (its head stages already ran).
+        self.executor = StageExecutor()
+        #: the handed-over next-step batch (its head may be in flight).
         self._pending: Optional[StepBatch] = None
         #: the step between ``begin_step`` and its ``finish_step``.
         self._round: Optional[Step] = None
-        #: memoised ``[occupancy, min frames remaining]`` behind the
-        #: stability predicate; None = must rescan (membership event).
-        self._stable_cache: Optional[List[int]] = None
-        #: how many times the stability predicate actually scanned the
-        #: slots (membership events), vs. answering from the cache.
-        self._membership_scans = 0
         self.residents: List[Optional[_Resident]] = [None] * capacity
 
     # -------------------------------------------------------------- #
@@ -659,7 +655,6 @@ class LaneWorker:
         slot.policy.reset()
         slot.cursor = 0
         self.residents[index] = _Resident(seq, request, now)
-        self._stable_cache = None  # membership changed: predicate rescans
 
     def _build_batch(self, positions: List[int], advance: int = 0) -> StepBatch:
         """The step batch ``advance`` frames ahead of the slot cursors."""
@@ -684,25 +679,13 @@ class LaneWorker:
         queued request at the next boundary) and no resident serves its
         last frame this step (no departure frees a slot).  This is the
         full-occupancy steady state, where the next batch is definite
-        and the worker pipelines into it; anywhere else it steps
-        sequentially.
-
-        The scan is memoised: membership only changes at admissions and
-        departures, so between membership events the predicate answers
-        from a cached ``[occupancy, min frames remaining]`` pair that
-        :meth:`step` decrements as cursors advance — a lockstep-like run
-        (everyone admitted up front, equal lengths) pays exactly one
-        scan, not one per step.
+        and the worker hands it over; anywhere else the next step
+        builds its own batch.
         """
-        if self._stable_cache is None:
-            self._membership_scans += 1
-            remaining = [
-                len(self.residents[i].request.clip) - self.state.slots[i].cursor
-                for i in positions
-            ]
-            self._stable_cache = [len(positions), min(remaining, default=0)]
-        occupancy, min_remaining = self._stable_cache
-        return occupancy == self.capacity and min_remaining > 1
+        return len(positions) == self.capacity and all(
+            self.state.slots[i].cursor + 1 < len(self.residents[i].request.clip)
+            for i in positions
+        )
 
     def step(self) -> List[_Resident]:
         """Serve one frame of every resident clip; return departures.
@@ -713,11 +696,11 @@ class LaneWorker:
         clip finished release their executor and free up for the next
         admission.
 
-        With a pipelined spec (``pipeline_depth >= 2``) and provably
-        stable membership, the next step's RFBME/decisions are launched
-        against this step's CNN stages and picked up by the next
+        At provably stable membership the next step's batch is handed
+        over, and if its policies estimate, its RFBME/decisions run
+        against this step's CNN stages and are picked up by the next
         :meth:`step` call.  Anywhere else — a free slot that might
-        admit, a departure due — the next step runs sequentially.
+        admit, a departure due — the next step runs its head inline.
         """
         self.begin_step(register=False)
         return self.finish_step()
@@ -748,7 +731,7 @@ class LaneWorker:
     def _next_batch(self, positions: List[int]) -> Optional[StepBatch]:
         """The batch to pipeline after this step's, or None when the
         next step is not certain."""
-        if self.executor.pipelined and self._membership_stable(positions):
+        if self._membership_stable(positions):
             return self._build_batch(positions, advance=1)
         return None
 
@@ -767,17 +750,12 @@ class LaneWorker:
                 slot.policy = None
                 self.residents[i] = None
                 finished.append(resident)
-        if finished:
-            self._stable_cache = None  # departures: predicate rescans
-        elif self._stable_cache is not None:
-            self._stable_cache[1] -= 1  # same slots, one frame closer
         return finished
 
     def release(self) -> None:
         """Drop resident state and hand plan scratch back."""
         self._pending = None
         self._round = None
-        self._stable_cache = None
         self.executor.close()  # joins any in-flight head
         for index, resident in enumerate(self.residents):
             if resident is not None:

@@ -66,12 +66,6 @@ class PipelineSpec:
     #: lanes trade bit-identity for throughput under a calibrated
     #: :class:`~repro.nn.quantize.QuantTolerance` contract.
     dtype: str = "float64"
-    #: runtime step pipelining depth: 2 (default) = run step t+1's
-    #: RFBME/decide on a second thread against the CNN stages of step t
-    #: (see :class:`~repro.runtime.stage_graph.StageExecutor`), 1 =
-    #: sequential steps, the reference the pipelined runs are checked
-    #: against.  Bit-identical either way; depths beyond 2 behave as 2.
-    pipeline_depth: int = 2
 
     def __post_init__(self):
         if self.policy not in _POLICIES:
@@ -82,10 +76,6 @@ class PipelineSpec:
             raise ValueError(
                 f"network must be one of {sorted(PAPER_MODES)}, "
                 f"got {self.network!r}"
-            )
-        if self.pipeline_depth < 1:
-            raise ValueError(
-                f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
             )
         # Fail on a bad backend or policy parameter now, not minutes
         # later when the first predicted frame lazily builds the RFBME

@@ -15,18 +15,20 @@ Per-row results travel in a :class:`Step` record (the batch, its
 estimations and decisions, and after the tail its frame records), all
 aligned with ``batch.positions``.
 
-**Pipelining.**  At ``pipeline_depth=1`` a step runs its segments one
-after another.  At depth 2, when the caller hands over the definite next
-batch, the executor launches that batch's head on a worker thread as
-soon as this step's mid has run, overlapped with this step's tail — so
-RFBME, a GIL-releasing compiled call on the hot backends, runs beside
-the CNN the way the paper's RFBME unit runs beside the CNN accelerator.
-(``stage_rfbme`` estimates no always-key row, so for those rows the
-head only decides.)  The split is safe by the stages' declared resource
-sets: no head stage writes anything a tail stage reads or writes, or
-reads anything a tail stage writes.  ``stage_adopt_pixels`` writes the
-key pixels the next ``stage_rfbme`` reads, which is why the launch waits
-for it.
+**Pipelining.**  When the caller hands over the definite next batch and
+at least one of its rows' policies estimates
+(:attr:`~repro.core.keyframe.KeyFramePolicy.estimates`), the executor
+launches that batch's head on a worker thread as soon as this step's mid
+has run, overlapped with this step's tail — so RFBME, a GIL-releasing
+compiled call on the hot backends, runs beside the CNN the way the
+paper's RFBME unit runs beside the CNN accelerator.  A batch with no
+estimating row (the always-key baseline) has only ``decide`` in its
+head, which hides less than the handoff costs, so the next step runs it
+inline.  The split is safe by the stages' declared resource sets: no
+head stage writes anything a tail stage reads or writes, or reads
+anything a tail stage writes.  ``stage_adopt_pixels`` writes the key
+pixels the next ``stage_rfbme`` reads, which is why the launch waits for
+it.
 ``tests/test_stage_executor.py`` checks these three facts on a running
 pipelined workload.  Only the head touches the lane's RFBME engine, at
 most one head is in flight, and each batch carries its own cursor
@@ -112,18 +114,22 @@ class Step:
     records: Optional[List[FrameRecord]] = None
 
 
+def _estimates(batch: StepBatch) -> bool:
+    """Whether any row's policy estimates: a head worth overlapping."""
+    return any(batch.slot(k).policy.estimates for k in range(len(batch)))
+
+
 def _run_head(batch: StepBatch) -> Step:
     estimations = stage_rfbme(batch)
     return Step(batch, estimations, stage_decide(batch, estimations))
 
 
 class StageExecutor:
-    """Runs lifecycle steps in the fixed order, optionally pipelined.
+    """Runs lifecycle steps in the fixed order, pipelined where it pays.
 
-    ``pipeline_depth=1`` (default) runs each step sequentially.
-    ``pipeline_depth>=2`` runs the head of a handed-over next step on a
-    worker thread during this step's tail (see the module docstring);
-    depths beyond 2 behave as 2 — the lifecycle has one overlap window.
+    A handed-over next batch with an estimating row has its head run on
+    a worker thread during this step's tail (see the module docstring);
+    every other head runs inline at its own step.
 
     The first time any executor starts its head thread, the process's
     OpenBLAS pools drop to one thread each
@@ -135,13 +141,7 @@ class StageExecutor:
     thread-safe (the worker thread is an implementation detail).
     """
 
-    def __init__(self, pipeline_depth: int = 1):
-        if pipeline_depth < 1:
-            raise ValueError(
-                f"pipeline_depth must be >= 1, got {pipeline_depth}"
-            )
-        #: whether this executor overlaps consecutive steps at all.
-        self.pipelined = pipeline_depth > 1
+    def __init__(self):
         #: (batch, future) of the in-flight head.
         self._inflight: Optional[Tuple[StepBatch, Future]] = None
         self._worker: Optional[ThreadPoolExecutor] = None
@@ -174,8 +174,8 @@ class StageExecutor:
     ) -> Step:
         """Execute one full step; optionally pipeline into the next.
 
-        ``next_batch`` — when given and the executor pipelines — launches
-        the next step's head as soon as this step's mid has run,
+        ``next_batch`` — when given and one of its rows estimates —
+        launches the next step's head as soon as this step's mid has run,
         overlapped with this step's tail.  The handoff is definite: it
         MUST be the exact batch of the following :meth:`step` call,
         because the head's effects (policy state advanced by ``decide``)
@@ -190,8 +190,9 @@ class StageExecutor:
         """Phase 1 of a two-phase step: head and mid.
 
         Joins (or runs inline) the head, then stores this step's key
-        pixels, so the returned step holds its final ``decisions``.  A
-        pipelined executor then launches ``next_batch``'s head.  A serve
+        pixels, so the returned step holds its final ``decisions``.  It
+        then launches ``next_batch``'s head if one of its rows
+        estimates; otherwise the next step runs that head inline.  A serve
         round may ``begin_step`` every lane, hand their key-frame
         requests to a shared
         :class:`~repro.runtime.prefix_service.PrefixService`, flush it
@@ -203,7 +204,7 @@ class StageExecutor:
         self.stats.steps += 1
         step = self._join(batch)
         stage_adopt_pixels(batch, step.decisions)
-        if next_batch is not None and self.pipelined:
+        if next_batch is not None and _estimates(next_batch):
             if self._worker is None:
                 limit_openblas_threads()
                 self._worker = ThreadPoolExecutor(

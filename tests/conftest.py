@@ -6,6 +6,8 @@ training), so the expensive fixtures are session-scoped.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,17 @@ def compiled(monkeypatch):
     if kernel is None:
         pytest.skip("the compiled kernel cannot build on this host")
     return kernel
+
+
+@pytest.fixture()
+def started_threads(monkeypatch):
+    """The names of the threads started while the test runs, in order."""
+    names = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return names

@@ -3,12 +3,12 @@
 Each seed derives a complete serving scenario — clip count, ragged
 lengths (forcing mid-flight evictions), a scenario mix with hard scene
 cuts spliced at step boundaries, lane capacity, and a bursty Poisson
-arrival trace (forcing mid-flight admissions) — then serves it three
-ways: per-clip serial (ground truth), sequential serving
-(``pipeline_depth=1``), and pipelined serving (``pipeline_depth=2``,
-which hands a step's successor over only at stable membership).  Every
-path must produce bit-identical frames, key-frame decisions, and
-per-clip RFBME op counts.  A failing seed is a real bug in the
+arrival trace (forcing mid-flight admissions) — then runs it per clip
+through the serial pipeline (ground truth) and serves it once; serving
+hands a step's successor over only at stable membership, and every
+fuzzed policy estimates, so each handover runs on the head thread.
+Served frames, key-frame decisions, and per-clip RFBME op counts must
+be bit-identical to serial.  A failing seed is a real bug in the
 pipelined executor or the stability predicate, never fuzz noise:
 everything is deterministic given the seed.
 
@@ -44,8 +44,8 @@ from repro.video.generator import VideoClip
 
 NETWORK = "mini_fasterm"
 DEFAULT_SEEDS = (0, 1, 2, 3)
-#: depth-2 pipelined steps per seed: the steps whose membership is
-#: provably stable.  Identical across RFBME backends and kernel lanes;
+#: pipelined steps per seed: the steps whose membership is provably
+#: stable.  Identical across RFBME backends and kernel lanes;
 #: a change here means the set of pipelined steps moved.
 PIPELINED_STEPS = dict(enumerate(
     (7, 0, 9, 16, 0, 2, 3, 9, 15, 1, 2, 7, 16, 4, 0, 3)
@@ -152,13 +152,8 @@ def _dump_trace(label, trace):
     (path / f"{label}.json").write_text(json.dumps(trace, indent=2))
 
 
-def _spec(backend, policy, depth):
-    spec = PipelineSpec(
-        network=NETWORK,
-        policy=policy,
-        rfbme_backend=backend,
-        pipeline_depth=depth,
-    )
+def _spec(backend, policy):
+    spec = PipelineSpec(network=NETWORK, policy=policy, rfbme_backend=backend)
     spec.warm()
     return spec
 
@@ -189,26 +184,17 @@ def _clip_ops(result):
 @pytest.mark.parametrize("backend", LANES)
 @pytest.mark.parametrize("seed", _fuzz_seeds())
 def test_churn_fuzz_differential(seed, backend):
-    """The serving contract, fuzzed: a seeded churn trace served at
-    depth 2 is bit-identical to its depth-1 and serial runs."""
+    """The serving contract, fuzzed: a seeded churn trace served is
+    bit-identical to its serial run."""
     trace, clips = _make_scenario(seed)
     _dump_trace(f"fuzz_seed{seed}_{backend}", trace)
 
-    sequential = _spec(backend, trace["policy"], depth=1)
-    serial = run_workload(sequential, clips, batch=False)
-
-    seq_report = _serve(sequential, clips, trace["arrivals"], trace["capacity"])
-    _assert_identical(seq_report, serial)
-    assert seq_report.pipelined_steps == 0
-
-    pipelined = _spec(backend, trace["policy"], depth=2)
-    piped_report = _serve(
-        pipelined, clips, trace["arrivals"], trace["capacity"]
-    )
-    _assert_identical(piped_report, serial)
-    assert piped_report.steps == seq_report.steps
+    spec = _spec(backend, trace["policy"])
+    serial = run_workload(spec, clips, batch=False)
+    report = _serve(spec, clips, trace["arrivals"], trace["capacity"])
+    _assert_identical(report, serial)
     if seed in PIPELINED_STEPS:
-        assert piped_report.pipelined_steps == PIPELINED_STEPS[seed]
+        assert report.pipelined_steps == PIPELINED_STEPS[seed]
 
 
 class TestForcedChurn:
@@ -227,7 +213,7 @@ class TestForcedChurn:
         b = synthetic_workload(1, num_frames=3, base_seed=47)
         c = synthetic_workload(1, num_frames=6, base_seed=53)
         clips = a + b + c
-        spec = _spec(None, policy, depth=2)
+        spec = _spec(None, policy)
         serial = run_workload(spec, clips, batch=False)
         report = _serve(spec, clips, None, capacity=2)
         _assert_identical(report, serial)

@@ -8,15 +8,6 @@ from repro.cli import _parse_kill_shard, build_parser, main
 
 
 class TestCLI:
-    def test_pipelining_defaults_come_from_the_spec(self):
-        from repro.runtime import PipelineSpec
-
-        spec = PipelineSpec()
-        parser = build_parser()
-        for command in ("run", "serve"):
-            args = parser.parse_args([command])
-            assert args.pipeline_depth == spec.pipeline_depth
-
     def test_info(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
@@ -82,12 +73,16 @@ class TestCLI:
         assert "bit-identical to its serial run: yes" in out
 
     def test_run_pipelined_workload(self, capsys):
+        """The default policy estimates, so every lockstep step but the
+        first consumes a head run during the previous step's tail."""
         assert main([
             "run", "--clips", "3", "--batch", "--frames", "5",
-            "--scenario", "static", "--pipeline-depth", "2",
+            "--scenario", "static",
         ]) == 0
         out = capsys.readouterr().out
         assert "lockstep" in out
+        assert "pipelined steps" in out
+        assert out.split("pipelined steps")[1].split()[0] == "4/5"
 
     def test_serve_shared_admission_verify(self, capsys):
         assert main([
@@ -103,18 +98,10 @@ class TestCLI:
     def test_serve_pipelined_verify(self, capsys):
         assert main([
             "serve", "--clips", "4", "--frames", "4", "--max-batch", "2",
-            "--arrival-rate", "500", "--scenario", "static",
-            "--pipeline-depth", "2", "--verify",
+            "--arrival-rate", "500", "--scenario", "static", "--verify",
         ]) == 0
         out = capsys.readouterr().out
         assert "bit-identical to its serial run: yes" in out
-
-    def test_bad_pipeline_depth_rejected(self, capsys):
-        assert main(["run", "--clips", "2", "--batch",
-                     "--pipeline-depth", "0"]) == 2
-        assert "--pipeline-depth" in capsys.readouterr().err
-        assert main(["serve", "--pipeline-depth", "0"]) == 2
-        assert "--pipeline-depth" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threshold", ["nan", "-1"])
     def test_bad_threshold_rejected(self, capsys, threshold):
@@ -148,11 +135,15 @@ class TestCLI:
         ["run", "--no-speculate"],
         ["serve", "--speculate"],
         ["serve", "--no-speculate"],
+        ["run", "--clips", "2", "--batch", "--pipeline-depth", "1"],
+        ["serve", "--pipeline-depth", "1"],
     ], ids=["run-workers", "run-speculate", "run-no-speculate",
-            "serve-speculate", "serve-no-speculate"])
+            "serve-speculate", "serve-no-speculate",
+            "run-pipeline-depth", "serve-pipeline-depth"])
     def test_removed_flags_rejected(self, argv):
-        """The clip pool and speculative pipelining are gone; their
-        flags are argparse errors, not silently ignored."""
+        """The clip pool, speculative pipelining and the pipeline-depth
+        knob are gone; their flags are argparse errors, not silently
+        ignored."""
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2

@@ -236,8 +236,7 @@ class TestServingCache:
         """A full lane hands every step but the last over to the head
         thread while cnn_prefix reads and fills the cache on the driver
         thread; every bit must still match serial."""
-        spec = PipelineSpec(network=NETWORK, policy="static", interval=3,
-                            pipeline_depth=2)
+        spec = PipelineSpec(network=NETWORK, policy="static", interval=3)
         spec.warm()
         clips = static_stretch_workload(3, num_frames=8, stretch=4,
                                         base_seed=31)

@@ -55,6 +55,30 @@ def frames():
     return rng.random((8, 1, 64, 64))
 
 
+def _saturated_middle_conv_net():
+    """A 3-conv network whose middle conv alone saturates both quantized
+    families (so it runs as a ``_DequantWrapStep``), and 16 inputs."""
+    rng = np.random.default_rng(4)
+    layers = [
+        Conv2d("conv_a", 1, 4, kernel=3, pad=1, rng=rng),
+        ReLU("relu_a"),
+        Conv2d("conv_hot", 4, 4, kernel=3, pad=1, rng=rng),
+        ReLU("relu_hot"),
+        MaxPool2d("pool", field=2, stride=2),
+        Conv2d("conv_c", 4, 4, kernel=3, pad=1, rng=rng),
+        ReLU("relu_c"),
+        Flatten("flatten"),
+        Linear("fc", 4 * 8 * 8, 4, rng=rng),
+    ]
+    # conv_a's channel 3 is constant zero, so one huge conv_hot weight on
+    # it saturates conv_hot's int8 and q16 weights without moving any
+    # activation: only conv_hot falls back.
+    layers[0].params["weight"][3] = 0.0
+    layers[0].params["bias"][3] = 0.0
+    layers[2].params["weight"][0, 3, 0, 0] = 1e6
+    return Network("warm", layers, (1, 16, 16)), rng.random((16, 1, 16, 16))
+
+
 # -------------------------------------------------------------------- #
 # satellite: one consistently-worded dtype error
 
@@ -169,13 +193,18 @@ class TestStructure:
 
     @pytest.mark.parametrize("dtype", QUANT)
     def test_reserve_shrink_bit_identical(self, net, frames, dtype):
-        plan = InferencePlan(net, max_batch=2, dtype=dtype)
-        want = plan.run(frames[:2]).copy()
-        plan.reserve(8)
-        out = plan.run(frames)
-        np.testing.assert_array_equal(out[:2], want)
-        plan.shrink(2)
-        np.testing.assert_array_equal(plan.run(frames[:2]), want)
+        """Growing and shrinking keeps every bit, for the zoo plan and
+        for a plan with a fallback layer (``_DequantWrapStep.resize``)."""
+        hot_net, hot_frames = _saturated_middle_conv_net()
+        for network, x in ((net, frames), (hot_net, hot_frames)):
+            plan = InferencePlan(network, max_batch=2, dtype=dtype)
+            want = plan.run(x[:2]).copy()
+            plan.reserve(8)
+            out = plan.run(x[:8])
+            np.testing.assert_array_equal(out[:2], want)
+            plan.shrink(2)
+            np.testing.assert_array_equal(plan.run(x[:2]), want)
+        assert isinstance(plan._steps[2], _DequantWrapStep)
 
     def test_plan_cache_keyed_by_family(self, net):
         p8 = net.inference_plan(max_batch=1, dtype="int8")
@@ -288,25 +317,8 @@ class TestFallback:
         """A saturated conv between integer layers dequantizes its raw
         input and runs the float32 convolution: within the tolerance,
         batch-invariant, and split anywhere without changing a bit."""
-        rng = np.random.default_rng(4)
-        layers = [
-            Conv2d("conv_a", 1, 4, kernel=3, pad=1, rng=rng),
-            ReLU("relu_a"),
-            Conv2d("conv_hot", 4, 4, kernel=3, pad=1, rng=rng),
-            ReLU("relu_hot"),
-            MaxPool2d("pool", field=2, stride=2),
-            Conv2d("conv_c", 4, 4, kernel=3, pad=1, rng=rng),
-            ReLU("relu_c"),
-            Flatten("flatten"),
-            Linear("fc", 4 * 8 * 8, 4, rng=rng),
-        ]
-        # conv_a's channel 3 is constant zero, so one huge conv_hot weight
-        # on it saturates conv_hot's int8 and q16 weights without moving any
-        # activation: only conv_hot falls back.
-        layers[0].params["weight"][3] = 0.0
-        layers[0].params["bias"][3] = 0.0
-        layers[2].params["weight"][0, 3, 0, 0] = 1e6
-        net = Network("warm", layers, (1, 16, 16))
+        net, x = _saturated_middle_conv_net()
+        layers = net.layers
         for dtype in QUANT:
             plan = InferencePlan(net, max_batch=16, dtype=dtype)
             assert plan.quant_fallback_layers == ("conv_hot",)
@@ -314,7 +326,6 @@ class TestFallback:
             assert isinstance(hot, _DequantWrapStep)
             assert isinstance(hot.inner, _ConvStep)
             assert hot.inner.cols.dtype == np.float32
-            x = rng.random((16, 1, 16, 16))
             out = plan.run(x)
             err = np.max(np.abs(out.astype(np.float64) - net.forward(x)))
             if dtype == "int8":

@@ -17,7 +17,6 @@ from repro.core.rfbme import (
     RFBMEConfig,
     RFBMEEngine,
     estimate_motion,
-    estimate_motion_batch,
 )
 from repro.video import generate_clip, scenario
 
@@ -121,16 +120,6 @@ class TestBackendEquivalence:
         loop = estimate_motion(key, new, RF, (8, 8), config, backend="loop")
         fast = estimate_motion(key, new, RF, (8, 8), config, backend=backend)
         _assert_bit_identical(loop, fast)
-
-    def test_batch_matches_single(self, rng):
-        """estimate_motion_batch is bit-identical to per-pair calls —
-        the property lockstep multi-clip execution relies on."""
-        pairs = [
-            (rng.random((64, 64)), rng.random((64, 64))) for _ in range(5)
-        ]
-        batch = estimate_motion_batch(pairs, RF, GRID)
-        for pair, got in zip(pairs, batch):
-            _assert_bit_identical(estimate_motion(pair[0], pair[1], RF, GRID), got)
 
     def test_engine_reuse_is_stable(self, rng):
         """A reused engine (persistent scratch) returns identical results

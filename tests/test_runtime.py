@@ -3,7 +3,6 @@ lockstep BatchedPipeline — including the contract that every execution
 path produces results identical to the serial loop."""
 
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,17 +221,19 @@ class TestBatchedPipeline:
 
 
 class TestPipelinedLockstep:
-    """pipeline_depth=2: step t+1's RFBME/decide overlap step t's CNN
-    stages on one shared engine — bit-identical at any depth."""
+    """Lockstep hands every step's successor over, and the executor runs
+    step t+1's RFBME/decide beside step t's CNN stages on one shared
+    engine whenever a row's policy estimates — bit-identical to serial."""
 
     @pytest.mark.parametrize("policy", ["always", "match_error", "static"])
-    def test_keys_on_consecutive_steps(self, policy):
+    def test_keys_on_consecutive_steps(self, policy, started_threads):
         """rfbme(t+1) reads the key pixels stored at step t while
         cnn_prefix(t) is still storing that slot's activation: with a
         key on every step (static at interval 1, which still estimates
-        every frame; always, whose head only decides) or keys followed
-        by predictions (match_error), depth 2 equals depth 1 and serial
-        bit for bit."""
+        every frame) or keys followed by predictions (match_error), every
+        step but the first consumes a head run on the head thread, and
+        the bits equal serial.  The always-key baseline estimates
+        nothing, so it starts no head thread and pipelines no step."""
         spec = PipelineSpec(network=NETWORK, policy=policy, interval=1)
         clips = synthetic_workload(4, num_frames=8, base_seed=3)
         serial = run_workload(spec, clips, batch=False)
@@ -241,13 +242,13 @@ class TestPipelinedLockstep:
             assert all(mask.all() for mask in masks)
         else:
             assert any((mask[:-1] & ~mask[1:]).any() for mask in masks)
-        sequential = BatchedPipeline(
-            replace(spec, pipeline_depth=1)
-        ).run_workload(clips)
         piped = BatchedPipeline(spec).run_workload(clips)
-        assert sequential.pipelined_steps == 0
-        assert piped.pipelined_steps == piped.steps - 1
-        _assert_identical(sequential, serial)
+        head = [name for name in started_threads
+                if name.startswith("stage-head")]
+        if policy == "always":
+            assert piped.pipelined_steps == 0 and not head
+        else:
+            assert piped.pipelined_steps == piped.steps - 1 and head
         _assert_identical(piped, serial)
 
     def test_forced_thread_switches_keep_bits(self):
@@ -270,19 +271,12 @@ class TestPipelinedLockstep:
     def test_pipelined_run_leaves_one_blas_thread(self, spec, workload):
         from repro.runtime import blas
 
-        BatchedPipeline(replace(spec, pipeline_depth=2)).run_workload(workload)
+        BatchedPipeline(spec).run_workload(workload)
         assert set(blas.openblas_threads().values()) <= {1}
 
     def test_pipelined_matches_serial(self, spec, workload, serial_result):
-        piped = BatchedPipeline(
-            replace(spec, pipeline_depth=2)
-        ).run_workload(workload)
-        _assert_identical(piped, serial_result)
-
-    def test_spec_depth_reaches_lockstep(self, workload, serial_result):
-        """run_workload picks the depth up from the spec (the CLI path)."""
-        piped_spec = PipelineSpec(network=NETWORK, pipeline_depth=2)
-        piped = run_workload(piped_spec, workload, batch=True)
+        piped = BatchedPipeline(spec).run_workload(workload)
+        assert piped.pipelined_steps == piped.steps - 1
         _assert_identical(piped, serial_result)
 
     def test_pipelined_ragged_lengths(self, spec):
@@ -291,29 +285,18 @@ class TestPipelinedLockstep:
         clips = synthetic_workload(2, num_frames=7, base_seed=2) + \
             synthetic_workload(2, num_frames=3, base_seed=13)
         serial = run_workload(spec, clips, batch=False)
-        piped = BatchedPipeline(replace(spec, pipeline_depth=2)).run_workload(clips)
+        piped = BatchedPipeline(spec).run_workload(clips)
+        assert piped.pipelined_steps == piped.steps - 1
         _assert_identical(piped, serial)
 
     def test_pipelined_memoize_network(self):
-        memo = PipelineSpec(network="mini_alexnet", pipeline_depth=2)
+        memo = PipelineSpec(network="mini_alexnet")
         memo.warm()
         clips = synthetic_workload(3, num_frames=5, base_seed=6)
         serial = run_workload(memo, clips, batch=False)
         piped = run_workload(memo, clips, batch=True)
+        assert piped.pipelined_steps == piped.steps - 1
         _assert_identical(piped, serial)
-
-    def test_depth_beyond_two_behaves_as_two(self, spec, workload,
-                                             serial_result):
-        piped = BatchedPipeline(
-            replace(spec, pipeline_depth=4)
-        ).run_workload(workload)
-        _assert_identical(piped, serial_result)
-
-    def test_bad_depth_rejected(self, spec):
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            replace(spec, pipeline_depth=0)
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            PipelineSpec(network=NETWORK, pipeline_depth=0)
 
 
 class TestWorkloadResult:
@@ -358,13 +341,10 @@ class TestNonFiniteFrames:
 
     @pytest.mark.parametrize("dtype", ["float64", "int8"])
     @pytest.mark.parametrize("policy", ["always", "match_error"])
-    @pytest.mark.parametrize("shape", ["serial", "depth1", "depth2"])
+    @pytest.mark.parametrize("shape", ["serial", "lockstep"])
     @pytest.mark.parametrize("frame,bad", [(0, np.nan), (3, np.inf)])
     def test_mutated_clip_named(self, dtype, policy, shape, frame, bad):
-        spec = PipelineSpec(
-            network=NETWORK, policy=policy, dtype=dtype,
-            pipeline_depth=2 if shape == "depth2" else 1,
-        )
+        spec = PipelineSpec(network=NETWORK, policy=policy, dtype=dtype)
         clips = synthetic_workload(3, num_frames=5, base_seed=13)
         clips[1].frames[frame, 10, 20] = bad
         with pytest.raises(ValueError, match="frame has non-finite pixels"):

@@ -38,12 +38,6 @@ def spec():
 
 
 @pytest.fixture(scope="module")
-def sequential_spec(spec):
-    """The default spec at pipeline_depth=1: one step after another."""
-    return replace(spec, pipeline_depth=1)
-
-
-@pytest.fixture(scope="module")
 def clips():
     return synthetic_workload(8, num_frames=6, base_seed=11)
 
@@ -266,104 +260,71 @@ class TestSharded:
 
 
 class TestPipelinedServing:
-    """pipeline_depth=2 serving: the worker overlaps the next step's
-    RFBME/decide with the current CNN tail whenever slot membership is
-    provably stable (full occupancy, no departure) and falls back to
-    sequential steps everywhere else — the PR 3 identity gauntlet must
-    hold bit-for-bit throughout."""
+    """The worker overlaps the next step's RFBME/decide with the current
+    CNN tail whenever slot membership is provably stable (full
+    occupancy, no departure) and a row estimates, and runs each head
+    inline everywhere else — the identity gauntlet must hold
+    bit-for-bit throughout."""
 
-    @pytest.fixture(scope="class")
-    def piped_spec(self):
-        spec = PipelineSpec(network=NETWORK, pipeline_depth=2)
-        spec.warm()
-        return spec
-
-    def test_oversubscribed_matches_serial(self, piped_spec, clips,
+    def test_oversubscribed_matches_serial(self, spec, clips,
                                            serial_result):
-        report = ServingRuntime(piped_spec, ServerConfig(max_batch=3)).serve(
+        report = ServingRuntime(spec, ServerConfig(max_batch=3)).serve(
             _requests(clips)
         )
         _assert_identical(report, serial_result)
 
-    def test_ragged_and_staggered_match_serial(self, piped_spec):
+    def test_ragged_and_staggered_match_serial(self, spec):
         mixed = (
             synthetic_workload(2, num_frames=9, base_seed=1)
             + synthetic_workload(3, num_frames=3, base_seed=5)
             + synthetic_workload(2, num_frames=6, base_seed=8)
         )
-        serial = run_workload(piped_spec, mixed, batch=False)
+        serial = run_workload(spec, mixed, batch=False)
         arrivals = poisson_arrival_times(len(mixed), rate=2000.0, seed=3)
-        report = ServingRuntime(piped_spec, ServerConfig(max_batch=3)).serve(
+        report = ServingRuntime(spec, ServerConfig(max_batch=3)).serve(
             _requests(mixed, arrivals)
         )
         _assert_identical(report, serial)
 
-    def test_sharded_pipelined_matches_serial(self, piped_spec, clips,
+    def test_sharded_pipelined_matches_serial(self, spec, clips,
                                               serial_result):
         report = ServingRuntime(
-            piped_spec, ServerConfig(max_batch=3, serve_workers=2, shard_backend="serial")
+            spec, ServerConfig(max_batch=3, serve_workers=2, shard_backend="serial")
         ).serve(_requests(clips))
         _assert_identical(report, serial_result)
 
-    def test_runtime_reusable_across_serves(self, piped_spec, clips,
+    def test_runtime_reusable_across_serves(self, spec, clips,
                                             serial_result):
-        runtime = ServingRuntime(piped_spec, ServerConfig(max_batch=4))
+        runtime = ServingRuntime(spec, ServerConfig(max_batch=4))
         for _ in range(2):
             _assert_identical(runtime.serve(_requests(clips)), serial_result)
         runtime.close()  # joins any in-flight pipelined head
 
-    def test_lockstep_like_run_scans_membership_once(self, piped_spec):
-        """The stability predicate is memoised: a full-occupancy
-        equal-length run pays one membership scan total, not one per
-        step — the cached [occupancy, min-remaining] pair is decremented
-        per churn-free step and only invalidated by membership events."""
-        equal = synthetic_workload(3, num_frames=8, base_seed=21)
-        serial = run_workload(piped_spec, equal, batch=False)
-        runtime = ServingRuntime(piped_spec, ServerConfig(max_batch=3,
-                                 clock=FakeClock()))
-        report = runtime.serve(_requests(equal))
-        _assert_identical(report, serial)
-        assert runtime.lanes["default"]._membership_scans == 1
-
     @pytest.mark.parametrize("policy", ["always", "match_error", "static"])
-    def test_stable_lane_matches_depth_one(self, policy):
+    def test_stable_lane_matches_serial(self, policy, started_threads):
         """A full lane with no departure due hands every step over
-        definitely, so the head of t+1 (rfbme, except for always, and
-        decide) runs against cnn_prefix(t) on every step but the last —
-        and the bits equal depth 1 and serial.  Static at interval 1
-        keys every frame and still estimates every frame."""
+        definitely, so the head of t+1 (rfbme and decide) runs against
+        cnn_prefix(t) on every step but the first, and the bits equal
+        serial.  Static at interval 1 keys every frame and still
+        estimates every frame.  The always-key lane's heads only decide,
+        so it starts no head thread and pipelines no step."""
         spec = PipelineSpec(network=NETWORK, policy=policy, interval=1)
         clips = synthetic_workload(3, num_frames=8, base_seed=21)
         serial = run_workload(spec, clips, batch=False)
-        reports = {
-            depth: ServingRuntime(
-                replace(spec, pipeline_depth=depth),
-                ServerConfig(max_batch=len(clips), clock=FakeClock()),
-            ).serve(_requests(clips))
-            for depth in (1, 2)
-        }
-        assert reports[1].pipelined_steps == 0
-        assert reports[2].pipelined_steps == reports[2].steps - 1
-        for report in reports.values():
-            _assert_identical(report, serial)
-
-    def test_sequential_lane_never_scans_membership(self, sequential_spec,
-                                                    clips):
-        """pipeline_depth=1 never consults the stability predicate."""
-        runtime = ServingRuntime(sequential_spec,
-                                 ServerConfig(max_batch=3, clock=FakeClock()))
-        runtime.serve(_requests(clips))
-        assert runtime.lanes["default"]._membership_scans == 0
+        report = ServingRuntime(
+            spec, ServerConfig(max_batch=len(clips), clock=FakeClock())
+        ).serve(_requests(clips))
+        head = [name for name in started_threads
+                if name.startswith("stage-head")]
+        if policy == "always":
+            assert report.pipelined_steps == 0 and not head
+        else:
+            assert report.pipelined_steps == report.steps - 1 and head
+        _assert_identical(report, serial)
 
 
 class TestPipelineMetrics:
     """ServingReport's pipelining accounting, end to end."""
-
-    @pytest.fixture(scope="class")
-    def piped_spec(self):
-        spec = PipelineSpec(network=NETWORK, pipeline_depth=2)
-        spec.warm()
-        return spec
 
     @pytest.fixture(scope="class")
     def churny(self):
@@ -374,19 +335,19 @@ class TestPipelineMetrics:
         arrivals = [0.0, 0.0, 0.006, 0.012, 0.018]
         return clips, arrivals
 
-    def test_stable_traffic_pipelines(self, piped_spec):
+    def test_stable_traffic_pipelines(self, spec):
         """Full occupancy + equal lengths: every step but the last hands
         its successor over."""
         equal = synthetic_workload(3, num_frames=8, base_seed=21)
-        report = ServingRuntime(piped_spec, ServerConfig(max_batch=3,
+        report = ServingRuntime(spec, ServerConfig(max_batch=3,
                                 clock=FakeClock())).serve(_requests(equal))
         assert report.pipelined_steps == report.steps - 1
         assert report.pipeline_engagement == pytest.approx(7 / 8)
 
-    def test_churn_engagement_is_pipelined_fraction(self, piped_spec,
+    def test_churn_engagement_is_pipelined_fraction(self, spec,
                                                     churny):
         clips, arrivals = churny
-        report = ServingRuntime(piped_spec, ServerConfig(max_batch=2,
+        report = ServingRuntime(spec, ServerConfig(max_batch=2,
                                 clock=FakeClock())).serve(
             _requests(clips, arrivals)
         )
@@ -395,9 +356,9 @@ class TestPipelineMetrics:
             report.pipelined_steps / report.steps
         )
 
-    def test_summary_rows_surface_pipelining(self, piped_spec, churny):
+    def test_summary_rows_surface_pipelining(self, spec, churny):
         clips, arrivals = churny
-        report = ServingRuntime(piped_spec, ServerConfig(max_batch=2,
+        report = ServingRuntime(spec, ServerConfig(max_batch=2,
                                 clock=FakeClock())).serve(
             _requests(clips, arrivals)
         )
@@ -406,9 +367,10 @@ class TestPipelineMetrics:
             f"{report.pipelined_steps}/{report.steps}"
         )
 
-    def test_sequential_report_omits_pipeline_rows(self, sequential_spec,
-                                                   clips):
-        report = ServingRuntime(sequential_spec, ServerConfig(max_batch=3)).serve(
+    def test_sequential_report_omits_pipeline_rows(self, spec, clips):
+        """An always-key lane runs every head inline, full or not."""
+        always = replace(spec, policy="always")
+        report = ServingRuntime(always, ServerConfig(max_batch=3)).serve(
             _requests(clips)
         )
         assert report.pipelined_steps == 0
@@ -416,13 +378,13 @@ class TestPipelineMetrics:
         labels = [row[0] for row in report.summary_rows()]
         assert "pipelined steps" not in labels
 
-    def test_shard_merge_sums_pipeline_counters(self, piped_spec, churny):
+    def test_shard_merge_sums_pipeline_counters(self, spec, churny):
         """The counters survive the shard-merge path: per-shard
         PipelineStats are carried on ShardInfo and summed into the lane
         report."""
         clips, arrivals = churny
         report = ServingRuntime(
-            piped_spec, ServerConfig(max_batch=2, serve_workers=2,
+            spec, ServerConfig(max_batch=2, serve_workers=2,
             shard_backend="serial", clock=FakeClock()),
         ).serve(_requests(clips, arrivals))
         assert len(report.shards) == 2
@@ -579,9 +541,8 @@ def _run_shape(spec, clips, shape):
     """One in-process execution shape of ``spec`` over ``clips``."""
     if shape == "serial":
         return run_workload(spec, clips, batch=False)
-    if shape.startswith("lockstep"):
-        depth = int(shape[-1])
-        return run_workload(replace(spec, pipeline_depth=depth), clips)
+    if shape == "lockstep":
+        return run_workload(spec, clips)
     config = (
         ServerConfig(max_batch=3, prefix_coalesce=True, clock=FakeClock())
         if shape == "serving"
@@ -592,7 +553,7 @@ def _run_shape(spec, clips, shape):
 
 
 @pytest.mark.parametrize("shape", [
-    "serial", "lockstep1", "lockstep2", "serving", "inline-shards",
+    "serial", "lockstep", "serving", "inline-shards",
 ])
 @pytest.mark.parametrize("policy", ["always", "match_error"])
 def test_rfbme_is_never_called_without_a_pair(spec, clips, shape, policy,
@@ -628,7 +589,7 @@ class TestAlwaysKeyEstimatesNothing:
         return replace(spec, policy="always")
 
     @pytest.mark.parametrize("shape", [
-        "serial", "lockstep1", "lockstep2", "serving", "inline-shards",
+        "serial", "lockstep", "serving", "inline-shards",
     ])
     def test_no_pair_estimated(self, always, clips, shape, estimated_pairs):
         result = _run_shape(always, clips, shape)

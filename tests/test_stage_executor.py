@@ -3,11 +3,11 @@
 :class:`~repro.runtime.stage_graph.StageExecutor` runs the stage
 functions of :mod:`repro.core.stages` in one fixed order — head
 ``rfbme``/``decide``, mid ``adopt_pixels``, tail ``cnn_prefix``/``warp``/
-``cnn_suffix``/``record`` — and at depth 2 runs a handed-over next
-step's head on a worker thread during this step's tail.  These tests
-check the stages' declared write sets
-(:func:`write_set.run_checked`), the proof that the head may
-overlap the tail, and the executor's contract on real step batches.
+``cnn_suffix``/``record`` — and runs a handed-over next step's head on
+a worker thread during this step's tail when one of its rows
+estimates.  These tests check the stages' declared write sets
+(:func:`write_set.run_checked`), the proof that the head may overlap
+the tail, and the executor's contract on real step batches.
 """
 
 import itertools
@@ -58,11 +58,9 @@ LIFECYCLE = (stage_rfbme, stage_decide, stage_adopt_pixels, stage_cnn_prefix,
 
 @pytest.fixture(scope="module")
 def spec():
-    # Depth 1: a pipelined worker would leave its next head in flight,
-    # still deciding on lane state these tests fingerprint.  A static
-    # interval of 2 mixes key and predicted frames, so every stage works.
-    spec = PipelineSpec(network=NETWORK, policy="static", interval=2,
-                        pipeline_depth=1)
+    # A static interval of 2 mixes key and predicted frames, so every
+    # stage works.
+    spec = PipelineSpec(network=NETWORK, policy="static", interval=2)
     spec.warm()
     return spec
 
@@ -73,8 +71,12 @@ def clips():
 
 
 def _occupied_batch(spec, clips):
-    """A mid-stream batch: clips admitted on consecutive steps."""
-    worker = LaneWorker("default", spec, capacity=len(clips))
+    """A mid-stream batch: clips admitted on consecutive steps.
+
+    One slot stays spare: a full lane would hand its next head to the
+    head thread, still deciding on lane state these tests fingerprint.
+    """
+    worker = LaneWorker("default", spec, capacity=len(clips) + 1)
     for i, clip in enumerate(clips):
         worker.admit(i, ClipRequest(request_id=i, clip=clip), now=0.0)
         worker.step()
@@ -102,11 +104,14 @@ def _lockstep_batches(spec, clips):
     ]
 
 
-def _run_stream(executor, batches):
+def _run_stream(executor, batches, hand_over=True):
+    """Step ``batches`` in order, handing each successor over unless
+    ``hand_over`` is False (every head then runs inline)."""
     try:
         return [
             executor.step(batch, next_batch=(
-                batches[t + 1] if t + 1 < len(batches) else None
+                batches[t + 1] if hand_over and t + 1 < len(batches)
+                else None
             )).records
             for t, batch in enumerate(batches)
         ]
@@ -245,9 +250,7 @@ class TestOverlapSplit:
         starts."""
         calls = []
         _log_stages(monkeypatch, calls)
-        result = BatchedPipeline(
-            replace(spec, pipeline_depth=2)
-        ).run_workload(clips)
+        result = BatchedPipeline(spec).run_workload(clips)
         assert result.pipelined_steps == result.steps - 1 > 0
 
         def on_head(thread):
@@ -290,9 +293,7 @@ class TestOverlapSplit:
 
         calls = []
         _log_stages(monkeypatch, calls)
-        result = BatchedPipeline(
-            replace(spec, pipeline_depth=2)
-        ).run_workload(clips)
+        result = BatchedPipeline(spec).run_workload(clips)
         assert result.pipelined_steps > 0
         driver = threading.current_thread().name
         adopt = [thread for name, thread, *_ in calls
@@ -315,14 +316,18 @@ class TestOverlapSplit:
 
 
 class TestStageExecutor:
-    def test_depth_one_is_sequential(self, monkeypatch, spec, clips):
+    def test_next_batch_without_estimating_row_runs_inline(
+        self, monkeypatch, spec, clips
+    ):
+        """A handed-over batch whose policies estimate nothing (the
+        always-key baseline) is not launched: its head only decides."""
         calls = []
         _log_stages(monkeypatch, calls)
         batch = _occupied_batch(spec, clips)
         calls.clear()
-        executor = StageExecutor(pipeline_depth=1)
-        assert not executor.pipelined
-        batches = _lockstep_batches(spec, clips)
+        executor = StageExecutor()
+        always = replace(spec, policy="always")
+        batches = _lockstep_batches(always, clips)
         step = executor.step(batch, next_batch=batches[0])  # not launched
         assert len(step.records) == len(batch)
         assert [name for name, *_ in calls] == [fn.__name__ for fn in LIFECYCLE]
@@ -334,11 +339,10 @@ class TestStageExecutor:
     def test_pipelined_stream_matches_sequential(self, monkeypatch, spec,
                                                  clips):
         batches = _lockstep_batches(spec, clips)
-        sequential = _run_stream(StageExecutor(1), batches)
+        sequential = _run_stream(StageExecutor(), batches, hand_over=False)
         calls = []
         _log_stages(monkeypatch, calls)
-        executor = StageExecutor(pipeline_depth=2)
-        assert executor.pipelined
+        executor = StageExecutor()
         batches = _lockstep_batches(spec, clips)
         pipelined = _run_stream(executor, batches)
         for got_step, want_step in zip(pipelined, sequential, strict=True):
@@ -367,7 +371,7 @@ class TestStageExecutor:
         assert all(token is not None for token in before[KEY_PIXELS])
         calls = []
         _log_stages(monkeypatch, calls)
-        executor = StageExecutor(pipeline_depth=2)
+        executor = StageExecutor()
         try:
             executor.step(stream[0], next_batch=stream[1])
             with pytest.raises(PipelineContractError):
@@ -383,17 +387,14 @@ class TestStageExecutor:
 
     def test_close_allows_reuse(self, spec, clips):
         batches = _lockstep_batches(spec, clips)
-        executor = StageExecutor(pipeline_depth=2)
+        executor = StageExecutor()
         executor.step(batches[0], next_batch=batches[1])
+        assert executor._inflight is not None
         executor.close()  # abandons the in-flight head
         assert executor._inflight is None and executor._worker is None
         fresh = _lockstep_batches(spec, clips)
-        want = StageExecutor(1).step(fresh[0]).records
+        want = StageExecutor().step(fresh[0]).records
         got = executor.step(_lockstep_batches(spec, clips)[0]).records
         for a, b in zip(got, want, strict=True):
             np.testing.assert_array_equal(a.output, b.output)
         executor.close()
-
-    def test_bad_depth_rejected(self):
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            StageExecutor(pipeline_depth=0)

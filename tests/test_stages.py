@@ -46,10 +46,7 @@ NETWORK = "mini_fasterm"
 def spec():
     # A static interval makes the key/pred mix at any step a pure
     # function of the staggered cursors below — deterministically mixed.
-    # Depth 1: a pipelined worker would leave its next head in flight,
-    # still deciding on lane state these tests inspect and clone.
-    spec = PipelineSpec(network=NETWORK, policy="static", interval=2,
-                        pipeline_depth=1)
+    spec = PipelineSpec(network=NETWORK, policy="static", interval=2)
     spec.warm()
     return spec
 
@@ -64,9 +61,11 @@ def _mid_stream_worker(spec, clips) -> LaneWorker:
 
     After the warm-up the four slots sit at cursors 4, 3, 2, 1 — so with
     a static interval of 2 the next step mixes key and predicted
-    decisions across slots, exercising every stage at once.
+    decisions across slots, exercising every stage at once.  One slot
+    stays spare: a full lane would hand its next head to the head
+    thread, still deciding on lane state these tests inspect and clone.
     """
-    worker = LaneWorker("default", spec, capacity=len(clips))
+    worker = LaneWorker("default", spec, capacity=len(clips) + 1)
     for i, clip in enumerate(clips):
         worker.admit(i, ClipRequest(request_id=i, clip=clip), now=0.0)
         worker.step()
@@ -104,7 +103,8 @@ class TestStageSlices:
 
     def test_stages_reproduce_monolithic_step(self, spec, clips):
         worker = _mid_stream_worker(spec, clips)
-        cursors = [slot.cursor for slot in worker.state.slots]
+        cursors = [worker.state.slots[i].cursor
+                   for i in worker.state.occupied()]
         assert cursors == [4, 3, 2, 1]  # staggered → mixed decisions
 
         mono_state = _clone(worker.state)
@@ -199,7 +199,8 @@ class TestLaneStatePickle:
     def test_cursors_and_stored_keys_survive(self, spec, clips):
         worker = _mid_stream_worker(spec, clips)
         restored = _clone(worker.state)
-        for got, want in zip(restored.slots, worker.state.slots):
+        for i in worker.state.occupied():
+            got, want = restored.slots[i], worker.state.slots[i]
             assert got.cursor == want.cursor
             np.testing.assert_array_equal(
                 got.executor.stored_pixels(), want.executor.stored_pixels()
