@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from lockstep_inline import run_lockstep_inline
 from repro.core import EVA2Pipeline, MatchErrorPolicy, StaticPolicy
 from repro.runtime import (
     BatchedPipeline,
@@ -341,14 +342,20 @@ class TestNonFiniteFrames:
 
     @pytest.mark.parametrize("dtype", ["float64", "int8"])
     @pytest.mark.parametrize("policy", ["always", "match_error"])
-    @pytest.mark.parametrize("shape", ["serial", "lockstep"])
+    @pytest.mark.parametrize("shape", ["serial", "depth1", "depth2"])
     @pytest.mark.parametrize("frame,bad", [(0, np.nan), (3, np.inf)])
     def test_mutated_clip_named(self, dtype, policy, shape, frame, bad):
+        """``depth1`` is lockstep with every head inline; ``depth2`` is
+        the default lockstep, which overlaps the next step's head
+        whenever a row estimates."""
         spec = PipelineSpec(network=NETWORK, policy=policy, dtype=dtype)
         clips = synthetic_workload(3, num_frames=5, base_seed=13)
         clips[1].frames[frame, 10, 20] = bad
         with pytest.raises(ValueError, match="frame has non-finite pixels"):
-            run_workload(spec, clips, batch=shape != "serial")
+            if shape == "depth1":
+                run_lockstep_inline(spec, clips)
+            else:
+                run_workload(spec, clips, batch=shape == "depth2")
 
     @pytest.mark.parametrize("policy", ["always", "match_error"])
     @pytest.mark.parametrize("backend", ["unsharded", "serial", "process"])

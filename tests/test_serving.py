@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fake_clock import FakeClock
+from lockstep_inline import run_lockstep_inline
 from repro.runtime import (
     AutoscalePolicy,
     ClipRequest,
@@ -538,10 +539,16 @@ def estimated_pairs(monkeypatch):
 
 
 def _run_shape(spec, clips, shape):
-    """One in-process execution shape of ``spec`` over ``clips``."""
+    """One in-process execution shape of ``spec`` over ``clips``.
+
+    ``lockstep1`` runs every head inline; ``lockstep2`` is the default
+    lockstep, which overlaps the next step's head whenever a row
+    estimates."""
     if shape == "serial":
         return run_workload(spec, clips, batch=False)
-    if shape == "lockstep":
+    if shape == "lockstep1":
+        return run_lockstep_inline(spec, clips)
+    if shape == "lockstep2":
         return run_workload(spec, clips)
     config = (
         ServerConfig(max_batch=3, prefix_coalesce=True, clock=FakeClock())
@@ -553,7 +560,7 @@ def _run_shape(spec, clips, shape):
 
 
 @pytest.mark.parametrize("shape", [
-    "serial", "lockstep", "serving", "inline-shards",
+    "serial", "lockstep1", "lockstep2", "serving", "inline-shards",
 ])
 @pytest.mark.parametrize("policy", ["always", "match_error"])
 def test_rfbme_is_never_called_without_a_pair(spec, clips, shape, policy,
@@ -589,7 +596,7 @@ class TestAlwaysKeyEstimatesNothing:
         return replace(spec, policy="always")
 
     @pytest.mark.parametrize("shape", [
-        "serial", "lockstep", "serving", "inline-shards",
+        "serial", "lockstep1", "lockstep2", "serving", "inline-shards",
     ])
     def test_no_pair_estimated(self, always, clips, shape, estimated_pairs):
         result = _run_shape(always, clips, shape)
